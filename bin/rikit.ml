@@ -1400,7 +1400,7 @@ let with_txn_server ?(group_commit = 0.) ?(preload = [||]) ~sessions f =
     { Server.Dispatcher.host = "127.0.0.1"; port = 0;
       max_sessions = sessions + 2; max_inflight = 64; max_queue = 4096;
       group_commit; idle_timeout = 0.; metrics_port = None;
-      slow_query_ms = 0.; replica_of = None; backend = None;
+      slow_query_ms = 0.; replica_of = None;
       write_high_water = Server.Dispatcher.default_config.write_high_water }
   in
   let sh = Server.Session.shared ~durable:true () in
@@ -2048,7 +2048,7 @@ let with_repl_node ?replica_of () =
     { Server.Dispatcher.host = "127.0.0.1"; port = 0; max_sessions = 16;
       max_inflight = 64; max_queue = 4096; group_commit = 0.002;
       idle_timeout = 0.; metrics_port = None; slow_query_ms = 0.;
-      replica_of; backend = None;
+      replica_of;
       write_high_water = Server.Dispatcher.default_config.write_high_water }
   in
   let sh = Server.Session.shared ~durable:true () in
@@ -2660,12 +2660,7 @@ let bench_connections tiny out =
         await_up ~tries:(tries - 1) port
   in
   await_up port;
-  (* the child inherits this process's env, so it selects the same
-     backend this build does *)
-  let backend = Reactor.Backend.kind_to_string (Reactor.Backend.default ()) in
-  Printf.printf
-    "bench-connections: reactor backend %s, sweep %s (fd limit %d)\n%!"
-    backend
+  Printf.printf "bench-connections: sweep %s (fd limit %d)\n%!"
     (String.concat " " (List.map string_of_int levels))
     (if fd_limit = max_int then -1 else fd_limit);
   let results = List.map (fun n ->
@@ -2776,11 +2771,11 @@ let bench_connections tiny out =
       r.cl_threads
   in
   Printf.bprintf b
-    "{\n  \"bench\": \"connections\",\n  \"tiny\": %b,\n  \"backend\": \
-     %S,\n  \"dispatcher\": [\n%s\n  ],\n  \"router\": [\n%s\n  ],\n\
+    "{\n  \"bench\": \"connections\",\n  \"tiny\": %b,\n\
+    \  \"dispatcher\": [\n%s\n  ],\n  \"router\": [\n%s\n  ],\n\
     \  \"served_ok\": %b,\n  \"threads_flat\": %b,\n\
     \  \"router_threads_flat\": %b,\n  \"router_served_ok\": %b\n}\n"
-    tiny backend
+    tiny
     (String.concat ",\n" (List.map level_json results))
     (String.concat ",\n" (List.map (fun (r, _) -> level_json r) router_results))
     served_ok disp_flat router_flat router_served_ok;

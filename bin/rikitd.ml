@@ -2,8 +2,8 @@
 
    Serves the wire protocol of Server.Protocol on a TCP port: SQL
    statements and typed interval operations against one shared database
-   preloaded with a Table-1 distribution. Single-process select loop
-   with admission control; Ctrl-C (or SIGTERM) shuts down gracefully —
+   preloaded with a Table-1 distribution. Single-process poll(2) event
+   loop with admission control; Ctrl-C (or SIGTERM) shuts down gracefully —
    queued requests are answered, the buffer pool is flushed (a durable
    catalog is checkpointed), and the stats dump is printed. *)
 
@@ -18,24 +18,10 @@ let kind_conv =
   Arg.conv (parse, fun ppf k ->
       Format.pp_print_string ppf (Workload.Distribution.kind_to_string k))
 
-let backend_conv =
-  let parse = function
-    | "poll" -> Ok Reactor.Backend.Poll
-    | "select" -> Ok Reactor.Backend.Select
-    | s -> Error (`Msg (Printf.sprintf "unknown reactor backend %S" s))
-  in
-  Arg.conv
-    ( parse,
-      fun ppf k ->
-        Format.pp_print_string ppf
-          (match k with
-          | Reactor.Backend.Poll -> "poll"
-          | Reactor.Backend.Select -> "select") )
-
 (* Router mode: no local database at all — fan queries out to the
    shard processes listed with --shard and merge the answers. *)
 let serve_router host port max_sessions metrics_port shards domain_max
-    shard_deadline_ms workers backend =
+    shard_deadline_ms workers =
   if shards = [] then failwith "--router needs at least one --shard";
   if domain_max < 1 then failwith "--domain-max must be >= 1";
   if shard_deadline_ms <= 0. then failwith "--shard-deadline must be > 0";
@@ -52,7 +38,7 @@ let serve_router host port max_sessions metrics_port shards domain_max
   let map = Server.Router.Map.create ~cuts ~endpoints:shards in
   let config =
     { Server.Router.host; port; max_sessions;
-      shard_deadline_ms; metrics_port; workers; backend }
+      shard_deadline_ms; metrics_port; workers }
   in
   let router =
     try Server.Router.create config ~map
@@ -95,10 +81,10 @@ let serve_router host port max_sessions metrics_port shards domain_max
 
 let serve host port kind n d seed max_sessions max_inflight max_queue durable
     group_commit_ms idle_timeout metrics_port slow_query_ms hot_tier_mb
-    replica_of router shards domain_max shard_deadline_ms workers backend =
+    replica_of router shards domain_max shard_deadline_ms workers =
   if router then
     serve_router host port max_sessions metrics_port shards domain_max
-      shard_deadline_ms workers backend
+      shard_deadline_ms workers
   else if shards <> [] then
     failwith "--shard is only meaningful with --router"
   else begin
@@ -112,7 +98,7 @@ let serve host port kind n d seed max_sessions max_inflight max_queue durable
   let config =
     { Server.Dispatcher.host; port; max_sessions; max_inflight; max_queue;
       group_commit = group_commit_ms /. 1000.; idle_timeout; metrics_port;
-      slow_query_ms; replica_of; backend;
+      slow_query_ms; replica_of;
       write_high_water = Server.Dispatcher.default_config.write_high_water }
   in
   let sh = Server.Session.shared ~durable ~hot_tier_mb () in
@@ -345,14 +331,6 @@ let cmd =
                    the reactor thread this is the router's entire \
                    OS-thread budget, independent of connection count.")
   in
-  let backend =
-    Arg.(value & opt (some backend_conv) None
-         & info [ "reactor" ] ~docv:"poll|select"
-             ~doc:"Readiness backend for the event loop. Default \
-                   auto-selects poll(2) where the stub works and falls \
-                   back to select (also overridable via the \
-                   RIKIT_REACTOR_BACKEND environment variable).")
-  in
   Cmd.v
     (Cmd.info "rikitd" ~version:"1.0.0"
        ~doc:"Concurrent interval-query server (RI-tree, VLDB 2000)")
@@ -360,6 +338,6 @@ let cmd =
           $ max_inflight $ max_queue $ durable $ group_commit
           $ idle_timeout $ metrics_port $ slow_query_ms $ hot_tier
           $ replica_of $ router $ shard $ domain_max $ shard_deadline
-          $ workers $ backend)
+          $ workers)
 
 let () = exit (Cmd.eval cmd)

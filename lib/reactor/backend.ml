@@ -1,33 +1,14 @@
-type kind = Poll | Select
-
-let kind_to_string = function Poll -> "poll" | Select -> "select"
-
-let kind_of_string = function
-  | "poll" -> Some Poll
-  | "select" -> Some Select
-  | _ -> None
-
 external fd_int : Unix.file_descr -> int = "%identity"
-
-let select_fd_limit = 1020
 
 external poll_raw :
   int array -> int array -> int array -> int -> int -> int = "rikit_poll_stub"
-
-let poll_works =
-  lazy (match poll_raw [||] [||] [||] 0 0 with 0 -> true | _ | (exception _) -> false)
-
-let default () =
-  match Option.bind (Sys.getenv_opt "RIKIT_REACTOR_BACKEND") kind_of_string with
-  | Some k -> k
-  | None -> if Lazy.force poll_works then Poll else Select
 
 let timeout_ms timeout =
   if timeout < 0. then -1
   else if timeout = 0. then 0
   else max 1 (int_of_float (ceil (timeout *. 1000.)))
 
-let wait_poll entries ~timeout =
+let wait entries ~timeout =
   let n = Array.length entries in
   let fds = Array.make (max n 1) 0
   and events = Array.make (max n 1) 0
@@ -55,38 +36,8 @@ let wait_poll entries ~timeout =
     !out
   end
 
-let wait_select entries ~timeout =
-  let rd =
-    Array.to_list entries
-    |> List.filter_map (fun (fd, r, _) -> if r then Some fd else None)
-  and wr =
-    Array.to_list entries
-    |> List.filter_map (fun (fd, _, w) -> if w then Some fd else None)
-  in
-  match Unix.select rd wr [] timeout with
-  | ready_r, ready_w, _ ->
-      Array.to_list entries
-      |> List.filter_map (fun (fd, want_r, want_w) ->
-             let r = want_r && List.mem fd ready_r
-             and w = want_w && List.mem fd ready_w in
-             if r || w then Some (fd, r, w) else None)
-  | exception Unix.Unix_error (Unix.EINTR, _, _) -> []
-
-let wait kind entries ~timeout =
-  if Array.length entries = 0 && timeout >= 0. then begin
-    (* Nothing to watch: just sleep out the timeout. *)
-    (if timeout > 0. then
-       try ignore (Unix.select [] [] [] timeout)
-       with Unix.Unix_error (Unix.EINTR, _, _) -> ());
-    []
-  end
-  else match kind with
-    | Poll -> wait_poll entries ~timeout
-    | Select -> wait_select entries ~timeout
-
-let wait_fd ?kind fd dir ~timeout =
-  let k = match kind with Some k -> k | None -> default () in
+let wait_fd fd dir ~timeout =
   let entry =
     match dir with `Read -> (fd, true, false) | `Write -> (fd, false, true)
   in
-  match wait k [| entry |] ~timeout with [] -> false | _ -> true
+  wait [| entry |] ~timeout <> []

@@ -1,44 +1,18 @@
-(** Readiness backends: the poll(2) C stub and the portable
-    [Unix.select] fallback.
+(** Readiness via the poll(2) C stub: no fd-number ceiling, unlike
+    [select]'s [FD_SETSIZE]. *)
 
-    The poll backend has no fd-number ceiling and is the default. The
-    select fallback exists for platforms without the stub and for
-    forcing in tests ([RIKIT_REACTOR_BACKEND=select]); it inherits
-    select's [FD_SETSIZE] (~1024) limit — waiting on an fd numbered
-    beyond that raises, which is exactly the limitation the reactor
-    was built to escape. *)
-
-type kind = Poll | Select
-
-val kind_to_string : kind -> string
-val kind_of_string : string -> kind option
-
-(** Backend forced by [RIKIT_REACTOR_BACKEND] ([poll]/[select]) if
-    set, otherwise [Poll] when the stub is functional, else
-    [Select]. *)
-val default : unit -> kind
-
-(** The raw fd number (identity on Unix). Exposed so callers can
-    detect fds beyond the select fallback's ceiling. *)
-val fd_int : Unix.file_descr -> int
-
-(** Largest fd number the select fallback can wait on. *)
-val select_fd_limit : int
-
-(** [wait k entries ~timeout] blocks until at least one entry is
-    ready or [timeout] (seconds; negative = forever) elapses. Each
-    entry is [(fd, want_read, want_write)]; the result lists ready
-    entries as [(fd, readable, writable)] — error/hangup conditions
-    are reported as ready in every direction of interest. Interrupted
-    waits ([EINTR]) return []. *)
+(** [wait entries ~timeout] blocks until at least one entry is ready
+    or [timeout] (seconds; negative = forever) elapses. Each entry is
+    [(fd, want_read, want_write)]; the result lists ready entries as
+    [(fd, readable, writable)] — error/hangup conditions are reported
+    as ready in every direction of interest. Interrupted waits
+    ([EINTR]) return []. *)
 val wait :
-  kind ->
   (Unix.file_descr * bool * bool) array ->
   timeout:float ->
   (Unix.file_descr * bool * bool) list
 
-(** [wait_fd ?kind fd dir ~timeout] waits for a single fd; [true] if
-    it became ready within [timeout] seconds. Used for client-side
+(** [wait_fd fd dir ~timeout] waits for a single fd; [true] if it
+    became ready within [timeout] seconds. Used for client-side
     deadline waits (connect completion, response deadlines). *)
-val wait_fd :
-  ?kind:kind -> Unix.file_descr -> [ `Read | `Write ] -> timeout:float -> bool
+val wait_fd : Unix.file_descr -> [ `Read | `Write ] -> timeout:float -> bool

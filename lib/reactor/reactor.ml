@@ -10,22 +10,18 @@ type entry = {
 }
 
 type t = {
-  bk : Backend.kind;
   tbl : (Unix.file_descr, entry) Hashtbl.t;
   wheel : Timer_wheel.t;
 }
 
 type timer = Timer_wheel.timer
 
-let create ?backend () =
-  let bk = match backend with Some k -> k | None -> Backend.default () in
+let create () =
   {
-    bk;
     tbl = Hashtbl.create 64;
     wheel = Timer_wheel.create ~now:(Unix.gettimeofday ());
   }
 
-let backend t = t.bk
 let nop () = ()
 
 let register t fd ?readable ?writable () =
@@ -39,7 +35,6 @@ let register t fd ?readable ?writable () =
 
 let deregister t fd = Hashtbl.remove t.tbl fd
 let is_registered t fd = Hashtbl.mem t.tbl fd
-let fd_count t = Hashtbl.length t.tbl
 
 let set_read_interest t fd v =
   match Hashtbl.find_opt t.tbl fd with
@@ -81,7 +76,7 @@ let run_once ?(max_timeout = 1.0) t =
       t.tbl;
     Array.sub buf 0 !i
   in
-  let ready = Backend.wait t.bk entries ~timeout in
+  let ready = Backend.wait entries ~timeout in
   ignore (Timer_wheel.advance t.wheel ~now:(Unix.gettimeofday ()));
   List.iter
     (fun (fd, r, w) ->

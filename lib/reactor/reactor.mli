@@ -4,8 +4,7 @@
 
     A reactor owns a set of registered fds with read/write interest
     and callbacks, plus a hierarchical timer wheel. [run_once] blocks
-    in the backend ([poll(2)] stub or [Unix.select] fallback) until
-    readiness or the earliest timer, fires due timers, then fires
+    in [poll(2)] ({!Backend}) until readiness or the earliest timer, fires due timers, then fires
     ready-fd callbacks. Single-threaded: all callbacks run on the
     thread calling [run_once]; nothing here takes locks. *)
 
@@ -16,10 +15,7 @@ module Writer = Writer
 type t
 type timer
 
-(** [create ?backend ()] — default backend per {!Backend.default}. *)
-val create : ?backend:Backend.kind -> unit -> t
-
-val backend : t -> Backend.kind
+val create : unit -> t
 
 (** Register callbacks for an fd. Interest in a direction starts on
     iff that callback is supplied; adjust later with the interest
@@ -35,7 +31,6 @@ val register :
 
 val deregister : t -> Unix.file_descr -> unit
 val is_registered : t -> Unix.file_descr -> bool
-val fd_count : t -> int
 
 (** Toggle poll interest without replacing callbacks. Write interest
     must track "has pending output" exactly: leaving it on with
@@ -50,7 +45,7 @@ val at : t -> float -> (unit -> unit) -> timer
 val cancel : t -> timer -> unit
 val timer_count : t -> int
 
-(** One loop turn: sleep in the backend until readiness, the earliest
+(** One loop turn: sleep in [poll(2)] until readiness, the earliest
     timer deadline, or [max_timeout] (whichever is soonest; default
     1 s), then fire due timers and ready callbacks. Callbacks may
     freely register/deregister fds and timers, including their

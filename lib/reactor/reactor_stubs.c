@@ -1,4 +1,4 @@
-/* poll(2) binding for the reactor's primary backend.
+/* poll(2) binding: the reactor's readiness backend.
  *
  * Calling convention (see Backend.poll_raw):
  *   fds     : int array   — file descriptor numbers

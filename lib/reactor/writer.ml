@@ -30,7 +30,9 @@ let has_pending t = t.buffered > 0
 let max_buffered t = t.max_buffered
 
 let push t frame =
-  Queue.add { data = frame; off = 0 } t.q;
+  (* An empty chunk would never be popped: write of 0 bytes returns 0,
+     which [flush] reads as "socket full". *)
+  if Bytes.length frame > 0 then Queue.add { data = frame; off = 0 } t.q;
   t.buffered <- t.buffered + Bytes.length frame;
   if t.buffered > t.max_buffered then t.max_buffered <- t.buffered;
   t.buffered <= t.hw

@@ -66,10 +66,9 @@ let timeout_fail t fmt =
       raise (Timed_out s))
     fmt
 
-(* Wait (reactor backend, poll(2) when available — a deadline wait must
-   work on fds past FD_SETSIZE, e.g. in a process holding thousands of
-   connections) until [t.fd] is ready for [dir], or the absolute
-   [deadline] passes. [deadline = None] returns immediately — the
+(* Wait (poll(2): a deadline wait must work on fds past FD_SETSIZE,
+   e.g. in a process holding thousands of connections) until [t.fd] is
+   ready for [dir], or the absolute [deadline] passes. [deadline = None] returns immediately — the
    subsequent blocking syscall provides the wait. *)
 let wait_ready t deadline dir =
   match deadline with
@@ -292,7 +291,6 @@ let rpc_many pairs =
         l)
       pairs
   in
-  let bk = Reactor.Backend.default () in
   let rec step () =
     match List.filter (fun l -> l.lres = None) legs with
     | [] -> ()
@@ -322,7 +320,7 @@ let rpc_many pairs =
           let entries =
             Array.of_list (List.map (fun l -> (l.lt.fd, true, false)) pend)
           in
-          let ready = Reactor.Backend.wait bk entries ~timeout in
+          let ready = Reactor.Backend.wait entries ~timeout in
           List.iter
             (fun (fd, r, _) ->
               if r then

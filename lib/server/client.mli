@@ -68,7 +68,7 @@ val retryable : error -> bool
 val connect : ?host:string -> ?deadline_ms:float -> port:int -> unit -> t
 (** Default host [127.0.0.1]. [?deadline_ms] arms a per-request
     deadline: the connect itself and every subsequent call on this
-    connection must complete within that many milliseconds (select-based
+    connection must complete within that many milliseconds (poll(2)
     waits around each read/write), else the call fails with {!Timeout}
     and the connection is closed. Without it, calls block forever — a
     hung or partitioned server then also hangs the client, which is
@@ -90,7 +90,7 @@ val rpc_result : t -> Protocol.request -> (Protocol.response, error) result
 val rpc_many :
   (t * Protocol.request) list -> (Protocol.response, error) result list
 (** One request per client, all responses multiplexed on a single
-    readiness wait (reactor backend) — k scatter legs cost one wait,
+    readiness wait (poll(2)) — k scatter legs cost one wait,
     not k threads. Clients must be distinct and have no other request
     in flight. Each leg runs under its own client's [deadline_ms]; a
     failed leg reports its typed error (and is closed on transport

@@ -1,0 +1,102 @@
+(** The socket half of a served connection, written once for every
+    listener: the dispatcher and the router use it for framed protocol
+    connections, the metrics endpoint for its one-shot HTTP scrapes.
+
+    A connection is registered on a {!Reactor}: readability runs the
+    read loop, writability flushes the bounded {!Reactor.Writer} and
+    closes the connection once it is finished. The owner keeps its own
+    per-connection state (sessions, queues, shard legs) next to the
+    [t] and learns about the connection's end through [on_close].
+
+    Lifecycle: a connection marked [closing] gets no further service —
+    its inbound bytes are read and discarded — and ends once its output
+    has drained, with a lingering close: the write side is shut down
+    (the peer reads everything it was sent, then EOF) and inbound bytes
+    are discarded until the peer closes, or for at most 5 s. Closing
+    the socket while the peer is still sending would answer those bytes
+    with an RST, which discards the final typed frame from the peer's
+    receive queue and fails the peer's writes with [EPIPE].
+    [force_close] ends the connection at the next {!maybe_close},
+    drained or not. *)
+
+type t = {
+  reactor : Reactor.t;
+  fd : Unix.file_descr;
+  wr : Reactor.Writer.t;
+  framer : Protocol.Framer.t;
+  mutable closing : bool;  (** serve nothing more; close once drained *)
+  mutable force_close : bool;  (** close at the next {!maybe_close} *)
+  mutable cut_off : bool;  (** the high-water rule fired; drop output *)
+  mutable lingering : bool;  (** write side shut; awaiting the peer's EOF *)
+  mutable dead : bool;  (** deregistered and closed *)
+  mutable last_active : float;  (** last byte received *)
+  mutable on_cut_off : unit -> bool;  (** set by {!serve} *)
+  mutable on_close : unit -> unit;  (** set by {!serve} *)
+}
+
+(** [listen ~host ~port ~backlog] binds a listening socket
+    ([SO_REUSEADDR]; [port = 0] picks an ephemeral port) and returns it
+    with the port actually bound. *)
+val listen :
+  host:string -> port:int -> backlog:int -> Unix.file_descr * int
+
+(** [accept lfd ~admit f] drains the accept backlog of the
+    non-blocking listener [lfd]. For each accepted socket, [admit ()]
+    returning [Some reason] refuses it: one typed [Overloaded reason]
+    frame (request id 0) is written in full and the socket is closed.
+    [None] hands the socket, now non-blocking, to [f]. *)
+val accept :
+  Unix.file_descr ->
+  admit:(unit -> string option) ->
+  (Unix.file_descr -> unit) ->
+  unit
+
+(** A fresh connection on an accepted socket, not yet registered;
+    [high_water] bounds its output buffer (default 4 MiB). *)
+val create : Reactor.t -> ?high_water:int -> Unix.file_descr -> t
+
+(** [serve c ?on_cut_off ?on_close on_data] registers [c]: each read
+    of new bytes is handed to [on_data buf n] (discarded instead once
+    [c] is closing). A read error closes [c]; so does EOF, unless
+    output is still owed — then [c] is closing and ends once it drains.
+    Write interest starts off.
+
+    [on_cut_off] runs when a {!send} leaves the output buffer over its
+    high-water mark: returning [true] (the default) cuts the consumer
+    off — the owner drops its unanswered work, and one typed
+    [Overloaded] frame is queued past the mark before the connection
+    closes; returning [false] exempts the connection (a replication
+    subscriber is flow-controlled instead). [on_close] runs once, when
+    the socket is closed. *)
+val serve :
+  t ->
+  ?on_cut_off:(unit -> bool) ->
+  ?on_close:(unit -> unit) ->
+  (bytes -> int -> unit) ->
+  unit
+
+(** [frames c on_request] is the [on_data] of a protocol connection:
+    it feeds the framer and hands each decoded request to
+    [on_request id req] until [c] starts closing. An undecodable
+    payload is answered with a typed [Error] (request id 0) and the
+    connection survives; a framing error (oversized length prefix) is
+    answered the same way and closes the connection. *)
+val frames :
+  t -> (int64 -> Protocol.request -> unit) -> bytes -> int -> unit
+
+(** Queue one response frame under the high-water rule (see {!serve}).
+    Dropped once the connection is cut off, lingering or closed. Does
+    not write: see {!flush}. *)
+val send : t -> id:int64 -> Protocol.response -> unit
+
+(** Write what the socket accepts and keep write interest equal to
+    "has pending bytes". A peer gone under us sets [force_close]. *)
+val flush : t -> unit
+
+(** Close [c] if it is [force_close], or start its lingering close if
+    it is [closing] with its output drained. *)
+val maybe_close : t -> unit
+
+(** Deregister and close now, after reading away (boundedly) any
+    unread inbound bytes; runs [on_close]. Idempotent. *)
+val close : t -> unit

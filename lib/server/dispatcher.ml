@@ -10,8 +10,6 @@ type config = {
   slow_query_ms : float;
   replica_of : (string * int) option;
       (* run as a hot standby tailing this primary's journal stream *)
-  backend : Reactor.Backend.kind option;
-      (* readiness backend; None = poll(2) when available *)
   write_high_water : int;
       (* per-connection output buffer bound; crossing it is backpressure *)
 }
@@ -20,18 +18,12 @@ let default_config =
   { host = "127.0.0.1"; port = 7468; max_sessions = 64; max_inflight = 32;
     max_queue = 1024; group_commit = 0.; idle_timeout = 0.;
     metrics_port = None; slow_query_ms = 0.; replica_of = None;
-    backend = None; write_high_water = 4 * 1024 * 1024 }
+    write_high_water = 4 * 1024 * 1024 }
 
 type conn = {
-  fd : Unix.file_descr;
+  io : Conn.t;
   session : Session.t;
-  framer : Protocol.Framer.t;
   pending : (int64 * Protocol.request) Queue.t;
-  wr : Reactor.Writer.t;
-  mutable closing : bool;  (* close once the output buffer drains *)
-  mutable force_close : bool;  (* close this tick, drained or not *)
-  mutable overflow : bool;  (* write buffer burst its high-water mark *)
-  mutable last_active : float;  (* last byte received; idle reaping *)
   mutable repl_from : int option;
       (* Some lsn: this connection subscribed to the journal stream and
          the next frame shipped to it starts at [lsn] *)
@@ -98,30 +90,14 @@ let create ?(config = default_config) sh =
   (* A peer hanging up mid-write must surface as EPIPE, not kill the
      daemon. *)
   (try Sys.set_signal Sys.sigpipe Sys.Signal_ignore with Invalid_argument _ -> ());
-  let addr = Unix.ADDR_INET (Unix.inet_addr_of_string config.host, config.port) in
-  let fd = Unix.socket Unix.PF_INET Unix.SOCK_STREAM 0 in
-  Unix.setsockopt fd Unix.SO_REUSEADDR true;
-  Unix.bind fd addr;
-  Unix.listen fd 128;
-  let bound_port =
-    match Unix.getsockname fd with
-    | Unix.ADDR_INET (_, p) -> p
-    | _ -> config.port
+  let fd, bound_port =
+    Conn.listen ~host:config.host ~port:config.port ~backlog:128
   in
   let metrics_fd, metrics_bound_port =
     match config.metrics_port with
     | None -> (None, 0)
     | Some p ->
-        let mfd = Unix.socket Unix.PF_INET Unix.SOCK_STREAM 0 in
-        Unix.setsockopt mfd Unix.SO_REUSEADDR true;
-        Unix.bind mfd
-          (Unix.ADDR_INET (Unix.inet_addr_of_string config.host, p));
-        Unix.listen mfd 16;
-        let bp =
-          match Unix.getsockname mfd with
-          | Unix.ADDR_INET (_, bp) -> bp
-          | _ -> p
-        in
+        let mfd, bp = Conn.listen ~host:config.host ~port:p ~backlog:16 in
         (Some mfd, bp)
   in
   (* Slow-query logging reports the request's trace tree, so the tracer
@@ -156,7 +132,7 @@ let create ?(config = default_config) sh =
     cfg = config;
     sh;
     st = Server_stats.create ~now:(Unix.gettimeofday ());
-    reactor = Reactor.create ?backend:config.backend ();
+    reactor = Reactor.create ();
     listen_fd = fd;
     bound_port;
     metrics_fd;
@@ -178,10 +154,9 @@ let port t = t.bound_port
 let metrics_port t = t.metrics_bound_port
 let stats t = t.st
 let shared t = t.sh
-let backend t = Reactor.backend t.reactor
 
 let subscribers t =
-  List.filter (fun c -> c.repl_from <> None && not c.closing) t.conns
+  List.filter (fun c -> c.repl_from <> None && not c.io.closing) t.conns
 
 let metrics_doc t =
   let repl =
@@ -223,52 +198,19 @@ let release_listener t =
 
 (* ---------------- output ---------------- *)
 
-let output_pending conn = Reactor.Writer.has_pending conn.wr
-
-(* Queue a frame under the backpressure contract. A connection whose
-   buffer bursts the high-water mark is a consumer slower than the
-   server for longer than the bound can absorb: it gets one typed
-   Overloaded frame (allowed past the mark so the close is explicable
-   on the wire), its unanswered requests are dropped, and the
-   connection closes once — and only if — the client drains what was
-   already owed. Replication subscribers are never cut here: shipping
-   is flow-controlled in [pump_replication] and a genuinely stalled
-   standby is reaped by [repl_stall_timeout]. *)
-let push_frame t conn frame =
-  if not (conn.force_close || conn.overflow) then begin
-    let under_hw = Reactor.Writer.push conn.wr frame in
-    if (not under_hw) && conn.repl_from = None then begin
-      conn.overflow <- true;
-      conn.closing <- true;
-      Server_stats.overloaded t.st;
-      ignore
-        (Reactor.Writer.push conn.wr
-           (Protocol.encode_response ~id:0L
-              (Protocol.Overloaded
-                 (Printf.sprintf
-                    "slow consumer: write buffer over %d bytes, closing"
-                    (Reactor.Writer.high_water conn.wr)))));
-      t.queued <- t.queued - Queue.length conn.pending;
-      Queue.clear conn.pending;
-      Server_stats.queue_depth t.st t.queued
-    end
-  end
-
-let push_response t conn id resp =
-  push_frame t conn (Protocol.encode_response ~id resp)
-
-(* Write what the socket accepts and keep poll interest equal to "has
-   pending bytes" — write interest on an idle socket would spin the
-   loop. *)
-let flush_conn t conn =
-  if output_pending conn then begin
-    match Reactor.Writer.flush conn.wr ~now:(Unix.gettimeofday ()) with
-    | Reactor.Writer.Drained | Reactor.Writer.Pending -> ()
-    | Reactor.Writer.Peer_gone ->
-        conn.closing <- true;
-        conn.force_close <- true
-  end;
-  Reactor.set_write_interest t.reactor conn.fd (output_pending conn)
+(* The high-water cut-off drops the connection's unanswered requests.
+   Replication subscribers are exempt: shipping is flow-controlled in
+   [pump_replication] and a genuinely stalled standby is reaped by
+   [repl_stall_timeout]. *)
+let cut_off t conn =
+  conn.repl_from = None
+  && begin
+       Server_stats.overloaded t.st;
+       t.queued <- t.queued - Queue.length conn.pending;
+       Queue.clear conn.pending;
+       Server_stats.queue_depth t.st t.queued;
+       true
+     end
 
 (* ---------------- semi-synchronous commit acks ---------------- *)
 
@@ -290,8 +232,7 @@ let release_parked_acks t =
       in
       t.parked_acks <- still;
       List.iter
-        (fun (conn, id, _, resp) ->
-          if List.memq conn t.conns then push_response t conn id resp)
+        (fun (conn, id, _, resp) -> Conn.send conn.io ~id resp)
         (List.rev ready)
 
 (* Park a commit Ack until the subscribers catch up — or push it right
@@ -300,7 +241,7 @@ let release_parked_acks t =
    force and ack can lose nothing a client was told was committed, and
    a replica promoted after a primary kill holds every acked write. *)
 let park_or_push t conn id ~lsn resp =
-  if subscribers t = [] then push_response t conn id resp
+  if subscribers t = [] then Conn.send conn.io ~id resp
   else t.parked_acks <- (conn, id, lsn, resp) :: t.parked_acks
 
 (* ---------------- group-commit window ---------------- *)
@@ -337,89 +278,49 @@ let flush_group_commits t =
             if i = 0 then io - (io_share * (count - 1)) else io_share
           in
           Server_stats.record t.st ~op:"commit" ~seconds:(now -. t0) ~io;
-          if List.memq conn t.conns then
-            park_or_push t conn id ~lsn
-              (Protocol.Ack
-                 (Printf.sprintf
-                    "committed (group commit batch of %d) lsn %d" batch lsn)))
+          park_or_push t conn id ~lsn
+            (Protocol.Ack
+               (Printf.sprintf "committed (group commit batch of %d) lsn %d"
+                  batch lsn)))
         pending
 
 (* ---------------- connection lifecycle ---------------- *)
 
-let close_conn t conn =
-  if List.memq conn t.conns then begin
-    t.conns <- List.filter (fun c -> c != conn) t.conns;
-    t.nconns <- t.nconns - 1;
-    t.queued <- t.queued - Queue.length conn.pending;
-    Server_stats.queue_depth t.st t.queued;
-    Queue.clear conn.pending;
-    (* Purge COMMITs the dead connection staged in the open window:
-       nobody is owed the Ack and its latency must not pollute the
-       histogram. The journal-staged intent is already applied and must
-       still be forced — if no live staging remains to carry the window,
-       force it now rather than leaving acknowledged-to-nobody writes
-       hanging on a deadline that was just cleared. *)
-    let mine, others =
-      List.partition (fun (c, _, _) -> c == conn) t.pending_commits
-    in
-    if mine <> [] then begin
-      t.pending_commits <- others;
-      if others = [] then begin
-        clear_commit_timer t;
-        ignore (Session.commit_force_shared t.sh)
-      end
-    end;
-    (* Acks parked for the dead connection are owed to nobody. *)
-    t.parked_acks <-
-      List.filter (fun (c, _, _, _) -> c != conn) t.parked_acks;
-    Session.close conn.session;
-    Server_stats.session_closed t.st;
-    Reactor.deregister t.reactor conn.fd;
-    (* Drain unread inbound bytes before closing: close(2) with data
-       still in the receive queue makes the kernel answer with RST,
-       which destroys the typed goodbye frame in flight to the peer.
-       Bounded — a peer still spraying bytes gets the reset it earned. *)
-    (let scratch = Bytes.create 65536 in
-     let rec drain n =
-       if n > 0 then
-         match Unix.read conn.fd scratch 0 65536 with
-         | 0 -> ()
-         | _ -> drain (n - 1)
-         | exception Unix.Unix_error _ -> ()
-     in
-     drain 16);
-    (try Unix.close conn.fd with Unix.Unix_error _ -> ());
-    (* A dead subscriber no longer holds the ack floor down; recompute
-       it over the survivors (or release everything if none remain). *)
-    if conn.repl_from <> None then release_parked_acks t
-  end
-
-let reject_connection t fd reason =
-  (* One typed Overloaded frame, then the door. The socket is fresh
-     (blocking) and the frame small, but a single write is still
-     allowed to be short — e.g. a tiny send buffer on a slow client —
-     and a truncated frame would be undecodable, so loop until the
-     whole frame is out. *)
-  Server_stats.overloaded t.st;
-  let frame = Protocol.encode_response ~id:0L (Protocol.Overloaded reason) in
-  let len = Bytes.length frame in
-  let rec write_all off =
-    if off < len then
-      match Unix.write fd frame off (len - off) with
-      | 0 -> ()
-      | n -> write_all (off + n)
-      | exception Unix.Unix_error (Unix.EINTR, _, _) -> write_all off
-      | exception Unix.Unix_error _ -> ()
+(* Conn closed the socket: forget everything the connection held. *)
+let forget t conn =
+  t.conns <- List.filter (fun c -> c != conn) t.conns;
+  t.nconns <- t.nconns - 1;
+  t.queued <- t.queued - Queue.length conn.pending;
+  Server_stats.queue_depth t.st t.queued;
+  Queue.clear conn.pending;
+  (* Purge COMMITs the dead connection staged in the open window:
+     nobody is owed the Ack and its latency must not pollute the
+     histogram. The journal-staged intent is already applied and must
+     still be forced — if no live staging remains to carry the window,
+     force it now rather than leaving acknowledged-to-nobody writes
+     hanging on a deadline that was just cleared. *)
+  let mine, others =
+    List.partition (fun (c, _, _) -> c == conn) t.pending_commits
   in
-  write_all 0;
-  try Unix.close fd with Unix.Unix_error _ -> ()
-
-(* ---------------- input ---------------- *)
+  if mine <> [] then begin
+    t.pending_commits <- others;
+    if others = [] then begin
+      clear_commit_timer t;
+      ignore (Session.commit_force_shared t.sh)
+    end
+  end;
+  (* Acks parked for the dead connection are owed to nobody. *)
+  t.parked_acks <- List.filter (fun (c, _, _, _) -> c != conn) t.parked_acks;
+  Session.close conn.session;
+  Server_stats.session_closed t.st;
+  (* A dead subscriber no longer holds the ack floor down; recompute
+     it over the survivors (or release everything if none remain). *)
+  if conn.repl_from <> None then release_parked_acks t
 
 let enqueue_request t conn id req =
   if t.queued >= t.cfg.max_queue then begin
     Server_stats.overloaded t.st;
-    push_response t conn id
+    Conn.send conn.io ~id
       (Protocol.Overloaded
          (Printf.sprintf "request queue full (%d pending)" t.queued))
   end
@@ -429,100 +330,33 @@ let enqueue_request t conn id req =
     Server_stats.queue_depth t.st t.queued
   end
 
-let drain_frames t conn =
-  let continue = ref true in
-  while !continue do
-    match Protocol.Framer.next conn.framer with
-    | Ok None -> continue := false
-    | Ok (Some payload) -> (
-        match Protocol.decode_request payload with
-        | Ok (id, req) -> enqueue_request t conn id req
-        | Result.Error err ->
-            push_response t conn 0L
-              (Protocol.Error (Protocol.error_to_string err)))
-    | Result.Error err ->
-        (* Length prefix beyond max_payload: the byte stream is beyond
-           recovery. Answer, then close after the answer drains. *)
-        push_response t conn 0L
-          (Protocol.Error (Protocol.error_to_string err));
-        conn.closing <- true;
-        continue := false
-  done
-
-let read_conn t conn =
-  let scratch = Bytes.create 65536 in
-  match Unix.read conn.fd scratch 0 (Bytes.length scratch) with
-  | 0 -> close_conn t conn
-  | n when conn.closing ->
-      (* A cut-off consumer gets no further service; discarding (rather
-         than ignoring) its bytes keeps the receive queue empty so the
-         eventual close delivers the final typed frame instead of an
-         RST. *)
-      ignore n
-  | n ->
-      conn.last_active <- Unix.gettimeofday ();
-      Protocol.Framer.feed conn.framer scratch n;
-      drain_frames t conn
-  | exception Unix.Unix_error ((Unix.EWOULDBLOCK | Unix.EAGAIN | Unix.EINTR), _, _)
-    -> ()
-  | exception Unix.Unix_error ((Unix.ECONNRESET | Unix.EPIPE), _, _) ->
-      close_conn t conn
+let admit t () =
+  if t.nconns < t.cfg.max_sessions then None
+  else begin
+    Server_stats.overloaded t.st;
+    Some (Printf.sprintf "server at session limit (%d)" t.cfg.max_sessions)
+  end
 
 let accept_connections t =
-  (* Drain the whole accept backlog: with thousands of clients dialling
-     at once, one accept per readiness wakeup would leave most of the
-     burst waiting a full loop turn each. *)
-  let continue = ref true in
-  while !continue do
-    match Unix.accept t.listen_fd with
-    | exception Unix.Unix_error ((Unix.EWOULDBLOCK | Unix.EAGAIN | Unix.EINTR), _, _)
-      -> continue := false
-    | exception Unix.Unix_error _ -> continue := false
-    | fd, _peer ->
-        if t.stopping then (try Unix.close fd with Unix.Unix_error _ -> ())
-        else if t.nconns >= t.cfg.max_sessions then
-          reject_connection t fd
-            (Printf.sprintf "server at session limit (%d)" t.cfg.max_sessions)
-        else if
-          Reactor.backend t.reactor = Reactor.Backend.Select
-          && Reactor.Backend.fd_int fd > Reactor.Backend.select_fd_limit
-        then
-          (* The select fallback cannot wait on fds this high; a typed
-             refusal beats a crashed loop. The poll backend has no such
-             ceiling. *)
-          reject_connection t fd
-            (Printf.sprintf "select backend cannot serve fd %d (limit %d)"
-               (Reactor.Backend.fd_int fd) Reactor.Backend.select_fd_limit)
-        else begin
-          Unix.set_nonblock fd;
-          let conn =
-            {
-              fd;
-              session = Session.create t.sh;
-              framer = Protocol.Framer.create ();
-              pending = Queue.create ();
-              wr =
-                Reactor.Writer.create ~high_water:t.cfg.write_high_water
-                  ~now:(Unix.gettimeofday ()) fd;
-              closing = false;
-              force_close = false;
-              overflow = false;
-              last_active = Unix.gettimeofday ();
-              repl_from = None;
-              repl_id = 0L;
-              repl_acked = 0;
-            }
-          in
-          t.conns <- conn :: t.conns;
-          t.nconns <- t.nconns + 1;
-          Reactor.register t.reactor fd
-            ~readable:(fun () -> read_conn t conn)
-            ~writable:(fun () -> flush_conn t conn)
-            ();
-          Reactor.set_write_interest t.reactor fd false;
-          Server_stats.session_opened t.st
-        end
-  done
+  Conn.accept t.listen_fd ~admit:(admit t) (fun fd ->
+      let io = Conn.create t.reactor ~high_water:t.cfg.write_high_water fd in
+      let conn =
+        {
+          io;
+          session = Session.create t.sh;
+          pending = Queue.create ();
+          repl_from = None;
+          repl_id = 0L;
+          repl_acked = 0;
+        }
+      in
+      t.conns <- conn :: t.conns;
+      t.nconns <- t.nconns + 1;
+      Conn.serve io
+        ~on_cut_off:(fun () -> cut_off t conn)
+        ~on_close:(fun () -> forget t conn)
+        (Conn.frames io (enqueue_request t conn));
+      Server_stats.session_opened t.st)
 
 (* ---------------- execution ---------------- *)
 
@@ -563,18 +397,18 @@ let handle_repl t conn id req =
   match req with
   | Protocol.Repl_subscribe { from_lsn } -> (
       if t.upstream <> None then
-        push_response t conn id
+        Conn.send conn.io ~id
           (Protocol.Error "this server is a replica; subscribe to the primary")
       else
         match Relation.Catalog.journal (Session.catalog t.sh) with
         | None ->
-            push_response t conn id
+            Conn.send conn.io ~id
               (Protocol.Error "replication requires a durable server")
         | Some j ->
             let base = Storage.Journal.base_lsn j in
             let dur = Storage.Journal.durable_lsn j in
             if from_lsn < base || from_lsn > dur then
-              push_response t conn id
+              Conn.send conn.io ~id
                 (Protocol.Invalid
                    (Printf.sprintf
                       "from_lsn %d outside retained log [%d, %d]" from_lsn
@@ -583,7 +417,7 @@ let handle_repl t conn id req =
               conn.repl_from <- Some from_lsn;
               conn.repl_id <- id;
               conn.repl_acked <- from_lsn;
-              push_response t conn id
+              Conn.send conn.io ~id
                 (Protocol.Repl_state
                    { role = Protocol.Primary; durable_lsn = dur;
                      applied_lsn = dur })
@@ -610,12 +444,12 @@ let handle_repl t conn id req =
               { role = Protocol.Primary; durable_lsn = lsn;
                 applied_lsn = lsn }
       in
-      push_response t conn id state
+      Conn.send conn.io ~id state
   | Protocol.Shard_map_req ->
       (* An unsharded server is a degenerate one-shard cluster: a single
          range covering the whole interval space. Clients discover
          topology the same way against rikitd and the router. *)
-      push_response t conn id
+      Conn.send conn.io ~id
         (Protocol.Shard_map
            [ { Protocol.shard_lo = min_int; shard_hi = max_int;
                endpoints = [ (t.cfg.host, t.bound_port) ] } ])
@@ -635,7 +469,7 @@ let execute_one t conn id req =
          the window for everyone and the force would touch a damaged
          image. *)
       let reason = Option.get (Session.degraded_reason_shared t.sh) in
-      push_response t conn id
+      Conn.send conn.io ~id
         (Protocol.Read_only
            (Printf.sprintf "server is read-only: %s" reason))
   | Protocol.Commit when t.cfg.group_commit > 0. -> (
@@ -653,9 +487,9 @@ let execute_one t conn id req =
                 (Reactor.after t.reactor t.cfg.group_commit (fun () ->
                      t.commit_timer <- None;
                      flush_group_commits t))
-      | Result.Error m -> push_response t conn id (Protocol.Conflict m)
+      | Result.Error m -> Conn.send conn.io ~id (Protocol.Conflict m)
       | exception e ->
-          push_response t conn id
+          Conn.send conn.io ~id
             (Protocol.Error ("commit failed: " ^ Printexc.to_string e)))
   | req ->
       (* A rollback must not outrun COMMITs already staged ahead of it:
@@ -695,14 +529,14 @@ let execute_one t conn id req =
       (match (req, resp) with
       | Protocol.Commit, Protocol.Ack _ ->
           park_or_push t conn id ~lsn:(Session.durable_lsn_shared t.sh) resp
-      | _ -> push_response t conn id resp)
+      | _ -> Conn.send conn.io ~id resp)
 
 let execute_round t ~limit =
   (* Round-robin: one request per ready session per pass, so a chatty
      pipeliner cannot starve its neighbours. The accept-order snapshot
      is taken once — re-reversing [t.conns] every pass made a 64-session
      pipelined tick quadratic in allocation. A connection closed by an
-     earlier pass is skipped naturally: close_conn clears its queue. *)
+     earlier pass is skipped naturally: closing clears its queue. *)
   let order = List.rev t.conns in
   let budget = ref limit in
   let progress = ref true in
@@ -743,14 +577,14 @@ let pump_replication t =
               let cursor = ref cur in
               while
                 !cursor < dur
-                && Reactor.Writer.pending_bytes conn.wr
-                   < Reactor.Writer.high_water conn.wr
+                && Reactor.Writer.pending_bytes conn.io.wr
+                   < Reactor.Writer.high_water conn.io.wr
               do
                 let payload =
                   Storage.Journal.stream_from ~max_bytes:repl_chunk_bytes j
                     !cursor
                 in
-                push_response t conn conn.repl_id
+                Conn.send conn.io ~id:conn.repl_id
                   (Protocol.Repl_frame
                      { lsn = !cursor;
                        payload = Bytes.unsafe_to_string payload });
@@ -771,19 +605,19 @@ let reap_idle t now =
     List.iter
       (fun conn ->
         if
-          (not conn.closing)
+          (not conn.io.closing)
           && conn.repl_from = None
           (* a subscriber legitimately sends nothing for long stretches
              on an idle primary — reaping it would force a pointless
              resubscribe cycle *)
           && Queue.is_empty conn.pending
-          && (not (output_pending conn))
-          && now -. conn.last_active > t.cfg.idle_timeout
+          && (not (Reactor.Writer.has_pending conn.io.wr))
+          && now -. conn.io.last_active > t.cfg.idle_timeout
         then begin
-          push_response t conn 0L
+          Conn.send conn.io ~id:0L
             (Protocol.Goodbye
                (Printf.sprintf "idle for %.0fs, closing" t.cfg.idle_timeout));
-          conn.closing <- true
+          conn.io.closing <- true
         end)
       t.conns
 
@@ -792,16 +626,13 @@ let reap_idle t now =
 let reap_stalled t now =
   List.iter
     (fun conn ->
-      let stalled = Reactor.Writer.stalled_for conn.wr ~now in
+      let stalled = Reactor.Writer.stalled_for conn.io.wr ~now in
       let limit =
         if conn.repl_from <> None then repl_stall_timeout
         else if t.cfg.idle_timeout > 0. then t.cfg.idle_timeout
         else default_stall_grace
       in
-      if stalled > limit then begin
-        conn.closing <- true;
-        conn.force_close <- true
-      end)
+      if stalled > limit then conn.io.force_close <- true)
     t.conns
 
 (* ---------------- the upstream link (replica side) ---------------- *)
@@ -1006,30 +837,25 @@ let serve t =
          || not
               (List.exists
                  (fun c ->
-                   (not c.closing) && Session.has_pending_writes c.session)
+                   (not c.io.closing) && Session.has_pending_writes c.session)
                  t.conns))
     then flush_group_commits t;
     (* Ship anything the window flush (or a synchronous commit, or a
        write-back) just made durable. *)
     pump_replication t;
-    List.iter (fun conn -> flush_conn t conn) t.conns;
-    List.iter
-      (fun conn ->
-        if conn.force_close || (conn.closing && not (output_pending conn))
-        then close_conn t conn)
-      t.conns;
+    List.iter (fun conn -> Conn.flush conn.io) t.conns;
+    List.iter (fun conn -> Conn.maybe_close conn.io) t.conns;
     if t.stopping && t.queued = 0 then begin
       (* Everything parsed has been answered; push the last bytes out
          (sockets willing) and leave. Parked semi-sync acks are
          released as-is — their writes are durable locally and the
          stream to any subscriber was already pumped. *)
       List.iter
-        (fun (conn, id, _, resp) ->
-          if List.memq conn t.conns then push_response t conn id resp)
+        (fun (conn, id, _, resp) -> Conn.send conn.io ~id resp)
         (List.rev t.parked_acks);
       t.parked_acks <- [];
-      List.iter (fun conn -> flush_conn t conn) t.conns;
-      List.iter (fun conn -> close_conn t conn) t.conns;
+      List.iter (fun conn -> Conn.flush conn.io) t.conns;
+      List.iter (fun conn -> Conn.close conn.io) t.conns;
       finished := true
     end
   done;

@@ -2,10 +2,9 @@
 
     A single-process, single-writer {!Reactor} loop multiplexing many
     client connections over the shared database — the serving shape the
-    paper assumes of its host RDBMS front end. Readiness comes from the
-    reactor's poll(2) backend (no [FD_SETSIZE] ceiling; a select
-    fallback exists for tests and stub-less platforms), and every
-    time-driven behaviour — the group-commit window, idle reaping,
+    paper assumes of its host RDBMS front end. Readiness comes from
+    poll(2) (no [FD_SETSIZE] ceiling), each socket is a {!Conn}, and
+    every time-driven behaviour — the group-commit window, idle reaping,
     upstream redial backoff and connect bounds — is a timer on the
     reactor's wheel rather than loop timeout math. Each round: accept
     new connections, read and frame input, execute up to [max_inflight]
@@ -85,14 +84,6 @@ type config = {
           subscribers have applied past it (semi-synchronous; falls
           back to asynchronous the moment no subscriber is
           connected). *)
-  backend : Reactor.Backend.kind option;
-      (** readiness backend. [None] (the default) auto-selects: the
-          poll(2) stub when functional, else the [Unix.select]
-          fallback. Forcing [Select] (also reachable via the
-          [RIKIT_REACTOR_BACKEND] environment variable) caps the server
-          at select's fd ceiling — connections whose fd number exceeds
-          it are refused with a typed [Overloaded] frame instead of
-          crashing the loop. *)
   write_high_water : int;
       (** per-connection output buffer bound in bytes. See the
           backpressure contract above. *)
@@ -101,7 +92,7 @@ type config = {
 val default_config : config
 (** [127.0.0.1:7468], 64 sessions, 32 inflight, 1024 queued, synchronous
     commit, no idle timeout, no metrics endpoint, no slow-query log,
-    not a replica, auto-selected backend, 4 MiB write high-water. *)
+    not a replica, 4 MiB write high-water. *)
 
 type t
 
@@ -122,9 +113,6 @@ val metrics_doc : t -> string
 val stats : t -> Server_stats.t
 
 val shared : t -> Session.shared
-
-val backend : t -> Reactor.Backend.kind
-(** The readiness backend actually in use. *)
 
 val serve : t -> unit
 (** Run the loop until {!stop}. Must be called at most once. *)

@@ -2,17 +2,15 @@
 
    Replaces the dispatcher's inline blocking metrics handler and the
    router's thread-per-scrape listener: every scrape is now a plain
-   reactor connection — accept, wait for the first request bytes (or
-   one second of silence, matching the old SO_RCVTIMEO behaviour),
-   write the document through a buffered writer, close once drained.
-   A scraper that connects and says nothing costs one idle fd, never a
+   reactor connection ({!Conn}) — accept, wait for the first request
+   bytes (or one second of silence, matching the old SO_RCVTIMEO
+   behaviour), write the document through a buffered writer, close
+   once drained. A scraper that connects and says nothing costs one idle fd, never a
    thread and never a blocked loop. *)
 
 type hconn = {
-  hfd : Unix.file_descr;
-  hwr : Reactor.Writer.t;
+  c : Conn.t;
   mutable responded : bool;
-  mutable dead : bool;
   mutable htimer : Reactor.timer option;
 }
 
@@ -21,7 +19,6 @@ type t = {
   lfd : Unix.file_descr;
   doc : unit -> string;
   mutable conns : hconn list;
-  mutable accepting : bool;
 }
 
 (* Answer even a silent scraper after this long (the old receive
@@ -31,28 +28,17 @@ let drain_grace = 5.0
 
 let conn_count t = List.length t.conns
 
-let close_hconn t hc =
-  if not hc.dead then begin
-    hc.dead <- true;
-    (match hc.htimer with Some tm -> Reactor.cancel t.r tm | None -> ());
-    hc.htimer <- None;
-    Reactor.deregister t.r hc.hfd;
-    (try Unix.close hc.hfd with Unix.Unix_error _ -> ());
-    t.conns <- List.filter (fun c -> c != hc) t.conns
-  end
+let cancel_timer t hc =
+  Option.iter (Reactor.cancel t.r) hc.htimer;
+  hc.htimer <- None
 
-let flush_hconn t hc =
-  match Reactor.Writer.flush hc.hwr ~now:(Unix.gettimeofday ()) with
-  | Reactor.Writer.Drained ->
-      if hc.responded then close_hconn t hc
-      else Reactor.set_write_interest t.r hc.hfd false
-  | Reactor.Writer.Pending -> Reactor.set_write_interest t.r hc.hfd true
-  | Reactor.Writer.Peer_gone -> close_hconn t hc
+let arm_timer t hc delay f =
+  cancel_timer t hc;
+  hc.htimer <- Some (Reactor.after t.r delay f)
 
 let respond t hc =
-  if not (hc.responded || hc.dead) then begin
+  if not (hc.responded || hc.c.dead) then begin
     hc.responded <- true;
-    (match hc.htimer with Some tm -> Reactor.cancel t.r tm | None -> ());
     let body = t.doc () in
     let resp =
       Printf.sprintf
@@ -64,62 +50,32 @@ let respond t hc =
          %s"
         (String.length body) body
     in
-    ignore (Reactor.Writer.push hc.hwr (Bytes.of_string resp));
-    Reactor.set_read_interest t.r hc.hfd false;
-    hc.htimer <- Some (Reactor.after t.r drain_grace (fun () -> close_hconn t hc));
-    flush_hconn t hc
+    ignore (Reactor.Writer.push hc.c.wr (Bytes.of_string resp));
+    hc.c.closing <- true;
+    arm_timer t hc drain_grace (fun () -> Conn.close hc.c);
+    Conn.flush hc.c;
+    Conn.maybe_close hc.c
   end
 
-let read_hconn t hc =
-  let scratch = Bytes.create 1024 in
-  match Unix.read hc.hfd scratch 0 (Bytes.length scratch) with
-  | 0 -> if hc.responded then close_hconn t hc else respond t hc
-  | _n -> respond t hc
-  | exception Unix.Unix_error ((Unix.EWOULDBLOCK | Unix.EAGAIN | Unix.EINTR), _, _)
-    -> ()
-  | exception Unix.Unix_error _ -> close_hconn t hc
-
-let accept_loop t =
-  let continue = ref true in
-  while !continue do
-    match Unix.accept t.lfd with
-    | exception Unix.Unix_error ((Unix.EWOULDBLOCK | Unix.EAGAIN | Unix.EINTR), _, _)
-      -> continue := false
-    | exception Unix.Unix_error _ -> continue := false
-    | fd, _peer ->
-        if not t.accepting then (try Unix.close fd with Unix.Unix_error _ -> ())
-        else begin
-          Unix.set_nonblock fd;
-          let hc =
-            {
-              hfd = fd;
-              hwr = Reactor.Writer.create ~now:(Unix.gettimeofday ()) fd;
-              responded = false;
-              dead = false;
-              htimer = None;
-            }
-          in
-          t.conns <- hc :: t.conns;
-          Reactor.register t.r fd
-            ~readable:(fun () -> read_hconn t hc)
-            ~writable:(fun () -> flush_hconn t hc)
-            ();
-          Reactor.set_write_interest t.r fd false;
-          hc.htimer <- Some (Reactor.after t.r silent_after (fun () -> respond t hc))
-        end
-  done
+let accept_scrapes t =
+  Conn.accept t.lfd ~admit:(fun () -> None) (fun fd ->
+      let hc = { c = Conn.create t.r fd; responded = false; htimer = None } in
+      t.conns <- hc :: t.conns;
+      Conn.serve hc.c
+        ~on_close:(fun () ->
+          cancel_timer t hc;
+          t.conns <- List.filter (fun c -> c != hc) t.conns)
+        (fun _ _ -> respond t hc);
+      arm_timer t hc silent_after (fun () -> respond t hc))
 
 let attach r ~fd ~doc =
   Unix.set_nonblock fd;
-  let t = { r; lfd = fd; doc; conns = []; accepting = true } in
-  Reactor.register r fd ~readable:(fun () -> accept_loop t) ();
+  let t = { r; lfd = fd; doc; conns = [] } in
+  Reactor.register r fd ~readable:(fun () -> accept_scrapes t) ();
   t
 
-let stop_accepting t =
-  t.accepting <- false;
-  Reactor.set_read_interest t.r t.lfd false
+let stop_accepting t = Reactor.set_read_interest t.r t.lfd false
 
 let close_all t =
-  t.accepting <- false;
   Reactor.deregister t.r t.lfd;
-  List.iter (fun hc -> close_hconn t hc) t.conns
+  List.iter (fun hc -> Conn.close hc.c) t.conns

@@ -171,29 +171,23 @@ type config = {
   workers : int;
       (* shard-RPC worker threads — the router's whole OS-thread budget
          besides the reactor thread, regardless of connection count *)
-  backend : Reactor.Backend.kind option;  (* None = auto-select *)
 }
 
 let default_config =
   { host = "127.0.0.1"; port = 7654; max_sessions = 64;
     shard_deadline_ms = 15_000.; metrics_port = None;
-    workers = 8; backend = None }
+    workers = 8 }
 
 (* ---------------- per-connection state ---------------- *)
 
 type conn = {
-  c_fd : Unix.file_descr;
-  framer : Protocol.Framer.t;
-  wr : Reactor.Writer.t;
+  io : Conn.t;
   legs : Failover.t option array;  (* lazily dialled, one per shard *)
   begun : bool array;  (* leg has an open BEGIN on its shard session *)
   mutable in_txn : bool;
   jobs : (int64 * Protocol.request) Queue.t;
       (* decoded requests waiting their turn (reactor thread only) *)
   mutable inflight : bool;  (* a worker owns this connection's head job *)
-  mutable closing : bool;  (* drain the write buffer, then close *)
-  mutable force_close : bool;
-  mutable dead : bool;  (* fd closed and deregistered *)
 }
 
 type job = conn * int64 * Protocol.request
@@ -238,23 +232,15 @@ let locked t f =
   Mutex.lock t.mu;
   Fun.protect ~finally:(fun () -> Mutex.unlock t.mu) f
 
-let listen_on host port backlog =
-  let fd = Unix.socket Unix.PF_INET Unix.SOCK_STREAM 0 in
-  Unix.setsockopt fd Unix.SO_REUSEADDR true;
-  Unix.bind fd (Unix.ADDR_INET (Unix.inet_addr_of_string host, port));
-  Unix.listen fd backlog;
-  let bound =
-    match Unix.getsockname fd with Unix.ADDR_INET (_, p) -> p | _ -> port
-  in
-  (fd, bound)
-
 let create cfg ~map =
-  let listen_fd, bound_port = listen_on cfg.host cfg.port 128 in
+  let listen_fd, bound_port =
+    Conn.listen ~host:cfg.host ~port:cfg.port ~backlog:128
+  in
   let metrics_fd, metrics_bound_port =
     match cfg.metrics_port with
     | None -> (None, 0)
     | Some p ->
-        let fd, bp = listen_on cfg.host p 16 in
+        let fd, bp = Conn.listen ~host:cfg.host ~port:p ~backlog:16 in
         (Some fd, bp)
   in
   let stop_r, stop_w = Unix.pipe () in
@@ -265,7 +251,7 @@ let create cfg ~map =
   {
     cfg;
     map;
-    reactor = Reactor.create ?backend:cfg.backend ();
+    reactor = Reactor.create ();
     listen_fd;
     bound_port;
     metrics_fd;
@@ -296,7 +282,6 @@ let port t = t.bound_port
 let metrics_port t = t.metrics_bound_port
 let stats t = t.st
 let map t = t.map
-let backend t = Reactor.backend t.reactor
 
 let stop t =
   try ignore (Unix.write t.stop_w (Bytes.make 1 '!') 0 1)
@@ -803,72 +788,28 @@ let stall_grace = 5.0
 let close_legs conn =
   Array.iter (function Some l -> Failover.close l | None -> ()) conn.legs
 
-let close_conn t conn =
-  if not conn.dead then begin
-    conn.dead <- true;
-    Reactor.deregister t.reactor conn.c_fd;
-    Hashtbl.remove t.conns conn.c_fd;
-    (* Drain unread inbound bytes first: close(2) with data in the
-       receive queue makes the kernel send RST, destroying the typed
-       goodbye frame still in flight to the peer. Bounded. *)
-    (let scratch = Bytes.create 65536 in
-     let rec drain n =
-       if n > 0 then
-         match Unix.read conn.c_fd scratch 0 65536 with
-         | 0 -> ()
-         | _ -> drain (n - 1)
-         | exception Unix.Unix_error _ -> ()
-     in
-     drain 16);
-    (try Unix.close conn.c_fd with Unix.Unix_error _ -> ());
-    locked t (fun () -> Server_stats.session_closed t.st);
-    (* a worker may still be running this connection's job and using
-       its legs — defer leg teardown to the completion delivery *)
-    if not conn.inflight then close_legs conn
-  end
+(* Conn closed the socket. A worker may still be running this
+   connection's job and using its legs — then leg teardown waits for
+   the completion delivery. *)
+let forget t conn =
+  Hashtbl.remove t.conns conn.io.fd;
+  locked t (fun () -> Server_stats.session_closed t.st);
+  if not conn.inflight then close_legs conn
 
-let maybe_close t conn =
-  if
-    (not conn.dead)
-    && (conn.force_close
-       || (conn.closing && not (Reactor.Writer.has_pending conn.wr)))
-  then close_conn t conn
+let push_frame conn id resp =
+  Conn.send conn.io ~id resp;
+  Conn.flush conn.io
 
-let flush_conn t conn =
-  if not conn.dead then
-    match Reactor.Writer.flush conn.wr ~now:(Unix.gettimeofday ()) with
-    | Reactor.Writer.Drained ->
-        Reactor.set_write_interest t.reactor conn.c_fd false
-    | Reactor.Writer.Pending ->
-        Reactor.set_write_interest t.reactor conn.c_fd true
-    | Reactor.Writer.Peer_gone -> conn.force_close <- true
-
-(* Queue a frame on the connection's bounded writer. Crossing the
-   high-water mark is the slow-consumer verdict: pending requests are
-   dropped and a final typed [Overloaded] frame rides out past the
-   mark before the connection is drained-then-closed. *)
-let push_frame t conn id resp =
-  if (not conn.dead) && not conn.force_close then begin
-    let frame = Protocol.encode_response ~id resp in
-    if (not (Reactor.Writer.push conn.wr frame)) && not conn.closing then begin
-      Queue.clear conn.jobs;
-      conn.closing <- true;
-      locked t (fun () -> Server_stats.overloaded t.st);
-      ignore
-        (Reactor.Writer.push conn.wr
-           (Protocol.encode_response ~id:0L
-              (Protocol.Overloaded
-                 (Printf.sprintf
-                    "slow consumer: write buffer over %d bytes, closing"
-                    (Reactor.Writer.high_water conn.wr)))))
-    end;
-    flush_conn t conn
-  end
+(* The high-water cut-off drops the connection's queued requests. *)
+let cut_off t conn () =
+  locked t (fun () -> Server_stats.overloaded t.st);
+  Queue.clear conn.jobs;
+  true
 
 let next_job t conn =
   if
-    (not conn.inflight) && (not conn.dead) && (not conn.closing)
-    && not (Queue.is_empty conn.jobs)
+    not (conn.inflight || conn.io.dead || conn.io.closing
+        || Queue.is_empty conn.jobs)
   then begin
     let id, req = Queue.pop conn.jobs in
     conn.inflight <- true;
@@ -879,13 +820,13 @@ let next_job t conn =
    still there) and start the connection's next queued request. *)
 let deliver t (conn, resp) =
   conn.inflight <- false;
-  if conn.dead then close_legs conn
+  if conn.io.dead then close_legs conn
   else begin
     (match resp with
-    | Some (id, r) -> push_frame t conn id r
+    | Some (id, r) -> push_frame conn id r
     | None -> ());
-    maybe_close t conn;
-    if (not conn.dead) && not conn.closing then next_job t conn
+    Conn.maybe_close conn.io;
+    next_job t conn
   end
 
 let drain_done t =
@@ -900,137 +841,65 @@ let record_op t req ~seconds =
       Server_stats.record t.st ~op:(Protocol.request_op_name req) ~seconds
         ~io:0)
 
-let handle_frame t conn payload =
-  match Protocol.decode_request payload with
-  | Result.Error e ->
-      (* a bad frame is beyond recovery: answer typed, drain, close *)
-      push_frame t conn 0L (Protocol.Error (Protocol.error_to_string e));
-      conn.closing <- true;
-      maybe_close t conn
-  | Ok (id, req) ->
-      if conn.inflight || not (Queue.is_empty conn.jobs) then
-        if Queue.length conn.jobs >= max_pipeline then begin
-          Queue.clear conn.jobs;
-          conn.closing <- true;
-          locked t (fun () -> Server_stats.overloaded t.st);
-          ignore
-            (Reactor.Writer.push conn.wr
-               (Protocol.encode_response ~id:0L
-                  (Protocol.Overloaded
-                     (Printf.sprintf "pipeline limit (%d requests) exceeded"
-                        max_pipeline))));
-          flush_conn t conn;
-          maybe_close t conn
-        end
-        else begin
-          Queue.push (id, req) conn.jobs;
-          next_job t conn
-        end
-      else begin
-        (* idle connection: cheap ops answered right here on the loop,
-           anything that talks to a shard goes to a worker *)
-        match req with
-        | Protocol.Repl_ack _ -> ()
-        | Protocol.Begin ->
+let on_request t conn id req =
+  if conn.inflight || not (Queue.is_empty conn.jobs) then
+    if Queue.length conn.jobs >= max_pipeline then begin
+      Queue.clear conn.jobs;
+      conn.io.closing <- true;
+      locked t (fun () -> Server_stats.overloaded t.st);
+      push_frame conn 0L
+        (Protocol.Overloaded
+           (Printf.sprintf "pipeline limit (%d requests) exceeded"
+              max_pipeline));
+      Conn.maybe_close conn.io
+    end
+    else begin
+      Queue.push (id, req) conn.jobs;
+      next_job t conn
+    end
+  else begin
+    (* idle connection: cheap ops answered right here on the loop,
+       anything that talks to a shard goes to a worker *)
+    match req with
+    | Protocol.Repl_ack _ -> ()
+    | Protocol.Begin ->
+        let t0 = Unix.gettimeofday () in
+        push_frame conn id (do_begin conn);
+        record_op t req ~seconds:(Unix.gettimeofday () -. t0)
+    | req -> (
+        match pure_answer t req with
+        | Some resp ->
             let t0 = Unix.gettimeofday () in
-            push_frame t conn id (do_begin conn);
+            push_frame conn id resp;
             record_op t req ~seconds:(Unix.gettimeofday () -. t0)
-        | req -> (
-            match pure_answer t req with
-            | Some resp ->
-                let t0 = Unix.gettimeofday () in
-                push_frame t conn id resp;
-                record_op t req ~seconds:(Unix.gettimeofday () -. t0)
-            | None ->
-                conn.inflight <- true;
-                enqueue_work t conn id req)
-      end
-
-let on_readable t conn scratch =
-  match Unix.read conn.c_fd scratch 0 (Bytes.length scratch) with
-  | 0 ->
-      conn.force_close <- true;
-      maybe_close t conn
-  | n when conn.closing ->
-      (* a cut-off consumer's bytes are read and discarded so the
-         eventual close finds an empty receive queue (no RST — the
-         final typed frame must survive the trip) *)
-      ignore n
-  | n ->
-      Protocol.Framer.feed conn.framer scratch n;
-      let rec drain () =
-        if (not conn.dead) && not conn.closing then
-          match Protocol.Framer.next conn.framer with
-          | Ok None -> ()
-          | Ok (Some payload) ->
-              handle_frame t conn payload;
-              drain ()
-          | Result.Error e ->
-              push_frame t conn 0L
-                (Protocol.Error (Protocol.error_to_string e));
-              conn.closing <- true;
-              maybe_close t conn
-      in
-      drain ()
-  | exception
-      Unix.Unix_error ((Unix.EAGAIN | Unix.EWOULDBLOCK | Unix.EINTR), _, _) ->
-      ()
-  | exception Unix.Unix_error _ ->
-      conn.force_close <- true;
-      maybe_close t conn
-
-let reject_connection t fd reason =
-  locked t (fun () -> Server_stats.overloaded t.st);
-  let frame = Protocol.encode_response ~id:0L (Protocol.Overloaded reason) in
-  (try ignore (Unix.write fd frame 0 (Bytes.length frame))
-   with Unix.Unix_error _ -> ());
-  try Unix.close fd with Unix.Unix_error _ -> ()
-
-let admit t =
-  if Hashtbl.length t.conns >= t.cfg.max_sessions then
-    Some (Printf.sprintf "router at session limit (%d)" t.cfg.max_sessions)
-  else if
-    Reactor.backend t.reactor = Reactor.Backend.Select
-    && Reactor.fd_count t.reactor >= Reactor.Backend.select_fd_limit - 8
-  then Some "router over the select backend fd ceiling"
-  else None
-
-let rec accept_loop t scratch =
-  if not t.stopping then
-    match Unix.accept t.listen_fd with
-    | exception
-        Unix.Unix_error ((Unix.EAGAIN | Unix.EWOULDBLOCK | Unix.EINTR), _, _)
-      ->
-        ()
-    | exception Unix.Unix_error _ -> ()
-    | fd, _peer ->
-        (match admit t with
-        | Some reason -> reject_connection t fd reason
         | None ->
-            Unix.set_nonblock fd;
-            let conn =
-              { c_fd = fd;
-                framer = Protocol.Framer.create ();
-                wr = Reactor.Writer.create ~now:(Unix.gettimeofday ()) fd;
-                legs = Array.make (Map.shards t.map) None;
-                begun = Array.make (Map.shards t.map) false;
-                in_txn = false;
-                jobs = Queue.create ();
-                inflight = false;
-                closing = false;
-                force_close = false;
-                dead = false }
-            in
-            Hashtbl.replace t.conns fd conn;
-            locked t (fun () -> Server_stats.session_opened t.st);
-            Reactor.register t.reactor fd
-              ~readable:(fun () -> on_readable t conn scratch)
-              ~writable:(fun () ->
-                flush_conn t conn;
-                maybe_close t conn)
-              ();
-            Reactor.set_write_interest t.reactor fd false);
-        accept_loop t scratch
+            conn.inflight <- true;
+            enqueue_work t conn id req)
+  end
+
+let admit t () =
+  if Hashtbl.length t.conns < t.cfg.max_sessions then None
+  else begin
+    locked t (fun () -> Server_stats.overloaded t.st);
+    Some (Printf.sprintf "router at session limit (%d)" t.cfg.max_sessions)
+  end
+
+let accept_connections t =
+  Conn.accept t.listen_fd ~admit:(admit t) (fun fd ->
+      let io = Conn.create t.reactor fd in
+      let conn =
+        { io;
+          legs = Array.make (Map.shards t.map) None;
+          begun = Array.make (Map.shards t.map) false;
+          in_txn = false;
+          jobs = Queue.create ();
+          inflight = false }
+      in
+      Hashtbl.replace t.conns fd conn;
+      locked t (fun () -> Server_stats.session_opened t.st);
+      Conn.serve io ~on_cut_off:(cut_off t conn)
+        ~on_close:(fun () -> forget t conn)
+        (Conn.frames io (on_request t conn)))
 
 (* Reap connections whose peer stopped reading: undrained output that
    has made no write progress for [stall_grace] seconds. *)
@@ -1039,14 +908,14 @@ let rec housekeeping t () =
   let victims =
     Hashtbl.fold
       (fun _ c acc ->
-        if Reactor.Writer.stalled_for c.wr ~now > stall_grace then c :: acc
+        if Reactor.Writer.stalled_for c.io.wr ~now > stall_grace then c :: acc
         else acc)
       t.conns []
   in
   List.iter
     (fun c ->
-      c.force_close <- true;
-      maybe_close t c)
+      c.io.force_close <- true;
+      Conn.maybe_close c.io)
     victims;
   if not t.stopping then
     ignore (Reactor.after t.reactor 1.0 (housekeeping t))
@@ -1087,26 +956,26 @@ let cleanup t =
   Queue.iter
     (fun ((conn : conn), _) ->
       conn.inflight <- false;
-      if conn.dead then close_legs conn)
+      if conn.io.dead then close_legs conn)
     t.dq;
   Queue.clear t.dq;
   Mutex.unlock t.dq_mu;
   let conns = Hashtbl.fold (fun _ c acc -> c :: acc) t.conns [] in
-  List.iter (fun c -> close_conn t c) conns;
+  List.iter (fun c -> Conn.close c.io) conns;
   List.iter
     (fun fd -> try Unix.close fd with Unix.Unix_error _ -> ())
     [ t.stop_r; t.stop_w; t.wake_r; t.wake_w ]
 
 let serve t =
-  let scratch = Bytes.create 65536 in
   Unix.set_nonblock t.listen_fd;
   Reactor.register t.reactor t.listen_fd
-    ~readable:(fun () -> accept_loop t scratch)
+    ~readable:(fun () -> accept_connections t)
     ();
   Reactor.register t.reactor t.stop_r
     ~readable:(fun () ->
       drain_pipe t.stop_r;
-      t.stopping <- true)
+      t.stopping <- true;
+      Reactor.set_read_interest t.reactor t.listen_fd false)
     ();
   Reactor.register t.reactor t.wake_r
     ~readable:(fun () ->

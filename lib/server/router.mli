@@ -13,8 +13,8 @@
 
     {2 Threading}
 
-    One reactor thread owns every client socket (framing, bounded
-    buffered writes, the metrics endpoint) and a fixed pool of
+    One reactor thread owns every client socket ({!Conn}: framing,
+    bounded buffered writes; and the metrics endpoint) and a fixed pool of
     [workers] threads runs the shard RPCs, so the router's OS-thread
     count is a constant picked at create time — independent of how
     many clients are connected or scraping. Each connection's
@@ -129,15 +129,11 @@ type config = {
   workers : int;
       (** shard-RPC worker threads — the router's entire OS-thread
           budget besides the reactor thread *)
-  backend : Reactor.Backend.kind option;
-      (** readiness backend for the reactor; [None] auto-selects
-          ([poll(2)] where the stub works, [Unix.select] otherwise,
-          overridable via [RIKIT_REACTOR_BACKEND]) *)
 }
 
 val default_config : config
 (** 127.0.0.1:7654, 64 sessions, 15 s shard deadline, no metrics,
-    8 workers, auto-selected backend. *)
+    8 workers. *)
 
 type t
 
@@ -158,9 +154,6 @@ val map : t -> Map.t
 
 val metrics_doc : t -> string
 (** The router's Prometheus exposition ({!Metrics.render_router}). *)
-
-val backend : t -> Reactor.Backend.kind
-(** The readiness backend the reactor actually selected. *)
 
 val serve : t -> unit
 (** Run the reactor loop on the calling thread and start the worker

@@ -657,6 +657,17 @@ let rec run_stmt session binds = function
               let mgr = Relation.Txn.manager t in
               let snap = Relation.Txn.snapshot t in
               let seen = Relation.Txn.snapshot_high snap in
+              (* Take this transaction's own matching pending inserts out
+                 BEFORE buffering any updated form: a drain after would
+                 pick the new forms up and update them a second time (a
+                 swap would undo itself), or loop forever on an update
+                 whose result still matches the predicate. *)
+              let rec drain acc =
+                match Relation.Txn.take_pending_insert t tname matches with
+                | None -> List.rev acc
+                | Some row -> drain (row :: acc)
+              in
+              let own = drain [] in
               let n = ref 0 in
               let victims = ref [] in
               Relation.Table.iter tbl (fun rowid row ->
@@ -675,19 +686,11 @@ let rec run_stmt session binds = function
                   Relation.Txn.buffer_insert t ~table:tbl ~tname (updated row);
                   incr n)
                 !victims;
-              (* Drain matching pending inserts fully BEFORE re-buffering
-                 their updated forms, or an update whose result still
-                 matches the predicate would loop. *)
-              let rec drain acc =
-                match Relation.Txn.take_pending_insert t tname matches with
-                | None -> List.rev acc
-                | Some row -> drain (row :: acc)
-              in
               List.iter
                 (fun row ->
                   Relation.Txn.buffer_insert t ~table:tbl ~tname (updated row);
                   incr n)
-                (drain []);
+                own;
               Done (Printf.sprintf "%d rows updated" !n))
   | Ast.Select q -> run_plan session binds (compile_query session q)
   | Ast.Explain { analyze; target } -> run_explain session binds ~analyze target

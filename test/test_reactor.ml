@@ -1,7 +1,6 @@
 (* The event core in isolation: timer-wheel firing discipline, the
-   bounded non-blocking writer's backpressure contract, and parity
-   between the poll(2) stub and the Unix.select fallback — the two
-   backends every server component must behave identically on. *)
+   bounded non-blocking writer's backpressure contract, and the poll(2)
+   readiness backend with the reactor loop running on it. *)
 
 module R = Reactor
 module B = Reactor.Backend
@@ -12,9 +11,6 @@ let check = Alcotest.check
 
 (* writes to dead peers must surface as EPIPE, not kill the runner *)
 let () = Sys.set_signal Sys.sigpipe Sys.Signal_ignore
-
-let both_backends f =
-  List.iter (fun k -> f k) [ B.Poll; B.Select ]
 
 (* ---- timer wheel ---- *)
 
@@ -196,6 +192,22 @@ let test_writer_peer_gone () =
       in
       poke 100)
 
+(* A zero-length frame carries nothing to write: it must not leave the
+   writer reporting Pending (with write interest on) forever. *)
+let test_writer_empty_frame () =
+  with_socketpair (fun a b ->
+      Unix.set_nonblock b;
+      let wr = W.create ~now:0. a in
+      ignore (W.push wr Bytes.empty);
+      ignore (W.push wr (Bytes.of_string "frame"));
+      let flushed = W.flush wr ~now:0. in
+      check Alcotest.bool "drained" true (flushed = W.Drained);
+      check Alcotest.bool "nothing pending" false (W.has_pending wr);
+      let got = Buffer.create 16 in
+      read_all_available b (Bytes.create 64) got;
+      check Alcotest.string "peer got the non-empty bytes" "frame"
+        (Buffer.contents got))
+
 (* Random frames pushed and flushed against a randomly-pacing reader:
    the peer receives exactly the concatenation, in order. *)
 let prop_writer_roundtrip =
@@ -227,97 +239,86 @@ let prop_writer_roundtrip =
           drain 1_000_000;
           Buffer.contents got = String.concat "" frames))
 
-(* ---- backend parity ---- *)
+(* ---- poll backend ---- *)
 
-(* The same readiness questions must get the same answers from the
-   poll stub and the select fallback. *)
-let test_backend_parity () =
-  both_backends (fun k ->
-      let name what =
-        Printf.sprintf "%s (%s)" what (B.kind_to_string k)
-      in
-      with_socketpair (fun a b ->
-          (* empty socket: read not ready, timeout honoured *)
-          let t0 = Unix.gettimeofday () in
-          let r = B.wait k [| (a, true, false) |] ~timeout:0.05 in
-          check Alcotest.bool (name "quiet fd times out") true (r = []);
-          check Alcotest.bool
-            (name "timeout actually waited")
-            true
-            (Unix.gettimeofday () -. t0 >= 0.04);
-          (* a writable socket reports writable *)
-          (match B.wait k [| (a, false, true) |] ~timeout:1. with
-          | [ (fd, rd, wrt) ] ->
-              check Alcotest.bool (name "writable fd") true
-                (fd = a && wrt && not rd)
-          | _ -> Alcotest.fail (name "expected one writable entry"));
-          (* data pending: readable, and only the armed direction *)
-          ignore (Unix.write b (Bytes.of_string "hi") 0 2);
-          (match B.wait k [| (a, true, false) |] ~timeout:1. with
-          | [ (fd, rd, wrt) ] ->
-              check Alcotest.bool (name "readable fd") true
-                (fd = a && rd && not wrt)
-          | _ -> Alcotest.fail (name "expected one readable entry"));
-          (* wait_fd agrees *)
-          check Alcotest.bool (name "wait_fd read") true
-            (B.wait_fd ~kind:k a `Read ~timeout:1.);
-          (* peer close: readable (EOF) *)
-          let buf = Bytes.create 8 in
-          ignore (Unix.read a buf 0 8);
-          Unix.close b;
-          check Alcotest.bool (name "EOF is readable") true
-            (B.wait_fd ~kind:k a `Read ~timeout:1.)))
+let test_poll_readiness () =
+  with_socketpair (fun a b ->
+      (* empty socket: read not ready, timeout honoured *)
+      let t0 = Unix.gettimeofday () in
+      let r = B.wait [| (a, true, false) |] ~timeout:0.05 in
+      check Alcotest.bool "quiet fd times out" true (r = []);
+      check Alcotest.bool
+        "timeout actually waited"
+        true
+        (Unix.gettimeofday () -. t0 >= 0.04);
+      (* a writable socket reports writable *)
+      (match B.wait [| (a, false, true) |] ~timeout:1. with
+      | [ (fd, rd, wrt) ] ->
+          check Alcotest.bool "writable fd" true
+            (fd = a && wrt && not rd)
+      | _ -> Alcotest.fail "expected one writable entry");
+      (* data pending: readable, and only the armed direction *)
+      ignore (Unix.write b (Bytes.of_string "hi") 0 2);
+      (match B.wait [| (a, true, false) |] ~timeout:1. with
+      | [ (fd, rd, wrt) ] ->
+          check Alcotest.bool "readable fd" true
+            (fd = a && rd && not wrt)
+      | _ -> Alcotest.fail "expected one readable entry");
+      (* wait_fd agrees *)
+      check Alcotest.bool "wait_fd read" true
+        (B.wait_fd a `Read ~timeout:1.);
+      (* peer close: readable (EOF) *)
+      let buf = Bytes.create 8 in
+      ignore (Unix.read a buf 0 8);
+      Unix.close b;
+      check Alcotest.bool "EOF is readable" true
+        (B.wait_fd a `Read ~timeout:1.))
 
-(* A reactor on each backend: timers fire, fd callbacks fire, interest
-   toggles work — the loop every server component now runs on. *)
+(* Timers fire, fd callbacks fire, interest toggles work — the loop
+   every server component runs on. *)
 let test_reactor_loop () =
-  both_backends (fun k ->
-      let name what =
-        Printf.sprintf "%s (%s)" what (B.kind_to_string k)
-      in
-      let r = R.create ~backend:k () in
-      check Alcotest.bool (name "backend selected") true (R.backend r = k);
-      with_socketpair (fun a b ->
-          let got = Buffer.create 16 in
-          let timer_fired = ref false in
-          let buf = Bytes.create 64 in
-          R.register r a
-            ~readable:(fun () ->
-              match Unix.read a buf 0 64 with
-              | n -> Buffer.add_subbytes got buf 0 n
-              | exception
-                  Unix.Unix_error ((Unix.EAGAIN | Unix.EWOULDBLOCK), _, _)
-                ->
-                  ())
-            ();
-          ignore (R.after r 0.02 (fun () -> timer_fired := true));
-          ignore (Unix.write b (Bytes.of_string "ping") 0 4);
-          let deadline = Unix.gettimeofday () +. 5. in
-          while
-            (Buffer.length got < 4 || not !timer_fired)
-            && Unix.gettimeofday () < deadline
-          do
-            R.run_once ~max_timeout:0.1 r
-          done;
-          check Alcotest.string (name "fd callback saw the bytes") "ping"
-            (Buffer.contents got);
-          check Alcotest.bool (name "timer fired") true !timer_fired;
-          (* interest off: new bytes do not invoke the callback *)
-          R.set_read_interest r a false;
-          ignore (Unix.write b (Bytes.of_string "x") 0 1);
-          R.run_once ~max_timeout:0.05 r;
-          check Alcotest.string (name "interest off is quiet") "ping"
-            (Buffer.contents got);
-          R.set_read_interest r a true;
-          let deadline = Unix.gettimeofday () +. 5. in
-          while Buffer.length got < 5 && Unix.gettimeofday () < deadline do
-            R.run_once ~max_timeout:0.1 r
-          done;
-          check Alcotest.string (name "interest back on delivers") "pingx"
-            (Buffer.contents got);
-          R.deregister r a;
-          check Alcotest.bool (name "deregistered") false
-            (R.is_registered r a)))
+  let r = R.create () in
+  with_socketpair (fun a b ->
+      let got = Buffer.create 16 in
+      let timer_fired = ref false in
+      let buf = Bytes.create 64 in
+      R.register r a
+        ~readable:(fun () ->
+          match Unix.read a buf 0 64 with
+          | n -> Buffer.add_subbytes got buf 0 n
+          | exception
+              Unix.Unix_error ((Unix.EAGAIN | Unix.EWOULDBLOCK), _, _)
+            ->
+              ())
+        ();
+      ignore (R.after r 0.02 (fun () -> timer_fired := true));
+      ignore (Unix.write b (Bytes.of_string "ping") 0 4);
+      let deadline = Unix.gettimeofday () +. 5. in
+      while
+        (Buffer.length got < 4 || not !timer_fired)
+        && Unix.gettimeofday () < deadline
+      do
+        R.run_once ~max_timeout:0.1 r
+      done;
+      check Alcotest.string "fd callback saw the bytes" "ping"
+        (Buffer.contents got);
+      check Alcotest.bool "timer fired" true !timer_fired;
+      (* interest off: new bytes do not invoke the callback *)
+      R.set_read_interest r a false;
+      ignore (Unix.write b (Bytes.of_string "x") 0 1);
+      R.run_once ~max_timeout:0.05 r;
+      check Alcotest.string "interest off is quiet" "ping"
+        (Buffer.contents got);
+      R.set_read_interest r a true;
+      let deadline = Unix.gettimeofday () +. 5. in
+      while Buffer.length got < 5 && Unix.gettimeofday () < deadline do
+        R.run_once ~max_timeout:0.1 r
+      done;
+      check Alcotest.string "interest back on delivers" "pingx"
+        (Buffer.contents got);
+      R.deregister r a;
+      check Alcotest.bool "deregistered" false
+        (R.is_registered r a))
 
 let () =
   Alcotest.run "reactor"
@@ -336,10 +337,10 @@ let () =
        [ Alcotest.test_case "high-water backpressure" `Quick
            test_writer_backpressure;
          Alcotest.test_case "peer gone" `Quick test_writer_peer_gone;
+         Alcotest.test_case "empty frame is skipped" `Quick
+           test_writer_empty_frame;
          QCheck_alcotest.to_alcotest prop_writer_roundtrip ]);
-      ("backends",
-       [ Alcotest.test_case "poll/select parity" `Quick
-           test_backend_parity;
-         Alcotest.test_case "reactor loop on both backends" `Quick
-           test_reactor_loop ]);
+      ("poll",
+       [ Alcotest.test_case "readiness" `Quick test_poll_readiness;
+         Alcotest.test_case "reactor loop" `Quick test_reactor_loop ]);
     ]

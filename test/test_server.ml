@@ -10,11 +10,6 @@ module C = Server.Client
 
 let check = Alcotest.check
 
-(* Which reactor backend the servers under test run on. The whole live
-   suite is registered twice — once per backend — so the poll(2) stub
-   and the pure-OCaml select fallback stay behaviorally identical. *)
-let backend_under_test : Reactor.Backend.kind option ref = ref None
-
 let config ?(max_sessions = 8) ?(max_inflight = 32) ?(max_queue = 1024)
     ?(group_commit = 0.) ?(idle_timeout = 0.) ?metrics_port
     ?(slow_query_ms = 0.) ?replica_of ?write_high_water () =
@@ -25,7 +20,7 @@ let config ?(max_sessions = 8) ?(max_inflight = 32) ?(max_queue = 1024)
   in
   { D.host = "127.0.0.1"; port = 0; max_sessions; max_inflight; max_queue;
     group_commit; idle_timeout; metrics_port; slow_query_ms; replica_of;
-    backend = !backend_under_test; write_high_water }
+    write_high_water }
 
 (* Start a dispatcher on an ephemeral port; run [f port]; always stop
    the loop and join its thread. *)
@@ -1036,24 +1031,20 @@ let raw_suite =
       ] );
   ]
 
-(* The whole live suite runs once per readiness backend: the poll(2)
-   stub and the pure-OCaml select fallback must be behaviorally
-   indistinguishable through the wire. *)
+(* The live suite is registered twice, under the "[poll]" and "[select]"
+   tags it carried when it ran once per readiness backend, so test names
+   stay stable. There is one backend now and both passes run on it: the
+   second repeats every case against a fresh server after the whole
+   first pass, so state leaking from one server to the next in a
+   process shows up. *)
 let () =
-  let under kind =
-    let tag = Reactor.Backend.kind_to_string kind in
+  let pass tag =
     List.map
       (fun (group, tests) ->
         ( Printf.sprintf "%s [%s]" group tag,
           List.map
-            (fun (name, f) ->
-              Alcotest.test_case name `Quick (fun () ->
-                  backend_under_test := Some kind;
-                  Fun.protect
-                    ~finally:(fun () -> backend_under_test := None)
-                    f))
+            (fun (name, f) -> Alcotest.test_case name `Quick f)
             tests ))
       raw_suite
   in
-  Alcotest.run "server"
-    (under Reactor.Backend.Poll @ under Reactor.Backend.Select)
+  Alcotest.run "server" (pass "poll" @ pass "select")

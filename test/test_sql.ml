@@ -341,6 +341,25 @@ let test_update () =
     Alcotest.fail "unknown column accepted"
   with E.Error _ -> ()
 
+(* Every SET expression reads the old row, so assignments swap rather
+   than cascade — in autocommit and inside an MVCC transaction, as every
+   server session runs, where the swap must survive the commit. *)
+let test_update_swap () =
+  let s = mk_session () in
+  ignore (E.exec s "CREATE TABLE t (a INT, b INT)");
+  ignore (E.exec s "INSERT INTO t VALUES (5, 7)");
+  ignore (E.exec s "UPDATE t SET a = b, b = a");
+  check rows "autocommit swap" [ [| 7; 5 |] ] (E.query s "SELECT a, b FROM t");
+  let txn = Relation.Txn.begin_txn (Relation.Txn.create ()) in
+  E.set_txn s (Some txn);
+  ignore (E.exec s "UPDATE t SET a = b, b = a");
+  check rows "swap inside the transaction" [ [| 5; 7 |] ]
+    (E.query s "SELECT a, b FROM t");
+  ignore (Relation.Txn.commit txn);
+  E.set_txn s None;
+  check rows "swap visible after commit" [ [| 5; 7 |] ]
+    (E.query s "SELECT a, b FROM t")
+
 let test_group_by () =
   let s = seeded_session () in
   (* per group: count and min/max of b *)
@@ -494,6 +513,7 @@ let () =
          Alcotest.test_case "order by / limit" `Quick test_order_by_limit;
          Alcotest.test_case "aggregates" `Quick test_aggregates;
          Alcotest.test_case "update" `Quick test_update;
+         Alcotest.test_case "update swaps columns" `Quick test_update_swap;
          Alcotest.test_case "group by" `Quick test_group_by;
          Alcotest.test_case "aggregate names as columns" `Quick
            test_column_named_count_min_max;
