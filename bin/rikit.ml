@@ -412,9 +412,9 @@ let bench_serve_cmd =
 
 (* ---- bench-storage ---- *)
 
-(* Microbenchmark of the storage hot path: O(1) ring eviction vs. the
-   fold-based baseline, hit rate across working-set sizes, and the
-   group-commit amortization of log forces and page images. Emits both a
+(* Microbenchmark of the storage hot path: O(1) ring eviction
+   throughput, hit rate across working-set sizes, and the group-commit
+   amortization of log forces and page images. Emits both a
    human-readable table and machine-readable BENCH_storage.json. *)
 
 (* Repeat [f] (performing [ops_per_round] operations) until at least
@@ -442,34 +442,28 @@ type eviction_row = {
   ev_capacity : int;
   ev_working_set : int;
   ev_ring_ops : float;
-  ev_scan_ops : float;
 }
 
 (* Cyclic sweep over a working set 4x the pool capacity: every access
-   misses and evicts, so ops/s is eviction throughput. Ring and Scan see
-   the identical access pattern. *)
+   misses and evicts, so ops/s is eviction throughput. *)
 let bench_eviction ~tiny =
   let caps = if tiny then [ 64 ] else [ 200; 2000 ] in
   let min_seconds = if tiny then 0. else 0.2 in
   List.map
     (fun capacity ->
       let ws = 4 * capacity in
-      let run policy =
-        let dev = sequential_sweep_device ~pages:ws in
-        let pool = Storage.Buffer_pool.create ~capacity ~policy dev in
-        let i = ref 0 in
-        let round () =
-          for _ = 1 to ws do
-            Storage.Buffer_pool.with_page pool (!i mod ws) ~dirty:false
-              (fun _ -> ());
-            incr i
-          done
-        in
-        time_ops ~min_seconds round ~ops_per_round:ws
+      let dev = sequential_sweep_device ~pages:ws in
+      let pool = Storage.Buffer_pool.create ~capacity dev in
+      let i = ref 0 in
+      let round () =
+        for _ = 1 to ws do
+          Storage.Buffer_pool.with_page pool (!i mod ws) ~dirty:false
+            (fun _ -> ());
+          incr i
+        done
       in
       { ev_capacity = capacity; ev_working_set = ws;
-        ev_ring_ops = run Storage.Buffer_pool.Ring;
-        ev_scan_ops = run Storage.Buffer_pool.Scan })
+        ev_ring_ops = time_ops ~min_seconds round ~ops_per_round:ws })
     caps
 
 type hit_rate_row = {
@@ -572,10 +566,8 @@ let bench_storage_json ~tiny ~eviction ~hit_rate ~hit_capacity ~group_commit =
   list eviction (fun e ->
       add
         "\n    {\"capacity\": %d, \"working_set\": %d, \
-         \"ring_ops_per_sec\": %.0f, \"scan_ops_per_sec\": %.0f, \
-         \"speedup\": %.2f}"
-        e.ev_capacity e.ev_working_set e.ev_ring_ops e.ev_scan_ops
-        (e.ev_ring_ops /. Float.max e.ev_scan_ops 1e-9));
+         \"ring_ops_per_sec\": %.0f}"
+        e.ev_capacity e.ev_working_set e.ev_ring_ops);
   add "\n  ],\n";
   add "  \"hit_rate\": {\"capacity\": %d, \"sweep\": [" hit_capacity;
   list hit_rate (fun h ->
@@ -604,17 +596,13 @@ let bench_storage tiny out =
   let t1 =
     Harness.Tbl.create
       ~title:"eviction throughput (cyclic sweep, working set = 4x capacity)"
-      ~columns:[ "capacity"; "working set"; "ring ops/s"; "scan ops/s";
-                 "speedup" ]
+      ~columns:[ "capacity"; "working set"; "ring ops/s" ]
   in
   List.iter
     (fun e ->
       Harness.Tbl.add_row t1
         [ string_of_int e.ev_capacity; string_of_int e.ev_working_set;
-          Printf.sprintf "%.0f" e.ev_ring_ops;
-          Printf.sprintf "%.0f" e.ev_scan_ops;
-          Printf.sprintf "%.1fx" (e.ev_ring_ops /. Float.max e.ev_scan_ops 1e-9)
-        ])
+          Printf.sprintf "%.0f" e.ev_ring_ops ])
     eviction;
   Harness.Tbl.print t1;
   print_newline ();
@@ -675,12 +663,12 @@ let bench_storage_cmd =
        ~man:
          [ `S Manpage.s_description;
            `P "Three experiments on the storage hot path: eviction \
-               throughput of the O(1) intrusive LRU ring against the \
-               retained fold-based baseline (cyclic sweep over a working \
-               set 4x the pool capacity); cache hit rate as the working \
-               set grows past a fixed capacity; and commit cost against \
-               the group-commit batch size (log forces, commit markers \
-               and journaled bytes amortized across the batch)." ])
+               throughput of the O(1) intrusive LRU ring (cyclic sweep \
+               over a working set 4x the pool capacity); cache hit rate \
+               as the working set grows past a fixed capacity; and \
+               commit cost against the group-commit batch size (log \
+               forces, commit markers and journaled bytes amortized \
+               across the batch)." ])
     Term.(const bench_storage $ tiny $ out)
 
 (* ---- bench-explain ---- *)

@@ -256,7 +256,13 @@ let node_lists (t : t) ivl =
   match t.offset with
   | None -> { left_nodes = []; right_nodes = [] }
   | Some off ->
-      let ql = Ivl.lower ivl - off and qu = Ivl.upper ivl - off in
+      (* Stored bounds lie within the supported magnitude, so clamping
+         the query to just outside it selects the same intervals and
+         keeps the shift by [off] from wrapping. *)
+      let clamp v =
+        max (-max_bound_magnitude - 1) (min (max_bound_magnitude + 1) v)
+      in
+      let ql = clamp (Ivl.lower ivl) - off and qu = clamp (Ivl.upper ivl) - off in
       let lefts = ref [] and rights = ref [] in
       Backbone.collect t.roots ~min_level:t.min_level ~ql ~qu
         ~left:(fun w -> lefts := (w, w) :: !lefts)

@@ -292,19 +292,29 @@ let index_geometry index =
 type step_est = {
   est_out : float;  (* rows emitted by this step across the whole run *)
   est_io : float;   (* physical I/O attributed to this step *)
+  sub : (Ir.compiled * branch_est list) option;
+      (* an [Intersection] step's resolved sub-plan and its estimate *)
 }
 
-type branch_est = {
+and branch_est = {
   step_ests : step_est list;
   out_rows : float;
   total_io : float;
 }
 
+(* An [Intersection] step's sub-plan, when the context can plan it now:
+   the step opens a single-table branch, so its bounds are constants or
+   parameters, and a parameter without a bind leaves it unresolved. *)
+let sub_plan ctx step =
+  match Executor.intersection_sub ctx [] step with
+  | c -> Some c
+  | exception Ir.Error _ -> None
+
 (* Estimate all branches of one statement together: the statement-wide
    [charged] set implements descent-once costing across branches that
-   probe the same index. *)
+   probe the same index, and the table statistics are shared with any
+   intersection sub-plans. *)
 let branches ctx (brs : Ir.branch list) =
-  let binds = ctx.Ir.binds in
   let stats_cache : (string, table_stats) Hashtbl.t = Hashtbl.create 4 in
   let stats_for tbl =
     let name = Relation.Table.name tbl in
@@ -320,146 +330,183 @@ let branches ctx (brs : Ir.branch list) =
      bounded: past this many concrete environments the estimator falls
      back to the default selectivity fractions. *)
   let max_envs = 1024 in
-  List.map
-    (fun (branch : Ir.branch) ->
-      let loop = ref 1.0 in
-      let total = ref 0.0 in
-      (* [Some envs]: the concrete outer rows this step will be probed
-         under (collections have known contents at plan time); [None]
-         once a base-table step or the cap makes them unenumerable. *)
-      let envs = ref (Some [ [] ]) in
-      let step_ests =
-        List.map
-          (fun (step : Ir.step) ->
-            let per_rows, io, stats =
-              match (step.Ir.source, step.Ir.access) with
-              | Ir.Collection name, _ ->
-                  let coll = ctx.Ir.collection name in
-                  let n =
-                    match coll with
-                    | Some (_, rows) -> List.length rows
-                    | None -> 0
-                  in
-                  (match (!envs, coll) with
-                  | Some es, Some (cols, rows)
-                    when n > 0 && List.length es * n <= max_envs ->
-                      envs :=
-                        Some
-                          (List.concat_map
-                             (fun e ->
-                               List.map
-                                 (fun r ->
-                                   e @ [ (step.Ir.alias, (cols, r)) ])
-                                 rows)
-                             es)
-                  | _ -> envs := None);
-                  (float_of_int n, 0.0, None)
-              | Ir.Mem h, access ->
-                  (* RAM-resident probe: no physical I/O by construction;
-                     the planner already sized the result when it chose
-                     the tier. *)
-                  let rows =
-                    match access with
-                    | Ir.Mem_probe { est_rows; _ } -> est_rows
-                    | Ir.Seq_scan | Ir.Index_scan _ -> h.Ir.mem_rows
-                  in
-                  envs := None;
-                  (float_of_int rows, 0.0, None)
-              | Ir.Base _, Ir.Mem_probe _ ->
-                  Ir.fail "memory probe against a base table"
-              | Ir.Base tbl, Ir.Seq_scan ->
-                  let st = stats_for tbl in
-                  envs := None;
-                  ( float_of_int st.t_rows,
-                    !loop *. float_of_int st.t_pages,
-                    Some st )
-              | Ir.Base tbl, Ir.Index_scan { index; covering; eq; _ } ->
-                  let st = stats_for tbl in
-                  let entries, leaf_cap, depth = index_geometry index in
-                  let iname = Relation.Table.Index.name index in
-                  let descent =
-                    if Hashtbl.mem charged iname then 0.0
-                    else begin
-                      Hashtbl.add charged iname ();
-                      depth
-                    end
-                  in
-                  let probe_io m = Float.max 1.0 (m /. leaf_cap) in
-                  (* Rowid fetches hit distinct heap pages, not one page
-                     per row: repeated fetches of a page are buffer-pool
-                     hits within the statement. Blend the two extremes
-                     by the scanned key column's heap correlation —
-                     consecutive pages when the column tracks insertion
-                     order (the Poisson-arrival distributions D3/D4), a
-                     Cardenas random scatter when it does not. *)
-                  let fetch_io total_rows =
-                    if covering || total_rows <= 0.0 then 0.0
-                    else begin
-                      let p = Float.max 1.0 (float_of_int st.t_pages) in
-                      let random =
-                        p *. (1.0 -. ((1.0 -. (1.0 /. p)) ** total_rows))
-                      in
-                      let rows_per_page =
-                        Float.max 1.0 (float_of_int st.t_rows /. p)
-                      in
-                      let clustered =
-                        Float.min random ((total_rows /. rows_per_page) +. 1.0)
-                      in
-                      let icols = Relation.Table.Index.columns index in
-                      let rc = min (List.length eq) (Array.length icols - 1) in
-                      let c2 =
-                        match hist_for (Some st) icols.(rc) with
-                        | Some h -> h.h_corr *. h.h_corr
-                        | None -> 0.0
-                      in
-                      (c2 *. clustered) +. ((1.0 -. c2) *. random)
-                    end
-                  in
-                  let est =
-                    match !envs with
-                    | Some (_ :: _ as es) ->
-                        (* average the per-probe span over the actual
-                           outer rows *)
-                        let k = float_of_int (List.length es) in
-                        let ms =
-                          List.map
-                            (fun env ->
-                              entries *. access_sel ~env (Some st) binds step)
-                            es
+  let rec estimate ctx brs =
+    let binds = ctx.Ir.binds in
+    List.map
+      (fun (branch : Ir.branch) ->
+        let loop = ref 1.0 in
+        let total = ref 0.0 in
+        (* [Some envs]: the concrete outer rows this step will be probed
+           under (collections have known contents at plan time); [None]
+           once a base-table step or the cap makes them unenumerable. *)
+        let envs = ref (Some [ [] ]) in
+        let step_ests =
+          List.map
+            (fun (step : Ir.step) ->
+              let sel st = filters_sel st binds step in
+              let per_rows, io, sel, sub =
+                match (step.Ir.source, step.Ir.access) with
+                | Ir.Collection name, _ ->
+                    let coll = ctx.Ir.collection name in
+                    let n =
+                      match coll with
+                      | Some (_, rows) -> List.length rows
+                      | None -> 0
+                    in
+                    (match (!envs, coll) with
+                    | Some es, Some (cols, rows)
+                      when n > 0 && List.length es * n <= max_envs ->
+                        envs :=
+                          Some
+                            (List.concat_map
+                               (fun e ->
+                                 List.map
+                                   (fun r ->
+                                     e @ [ (step.Ir.alias, (cols, r)) ])
+                                   rows)
+                               es)
+                    | _ -> envs := None);
+                    (float_of_int n, 0.0, sel None, None)
+                | Ir.Intersection { table; _ }, _ -> (
+                    envs := None;
+                    match sub_plan ctx step with
+                    | Some c ->
+                        let ests = estimate c.Ir.ctx c.Ir.plan.Ir.branches in
+                        let sum f =
+                          List.fold_left (fun a e -> a +. f e) 0.0 ests
                         in
-                        let sum f = List.fold_left (fun a m -> a +. f m) 0.0 ms in
-                        let m_avg = sum (fun m -> m) /. k in
-                        ( m_avg,
-                          descent
-                          +. (!loop *. (sum probe_io /. k))
-                          +. fetch_io (!loop *. m_avg) )
-                    | _ ->
-                        let m = entries *. access_sel (Some st) binds step in
-                        ( m,
-                          descent +. (!loop *. probe_io m)
-                          +. fetch_io (!loop *. m) )
-                  in
-                  envs := None;
-                  (fst est, snd est, Some st)
-            in
-            let out = !loop *. per_rows *. filters_sel stats binds step in
-            total := !total +. io;
-            loop := out;
-            { est_out = out; est_io = io })
-          branch.Ir.steps
-      in
-      { step_ests; out_rows = !loop; total_io = !total })
-    brs
+                        (* the candidates are the answer up to extra
+                           conjuncts: the residual filters re-check the
+                           recognised ones, so they are not charged *)
+                        ( sum (fun e -> e.out_rows),
+                          !loop *. sum (fun e -> e.total_io),
+                          1.0,
+                          Some (c, ests) )
+                    | None ->
+                        let st = stats_for table in
+                        ( float_of_int st.t_rows,
+                          !loop *. float_of_int st.t_pages,
+                          sel (Some st),
+                          None ))
+                | Ir.Mem h, access ->
+                    (* RAM-resident probe: no physical I/O by construction;
+                       the planner already sized the result when it chose
+                       the tier. *)
+                    let rows =
+                      match access with
+                      | Ir.Mem_probe { est_rows; _ } -> est_rows
+                      | Ir.Seq_scan | Ir.Index_scan _ -> h.Ir.mem_rows
+                    in
+                    envs := None;
+                    (float_of_int rows, 0.0, sel None, None)
+                | Ir.Base _, Ir.Mem_probe _ ->
+                    Ir.fail "memory probe against a base table"
+                | Ir.Base tbl, Ir.Seq_scan ->
+                    let st = stats_for tbl in
+                    envs := None;
+                    ( float_of_int st.t_rows,
+                      !loop *. float_of_int st.t_pages,
+                      sel (Some st),
+                      None )
+                | Ir.Base tbl, Ir.Index_scan { index; covering; eq; _ } ->
+                    let st = stats_for tbl in
+                    let entries, leaf_cap, depth = index_geometry index in
+                    let iname = Relation.Table.Index.name index in
+                    let descent =
+                      if Hashtbl.mem charged iname then 0.0
+                      else begin
+                        Hashtbl.add charged iname ();
+                        depth
+                      end
+                    in
+                    let probe_io m = Float.max 1.0 (m /. leaf_cap) in
+                    (* Rowid fetches hit distinct heap pages, not one page
+                       per row: repeated fetches of a page are buffer-pool
+                       hits within the statement. Blend the two extremes
+                       by the scanned key column's heap correlation —
+                       consecutive pages when the column tracks insertion
+                       order (the Poisson-arrival distributions D3/D4), a
+                       Cardenas random scatter when it does not. *)
+                    let fetch_io total_rows =
+                      if covering || total_rows <= 0.0 then 0.0
+                      else begin
+                        let p = Float.max 1.0 (float_of_int st.t_pages) in
+                        let random =
+                          p *. (1.0 -. ((1.0 -. (1.0 /. p)) ** total_rows))
+                        in
+                        let rows_per_page =
+                          Float.max 1.0 (float_of_int st.t_rows /. p)
+                        in
+                        let clustered =
+                          Float.min random ((total_rows /. rows_per_page) +. 1.0)
+                        in
+                        let icols = Relation.Table.Index.columns index in
+                        let rc = min (List.length eq) (Array.length icols - 1) in
+                        let c2 =
+                          match hist_for (Some st) icols.(rc) with
+                          | Some h -> h.h_corr *. h.h_corr
+                          | None -> 0.0
+                        in
+                        (c2 *. clustered) +. ((1.0 -. c2) *. random)
+                      end
+                    in
+                    let est =
+                      match !envs with
+                      | Some (_ :: _ as es) ->
+                          (* average the per-probe span over the actual
+                             outer rows *)
+                          let k = float_of_int (List.length es) in
+                          let ms =
+                            List.map
+                              (fun env ->
+                                entries *. access_sel ~env (Some st) binds step)
+                              es
+                          in
+                          let sum f =
+                            List.fold_left (fun a m -> a +. f m) 0.0 ms
+                          in
+                          let m_avg = sum (fun m -> m) /. k in
+                          ( m_avg,
+                            descent
+                            +. (!loop *. (sum probe_io /. k))
+                            +. fetch_io (!loop *. m_avg) )
+                      | _ ->
+                          let m = entries *. access_sel (Some st) binds step in
+                          ( m,
+                            descent +. (!loop *. probe_io m)
+                            +. fetch_io (!loop *. m) )
+                    in
+                    envs := None;
+                    (fst est, snd est, sel (Some st), None)
+              in
+              let out = !loop *. per_rows *. sel in
+              total := !total +. io;
+              loop := out;
+              { est_out = out; est_io = io; sub })
+            branch.Ir.steps
+        in
+        { step_ests; out_rows = !loop; total_io = !total })
+      brs
+  in
+  estimate ctx brs
 
 (* Outer-collection cardinality of a branch: the RI-tree node count
-   when the plan is the paper's Fig. 9 shape. *)
-let node_count ctx (branch : Ir.branch) =
+   when the plan is the paper's Fig. 9 shape, or contains it as an
+   intersection sub-plan. *)
+let rec node_count ctx (branch : Ir.branch) =
   List.fold_left
     (fun acc (step : Ir.step) ->
       match step.Ir.source with
       | Ir.Collection name -> (
           match ctx.Ir.collection name with
           | Some (_, rows) -> acc + List.length rows
+          | None -> acc)
+      | Ir.Intersection _ -> (
+          match sub_plan ctx step with
+          | Some c ->
+              List.fold_left
+                (fun a b -> a + node_count c.Ir.ctx b)
+                acc c.Ir.plan.Ir.branches
           | None -> acc)
       | Ir.Base _ | Ir.Mem _ -> acc)
     0 branch.Ir.steps

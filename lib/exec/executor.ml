@@ -94,11 +94,39 @@ let node_span (step : Ir.step) =
   match (step.source, step.access) with
   | Ir.Collection _, _ -> "exec.collection"
   | Ir.Mem _, _ -> "memtier.probe"
+  | Ir.Intersection _, _ -> "exec.intersection"
   | Ir.Base _, Ir.Seq_scan -> "exec.seq_scan"
   | Ir.Base _, Ir.Index_scan _ -> "exec.index_scan"
   | Ir.Base _, Ir.Mem_probe _ -> "exec.invalid"
 
-let run_step ctx bound (step : Ir.step) (emit : binding -> unit) =
+(* Key components for an index range bound. An exclusive bound at the
+   integer edge admits no key at all, so it yields [None] instead of
+   wrapping round to the opposite edge and widening the probe to the
+   whole index. *)
+let start_key binds bound { Ir.v; inclusive } =
+  let x = eval_value binds bound v in
+  if inclusive then Some x else if x = max_int then None else Some (x + 1)
+
+let stop_key binds bound { Ir.v; inclusive } =
+  let x = eval_value binds bound v in
+  if inclusive then Some x else if x = min_int then None else Some (x - 1)
+
+(* The sub-plan an [Intersection] step runs: the candidate interval
+   [min(A,B), A] over its relation, planned by the context for this
+   execution. *)
+let intersection_sub ctx bound (step : Ir.step) =
+  match step.Ir.source with
+  | Ir.Intersection { table; upper; lower; proj } -> (
+      let a = eval_value ctx.Ir.binds bound upper
+      and b = eval_value ctx.Ir.binds bound lower in
+      let name = Relation.Table.name table in
+      match ctx.Ir.intersection name ~proj (Interval.Ivl.make (min a b) a) with
+      | Some c -> c
+      | None -> fail "%s is not an RI-tree relation of this session" name)
+  | Ir.Base _ | Ir.Collection _ | Ir.Mem _ ->
+      invalid_arg "Executor.intersection_sub"
+
+let rec run_step ctx bound (step : Ir.step) (emit : binding -> unit) =
   let binds = ctx.Ir.binds in
   let bind columns row = bound @ [ (step.Ir.alias, (columns, row)) ] in
   let visit columns row =
@@ -114,6 +142,12 @@ let run_step ctx bound (step : Ir.step) (emit : binding -> unit) =
         match ctx.Ir.collection name with
         | None -> fail "collection %s disappeared" name
         | Some (columns, rows) -> List.iter (fun r -> visit columns r) rows)
+    | Ir.Intersection _, _ ->
+        let sub = intersection_sub ctx bound step in
+        List.iter
+          (fun br ->
+            List.iter (visit step.Ir.columns) (fst (run_branch sub.Ir.ctx br)))
+          sub.Ir.plan.Ir.branches
     | Ir.Mem h, Ir.Mem_probe { op; lo; hi; _ } ->
         let lo = eval_value binds bound lo
         and up = eval_value binds bound hi in
@@ -157,87 +191,81 @@ let run_step ctx bound (step : Ir.step) (emit : binding -> unit) =
             lo_key.(i) <- v;
             hi_key.(i) <- v)
           eq_vals;
-        (match lo with
-        | Some { Ir.v; inclusive } ->
-            lo_key.(k) <- (eval_value binds bound v + if inclusive then 0 else 1)
-        | None -> ());
-        (match hi with
-        | Some { Ir.v; inclusive } ->
-            hi_key.(k) <- (eval_value binds bound v - if inclusive then 0 else 1)
-        | None -> ());
+        let empty = ref false in
+        let set key i bound_key b =
+          match bound_key binds bound b with
+          | Some x -> key.(i) <- x
+          | None -> empty := true
+        in
+        Option.iter (set lo_key k start_key) lo;
+        Option.iter (set hi_key k stop_key) hi;
         let rpos = k + if lo <> None || hi <> None then 1 else 0 in
         if rpos > k && rpos < width then begin
-          (match refine_lo with
-          | Some { Ir.v; inclusive } ->
-              lo_key.(rpos) <-
-                (eval_value binds bound v + if inclusive then 0 else 1)
-          | None -> ());
-          match refine_hi with
-          | Some { Ir.v; inclusive } ->
-              hi_key.(rpos) <-
-                (eval_value binds bound v - if inclusive then 0 else 1)
-          | None -> ()
+          Option.iter (set lo_key rpos start_key) refine_lo;
+          Option.iter (set hi_key rpos stop_key) refine_hi
         end;
-        let view = ctx.Ir.vis (Relation.Table.name tbl) in
-        let accept =
-          match view with
-          | None -> fun _ -> true
-          | Some v -> v.Relation.Txn.visible
-        in
-        let entry_visit key =
-          let entry_ok =
-            step.Ir.key_filters = []
-            ||
-            (* key filters see the index entry (sans rowid), so
-               non-matching entries are skipped without a fetch *)
-            let entry = Array.sub key 0 (Array.length key - 1) in
-            let b2 = bind icols entry in
-            List.for_all (fun f -> eval_pred binds b2 f) step.Ir.key_filters
+        if not !empty then begin
+          let view = ctx.Ir.vis (Relation.Table.name tbl) in
+          let accept =
+            match view with
+            | None -> fun _ -> true
+            | Some v -> v.Relation.Txn.visible
           in
-          if entry_ok then
-            if covering then
-              visit icols (Array.sub key 0 (Array.length key - 1))
-            else
-              let rowid = key.(Array.length key - 1) in
-              match Relation.Table.fetch tbl rowid with
-              | Some row -> visit (Relation.Table.columns tbl) row
-              | None -> ()
-        in
-        Btree.iter_range tree ~lo:lo_key ~hi:hi_key (fun key ->
-            if accept key.(Array.length key - 1) then entry_visit key);
-        (match view with
-        | None -> ()
-        | Some v ->
-            (* Overlay rows are injected per probe: each row's index
-               entry joins exactly the probes whose key range would have
-               contained its physical registration, so UNION ALL branch
-               disjointness and per-probe key filters behave as for
-               physical rows. The rowid slot is unconstrained in every
-               probe (min_int..max_int), so a pseudo-rowid of 0 never
-               decides the comparison. *)
-            List.iter
-              (fun row ->
-                let key = Relation.Table.Index.key_of_row index 0 row in
-                if key_in_range ~lo:lo_key ~hi:hi_key key then
-                  if covering then entry_visit key
-                  else
-                    let entry_ok =
-                      step.Ir.key_filters = []
-                      ||
-                      let entry = Array.sub key 0 (Array.length key - 1) in
-                      let b2 = bind icols entry in
-                      List.for_all
-                        (fun f -> eval_pred binds b2 f)
-                        step.Ir.key_filters
-                    in
-                    if entry_ok then visit (Relation.Table.columns tbl) row)
-              (v.Relation.Txn.extra ()))
+          let entry_visit key =
+            let entry_ok =
+              step.Ir.key_filters = []
+              ||
+              (* key filters see the index entry (sans rowid), so
+                 non-matching entries are skipped without a fetch *)
+              let entry = Array.sub key 0 (Array.length key - 1) in
+              let b2 = bind icols entry in
+              List.for_all (fun f -> eval_pred binds b2 f) step.Ir.key_filters
+            in
+            if entry_ok then
+              if covering then
+                visit icols (Array.sub key 0 (Array.length key - 1))
+              else
+                let rowid = key.(Array.length key - 1) in
+                match Relation.Table.fetch tbl rowid with
+                | Some row -> visit (Relation.Table.columns tbl) row
+                | None -> ()
+          in
+          Btree.iter_range tree ~lo:lo_key ~hi:hi_key (fun key ->
+              if accept key.(Array.length key - 1) then entry_visit key);
+          match view with
+          | None -> ()
+          | Some v ->
+              (* Overlay rows are injected per probe: each row's index
+                 entry joins exactly the probes whose key range would
+                 have contained its physical registration, so UNION ALL
+                 branch disjointness and per-probe key filters behave as
+                 for physical rows. The rowid slot is unconstrained in
+                 every probe (min_int..max_int), so a pseudo-rowid of 0
+                 never decides the comparison. *)
+              List.iter
+                (fun row ->
+                  let key = Relation.Table.Index.key_of_row index 0 row in
+                  if key_in_range ~lo:lo_key ~hi:hi_key key then
+                    if covering then entry_visit key
+                    else
+                      let entry_ok =
+                        step.Ir.key_filters = []
+                        ||
+                        let entry = Array.sub key 0 (Array.length key - 1) in
+                        let b2 = bind icols entry in
+                        List.for_all
+                          (fun f -> eval_pred binds b2 f)
+                          step.Ir.key_filters
+                      in
+                      if entry_ok then visit (Relation.Table.columns tbl) row)
+                (v.Relation.Txn.extra ())
+        end
   in
   if Obs.Trace.enabled () then
     Obs.Trace.with_span (node_span step) ~info:step.Ir.alias body
   else body ()
 
-let run_branch ctx (branch : Ir.branch) =
+and run_branch ctx (branch : Ir.branch) =
   Obs.Trace.with_span "sql.branch"
     ~info:
       (String.concat "," (List.map (fun s -> s.Ir.alias) branch.Ir.steps))

@@ -51,10 +51,25 @@ type mem_handle = {
       (* (lower, upper, id) triples *)
 }
 
+(* What an intersection step yields per qualifying row: the triple
+   the typed ops return, or every column of the relation (the hot-tier
+   replica holds triples only, so it cannot serve the latter). *)
+type ri_proj = Ids | Triples | Rows
+
 type source =
   | Base of Relation.Table.t
   | Collection of string (* transient; resolved from the context at run time *)
   | Mem of mem_handle (* RAM-resident hot tier *)
+  | Intersection of {
+      table : Relation.Table.t; (* an RI-tree relation *)
+      upper : value; (* A, from the conjunct bounding lower from above *)
+      lower : value; (* B, from the conjunct bounding upper from below *)
+      proj : ri_proj; (* Triples or Rows *)
+    }
+      (* The rows of [table] intersecting [min(A,B), A], answered by a
+         sub-plan the context plans per execution (cost-based path, live
+         node lists); the step's filters then apply the original
+         conjuncts. *)
 
 type bound = { v : value; inclusive : bool }
 
@@ -118,20 +133,27 @@ type plan = {
 
 (* The run-time context a plan executes against: parameter bindings,
    the transient collections (the SQL session's, or the planner's own),
-   and the MVCC snapshot overlay. [vis] returns the per-table view of
-   the executing session's snapshot: base-table scans filter physically
-   present rows through it and merge the rows it serves that are not
-   physically present (recently deleted rows old snapshots still see,
-   plus the session's own pending inserts). [None] — the common case —
-   means physical state is exactly the snapshot and scans pay nothing. *)
+   the planner for [Intersection] sources, and the MVCC snapshot
+   overlay. [intersection] plans the candidate interval over the named
+   RI-tree relation, or answers [None] when the session holds no such
+   tree. [vis] returns the per-table view of the executing session's
+   snapshot: base-table scans filter physically present rows through it
+   and merge the rows it serves that are not physically present
+   (recently deleted rows old snapshots still see, plus the session's
+   own pending inserts). [None] — the common case — means physical
+   state is exactly the snapshot and scans pay nothing. *)
 type ctx = {
   binds : (string * int) list;
   collection : string -> (string array * int array list) option;
+  intersection : string -> proj:ri_proj -> Interval.Ivl.t -> compiled option;
   vis : string -> Relation.Txn.view option;
 }
 
+(* A plan bound to the private context it executes against. *)
+and compiled = { plan : plan; ctx : ctx }
+
 let no_vis : string -> Relation.Txn.view option = fun _ -> None
-let no_collections = { binds = []; collection = (fun _ -> None); vis = no_vis }
+let no_intersection _ ~proj:_ _ = None
 
 (* ---- printing (must match Sqlfront.Ast.expr_to_string verbatim: the
    renderer's FILTER and key lines are part of the EXPLAIN contract) ---- *)

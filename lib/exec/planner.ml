@@ -28,25 +28,33 @@ let path_to_string = function
   | Mem_path -> "mem"
 
 (* Which columns the caller needs: ids alone keep the Fig. 9 plan fully
-   covering; triples fetch the base rows. *)
-type proj = Ids | Triples
+   covering; triples fetch the base rows; rows (every column, for SQL
+   that reads [node]) fetch the base rows and bypass the hot tier. *)
+type proj = Ir.ri_proj = Ids | Triples | Rows
 
 let default_path q = if Ivl.lower q = Ivl.upper q then Single_branch else Two_branch
 
 (* A compiled typed-op query: the IR plan plus the private context
    (parameter bindings and transient node-list collections) it executes
    against. *)
-type compiled = { plan : Ir.plan; ctx : Ir.ctx }
+type compiled = Ir.compiled = { plan : Ir.plan; ctx : Ir.ctx }
 
 let make_ctx ?(vis = Ir.no_vis) binds colls =
-  { Ir.binds; collection = (fun name -> List.assoc_opt name colls); vis }
+  { Ir.binds; collection = (fun name -> List.assoc_opt name colls);
+    intersection = Ir.no_intersection; vis }
 
 let interval_binds q = [ ("qlow", Ivl.lower q); ("qup", Ivl.upper q) ]
 
-let projections = function
+(* [Rows] names the relation's alias [i]: the Fig. 9 branches also bind
+   rightNodes, whose [node] column would make a bare name ambiguous. *)
+let projections t = function
   | Ids -> [ Ir.Col (None, "id") ]
   | Triples ->
       [ Ir.Col (None, "lower"); Ir.Col (None, "upper"); Ir.Col (None, "id") ]
+  | Rows ->
+      List.map
+        (fun c -> Ir.Col (Some "i", c))
+        (Array.to_list (Relation.Table.columns (Ri.table t)))
 
 let plain_plan branches = { Ir.branches; order_by = []; limit = None }
 
@@ -93,7 +101,7 @@ let two_branch_branches ?(extra = []) ~proj t =
            lo = None; hi = incl (Ir.Param "qup");
            refine_lo = None; refine_hi = None; covering })
   in
-  let projs = projections proj in
+  let projs = projections t proj in
   [ { Ir.steps =
         [ Ir.mk_step ~alias:"lft" ~source:(Ir.Collection "leftNodes")
             ~columns:[| "min"; "max" |] Ir.Seq_scan;
@@ -144,7 +152,7 @@ let single_branch ?vis ~proj t q =
         [ Ir.mk_step ~alias:"pth" ~source:(Ir.Collection "pathNodes")
             ~columns:[| "node" |] Ir.Seq_scan;
           probe ];
-      projections = projections proj; group_by = [] }
+      projections = projections t proj; group_by = [] }
   in
   let nodes = List.map (fun w -> [| w |]) (path_nodes t (Ivl.lower q)) in
   { plan = plain_plan [ branch ];
@@ -163,7 +171,7 @@ let seq_scan ?vis ~proj t q =
               [ Ir.Cmp (Ir.Le, field "i" "lower", Ir.Param "qup");
                 Ir.Cmp (Ir.Ge, field "i" "upper", Ir.Param "qlow") ]
             Ir.Seq_scan ];
-      projections = projections proj; group_by = [] }
+      projections = projections t proj; group_by = [] }
   in
   { plan = plain_plan [ branch ];
     ctx = make_ctx ?vis (interval_binds q) [] }
@@ -173,7 +181,7 @@ let seq_scan ?vis ~proj t q =
 let mem_info (h : Ir.mem_handle) =
   { CM.mem_levels = h.Ir.mem_levels; mem_entries = h.Ir.mem_entries }
 
-let mem_plan ?stats ~proj (h : Ir.mem_handle) op q =
+let mem_plan ?stats ~proj t (h : Ir.mem_handle) op q =
   let est_rows =
     match (op, stats) with
     | Ir.Mem_intersect, Some st -> CM.Stats.estimate_result_size st q
@@ -187,7 +195,7 @@ let mem_plan ?stats ~proj (h : Ir.mem_handle) op q =
   in
   { plan =
       plain_plan
-        [ { Ir.steps = [ step ]; projections = projections proj;
+        [ { Ir.steps = [ step ]; projections = projections t proj;
             group_by = [] } ];
     ctx = make_ctx (interval_binds q) [] }
 
@@ -209,6 +217,8 @@ let choose ?mem t stats q =
   | CM.Mem_plan -> Mem_path
 
 let plan_intersection ?stats ?path ?mem ?vis ~proj t q =
+  (* the replica holds (lower, upper, id) only *)
+  let mem = if proj = Rows then None else mem in
   let path =
     match (path, mem, stats) with
     | Some p, _, _ -> p
@@ -221,7 +231,7 @@ let plan_intersection ?stats ?path ?mem ?vis ~proj t q =
   match path with
   | Mem_path -> (
       match mem with
-      | Some h -> mem_plan ?stats ~proj h Ir.Mem_intersect q
+      | Some h -> mem_plan ?stats ~proj t h Ir.Mem_intersect q
       | None -> invalid_arg "plan_intersection: memory path without a handle")
   | Two_branch -> two_branch ?vis ~proj t q
   | Single_branch -> single_branch ?vis ~proj t q
@@ -287,7 +297,7 @@ let plan_allen_disk ?vis t r q =
       let single_step step =
         { plan =
             plain_plan
-              [ { Ir.steps = [ step ]; projections = projections Triples;
+              [ { Ir.steps = [ step ]; projections = projections t Triples;
                   group_by = [] } ];
           ctx = make_ctx ?vis (interval_binds q) [] }
       in
@@ -310,7 +320,7 @@ let plan_allen_disk ?vis t r q =
                         ~source:(Ir.Collection "pathNodes")
                         ~columns:[| "node" |] Ir.Seq_scan;
                       probe ];
-                  projections = projections Triples; group_by = [] } ];
+                  projections = projections t Triples; group_by = [] } ];
           ctx =
             make_ctx ?vis (interval_binds q)
               [ ("pathNodes",
@@ -358,7 +368,7 @@ let plan_allen ?mem ?vis t r q =
   | Some h ->
       (* A resident HINT answers every Allen relation directly (the
          Allen_probe reduction); nothing on disk is touched. *)
-      mem_plan ~proj:Triples h (Ir.Mem_relation r) q
+      mem_plan ~proj:Triples t h (Ir.Mem_relation r) q
   | None -> plan_allen_disk ?vis t r q
 
 let allen_matches ?mem ?vis t r q =
@@ -434,7 +444,24 @@ let temporal_ids store ~now q = List.map snd (temporal_matches store ~now q)
    EXPLAIN: render the plan with cost-model annotations, append the
    PREDICTED footer, and under ANALYZE execute and append actuals. *)
 
+(* EXPLAIN resolves each intersection sub-plan once: the estimate, the
+   rendering and, under ANALYZE, the execution all see the same compiled
+   sub-plan, so its steps carry their own actual row counts. *)
+let memo_intersections ctx =
+  let memo = Hashtbl.create 4 in
+  let intersection name ~proj q =
+    let key = (name, proj, Ivl.lower q, Ivl.upper q) in
+    match Hashtbl.find_opt memo key with
+    | Some c -> c
+    | None ->
+        let c = ctx.Ir.intersection name ~proj q in
+        Hashtbl.add memo key c;
+        c
+  in
+  { ctx with Ir.intersection }
+
 let explain_compiled ?(analyze = false) ctx (plan : Ir.plan) =
+  let ctx = memo_intersections ctx in
   let ests = Estimate.branches ctx plan.Ir.branches in
   let pred_rows =
     List.fold_left (fun a e -> a +. e.Estimate.out_rows) 0.0 ests
@@ -447,38 +474,45 @@ let explain_compiled ?(analyze = false) ctx (plan : Ir.plan) =
       (fun a b -> a + Estimate.node_count ctx b)
       0 plan.Ir.branches
   in
-  let notes actual =
+  (* per step, its annotation and (for intersection steps) the resolved
+     sub-plan's branches, sub-plan steps included *)
+  let rec notes actual branches ests =
     List.concat
       (List.map2
          (fun (branch : Ir.branch) est ->
-           List.map2
-             (fun (step : Ir.step) (se : Estimate.step_est) ->
-               let s =
-                 if actual then
-                   Render.est_actual_note ~rows:se.Estimate.est_out
-                     ~io:se.Estimate.est_io ~actual:step.Ir.seen
-                 else
-                   Render.est_note ~rows:se.Estimate.est_out
-                     ~io:se.Estimate.est_io
-               in
-               (step, s))
-             branch.Ir.steps est.Estimate.step_ests)
-         plan.Ir.branches ests)
+           List.concat
+             (List.map2
+                (fun (step : Ir.step) (se : Estimate.step_est) ->
+                  let s =
+                    if actual then
+                      Render.est_actual_note ~rows:se.Estimate.est_out
+                        ~io:se.Estimate.est_io ~actual:step.Ir.seen
+                    else
+                      Render.est_note ~rows:se.Estimate.est_out
+                        ~io:se.Estimate.est_io
+                  in
+                  match se.Estimate.sub with
+                  | None -> [ (step, (s, None)) ]
+                  | Some (c, sub_ests) ->
+                      (step, (s, Some c.plan.Ir.branches))
+                      :: notes actual c.plan.Ir.branches sub_ests)
+                branch.Ir.steps est.Estimate.step_ests))
+         branches ests)
   in
-  let footer_pred =
-    Render.predicted_footer ~nodes ~rows:pred_rows ~io:pred_io
+  let render actual =
+    let notes = notes actual plan.Ir.branches ests in
+    let annot step =
+      match List.assq_opt step notes with Some (s, _) -> s | None -> ""
+    in
+    let sub step = Option.bind (List.assq_opt step notes) snd in
+    Render.plan ~annot ~sub plan.Ir.branches
+    ^ Render.predicted_footer ~nodes ~rows:pred_rows ~io:pred_io
   in
-  if not analyze then begin
-    let notes = notes false in
-    let annot step = Option.value ~default:"" (List.assq_opt step notes) in
-    Render.plan ~annot plan.Ir.branches ^ footer_pred
-  end
+  if not analyze then render false
   else begin
     Executor.reset_seen plan;
     let result, ms, io = Executor.measured (fun () -> Executor.run ctx plan) in
-    let notes = notes true in
-    let annot step = Option.value ~default:"" (List.assq_opt step notes) in
-    Render.plan ~annot plan.Ir.branches ^ footer_pred
+    render true
     ^ Render.actual_footer ~rows:(List.length result.Executor.rows) ~io ~ms
   end
 

@@ -110,21 +110,54 @@ type t = {
   mutable txn : Relation.Txn.txn;
 }
 
+(* The snapshot overlay for this session's typed-op planner paths. *)
+let vis_for t =
+  let mgr = t.sh.txns in
+  let snap = Relation.Txn.snapshot t.txn in
+  fun name -> Relation.Txn.view mgr snap name
+
+(* Residency handle for the shared tree, if the tier serves one for
+   THIS session's snapshot. Taken per statement: mutation
+   (Table.version) or a catalog swap invalidates stale replicas right
+   here; a session with buffered writes on the tree bypasses the tier
+   (the replica cannot see its write set); a pinned snapshot older than
+   the replica's build LSN is refused the handle without dropping it. *)
+let mem_for t =
+  if Relation.Txn.writes_on t.txn t.sh.tree_name then None
+  else
+    let snap_high =
+      Relation.Txn.snapshot_high (Relation.Txn.snapshot t.txn)
+    in
+    let lsn = Relation.Txn.table_lsn t.sh.txns t.sh.tree_name in
+    Exec.Memtier.acquire ~snap_high ~lsn t.sh.memtier t.sh.ritree
+
+(* A SQL engine over the shared catalog, bound to the session's
+   transaction, whose intersection predicates plan with the same inputs
+   as the typed Intersect op (its snapshot comes from the transaction). *)
+let attach_engine t =
+  let engine = Sqlfront.Engine.session t.sh.cat in
+  Sqlfront.Engine.set_txn engine (Some t.txn);
+  Sqlfront.Engine.set_ritree engine t.sh.ritree
+    ~stats:(fun () -> stats_for t.sh)
+    ~mem:(fun () -> mem_for t);
+  t.engine <- engine
+
 let create sh =
   sh.next_session <- sh.next_session + 1;
-  let engine = Sqlfront.Engine.session sh.cat in
-  let txn = Relation.Txn.begin_txn sh.txns in
-  Sqlfront.Engine.set_txn engine (Some txn);
-  {
-    sh;
-    sid = sh.next_session;
-    engine;
-    engine_gen = sh.generation;
-    prepared = Hashtbl.create 8;
-    reqs = 0;
-    sql_stmts = 0;
-    txn;
-  }
+  let t =
+    {
+      sh;
+      sid = sh.next_session;
+      engine = Sqlfront.Engine.session sh.cat;
+      engine_gen = sh.generation;
+      prepared = Hashtbl.create 8;
+      reqs = 0;
+      sql_stmts = 0;
+      txn = Relation.Txn.begin_txn sh.txns;
+    }
+  in
+  attach_engine t;
+  t
 
 let close t = Relation.Txn.abort t.txn
 let id t = t.sid
@@ -147,34 +180,12 @@ let sync_txn t = if not (Relation.Txn.is_active t.txn) then renew t
 let engine t =
   if t.engine_gen <> t.sh.generation then begin
     t.sql_stmts <- t.sql_stmts + Sqlfront.Engine.statements t.engine;
-    t.engine <- Sqlfront.Engine.session t.sh.cat;
-    Sqlfront.Engine.set_txn t.engine (Some t.txn);
+    attach_engine t;
     (* prepared plans pin tables of the replaced catalog: drop them *)
     Hashtbl.reset t.prepared;
     t.engine_gen <- t.sh.generation
   end;
   t.engine
-
-(* The session's snapshot overlay for the typed-op planner paths. *)
-let vis_for t =
-  let mgr = t.sh.txns in
-  let snap = Relation.Txn.snapshot t.txn in
-  fun name -> Relation.Txn.view mgr snap name
-
-(* Residency handle for the shared tree, if the tier serves one for
-   THIS session's snapshot. Taken per statement: mutation
-   (Table.version) or a catalog swap invalidates stale replicas right
-   here; a session with buffered writes on the tree bypasses the tier
-   (the replica cannot see its write set); a pinned snapshot older than
-   the replica's build LSN is refused the handle without dropping it. *)
-let mem_for t =
-  if Relation.Txn.writes_on t.txn t.sh.tree_name then None
-  else
-    let snap_high =
-      Relation.Txn.snapshot_high (Relation.Txn.snapshot t.txn)
-    in
-    let lsn = Relation.Txn.table_lsn t.sh.txns t.sh.tree_name in
-    Exec.Memtier.acquire ~snap_high ~lsn t.sh.memtier t.sh.ritree
 
 let sql_statements t = t.sql_stmts + Sqlfront.Engine.statements t.engine
 

@@ -44,6 +44,19 @@ type session = {
      one through; [None] keeps the historical direct-write behaviour of
      standalone engine users (tools, tests). *)
   mutable txn : Relation.Txn.txn option;
+  (* The RI-tree relation intersection predicates plan through, when the
+     hosting server attaches one; [None] plans every branch by the
+     generic rules (standalone tools, tests). *)
+  mutable ritree : ritree option;
+}
+
+(* The tree plus the inputs the typed intersection op plans with; both
+   are read per execution, so cached plans see refreshed statistics and
+   the current hot-tier residency. *)
+and ritree = {
+  tree : Ritree.Ri_tree.t;
+  stats : unit -> Ritree.Cost_model.Stats.t;
+  mem : unit -> Ir.mem_handle option;
 }
 
 let session ?(plan_cache = true) catalog =
@@ -54,7 +67,8 @@ let session ?(plan_cache = true) catalog =
     cache_enabled = plan_cache;
     generation = 0;
     mem_generation = Exec.Memtier.current_generation ();
-    txn = None }
+    txn = None;
+    ritree = None }
 
 let statements s = s.statements
 
@@ -70,6 +84,10 @@ let active_txn s =
 let invalidate_plans s =
   Exec.Plan_cache.invalidate s.cache;
   s.generation <- s.generation + 1
+
+let set_ritree s tree ~stats ~mem =
+  s.ritree <- Some { tree; stats; mem };
+  invalidate_plans s
 
 let sync_mem_generation s =
   let g = Exec.Memtier.current_generation () in
@@ -388,10 +406,78 @@ let compile_access = function
           refine_hi = Option.map compile_bound refine_hi;
           covering }
 
-let plan_branch session (select : Ast.select) =
-  let conjuncts =
-    match select.Ast.where with None -> [] | Some w -> split_and w
-  in
+let conjuncts_of (select : Ast.select) =
+  match select.Ast.where with None -> [] | Some w -> split_and w
+
+(* The Fig. 9 rewrite of a single-table branch over the session's RI-tree
+   relation. One conjunct bounding [lower] from above by a constant or
+   host variable A and one bounding [upper] from below by B make every
+   qualifying row intersect [min(A,B), A]: for B <= A those rows are
+   exactly the ones intersecting [B, A], for B > A each of them contains
+   A. The step plans that candidate interval at every execution (the
+   typed op's cost-based path, live node lists) and keeps every conjunct
+   as a residual filter, so it answers the seq scan's multiset. *)
+let intersection_branch session (select : Ast.select) =
+  match (session.ritree, select.Ast.froms) with
+  | Some r, [ (tname, alias_opt) ] when tname = Ritree.Ri_tree.name r.tree
+    -> (
+      let table = Ritree.Ri_tree.table r.tree in
+      let alias = Option.value ~default:tname alias_opt in
+      let columns = Relation.Table.columns table in
+      let conjuncts = conjuncts_of select in
+      let col c e = is_col_of alias columns c e in
+      let operand = function
+        | (Ast.Int _ | Ast.Host _) as e -> Some e
+        | _ -> None
+      in
+      (* c <= A, c < A, A >= c, A > c *)
+      let bounded_above c =
+        List.find_map
+          (function
+            | Ast.Cmp ((Ast.Le | Ast.Lt), x, e) when col c x -> operand e
+            | Ast.Cmp ((Ast.Ge | Ast.Gt), e, x) when col c x -> operand e
+            | _ -> None)
+          conjuncts
+      in
+      (* c >= B, c > B, B <= c, B < c *)
+      let bounded_below c =
+        List.find_map
+          (function
+            | Ast.Cmp ((Ast.Ge | Ast.Gt), x, e) when col c x -> operand e
+            | Ast.Cmp ((Ast.Le | Ast.Lt), e, x) when col c x -> operand e
+            | _ -> None)
+          conjuncts
+      in
+      match (bounded_above "lower", bounded_below "upper") with
+      | Some a, Some b ->
+          let triple = [| "lower"; "upper"; "id" |] in
+          let proj =
+            if
+              List.for_all
+                (fun c -> Array.mem c triple)
+                (referenced_columns select alias columns)
+            then Ir.Triples
+            else Ir.Rows
+          in
+          let step =
+            Ir.mk_step ~alias
+              ~source:
+                (Ir.Intersection
+                   { table; upper = compile_value a; lower = compile_value b;
+                     proj })
+              ~columns:(if proj = Ir.Rows then columns else triple)
+              ~filters:(List.map compile_pred conjuncts)
+              Ir.Seq_scan
+          in
+          Some
+            { Ir.steps = [ step ];
+              projections = List.map compile_proj select.Ast.projections;
+              group_by = select.Ast.group_by }
+      | _ -> None)
+  | _ -> None
+
+let plan_generic_branch session (select : Ast.select) =
+  let conjuncts = conjuncts_of select in
   (* Consumed conjuncts are tracked by PHYSICAL identity: two
      structurally equal conjuncts (e.g. a duplicated predicate, or two
      identical sub-scans' join conditions) are distinct list elements
@@ -501,6 +587,11 @@ let plan_branch session (select : Ast.select) =
     projections = List.map compile_proj select.Ast.projections;
     group_by = select.Ast.group_by }
 
+let plan_branch session (select : Ast.select) =
+  match intersection_branch session select with
+  | Some branch -> branch
+  | None -> plan_generic_branch session select
+
 let compile_query session (q : Ast.query) : Ir.plan =
   incr plan_calls;
   { Ir.branches = List.map (plan_branch session) q.Ast.branches;
@@ -523,10 +614,22 @@ let vis_of session =
       let snap = Relation.Txn.snapshot t in
       fun name -> Relation.Txn.view mgr snap name
 
+(* Intersection sub-plans come from the typed op's planner, under this
+   statement's snapshot. *)
+let intersection_of session vis name ~proj q =
+  match session.ritree with
+  | Some r when name = Ritree.Ri_tree.name r.tree ->
+      Some
+        (Exec.Planner.plan_intersection ~stats:(r.stats ()) ?mem:(r.mem ())
+           ~vis ~proj r.tree q)
+  | _ -> None
+
 let ctx session binds =
+  let vis = vis_of session in
   { Ir.binds;
     collection = (fun name -> Hashtbl.find_opt session.collections name);
-    vis = vis_of session }
+    intersection = intersection_of session vis;
+    vis }
 
 let run_plan session binds plan =
   let out = Executor.run (ctx session binds) plan in

@@ -7,7 +7,8 @@
     covering-index scans (a base-table fetch is skipped when every
     referenced column lives in the chosen index), transient collection
     tables for session state (the paper's [leftNodes]/[rightNodes]), host
-    variables, and UNION ALL.
+    variables, and UNION ALL. With an RI-tree attached ({!set_ritree}),
+    intersection predicates on its relation run the Fig. 9 plan.
 
     Statements compile to the typed physical-plan IR in {!Exec.Ir} and
     execute through {!Exec.Executor}; [EXPLAIN] renders through
@@ -31,6 +32,21 @@ val set_txn : session -> Relation.Txn.txn option -> unit
     under. With a transaction set, INSERT/DELETE/UPDATE buffer into its
     write set and SELECT overlays its snapshot; without one, writes go
     straight to the shared heap (standalone tools, historical tests). *)
+
+val set_ritree :
+  session ->
+  Ritree.Ri_tree.t ->
+  stats:(unit -> Ritree.Cost_model.Stats.t) ->
+  mem:(unit -> Exec.Ir.mem_handle option) ->
+  unit
+(** Make intersection predicates on the tree's relation plan through
+    {!Exec.Planner.plan_intersection}: a single-table branch with a
+    conjunct bounding [lower] from above by a constant or host variable
+    [A] and one bounding [upper] from below by [B] runs the typed op's
+    cost-based plan for the candidate interval [[min(A,B), A]], with
+    every conjunct kept as a residual filter. [stats] and [mem] are the
+    typed op's planner inputs, read at each execution; reads see this
+    session's transaction snapshot. Invalidates cached plans. *)
 
 val statements : session -> int
 (** Statements successfully executed via {!exec}/{!exec_script} in this

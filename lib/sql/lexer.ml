@@ -38,7 +38,9 @@ let tokenize src =
     else if is_digit c then begin
       let start = !i in
       while !i < n && is_digit src.[!i] do incr i done;
-      emit (Number (int_of_string (String.sub src start (!i - start))))
+      match int_of_string_opt (String.sub src start (!i - start)) with
+      | Some v -> emit (Number v)
+      | None -> raise (Error ("integer literal out of range", start))
     end
     else if is_ident_start c then begin
       let start = !i in

@@ -21,7 +21,9 @@ exception Error of string * int
 (** Message and character offset. *)
 
 val tokenize : string -> token list
-(** @raise Error on an unrecognised character. Handles [--] line comments
-    and negative integer literals are produced by the parser, not here. *)
+(** @raise Error on an unrecognised character, an empty host variable,
+    or an integer literal beyond [max_int] (at its first digit). Handles
+    [--] line comments; negative integer literals are produced by the
+    parser, not here. *)
 
 val token_to_string : token -> string

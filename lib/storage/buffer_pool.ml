@@ -6,17 +6,13 @@ type frame = {
   mutable dirty : bool;
   mutable logged : bool;    (* current content already imaged in the journal *)
   mutable pins : int;
-  mutable last_use : int;   (* recency stamp; victim selection under Scan *)
   mutable prev : frame;     (* intrusive LRU ring; self-linked = off-ring *)
   mutable next : frame;
 }
 
-type policy = Ring | Scan
-
 type t = {
   dev : Block_device.t;
   capacity : int;
-  policy : policy;
   checksums : bool;
   frames : (int, frame) Hashtbl.t; (* page id -> frame *)
   lru : frame; (* ring sentinel: [lru.next] is MRU, [lru.prev] is LRU *)
@@ -24,7 +20,6 @@ type t = {
   mutable journal : Journal.t option;
   mutable staged_commits : int; (* commit requests awaiting a marker *)
   mutable commit_batches : int;
-  mutable clock : int;
   mutable logical_reads : int;
   mutable hits : int;
   mutable misses : int;
@@ -36,7 +31,7 @@ type t = {
 let ring_sentinel () =
   let rec s =
     { page_id = -1; data = Bytes.empty; dirty = false; logged = false;
-      pins = 0; last_use = 0; prev = s; next = s }
+      pins = 0; prev = s; next = s }
   in
   s
 
@@ -58,12 +53,12 @@ let ring_push_mru t f =
   t.lru.next.prev <- f;
   t.lru.next <- f
 
-let create ?(capacity = 200) ?(policy = Ring) ?(checksums = false) dev =
+let create ?(capacity = 200) ?(checksums = false) dev =
   if capacity < 1 then
     invalid_arg "Buffer_pool.create: capacity must be positive";
-  { dev; capacity; policy; checksums; frames = Hashtbl.create (2 * capacity);
+  { dev; capacity; checksums; frames = Hashtbl.create (2 * capacity);
     lru = ring_sentinel (); pinned = 0; journal = None; staged_commits = 0;
-    commit_batches = 0; clock = 0; logical_reads = 0; hits = 0; misses = 0;
+    commit_batches = 0; logical_reads = 0; hits = 0; misses = 0;
     evictions = 0 }
 
 let attach_journal t j = t.journal <- Some j
@@ -107,11 +102,8 @@ let verify t page_id data =
 
 let capacity t = t.capacity
 let cached t = Hashtbl.length t.frames
+let resident t page_id = Hashtbl.mem t.frames page_id
 let pinned_frames t = t.pinned
-
-let touch t frame =
-  t.clock <- t.clock + 1;
-  frame.last_use <- t.clock
 
 (* Journal the before- and after-image of a page about to be written
    back (steal policy: uncommitted pages may reach the device, and
@@ -150,31 +142,12 @@ let write_back t frame =
 
 let all_pinned () = failwith "Buffer_pool: all frames pinned, cannot evict"
 
-(* Evict the least-recently-used unpinned frame to make room. Under Ring
-   the victim is the tail of the ring, O(1); the pinned-frame count makes
-   "every frame is pinned" a comparison, not a scan. Scan is the
-   pre-overhaul O(capacity) fold, retained as the baseline that
-   `rikit bench-storage` measures the ring against. *)
+(* Evict the least-recently-used unpinned frame to make room: the tail of
+   the ring, O(1). Pinned frames are off the ring, so an empty ring means
+   every frame is pinned. *)
 let evict_one t =
-  let victim =
-    match t.policy with
-    | Ring ->
-        let f = t.lru.prev in
-        if f == t.lru then all_pinned () else f
-    | Scan ->
-        if t.pinned >= Hashtbl.length t.frames then all_pinned ();
-        let best =
-          Hashtbl.fold
-            (fun _ f acc ->
-              if f.pins > 0 then acc
-              else
-                match acc with
-                | Some best when best.last_use <= f.last_use -> acc
-                | _ -> Some f)
-            t.frames None
-        in
-        (match best with Some f -> f | None -> all_pinned ())
-  in
+  let victim = t.lru.prev in
+  if victim == t.lru then all_pinned ();
   write_back t victim;
   ring_remove victim;
   Hashtbl.remove t.frames victim.page_id;
@@ -184,10 +157,8 @@ let evict_one t =
 let install t page_id data dirty ~pins =
   if Hashtbl.length t.frames >= t.capacity then evict_one t;
   let rec frame =
-    { page_id; data; dirty; logged = false; pins; last_use = 0;
-      prev = frame; next = frame }
+    { page_id; data; dirty; logged = false; pins; prev = frame; next = frame }
   in
-  touch t frame;
   if pins > 0 then t.pinned <- t.pinned + 1 else ring_push_mru t frame;
   Hashtbl.replace t.frames page_id frame;
   frame
@@ -220,7 +191,6 @@ let pin t page_id =
         t.pinned <- t.pinned + 1
       end;
       frame.pins <- frame.pins + 1;
-      touch t frame;
       frame.data
   | None ->
       t.misses <- t.misses + 1;
@@ -245,8 +215,7 @@ let unpin t page_id ~dirty =
       end;
       if frame.pins = 0 then begin
         t.pinned <- t.pinned - 1;
-        ring_push_mru t frame;
-        touch t frame
+        ring_push_mru t frame
       end
   | Some _ ->
       invalid_arg

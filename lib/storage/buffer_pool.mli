@@ -10,10 +10,9 @@
 
     Replacement is O(1): unpinned frames sit on an intrusive
     doubly-linked ring in recency order (pinning unlinks a frame, so the
-    eviction path can never reach it), and a pinned-frame count detects
-    pool exhaustion without a scan. The pre-overhaul O(capacity)
-    fold-based victim search is retained as the {!policy} [Scan] solely
-    as the baseline [rikit bench-storage] measures the ring against. *)
+    eviction path can never reach it, and an empty ring means the pool
+    is exhausted). [BENCH_storage.json] records the ring against the
+    O(capacity) fold-based victim search it replaced. *)
 
 type t
 
@@ -22,12 +21,7 @@ exception Corrupt_page of int
     (checksummed pools only): the named page holds garbage — bit rot or
     a torn write — and was {e not} installed in the cache. *)
 
-type policy =
-  | Ring  (** intrusive LRU ring, O(1) eviction (the default) *)
-  | Scan  (** fold over every frame per eviction; benchmark baseline *)
-
-val create :
-  ?capacity:int -> ?policy:policy -> ?checksums:bool -> Block_device.t -> t
+val create : ?capacity:int -> ?checksums:bool -> Block_device.t -> t
 (** [create ~capacity dev] caches up to [capacity] blocks (default 200).
     With [~checksums:true] the last 4 bytes of every block hold a CRC-32
     trailer over the payload: {!block_size} shrinks by 4, write-backs
@@ -135,6 +129,9 @@ val crash : ?force:bool -> t -> unit
 
 val cached : t -> int
 (** Number of pages currently resident. *)
+
+val resident : t -> int -> bool
+(** Whether the page is currently in the cache. *)
 
 val pinned_frames : t -> int
 (** Number of resident frames with at least one pin — the frames the

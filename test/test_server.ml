@@ -797,6 +797,21 @@ let test_prepared_mutation_respects_read_only () =
           | P.Rows { rows = [ [| 1 |] ]; _ } -> ()
           | _ -> Alcotest.fail "prepared SELECT refused on a degraded server"))
 
+(* An integer literal beyond the native range is the client's lex
+   error, typed with its position, not a bare [int_of_string] failure. *)
+let test_literal_out_of_range () =
+  let sess = S.create (S.shared ()) in
+  List.iter
+    (fun (sql, pos) ->
+      match S.handle sess (P.Sql sql) with
+      | P.Error m ->
+          check Alcotest.string sql
+            (Printf.sprintf "lex error at %d: integer literal out of range" pos)
+            m
+      | _ -> Alcotest.failf "%s: expected a lex error" sql)
+    [ ("SELECT id FROM intervals WHERE id = 9999999999999999999", 36);
+      ("SELECT id FROM intervals WHERE id > -4611686018427387904", 37) ]
+
 let test_explain_wire_op () =
   with_server ~preload:dataset (fun port _ _ ->
       with_client port (fun c ->
@@ -812,6 +827,14 @@ let test_explain_wire_op () =
           in
           check Alcotest.bool "sql plan rendered" true
             (contains sql_plan "SELECT STATEMENT");
+          (* the SQL intersection predicate runs the Fig. 9 plan, not a
+             heap scan *)
+          List.iter
+            (fun fragment ->
+              check Alcotest.bool fragment true (contains sql_plan fragment))
+            [ "UNION-ALL"; "INTERVALS_UPPER"; "INTERVALS_LOWER" ];
+          check Alcotest.bool "no heap scan" false
+            (contains sql_plan "TABLE ACCESS FULL");
           let typed_plan =
             ok (C.explain c (P.Explain_intersect { lower = 100_000; upper = 110_000 }))
           in
@@ -1003,6 +1026,7 @@ let raw_suite =
     ( "observability",
       [
         ("invalid interval keeps session", test_invalid_interval_keeps_session);
+        ("out-of-range literal is a lex error", test_literal_out_of_range);
         ("metrics wire op", test_metrics_wire_op);
         ("metrics http endpoint", test_metrics_http_endpoint);
       ] );

@@ -44,6 +44,20 @@ let test_lexer_errors () =
     Alcotest.fail "expected empty host var error"
   with L.Error (msg, _) -> check Alcotest.string "msg" "empty host variable" msg
 
+(* A literal beyond the native int range is a typed lex error at its
+   first digit; the edges themselves still lex. *)
+let test_lexer_int_range () =
+  List.iter
+    (fun (src, pos) ->
+      match L.tokenize src with
+      | _ -> Alcotest.failf "%s: expected a lex error" src
+      | exception L.Error (msg, off) ->
+          check Alcotest.string "msg" "integer literal out of range" msg;
+          check Alcotest.int "offset" pos off)
+    [ ("a = 9999999999999999999", 4); ("a = -4611686018427387904", 5) ];
+  check Alcotest.string "max_int lexes" (string_of_int max_int)
+    (L.token_to_string (List.hd (L.tokenize (string_of_int max_int))))
+
 (* ---- parser ---- *)
 
 let test_parse_create () =
@@ -471,6 +485,41 @@ let test_duplicate_conjuncts () =
   check Alcotest.bool "no full scan in plan" false
     (contains plan "TABLE ACCESS FULL")
 
+(* An exclusive index bound at the integer edge admits no key. Adding or
+   subtracting one there wraps round to the opposite edge, and the probe
+   would return every row. *)
+let test_strict_bounds_at_int_edges () =
+  let s = mk_session () in
+  ignore (E.exec s "CREATE TABLE e (a int, b int)");
+  ignore (E.exec s "CREATE INDEX e_ab ON e (a, b)");
+  List.iter
+    (fun (a, b) ->
+      ignore (E.exec s (Printf.sprintf "INSERT INTO e VALUES (%d, %d)" a b)))
+    [ (-3, 1); (0, 2); (7, 3) ];
+  let none ?binds what sql =
+    check rows what [] (E.query ?binds s sql)
+  in
+  none "a > max_int, literal"
+    (Printf.sprintf "SELECT a FROM e WHERE a > %d" max_int);
+  none "max_int < a, literal"
+    (Printf.sprintf "SELECT a FROM e WHERE %d < a" max_int);
+  none ~binds:[ ("x", max_int) ] "a > :x at max_int"
+    "SELECT a FROM e WHERE a > :x";
+  none ~binds:[ ("x", min_int) ] "a < :x at min_int"
+    "SELECT a FROM e WHERE a < :x";
+  none ~binds:[ ("x", min_int) ] ":x > a at min_int"
+    "SELECT a FROM e WHERE :x > a";
+  (* refinement bounds on the column after the range *)
+  none ~binds:[ ("y", max_int) ] "refined b > :y at max_int"
+    "SELECT a FROM e WHERE a >= -10 AND b > :y";
+  none ~binds:[ ("y", min_int) ] "refined b < :y at min_int"
+    "SELECT a FROM e WHERE a <= 10 AND b < :y";
+  check rows "inclusive edges keep every row"
+    [ [| -3 |]; [| 0 |]; [| 7 |] ]
+    (List.sort compare
+       (E.query ~binds:[ ("lo", min_int); ("hi", max_int) ] s
+          "SELECT a FROM e WHERE a >= :lo AND a <= :hi"))
+
 let test_exec_script () =
   let s = mk_session () in
   let results =
@@ -485,7 +534,8 @@ let () =
       ("lexer",
        [ Alcotest.test_case "tokens" `Quick test_lexer_tokens;
          Alcotest.test_case "operators" `Quick test_lexer_operators;
-         Alcotest.test_case "errors" `Quick test_lexer_errors ]);
+         Alcotest.test_case "errors" `Quick test_lexer_errors;
+         Alcotest.test_case "integer range" `Quick test_lexer_int_range ]);
       ("parser",
        [ Alcotest.test_case "create" `Quick test_parse_create;
          Alcotest.test_case "select structure" `Quick
@@ -517,7 +567,9 @@ let () =
          Alcotest.test_case "group by" `Quick test_group_by;
          Alcotest.test_case "aggregate names as columns" `Quick
            test_column_named_count_min_max;
-         Alcotest.test_case "script execution" `Quick test_exec_script ]);
+         Alcotest.test_case "script execution" `Quick test_exec_script;
+         Alcotest.test_case "strict bounds at the int edges" `Quick
+           test_strict_bounds_at_int_edges ]);
       ("explain",
        [ Alcotest.test_case "explain analyze" `Quick test_explain_analyze;
          Alcotest.test_case "explain does not execute" `Quick

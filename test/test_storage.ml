@@ -179,34 +179,53 @@ let test_pinned_survives_storm () =
   check Alcotest.int "a hit" 1 (Pool.Stats.get p).Pool.Stats.hits;
   check Alcotest.int "nothing pinned" 0 (Pool.pinned_frames p)
 
-(* The O(1) ring and the retained fold-based baseline implement the same
-   LRU policy: an identical random workload must produce identical
-   hit/miss/eviction counters on both. *)
-let test_ring_scan_equivalence () =
-  let run policy =
-    let rng = Workload.Prng.create ~seed:977 in
-    let d = Dev.create ~block_size:64 () in
-    let p = Pool.create ~capacity:5 ~policy d in
-    let pages = Array.init 20 (fun _ -> Pool.alloc p) in
-    Pool.clear p;
-    Pool.Stats.reset p;
-    for step = 1 to 3_000 do
-      let id = pages.(Workload.Prng.int rng (Array.length pages)) in
-      match Workload.Prng.int rng 3 with
-      | 0 ->
-          Pool.with_page p id ~dirty:true (fun b ->
-              Bytes.set b 0 (Char.chr (step land 0xff)))
-      | _ -> Pool.with_page p id ~dirty:false (fun _ -> ())
-    done;
-    Pool.Stats.get p
-  in
-  let ring = run Pool.Ring and scan = run Pool.Scan in
-  check Alcotest.int "logical" ring.Pool.Stats.logical_reads
-    scan.Pool.Stats.logical_reads;
-  check Alcotest.int "hits" ring.Pool.Stats.hits scan.Pool.Stats.hits;
-  check Alcotest.int "misses" ring.Pool.Stats.misses scan.Pool.Stats.misses;
-  check Alcotest.int "evictions" ring.Pool.Stats.evictions
-    scan.Pool.Stats.evictions
+(* The O(1) ring against a list-based LRU reference model (most recent
+   first): an identical seeded workload must produce the same hit, miss
+   and eviction counts and evict the same pages in the same order. *)
+let test_ring_matches_lru_model () =
+  let capacity = 5 in
+  let rng = Workload.Prng.create ~seed:977 in
+  let d = Dev.create ~block_size:64 () in
+  let p = Pool.create ~capacity d in
+  let pages = Array.to_list (Array.init 20 (fun _ -> Pool.alloc p)) in
+  Pool.clear p;
+  Pool.Stats.reset p;
+  let model = ref [] and hits = ref 0 and misses = ref 0 in
+  let model_evicted = ref [] and pool_evicted = ref [] in
+  for step = 1 to 3_000 do
+    let id = List.nth pages (Workload.Prng.int rng (List.length pages)) in
+    if List.mem id !model then begin
+      incr hits;
+      model := id :: List.filter (( <> ) id) !model
+    end
+    else begin
+      incr misses;
+      if List.length !model = capacity then begin
+        let victim = List.nth !model (capacity - 1) in
+        model_evicted := victim :: !model_evicted;
+        model := List.filter (( <> ) victim) !model
+      end;
+      model := id :: !model
+    end;
+    let before = List.filter (Pool.resident p) pages in
+    (match Workload.Prng.int rng 3 with
+    | 0 ->
+        Pool.with_page p id ~dirty:true (fun b ->
+            Bytes.set b 0 (Char.chr (step land 0xff)))
+    | _ -> Pool.with_page p id ~dirty:false (fun _ -> ()));
+    List.iter
+      (fun pg ->
+        if not (Pool.resident p pg) then pool_evicted := pg :: !pool_evicted)
+      before
+  done;
+  let st = Pool.Stats.get p in
+  check Alcotest.int "logical" 3_000 st.Pool.Stats.logical_reads;
+  check Alcotest.int "hits" !hits st.Pool.Stats.hits;
+  check Alcotest.int "misses" !misses st.Pool.Stats.misses;
+  check Alcotest.int "evictions" (List.length !model_evicted)
+    st.Pool.Stats.evictions;
+  check (Alcotest.list Alcotest.int) "eviction order" (List.rev !model_evicted)
+    (List.rev !pool_evicted)
 
 (* If the body of with_page raises and the cleanup unpin then fails too,
    the body's exception — not the unpin's — must reach the caller. *)
@@ -311,8 +330,8 @@ let () =
        [ Alcotest.test_case "storm counters" `Quick test_eviction_storm;
          Alcotest.test_case "pinned frame survives storm" `Quick
            test_pinned_survives_storm;
-         Alcotest.test_case "ring matches scan baseline" `Quick
-           test_ring_scan_equivalence;
+         Alcotest.test_case "ring matches LRU model" `Quick
+           test_ring_matches_lru_model;
          Alcotest.test_case "with_page does not mask exceptions" `Quick
            test_with_page_exception_not_masked ]);
       ("group commit",
