@@ -5,7 +5,11 @@
    preloaded with a Table-1 distribution. Single-process poll(2) event
    loop with admission control; Ctrl-C (or SIGTERM) shuts down gracefully —
    queued requests are answered, the buffer pool is flushed (a durable
-   catalog is checkpointed), and the stats dump is printed. *)
+   catalog is checkpointed), and the stats dump is printed.
+
+   With --router it holds no data and fans each query out to the
+   --shard processes instead, on one thread as well: every request
+   that talks to a shard runs as a fiber of that same event loop. *)
 
 open Cmdliner
 
@@ -21,7 +25,7 @@ let kind_conv =
 (* Router mode: no local database at all — fan queries out to the
    shard processes listed with --shard and merge the answers. *)
 let serve_router host port max_sessions metrics_port shards domain_max
-    shard_deadline_ms workers =
+    shard_deadline_ms =
   if shards = [] then failwith "--router needs at least one --shard";
   if domain_max < 1 then failwith "--domain-max must be >= 1";
   if shard_deadline_ms <= 0. then failwith "--shard-deadline must be > 0";
@@ -38,7 +42,7 @@ let serve_router host port max_sessions metrics_port shards domain_max
   let map = Server.Router.Map.create ~cuts ~endpoints:shards in
   let config =
     { Server.Router.host; port; max_sessions;
-      shard_deadline_ms; metrics_port; workers }
+      shard_deadline_ms; metrics_port }
   in
   let router =
     try Server.Router.create config ~map
@@ -81,10 +85,10 @@ let serve_router host port max_sessions metrics_port shards domain_max
 
 let serve host port kind n d seed max_sessions max_inflight max_queue durable
     group_commit_ms idle_timeout metrics_port slow_query_ms hot_tier_mb
-    replica_of router shards domain_max shard_deadline_ms workers =
+    replica_of router shards domain_max shard_deadline_ms =
   if router then
     serve_router host port max_sessions metrics_port shards domain_max
-      shard_deadline_ms workers
+      shard_deadline_ms
   else if shards <> [] then
     failwith "--shard is only meaningful with --router"
   else begin
@@ -324,20 +328,12 @@ let cmd =
                    failed over, then reported as missing in a typed \
                    Partial response rather than hanging the query.")
   in
-  let workers =
-    Arg.(value & opt int Server.Router.default_config.workers
-         & info [ "workers" ] ~docv:"N"
-             ~doc:"Router-mode shard-RPC worker threads. Together with \
-                   the reactor thread this is the router's entire \
-                   OS-thread budget, independent of connection count.")
-  in
   Cmd.v
     (Cmd.info "rikitd" ~version:"1.0.0"
        ~doc:"Concurrent interval-query server (RI-tree, VLDB 2000)")
     Term.(const serve $ host $ port $ kind $ n $ d $ seed $ max_sessions
           $ max_inflight $ max_queue $ durable $ group_commit
           $ idle_timeout $ metrics_port $ slow_query_ms $ hot_tier
-          $ replica_of $ router $ shard $ domain_max $ shard_deadline
-          $ workers)
+          $ replica_of $ router $ shard $ domain_max $ shard_deadline)
 
 let () = exit (Cmd.eval cmd)

@@ -37,10 +37,8 @@ type mem_op =
   | Mem_relation of Interval.Allen.relation
 
 (* A resident hot-tier collection, as handed out by {!Memtier}: the
-   probe closure answers against the in-memory HINT replica. Plans
-   embedding a handle are only as fresh as the residency generation
-   they were compiled under — the plan caches invalidate on any tier
-   change, so a stale handle never executes. *)
+   probe closure answers against the in-memory HINT replica. Handles
+   are resolved per execution and never cached in a compiled plan. *)
 type mem_handle = {
   mem_name : string; (* the indexed collection, for EXPLAIN *)
   mem_rows : int; (* resident cardinality *)

@@ -9,11 +9,9 @@
    handle identity check covers crash/reopen cycles where the counter
    alone could alias.
 
-   Any residency change (promotion, demotion, invalidation) bumps a
-   process-global generation counter. Compiled plans embed the probe
-   closure of the replica they were planned against, so the SQL plan
-   caches compare this generation and flush when it moves — a stale
-   handle never executes. *)
+   Handles are asked for per execution: a compiled SQL plan names the
+   relation, not a replica, so residency changes need no replan and a
+   stale handle never executes. *)
 
 module Ivl = Interval.Ivl
 module Ri = Ritree.Ri_tree
@@ -50,14 +48,6 @@ type stats = {
   s_probes : int;
 }
 
-(* Process-global: plan caches in any session must notice residency
-   changes made through any manager. *)
-let generation = ref 0
-
-let current_generation () = !generation
-
-let bump () = incr generation
-
 let create ~budget_mb =
   { budget_bytes = max 0 budget_mb * 1024 * 1024;
     entries = Hashtbl.create 8;
@@ -81,8 +71,7 @@ let resident t name = Hashtbl.mem t.entries name
 
 let drop t e =
   Hashtbl.remove t.entries e.e_name;
-  t.resident_bytes <- t.resident_bytes - e.e_bytes;
-  bump ()
+  t.resident_bytes <- t.resident_bytes - e.e_bytes
 
 let invalidate t name =
   match Hashtbl.find_opt t.entries name with
@@ -166,7 +155,6 @@ let build ?(lsn = 0) t ri =
       Hashtbl.replace t.entries name e;
       t.resident_bytes <- t.resident_bytes + bytes;
       t.builds <- t.builds + 1;
-      bump ();
       Some e
     end
   end

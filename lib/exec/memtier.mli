@@ -5,8 +5,9 @@
     collection (building it on first touch, LRU-demoting colder replicas
     to make room) that the planner can embed as a zero-I/O access path.
     Replicas are invalidated by table mutation ({!Relation.Table.version})
-    and by reopen (physical handle identity), and every residency change
-    bumps a process-global generation the plan caches key on. *)
+    and by reopen (physical handle identity). Planners ask for a handle
+    at each execution, so no compiled plan outlives a residency
+    change. *)
 
 type t
 
@@ -47,7 +48,3 @@ val demote : t -> string -> bool
 
 val stats : t -> stats
 
-val current_generation : unit -> int
-(** Process-global residency generation: bumped on every promotion,
-    demotion or invalidation by any manager. Plan caches compare it to
-    decide whether compiled plans may still embed live handles. *)

@@ -93,3 +93,74 @@ let run_once ?(max_timeout = 1.0) t =
             | _ -> ()
           end)
     ready
+
+(* ---------------- fibers ---------------- *)
+
+(* The one effect: park the current fiber. Its handler hands the
+   registration function the fiber's reactor and a one-shot resumer,
+   which whatever event it arranges calls exactly once. *)
+type _ Effect.t += Suspend : (t -> ('a -> unit) -> unit) -> 'a Effect.t
+
+let spawn t f =
+  Effect.Deep.match_with f ()
+    {
+      retc = Fun.id;
+      exnc = raise;
+      effc =
+        (fun (type a) (eff : a Effect.t) ->
+          match eff with
+          | Suspend register ->
+              Some
+                (fun (k : (a, unit) Effect.Deep.continuation) ->
+                  register t (Effect.Deep.continue k))
+          | _ -> None);
+    }
+
+(* Outside any fiber nothing handles [Suspend]: [fallback] does the
+   same wait by blocking the calling thread. *)
+let suspend register ~fallback =
+  match Effect.perform (Suspend register) with
+  | v -> v
+  | exception Effect.Unhandled (Suspend _) -> fallback ()
+
+let await_fd fd dir ~timeout =
+  suspend
+    ~fallback:(fun () -> Backend.wait_fd fd dir ~timeout)
+    (fun t resume ->
+      let timer = ref None in
+      let finish ready =
+        deregister t fd;
+        Option.iter (cancel t) !timer;
+        resume ready
+      in
+      (match dir with
+      | `Read -> register t fd ~readable:(fun () -> finish true) ()
+      | `Write -> register t fd ~writable:(fun () -> finish true) ());
+      if timeout >= 0. then timer := Some (after t timeout (fun () -> finish false)))
+
+let sleep d =
+  suspend
+    ~fallback:(fun () -> Unix.sleepf (Float.max 0. d))
+    (fun t resume -> ignore (after t d resume))
+
+let all thunks =
+  let results = Array.make (List.length thunks) None in
+  let run i f =
+    results.(i) <- Some (match f () with v -> Ok v | exception e -> Error e)
+  in
+  if Array.length results > 1 then
+    suspend
+      ~fallback:(fun () -> List.iteri run thunks)
+      (fun t resume ->
+        let left = ref (Array.length results) in
+        List.iteri
+          (fun i f ->
+            spawn t (fun () ->
+                run i f;
+                decr left;
+                if !left = 0 then resume ()))
+          thunks)
+  else List.iteri run thunks;
+  List.map
+    (function Some (Ok v) -> v | Some (Error e) -> raise e | None -> assert false)
+    (Array.to_list results)

@@ -1,6 +1,7 @@
 (** The event core: one readiness engine shared by the dispatcher,
     the router, replication fan-out, metrics endpoints, and client
-    deadline waits.
+    deadline waits — plus the fibers the router runs its shard legs
+    on.
 
     A reactor owns a set of registered fds with read/write interest
     and callbacks, plus a hierarchical timer wheel. [run_once] blocks
@@ -51,3 +52,38 @@ val timer_count : t -> int
     freely register/deregister fds and timers, including their
     own. *)
 val run_once : ?max_timeout:float -> t -> unit
+
+(** {2 Fibers}
+
+    A fiber is a computation that parks on readiness or time instead
+    of blocking its thread (OCaml 5 effects). It runs on the thread
+    that calls {!run_once}: [spawn] runs it until it first parks, and
+    the reactor resumes it from the callback of the event it waits
+    for. Code written against [await_fd]/[sleep]/[all] also runs
+    outside any fiber — there each call blocks the calling thread
+    exactly as a plain wait would, so threaded clients are
+    unaffected. *)
+
+(** [spawn t f] runs [f] as a fiber of [t] until it first parks or
+    returns. An exception escaping [f] is raised to whoever resumed
+    it last (the spawner, or the reactor callback), so fibers should
+    catch their own. *)
+val spawn : t -> (unit -> unit) -> unit
+
+(** [await_fd fd dir ~timeout] waits until [fd] is ready for [dir] or
+    [timeout] seconds pass (negative: no bound); [true] iff ready. In
+    a fiber it parks on a one-shot registration of [fd] (which must
+    not be registered otherwise) and a wheel timer; outside one it is
+    {!Backend.wait_fd}. *)
+val await_fd : Unix.file_descr -> [ `Read | `Write ] -> timeout:float -> bool
+
+(** [sleep d] parks for [d] seconds on a wheel timer; outside a fiber,
+    [Unix.sleepf]. *)
+val sleep : float -> unit
+
+(** [all thunks] runs the thunks concurrently, each as its own fiber,
+    and returns their results in input order once every one has
+    finished; the first (in input order) exception any of them raised
+    is re-raised then. Outside a fiber the thunks run one after the
+    other. *)
+val all : (unit -> 'a) list -> 'a list

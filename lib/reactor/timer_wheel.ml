@@ -15,6 +15,7 @@ type t = {
   mutable cur : int; (* last fully-processed tick *)
   wheel : timer list array array; (* levels x slots *)
   mutable active : int;
+  mutable cancelled : int; (* cancelled timers still sitting in slots *)
 }
 
 let create ~now =
@@ -23,6 +24,7 @@ let create ~now =
     cur = 0;
     wheel = Array.init levels (fun _ -> Array.make slots []);
     active = 0;
+    cancelled = 0;
   }
 
 let tick_of t time =
@@ -54,10 +56,26 @@ let add t ~now ~at f =
   t.active <- t.active + 1;
   tm
 
+(* Cancelling only marks the timer; the cursor drops it when it
+   reaches its slot. A timer cancelled long before its deadline (a
+   request deadline, once the answer arrived) would sit there holding
+   its closure, so once cancelled timers outnumber live ones, every
+   slot is swept — O(1) amortized per cancel. *)
+let sweep t =
+  Array.iter
+    (fun level ->
+      Array.iteri
+        (fun i slot -> level.(i) <- List.filter (fun tm -> tm.t_active) slot)
+        level)
+    t.wheel;
+  t.cancelled <- 0
+
 let cancel t tm =
   if tm.t_active then begin
     tm.t_active <- false;
-    t.active <- t.active - 1
+    t.active <- t.active - 1;
+    t.cancelled <- t.cancelled + 1;
+    if t.cancelled > slots + (2 * t.active) then sweep t
   end
 
 let pending t = t.active
@@ -97,7 +115,7 @@ let cascade t fired level slot =
   t.wheel.(level).(slot) <- [];
   List.iter
     (fun tm ->
-      if not tm.t_active then ()
+      if not tm.t_active then t.cancelled <- t.cancelled - 1
       else if tm.t_tick <= t.cur then fire t fired tm
       else place t tm)
     batch
@@ -124,7 +142,7 @@ let advance t ~now =
         t.wheel.(0).(slot) <- [];
         List.iter
           (fun tm ->
-            if not tm.t_active then ()
+            if not tm.t_active then t.cancelled <- t.cancelled - 1
             else if tm.t_tick <= c then fire t fired tm
             else place t tm)
           batch

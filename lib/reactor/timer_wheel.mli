@@ -1,7 +1,7 @@
 (** Hierarchical timer wheel: 1 ms ticks, four levels of 256 slots
     (≈49 days of span; later deadlines are clamped and re-placed as
-    the wheel cascades). Insertion and cancellation are O(1); each
-    elapsed millisecond costs O(expired + cascaded).
+    the wheel cascades). Insertion is O(1) and cancellation O(1)
+    amortized; each elapsed millisecond costs O(expired + cascaded).
 
     All deadlines, idle timeouts, group-commit windows and redial
     backoffs in the server are timers on one of these wheels, so the
@@ -19,7 +19,10 @@ val create : now:float -> t
     thread calling [advance]. *)
 val add : t -> now:float -> at:float -> (unit -> unit) -> timer
 
-(** Cancel a pending timer; firing and double-cancel are no-ops. *)
+(** Cancel a pending timer; firing and double-cancel are no-ops.
+    Cancelled timers do not pile up in their slots: once they are
+    more than twice the live ones (and more than 256), the wheel is
+    swept. *)
 val cancel : t -> timer -> unit
 
 (** Number of scheduled, uncancelled timers. *)

@@ -66,10 +66,12 @@ let timeout_fail t fmt =
       raise (Timed_out s))
     fmt
 
-(* Wait (poll(2): a deadline wait must work on fds past FD_SETSIZE,
-   e.g. in a process holding thousands of connections) until [t.fd] is
-   ready for [dir], or the absolute [deadline] passes. [deadline = None] returns immediately — the
-   subsequent blocking syscall provides the wait. *)
+(* Wait until [t.fd] is ready for [dir], or the absolute [deadline]
+   passes. In a reactor fiber the wait parks the fiber; on a plain
+   thread it is a poll(2) wait, which works on fds past FD_SETSIZE
+   (e.g. in a process holding thousands of connections). [deadline =
+   None] returns immediately — the subsequent blocking syscall provides
+   the wait. *)
 let wait_ready t deadline dir =
   match deadline with
   | None -> ()
@@ -79,7 +81,7 @@ let wait_ready t deadline dir =
         if remain <= 0. then timeout_fail t "request deadline expired";
         (* An interrupted wait reports not-ready; re-check the clock and
            re-enter rather than failing early. *)
-        if not (Reactor.Backend.wait_fd t.fd dir ~timeout:remain) then loop ()
+        if not (Reactor.await_fd t.fd dir ~timeout:remain) then loop ()
       in
       loop ()
 
@@ -96,11 +98,13 @@ let connect ?(host = "127.0.0.1") ?deadline_ms ~port () =
   | Some ms -> (
       (* Bounded connect: non-blocking connect, wait for writability,
          then read the socket error out. A dead-but-routing host would
-         otherwise hold us in the kernel's SYN retry loop. *)
+         otherwise hold us in the kernel's SYN retry loop. The socket
+         stays non-blocking: every later read and write waits for
+         readiness first, and a fiber must never block its thread. *)
       Unix.set_nonblock fd;
-      (try Unix.connect fd addr with
+      try Unix.connect fd addr with
       | Unix.Unix_error (Unix.EINPROGRESS, _, _) -> (
-          match Reactor.Backend.wait_fd fd `Write ~timeout:(ms /. 1000.) with
+          match Reactor.await_fd fd `Write ~timeout:(ms /. 1000.) with
           | true -> (
               match Unix.getsockopt_error fd with
               | None -> ()
@@ -115,9 +119,7 @@ let connect ?(host = "127.0.0.1") ?deadline_ms ~port () =
           )
       | Unix.Unix_error (e, _, _) ->
           cleanup ();
-          fail "connect %s:%d: %s" host port (Unix.error_message e));
-      try Unix.clear_nonblock fd
-      with Unix.Unix_error _ -> ()));
+          fail "connect %s:%d: %s" host port (Unix.error_message e)));
   { fd; next_id = 1L; closed = false; deadline_ms }
 
 let close t =
@@ -197,147 +199,6 @@ let rpc_result t req =
   | exception Timed_out m -> Result.Error (Timeout m)
   | exception Undecodable m ->
       Result.Error (Unexpected ("undecodable response: " ^ m))
-
-(* ---------------- multiplexed scatter ---------------- *)
-
-(* Per-leg incremental frame read: 4-byte length header, then payload.
-   One [Unix.read] per readiness report, so a blocking fd can never
-   park the multiplexer. *)
-type leg = {
-  lt : t;
-  lid : int64;
-  ldl : float option;  (* absolute per-leg deadline *)
-  mutable lbuf : Bytes.t;
-  mutable lgot : int;
-  mutable lheader : bool;  (* still reading the length prefix *)
-  mutable lres : (Protocol.response, error) result option;
-}
-
-let leg_fail l err =
-  close l.lt;
-  l.lres <- Some (Result.Error err)
-
-let leg_finish l =
-  match Protocol.decode_response l.lbuf with
-  | Result.Error e ->
-      (* Well-delimited but undecodable: reject the call, keep the
-         connection (mirrors [rpc]'s Undecodable contract). *)
-      l.lres <-
-        Some
-          (Result.Error
-             (Unexpected
-                ("undecodable response: " ^ Protocol.error_to_string e)))
-  | Ok (rid, resp) ->
-      if rid <> l.lid && rid <> 0L then
-        leg_fail l
-          (Io (Printf.sprintf "response id %Ld for request %Ld" rid l.lid))
-      else l.lres <- Some (Ok resp)
-
-let leg_advance l =
-  let need = Bytes.length l.lbuf in
-  match Unix.read l.lt.fd l.lbuf l.lgot (need - l.lgot) with
-  | 0 -> leg_fail l (Io "connection closed by server")
-  | n ->
-      l.lgot <- l.lgot + n;
-      if l.lgot = need then
-        if l.lheader then begin
-          let len = Int32.to_int (Bytes.get_int32_be l.lbuf 0) in
-          if len < 0 || len > Protocol.max_payload then
-            leg_fail l (Io (Printf.sprintf "bad frame length %d from server" len))
-          else begin
-            l.lheader <- false;
-            l.lbuf <- Bytes.create len;
-            l.lgot <- 0;
-            if len = 0 then leg_finish l
-          end
-        end
-        else leg_finish l
-  | exception Unix.Unix_error ((Unix.EINTR | Unix.EAGAIN | Unix.EWOULDBLOCK), _, _)
-    -> ()
-  | exception Unix.Unix_error (e, _, _) ->
-      leg_fail l (Io ("read: " ^ Unix.error_message e))
-
-(* One request on each client, with all the responses multiplexed on a
-   single readiness wait — the router's scatter path uses this so k
-   shard legs cost one wait, not k threads (and a slow shard delays
-   only the merge, never a thread pool). Clients must be distinct and
-   quiescent (no other in-flight request). Each leg runs under its own
-   client's deadline; a leg that fails reports its own typed error and
-   is closed, without disturbing the others. Results come back in input
-   order. *)
-let rpc_many pairs =
-  let legs =
-    List.map
-      (fun (t, req) ->
-        let l =
-          {
-            lt = t;
-            lid = t.next_id;
-            ldl = deadline_of t;
-            lbuf = Bytes.create 4;
-            lgot = 0;
-            lheader = true;
-            lres = None;
-          }
-        in
-        if t.closed then l.lres <- Some (Result.Error (Io "client is closed"))
-        else begin
-          t.next_id <- Int64.add t.next_id 1L;
-          match write_all t l.ldl (Protocol.encode_request ~id:l.lid req) with
-          | () -> ()
-          | exception Io_error m -> leg_fail l (Io m)
-          | exception Timed_out m -> l.lres <- Some (Result.Error (Timeout m))
-        end;
-        l)
-      pairs
-  in
-  let rec step () =
-    match List.filter (fun l -> l.lres = None) legs with
-    | [] -> ()
-    | pend ->
-        let now = Unix.gettimeofday () in
-        List.iter
-          (fun l ->
-            match l.ldl with
-            | Some dl when dl <= now ->
-                (* Same contract as [rpc]: a timed-out connection is
-                   unusable — the response may still arrive later and
-                   would answer the wrong request. *)
-                leg_fail l (Timeout "request deadline expired")
-            | _ -> ())
-          pend;
-        let pend = List.filter (fun l -> l.lres = None) pend in
-        if pend <> [] then begin
-          let timeout =
-            List.fold_left
-              (fun acc l ->
-                match l.ldl with
-                | None -> acc
-                | Some dl -> Float.min acc (dl -. now))
-              infinity pend
-          in
-          let timeout = if timeout = infinity then -1. else Float.max 0. timeout in
-          let entries =
-            Array.of_list (List.map (fun l -> (l.lt.fd, true, false)) pend)
-          in
-          let ready = Reactor.Backend.wait entries ~timeout in
-          List.iter
-            (fun (fd, r, _) ->
-              if r then
-                match List.find_opt (fun l -> l.lt.fd = fd) pend with
-                | Some l -> leg_advance l
-                | None -> ())
-            ready;
-          step ()
-        end
-  in
-  step ();
-  List.map
-    (fun l ->
-      match l.lres with
-      | Some r -> r
-      | None -> Result.Error (Io "multiplexed rpc: leg left unresolved"))
-    legs
 
 (* Map every non-success response shape onto the typed error; [of_ok]
    extracts the expected success payload or rejects the shape. *)

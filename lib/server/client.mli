@@ -87,16 +87,6 @@ val rpc : t -> Protocol.request -> Protocol.response
 val rpc_result : t -> Protocol.request -> (Protocol.response, error) result
 (** {!rpc} with the transport failure folded into the result. *)
 
-val rpc_many :
-  (t * Protocol.request) list -> (Protocol.response, error) result list
-(** One request per client, all responses multiplexed on a single
-    readiness wait (poll(2)) — k scatter legs cost one wait,
-    not k threads. Clients must be distinct and have no other request
-    in flight. Each leg runs under its own client's [deadline_ms]; a
-    failed leg reports its typed error (and is closed on transport
-    violations/timeouts, like {!rpc}) without disturbing the others.
-    Results are in input order. *)
-
 (** {2 Typed conveniences}
 
     None of these raise; all failure shapes land in {!error}. *)

@@ -19,7 +19,11 @@
    and, before adopting a new endpoint, polls [Repl_status] until that
    endpoint has applied past it. Semi-synchronous primaries make this
    near-instant — the commit was only acked once every subscriber had
-   applied it. *)
+   applied it.
+
+   Every wait — connect, request, and the pauses between attempts —
+   goes through {!Reactor}: in a router fiber it parks that fiber, on
+   a plain thread it blocks the thread. *)
 
 type endpoint = { host : string; port : int }
 
@@ -81,7 +85,7 @@ let caught_up t c =
       match Client.repl_status c with
       | Ok (_, _, applied) when applied >= t.last_lsn -> true
       | Ok _ when n > 0 ->
-          Unix.sleepf pause;
+          Reactor.sleep pause;
           go (n - 1)
       | Ok _ -> false
       | Error _ -> false
@@ -105,7 +109,7 @@ let ensure t =
                   attempts))
         else begin
           if k > 0 && k mod n = 0 then
-            Unix.sleepf (Float.min 0.4 (0.05 *. float_of_int (k / n)));
+            Reactor.sleep (Float.min 0.4 (0.05 *. float_of_int (k / n)));
           let e = t.endpoints.(t.cur) in
           match
             Client.connect ~host:e.host ~deadline_ms:t.deadline_ms
@@ -127,15 +131,6 @@ let ensure t =
         end
       in
       go 0
-
-(* The multiplexed scatter path drives legs' sockets directly: it needs
-   the dialled connection out, and a way to report a transport fault it
-   observed itself so the next [ensure] re-dials. *)
-let connection t = ensure t
-
-let fault t =
-  drop t;
-  rotate t
 
 let rec with_conn t ~mutation ~attempts f =
   match ensure t with
@@ -160,7 +155,7 @@ let rec with_conn t ~mutation ~attempts f =
               if attempts <= 1 then Result.Error e
               else with_conn t ~mutation ~attempts:(attempts - 1) f
           | Client.Overloaded _ when attempts > 1 ->
-              Unix.sleepf 0.01;
+              Reactor.sleep 0.01;
               with_conn t ~mutation ~attempts:(attempts - 1) f
           | e -> Result.Error e))
 

@@ -17,7 +17,11 @@
     subscriber applied it).
 
     Server-side session state (an open BEGIN, prepared statements) does
-    not survive a failover — the new endpoint sees a fresh session. *)
+    not survive a failover — the new endpoint sees a fresh session.
+
+    Waits (connect, request, pauses between attempts) park the calling
+    fiber when run inside a {!Reactor} fiber, and block the calling
+    thread otherwise. *)
 
 type t
 
@@ -50,17 +54,6 @@ val mutate :
   t -> (Client.t -> ('a, Client.error) result) -> ('a, Client.error) result
 (** Run a mutation: [Read_only] rotates and retries; [Timeout]/[Io]
     after dispatch returns the error (ambiguous — caller decides). *)
-
-val connection : t -> (Client.t, Client.error) result
-(** The live dialled connection (dialling with read-your-writes
-    verification if there is none) — for callers that drive the socket
-    directly, e.g. {!Client.rpc_many} over several legs. Report any
-    transport fault observed on it with {!fault}. *)
-
-val fault : t -> unit
-(** Drop the current connection and rotate to the next endpoint — the
-    out-of-band counterpart of the rotation {!read}/{!mutate} perform
-    on [Timeout]/[Io]. *)
 
 (** {2 Typed conveniences} — {!Client} calls lifted over failover. *)
 

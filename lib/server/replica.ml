@@ -9,15 +9,25 @@
 
    Application mirrors crash recovery's redo rule: buffered bytes are
    parsed ([Journal.parse], CRC-checked, stops at the first torn record)
-   and after-images are written to the device only up to the LAST commit
-   marker in the buffer. Bytes past that marker — a batch still in
+   and a batch's after-images are written to the device when its commit
+   marker arrives. Bytes past the last marker — a batch still in
    flight, or the front half of a record split across frames — stay
    buffered until the rest arrives. MVCC guarantees heap pages carry
    only committed rows, so replaying whole batches in order reproduces
-   exactly the primary's post-commit images. *)
+   exactly the primary's post-commit images.
+
+   Work is linear in the bytes received, however the stream is chopped
+   into frames: a parse cursor remembers the end of the last whole
+   record, so each byte is parsed once, and the applied prefix is
+   compacted away only once it outweighs the live tail. *)
 
 type t = {
-  buf : Buffer.t;  (* received, CRC-unverified tail not yet applied *)
+  mutable buf : Bytes.t;  (* [0, len) received; [0, consumed) applied *)
+  mutable len : int;
+  mutable consumed : int;  (* end of the last applied commit marker *)
+  mutable parsed : int;  (* end of the last whole record parsed *)
+  mutable writes : (int * Bytes.t) list;
+      (* after-images parsed past [consumed], newest first *)
   mutable next_lsn : int;  (* LSN the next frame must start at *)
   mutable applied_lsn : int;  (* primary-stream offset fully applied *)
   mutable primary_lsn : int;  (* primary's durable_lsn, last heard *)
@@ -27,7 +37,11 @@ type t = {
 
 let create ?(from_lsn = 0) () =
   {
-    buf = Buffer.create 4096;
+    buf = Bytes.create 4096;
+    len = 0;
+    consumed = 0;
+    parsed = 0;
+    writes = [];
     next_lsn = from_lsn;
     applied_lsn = from_lsn;
     primary_lsn = from_lsn;
@@ -41,10 +55,13 @@ let note_primary t lsn = if lsn > t.primary_lsn then t.primary_lsn <- lsn
 let lag_bytes t = max 0 (t.primary_lsn - t.applied_lsn)
 let batches t = t.batches
 let records t = t.records
-let buffered t = Buffer.length t.buf
+let buffered t = t.len - t.consumed
 
 let reset t =
-  Buffer.clear t.buf;
+  t.len <- 0;
+  t.consumed <- 0;
+  t.parsed <- 0;
+  t.writes <- [];
   t.next_lsn <- t.applied_lsn;
   t.applied_lsn
 
@@ -55,43 +72,59 @@ let ensure_block device page =
     ignore (Storage.Block_device.alloc device)
   done
 
+let append t payload =
+  let n = String.length payload in
+  if t.len + n > Bytes.length t.buf then begin
+    let grown = Bytes.create (max (t.len + n) (2 * Bytes.length t.buf)) in
+    Bytes.blit t.buf 0 grown 0 t.len;
+    t.buf <- grown
+  end;
+  Bytes.blit_string payload 0 t.buf t.len n;
+  t.len <- t.len + n
+
+(* Slide the live tail to the front once the applied prefix outweighs
+   it, so each byte is moved O(1) times on average. *)
+let compact t =
+  let tail = t.len - t.consumed in
+  if t.consumed > tail then begin
+    Bytes.blit t.buf t.consumed t.buf 0 tail;
+    t.parsed <- t.parsed - t.consumed;
+    t.len <- tail;
+    t.consumed <- 0
+  end
+
+let apply_batch t device ~fin =
+  List.iter
+    (fun (page, after) ->
+      ensure_block device page;
+      Storage.Block_device.write device page after;
+      t.records <- t.records + 1)
+    (List.rev t.writes);
+  t.writes <- [];
+  t.batches <- t.batches + 1;
+  t.applied_lsn <- t.applied_lsn + (fin - t.consumed);
+  t.consumed <- fin
+
 let feed t device ~lsn payload =
   if lsn <> t.next_lsn then
     Error
       (Printf.sprintf "replication gap: frame at lsn %d, expected %d" lsn
          t.next_lsn)
   else begin
-    Buffer.add_string t.buf payload;
+    append t payload;
     t.next_lsn <- t.next_lsn + String.length payload;
     note_primary t t.next_lsn;
-    let data = Bytes.unsafe_of_string (Buffer.contents t.buf) in
-    let parsed = Storage.Journal.parse data ~len:(Bytes.length data) in
-    (* Redo rule: apply only up to the last commit marker. *)
-    let upto =
-      List.fold_left
-        (fun acc (r, fin) ->
-          match r with Storage.Journal.Commit -> fin | _ -> acc)
-        0 parsed
-    in
-    if upto = 0 then Ok 0
-    else begin
-      let applied_batches = ref 0 in
-      List.iter
-        (fun (r, fin) ->
-          if fin <= upto then
-            match r with
-            | Storage.Journal.Write { page; after; _ } ->
-                ensure_block device page;
-                Storage.Block_device.write device page after;
-                t.records <- t.records + 1
-            | Storage.Journal.Commit ->
-                t.batches <- t.batches + 1;
-                incr applied_batches)
-        parsed;
-      let rest = Buffer.sub t.buf upto (Buffer.length t.buf - upto) in
-      Buffer.clear t.buf;
-      Buffer.add_string t.buf rest;
-      t.applied_lsn <- t.applied_lsn + upto;
-      Ok !applied_batches
-    end
+    let applied = ref 0 in
+    List.iter
+      (fun (r, fin) ->
+        t.parsed <- fin;
+        match r with
+        | Storage.Journal.Write { page; after; _ } ->
+            t.writes <- (page, after) :: t.writes
+        | Storage.Journal.Commit ->
+            apply_batch t device ~fin;
+            incr applied)
+      (Storage.Journal.parse t.buf ~pos:t.parsed ~len:t.len);
+    compact t;
+    Ok !applied
   end

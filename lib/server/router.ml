@@ -17,20 +17,19 @@
    the shard owning any point of m ∩ E both stores m and is a fan-out
    target.
 
-   Threading: one reactor thread owns every client socket (framing,
-   buffered writes, backpressure, metrics scrapes) and a FIXED pool of
-   worker threads runs the shard RPCs — so the OS thread count is a
-   constant chosen at create time, independent of how many clients are
-   connected. Each connection's requests execute one at a time in
-   arrival order (the reactor hands a worker at most one job per
-   connection and queues the rest), while a scatter's legs are
-   multiplexed on a single readiness wait ({!Client.rpc_many}) — a
-   slow shard delays only that connection's merge, never a pool
-   thread per leg. Each connection keeps one {!Failover} leg per
-   shard — per-request deadlines, endpoint rotation towards a standby,
-   and per-shard read-your-writes LSN tokens all come from that
-   machinery. A shard that stays unreachable through failover degrades
-   the answer to a typed [Partial] frame, never a hang. *)
+   Concurrency: ONE OS thread. The reactor owns every client socket
+   (framing, buffered writes, backpressure, metrics scrapes), and each
+   request that talks to a shard runs as a reactor fiber
+   ({!Reactor.spawn}) that parks on every shard wait — connect,
+   response, failover pause. Each connection's requests execute one at
+   a time in arrival order (at most one fiber per connection; the rest
+   queue), while a scatter runs its legs as sibling fibers
+   ({!Reactor.all}), so a slow or black-holed shard delays only the
+   connections waiting on it. Each connection keeps one {!Failover}
+   leg per shard — per-request deadlines, endpoint rotation towards a
+   standby, and per-shard read-your-writes LSN tokens all come from
+   that machinery. A shard that stays unreachable through failover
+   degrades the answer to a typed [Partial] frame, never a hang. *)
 
 (* ---------------- the shard map ---------------- *)
 
@@ -168,15 +167,11 @@ type config = {
       (* per-request budget for each shard leg; a partitioned shard
          surfaces as a typed Partial after at most roughly this long *)
   metrics_port : int option;
-  workers : int;
-      (* shard-RPC worker threads — the router's whole OS-thread budget
-         besides the reactor thread, regardless of connection count *)
 }
 
 let default_config =
   { host = "127.0.0.1"; port = 7654; max_sessions = 64;
-    shard_deadline_ms = 15_000.; metrics_port = None;
-    workers = 8 }
+    shard_deadline_ms = 15_000.; metrics_port = None }
 
 (* ---------------- per-connection state ---------------- *)
 
@@ -186,12 +181,9 @@ type conn = {
   begun : bool array;  (* leg has an open BEGIN on its shard session *)
   mutable in_txn : bool;
   jobs : (int64 * Protocol.request) Queue.t;
-      (* decoded requests waiting their turn (reactor thread only) *)
-  mutable inflight : bool;  (* a worker owns this connection's head job *)
+      (* decoded requests waiting their turn *)
+  mutable inflight : bool;  (* a fiber owns this connection's head job *)
 }
-
-type job = conn * int64 * Protocol.request
-type done_msg = conn * (int64 * Protocol.response) option
 
 type t = {
   cfg : config;
@@ -202,22 +194,12 @@ type t = {
   metrics_fd : Unix.file_descr option;
   metrics_bound_port : int;
   st : Server_stats.t;
-  mu : Mutex.t;
-      (* guards st and the shard_* / partials counters: worker threads
-         record into them while the reactor thread snapshots *)
   stop_r : Unix.file_descr;
   stop_w : Unix.file_descr;
-  wake_r : Unix.file_descr;  (* workers → reactor: completions pending *)
-  wake_w : Unix.file_descr;
-  wq : job Queue.t;  (* reactor → workers *)
-  wq_mu : Mutex.t;
-  wq_cond : Condition.t;
-  mutable wq_stop : bool;
-  dq : done_msg Queue.t;  (* workers → reactor *)
-  dq_mu : Mutex.t;
-  conns : (Unix.file_descr, conn) Hashtbl.t;  (* reactor thread only *)
+  conns : (Unix.file_descr, conn) Hashtbl.t;
+  mutable orphans : conn list;
+      (* closed while their job's fiber still holds the legs *)
   mutable http : Http_endpoint.t option;
-  mutable worker_threads : Thread.t list;
   mutable stopping : bool;
   shard_lsn : int array;
       (* highest commit LSN acked per shard, router-global: a fresh
@@ -227,10 +209,6 @@ type t = {
   shard_errors : int array;
   mutable partials : int;
 }
-
-let locked t f =
-  Mutex.lock t.mu;
-  Fun.protect ~finally:(fun () -> Mutex.unlock t.mu) f
 
 let create cfg ~map =
   let listen_fd, bound_port =
@@ -244,9 +222,6 @@ let create cfg ~map =
         (Some fd, bp)
   in
   let stop_r, stop_w = Unix.pipe () in
-  let wake_r, wake_w = Unix.pipe () in
-  Unix.set_nonblock wake_r;
-  Unix.set_nonblock wake_w;
   let k = Map.shards map in
   {
     cfg;
@@ -257,20 +232,11 @@ let create cfg ~map =
     metrics_fd;
     metrics_bound_port;
     st = Server_stats.create ~now:(Unix.gettimeofday ());
-    mu = Mutex.create ();
     stop_r;
     stop_w;
-    wake_r;
-    wake_w;
-    wq = Queue.create ();
-    wq_mu = Mutex.create ();
-    wq_cond = Condition.create ();
-    wq_stop = false;
-    dq = Queue.create ();
-    dq_mu = Mutex.create ();
     conns = Hashtbl.create 64;
+    orphans = [];
     http = None;
-    worker_threads = [];
     stopping = false;
     shard_lsn = Array.make k 0;
     shard_rpcs = Array.make k 0;
@@ -288,27 +254,26 @@ let stop t =
   with Unix.Unix_error _ -> ()
 
 let metrics_doc t =
-  locked t (fun () ->
-      let shards =
-        Array.init (Map.shards t.map) (fun i ->
-            let lo, hi = Map.range t.map i in
-            { Metrics.s_lo = lo; s_hi = hi;
-              s_endpoints = Map.endpoints t.map i;
-              s_lsn = t.shard_lsn.(i);
-              s_rpcs = t.shard_rpcs.(i);
-              s_errors = t.shard_errors.(i) })
-      in
-      Metrics.render_router ~now:(Unix.gettimeofday ()) ~stats:t.st ~shards
-        ~partials:t.partials ())
+  let shards =
+    Array.init (Map.shards t.map) (fun i ->
+        let lo, hi = Map.range t.map i in
+        { Metrics.s_lo = lo; s_hi = hi;
+          s_endpoints = Map.endpoints t.map i;
+          s_lsn = t.shard_lsn.(i);
+          s_rpcs = t.shard_rpcs.(i);
+          s_errors = t.shard_errors.(i) })
+  in
+  Metrics.render_router ~now:(Unix.gettimeofday ()) ~stats:t.st ~shards
+    ~partials:t.partials ()
 
-(* ---------------- shard legs (worker threads) ---------------- *)
+(* ---------------- shard legs (job fibers) ---------------- *)
 
 (* The connection's leg to shard [i], dialled lazily. A fresh leg is
    seeded with the router-global LSN token for that shard, so even a
    brand-new connection only adopts an endpoint that has applied every
-   commit the router ever acked there. Legs are only ever touched by
-   the one worker that owns the connection's in-flight job (or by the
-   reactor thread once no job is in flight). *)
+   commit the router ever acked there. Only the fiber running the
+   connection's in-flight job touches its legs — a scatter's sibling
+   fibers each touch only their own shard's. *)
 let leg t conn i =
   match conn.legs.(i) with
   | Some l -> l
@@ -317,7 +282,7 @@ let leg t conn i =
         Failover.create ~deadline_ms:t.cfg.shard_deadline_ms
           ~endpoints:(Map.endpoints t.map i) ()
       in
-      Failover.note_lsn l (locked t (fun () -> t.shard_lsn.(i)));
+      Failover.note_lsn l t.shard_lsn.(i);
       conn.legs.(i) <- Some l;
       l
 
@@ -334,14 +299,11 @@ let ensure_begun conn l i =
   else Ok ()
 
 let note_shard_result t i ok =
-  locked t (fun () ->
-      t.shard_rpcs.(i) <- t.shard_rpcs.(i) + 1;
-      if not ok then t.shard_errors.(i) <- t.shard_errors.(i) + 1)
+  t.shard_rpcs.(i) <- t.shard_rpcs.(i) + 1;
+  if not ok then t.shard_errors.(i) <- t.shard_errors.(i) + 1
 
 let record_shard t i ~seconds =
-  locked t (fun () ->
-      Server_stats.record t.st ~op:(Printf.sprintf "shard:%d" i) ~seconds
-        ~io:0)
+  Server_stats.record t.st ~op:(Printf.sprintf "shard:%d" i) ~seconds ~io:0
 
 (* One RPC to shard [i] on this connection's leg, with per-shard
    latency recorded under op "shard:<i>". Reads retry across the
@@ -367,18 +329,14 @@ let shard_commit t conn i =
   let t0 = Unix.gettimeofday () in
   let l = leg t conn i in
   let res = Failover.commit l in
-  let dt = Unix.gettimeofday () -. t0 in
-  locked t (fun () ->
-      Server_stats.record t.st ~op:(Printf.sprintf "shard:%d" i) ~seconds:dt
-        ~io:0;
-      (match res with
-      | Ok lsn -> if lsn > t.shard_lsn.(i) then t.shard_lsn.(i) <- lsn
-      | Result.Error _ -> ()));
+  record_shard t i ~seconds:(Unix.gettimeofday () -. t0);
+  (match res with
+  | Ok lsn -> if lsn > t.shard_lsn.(i) then t.shard_lsn.(i) <- lsn
+  | Result.Error _ -> ());
   note_shard_result t i (Result.is_ok res);
   res
 
-let count_partial t =
-  locked t (fun () -> t.partials <- t.partials + 1)
+let count_partial t = t.partials <- t.partials + 1
 
 (* Map a leg's typed error back onto the wire. Transport-level failures
    (the shard stayed unreachable through failover) become the typed
@@ -396,68 +354,14 @@ let response_of_error t missing e =
   | Client.Partial { missing; msg } -> Protocol.Partial { missing; msg }
   | Client.Unexpected m -> Protocol.Error m
 
-(* Scatter a read to every target shard as ONE multiplexed readiness
-   wait: dial (or reuse) each leg's connection, fire all the requests,
-   and let {!Client.rpc_many} collect the responses on a single
-   backend wait — k legs cost zero extra threads. A leg whose
-   multiplexed attempt died in transport is rotated ({!Failover.fault})
-   and retried through the leg's sequential endpoint-failover path, so
-   the read-retry contract survives on the rare path without giving up
-   the fast one. *)
+(* Scatter a read to every target shard at once: each leg is a sibling
+   fiber under the ordinary {!Failover.read} retry contract, so a slow
+   or dead shard delays only this connection's merge. *)
 let scatter t conn targets req =
-  match targets with
-  | [] -> []
-  | [ i ] -> [ (i, shard_rpc t conn i ~mutation:false req) ]
-  | _ ->
-      let t0 = Unix.gettimeofday () in
-      let prepped =
-        List.map
-          (fun i ->
-            let l = leg t conn i in
-            match ensure_begun conn l i with
-            | Result.Error e -> (i, l, Result.Error e)
-            | Ok () -> (
-                match Failover.connection l with
-                | Result.Error e -> (i, l, Result.Error e)
-                | Ok c -> (i, l, Ok c)))
-          targets
-      in
-      let live =
-        List.filter_map
-          (fun (i, l, r) ->
-            match r with Ok c -> Some (i, l, c) | Result.Error _ -> None)
-          prepped
-      in
-      let answers =
-        Client.rpc_many (List.map (fun (_, _, c) -> (c, req)) live)
-      in
-      let by_shard = Hashtbl.create 8 in
-      List.iter2
-        (fun (i, l, _) ans ->
-          let ans =
-            match ans with
-            | Result.Error (Client.Io _ | Client.Timeout _) ->
-                Failover.fault l;
-                Failover.read l (fun c -> Client.rpc_result c req)
-            | other -> other
-          in
-          Hashtbl.replace by_shard i ans)
-        live answers;
-      let dt = Unix.gettimeofday () -. t0 in
-      List.map
-        (fun (i, _, prep) ->
-          let res =
-            match prep with
-            | Result.Error _ as e -> e
-            | Ok _ -> (
-                match Hashtbl.find_opt by_shard i with
-                | Some a -> a
-                | None -> Result.Error (Client.Io "scatter leg unresolved"))
-          in
-          record_shard t i ~seconds:dt;
-          note_shard_result t i (Result.is_ok res);
-          (i, res))
-        prepped
+  Reactor.all
+    (List.map
+       (fun i () -> (i, shard_rpc t conn i ~mutation:false req))
+       targets)
 
 let default_columns = [ "lower"; "upper"; "id" ]
 
@@ -663,31 +567,6 @@ let handle_rollback t conn =
 
 let unsupported = "not supported by the router; connect to a shard directly"
 
-(* Requests that never touch shard legs or this connection's
-   transaction state — cheap enough to answer on the reactor thread
-   when the connection has nothing queued. *)
-let pure_answer t req =
-  match req with
-  | Protocol.Ping -> Some (Protocol.Ack "pong")
-  | Protocol.Shard_map_req -> Some (Protocol.Shard_map (Map.entries t.map))
-  | Protocol.Stats ->
-      let snap =
-        locked t (fun () ->
-            Server_stats.snapshot t.st ~now:(Unix.gettimeofday ())
-              ~io:{ Storage.Block_device.Stats.reads = 0; writes = 0 })
-      in
-      Some (Protocol.Stats_reply snap)
-  | Protocol.Metrics -> Some (Protocol.Ack (metrics_doc t))
-  | Protocol.Sql _ | Protocol.Prepare _ | Protocol.Execute _
-  | Protocol.Close_stmt _ | Protocol.Explain _ ->
-      Some (Protocol.Error unsupported)
-  | Protocol.Repl_subscribe _ | Protocol.Repl_status ->
-      Some (Protocol.Error "replication ops are not supported by the router")
-  | Protocol.Repl_ack _ | Protocol.Begin | Protocol.Commit | Protocol.Rollback
-  | Protocol.Intersect _ | Protocol.Allen _ | Protocol.Insert _
-  | Protocol.Delete _ ->
-      None
-
 let invalid_interval lower upper =
   Protocol.Invalid (Printf.sprintf "empty interval [%d, %d]" lower upper)
 
@@ -698,10 +577,9 @@ let do_begin conn =
     Protocol.Ack "begin"
   end
 
-(* Run one request to completion — worker-thread context (the reactor
-   hands a worker at most one job per connection, so conn state and
-   legs are owned for the duration). Returns the frame to send, if
-   any. *)
+(* Run one request to completion — in the connection's job fiber,
+   which owns conn state and legs for the duration. Returns the frame
+   to send, if any. *)
 let execute t conn id req =
   let t0 = Unix.gettimeofday () in
   let resp =
@@ -726,54 +604,23 @@ let execute t conn id req =
         Some
           (if lower > upper then invalid_interval lower upper
            else handle_delete t conn ~lower ~upper ~id:iid)
-    | other -> pure_answer t other
+    | Protocol.Ping -> Some (Protocol.Ack "pong")
+    | Protocol.Shard_map_req -> Some (Protocol.Shard_map (Map.entries t.map))
+    | Protocol.Stats ->
+        Some
+          (Protocol.Stats_reply
+             (Server_stats.snapshot t.st ~now:(Unix.gettimeofday ())
+                ~io:{ Storage.Block_device.Stats.reads = 0; writes = 0 }))
+    | Protocol.Metrics -> Some (Protocol.Ack (metrics_doc t))
+    | Protocol.Sql _ | Protocol.Prepare _ | Protocol.Execute _
+    | Protocol.Close_stmt _ | Protocol.Explain _ ->
+        Some (Protocol.Error unsupported)
+    | Protocol.Repl_subscribe _ | Protocol.Repl_status ->
+        Some (Protocol.Error "replication ops are not supported by the router")
   in
-  let dt = Unix.gettimeofday () -. t0 in
-  locked t (fun () ->
-      Server_stats.record t.st ~op:(Protocol.request_op_name req) ~seconds:dt
-        ~io:0);
+  Server_stats.record t.st ~op:(Protocol.request_op_name req)
+    ~seconds:(Unix.gettimeofday () -. t0) ~io:0;
   Option.map (fun r -> (id, r)) resp
-
-(* ---------------- worker pool ---------------- *)
-
-let wake t =
-  try ignore (Unix.write t.wake_w (Bytes.make 1 '.') 0 1)
-  with
-  | Unix.Unix_error ((Unix.EAGAIN | Unix.EWOULDBLOCK), _, _) ->
-      ()  (* pipe full: the reactor is already due to wake *)
-  | Unix.Unix_error _ -> ()
-
-let worker_loop t () =
-  let running = ref true in
-  while !running do
-    Mutex.lock t.wq_mu;
-    while Queue.is_empty t.wq && not t.wq_stop do
-      Condition.wait t.wq_cond t.wq_mu
-    done;
-    if t.wq_stop then begin
-      running := false;
-      Mutex.unlock t.wq_mu
-    end
-    else begin
-      let conn, id, req = Queue.pop t.wq in
-      Mutex.unlock t.wq_mu;
-      let resp =
-        try execute t conn id req
-        with e ->
-          Some (id, Protocol.Error ("router: " ^ Printexc.to_string e))
-      in
-      Mutex.lock t.dq_mu;
-      Queue.push (conn, resp) t.dq;
-      Mutex.unlock t.dq_mu;
-      wake t
-    end
-  done
-
-let enqueue_work t conn id req =
-  Mutex.lock t.wq_mu;
-  Queue.push (conn, id, req) t.wq;
-  Condition.signal t.wq_cond;
-  Mutex.unlock t.wq_mu
 
 (* ---------------- reactor side ---------------- *)
 
@@ -788,13 +635,13 @@ let stall_grace = 5.0
 let close_legs conn =
   Array.iter (function Some l -> Failover.close l | None -> ()) conn.legs
 
-(* Conn closed the socket. A worker may still be running this
+(* Conn closed the socket. A fiber may still be running this
    connection's job and using its legs — then leg teardown waits for
-   the completion delivery. *)
+   its delivery. *)
 let forget t conn =
   Hashtbl.remove t.conns conn.io.fd;
-  locked t (fun () -> Server_stats.session_closed t.st);
-  if not conn.inflight then close_legs conn
+  Server_stats.session_closed t.st;
+  if conn.inflight then t.orphans <- conn :: t.orphans else close_legs conn
 
 let push_frame conn id resp =
   Conn.send conn.io ~id resp;
@@ -802,25 +649,39 @@ let push_frame conn id resp =
 
 (* The high-water cut-off drops the connection's queued requests. *)
 let cut_off t conn () =
-  locked t (fun () -> Server_stats.overloaded t.st);
+  Server_stats.overloaded t.st;
   Queue.clear conn.jobs;
   true
 
-let next_job t conn =
+(* Run the job as a fiber: it parks on every shard wait and ends by
+   delivering its response, then starts the connection's next queued
+   request. *)
+let rec start_job t conn id req =
+  conn.inflight <- true;
+  Reactor.spawn t.reactor (fun () ->
+      let resp =
+        try execute t conn id req
+        with e -> Some (id, Protocol.Error ("router: " ^ Printexc.to_string e))
+      in
+      deliver t conn resp)
+
+and next_job t conn =
   if
     not (conn.inflight || conn.io.dead || conn.io.closing
         || Queue.is_empty conn.jobs)
   then begin
     let id, req = Queue.pop conn.jobs in
-    conn.inflight <- true;
-    enqueue_work t conn id req
+    start_job t conn id req
   end
 
-(* A worker finished a job: deliver the response (if the client is
-   still there) and start the connection's next queued request. *)
-let deliver t (conn, resp) =
+(* Send the response (if the client is still there), or release the
+   legs of a client that left mid-request. *)
+and deliver t conn resp =
   conn.inflight <- false;
-  if conn.io.dead then close_legs conn
+  if conn.io.dead then begin
+    t.orphans <- List.filter (( != ) conn) t.orphans;
+    close_legs conn
+  end
   else begin
     (match resp with
     | Some (id, r) -> push_frame conn id r
@@ -829,58 +690,27 @@ let deliver t (conn, resp) =
     next_job t conn
   end
 
-let drain_done t =
-  let batch = Queue.create () in
-  Mutex.lock t.dq_mu;
-  Queue.transfer t.dq batch;
-  Mutex.unlock t.dq_mu;
-  Queue.iter (fun msg -> deliver t msg) batch
-
-let record_op t req ~seconds =
-  locked t (fun () ->
-      Server_stats.record t.st ~op:(Protocol.request_op_name req) ~seconds
-        ~io:0)
-
+(* Every request runs as its connection's next job; one that needs no
+   shard is answered before [spawn] returns. *)
 let on_request t conn id req =
-  if conn.inflight || not (Queue.is_empty conn.jobs) then
-    if Queue.length conn.jobs >= max_pipeline then begin
-      Queue.clear conn.jobs;
-      conn.io.closing <- true;
-      locked t (fun () -> Server_stats.overloaded t.st);
-      push_frame conn 0L
-        (Protocol.Overloaded
-           (Printf.sprintf "pipeline limit (%d requests) exceeded"
-              max_pipeline));
-      Conn.maybe_close conn.io
-    end
-    else begin
-      Queue.push (id, req) conn.jobs;
-      next_job t conn
-    end
+  if Queue.length conn.jobs >= max_pipeline then begin
+    Queue.clear conn.jobs;
+    conn.io.closing <- true;
+    Server_stats.overloaded t.st;
+    push_frame conn 0L
+      (Protocol.Overloaded
+         (Printf.sprintf "pipeline limit (%d requests) exceeded" max_pipeline));
+    Conn.maybe_close conn.io
+  end
   else begin
-    (* idle connection: cheap ops answered right here on the loop,
-       anything that talks to a shard goes to a worker *)
-    match req with
-    | Protocol.Repl_ack _ -> ()
-    | Protocol.Begin ->
-        let t0 = Unix.gettimeofday () in
-        push_frame conn id (do_begin conn);
-        record_op t req ~seconds:(Unix.gettimeofday () -. t0)
-    | req -> (
-        match pure_answer t req with
-        | Some resp ->
-            let t0 = Unix.gettimeofday () in
-            push_frame conn id resp;
-            record_op t req ~seconds:(Unix.gettimeofday () -. t0)
-        | None ->
-            conn.inflight <- true;
-            enqueue_work t conn id req)
+    Queue.push (id, req) conn.jobs;
+    next_job t conn
   end
 
 let admit t () =
   if Hashtbl.length t.conns < t.cfg.max_sessions then None
   else begin
-    locked t (fun () -> Server_stats.overloaded t.st);
+    Server_stats.overloaded t.st;
     Some (Printf.sprintf "router at session limit (%d)" t.cfg.max_sessions)
   end
 
@@ -896,7 +726,7 @@ let accept_connections t =
           inflight = false }
       in
       Hashtbl.replace t.conns fd conn;
-      locked t (fun () -> Server_stats.session_opened t.st);
+      Server_stats.session_opened t.st;
       Conn.serve io ~on_cut_off:(cut_off t conn)
         ~on_close:(fun () -> forget t conn)
         (Conn.frames io (on_request t conn)))
@@ -941,30 +771,15 @@ let cleanup t =
   (match t.metrics_fd with
   | Some m -> ( try Unix.close m with Unix.Unix_error _ -> ())
   | None -> ());
-  (* stop the pool: workers abandon queued jobs and exit after the one
-     they are running; join before touching any connection's legs *)
-  Mutex.lock t.wq_mu;
-  t.wq_stop <- true;
-  Queue.clear t.wq;
-  Condition.broadcast t.wq_cond;
-  Mutex.unlock t.wq_mu;
-  List.iter Thread.join t.worker_threads;
-  t.worker_threads <- [];
-  (* final completions: release the inflight marks (and the legs of
-     clients that disconnected mid-request) *)
-  Mutex.lock t.dq_mu;
-  Queue.iter
-    (fun ((conn : conn), _) ->
-      conn.inflight <- false;
-      if conn.io.dead then close_legs conn)
-    t.dq;
-  Queue.clear t.dq;
-  Mutex.unlock t.dq_mu;
   let conns = Hashtbl.fold (fun _ c acc -> c :: acc) t.conns [] in
   List.iter (fun c -> Conn.close c.io) conns;
+  (* fibers still parked on a shard are abandoned with the reactor;
+     closing made their connections orphans, whose legs go now *)
+  List.iter close_legs t.orphans;
+  t.orphans <- [];
   List.iter
     (fun fd -> try Unix.close fd with Unix.Unix_error _ -> ())
-    [ t.stop_r; t.stop_w; t.wake_r; t.wake_w ]
+    [ t.stop_r; t.stop_w ]
 
 let serve t =
   Unix.set_nonblock t.listen_fd;
@@ -977,11 +792,6 @@ let serve t =
       t.stopping <- true;
       Reactor.set_read_interest t.reactor t.listen_fd false)
     ();
-  Reactor.register t.reactor t.wake_r
-    ~readable:(fun () ->
-      drain_pipe t.wake_r;
-      drain_done t)
-    ();
   (match t.metrics_fd with
   | Some m ->
       Unix.set_nonblock m;
@@ -990,8 +800,6 @@ let serve t =
           (Http_endpoint.attach t.reactor ~fd:m ~doc:(fun () -> metrics_doc t))
   | None -> ());
   ignore (Reactor.after t.reactor 1.0 (housekeeping t));
-  t.worker_threads <-
-    List.init (max 1 t.cfg.workers) (fun _ -> Thread.create (worker_loop t) ());
   while not t.stopping do
     Reactor.run_once ~max_timeout:1.0 t.reactor
   done;

@@ -11,19 +11,20 @@
     saturates one shard process while the others — and the router's
     reactor frontend — keep answering in milliseconds.
 
-    {2 Threading}
+    {2 Concurrency}
 
-    One reactor thread owns every client socket ({!Conn}: framing,
-    bounded buffered writes; and the metrics endpoint) and a fixed pool of
-    [workers] threads runs the shard RPCs, so the router's OS-thread
-    count is a constant picked at create time — independent of how
-    many clients are connected or scraping. Each connection's
-    requests execute one at a time in arrival order; a scatter's legs
-    are multiplexed on a single readiness wait ({!Client.rpc_many}),
-    so a slow shard delays only that connection's merge, never a pool
-    thread per leg. Slow consumers (peers that stop reading) are cut
-    off with a typed [Overloaded] frame when their write buffer
-    crosses the high-water mark, and reaped if they stall.
+    The router runs on one OS thread. Its reactor owns every client
+    socket ({!Conn}: framing, bounded buffered writes; and the metrics
+    endpoint), and each request that talks to a shard runs as a
+    reactor fiber ({!Reactor.spawn}) that parks on every shard wait.
+    Each connection's requests execute one at a time in arrival order;
+    a scatter's legs are sibling fibers ({!Reactor.all}), each under
+    the ordinary {!Failover.read} retry contract, so a slow or
+    black-holed shard delays only the connections waiting on it —
+    never a request for a healthy shard. Slow consumers (peers that
+    stop reading) are cut off with a typed [Overloaded] frame when
+    their write buffer crosses the high-water mark, and reaped if they
+    stall.
 
     {2 Placement and correctness}
 
@@ -126,14 +127,10 @@ type config = {
           partitioned shard can stall a scatter before degrading the
           answer to [Partial] *)
   metrics_port : int option;
-  workers : int;
-      (** shard-RPC worker threads — the router's entire OS-thread
-          budget besides the reactor thread *)
 }
 
 val default_config : config
-(** 127.0.0.1:7654, 64 sessions, 15 s shard deadline, no metrics,
-    8 workers. *)
+(** 127.0.0.1:7654, 64 sessions, 15 s shard deadline, no metrics. *)
 
 type t
 
@@ -156,9 +153,10 @@ val metrics_doc : t -> string
 (** The router's Prometheus exposition ({!Metrics.render_router}). *)
 
 val serve : t -> unit
-(** Run the reactor loop on the calling thread and start the worker
-    pool. Returns after {!stop}: closes the listener, joins the
-    workers, and tears down every client connection and shard leg. *)
+(** Run the reactor loop, and with it every request's fiber, on the
+    calling thread. Returns after {!stop}: closes the listener and
+    tears down every client connection and shard leg, abandoning
+    requests still waiting on a shard. *)
 
 val stop : t -> unit
 (** Signal {!serve} to shut down (safe from a signal handler or another

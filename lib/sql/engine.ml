@@ -36,10 +36,6 @@ type session = {
   (* Bumped whenever cached plans are invalidated (DDL, collection
      schema change); prepared statements recompile when stale. *)
   mutable generation : int;
-  (* Hot-tier residency generation the caches were last valid under:
-     any promotion/demotion/invalidation in the memory tier flips the
-     tier choice underneath compiled plans, so they are flushed. *)
-  mutable mem_generation : int;
   (* The MVCC transaction DML runs in, when the hosting server threads
      one through; [None] keeps the historical direct-write behaviour of
      standalone engine users (tools, tests). *)
@@ -66,7 +62,6 @@ let session ?(plan_cache = true) catalog =
     cache = Exec.Plan_cache.create ();
     cache_enabled = plan_cache;
     generation = 0;
-    mem_generation = Exec.Memtier.current_generation ();
     txn = None;
     ritree = None }
 
@@ -88,13 +83,6 @@ let invalidate_plans s =
 let set_ritree s tree ~stats ~mem =
   s.ritree <- Some { tree; stats; mem };
   invalidate_plans s
-
-let sync_mem_generation s =
-  let g = Exec.Memtier.current_generation () in
-  if g <> s.mem_generation then begin
-    s.mem_generation <- g;
-    invalidate_plans s
-  end
 
 let set_collection s name ~columns rows =
   let cols = Array.of_list columns in
@@ -845,7 +833,6 @@ let compile_key session key =
 let lookup_cached session src =
   if not session.cache_enabled then None
   else begin
-    sync_mem_generation session;
     let cache = session.cache in
     match Exec.Plan_cache.find_raw cache src with
     | Some (key, params) -> (
@@ -932,7 +919,6 @@ let prepared_kind p = stmt_kind p.p_stmt
 (* A prepared SELECT recompiles if DDL or a collection schema change
    invalidated plans since it was compiled. *)
 let prepared_plan session p =
-  sync_mem_generation session;
   match p.p_stmt with
   | Ast.Select q -> (
       match p.p_plan with

@@ -146,8 +146,8 @@ type scan = { records : record list; valid_bytes : int; torn : bool }
 let get_u32 data pos =
   Int32.to_int (Int32.logand (Bytes.get_int32_le data pos) 0xFFFFFFFFl)
 
-let scan_bytes data len =
-  let pos = ref 0 in
+let scan_bytes ?(pos = 0) data len =
+  let pos = ref pos in
   let out = ref [] in
   let torn = ref false in
   (try
@@ -188,11 +188,11 @@ let scan_bytes data len =
    with Exit -> torn := true);
   { records = List.rev !out; valid_bytes = !pos; torn = !torn }
 
-let parse data ~len =
-  let scan = scan_bytes data len in
+let parse ?(pos = 0) data ~len =
+  let scan = scan_bytes ~pos data len in
   (* Re-walk to attach each record's end offset: the serialized sizes
      are recomputable from the records themselves. *)
-  let pos = ref 0 in
+  let pos = ref pos in
   List.map
     (fun r ->
       let body =

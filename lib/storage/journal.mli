@@ -87,12 +87,14 @@ val stream_from : ?max_bytes:int -> t -> int -> Bytes.t
     @raise Invalid_argument if [lsn] is below {!base_lsn} (truncated
     away) or beyond {!durable_lsn}. *)
 
-val parse : Bytes.t -> len:int -> (record * int) list
+val parse : ?pos:int -> Bytes.t -> len:int -> (record * int) list
 (** Parse the longest valid prefix of a serialized record stream (the
-    format {!stream_from} ships): each complete, CRC-valid record paired
-    with the byte offset one past its serialized end. Stops at the first
-    torn or corrupt record; never raises. The replica apply path uses the
-    offsets to consume exactly the applied prefix and resume cleanly. *)
+    format {!stream_from} ships) starting at record boundary [pos]
+    (default [0]) and ending before [len]: each complete, CRC-valid
+    record paired with the byte offset one past its serialized end.
+    Stops at the first torn or corrupt record; never raises. The
+    replica apply path resumes from the last offset it saw, so each
+    received byte is parsed once. *)
 
 val durable_torn : t -> bool
 (** Whether the durable log ends in an invalid (torn or corrupt)

@@ -1,6 +1,7 @@
 (* The event core in isolation: timer-wheel firing discipline, the
-   bounded non-blocking writer's backpressure contract, and the poll(2)
-   readiness backend with the reactor loop running on it. *)
+   bounded non-blocking writer's backpressure contract, the poll(2)
+   readiness backend with the reactor loop running on it, and the
+   fibers that park on that loop. *)
 
 module R = Reactor
 module B = Reactor.Backend
@@ -64,6 +65,26 @@ let test_wheel_reentrant_add () =
   ignore (TW.advance w ~now:0.050);
   check (Alcotest.list Alcotest.string) "inner after rearm"
     [ "inner"; "outer" ] !fired
+
+(* Mass cancellation sweeps the wheel (cancelled timers must not pile
+   up in far slots holding their closures); the sweep keeps every live
+   timer, on every level. *)
+let test_wheel_sweep_keeps_live () =
+  let w = TW.create ~now:0. in
+  let fired = ref [] in
+  let timers =
+    List.init 3000 (fun i ->
+        let at = 0.001 *. float_of_int (1 + (i * 37 mod 100_000)) in
+        (i, TW.add w ~now:0. ~at (fun () -> fired := i :: !fired)))
+  in
+  List.iter (fun (i, tm) -> if i mod 300 <> 0 then TW.cancel w tm) timers;
+  check Alcotest.int "ten live" 10 (TW.pending w);
+  ignore (TW.advance w ~now:200.);
+  check
+    Alcotest.(list int)
+    "exactly the live ones fire"
+    (List.init 10 (fun k -> k * 300))
+    (List.sort compare !fired)
 
 (* Random deadlines across cascade boundaries, advanced in random
    steps: every timer fires exactly once, never before it is due
@@ -320,6 +341,109 @@ let test_reactor_loop () =
       check Alcotest.bool "deregistered" false
         (R.is_registered r a))
 
+(* ---- fibers ---- *)
+
+let run_until r cond =
+  let deadline = Unix.gettimeofday () +. 5. in
+  while (not (cond ())) && Unix.gettimeofday () < deadline do
+    R.run_once ~max_timeout:0.05 r
+  done
+
+let since t0 = Unix.gettimeofday () -. t0
+
+(* A parked fiber resumes with [true] on readiness and with [false] at
+   its timeout; either way its registration and timer are gone. *)
+let test_fiber_await () =
+  let r = R.create () in
+  with_socketpair (fun a b ->
+      let ready = ref None and timed = ref None in
+      R.spawn r (fun () -> ready := Some (R.await_fd a `Read ~timeout:5.));
+      R.spawn r (fun () ->
+          let t0 = Unix.gettimeofday () in
+          let v = R.await_fd b `Read ~timeout:0.05 in
+          timed := Some (v, since t0));
+      check Alcotest.(option bool) "parked, not blocked" None !ready;
+      run_until r (fun () -> !timed <> None);
+      (match !timed with
+      | Some (v, dt) ->
+          check Alcotest.bool "timeout resumes with false" false v;
+          check Alcotest.bool
+            (Printf.sprintf "not before the timeout (%.3f s)" dt)
+            true (dt >= 0.045)
+      | None -> Alcotest.fail "timeout never fired");
+      check Alcotest.(option bool) "still parked while unreadable" None
+        !ready;
+      ignore (Unix.write b (Bytes.of_string "x") 0 1);
+      run_until r (fun () -> !ready <> None);
+      check Alcotest.(option bool) "readiness resumes with true" (Some true)
+        !ready;
+      check Alcotest.bool "registrations released" false
+        (R.is_registered r a || R.is_registered r b);
+      check Alcotest.int "timers released" 0 (R.timer_count r))
+
+let test_fiber_sleep () =
+  let r = R.create () in
+  let slept = ref None in
+  R.spawn r (fun () ->
+      let t0 = Unix.gettimeofday () in
+      R.sleep 0.05;
+      slept := Some (since t0));
+  check Alcotest.bool "parked" true (!slept = None);
+  run_until r (fun () -> !slept <> None);
+  match !slept with
+  | Some dt ->
+      check Alcotest.bool
+        (Printf.sprintf "resumed after its delay (%.3f s)" dt)
+        true (dt >= 0.045 && dt < 1.)
+  | None -> Alcotest.fail "sleep never resumed"
+
+(* The thunks run as interleaved fibers — the log shows each one
+   parking while the others proceed — and the results still come back
+   in input order; an exception waits for the join, then surfaces. *)
+let test_fiber_all () =
+  let r = R.create () in
+  let log = ref [] in
+  let note s = log := s :: !log in
+  let result = ref None and raised = ref false in
+  R.spawn r (fun () ->
+      let got =
+        R.all
+          [ (fun () -> note "a0"; R.sleep 0.06; note "a1"; "a");
+            (fun () -> note "b0"; R.sleep 0.02; note "b1"; "b");
+            (fun () -> note "c0"; "c") ]
+      in
+      (match R.all [ (fun () -> R.sleep 0.01; raise Exit); (fun () -> ()) ]
+       with
+      | _ -> ()
+      | exception Exit -> raised := true);
+      result := Some got);
+  check Alcotest.bool "parent parked on the join" true (!result = None);
+  run_until r (fun () -> !result <> None);
+  check
+    Alcotest.(option (list string))
+    "input order" (Some [ "a"; "b"; "c" ]) !result;
+  check
+    Alcotest.(list string)
+    "interleaved" [ "a0"; "b0"; "c0"; "b1"; "a1" ] (List.rev !log);
+  check Alcotest.bool "child exception re-raised after the join" true
+    !raised
+
+(* No fiber, no reactor: the same calls block the calling thread. *)
+let test_fiber_fallback () =
+  with_socketpair (fun a b ->
+      ignore (Unix.write b (Bytes.of_string "x") 0 1);
+      check Alcotest.bool "readable fd" true (R.await_fd a `Read ~timeout:1.);
+      let t0 = Unix.gettimeofday () in
+      check Alcotest.bool "timeout" false (R.await_fd b `Read ~timeout:0.05);
+      check Alcotest.bool "waited out the timeout" true (since t0 >= 0.045);
+      let t0 = Unix.gettimeofday () in
+      R.sleep 0.02;
+      check Alcotest.bool "sleep blocks" true (since t0 >= 0.019);
+      check
+        Alcotest.(list int)
+        "all runs in order" [ 1; 2 ]
+        (R.all [ (fun () -> 1); (fun () -> 2) ]))
+
 let () =
   Alcotest.run "reactor"
     [
@@ -332,6 +456,8 @@ let () =
            test_wheel_past_deadline;
          Alcotest.test_case "callbacks may re-arm" `Quick
            test_wheel_reentrant_add;
+         Alcotest.test_case "mass cancel sweeps, live timers survive" `Quick
+           test_wheel_sweep_keeps_live;
          QCheck_alcotest.to_alcotest prop_wheel_random ]);
       ("writer",
        [ Alcotest.test_case "high-water backpressure" `Quick
@@ -343,4 +469,12 @@ let () =
       ("poll",
        [ Alcotest.test_case "readiness" `Quick test_poll_readiness;
          Alcotest.test_case "reactor loop" `Quick test_reactor_loop ]);
+      ("fibers",
+       [ Alcotest.test_case "await_fd: readiness and timeout" `Quick
+           test_fiber_await;
+         Alcotest.test_case "sleep" `Quick test_fiber_sleep;
+         Alcotest.test_case "all: input order, interleaved" `Quick
+           test_fiber_all;
+         Alcotest.test_case "outside a fiber: blocking waits" `Quick
+           test_fiber_fallback ]);
     ]

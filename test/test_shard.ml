@@ -527,6 +527,93 @@ let test_live_partial () =
                 | Ok resp -> response_label resp
                 | Error e -> C.error_to_string e)))
 
+(* A shard that never answers must not hold up requests for healthy
+   shards. Shard 1's endpoint listens but never accepts, so every leg
+   to it connects and then waits out its deadline, through all of
+   failover's attempts. Eight such requests are in flight when a ninth,
+   confined to shard 0, arrives: it must be answered at once, not after
+   the stuck ones drain. *)
+let test_live_blackhole_no_hol () =
+  let hole = Unix.socket Unix.PF_INET Unix.SOCK_STREAM 0 in
+  Unix.bind hole (Unix.ADDR_INET (Unix.inet_addr_loopback, 0));
+  Unix.listen hole 128;
+  let hole_port =
+    match Unix.getsockname hole with
+    | Unix.ADDR_INET (_, p) -> p
+    | _ -> assert false
+  in
+  let cuts = R.Map.backbone_cuts ~domain_max ~shards:2 in
+  let geometry =
+    R.Map.create ~cuts ~endpoints:[ [ ("h", 1) ]; [ ("h", 2) ] ]
+  in
+  let procs = spawn_shards [ slice_of live_data (R.Map.range geometry 0) ] in
+  let map =
+    R.Map.create ~cuts
+      ~endpoints:
+        [ [ ("127.0.0.1", snd (List.hd procs)) ];
+          [ ("127.0.0.1", hole_port) ] ]
+  in
+  let router =
+    R.create
+      { R.default_config with port = 0; shard_deadline_ms = 500. }
+      ~map
+  in
+  let thread = Thread.create (fun () -> R.serve router) () in
+  Fun.protect
+    ~finally:(fun () ->
+      R.stop router;
+      Thread.join thread;
+      stop_shards procs;
+      Unix.close hole)
+    (fun () ->
+      let port = R.port router in
+      let lo1, _ = R.Map.range map 1 in
+      let stuck = Array.make 8 None in
+      let threads =
+        List.init 8 (fun i ->
+            Thread.create
+              (fun () ->
+                with_client port (fun c ->
+                    stuck.(i) <-
+                      Some
+                        (C.rpc_result c
+                           (P.Intersect { lower = lo1; upper = lo1 + 1000 }))))
+              ())
+      in
+      Thread.delay 0.2;
+      let t0 = Unix.gettimeofday () in
+      let healthy =
+        with_client port (fun c ->
+            C.rpc_result c (P.Intersect { lower = 0; upper = 1000 }))
+      in
+      let dt = Unix.gettimeofday () -. t0 in
+      List.iter Thread.join threads;
+      (match healthy with
+      | Ok (P.Rows _) -> ()
+      | r ->
+          Alcotest.failf "healthy-shard query: %s"
+            (match r with
+            | Ok resp -> response_label resp
+            | Error e -> C.error_to_string e));
+      Alcotest.(check bool)
+        (Printf.sprintf "healthy-shard query answered in %.3f s < 0.5 s" dt)
+        true (dt < 0.5);
+      Array.iteri
+        (fun i r ->
+          match r with
+          | Some (Ok (P.Partial { missing; _ })) ->
+              check
+                Alcotest.(list int)
+                (Printf.sprintf "stuck query %d names the dead shard" i)
+                [ 1 ] missing
+          | Some (Ok resp) ->
+              Alcotest.failf "stuck query %d: expected Partial, got %s" i
+                (response_label resp)
+          | Some (Error e) ->
+              Alcotest.failf "stuck query %d: %s" i (C.error_to_string e)
+          | None -> Alcotest.failf "stuck query %d: no answer" i)
+        stuck)
+
 (* ---- the head-of-line regression itself ---- *)
 
 (* Ping percentiles measured while fat scans hammer the serving tier.
@@ -753,5 +840,7 @@ let () =
             `Quick test_hol_regression;
           Alcotest.test_case "100 concurrent metrics scrapes add no threads"
             `Quick test_metrics_scrape_thread_bound;
+          Alcotest.test_case "black-holed shard stalls only its own queries"
+            `Quick test_live_blackhole_no_hol;
         ] );
     ]
