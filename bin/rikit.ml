@@ -68,7 +68,8 @@ let explain kind n d seed trace qlow qup =
   if qlow > qup then failwith "query lower exceeds upper";
   let data = Workload.Distribution.generate ~seed kind ~n ~d in
   let db = Relation.Catalog.create () in
-  let tree = Ritree.Ri_tree.create db in
+  (* the server's relation: its plan reads the indexes alone *)
+  let tree = Ritree.Ri_tree.create ~layout:Ritree.Ri_tree.Covering db in
   Array.iteri (fun id ivl -> ignore (Ritree.Ri_tree.insert ~id tree ivl)) data;
   let q = Interval.Ivl.make qlow qup in
   let p = Ritree.Ri_tree.params tree in

@@ -53,6 +53,7 @@ let meta_page t = t.meta_page
 let count t = t.count
 let height t = t.height
 let page_count t = t.page_count
+let leaf_capacity t = t.leaf_cap
 
 let get_i64 buf off = Int64.to_int (Bytes.get_int64_be buf off)
 let set_i64 buf off v = Bytes.set_int64_be buf off (Int64.of_int v)

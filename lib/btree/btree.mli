@@ -63,6 +63,10 @@ val page_count : t -> int
 (** Pages currently owned by the tree (excluding the meta page and free
     pages). *)
 
+val leaf_capacity : t -> int
+(** Entries a leaf page holds: the block's payload over the key width
+    (rowid included). The cost model's fanout. *)
+
 val insert : t -> key -> bool
 (** [insert t k] adds [k]; returns [false] (and changes nothing) if [k]
     is already present.

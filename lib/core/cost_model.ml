@@ -114,15 +114,6 @@ let plan_to_string = function
    HINT replica of the collection. *)
 type mem_info = { mem_levels : int; mem_entries : int }
 
-(* Entries per leaf for the 4-wide index keys, and rows per heap page,
-   derived from the block size. *)
-let index_leaf_capacity tree =
-  let bs =
-    Storage.Buffer_pool.block_size
-      (Btree.pool (Relation.Table.Index.tree (Ri_tree.lower_index tree)))
-  in
-  max 1 ((bs - 16) / 32)
-
 (* Blocks for the Fig. 9 plan. The node probes hit the two interval
    indexes whose upper levels are shared across probes and stay
    buffer-resident for the whole statement, so the root-to-leaf descent
@@ -133,7 +124,8 @@ let index_leaf_capacity tree =
 let index_cost tree stats q =
   let n = max 2 (Stats.row_count stats) in
   let probes = float_of_int (Ri_tree.probe_count tree q + 1) in
-  let fanout = float_of_int (index_leaf_capacity tree) in
+  let lower = Relation.Table.Index.tree (Ri_tree.lower_index tree) in
+  let fanout = float_of_int (Btree.leaf_capacity lower) in
   let depth = Float.max 1.0 (log (float_of_int n) /. log fanout) in
   let r = float_of_int (Stats.estimate_result_size stats q) in
   (2.0 *. depth) +. probes +. (r /. fanout)

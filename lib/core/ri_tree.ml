@@ -4,6 +4,8 @@ let max_bound_magnitude = 1 lsl 40
 let fork_infinity = max_int
 let fork_now = max_int - 1
 
+type layout = Paper | Covering
+
 type t = {
   name : string;
   table : Relation.Table.t;
@@ -29,19 +31,42 @@ let col_lower = 1
 let col_upper = 2
 let col_id = 3
 
-let create_tables ?(bulk = false) ~name catalog =
+(* Key columns of the lower and upper index. [Paper] is Fig. 2; [Covering]
+   adds the other bound, so every step of the server's plans reads the
+   index alone. *)
+let index_columns = function
+  | Paper -> ([ "node"; "lower"; "id" ], [ "node"; "upper"; "id" ])
+  | Covering ->
+      ([ "node"; "lower"; "upper"; "id" ], [ "node"; "upper"; "lower"; "id" ])
+
+(* [open_existing] accepts the index columns of either layout and
+   nothing else. *)
+let check_layout ~lower ~upper =
+  let cols i = Array.to_list (Relation.Table.Index.columns i) in
+  if
+    not
+      (List.exists
+         (fun l -> index_columns l = (cols lower, cols upper))
+         [ Paper; Covering ])
+  then
+    failwith
+      (Printf.sprintf "Ri_tree: %s and %s are not RI-tree indexes"
+         (Relation.Table.Index.name lower) (Relation.Table.Index.name upper))
+
+let create_tables ?(bulk = false) ?(layout = Paper) ~name catalog =
   let table =
     Relation.Catalog.create_table catalog ~name
       ~columns:[ "node"; "lower"; "upper"; "id" ]
   in
+  let lower_cols, upper_cols = index_columns layout in
   let mk_indexes () =
     let lower_index =
       Relation.Table.create_index ~bulk table ~name:(name ^ "_lower")
-        ~columns:[ "node"; "lower"; "id" ]
+        ~columns:lower_cols
     in
     let upper_index =
       Relation.Table.create_index ~bulk table ~name:(name ^ "_upper")
-        ~columns:[ "node"; "upper"; "id" ]
+        ~columns:upper_cols
     in
     (lower_index, upper_index)
   in
@@ -53,12 +78,15 @@ let create_tables ?(bulk = false) ~name catalog =
   in
   (table, mk_indexes, params_table)
 
-let create ?(name = "intervals") catalog =
-  let table, mk_indexes, params_table = create_tables ~name catalog in
-  let lower_index, upper_index = mk_indexes () in
+let make ~name ~table ~lower_index ~upper_index ~params_table =
   { name; table; lower_index; upper_index; params_table;
     params_rowid = None; offset = None; roots = Backbone.empty_roots;
     min_level = Backbone.max_level; next_id = 0 }
+
+let create ?(name = "intervals") ?layout catalog =
+  let table, mk_indexes, params_table = create_tables ?layout ~name catalog in
+  let lower_index, upper_index = mk_indexes () in
+  make ~name ~table ~lower_index ~upper_index ~params_table
 
 (* The persistent O(1) data dictionary of Sec. 3.4: one row, updated in
    place. *)
@@ -157,11 +185,8 @@ let open_existing ?(name = "intervals") catalog =
   in
   let lower_index = find_index (name ^ "_lower") in
   let upper_index = find_index (name ^ "_upper") in
-  let t =
-    { name; table; lower_index; upper_index; params_table;
-      params_rowid = None; offset = None; roots = Backbone.empty_roots;
-      min_level = Backbone.max_level; next_id = 0 }
-  in
+  check_layout ~lower:lower_index ~upper:upper_index;
+  let t = make ~name ~table ~lower_index ~upper_index ~params_table in
   (* Reload the persistent O(1) data dictionary. *)
   Relation.Table.iter params_table (fun rowid row ->
       t.params_rowid <- Some rowid;
@@ -206,11 +231,11 @@ let bulk_load ?(name = "intervals") catalog data =
            [| fork; Ivl.lower ivl; Ivl.upper ivl; id |]))
     data;
   let lower_index, upper_index = mk_indexes () in
-  let t =
-    { name; table; lower_index; upper_index; params_table;
-      params_rowid = None; offset = !offset; roots = !roots;
-      min_level = !min_level; next_id = !next_id }
-  in
+  let t = make ~name ~table ~lower_index ~upper_index ~params_table in
+  t.offset <- !offset;
+  t.roots <- !roots;
+  t.min_level <- !min_level;
+  t.next_id <- !next_id;
   save_params t;
   t
 
@@ -223,15 +248,23 @@ let find_victim ?(ok = fun _ _ -> true) (t : t) ~id ivl =
   | Some _ ->
       let fork = fork_node t ivl in
       let tree = Relation.Table.Index.tree t.lower_index in
-      (* Index key: (node, lower, id, rowid). *)
-      let lo = [| fork; Ivl.lower ivl; id; min_int |] in
-      let hi = [| fork; Ivl.lower ivl; id; max_int |] in
-      Btree.fold_range tree ~lo ~hi
+      (* Every key column but the rowid is fixed by the victim. *)
+      let prefix =
+        List.map
+          (function
+            | "node" -> fork
+            | "lower" -> Ivl.lower ivl
+            | "upper" -> Ivl.upper ivl
+            | _ -> id)
+          (Array.to_list (Relation.Table.Index.columns t.lower_index))
+      in
+      Btree.fold_range tree ~lo:(Btree.lo_pad tree prefix)
+        ~hi:(Btree.hi_pad tree prefix)
         (fun acc key ->
           match acc with
           | Some _ -> acc
           | None -> (
-              let rowid = key.(3) in
+              let rowid = key.(Array.length key - 1) in
               match Relation.Table.fetch t.table rowid with
               | Some row when row.(col_upper) = Ivl.upper ivl && ok rowid row
                 ->
@@ -272,8 +305,10 @@ let node_lists (t : t) ivl =
       { left_nodes = (ql, qu) :: !lefts; right_nodes = !rights }
 
 (* The plan of Fig. 10: two nested-loop joins of collection iterators
-   with index range scans, concatenated by UNION ALL. Both indexes are
-   covering — (node, bound, id, rowid) — so no base-table access.
+   with index range scans, concatenated by UNION ALL. Both indexes
+   cover (node, bound, id): every key ends in id then rowid, and under
+   the Covering layout also carries the other bound — so no base-table
+   access.
    [node_filter] lets the skeleton extension drop probes of single nodes
    known to hold no intervals; the BETWEEN pair is never filtered. *)
 let filtered_node_lists ?node_filter t ivl =
@@ -292,6 +327,8 @@ let filtered_node_lists ?node_filter t ivl =
 let intersection_branches ?node_filter t ivl =
   let left_nodes, right_nodes = filtered_node_lists ?node_filter t ivl in
   let qlow = Ivl.lower ivl and qup = Ivl.upper ivl in
+  let upper_tree = Relation.Table.Index.tree t.upper_index in
+  let lower_tree = Relation.Table.Index.tree t.lower_index in
   let probe_upper = Relation.Iter.index_probe t.upper_index in
   let probe_lower = Relation.Iter.index_probe t.lower_index in
   let upper_branch =
@@ -299,16 +336,16 @@ let intersection_branches ?node_filter t ivl =
       ~outer:(Relation.Iter.of_list (List.map (fun (a, b) -> [| a; b |]) left_nodes))
       ~inner:(fun pair ->
         probe_upper
-          ~lo:[| pair.(0); qlow; min_int; min_int |]
-          ~hi:[| pair.(1); max_int; max_int; max_int |])
+          ~lo:(Btree.lo_pad upper_tree [ pair.(0); qlow ])
+          ~hi:(Btree.hi_pad upper_tree [ pair.(1) ]))
   in
   let lower_branch =
     Relation.Iter.nested_loop
       ~outer:(Relation.Iter.of_list (List.map (fun w -> [| w |]) right_nodes))
       ~inner:(fun node ->
         probe_lower
-          ~lo:[| node.(0); min_int; min_int; min_int |]
-          ~hi:[| node.(0); qup; max_int; max_int |])
+          ~lo:(Btree.lo_pad lower_tree [ node.(0) ])
+          ~hi:(Btree.hi_pad lower_tree [ node.(0); qup ]))
   in
   (left_nodes, right_nodes, upper_branch, lower_branch)
 
@@ -344,7 +381,13 @@ let traced_fold ?node_filter t ivl f acc =
       end)
 
 let intersecting_ids ?node_filter t ivl =
-  traced_fold ?node_filter t ivl (fun acc key -> key.(2) :: acc) []
+  (* both layouts key [id] at the same position in both indexes *)
+  let id =
+    Array.find_index (String.equal "id")
+      (Relation.Table.Index.columns t.lower_index)
+    |> Option.get
+  in
+  traced_fold ?node_filter t ivl (fun acc key -> key.(id) :: acc) []
   |> List.rev
 
 let intersecting t ivl =
@@ -380,13 +423,16 @@ let explain t ivl =
   add "    NESTED LOOPS\n";
   add "      COLLECTION ITERATOR leftNodes(min, max): ";
   List.iter (fun (a, b) -> add "(%d,%d) " a b) left_nodes;
-  add "\n      INDEX RANGE SCAN %s (node, upper, id)\n"
-    (Relation.Table.Index.name t.upper_index);
+  let cols index =
+    String.concat ", " (Array.to_list (Relation.Table.Index.columns index))
+  in
+  add "\n      INDEX RANGE SCAN %s (%s)\n"
+    (Relation.Table.Index.name t.upper_index) (cols t.upper_index);
   add "    NESTED LOOPS\n";
   add "      COLLECTION ITERATOR rightNodes(node): ";
   List.iter (fun w -> add "%d " w) right_nodes;
-  add "\n      INDEX RANGE SCAN %s (node, lower, id)\n"
-    (Relation.Table.Index.name t.lower_index);
+  add "\n      INDEX RANGE SCAN %s (%s)\n"
+    (Relation.Table.Index.name t.lower_index) (cols t.lower_index);
   Buffer.contents buf
 
 let check_invariants t =
@@ -430,10 +476,10 @@ let insert_sentinel_row (t : t) ~node ~lower ~upper_code ~id =
   id
 
 let sentinel_scan t ~node ~max_lower =
+  let tree = Relation.Table.Index.tree t.lower_index in
   let it =
-    Relation.Iter.index_range t.lower_index
-      ~lo:[| node; min_int; min_int; min_int |]
-      ~hi:[| node; max_lower; max_int; max_int |]
+    Relation.Iter.index_range t.lower_index ~lo:(Btree.lo_pad tree [ node ])
+      ~hi:(Btree.hi_pad tree [ node; max_lower ])
   in
   Relation.Iter.fetch t.table it
   |> Relation.Iter.fold

@@ -8,8 +8,12 @@
     CREATE INDEX <name>_upper ON <name> (node, upper, id);
     v}
 
-    plus an [O(1)] parameter dictionary ([offset], [leftRoot],
-    [rightRoot], [minstep]) persisted in [<name>_params]. Insertion
+    (the paper's Fig. 2 layout, {!Paper}; the {!Covering} layout's
+    indexes also carry the other bound, [(node, lower, upper, id)] and
+    [(node, upper, lower, id)], so a query returning [(lower, upper, id)]
+    reads the indexes alone, never the table) plus an [O(1)] parameter
+    dictionary ([offset], [leftRoot], [rightRoot], [minstep]) persisted
+    in [<name>_params]. Insertion
     computes the fork node of the interval on the virtual backbone
     ({!Backbone}) and executes a single relational insert; an
     intersection query descends the virtual backbone (no I/O), fills the
@@ -21,17 +25,23 @@
 
 type t
 
-val create : ?name:string -> Relation.Catalog.t -> t
-(** Create the interval table, its two composite indexes and the
-    parameter dictionary in the given database (default name
-    ["intervals"]). *)
+type layout =
+  | Paper  (** [(node, lower, id)] and [(node, upper, id)] — Fig. 2 *)
+  | Covering
+      (** [(node, lower, upper, id)] and [(node, upper, lower, id)] *)
+
+val create : ?name:string -> ?layout:layout -> Relation.Catalog.t -> t
+(** Create the interval table, its two composite indexes (default layout
+    {!Paper}) and the parameter dictionary in the given database
+    (default name ["intervals"]). *)
 
 val open_existing : ?name:string -> Relation.Catalog.t -> t
 (** Re-attach to an RI-tree previously created in this catalog (for
     durable catalogs: typically after {!Relation.Catalog.simulate_crash}
     or {!Relation.Catalog.reopen}): finds the interval table and its
     indexes by name and reloads the parameter dictionary from the
-    persisted [<name>_params] row.
+    persisted [<name>_params] row. Either layout is accepted; the
+    index columns the catalog recorded decide which one the tree has.
     @raise Not_found if the tables are missing.
     @raise Failure if the schema does not look like an RI-tree. *)
 
@@ -40,7 +50,8 @@ val bulk_load :
   Relation.Catalog.t ->
   (Interval.Ivl.t * int) array ->
   t
-(** Build an RI-tree from a snapshot of [(interval, id)] pairs: heap rows
+(** Build an RI-tree (always the {!Paper} layout) from a snapshot of
+    [(interval, id)] pairs: heap rows
     are written sequentially and both indexes are bulk-loaded bottom-up,
     giving the tightly clustered pages the paper attributes to
     bulk-loaded competitors. The resulting tree is indistinguishable from

@@ -8,10 +8,8 @@ let code_now = max_int - 1
 
 type t = { ri : Ri_tree.t }
 
-let create ?name catalog =
-  match name with
-  | Some n -> { ri = Ri_tree.create ~name:n catalog }
-  | None -> { ri = Ri_tree.create ~name:"valid_time" catalog }
+let create ?(name = "valid_time") ?layout catalog =
+  { ri = Ri_tree.create ~name ?layout catalog }
 
 let ri t = t.ri
 

@@ -11,7 +11,11 @@
 
 type t
 
-val create : ?name:string -> Relation.Catalog.t -> t
+val create :
+  ?name:string -> ?layout:Ri_tree.layout -> Relation.Catalog.t -> t
+(** An empty store (default name ["valid_time"]). [layout] (default
+    {!Ri_tree.Paper}) is the seam the layout-parity test uses to run
+    the temporal plan over {!Ri_tree.Covering} indexes. *)
 
 val ri : t -> Ri_tree.t
 (** The underlying RI-tree (finite intervals live there normally). *)

@@ -24,6 +24,18 @@ let path_nodes t x =
       in
       Backbone.path roots ~min_level:p.Ri_tree.min_level (x - off)
 
+(* Probes [(w, x)] for every node [w] on the backbone path of [x]. *)
+let exact_probes t r q index x =
+  let tree = Relation.Table.Index.tree index in
+  let probes =
+    List.map
+      (fun w ->
+        Relation.Iter.index_range index ~lo:(Btree.lo_pad tree [ w; x ])
+          ~hi:(Btree.hi_pad tree [ w; x ]))
+      (path_nodes t x)
+  in
+  fetch_matches t r q (Relation.Iter.union_all probes)
+
 let query t r q =
   let p = Ri_tree.params t in
   match p.Ri_tree.offset with
@@ -35,42 +47,25 @@ let query t r q =
           (* i.upper < qlow implies node <= i.upper - offset < ql: one
              ordered scan over all nodes strictly left of the query. *)
           let ql = qlow - off in
+          let tree = Relation.Table.Index.tree (Ri_tree.upper_index t) in
           let it =
             Relation.Iter.index_range (Ri_tree.upper_index t)
-              ~lo:[| min_int; min_int; min_int; min_int |]
-              ~hi:[| ql - 1; max_int; max_int; max_int |]
+              ~lo:(Btree.lo_pad tree []) ~hi:(Btree.hi_pad tree [ ql - 1 ])
           in
           fetch_matches t r q (Relation.Iter.filter (fun k -> k.(1) < qlow) it)
       | Allen.After ->
           (* i.lower > qup implies node >= i.lower - offset > qu. Stop
              short of the temporal sentinel nodes. *)
           let qu = qup - off in
+          let tree = Relation.Table.Index.tree (Ri_tree.lower_index t) in
           let it =
             Relation.Iter.index_range (Ri_tree.lower_index t)
-              ~lo:[| qu + 1; min_int; min_int; min_int |]
-              ~hi:[| Ri_tree.fork_now - 1; max_int; max_int; max_int |]
+              ~lo:(Btree.lo_pad tree [ qu + 1 ])
+              ~hi:(Btree.hi_pad tree [ Ri_tree.fork_now - 1 ])
           in
           fetch_matches t r q (Relation.Iter.filter (fun k -> k.(1) > qup) it)
-      | Allen.Meets ->
-          let probes =
-            List.map
-              (fun w ->
-                Relation.Iter.index_range (Ri_tree.upper_index t)
-                  ~lo:[| w; qlow; min_int; min_int |]
-                  ~hi:[| w; qlow; max_int; max_int |])
-              (path_nodes t qlow)
-          in
-          fetch_matches t r q (Relation.Iter.union_all probes)
-      | Allen.Met_by ->
-          let probes =
-            List.map
-              (fun w ->
-                Relation.Iter.index_range (Ri_tree.lower_index t)
-                  ~lo:[| w; qup; min_int; min_int |]
-                  ~hi:[| w; qup; max_int; max_int |])
-              (path_nodes t qup)
-          in
-          fetch_matches t r q (Relation.Iter.union_all probes)
+      | Allen.Meets -> exact_probes t r q (Ri_tree.upper_index t) qlow
+      | Allen.Met_by -> exact_probes t r q (Ri_tree.lower_index t) qup
       | Allen.Overlaps | Allen.Finished_by | Allen.Contains | Allen.Starts
       | Allen.Equals | Allen.Started_by | Allen.During | Allen.Finishes
       | Allen.Overlapped_by ->

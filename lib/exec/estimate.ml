@@ -279,9 +279,7 @@ let access_sel ?env stats binds (step : Ir.step) =
 
 let index_geometry index =
   let tree = Relation.Table.Index.tree index in
-  let bs = Storage.Buffer_pool.block_size (Btree.pool tree) in
-  let kw = Btree.key_width tree in
-  let leaf_cap = max 1 ((bs - 16) / (8 * kw)) in
+  let leaf_cap = Btree.leaf_capacity tree in
   let entries = max 1 (Btree.count tree) in
   let depth =
     Float.max 1.0

@@ -27,9 +27,10 @@ let path_to_string = function
   | Seq -> "seq-scan"
   | Mem_path -> "mem"
 
-(* Which columns the caller needs: ids alone keep the Fig. 9 plan fully
-   covering; triples fetch the base rows; rows (every column, for SQL
-   that reads [node]) fetch the base rows and bypass the hot tier. *)
+(* Which columns the caller needs: ids, the (lower, upper, id) triple, or
+   every column (for SQL that reads [node]; bypasses the hot tier).
+   Whether a step must fetch the base row follows from these and the
+   index layout (see [index_step]). *)
 type proj = Ir.ri_proj = Ids | Triples | Rows
 
 let default_path q = if Ivl.lower q = Ivl.upper q then Single_branch else Two_branch
@@ -61,6 +62,43 @@ let plain_plan branches = { Ir.branches; order_by = []; limit = None }
 let field a c = Ir.Field (Some a, c)
 let incl v = Some { Ir.v; inclusive = true }
 
+(* ---- index steps over the relation ----
+
+   A step reads its index alone (covering) iff every column its
+   projections and filters name lies in that index. Under the paper's
+   layout that holds only for [Ids] of the plain intersection; under the
+   covering layout it holds for every step the planner builds. *)
+
+let value_cols = function
+  | Ir.Field ((None | Some "i"), c) -> [ c ]
+  | Ir.Field (Some _, _) | Ir.Const _ | Ir.Param _ -> []
+
+let rec pred_cols = function
+  | Ir.Cmp (_, a, b) -> value_cols a @ value_cols b
+  | Ir.Between (a, b, c) -> value_cols a @ value_cols b @ value_cols c
+  | Ir.And (a, b) | Ir.Or (a, b) -> pred_cols a @ pred_cols b
+  | Ir.Not a -> pred_cols a
+
+let proj_cols = function
+  | Ir.Col ((None | Some "i"), c) -> [ c ]
+  | Ir.Col (Some _, _) | Ir.Count_star -> []
+  | Ir.Star | Ir.Agg _ -> [ "*" ]
+
+(* The relation step [i] scanning [index]. *)
+let index_step t ~projs ?(key_filters = []) ?(filters = []) ~index ?(eq = [])
+    ?lo ?hi ?refine_lo ?refine_hi () =
+  let table = Ri.table t in
+  let icols = Relation.Table.Index.columns index in
+  let named =
+    List.concat_map proj_cols projs
+    @ List.concat_map pred_cols (key_filters @ filters)
+  in
+  let covering = List.for_all (fun c -> Array.mem c icols) named in
+  Ir.mk_step ~alias:"i" ~source:(Ir.Base table)
+    ~columns:(if covering then icols else Relation.Table.columns table)
+    ~key_filters ~filters
+    (Ir.Index_scan { index; eq; lo; hi; refine_lo; refine_hi; covering })
+
 (* ---- the Fig. 9/10 two-branch UNION ALL plan ---- *)
 
 let left_collection nl =
@@ -72,36 +110,19 @@ let right_collection nl =
   ("rightNodes", ([| "node" |], List.map (fun w -> [| w |]) nl.Ri.right_nodes))
 
 (* [extra] residual filters (the Allen endpoint decompositions) apply to
-   the fetched row of the inner step of both branches. *)
-let two_branch_branches ?(extra = []) ~proj t =
-  let table = Ri.table t in
-  let tcols = Relation.Table.columns table in
-  let upper_idx = Ri.upper_index t and lower_idx = Ri.lower_index t in
-  let covering = proj = Ids && extra = [] in
+   the inner step of both branches. *)
+let two_branch_branches ?(extra = []) ~projs t =
   let upper_step =
-    Ir.mk_step ~alias:"i" ~source:(Ir.Base table)
-      ~columns:
-        (if covering then Relation.Table.Index.columns upper_idx else tcols)
-      ~filters:
-        (Ir.Cmp (Ir.Ge, field "i" "upper", Ir.Param "qlow") :: extra)
-      (Ir.Index_scan
-         { index = upper_idx; eq = [];
-           lo = incl (field "lft" "min");
-           hi = incl (field "lft" "max");
-           refine_lo = incl (Ir.Param "qlow");
-           refine_hi = None; covering })
+    index_step t ~projs
+      ~filters:(Ir.Cmp (Ir.Ge, field "i" "upper", Ir.Param "qlow") :: extra)
+      ~index:(Ri.upper_index t)
+      ?lo:(incl (field "lft" "min")) ?hi:(incl (field "lft" "max"))
+      ?refine_lo:(incl (Ir.Param "qlow")) ()
   in
   let lower_step =
-    Ir.mk_step ~alias:"i" ~source:(Ir.Base table)
-      ~columns:
-        (if covering then Relation.Table.Index.columns lower_idx else tcols)
-      ~filters:extra
-      (Ir.Index_scan
-         { index = lower_idx; eq = [ field "rgt" "node" ];
-           lo = None; hi = incl (Ir.Param "qup");
-           refine_lo = None; refine_hi = None; covering })
+    index_step t ~projs ~filters:extra ~index:(Ri.lower_index t)
+      ~eq:[ field "rgt" "node" ] ?hi:(incl (Ir.Param "qup")) ()
   in
-  let projs = projections t proj in
   [ { Ir.steps =
         [ Ir.mk_step ~alias:"lft" ~source:(Ir.Collection "leftNodes")
             ~columns:[| "min"; "max" |] Ir.Seq_scan;
@@ -115,7 +136,8 @@ let two_branch_branches ?(extra = []) ~proj t =
 
 let two_branch ?extra ?vis ~proj t q =
   let nl = Ri.node_lists t q in
-  { plan = plain_plan (two_branch_branches ?extra ~proj t);
+  let projs = projections t proj in
+  { plan = plain_plan (two_branch_branches ?extra ~projs t);
     ctx =
       make_ctx ?vis (interval_binds q)
         [ left_collection nl; right_collection nl ] }
@@ -134,25 +156,22 @@ let path_nodes t x =
       Ritree.Backbone.path roots ~min_level:p.Ri.min_level (x - off)
 
 let single_branch ?vis ~proj t q =
-  let table = Ri.table t in
+  let projs = projections t proj in
   let probe =
     (* Every interval containing the point is registered on its backbone
        path (Sec. 4.1): one lower-index probe per path node, upper bound
-       checked on the fetched row. *)
-    Ir.mk_step ~alias:"i" ~source:(Ir.Base table)
-      ~columns:(Relation.Table.columns table)
+       checked on the entry (covering layout) or the fetched row. *)
+    index_step t ~projs
       ~filters:[ Ir.Cmp (Ir.Ge, field "i" "upper", Ir.Param "qlow") ]
-      (Ir.Index_scan
-         { index = Ri.lower_index t; eq = [ field "pth" "node" ];
-           lo = None; hi = incl (Ir.Param "qup");
-           refine_lo = None; refine_hi = None; covering = false })
+      ~index:(Ri.lower_index t) ~eq:[ field "pth" "node" ]
+      ?hi:(incl (Ir.Param "qup")) ()
   in
   let branch =
     { Ir.steps =
         [ Ir.mk_step ~alias:"pth" ~source:(Ir.Collection "pathNodes")
             ~columns:[| "node" |] Ir.Seq_scan;
           probe ];
-      projections = projections t proj; group_by = [] }
+      projections = projs; group_by = [] }
   in
   let nodes = List.map (fun w -> [| w |]) (path_nodes t (Ivl.lower q)) in
   { plan = plain_plan [ branch ];
@@ -204,12 +223,11 @@ let mem_plan ?stats ~proj t (h : Ir.mem_handle) op q =
    when the caller holds a residency handle for this collection. The
    single-branch stabbing probe is not cost-competitive even on its home
    turf, point queries: it pays one lower-index probe per backbone path
-   node plus a heap fetch for every candidate row — the lower index
-   carries no upper bound, so nothing about it is covering — while the
-   two-branch plan answers the same point from covering index probes
-   that share leaf pages. Cold-cache measurement across D1-D4 shows
-   1.2-8x more I/O for the probe, so the planner emits it only on
-   explicit request. *)
+   node and, under the paper's layout, a heap fetch for every candidate
+   row (that lower index carries no upper bound) — while the two-branch
+   plan answers the same point from index probes that share leaf pages.
+   Cold-cache measurement across D1-D4 shows 1.2-8x more I/O for the
+   probe, so the planner emits it only on explicit request. *)
 let choose ?mem t stats q =
   match CM.choose ?mem t stats q with
   | CM.Full_scan -> Seq
@@ -291,27 +309,22 @@ let plan_allen_disk ?vis t r q =
   match p.Ri.offset with
   | None -> empty_compiled ?vis q (* empty tree: nothing can match *)
   | Some off -> (
-      let table = Ri.table t in
-      let tcols = Relation.Table.columns table in
+      let projs = projections t Triples in
       let qlow = Ivl.lower q and qup = Ivl.upper q in
       let single_step step =
         { plan =
             plain_plan
-              [ { Ir.steps = [ step ]; projections = projections t Triples;
-                  group_by = [] } ];
+              [ { Ir.steps = [ step ]; projections = projs; group_by = [] } ];
           ctx = make_ctx ?vis (interval_binds q) [] }
       in
       let path_probe ~nodes ~index ~bound_param =
         (* exact-bound probes along a backbone path *)
         let probe =
-          Ir.mk_step ~alias:"i" ~source:(Ir.Base table) ~columns:tcols
+          index_step t ~projs
             ~filters:
               [ Ir.Cmp (Ir.Lt, field "i" "lower", field "i" "upper");
                 Ir.Cmp (Ir.Lt, Ir.Param "qlow", Ir.Param "qup") ]
-            (Ir.Index_scan
-               { index; eq = [ field "pth" "node"; Ir.Param bound_param ];
-                 lo = None; hi = None; refine_lo = None; refine_hi = None;
-                 covering = false })
+            ~index ~eq:[ field "pth" "node"; Ir.Param bound_param ] ()
         in
         { plan =
             plain_plan
@@ -320,7 +333,7 @@ let plan_allen_disk ?vis t r q =
                         ~source:(Ir.Collection "pathNodes")
                         ~columns:[| "node" |] Ir.Seq_scan;
                       probe ];
-                  projections = projections t Triples; group_by = [] } ];
+                  projections = projs; group_by = [] } ];
           ctx =
             make_ctx ?vis (interval_binds q)
               [ ("pathNodes",
@@ -332,26 +345,20 @@ let plan_allen_disk ?vis t r q =
              ordered scan over all nodes strictly left of the query. *)
           let ql = qlow - off in
           single_step
-            (Ir.mk_step ~alias:"i" ~source:(Ir.Base table) ~columns:tcols
+            (index_step t ~projs
                ~key_filters:
                  [ Ir.Cmp (Ir.Lt, field "i" "upper", Ir.Param "qlow") ]
-               (Ir.Index_scan
-                  { index = Ri.upper_index t; eq = [];
-                    lo = None; hi = incl (Ir.Const (ql - 1));
-                    refine_lo = None; refine_hi = None; covering = false }))
+               ~index:(Ri.upper_index t) ?hi:(incl (Ir.Const (ql - 1))) ())
       | Allen.After ->
           (* i.lower > qup implies node >= i.lower - offset > qu. Stop
              short of the temporal sentinel nodes. *)
           let qu = qup - off in
           single_step
-            (Ir.mk_step ~alias:"i" ~source:(Ir.Base table) ~columns:tcols
+            (index_step t ~projs
                ~key_filters:
                  [ Ir.Cmp (Ir.Gt, field "i" "lower", Ir.Param "qup") ]
-               (Ir.Index_scan
-                  { index = Ri.lower_index t; eq = [];
-                    lo = incl (Ir.Const (qu + 1));
-                    hi = incl (Ir.Const (Ri.fork_now - 1));
-                    refine_lo = None; refine_hi = None; covering = false }))
+               ~index:(Ri.lower_index t) ?lo:(incl (Ir.Const (qu + 1)))
+               ?hi:(incl (Ir.Const (Ri.fork_now - 1))) ())
       | Allen.Meets ->
           path_probe ~nodes:(path_nodes t qlow) ~index:(Ri.upper_index t)
             ~bound_param:"qlow"
@@ -397,18 +404,10 @@ let plan_temporal store ~now q =
   let t = Ritree.Temporal_store.ri store in
   let nl = Ri.node_lists t q in
   let qlow = Ivl.lower q and qup = Ivl.upper q in
-  let finite =
-    List.map
-      (fun b -> { b with Ir.projections = temporal_projs })
-      (two_branch_branches ~proj:Triples t)
-  in
+  let finite = two_branch_branches ~projs:temporal_projs t in
   let sentinel_step =
-    Ir.mk_step ~alias:"i" ~source:(Ir.Base (Ri.table t))
-      ~columns:(Relation.Table.columns (Ri.table t))
-      (Ir.Index_scan
-         { index = Ri.lower_index t; eq = [ field "s" "node" ];
-           lo = None; hi = incl (field "s" "maxLower");
-           refine_lo = None; refine_hi = None; covering = false })
+    index_step t ~projs:temporal_projs ~index:(Ri.lower_index t)
+      ~eq:[ field "s" "node" ] ?hi:(incl (field "s" "maxLower")) ()
   in
   let sentinel_branch =
     { Ir.steps =

@@ -20,7 +20,11 @@ type shared = {
 let shared ?(durable = false) ?cache_blocks ?(tree_name = "intervals")
     ?(hot_tier_mb = 0) () =
   let cat = Relation.Catalog.create ~durable ?cache_blocks () in
-  let ritree = Ritree.Ri_tree.create ~name:tree_name cat in
+  (* The server answers (lower, upper, id): the covering layout serves
+     that from the two indexes alone (Fig. 10), never the table. *)
+  let ritree =
+    Ritree.Ri_tree.create ~name:tree_name ~layout:Ritree.Ri_tree.Covering cat
+  in
   if durable then Relation.Catalog.commit cat;
   { cat; ritree; tree_name; dur = durable; txns = Relation.Txn.create ();
     generation = 0; next_session = 0;

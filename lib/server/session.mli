@@ -26,8 +26,10 @@ val shared :
   unit ->
   shared
 (** A fresh database with an empty RI-tree (default name
-    ["intervals"]). [durable:true] (default [false]) enables the
-    write-ahead journal and with it [Rollback]. [hot_tier_mb] (default
+    ["intervals"]) in the {!Ritree.Ri_tree.Covering} layout, which
+    answers every typed op from the indexes alone. [durable:true]
+    (default [false]) enables the write-ahead journal and with it
+    [Rollback]. [hot_tier_mb] (default
     [0] = disabled) budgets the RAM-resident hot tier: the typed
     interval ops then serve from an in-memory HINT replica whenever the
     cost model prefers it. *)

@@ -18,6 +18,7 @@ type t = {
   lru : frame; (* ring sentinel: [lru.next] is MRU, [lru.prev] is LRU *)
   mutable pinned : int; (* frames with pins > 0 *)
   mutable journal : Journal.t option;
+  before : Bytes.t; (* device image read for a journal before-image *)
   mutable staged_commits : int; (* commit requests awaiting a marker *)
   mutable commit_batches : int;
   mutable logical_reads : int;
@@ -57,7 +58,8 @@ let create ?(capacity = 200) ?(checksums = false) dev =
   if capacity < 1 then
     invalid_arg "Buffer_pool.create: capacity must be positive";
   { dev; capacity; checksums; frames = Hashtbl.create (2 * capacity);
-    lru = ring_sentinel (); pinned = 0; journal = None; staged_commits = 0;
+    lru = ring_sentinel (); pinned = 0; journal = None;
+    before = Bytes.create (Block_device.block_size dev); staged_commits = 0;
     commit_batches = 0; logical_reads = 0; hits = 0; misses = 0;
     evictions = 0 }
 
@@ -107,20 +109,19 @@ let pinned_frames t = t.pinned
 
 (* Journal the before- and after-image of a page about to be written
    back (steal policy: uncommitted pages may reach the device, and
-   recovery undoes them from the before-image). *)
+   recovery undoes them from the before-image). The caller has stamped
+   the frame, so the after-image carries a valid trailer — the journal
+   is the scrub repair source, and recovery writes these images straight
+   to the device. *)
 let log_write t frame =
   match t.journal with
   | None -> ()
   | Some j ->
-      (* Stamp first so the after-image carries a valid trailer — the
-         journal is the scrub repair source, and recovery writes these
-         images straight to the device. *)
-      stamp t frame.data;
-      let before = Bytes.create (dev_size t) in
-      Block_device.read t.dev frame.page_id before;
+      (* [append] copies both images into the log *)
+      Block_device.read t.dev frame.page_id t.before;
       Journal.append j
         (Journal.Write
-           { page = frame.page_id; before; after = Bytes.copy frame.data });
+           { page = frame.page_id; before = t.before; after = frame.data });
       frame.logged <- true
 
 let write_back t frame =
@@ -272,7 +273,11 @@ let clear t =
 
 let log_dirty t =
   Hashtbl.iter
-    (fun _ f -> if f.dirty && not f.logged then log_write t f)
+    (fun _ f ->
+      if f.dirty && not f.logged then begin
+        stamp t f.data;
+        log_write t f
+      end)
     t.frames
 
 let commit_request t = t.staged_commits <- t.staged_commits + 1

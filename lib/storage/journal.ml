@@ -9,13 +9,24 @@ type record =
      body   := page:u32le blen:u32le alen:u32le before after   (tag 1)
              | empty                                            (tag 2)
 
-   [durable] is the forced prefix; [pending] holds records appended
-   since the last force. A crash (Buffer_pool.crash) drops [pending];
-   test hooks can tear or corrupt [durable] to model torn writes and bit
-   rot on the log itself. *)
+   The bytes live outside the OCaml heap, in fixed-size [Bigarray]
+   chunks allocated as the log grows: a log of hundreds of MB then
+   neither inflates the major heap's live set (and with it the GC's
+   slack) nor leaves outgrown copies behind, as a doubling buffer
+   would. [0, durable) is the forced prefix and [durable, len) the
+   records appended since the last force. A crash (Buffer_pool.crash)
+   drops the latter; test hooks can tear or corrupt the former to model
+   torn writes and bit rot on the log itself. *)
+
+type chunk =
+  (char, Bigarray.int8_unsigned_elt, Bigarray.c_layout) Bigarray.Array1.t
+
+let chunk_bytes = 1 lsl 20
+
 type t = {
-  durable : Buffer.t;
-  pending : Buffer.t;
+  mutable chunks : chunk array;
+  mutable len : int;
+  mutable durable : int;
   mutable base_lsn : int;
   mutable d_count : int;
   mutable d_bytes : int;
@@ -27,49 +38,99 @@ type t = {
 }
 
 let create () =
-  { durable = Buffer.create 4096; pending = Buffer.create 1024;
-    base_lsn = 0;
+  { chunks = [||]; len = 0; durable = 0; base_lsn = 0;
     d_count = 0; d_bytes = 0; p_count = 0; p_bytes = 0; p_commits = 0;
     commits = 0; forces = 0 }
 
-let put_u32 b v = Buffer.add_int32_le b (Int32.of_int v)
+(* ---- the chunked byte store ---- *)
 
-let serialize buf r =
-  let start = Buffer.length buf in
-  (match r with
-   | Write { page; before; after } ->
-       Buffer.add_char buf '\001';
-       put_u32 buf page;
-       put_u32 buf (Bytes.length before);
-       put_u32 buf (Bytes.length after);
-       Buffer.add_bytes buf before;
-       Buffer.add_bytes buf after
-   | Commit -> Buffer.add_char buf '\002');
-  let body = Buffer.length buf - start in
-  (* CRC over tag+body; Buffer gives no random access, so re-read the
-     tail we just wrote. *)
-  let tail = Bytes.unsafe_of_string (Buffer.sub buf start body) in
-  Buffer.add_int32_le buf (Checksum.all tail)
+let ensure_capacity t n =
+  while Array.length t.chunks * chunk_bytes < n do
+    let chunk =
+      Bigarray.Array1.create Bigarray.char Bigarray.c_layout chunk_bytes
+    in
+    t.chunks <- Array.append t.chunks [| chunk |]
+  done
+
+(* [f chunk off src_pos n] for each run of [len] store bytes from
+   [pos] that lies within one chunk. *)
+let runs t pos len f =
+  let pos = ref pos and done_ = ref 0 in
+  while !done_ < len do
+    let off = !pos mod chunk_bytes in
+    let n = min (len - !done_) (chunk_bytes - off) in
+    f t.chunks.(!pos / chunk_bytes) off !done_ n;
+    pos := !pos + n;
+    done_ := !done_ + n
+  done
+
+(* Write [len] bytes of [src] from [src_pos] at store offset [pos]. *)
+let store_write t pos src src_pos len =
+  ensure_capacity t (pos + len);
+  runs t pos len (fun ch off k n ->
+      for i = 0 to n - 1 do
+        Bigarray.Array1.unsafe_set ch (off + i)
+          (Bytes.unsafe_get src (src_pos + k + i))
+      done)
+
+(* Copy [len] store bytes from [pos] into [dst] at [dst_pos]. *)
+let store_read t pos dst dst_pos len =
+  runs t pos len (fun ch off k n ->
+      for i = 0 to n - 1 do
+        Bytes.unsafe_set dst (dst_pos + k + i)
+          (Bigarray.Array1.unsafe_get ch (off + i))
+      done)
+
+let push t src =
+  store_write t t.len src 0 (Bytes.length src);
+  t.len <- t.len + Bytes.length src
+
+let store_sub t pos len =
+  let b = Bytes.create len in
+  store_read t pos b 0 len;
+  b
+
+(* ---- appending ---- *)
+
+(* A Write record's CRC covers tag+body: chained over the 13-byte header
+   and the two images, so the record is never copied to be summed. *)
+let write_crc hdr before after =
+  let crc = Checksum.all hdr in
+  let crc = Checksum.bytes ~crc before ~pos:0 ~len:(Bytes.length before) in
+  Checksum.bytes ~crc after ~pos:0 ~len:(Bytes.length after)
 
 let append t r =
-  serialize t.pending r;
   t.p_count <- t.p_count + 1;
-  (match r with
-   | Write { before; after; _ } ->
-       let payload = Bytes.length before + Bytes.length after in
-       t.p_bytes <- t.p_bytes + payload;
-       Obs.Counters.add_journal_bytes payload
-   | Commit ->
-       t.p_commits <- t.p_commits + 1;
-       t.commits <- t.commits + 1)
+  match r with
+  | Write { page; before; after } ->
+      let hdr = Bytes.create 13 in
+      Bytes.set_uint8 hdr 0 1;
+      Bytes.set_int32_le hdr 1 (Int32.of_int page);
+      Bytes.set_int32_le hdr 5 (Int32.of_int (Bytes.length before));
+      Bytes.set_int32_le hdr 9 (Int32.of_int (Bytes.length after));
+      let trailer = Bytes.create 4 in
+      Bytes.set_int32_le trailer 0 (write_crc hdr before after);
+      push t hdr;
+      push t before;
+      push t after;
+      push t trailer;
+      let payload = Bytes.length before + Bytes.length after in
+      t.p_bytes <- t.p_bytes + payload;
+      Obs.Counters.add_journal_bytes payload
+  | Commit ->
+      let b = Bytes.create 5 in
+      Bytes.set_uint8 b 0 2;
+      Bytes.set_int32_le b 1 (Checksum.bytes b ~pos:0 ~len:1);
+      push t b;
+      t.p_commits <- t.p_commits + 1;
+      t.commits <- t.commits + 1
 
 let do_force t =
   t.forces <- t.forces + 1;
   Obs.Counters.incr_journal_force ();
-  Buffer.add_buffer t.durable t.pending;
+  t.durable <- t.len;
   t.d_count <- t.d_count + t.p_count;
   t.d_bytes <- t.d_bytes + t.p_bytes;
-  Buffer.clear t.pending;
   t.p_count <- 0;
   t.p_bytes <- 0;
   t.p_commits <- 0
@@ -86,7 +147,7 @@ let force t =
 
 let drop_unforced t =
   t.commits <- t.commits - t.p_commits;
-  Buffer.clear t.pending;
+  t.len <- t.durable;
   t.p_count <- 0;
   t.p_bytes <- 0;
   t.p_commits <- 0
@@ -95,20 +156,20 @@ let record_count t = t.d_count + t.p_count
 let byte_size t = t.d_bytes + t.p_bytes
 let commit_count t = t.commits
 let force_count t = t.forces
-let durable_bytes t = Buffer.length t.durable
-let unforced_bytes t = Buffer.length t.pending
+let durable_bytes t = t.durable
+let unforced_bytes t = t.len - t.durable
 
 (* {2 LSN addressing}
 
    The durable log is a byte stream; an LSN is simply a byte offset into
    the all-time durable stream. [base_lsn] is the LSN of the first byte
-   still held in [durable] — a truncate (checkpoint) discards the bytes
-   but advances the base, so LSNs stay monotone across checkpoints and a
-   replication subscriber can detect that its resume point fell off the
-   retained log. *)
+   still held — a truncate (checkpoint) discards the bytes but advances
+   the base, so LSNs stay monotone across checkpoints and a replication
+   subscriber can detect that its resume point fell off the retained
+   log. *)
 
 let base_lsn t = t.base_lsn
-let durable_lsn t = t.base_lsn + Buffer.length t.durable
+let durable_lsn t = t.base_lsn + t.durable
 
 let stream_from ?max_bytes t lsn =
   if lsn < t.base_lsn then
@@ -122,17 +183,20 @@ let stream_from ?max_bytes t lsn =
       (Printf.sprintf "Journal.stream_from: lsn %d beyond durable end %d"
          lsn dur);
   let off = lsn - t.base_lsn in
-  let avail = Buffer.length t.durable - off in
+  let avail = t.durable - off in
   let len = match max_bytes with
     | Some m when m < avail -> max 0 m
     | _ -> avail
   in
-  Bytes.unsafe_of_string (Buffer.sub t.durable off len)
+  store_sub t off len
 
 let truncate t =
-  t.base_lsn <- t.base_lsn + Buffer.length t.durable;
-  Buffer.clear t.durable;
-  Buffer.clear t.pending;
+  t.base_lsn <- t.base_lsn + t.durable;
+  t.len <- 0;
+  t.durable <- 0;
+  (* keep one chunk for the next records; the rest go back to the
+     allocator once collected *)
+  if Array.length t.chunks > 1 then t.chunks <- [| t.chunks.(0) |];
   t.d_count <- 0;
   t.d_bytes <- 0;
   t.p_count <- 0;
@@ -141,79 +205,62 @@ let truncate t =
 
 (* {2 Parsing} *)
 
-type scan = { records : record list; valid_bytes : int; torn : bool }
+type scan = { records : (record * int) list; torn : bool }
 
-let get_u32 data pos =
-  Int32.to_int (Int32.logand (Bytes.get_int32_le data pos) 0xFFFFFFFFl)
-
-let scan_bytes ?(pos = 0) data len =
+(* The longest valid prefix of the records in [pos, len) of a byte
+   source read through [read src_pos dst dst_pos n], each paired with
+   the offset one past its end. *)
+let scan_source read ~pos ~len =
   let pos = ref pos in
   let out = ref [] in
   let torn = ref false in
+  let hdr = Bytes.create 13 and trailer = Bytes.create 4 in
+  let u32 b off =
+    Int32.to_int (Int32.logand (Bytes.get_int32_le b off) 0xFFFFFFFFl)
+  in
   (try
      while !pos < len do
        let start = !pos in
-       if start + 1 > len then raise Exit;
-       let tag = Bytes.get_uint8 data start in
-       let body_len =
-         match tag with
+       read start hdr 0 1;
+       let r, crc, body_len =
+         match Bytes.get_uint8 hdr 0 with
          | 1 ->
              if start + 13 > len then raise Exit;
-             let blen = get_u32 data (start + 5) in
-             let alen = get_u32 data (start + 9) in
-             if blen < 0 || alen < 0 || blen > len || alen > len then
-               raise Exit;
-             13 + blen + alen
-         | 2 -> 1
+             read start hdr 0 13;
+             let page = u32 hdr 1 and blen = u32 hdr 5 and alen = u32 hdr 9 in
+             if start + 13 + blen + alen + 4 > len then raise Exit;
+             let before = Bytes.create blen and after = Bytes.create alen in
+             read (start + 13) before 0 blen;
+             read (start + 13 + blen) after 0 alen;
+             ( Write { page; before; after },
+               write_crc hdr before after,
+               13 + blen + alen )
+         | 2 ->
+             if start + 5 > len then raise Exit;
+             (Commit, Checksum.bytes hdr ~pos:0 ~len:1, 1)
          | _ -> raise Exit
        in
-       if start + body_len + 4 > len then raise Exit;
-       let crc = Bytes.get_int32_le data (start + body_len) in
-       if crc <> Checksum.bytes data ~pos:start ~len:body_len then raise Exit;
-       let r =
-         match tag with
-         | 1 ->
-             let page = get_u32 data (start + 1) in
-             let blen = get_u32 data (start + 5) in
-             let alen = get_u32 data (start + 9) in
-             Write
-               { page;
-                 before = Bytes.sub data (start + 13) blen;
-                 after = Bytes.sub data (start + 13 + blen) alen }
-         | _ -> Commit
-       in
-       out := r :: !out;
-       pos := start + body_len + 4
+       read (start + body_len) trailer 0 4;
+       if Bytes.get_int32_le trailer 0 <> crc then raise Exit;
+       pos := start + body_len + 4;
+       out := (r, !pos) :: !out
      done
    with Exit -> torn := true);
-  { records = List.rev !out; valid_bytes = !pos; torn = !torn }
+  { records = List.rev !out; torn = !torn }
 
 let parse ?(pos = 0) data ~len =
-  let scan = scan_bytes ~pos data len in
-  (* Re-walk to attach each record's end offset: the serialized sizes
-     are recomputable from the records themselves. *)
-  let pos = ref pos in
-  List.map
-    (fun r ->
-      let body =
-        match r with
-        | Write { before; after; _ } ->
-            13 + Bytes.length before + Bytes.length after
-        | Commit -> 1
-      in
-      pos := !pos + body + 4;
-      (r, !pos))
-    scan.records
+  (scan_source (fun p dst dpos n -> Bytes.blit data p dst dpos n) ~pos ~len)
+    .records
 
-let scan_durable t =
-  scan_bytes (Buffer.to_bytes t.durable) (Buffer.length t.durable)
+let scan_store t ~pos ~len = scan_source (store_read t) ~pos ~len
+let scan_durable t = scan_store t ~pos:0 ~len:t.durable
 
 let durable_torn t = (scan_durable t).torn
 
 let records t =
   let d = scan_durable t in
-  let p = scan_bytes (Buffer.to_bytes t.pending) (Buffer.length t.pending) in
-  d.records @ p.records
+  let p = scan_store t ~pos:t.durable ~len:t.len in
+  List.map fst (d.records @ p.records)
 
 (* {2 Recovery} *)
 
@@ -235,10 +282,7 @@ let target_map records =
     rs;
   target
 
-let recovery_images t =
-  let d = scan_durable t in
-  let p = scan_bytes (Buffer.to_bytes t.pending) (Buffer.length t.pending) in
-  target_map (d.records @ p.records)
+let recovery_images t = target_map (records t)
 
 let recover t device =
   (* An explicit recover call treats everything appended so far as the
@@ -249,7 +293,7 @@ let recover t device =
   let scan = scan_durable t in
   (* An invalid tail is a torn log: replay the valid prefix, drop the
      rest. Never raise. *)
-  let target = target_map scan.records in
+  let target = target_map (List.map fst scan.records) in
   let restored = ref 0 in
   Hashtbl.iter
     (fun page image ->
@@ -262,13 +306,15 @@ let recover t device =
 (* {2 Test hooks: damage the durable log} *)
 
 let tear t ~keep =
-  let keep = max 0 (min keep (Buffer.length t.durable)) in
-  Buffer.truncate t.durable keep
+  let keep = max 0 (min keep t.durable) in
+  let pending = store_sub t t.durable (t.len - t.durable) in
+  t.len <- keep;
+  t.durable <- keep;
+  push t pending
 
 let corrupt_byte t ~off =
-  if off < 0 || off >= Buffer.length t.durable then
+  if off < 0 || off >= t.durable then
     invalid_arg "Journal.corrupt_byte: offset outside durable log";
-  let data = Buffer.to_bytes t.durable in
-  Bytes.set_uint8 data off (Bytes.get_uint8 data off lxor 0x40);
-  Buffer.clear t.durable;
-  Buffer.add_bytes t.durable data
+  let b = store_sub t off 1 in
+  Bytes.set_uint8 b 0 (Bytes.get_uint8 b 0 lxor 0x40);
+  store_write t off b 0 1

@@ -17,7 +17,9 @@
     Everything uncommitted at the crash vanishes atomically.
 
     The log is held serialized, each record ending in a CRC-32 of its
-    bytes, split into a {e durable} (forced) prefix and a {e pending}
+    bytes, in 1 MB chunks outside the OCaml heap (so a large log
+    costs its own bytes and nothing in the garbage collector), split by
+    a durable mark into a {e durable} (forced) prefix and a {e pending}
     unforced tail. Recovery parses the durable bytes and treats an
     invalid tail — torn final record, bit-flipped record — as a torn
     log: it replays the longest valid prefix and never raises. *)

@@ -37,6 +37,33 @@ let test_crc_sensitivity () =
     Bytes.set_uint8 b i (Bytes.get_uint8 b i lxor (1 lsl bit))
   done
 
+(* Bit-at-a-time CRC-32, straight from the definition: the reference the
+   table-driven implementation must match. *)
+let crc_reference ?(crc = 0) b ~pos ~len =
+  let c = ref (crc land 0xFFFFFFFF lxor 0xFFFFFFFF) in
+  for i = pos to pos + len - 1 do
+    c := !c lxor Bytes.get_uint8 b i;
+    for _ = 0 to 7 do
+      c := if !c land 1 <> 0 then 0xEDB88320 lxor (!c lsr 1) else !c lsr 1
+    done
+  done;
+  !c lxor 0xFFFFFFFF
+
+let prop_crc_matches_reference =
+  QCheck.Test.make ~count:300 ~name:"CRC-32 = bitwise reference"
+    QCheck.(
+      quad (string_of_size Gen.(int_range 0 5000)) (int_bound 5000)
+        (int_bound 5000) int32)
+    (fun (s, a, b, seed) ->
+      let buf = Bytes.of_string s in
+      let n = Bytes.length buf in
+      let pos = a mod (n + 1) in
+      let len = b mod (n - pos + 1) in
+      let want = crc_reference ~crc:(Int32.to_int seed) buf ~pos ~len in
+      Int32.to_int (Storage.Checksum.bytes ~crc:seed buf ~pos ~len)
+      land 0xFFFFFFFF
+      = want)
+
 (* ---- the lying device ---- *)
 
 let test_scheduled_transient_read_fault () =
@@ -235,6 +262,7 @@ let () =
           Alcotest.test_case "known vectors" `Quick test_crc_known_vectors;
           Alcotest.test_case "incremental" `Quick test_crc_incremental;
           Alcotest.test_case "bit-flip sensitivity" `Quick test_crc_sensitivity;
+          QCheck_alcotest.to_alcotest prop_crc_matches_reference;
         ] );
       ( "faulty device",
         [

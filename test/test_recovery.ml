@@ -126,6 +126,66 @@ let test_bit_flipped_mid_log_record () =
     'A' (Bytes.get buf 0);
   check Alcotest.int "journal truncated" 0 (Storage.Journal.record_count j)
 
+(* The journal stores its bytes in 1 MB chunks; records of 600 KB
+   straddle chunk boundaries, and the stream, the parser, the damage
+   hooks and recovery must not care. *)
+let test_journal_chunk_boundaries () =
+  let module J = Storage.Journal in
+  let mb = 1 lsl 20 and size = 300_000 in
+  let img c = Bytes.make size c in
+  (* W0 W1 C W2 W3 C W4 W5 C: page i mod 3, before 'A'+i, after 'a'+i *)
+  let journal () =
+    let j = J.create () in
+    for i = 0 to 5 do
+      J.append j
+        (J.Write
+           { page = i mod 3; before = img (Char.chr (65 + i));
+             after = img (Char.chr (97 + i)) });
+      if i mod 2 = 1 then J.append j J.Commit
+    done;
+    J.force j;
+    j
+  in
+  let j = journal () in
+  let stream = J.stream_from j 0 in
+  let parsed = J.parse stream ~len:(Bytes.length stream) in
+  check Alcotest.int "all records parse" 9 (List.length parsed);
+  check Alcotest.bool "parse = records" true
+    (List.map fst parsed = J.records j);
+  let end_of i = snd (List.nth parsed i) in
+  check Alcotest.bool "W1 straddles the first boundary" true
+    (end_of 0 < mb && end_of 1 > mb);
+  check Alcotest.bytes "stream from a record boundary in the second chunk"
+    (Bytes.sub stream (end_of 2) (Bytes.length stream - end_of 2))
+    (J.stream_from j (end_of 2));
+  let recovered j =
+    let dev = Storage.Block_device.create ~block_size:size () in
+    for _ = 0 to 2 do
+      ignore (Storage.Block_device.alloc dev)
+    done;
+    ignore (J.recover j dev);
+    List.init 3 (fun p ->
+        let b = Bytes.create size in
+        Storage.Block_device.read dev p b;
+        Bytes.get b 0)
+  in
+  check (Alcotest.list Alcotest.char) "recover" [ 'd'; 'e'; 'f' ] (recovered j);
+  (* torn just past the second boundary, inside W3: the first batch
+     survives and W2 is undone to its before-image *)
+  let j = journal () in
+  J.tear j ~keep:((2 * mb) + 10);
+  check Alcotest.bool "torn" true (J.durable_torn j);
+  check Alcotest.int "prefix" 4 (List.length (J.records j));
+  check (Alcotest.list Alcotest.char) "recover torn" [ 'a'; 'b'; 'C' ]
+    (recovered j);
+  (* rot on the third boundary, inside W5: two batches survive *)
+  let j = journal () in
+  J.corrupt_byte j ~off:(3 * mb);
+  check Alcotest.bool "rot detected" true (J.durable_torn j);
+  check Alcotest.int "prefix up to the rot" 7 (List.length (J.records j));
+  check (Alcotest.list Alcotest.char) "recover rotten" [ 'd'; 'b'; 'c' ]
+    (recovered j)
+
 (* ---- catalog-level crash recovery ---- *)
 
 let test_committed_table_survives_crash () =
@@ -399,7 +459,9 @@ let () =
          Alcotest.test_case "torn final record" `Quick
            test_torn_final_journal_record;
          Alcotest.test_case "bit-flipped mid-log record" `Quick
-           test_bit_flipped_mid_log_record ]);
+           test_bit_flipped_mid_log_record;
+         Alcotest.test_case "records straddling chunks" `Quick
+           test_journal_chunk_boundaries ]);
       ("catalog",
        [ Alcotest.test_case "committed table survives crash" `Quick
            test_committed_table_survives_crash;

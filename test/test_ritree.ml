@@ -27,6 +27,34 @@ let test_schema_of_fig2 () =
   check Alcotest.bool "params table exists" true
     (Relation.Catalog.find_table db "iv_params" <> None)
 
+(* The server's layout: both indexes carry both bounds, and a reopened
+   tree gets its index columns back from the catalog. *)
+let test_schema_covering () =
+  let db = Relation.Catalog.create ~durable:true () in
+  let t = Ri.create ~name:"iv" ~layout:Ri.Covering db in
+  check (Alcotest.array Alcotest.string) "base columns"
+    [| "node"; "lower"; "upper"; "id" |]
+    (Relation.Table.columns (Ri.table t));
+  let lower_cols = [| "node"; "lower"; "upper"; "id" |]
+  and upper_cols = [| "node"; "upper"; "lower"; "id" |] in
+  check (Alcotest.array Alcotest.string) "lowerIndex" lower_cols
+    (Relation.Table.Index.columns (Ri.lower_index t));
+  check (Alcotest.array Alcotest.string) "upperIndex" upper_cols
+    (Relation.Table.Index.columns (Ri.upper_index t));
+  ignore (Ri.insert t (Ivl.make 3 9));
+  Relation.Catalog.commit db;
+  let db2 = Relation.Catalog.reopen db in
+  let t2 = Ri.open_existing ~name:"iv" db2 in
+  check (Alcotest.array Alcotest.string) "reopened lowerIndex" lower_cols
+    (Relation.Table.Index.columns (Ri.lower_index t2));
+  check (Alcotest.array Alcotest.string) "reopened upperIndex" upper_cols
+    (Relation.Table.Index.columns (Ri.upper_index t2));
+  check (Alcotest.list Alcotest.int) "reopened answers" [ 0 ]
+    (Ri.intersecting_ids t2 (Ivl.make 5 5));
+  check Alcotest.bool "delete finds the row" true
+    (Ri.delete t2 ~id:0 (Ivl.make 3 9));
+  check Alcotest.int "empty" 0 (Ri.count t2)
+
 let test_ids () =
   let db = mk_db () in
   let t = Ri.create db in
@@ -311,7 +339,8 @@ let () =
          Alcotest.test_case "bound validation" `Quick test_bound_validation;
          Alcotest.test_case "bulk load = incremental" `Quick
            test_bulk_load_equals_incremental;
-         Alcotest.test_case "bulk load empty" `Quick test_bulk_load_empty ]);
+         Alcotest.test_case "bulk load empty" `Quick test_bulk_load_empty;
+         Alcotest.test_case "covering schema" `Quick test_schema_covering ]);
       ("queries",
        [ Alcotest.test_case "empty tree" `Quick test_empty_tree_queries;
          Alcotest.test_case "stabbing" `Quick test_stabbing;
