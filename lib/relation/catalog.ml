@@ -196,6 +196,10 @@ let reload t =
      cached frame is stale, and writing any of them back would clobber
      the newer applied images — drop the pool without write-back. *)
   Storage.Buffer_pool.crash t.pool;
+  (* The rewritten blocks are every page's new base: a record logged
+     from here on must not be a delta against an image the journal
+     holds from before. *)
+  Option.iter Storage.Journal.truncate t.journal;
   let fresh =
     open_from_device ~device:t.device ~journal:t.journal
       ~block_size:t.block_size ~cache_blocks:t.cache_blocks

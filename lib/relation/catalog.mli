@@ -102,7 +102,8 @@ val reload : t -> t
 (** Rebuild all handles after the device was rewritten {e underneath}
     this catalog — the replica apply path. Drops every cached frame
     without write-back (cached pages are stale, and a write-back would
-    clobber the newer applied images), re-opens the dictionary from the
+    clobber the newer applied images), starts a new journal epoch (the
+    device is every page's new base), re-opens the dictionary from the
     device, and carries the degraded (read-only) flag over to the fresh
     handle. Durable catalogs only. *)
 

@@ -9,12 +9,19 @@
 
    Application mirrors crash recovery's redo rule: buffered bytes are
    parsed ([Journal.parse], CRC-checked, stops at the first torn record)
-   and a batch's after-images are written to the device when its commit
-   marker arrives. Bytes past the last marker — a batch still in
-   flight, or the front half of a record split across frames — stay
-   buffered until the rest arrives. MVCC guarantees heap pages carry
-   only committed rows, so replaying whole batches in order reproduces
-   exactly the primary's post-commit images.
+   and a batch's records are applied to the device, in log order, when
+   its commit marker arrives: a full image is written as is, a delta
+   patches the page's current image (the device block, unless the batch
+   already rebuilt the page), and each page is written once per batch.
+   Because the stream is applied whole batches at a time and in order,
+   the device always holds every page's last applied image, which is
+   exactly the base the primary diffed the next delta against — also
+   when a standby resumes mid-epoch from its applied LSN. Bytes past
+   the last marker — a batch still in flight, or the front half of a
+   record split across frames — stay buffered until the rest arrives.
+   MVCC guarantees heap pages carry only committed rows, so replaying
+   whole batches in order reproduces exactly the primary's post-commit
+   images.
 
    Work is linear in the bytes received, however the stream is chopped
    into frames: a parse cursor remembers the end of the last whole
@@ -26,13 +33,13 @@ type t = {
   mutable len : int;
   mutable consumed : int;  (* end of the last applied commit marker *)
   mutable parsed : int;  (* end of the last whole record parsed *)
-  mutable writes : (int * Bytes.t) list;
-      (* after-images parsed past [consumed], newest first *)
+  mutable pending : Storage.Journal.record list;
+      (* page records parsed past [consumed], newest first *)
   mutable next_lsn : int;  (* LSN the next frame must start at *)
   mutable applied_lsn : int;  (* primary-stream offset fully applied *)
   mutable primary_lsn : int;  (* primary's durable_lsn, last heard *)
   mutable batches : int;  (* commit batches applied *)
-  mutable records : int;  (* write records applied *)
+  mutable records : int;  (* page records applied *)
 }
 
 let create ?(from_lsn = 0) () =
@@ -41,7 +48,7 @@ let create ?(from_lsn = 0) () =
     len = 0;
     consumed = 0;
     parsed = 0;
-    writes = [];
+    pending = [];
     next_lsn = from_lsn;
     applied_lsn = from_lsn;
     primary_lsn = from_lsn;
@@ -61,12 +68,12 @@ let reset t =
   t.len <- 0;
   t.consumed <- 0;
   t.parsed <- 0;
-  t.writes <- [];
+  t.pending <- [];
   t.next_lsn <- t.applied_lsn;
   t.applied_lsn
 
 (* The primary's heap can be larger than ours (we start empty): extend
-   the device so the after-image's block id exists before writing it. *)
+   the device so a record's block id exists before it is applied. *)
 let ensure_block device page =
   while Storage.Block_device.allocated device <= page do
     ignore (Storage.Block_device.alloc device)
@@ -93,14 +100,38 @@ let compact t =
     t.consumed <- 0
   end
 
+(* Fold the batch's records into one image per page, in log order, then
+   write each page once. *)
 let apply_batch t device ~fin =
+  let images = Hashtbl.create 16 and order = ref [] in
+  let image page =
+    match Hashtbl.find_opt images page with
+    | Some img -> img
+    | None ->
+        ensure_block device page;
+        let img = Bytes.create (Storage.Block_device.block_size device) in
+        Storage.Block_device.read device page img;
+        Hashtbl.add images page img;
+        order := page :: !order;
+        img
+  in
   List.iter
-    (fun (page, after) ->
-      ensure_block device page;
-      Storage.Block_device.write device page after;
+    (fun r ->
+      (match r with
+      | Storage.Journal.Write { page; after; _ } ->
+          if not (Hashtbl.mem images page) then order := page :: !order;
+          Hashtbl.replace images page after
+      | Storage.Journal.Delta { page; ranges } ->
+          Storage.Journal.patch (image page) ranges
+      | Storage.Journal.Commit -> ());
       t.records <- t.records + 1)
-    (List.rev t.writes);
-  t.writes <- [];
+    (List.rev t.pending);
+  List.iter
+    (fun page ->
+      ensure_block device page;
+      Storage.Block_device.write device page (Hashtbl.find images page))
+    (List.rev !order);
+  t.pending <- [];
   t.batches <- t.batches + 1;
   t.applied_lsn <- t.applied_lsn + (fin - t.consumed);
   t.consumed <- fin
@@ -119,8 +150,8 @@ let feed t device ~lsn payload =
       (fun (r, fin) ->
         t.parsed <- fin;
         match r with
-        | Storage.Journal.Write { page; after; _ } ->
-            t.writes <- (page, after) :: t.writes
+        | Storage.Journal.Write _ | Storage.Journal.Delta _ ->
+            t.pending <- r :: t.pending
         | Storage.Journal.Commit ->
             apply_batch t device ~fin;
             incr applied)

@@ -19,8 +19,8 @@ type t
 val create : ?from_lsn:int -> unit -> t
 (** Fresh engine expecting the primary's stream from [from_lsn]
     (default [0] — a blank replica replays the primary's whole retained
-    history; no snapshot transfer is needed because every page image
-    travels through the journal). *)
+    history; no snapshot transfer is needed because every page's first
+    image and every later change travel through the journal). *)
 
 val feed :
   t -> Storage.Block_device.t -> lsn:int -> string -> (int, string) result

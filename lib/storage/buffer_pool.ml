@@ -4,7 +4,9 @@ type frame = {
   page_id : int;
   data : Bytes.t;
   mutable dirty : bool;
-  mutable logged : bool;    (* current content already imaged in the journal *)
+  mutable logged : bool;    (* content equals the last logged image *)
+  mutable shadow : Bytes.t option;
+      (* the last logged image, from the frame's first log on *)
   mutable pins : int;
   mutable prev : frame;     (* intrusive LRU ring; self-linked = off-ring *)
   mutable next : frame;
@@ -18,7 +20,7 @@ type t = {
   lru : frame; (* ring sentinel: [lru.next] is MRU, [lru.prev] is LRU *)
   mutable pinned : int; (* frames with pins > 0 *)
   mutable journal : Journal.t option;
-  before : Bytes.t; (* device image read for a journal before-image *)
+  before : Bytes.t; (* device image read as a frame's first log base *)
   mutable staged_commits : int; (* commit requests awaiting a marker *)
   mutable commit_batches : int;
   mutable logical_reads : int;
@@ -32,7 +34,7 @@ type t = {
 let ring_sentinel () =
   let rec s =
     { page_id = -1; data = Bytes.empty; dirty = false; logged = false;
-      pins = 0; prev = s; next = s }
+      shadow = None; pins = 0; prev = s; next = s }
   in
   s
 
@@ -107,21 +109,42 @@ let cached t = Hashtbl.length t.frames
 let resident t page_id = Hashtbl.mem t.frames page_id
 let pinned_frames t = t.pinned
 
-(* Journal the before- and after-image of a page about to be written
-   back (steal policy: uncommitted pages may reach the device, and
-   recovery undoes them from the before-image). The caller has stamped
-   the frame, so the after-image carries a valid trailer — the journal
-   is the scrub repair source, and recovery writes these images straight
-   to the device. *)
+(* Journal a page about to be written back or committed (steal policy:
+   uncommitted pages may reach the device, and recovery undoes them
+   from the epoch's before-image). The page's first record in the
+   journal's checkpoint epoch is a full Write of its before- and
+   after-image; later ones are Deltas against its last logged image.
+   That image is the frame's shadow once the frame has logged, and
+   otherwise its device block: [write_back] logs before it writes and
+   [logged] means the content already equals the last logged image, so
+   a page's block holds its last logged image until the frame that
+   faulted it in logs again. The caller has stamped the frame, so the
+   images carry a valid trailer — recovery and scrub install them
+   straight onto the device. *)
 let log_write t frame =
   match t.journal with
   | None -> ()
   | Some j ->
-      (* [append] copies both images into the log *)
-      Block_device.read t.dev frame.page_id t.before;
-      Journal.append j
-        (Journal.Write
-           { page = frame.page_id; before = t.before; after = frame.data });
+      let page = frame.page_id in
+      let base =
+        match frame.shadow with
+        | Some s -> s
+        | None ->
+            Block_device.read t.dev page t.before;
+            t.before
+      in
+      (* [append] copies what it logs *)
+      if not (Journal.has_image j page) then
+        Journal.append j
+          (Journal.Write { page; before = base; after = frame.data })
+      else begin
+        match Journal.diff ~base frame.data with
+        | [] -> ()
+        | ranges -> Journal.append j (Journal.Delta { page; ranges })
+      end;
+      (match frame.shadow with
+      | Some s -> Bytes.blit frame.data 0 s 0 (Bytes.length s)
+      | None -> frame.shadow <- Some (Bytes.copy frame.data));
       frame.logged <- true
 
 let write_back t frame =
@@ -158,7 +181,8 @@ let evict_one t =
 let install t page_id data dirty ~pins =
   if Hashtbl.length t.frames >= t.capacity then evict_one t;
   let rec frame =
-    { page_id; data; dirty; logged = false; pins; prev = frame; next = frame }
+    { page_id; data; dirty; logged = false; shadow = None; pins;
+      prev = frame; next = frame }
   in
   if pins > 0 then t.pinned <- t.pinned + 1 else ring_push_mru t frame;
   Hashtbl.replace t.frames page_id frame;

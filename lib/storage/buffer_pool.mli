@@ -76,8 +76,13 @@ val clear : t -> unit
 (** {2 Durability (write-ahead journal)} *)
 
 val attach_journal : t -> Journal.t -> unit
-(** From now on every write-back logs the page's before- and after-image
-    to the journal (steal policy with undo information). *)
+(** From now on every write-back logs the page to the journal (steal
+    policy with undo information): a full before- and after-image the
+    first time in the journal's checkpoint epoch, the changed byte
+    ranges against the page's last logged image after that. A frame
+    keeps a copy of its last logged image from its first log on, so
+    only a frame's first log reads the device for its base. Device
+    blocks must be at most 65 535 bytes. *)
 
 val journal : t -> Journal.t option
 
@@ -99,7 +104,7 @@ val commit : t -> unit
     rikitd dispatcher answers the batched COMMITs only after
     {!commit_force} returns). Pages whose content is already imaged in
     the journal are not re-logged, so a hot page updated by many
-    transactions in a window costs one image per batch, not one per
+    transactions in a window costs one record per batch, not one per
     transaction. *)
 
 val commit_request : t -> unit

@@ -1,5 +1,6 @@
 type record =
   | Write of { page : int; before : Bytes.t; after : Bytes.t }
+  | Delta of { page : int; ranges : (int * Bytes.t) list }
   | Commit
 
 (* The log is held as serialized bytes, exactly as it would sit on a log
@@ -8,6 +9,8 @@ type record =
      record := tag:u8 body crc32:u32le      (crc over tag+body)
      body   := page:u32le blen:u32le alen:u32le before after   (tag 1)
              | empty                                            (tag 2)
+             | page:u32le nranges:u16le range*                  (tag 3)
+     range  := off:u16le len:u16le bytes
 
    The bytes live outside the OCaml heap, in fixed-size [Bigarray]
    chunks allocated as the log grows: a log of hundreds of MB then
@@ -16,7 +19,13 @@ type record =
    would. [0, durable) is the forced prefix and [durable, len) the
    records appended since the last force. A crash (Buffer_pool.crash)
    drops the latter; test hooks can tear or corrupt the former to model
-   torn writes and bit rot on the log itself. *)
+   torn writes and bit rot on the log itself.
+
+   [images] is the checkpoint epoch: every page with a full image in
+   the log, mapped to that record's offset. A Delta is only meaningful
+   against such an image, so losing the image (a dropped tail, a torn
+   log) drops the page from the table and its next record is a Write
+   again. *)
 
 type chunk =
   (char, Bigarray.int8_unsigned_elt, Bigarray.c_layout) Bigarray.Array1.t
@@ -25,6 +34,7 @@ let chunk_bytes = 1 lsl 20
 
 type t = {
   mutable chunks : chunk array;
+  images : (int, int) Hashtbl.t;  (* page -> offset of its epoch image *)
   mutable len : int;
   mutable durable : int;
   mutable base_lsn : int;
@@ -38,9 +48,9 @@ type t = {
 }
 
 let create () =
-  { chunks = [||]; len = 0; durable = 0; base_lsn = 0;
-    d_count = 0; d_bytes = 0; p_count = 0; p_bytes = 0; p_commits = 0;
-    commits = 0; forces = 0 }
+  { chunks = [||]; images = Hashtbl.create 256; len = 0; durable = 0;
+    base_lsn = 0; d_count = 0; d_bytes = 0; p_count = 0; p_bytes = 0;
+    p_commits = 0; commits = 0; forces = 0 }
 
 (* ---- the chunked byte store ---- *)
 
@@ -90,6 +100,51 @@ let store_sub t pos len =
   store_read t pos b 0 len;
   b
 
+(* ---- byte-range deltas ---- *)
+
+(* Two changed runs separated by at most this many equal bytes share a
+   range: a range header costs 4 bytes, so a short gap is cheaper to
+   log than to skip. *)
+let merge_gap = 8
+
+let diff ~base data =
+  let n = Bytes.length data in
+  if Bytes.length base <> n then invalid_arg "Journal.diff: length mismatch";
+  (* the first differing byte at or after [i] (or [n]), a word at a
+     time over equal stretches *)
+  let rec next_diff i =
+    if i + 8 <= n
+       && Int64.equal (Bytes.get_int64_ne base i) (Bytes.get_int64_ne data i)
+    then next_diff (i + 8)
+    else if i < n && Bytes.unsafe_get base i = Bytes.unsafe_get data i then
+      next_diff (i + 1)
+    else i
+  in
+  let rec next_same i =
+    if i < n && Bytes.unsafe_get base i <> Bytes.unsafe_get data i then
+      next_same (i + 1)
+    else i
+  in
+  (* grow the range ending at [e] over every gap of [merge_gap] or fewer
+     equal bytes; returns its end and the next differing byte *)
+  let rec extend e =
+    let k = next_diff e in
+    if k < n && k - e <= merge_gap then extend (next_same k) else (e, k)
+  in
+  let rec ranges acc i =
+    let s = next_diff i in
+    if s >= n then List.rev acc
+    else
+      let e, k = extend (next_same s) in
+      ranges ((s, Bytes.sub data s (e - s)) :: acc) k
+  in
+  ranges [] 0
+
+let patch image ranges =
+  List.iter (fun (off, b) -> Bytes.blit b 0 image off (Bytes.length b)) ranges
+
+let has_image t page = Hashtbl.mem t.images page
+
 (* ---- appending ---- *)
 
 (* A Write record's CRC covers tag+body: chained over the 13-byte header
@@ -99,10 +154,42 @@ let write_crc hdr before after =
   let crc = Checksum.bytes ~crc before ~pos:0 ~len:(Bytes.length before) in
   Checksum.bytes ~crc after ~pos:0 ~len:(Bytes.length after)
 
-let append t r =
+let u16 what v =
+  if v < 0 || v > 0xFFFF then
+    invalid_arg (Printf.sprintf "Journal.append: %s %d exceeds u16" what v);
+  v
+
+(* A Delta record, CRC included, and the bytes its ranges carry. *)
+let encode_delta page ranges =
+  let payload =
+    List.fold_left (fun a (_, r) -> a + 4 + Bytes.length r) 0 ranges
+  in
+  let body = 7 + payload in
+  let b = Bytes.create (body + 4) in
+  Bytes.set_uint8 b 0 3;
+  Bytes.set_int32_le b 1 (Int32.of_int page);
+  Bytes.set_uint16_le b 5 (u16 "range count" (List.length ranges));
+  ignore
+    (List.fold_left
+       (fun pos (off, r) ->
+         let len = Bytes.length r in
+         Bytes.set_uint16_le b pos (u16 "range offset" off);
+         Bytes.set_uint16_le b (pos + 2) (u16 "range length" len);
+         Bytes.blit r 0 b (pos + 4) len;
+         pos + 4 + len)
+       7 ranges);
+  Bytes.set_int32_le b body (Checksum.bytes b ~pos:0 ~len:body);
+  (b, payload)
+
+let count_payload t n =
   t.p_count <- t.p_count + 1;
+  t.p_bytes <- t.p_bytes + n;
+  Obs.Counters.add_journal_bytes n
+
+let append t r =
   match r with
   | Write { page; before; after } ->
+      if not (has_image t page) then Hashtbl.replace t.images page t.len;
       let hdr = Bytes.create 13 in
       Bytes.set_uint8 hdr 0 1;
       Bytes.set_int32_le hdr 1 (Int32.of_int page);
@@ -114,14 +201,23 @@ let append t r =
       push t before;
       push t after;
       push t trailer;
-      let payload = Bytes.length before + Bytes.length after in
-      t.p_bytes <- t.p_bytes + payload;
-      Obs.Counters.add_journal_bytes payload
+      count_payload t (Bytes.length before + Bytes.length after)
+  | Delta { page; ranges } ->
+      if not (has_image t page) then
+        invalid_arg
+          (Printf.sprintf
+             "Journal.append: Delta for page %d, which has no image in \
+              this checkpoint epoch"
+             page);
+      let b, payload = encode_delta page ranges in
+      push t b;
+      count_payload t payload
   | Commit ->
       let b = Bytes.create 5 in
       Bytes.set_uint8 b 0 2;
       Bytes.set_int32_le b 1 (Checksum.bytes b ~pos:0 ~len:1);
       push t b;
+      t.p_count <- t.p_count + 1;
       t.p_commits <- t.p_commits + 1;
       t.commits <- t.commits + 1
 
@@ -145,8 +241,16 @@ let force t =
         (fun () -> do_force t)
     else do_force t
 
+(* Forget the epoch images at or past store offset [off]: their records
+   are gone, so the pages' next records must be full images again. *)
+let drop_images_from t off =
+  Hashtbl.filter_map_inplace
+    (fun _ at -> if at >= off then None else Some at)
+    t.images
+
 let drop_unforced t =
   t.commits <- t.commits - t.p_commits;
+  drop_images_from t t.durable;
   t.len <- t.durable;
   t.p_count <- 0;
   t.p_bytes <- 0;
@@ -192,6 +296,7 @@ let stream_from ?max_bytes t lsn =
 
 let truncate t =
   t.base_lsn <- t.base_lsn + t.durable;
+  Hashtbl.reset t.images;
   t.len <- 0;
   t.durable <- 0;
   (* keep one chunk for the next records; the rest go back to the
@@ -238,6 +343,31 @@ let scan_source read ~pos ~len =
          | 2 ->
              if start + 5 > len then raise Exit;
              (Commit, Checksum.bytes hdr ~pos:0 ~len:1, 1)
+         | 3 ->
+             if start + 7 > len then raise Exit;
+             read start hdr 0 7;
+             let page = u32 hdr 1 and nranges = Bytes.get_uint16_le hdr 5 in
+             (* the range headers give the body's length *)
+             let fin = ref (start + 7) in
+             for _ = 1 to nranges do
+               if !fin + 4 > len then raise Exit;
+               read !fin trailer 0 4;
+               fin := !fin + 4 + Bytes.get_uint16_le trailer 2
+             done;
+             if !fin + 4 > len then raise Exit;
+             let body = Bytes.create (!fin - start) in
+             read start body 0 (Bytes.length body);
+             let rec ranges pos k =
+               if k = 0 then []
+               else
+                 let off = Bytes.get_uint16_le body pos
+                 and n = Bytes.get_uint16_le body (pos + 2) in
+                 (off, Bytes.sub body (pos + 4) n)
+                 :: ranges (pos + 4 + n) (k - 1)
+             in
+             ( Delta { page; ranges = ranges 7 nranges },
+               Checksum.all body,
+               Bytes.length body )
          | _ -> raise Exit
        in
        read (start + body_len) trailer 0 4;
@@ -264,8 +394,11 @@ let records t =
 
 (* {2 Recovery} *)
 
-(* For each page: the last committed after-image, or — if the page was
-   only written after the last commit — its first before-image. *)
+(* For each page: its image as of the last commit — the epoch's full
+   image with every later Delta up to that commit patched in — or, if
+   the page was only logged after the last commit, its first
+   before-image. Images are patched in place: they are the parser's
+   fresh copies. *)
 let target_map records =
   let rs = Array.of_list records in
   let last_commit = ref (-1) in
@@ -278,7 +411,14 @@ let target_map records =
       | Write { page; before; after } ->
           if i <= !last_commit then Hashtbl.replace target page after
           else if not (Hashtbl.mem target page) then
-            Hashtbl.replace target page before)
+            Hashtbl.replace target page before
+      | Delta { page; ranges } ->
+          (* a Delta always follows its page's image in a log the pool
+             wrote; one whose image was torn away has nothing to patch *)
+          if i <= !last_commit then
+            Option.iter
+              (fun image -> patch image ranges)
+              (Hashtbl.find_opt target page))
     rs;
   target
 
@@ -308,6 +448,7 @@ let recover t device =
 let tear t ~keep =
   let keep = max 0 (min keep t.durable) in
   let pending = store_sub t t.durable (t.len - t.durable) in
+  drop_images_from t keep;
   t.len <- keep;
   t.durable <- keep;
   push t pending

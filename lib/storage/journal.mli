@@ -2,19 +2,27 @@
 
     The paper sells the RI-tree on inheriting the host RDBMS's
     "industrial strength" recovery services for free; this journal is
-    that service in our bundled engine. It is a physical full-page-image
-    log: every write-back of a dirty page appends its before- and
-    after-image, {!Buffer_pool.commit} force-logs all dirty pages
-    followed by a commit marker (log-force, lazy data pages), and
-    {!recover} reconstructs the last committed image of every page:
+    that service in our bundled engine. It is a physiological redo log
+    in the manner of ARIES with PostgreSQL's full-page-writes rule. A
+    {e checkpoint epoch} is the span between two {!truncate}s. The first
+    record for a page in an epoch is a full {!Write} of its before- and
+    after-image; every later record for that page is a {!Delta}: the
+    byte ranges that changed since the page's last logged image. Every
+    write-back of a dirty page logs one of the two,
+    {!Buffer_pool.commit} force-logs all dirty pages followed by a
+    commit marker (log-force, lazy data pages), and {!recover}
+    reconstructs the last committed image of every page:
 
-    - a page whose last pre-commit record exists gets that record's
-      after-image (redo);
+    - a page logged before the last commit gets its epoch image with
+      every Delta up to that commit patched in (redo);
     - a page touched only after the last commit gets its first
       post-commit before-image (undo of stolen, uncommitted writes);
     - untouched pages keep their device content.
 
-    Everything uncommitted at the crash vanishes atomically.
+    Everything uncommitted at the crash vanishes atomically. Recovery
+    never reads the device, so every image it installs — and every
+    image [rikit scrub] repairs from — is a full page built from the
+    log alone.
 
     The log is held serialized, each record ending in a CRC-32 of its
     bytes, in 1 MB chunks outside the OCaml heap (so a large log
@@ -28,19 +36,44 @@ type t
 
 type record =
   | Write of { page : int; before : Bytes.t; after : Bytes.t }
+      (** A full image: the page's first record in its epoch. *)
+  | Delta of { page : int; ranges : (int * Bytes.t) list }
+      (** [(off, bytes)] ranges to patch into the page's last logged
+          image, in increasing offset order. *)
   | Commit
 
 val create : unit -> t
 
 val append : t -> record -> unit
-(** Serialize the record (with its CRC) into the pending tail. *)
+(** Serialize the record (with its CRC) into the pending tail.
+    @raise Invalid_argument on a [Delta] for a page with no image in
+    the epoch ({!has_image}), or whose range count, offsets or lengths
+    exceed 65 535. *)
+
+val has_image : t -> int -> bool
+(** Whether the page has a full image in the current epoch — i.e.
+    whether its next record may be a {!Delta}. {!truncate} clears every
+    page; {!drop_unforced} and {!tear} clear the pages whose image they
+    cut away. *)
+
+val diff : base:Bytes.t -> Bytes.t -> (int * Bytes.t) list
+(** [diff ~base page] is the ranges of [page] that differ from [base]
+    (copied), two runs merged when at most 8 equal bytes separate them,
+    so that [patch base (diff ~base page)] turns [base] into [page]. [[]]
+    if they are equal.
+    @raise Invalid_argument if the lengths differ. *)
+
+val patch : Bytes.t -> (int * Bytes.t) list -> unit
+(** Blit each range into the image at its offset. *)
 
 val records : t -> record list
 (** All parseable records, durable then pending, oldest first. *)
 
 val record_count : t -> int
 val byte_size : t -> int
-(** Payload (image) bytes logged — diagnostic, excludes framing. *)
+(** Payload bytes logged: both images of a [Write]; the ranges of a
+    [Delta], with their 4-byte range headers. Diagnostic, excludes the
+    record framing. *)
 
 val force : t -> unit
 (** Make everything appended so far durable — the simulated log force
@@ -56,7 +89,8 @@ val commit_count : t -> int
 
 val drop_unforced : t -> unit
 (** Discard the pending tail — what a crash does to log bytes that were
-    never forced. Called by {!Buffer_pool.crash}. *)
+    never forced — and the epoch images it held. Called by
+    {!Buffer_pool.crash}. *)
 
 val durable_bytes : t -> int
 (** Size of the forced log in serialized bytes (framing included). *)
@@ -103,7 +137,8 @@ val durable_torn : t -> bool
     record — i.e. whether recovery would truncate a suffix. *)
 
 val truncate : t -> unit
-(** Drop all records (after a checkpoint made the device current). *)
+(** Drop all records (after a checkpoint made the device current) and
+    start a new epoch: every page's next record is a full [Write]. *)
 
 val recover : t -> Block_device.t -> int
 (** Restore every page of the device to its last committed image and
@@ -124,7 +159,8 @@ val recovery_images : t -> (int, Bytes.t) Hashtbl.t
 
 val tear : t -> keep:int -> unit
 (** Truncate the durable log to its first [keep] serialized bytes,
-    modelling a torn final log write. *)
+    modelling a torn final log write; epoch images past [keep] are
+    forgotten. *)
 
 val corrupt_byte : t -> off:int -> unit
 (** Flip a bit in the durable log at byte offset [off], modelling log

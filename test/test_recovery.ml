@@ -448,6 +448,343 @@ let test_journal_stats_and_checkpoint_truncation () =
   check Alcotest.int "rows survive" 1000
     (Table.row_count (Catalog.table db2 "t"))
 
+
+(* ---- delta journal: one full image per page per epoch, then deltas ---- *)
+
+module J = Storage.Journal
+module Pool = Storage.Buffer_pool
+module Dev = Storage.Block_device
+
+(* [diff] then [patch] rebuilds the after-image; the ranges are ordered,
+   start and end on changed bytes and lie more than 8 equal bytes
+   apart; and a Delta survives the serialized log unchanged. *)
+let prop_diff_patch =
+  let gen =
+    QCheck.Gen.(
+      let* n = int_range 1 300 in
+      let* before = bytes_size ~gen:(char_range 'a' 'd') (return n) in
+      let* edits =
+        list_size (int_range 0 12)
+          (triple (int_bound (n - 1)) (int_range 1 40) (char_range 'a' 'e'))
+      in
+      let* scramble = bool in
+      let after = Bytes.copy before in
+      List.iter
+        (fun (off, len, c) ->
+          Bytes.fill after off (min len (n - off)) c)
+        edits;
+      if scramble then
+        Bytes.iteri
+          (fun i c ->
+            if i mod 7 = 3 then
+              Bytes.set after i (Char.chr (Char.code c lxor 1)))
+          before;
+      return (before, after))
+  in
+  QCheck.Test.make ~count:500 ~name:"diff then patch = after"
+    (QCheck.make
+       ~print:(fun (b, a) ->
+         Printf.sprintf "before=%S after=%S" (Bytes.to_string b)
+           (Bytes.to_string a))
+       gen)
+    (fun (before, after) ->
+      let ranges = J.diff ~base:before after in
+      let img = Bytes.copy before in
+      J.patch img ranges;
+      let rec well_formed prev = function
+        | [] -> true
+        | (off, r) :: rest ->
+            let len = Bytes.length r in
+            len > 0
+            && off - prev > 8
+            && Bytes.get before off <> Bytes.get after off
+            && Bytes.get before (off + len - 1)
+               <> Bytes.get after (off + len - 1)
+            && Bytes.equal r (Bytes.sub after off len)
+            && well_formed (off + len) rest
+      in
+      let j = J.create () in
+      J.append j (J.Write { page = 7; before; after = before });
+      if ranges <> [] then J.append j (J.Delta { page = 7; ranges });
+      J.append j J.Commit;
+      J.force j;
+      let stream = J.stream_from j 0 in
+      let parsed = List.map fst (J.parse stream ~len:(Bytes.length stream)) in
+      Bytes.equal img after
+      && well_formed (-9) ranges
+      && parsed = J.records j
+      && List.length parsed = (if ranges = [] then 2 else 3)
+      && Hashtbl.find (J.recovery_images j) 7 = after)
+
+(* A random history through a small journaled pool — byte edits and
+   B+-tree-like shifts, commits, steals (flush), evictions, checkpoints —
+   then a crash, and optionally a torn or bit-rotten log. Oracle: a plain
+   model of every page's content, snapshotted at each commit. *)
+type op =
+  | Edit of int * int * int * char  (* page, offset, length, byte *)
+  | Shift of int * int * int * int  (* page, src, dst, length *)
+  | Touch of int
+  | Commit
+  | Flush
+  | Checkpoint
+
+type damage = Clean | Tear of int | Rot of int  (* permille of the log *)
+
+type history = {
+  npages : int;
+  capacity : int;
+  ops : op list;
+  damage : damage;
+}
+
+let bs = 64 (* device block; the pool's pages are 60 bytes + CRC trailer *)
+let payload = bs - 4
+
+let show_history h =
+  let op = function
+    | Edit (p, o, l, c) -> Printf.sprintf "E%d@%d+%d=%c" p o l c
+    | Shift (p, s, d, l) -> Printf.sprintf "S%d:%d->%d+%d" p s d l
+    | Touch p -> Printf.sprintf "T%d" p
+    | Commit -> "C"
+    | Flush -> "F"
+    | Checkpoint -> "K"
+  in
+  Printf.sprintf "pages=%d cap=%d damage=%s [%s]" h.npages h.capacity
+    (match h.damage with
+    | Clean -> "none"
+    | Tear k -> Printf.sprintf "tear %d‰" k
+    | Rot k -> Printf.sprintf "rot %d‰" k)
+    (String.concat " " (List.map op h.ops))
+
+let gen_history =
+  QCheck.Gen.(
+    let* npages = int_range 1 6 in
+    let* capacity = int_range 2 4 in
+    let page = int_bound (npages - 1) in
+    let op =
+      frequency
+        [ ( 6,
+            map
+              (fun (p, (o, l, c)) -> Edit (p, o, l, c))
+              (pair page
+                 (triple (int_bound (payload - 1)) (int_range 1 12)
+                    (char_range 'a' 'z'))) );
+          ( 2,
+            map
+              (fun (p, (s, d, l)) -> Shift (p, s, d, l))
+              (pair page
+                 (triple (int_bound (payload - 1)) (int_bound (payload - 1))
+                    (int_range 1 30))) );
+          (2, map (fun p -> Touch p) page);
+          (3, return Commit);
+          (1, return Flush);
+          (1, return Checkpoint) ]
+    in
+    let* ops = list_size (int_range 0 60) op in
+    let* damage =
+      frequency
+        [ (2, return Clean);
+          (1, map (fun k -> Tear k) (int_bound 1000));
+          (1, map (fun k -> Rot k) (int_bound 999)) ]
+    in
+    return { npages; capacity; ops; damage })
+
+let run_history h =
+  let dev = Dev.create ~block_size:bs () in
+  let pool = Pool.create ~capacity:h.capacity ~checksums:true dev in
+  let j = J.create () in
+  Pool.attach_journal pool j;
+  let pages = Array.init h.npages (fun _ -> Pool.alloc pool) in
+  let current = Array.init h.npages (fun _ -> Bytes.make payload '\000') in
+  let snapshot () = Array.map Bytes.copy current in
+  (* the committed state at the epoch's start (offset 0), then after
+     each commit: (end of its marker, state) *)
+  let commits = ref [ (0, snapshot ()) ] in
+  List.iter
+    (fun op ->
+      match op with
+      | Edit (p, o, l, c) ->
+          let l = min l (payload - o) in
+          Pool.with_page pool pages.(p) ~dirty:true (fun b ->
+              Bytes.fill b o l c);
+          Bytes.fill current.(p) o l c
+      | Shift (p, s, d, l) ->
+          let l = min l (payload - max s d) in
+          if l > 0 then begin
+            Pool.with_page pool pages.(p) ~dirty:true (fun b ->
+                Bytes.blit b s b d l);
+            Bytes.blit current.(p) s current.(p) d l
+          end
+      | Touch p -> Pool.with_page pool pages.(p) ~dirty:false ignore
+      | Commit ->
+          Pool.commit pool;
+          commits := (J.durable_bytes j, snapshot ()) :: !commits
+      | Flush -> Pool.flush pool
+      | Checkpoint ->
+          Pool.commit pool;
+          Pool.flush pool;
+          J.truncate j;
+          commits := [ (0, snapshot ()) ])
+    h.ops;
+  Pool.crash pool;
+  let durable = J.durable_bytes j in
+  (* the log's surviving prefix ends at [valid] *)
+  let valid =
+    match h.damage with
+    | Clean -> durable
+    | Tear k ->
+        let keep = durable * k / 1000 in
+        J.tear j ~keep;
+        keep
+    | Rot k ->
+        if durable = 0 then 0
+        else begin
+          let off = durable * k / 1000 in
+          J.corrupt_byte j ~off;
+          off
+        end
+  in
+  (* the last commit whose marker survived *)
+  let want =
+    snd (List.find (fun (fin, _) -> fin <= valid) !commits)
+  in
+  let page_of = Hashtbl.create 8 in
+  Array.iteri (fun i p -> Hashtbl.replace page_of p i) pages;
+  let images = J.recovery_images j in
+  let images_ok =
+    Hashtbl.fold
+      (fun p img ok ->
+        ok
+        && Bytes.equal (Bytes.sub img 0 payload)
+             want.(Hashtbl.find page_of p))
+      images true
+  in
+  ignore (J.recover j dev);
+  let buf = Bytes.create bs in
+  let device_ok =
+    (* a damaged log lost forced records, so pages stolen from them
+       cannot be rolled back: only the images recovery installed are
+       checked then *)
+    Array.for_all Fun.id
+      (Array.mapi
+         (fun i p ->
+           Dev.read dev p buf;
+           (h.damage <> Clean && not (Hashtbl.mem images p))
+           || Bytes.equal (Bytes.sub buf 0 payload) want.(i))
+         pages)
+  in
+  images_ok && device_ok
+
+let prop_history_oracle =
+  QCheck.Test.make ~count:400
+    ~name:"recover = recovery_images = model, across crashes and checkpoints"
+    (QCheck.make ~print:show_history gen_history)
+    run_history
+
+(* Scrub after a checkpoint: the frame that was logged before the
+   checkpoint stays resident, is dirtied and committed twice, then its
+   block rots. The repair image must be built from the new epoch's full
+   image plus its delta — if the checkpoint kept the old epoch's table,
+   the first post-checkpoint record would be a delta with no image to
+   patch and the block would be unrepairable. *)
+let test_scrub_across_checkpoint () =
+  let db = Catalog.create ~durable:true () in
+  let pool = Catalog.pool db in
+  let j = Option.get (Catalog.journal db) in
+  let p = Pool.alloc pool in
+  let edit off c =
+    Pool.with_page pool p ~dirty:true (fun b -> Bytes.set b off c)
+  in
+  edit 0 'A';
+  Catalog.commit db;
+  Catalog.checkpoint db;
+  check Alcotest.bool "still resident" true (Pool.resident pool p);
+  edit 1 'B';
+  Catalog.commit db;
+  edit 2 'C';
+  Catalog.commit db;
+  let kinds =
+    List.filter_map
+      (function
+        | J.Write { page; _ } when page = p -> Some "write"
+        | J.Delta { page; _ } when page = p -> Some "delta"
+        | _ -> None)
+      (J.records j)
+  in
+  check (Alcotest.list Alcotest.string) "full image, then a delta"
+    [ "write"; "delta" ] kinds;
+  Catalog.flush db;
+  let dev = Catalog.device db in
+  let committed = Bytes.create (Dev.block_size dev) in
+  Dev.read dev p committed;
+  let rotten = Bytes.copy committed in
+  Bytes.set rotten 5 (Char.chr (Char.code (Bytes.get rotten 5) lxor 0x40));
+  Dev.write dev p rotten;
+  let report =
+    Storage.Scrub.run ~repair:true ~journal:j ~checksums:true dev
+  in
+  check (Alcotest.list Alcotest.int) "repaired" [ p ]
+    report.Storage.Scrub.repaired;
+  let got = Bytes.create (Dev.block_size dev) in
+  Dev.read dev p got;
+  check Alcotest.bytes "committed image restored" committed got;
+  check Alcotest.string "content" "ABC" (Bytes.sub_string got 0 3)
+
+(* A crash drops an unforced tail holding a page's first image of the
+   epoch: the page's next record must be a full Write again, or
+   recovery would find a delta with nothing to patch. *)
+let test_dropped_first_image_relogged () =
+  let dev = Dev.create ~block_size:64 () in
+  let pool = Pool.create ~capacity:4 dev in
+  let j = J.create () in
+  Pool.attach_journal pool j;
+  let q = Pool.alloc pool and p = Dev.alloc dev in
+  Pool.with_page pool q ~dirty:true (fun b -> Bytes.set b 0 'q');
+  Pool.commit pool;
+  (* p's first image reaches the log but is never forced *)
+  J.append j
+    (J.Write
+       { page = p; before = Bytes.make 64 '\000'; after = Bytes.make 64 'X' });
+  check Alcotest.bool "imaged while pending" true (J.has_image j p);
+  (* the pool carries on over the same journal, without recovery *)
+  Pool.crash pool;
+  check Alcotest.bool "image dropped with the tail" false (J.has_image j p);
+  check Alcotest.bool "durable image kept" true (J.has_image j q);
+  Pool.with_page pool p ~dirty:true (fun b -> Bytes.set b 0 'Y');
+  Pool.commit pool;
+  (match
+     List.filter
+       (function
+         | J.Write { page; _ } | J.Delta { page; _ } -> page = p
+         | J.Commit -> false)
+       (J.records j)
+   with
+  | [ J.Write _ ] -> ()
+  | rs ->
+      Alcotest.failf "want one full Write for p, got %d records"
+        (List.length rs));
+  Pool.crash pool;
+  ignore (J.recover j dev);
+  let buf = Bytes.create 64 in
+  Dev.read dev p buf;
+  check Alcotest.char "p recovered" 'Y' (Bytes.get buf 0);
+  Dev.read dev q buf;
+  check Alcotest.char "q recovered" 'q' (Bytes.get buf 0)
+
+let test_delta_needs_image () =
+  let j = J.create () in
+  Alcotest.check_raises "delta without an epoch image"
+    (Invalid_argument
+       "Journal.append: Delta for page 3, which has no image in this \
+        checkpoint epoch") (fun () ->
+      J.append j (J.Delta { page = 3; ranges = [ (0, Bytes.of_string "x") ] }));
+  J.append j
+    (J.Write { page = 3; before = Bytes.make 4 'a'; after = Bytes.make 4 'b' });
+  J.append j (J.Delta { page = 3; ranges = [ (1, Bytes.of_string "xy") ] });
+  check Alcotest.int "delta bytes: header + range" (8 + 4 + 2) (J.byte_size j);
+  J.truncate j;
+  check Alcotest.bool "checkpoint starts a new epoch" false (J.has_image j 3)
+
 let () =
   Alcotest.run "recovery"
     [
@@ -485,4 +822,13 @@ let () =
            test_repeated_crashes;
          Alcotest.test_case "random crash points" `Quick
            test_random_crash_points ]);
+      ("delta journal",
+       [ QCheck_alcotest.to_alcotest prop_diff_patch;
+         QCheck_alcotest.to_alcotest prop_history_oracle;
+         Alcotest.test_case "delta needs an epoch image" `Quick
+           test_delta_needs_image;
+         Alcotest.test_case "scrub repairs across a checkpoint" `Quick
+           test_scrub_across_checkpoint;
+         Alcotest.test_case "dropped first image is re-logged in full" `Quick
+           test_dropped_first_image_relogged ]);
     ]

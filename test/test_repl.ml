@@ -300,6 +300,79 @@ let test_apply_reconnect () =
   check Alcotest.string "reconnected image identical" (device_image dev_ref)
     (device_image dev)
 
+
+(* A standby that joins mid-epoch: it applied a prefix of the stream,
+   then a fresh engine subscribes from that non-zero LSN and receives
+   batches made mostly of deltas against pages the standby already
+   holds. Its device must end byte-identical to the primary's once the
+   primary checkpoints. *)
+let test_apply_mid_epoch_resume () =
+  let sh = S.shared ~durable:true () in
+  let sess = S.create sh in
+  let insert_commit i =
+    (match
+       S.handle sess
+         (P.Insert { lower = i * 7; upper = (i * 7) + 20; id = None })
+     with
+    | P.Ack _ -> ()
+    | _ -> Alcotest.fail "insert refused");
+    match S.handle sess P.Commit with
+    | P.Ack _ -> ()
+    | _ -> Alcotest.fail "commit refused"
+  in
+  for i = 0 to 9 do
+    insert_commit i
+  done;
+  let cat = S.catalog sh in
+  let j = Option.get (Relation.Catalog.journal cat) in
+  let primary = Relation.Catalog.device cat in
+  let dev =
+    Storage.Block_device.create
+      ~block_size:(Storage.Block_device.block_size primary) ()
+  in
+  let resume = Storage.Journal.durable_lsn j in
+  (match
+     R.feed (R.create ()) dev ~lsn:0
+       (Bytes.to_string (Storage.Journal.stream_from j 0))
+   with
+  | Ok _ -> ()
+  | Error e -> Alcotest.fail e);
+  for i = 10 to 69 do
+    insert_commit i
+  done;
+  let tail = Bytes.to_string (Storage.Journal.stream_from j resume) in
+  let writes, deltas =
+    List.fold_left
+      (fun (w, d) (r, _) ->
+        match r with
+        | Storage.Journal.Write _ -> (w + 1, d)
+        | Storage.Journal.Delta _ -> (w, d + 1)
+        | Storage.Journal.Commit -> (w, d))
+      (0, 0)
+      (Storage.Journal.parse (Bytes.of_string tail) ~len:(String.length tail))
+  in
+  Alcotest.(check bool)
+    (Printf.sprintf "delta-heavy tail (%d writes, %d deltas)" writes deltas)
+    true
+    (resume > 0 && deltas > 4 * writes);
+  let eng = R.create ~from_lsn:resume () in
+  let step = 97 in
+  let rec go off =
+    if off < String.length tail then begin
+      let n = min step (String.length tail - off) in
+      (match R.feed eng dev ~lsn:(resume + off) (String.sub tail off n) with
+      | Ok _ -> ()
+      | Error e -> Alcotest.fail e);
+      go (off + n)
+    end
+  in
+  go 0;
+  check Alcotest.int "caught up" (Storage.Journal.durable_lsn j)
+    (R.applied_lsn eng);
+  Relation.Catalog.checkpoint cat;
+  check Alcotest.string "standby image = checkpointed primary image"
+    (device_image primary) (device_image dev)
+
 let () =
   Alcotest.run "repl"
     [
@@ -320,5 +393,7 @@ let () =
             test_apply_chop;
           Alcotest.test_case "torn tail + resubscribe = same image" `Quick
             test_apply_reconnect;
+          Alcotest.test_case "mid-epoch resume applies deltas" `Quick
+            test_apply_mid_epoch_resume;
         ] );
     ]
