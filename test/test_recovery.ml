@@ -449,7 +449,7 @@ let test_journal_stats_and_checkpoint_truncation () =
     (Table.row_count (Catalog.table db2 "t"))
 
 
-(* ---- delta journal: one full image per page per epoch, then deltas ---- *)
+(* ---- delta log: one full image per page per epoch, then deltas ---- *)
 
 module J = Storage.Journal
 module Pool = Storage.Buffer_pool
@@ -822,7 +822,7 @@ let () =
            test_repeated_crashes;
          Alcotest.test_case "random crash points" `Quick
            test_random_crash_points ]);
-      ("delta journal",
+      ("delta log",
        [ QCheck_alcotest.to_alcotest prop_diff_patch;
          QCheck_alcotest.to_alcotest prop_history_oracle;
          Alcotest.test_case "delta needs an epoch image" `Quick
