@@ -1,6 +1,6 @@
 # Convenience aliases; `make check` is the tier-1 gate CI runs.
 
-.PHONY: all build test check bench bench-connections clean
+.PHONY: all build test check bench bench-connections check-figures clean
 
 all: build
 
@@ -19,7 +19,13 @@ bench:
 # soft limit; levels above the limit are skipped with a note).
 bench-connections:
 	bash -c 'ulimit -n 20000 2>/dev/null; \
-	  dune exec bin/rikit.exe -- bench-connections -o BENCH_reactor.json'
+	  dune exec bench/main.exe -- -o . reactor'
+
+# The full-scale Sec. 6 set, compared with the committed results/*.csv
+# (I/O, sizes and plan choices exactly; time columns are not gated).
+check-figures:
+	dir=$$(mktemp -d) && dune exec bench/main.exe -- -o $$dir && \
+	  python3 bench/check_figures.py results $$dir
 
 clean:
 	dune clean

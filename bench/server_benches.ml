@@ -1,0 +1,631 @@
+(* The drivers that measure live servers over real sockets: MVCC commit
+   throughput, replication, sharded scatter-gather, and connection
+   scaling of the reactor core. Each returns its record and acceptance
+   checks to [Main]. *)
+
+module R = Harness.Report
+module D = Server.Dispatcher
+module C = Server.Client
+module P = Server.Protocol
+module Dist = Workload.Distribution
+
+let ok_or_fail what = function
+  | Ok v -> v
+  | Error e -> failwith (what ^ ": " ^ C.error_to_string e)
+
+(* An in-process durable server for [f port]. *)
+let with_server ?(preload = [||]) config f =
+  let sh = Server.Session.shared ~durable:true () in
+  if Array.length preload > 0 then Server.Session.preload sh preload;
+  let node = Testbed.start config sh in
+  Fun.protect ~finally:(fun () -> Testbed.stop node)
+    (fun () -> f (Testbed.port node))
+
+(* One client running [txns] transactions of [writes] inserts + COMMIT;
+   returns the number of committed transactions. *)
+let txn_writer ~port ~txns ~writes ~base =
+  let c = C.connect ~port () in
+  Fun.protect
+    ~finally:(fun () -> C.close c)
+    (fun () ->
+      let committed = ref 0 in
+      for t = 0 to txns - 1 do
+        for w = 0 to writes - 1 do
+          let lo = base + (t * writes) + w in
+          ignore (ok_or_fail "insert" (C.insert c (Interval.Ivl.make lo (lo + 10))))
+        done;
+        ignore (ok_or_fail "commit" (C.commit c));
+        incr committed
+      done;
+      !committed)
+
+(* ---- txn: MVCC multi-writer throughput and conflict behaviour ----
+
+   Three phases against live in-process servers:
+
+   1. Serialized baseline — the only safe discipline before per-session
+      write sets: one writer at a time, every COMMIT forced on its own.
+   2. Multi-writer — concurrent sessions buffering independent write
+      sets, COMMITs validated per session and staged into a
+      group-commit window. The headline is multi/serial throughput.
+   3. Contention — every session buffers a delete of the SAME row, all
+      commit: exactly one wins per round, the rest get the typed
+      [Conflict] frame (first-committer-wins), never a silent no-op. *)
+
+let sessions = 8
+let writes_per_txn = 4
+
+let txn_config ~sessions ~group_commit =
+  { D.default_config with
+    max_sessions = sessions + 2; max_inflight = 64; max_queue = 4096;
+    group_commit }
+
+let txn_serial ~txns_per =
+  with_server (txn_config ~sessions:1 ~group_commit:0.) (fun port ->
+      let t0 = Unix.gettimeofday () in
+      let committed =
+        txn_writer ~port ~txns:(sessions * txns_per) ~writes:writes_per_txn
+          ~base:0
+      in
+      float_of_int committed /. (Unix.gettimeofday () -. t0))
+
+let txn_multi ~txns_per =
+  with_server (txn_config ~sessions ~group_commit:0.002) (fun port ->
+      let results = Array.make sessions 0 in
+      let t0 = Unix.gettimeofday () in
+      let threads =
+        List.init sessions (fun i ->
+            Thread.create
+              (fun () ->
+                results.(i) <-
+                  txn_writer ~port ~txns:txns_per ~writes:writes_per_txn
+                    ~base:(i * txns_per * writes_per_txn * 2))
+              ())
+      in
+      List.iter Thread.join threads;
+      let wall = Unix.gettimeofday () -. t0 in
+      float_of_int (Array.fold_left ( + ) 0 results) /. wall)
+
+(* Rows 0..rounds-1 preloaded committed; round r: every session buffers
+   DELETE of row r, then every session commits in turn. *)
+let txn_contention ~rounds =
+  let preload =
+    Array.init rounds (fun i -> Interval.Ivl.make (i * 100) ((i * 100) + 50))
+  in
+  with_server ~preload (txn_config ~sessions ~group_commit:0.) (fun port ->
+      let clients = Array.init sessions (fun _ -> C.connect ~port ()) in
+      Fun.protect
+        ~finally:(fun () -> Array.iter C.close clients)
+        (fun () ->
+          let commits = ref 0 and conflicts = ref 0 in
+          for r = 0 to rounds - 1 do
+            Array.iter
+              (fun c ->
+                match
+                  C.rpc c
+                    (P.Delete { lower = r * 100; upper = (r * 100) + 50; id = r })
+                with
+                | P.Ack _ -> ()
+                | _ -> failwith "contention: delete refused")
+              clients;
+            Array.iter
+              (fun c ->
+                incr commits;
+                match C.commit c with
+                | Ok _ -> ()
+                | Error (C.Conflict _ as e) ->
+                    (* must be a verdict, not something a client retries *)
+                    if C.retryable e then
+                      failwith "Conflict classified retryable";
+                    incr conflicts
+                | Error e -> failwith ("commit: " ^ C.error_to_string e))
+              clients
+          done;
+          (!commits, !conflicts)))
+
+let txn ~tiny =
+  let txns_per = if tiny then 25 else 150 in
+  let rounds = if tiny then 10 else 50 in
+  let serial_tps = txn_serial ~txns_per in
+  let multi_tps = txn_multi ~txns_per in
+  let commits, conflicts = txn_contention ~rounds in
+  ( R.Obj
+      [ ("sessions", R.Int sessions); ("writes_per_txn", R.Int writes_per_txn);
+        ("txns", R.Int (sessions * txns_per));
+        ("serial_tps", R.Float serial_tps); ("multi_tps", R.Float multi_tps);
+        ("speedup", R.Float (multi_tps /. Float.max 1e-9 serial_tps));
+        ("conflict",
+         R.Obj
+           [ ("rounds", R.Int rounds); ("commits", R.Int commits);
+             ("conflicts", R.Int conflicts);
+             ("conflict_rate",
+              R.Float (float_of_int conflicts /. float_of_int (max 1 commits)))
+           ]) ],
+    [] )
+
+(* ---- replica: replication lag, failover time, read scale-out ---- *)
+
+let repl_node ?replica_of () =
+  Testbed.start
+    { D.default_config with
+      max_sessions = 16; max_inflight = 64; max_queue = 4096;
+      group_commit = 0.002; replica_of }
+    (Server.Session.shared ~durable:true ())
+
+(* (durable, applied) LSNs of the server on [port]. *)
+let repl_status_of ~port =
+  let c = C.connect ~deadline_ms:1000. ~port () in
+  Fun.protect
+    ~finally:(fun () -> C.close c)
+    (fun () ->
+      let _, durable, applied = ok_or_fail "repl status" (C.repl_status c) in
+      (durable, applied))
+
+let replica ~tiny =
+  let txns = if tiny then 60 else 400 in
+  let reads = if tiny then 400 else 2000 in
+  let primary = repl_node () in
+  let pport = Testbed.port primary in
+  let standby = repl_node ~replica_of:("127.0.0.1", pport) () in
+  let rport = Testbed.port standby in
+  (* settle the subscription before measuring anything *)
+  let c0 = C.connect ~port:pport () in
+  (match (C.insert c0 (Interval.Ivl.make 0 1), C.commit c0) with
+  | Ok _, Ok lsn -> ignore (Testbed.wait_applied ~timeout:30. ~port:rport lsn)
+  | _ -> failwith "settle write failed");
+  C.close c0;
+  (* load phase: sample replica lag while a writer streams commits *)
+  let lag_samples = ref [] in
+  let loading = ref true in
+  let sampler =
+    Thread.create
+      (fun () ->
+        while !loading do
+          (try
+             let durable, applied = repl_status_of ~port:rport in
+             lag_samples := max 0 (durable - applied) :: !lag_samples
+           with _ -> ());
+          Thread.delay 0.005
+        done)
+      ()
+  in
+  let t0 = Unix.gettimeofday () in
+  let committed =
+    txn_writer ~port:pport ~txns ~writes:writes_per_txn ~base:1000
+  in
+  let load_wall = Unix.gettimeofday () -. t0 in
+  loading := false;
+  Thread.join sampler;
+  let lag_max = List.fold_left max 0 !lag_samples in
+  let lag_mean =
+    match !lag_samples with
+    | [] -> 0.
+    | l ->
+        float_of_int (List.fold_left ( + ) 0 l) /. float_of_int (List.length l)
+  in
+  let durable_lsn, _ = repl_status_of ~port:pport in
+  (* late joiner: a second replica replays the whole history *)
+  let joiner = repl_node ~replica_of:("127.0.0.1", pport) () in
+  let catchup =
+    Testbed.wait_applied ~timeout:30. ~port:(Testbed.port joiner) durable_lsn
+  in
+  (* read throughput: primary alone, then the same reads split across
+     primary + replica *)
+  let read_burst ~port n =
+    let c = C.connect ~port () in
+    Fun.protect
+      ~finally:(fun () -> C.close c)
+      (fun () ->
+        for i = 0 to n - 1 do
+          let lo = 1000 + (i mod 500) in
+          ignore (ok_or_fail "read" (C.intersect c (Interval.Ivl.make lo (lo + 20))))
+        done)
+  in
+  let t0 = Unix.gettimeofday () in
+  read_burst ~port:pport reads;
+  let primary_rps = float_of_int reads /. (Unix.gettimeofday () -. t0) in
+  let t0 = Unix.gettimeofday () in
+  let half = Thread.create (fun () -> read_burst ~port:rport (reads / 2)) () in
+  read_burst ~port:pport (reads - (reads / 2));
+  Thread.join half;
+  let scaled_rps = float_of_int reads /. (Unix.gettimeofday () -. t0) in
+  (* failover: kill the primary, time the first successful read on the
+     standby through the failover client *)
+  let f =
+    Server.Failover.create ~deadline_ms:500.
+      ~endpoints:[ ("127.0.0.1", pport); ("127.0.0.1", rport) ]
+      ()
+  in
+  ignore (ok_or_fail "read" (Server.Failover.intersect f (Interval.Ivl.make 1000 1020)));
+  Server.Failover.note_lsn f durable_lsn;
+  Testbed.stop primary;
+  let t0 = Unix.gettimeofday () in
+  let failover_deadline = t0 +. 10. in
+  let rec first_read () =
+    match Server.Failover.intersect f (Interval.Ivl.make 1000 1020) with
+    | Ok _ -> Some (Unix.gettimeofday () -. t0)
+    | Error _ when Unix.gettimeofday () < failover_deadline ->
+        Thread.delay 0.01;
+        first_read ()
+    | Error _ -> None
+  in
+  let failover = first_read () in
+  Server.Failover.close f;
+  Testbed.stop standby;
+  Testbed.stop joiner;
+  let ms = function Some s -> s *. 1000. | None -> -1. in
+  ( R.Obj
+      [ ("txns", R.Int committed); ("writes_per_txn", R.Int writes_per_txn);
+        ("load_tps", R.Float (float_of_int committed /. load_wall));
+        ("durable_lsn", R.Int durable_lsn);
+        ("steady_lag_bytes",
+         R.Obj [ ("max", R.Int lag_max); ("mean", R.Float lag_mean) ]);
+        ("late_join_catchup_ms", R.Float (ms catchup));
+        ("reads",
+         R.Obj
+           [ ("primary_rps", R.Float primary_rps);
+             ("with_replica_rps", R.Float scaled_rps) ]);
+        ("failover_ms", R.Float (ms failover)) ],
+    [ ("caught_up", catchup <> None); ("failover_ok", failover <> None) ] )
+
+(* ---- shard: scatter-gather scale-out under head-of-line load ---- *)
+
+type shard_load = {
+  mutable smalls : int;  (* small queries completed *)
+  mutable fats : int;  (* fat scans completed *)
+  mutable pings : float list;  (* ping round-trip seconds *)
+  mutable error : string option;
+}
+
+(* Drive one topology for [window] seconds: [fat_clients] run
+   back-to-back fat scans over [fat_range] (a one-shard hotspot),
+   [small_clients] cycle through range-local small queries, and a
+   sampler measures PING round-trips — the head-of-line probe. *)
+let drive_topology ~port ~window ~fat_range ~fat_clients ~small_clients
+    ~queries =
+  let load = { smalls = 0; fats = 0; pings = []; error = None } in
+  let mu = Mutex.create () in
+  let note f = Mutex.lock mu; f (); Mutex.unlock mu in
+  let stop = ref false in
+  let fail m = note (fun () -> if load.error = None then load.error <- Some m) in
+  (* one client connection running [step] until the window closes *)
+  let client step () =
+    try
+      let c = C.connect ~port () in
+      Fun.protect
+        ~finally:(fun () -> C.close c)
+        (fun () ->
+          while not !stop do
+            step c
+          done)
+    with C.Io_error m -> fail m
+  in
+  let query what ivl on_rows c =
+    match
+      C.rpc_result c
+        (P.Intersect
+           { lower = Interval.Ivl.lower ivl; upper = Interval.Ivl.upper ivl })
+    with
+    | Ok (P.Rows _) -> note on_rows
+    | Ok r -> fail (what ^ ": unexpected " ^ Testbed.describe r)
+    | Error e -> fail (C.error_to_string e)
+  in
+  let fat =
+    query "fat scan" (Interval.Ivl.make (fst fat_range) (snd fat_range))
+      (fun () -> load.fats <- load.fats + 1)
+  in
+  let small i =
+    let j = ref (i * 7) in
+    fun c ->
+      let q = queries.(!j mod Array.length queries) in
+      incr j;
+      query "small query" q (fun () -> load.smalls <- load.smalls + 1) c
+  in
+  let ping c =
+    let t0 = Unix.gettimeofday () in
+    (match C.ping c with
+    | Ok () ->
+        let dt = Unix.gettimeofday () -. t0 in
+        note (fun () -> load.pings <- dt :: load.pings)
+    | Error e -> fail (C.error_to_string e));
+    Thread.delay 0.005
+  in
+  let threads =
+    List.init fat_clients (fun _ -> Thread.create (client fat) ())
+    @ List.init small_clients (fun i -> Thread.create (client (small i)) ())
+    @ [ Thread.create (client ping) () ]
+  in
+  Thread.delay window;
+  stop := true;
+  List.iter Thread.join threads;
+  load
+
+let ping_ms pings p =
+  match pings with
+  | [] -> 0.
+  | l -> 1000. *. Harness.Measure.percentile (Array.of_list l) p
+
+let shard ~tiny =
+  let n = if tiny then 10_000 else 60_000 in
+  let seed = 42 in
+  let shards = 4 in
+  let window = if tiny then 2.0 else 6.0 in
+  let fat_clients = 2 in
+  let small_clients = 4 in
+  let domain_max = Dist.domain_max in
+  let data = Dist.generate ~seed Dist.D1 ~n ~d:2000 in
+  let cuts = Server.Router.Map.backbone_cuts ~domain_max ~shards in
+  let dummy_eps = List.init shards (fun _ -> [ ("127.0.0.1", 1) ]) in
+  let geometry = Server.Router.Map.create ~cuts ~endpoints:dummy_eps in
+  (* Small queries confined inside one shard's range each (fan-out 1),
+     round-robin across shards; the hotspot is shard 0's whole range. *)
+  let queries =
+    let per = 256 in
+    let batches =
+      List.init shards (fun i ->
+          let lo, hi = Server.Router.Map.range geometry i in
+          Workload.Query_gen.queries_within ~seed:(seed + i)
+            ~range:(max 0 lo, min domain_max hi)
+            ~count:per ~len:64 ())
+    in
+    Array.init (shards * per) (fun j ->
+        (List.nth batches (j mod shards)).(j / shards))
+  in
+  let fat_range =
+    let lo, hi = Server.Router.Map.range geometry 0 in
+    (max 0 lo, min domain_max hi)
+  in
+  let drive port =
+    drive_topology ~port ~window ~fat_range ~fat_clients ~small_clients
+      ~queries
+  in
+  (* ---- topology A: one process holds everything ---- *)
+  let single = Testbed.fork [ Array.mapi (fun i x -> (i, x)) data ] in
+  Thread.delay 0.3;
+  let single_load = drive (List.hd single).port in
+  List.iter Testbed.kill single;
+  (* ---- topology B: four shard processes behind a router ---- *)
+  let procs =
+    Testbed.fork
+      (List.init shards (fun i ->
+           Testbed.slice data (Server.Router.Map.range geometry i)))
+  in
+  Thread.delay 0.3;
+  let map =
+    Server.Router.Map.create ~cuts
+      ~endpoints:
+        (List.map (fun (p : Testbed.proc) -> [ ("127.0.0.1", p.port) ]) procs)
+  in
+  let router =
+    Server.Router.create { Server.Router.default_config with port = 0 } ~map
+  in
+  let router_thread = Thread.create Server.Router.serve router in
+  let sharded_load = drive (Server.Router.port router) in
+  Server.Router.stop router;
+  Thread.join router_thread;
+  List.iter Testbed.kill procs;
+  let qps l = float_of_int l.smalls /. window in
+  let single_qps = qps single_load and sharded_qps = qps sharded_load in
+  let speedup = if single_qps > 0. then sharded_qps /. single_qps else 0. in
+  let topology l =
+    R.Obj
+      ([ ("small_qps", R.Float (qps l)); ("fat_scans", R.Int l.fats);
+         ("ping_ms",
+          R.Obj
+            [ ("p50", R.Float (ping_ms l.pings 0.5));
+              ("p99", R.Float (ping_ms l.pings 0.99));
+              ("max", R.Float (ping_ms l.pings 1.0)) ]) ]
+      @ Option.fold ~none:[] ~some:(fun m -> [ ("error", R.String m) ]) l.error)
+  in
+  let need = if tiny then 2.0 else 3.0 in
+  ( R.Obj
+      [ ("kind", R.String "D1"); ("n", R.Int n); ("shards", R.Int shards);
+        ("window_s", R.Float window);
+        ("hotspot", R.List [ R.Int (fst fat_range); R.Int (snd fat_range) ]);
+        ("single", topology single_load); ("sharded", topology sharded_load);
+        ("speedup", R.Float speedup); ("speedup_needed", R.Float need) ],
+    [ ("speedup_ok", speedup >= need);
+      ("hol_ok", ping_ms sharded_load.pings 0.99 < 50.) ] )
+
+(* ---- reactor: connection scaling on the event core ----
+
+   One daemon, a sweep of concurrent live connections, and three
+   numbers per level — ping throughput, ping p99, and the server's
+   OS-thread count read from /proc/<pid>/status. The thread count must
+   stay flat across the sweep (the reactor multiplexes every socket;
+   nothing spawns per connection), and every opened connection must
+   actually be served. *)
+
+(* The integer after [prefix] on the first line of [path] that starts
+   with it, or [default]. *)
+let proc_field path prefix ~default =
+  let k = String.length prefix in
+  try
+    let ic = open_in path in
+    Fun.protect
+      ~finally:(fun () -> close_in_noerr ic)
+      (fun () ->
+        let rec go () =
+          match input_line ic with
+          | line when String.length line > k && String.sub line 0 k = prefix ->
+              Scanf.sscanf (String.sub line k (String.length line - k)) " %d"
+                Fun.id
+          | _ -> go ()
+          | exception End_of_file -> default
+        in
+        go ())
+  with Sys_error _ | Scanf.Scan_failure _ | Failure _ | End_of_file -> default
+
+let proc_threads pid =
+  proc_field (Printf.sprintf "/proc/%d/status" pid) "Threads:" ~default:0
+
+(* Soft fd limit of this process (the connecting side holds one fd per
+   live connection, same as the daemon). *)
+let fd_soft_limit () =
+  proc_field "/proc/self/limits" "Max open files" ~default:max_int
+
+type conn_level = {
+  conns : int;  (* requested *)
+  connected : int;
+  served : int;  (* connections whose ping round-tripped *)
+  qps : float;
+  p50_ms : float;
+  p99_ms : float;
+  threads : int;
+}
+
+(* Open [n] connections, ping every one (served check), then measure a
+   burst of round-robin pings across them for throughput/latency, and
+   read the daemon's thread count while all [n] are live. *)
+let drive_level ~pid ~port n =
+  let conns =
+    Array.init n (fun _ ->
+        try Some (C.connect ~deadline_ms:15_000. ~port ())
+        with C.Io_error _ | C.Timed_out _ -> None)
+  in
+  let live = Array.of_list (List.filter_map Fun.id (Array.to_list conns)) in
+  let served =
+    Array.fold_left
+      (fun a c -> match C.ping c with Ok () -> a + 1 | Error _ -> a)
+      0 live
+  in
+  let shots = if Array.length live = 0 then 0 else min 20_000 (4 * n) in
+  let lats = Array.make (max shots 1) 0. in
+  let t0 = Unix.gettimeofday () in
+  for i = 0 to shots - 1 do
+    let c = live.(i mod Array.length live) in
+    let s = Unix.gettimeofday () in
+    (match C.ping c with Ok () -> () | Error _ -> ());
+    lats.(i) <- Unix.gettimeofday () -. s
+  done;
+  let elapsed = Unix.gettimeofday () -. t0 in
+  let threads = proc_threads pid in
+  Array.iter C.close live;
+  { conns = n;
+    connected = Array.length live;
+    served;
+    qps = (if elapsed > 0. then float_of_int shots /. elapsed else 0.);
+    p50_ms = 1000. *. Harness.Measure.percentile lats 0.5;
+    p99_ms = 1000. *. Harness.Measure.percentile lats 0.99;
+    threads }
+
+let level_json ?scatter_ok l =
+  R.Obj
+    ([ ("conns", R.Int l.conns); ("connected", R.Int l.connected);
+       ("served", R.Int l.served); ("qps", R.Float l.qps);
+       ("p50_ms", R.Float l.p50_ms); ("p99_ms", R.Float l.p99_ms);
+       ("threads", R.Int l.threads) ]
+    @ Option.fold ~none:[] ~some:(fun ok -> [ ("scatter_ok", R.Bool ok) ])
+        scatter_ok)
+
+(* wait for a forked daemon to start accepting *)
+let rec await_up ?(tries = 50) port =
+  match C.connect ~deadline_ms:2000. ~port () with
+  | c -> C.close c
+  | exception (C.Io_error _ | C.Timed_out _) when tries > 0 ->
+      Thread.delay 0.1;
+      await_up ~tries:(tries - 1) port
+
+let reactor ~tiny =
+  let fd_limit = fd_soft_limit () in
+  let headroom = 192 in
+  let levels =
+    let all = if tiny then [ 2048 ] else [ 100; 500; 1000; 2000; 5000 ] in
+    List.filter (fun n -> n + headroom <= fd_limit) all
+  in
+  if levels = [] then
+    failwith
+      (Printf.sprintf
+         "fd soft limit %d too low for any sweep level (raise it with \
+          `ulimit -n`)"
+         fd_limit);
+  let top = List.fold_left max 0 levels in
+  let data = Dist.generate ~seed:42 Dist.D1 ~n:2000 ~d:2000 in
+  let daemon =
+    List.hd
+      (Testbed.fork
+         ~config:
+           { D.default_config with max_sessions = top + 64; idle_timeout = 0. }
+         [ Array.mapi (fun i x -> (i, x)) data ])
+  in
+  await_up daemon.port;
+  let results =
+    List.map (fun n -> drive_level ~pid:daemon.pid ~port:daemon.port n) levels
+  in
+  Testbed.kill daemon;
+  (* ---- router phase: thread flatness under many idle clients ---- *)
+  let domain_max = Dist.domain_max in
+  let cuts = Server.Router.Map.backbone_cuts ~domain_max ~shards:2 in
+  let geometry =
+    Server.Router.Map.create ~cuts
+      ~endpoints:[ [ ("127.0.0.1", 1) ]; [ ("127.0.0.1", 1) ] ]
+  in
+  let shard_procs =
+    Testbed.fork
+      (List.init 2 (fun i ->
+           Testbed.slice data (Server.Router.Map.range geometry i)))
+  in
+  Thread.delay 0.3;
+  let map =
+    Server.Router.Map.create ~cuts
+      ~endpoints:
+        (List.map
+           (fun (p : Testbed.proc) -> [ ("127.0.0.1", p.port) ])
+           shard_procs)
+  in
+  let router_levels =
+    let lo = 100 and hi = min top 2000 in
+    if tiny then [ lo; hi ] else [ lo; 1000; hi ]
+  in
+  let rtop = List.fold_left max 0 router_levels in
+  let router =
+    Testbed.fork_router
+      { Server.Router.default_config with max_sessions = rtop + 64 }
+      ~map
+  in
+  await_up router.port;
+  let router_results =
+    List.map
+      (fun n ->
+        let r = drive_level ~pid:router.pid ~port:router.port n in
+        (* a scatter across both shards must also work under full load *)
+        let scatter_ok =
+          let c = C.connect ~deadline_ms:15_000. ~port:router.port () in
+          Fun.protect
+            ~finally:(fun () -> C.close c)
+            (fun () ->
+              match
+                C.rpc_result c (P.Intersect { lower = 0; upper = domain_max })
+              with
+              | Ok (P.Rows _) -> true
+              | _ -> false)
+        in
+        (r, scatter_ok))
+      router_levels
+  in
+  Testbed.kill router;
+  List.iter Testbed.kill shard_procs;
+  let flat ls =
+    match List.map (fun l -> l.threads) ls with
+    | [] -> true
+    | t0 :: _ as ts ->
+        List.for_all (fun t -> abs (t - t0) <= 1) ts
+        && List.for_all (fun t -> t > 0 && t <= 16) ts
+  in
+  ( R.Obj
+      [ ("fd_limit", R.Int (if fd_limit = max_int then -1 else fd_limit));
+        ("dispatcher", R.List (List.map level_json results));
+        ("router",
+         R.List
+           (List.map
+              (fun (l, scatter_ok) -> level_json ~scatter_ok l)
+              router_results)) ],
+    [ ("served_ok",
+       List.for_all (fun l -> l.connected = l.conns && l.served = l.conns)
+         results);
+      ("top_level_ok", top >= 2000);
+      ("threads_flat", flat results);
+      ("router_threads_flat", flat (List.map fst router_results));
+      ("router_served_ok",
+       List.for_all (fun (l, sc) -> l.served = l.conns && sc) router_results)
+    ] )

@@ -76,22 +76,10 @@ let ivl lo up = Interval.Ivl.make lo up
 let row_a t = t.base
 let row_b t = t.base + 4
 
-type node = { disp : D.t; thread : Thread.t }
-
 let start_node ?replica_of () =
-  let cfg =
-    { D.default_config with port = 0; max_sessions = 32; replica_of }
-  in
-  let sh = S.shared ~durable:true () in
-  let disp = D.create ~config:cfg sh in
-  let thread = Thread.create (fun () -> D.serve disp) () in
-  { disp; thread }
-
-let stop_node n =
-  D.stop n.disp;
-  Thread.join n.thread
-
-let port n = D.port n.disp
+  Testbed.start
+    { D.default_config with max_sessions = 32; replica_of }
+    (S.shared ~durable:true ())
 
 let alive ~port =
   match C.connect ~deadline_ms:200. ~port () with
@@ -100,34 +88,13 @@ let alive ~port =
       true
   | exception _ -> false
 
-(* Poll Repl_status until [applied >= lsn]; Error on timeout. *)
-let wait_applied ?(timeout = 5.) ~port lsn =
-  let deadline = Unix.gettimeofday () +. timeout in
-  let rec go () =
-    let r =
-      match C.connect ~deadline_ms:500. ~port () with
-      | c ->
-          Fun.protect
-            ~finally:(fun () -> C.close c)
-            (fun () ->
-              match C.repl_status c with
-              | Ok (_, _, applied) -> Some applied
-              | Error _ -> None)
-      | exception _ -> None
-    in
-    match r with
-    | Some applied when applied >= lsn -> Ok applied
-    | _ ->
-        if Unix.gettimeofday () > deadline then
-          Error
-            (Printf.sprintf "node on port %d never applied through lsn %d"
-               port lsn)
-        else begin
-          Thread.delay 0.01;
-          go ()
-        end
-  in
-  go ()
+let wait_applied ~port lsn =
+  match Testbed.wait_applied ~port lsn with
+  | Some _ -> Ok ()
+  | None ->
+      Error
+        (Printf.sprintf "node on port %d never applied through lsn %d" port
+           lsn)
 
 let present rows lo = List.exists (fun (iv, _) -> Interval.Ivl.lower iv = lo) rows
 
@@ -168,26 +135,28 @@ let verify_rows ~where txns rows =
 (* One trial: fresh primary + replica + proxy, fault at frame [point]. *)
 let trial spec ~point ~fault =
   let primary = start_node () in
+  let pport = Testbed.port primary in
   let primary_alive = ref true in
   let stop_primary () =
     if !primary_alive then begin
       primary_alive := false;
-      stop_node primary
+      Testbed.stop primary
     end
   in
   Fun.protect ~finally:stop_primary @@ fun () ->
-  let replica = start_node ~replica_of:("127.0.0.1", port primary) () in
-  Fun.protect ~finally:(fun () -> stop_node replica) @@ fun () ->
+  let replica = start_node ~replica_of:("127.0.0.1", pport) () in
+  Fun.protect ~finally:(fun () -> Testbed.stop replica) @@ fun () ->
+  let rport = Testbed.port replica in
   (* Settle the subscription: semi-sync only covers commits made after
      the standby attached, so prove attachment with one direct write. *)
   let settle =
-    match C.connect ~deadline_ms:2000. ~port:(port primary) () with
+    match C.connect ~deadline_ms:2000. ~port:pport () with
     | c ->
         Fun.protect
           ~finally:(fun () -> C.close c)
           (fun () ->
             match (C.insert c (ivl 1 2), C.commit c) with
-            | Ok _, Ok lsn -> wait_applied ~port:(port replica) lsn
+            | Ok _, Ok lsn -> wait_applied ~port:rport lsn
             | Error e, _ | _, Error e ->
                 Error ("settle write failed: " ^ C.error_to_string e))
     | exception e -> Error ("settle connect failed: " ^ Printexc.to_string e)
@@ -197,7 +166,7 @@ let trial spec ~point ~fault =
   | Ok _ -> (
       let proxy =
         N.create
-          ~target:("127.0.0.1", port primary)
+          ~target:("127.0.0.1", pport)
           ~schedule:[ (point, fault) ]
           ~on_kill:stop_primary ()
       in
@@ -210,7 +179,7 @@ let trial spec ~point ~fault =
       let f =
         F.create ~deadline_ms:spec.deadline_ms
           ~endpoints:
-            [ ("127.0.0.1", N.port proxy); ("127.0.0.1", port replica) ]
+            [ ("127.0.0.1", N.port proxy); ("127.0.0.1", rport) ]
           ()
       in
       Fun.protect ~finally:(fun () -> F.close f) @@ fun () ->
@@ -235,7 +204,7 @@ let trial spec ~point ~fault =
         txns := { base; outcome } :: !txns;
         (* A Kill trial leaves every later mutation doomed to time out;
            once an op failed AND the primary is gone, stop driving. *)
-        if outcome <> Acked && not (alive ~port:(port primary)) then
+        if outcome <> Acked && not (alive ~port:pport) then
           dead := true;
         incr j
       done;
@@ -243,15 +212,15 @@ let trial spec ~point ~fault =
       let acked_lsn = F.last_lsn f in
       (* Which nodes survive, and do they agree with the oracle? *)
       let problems = ref [] in
-      (match wait_applied ~port:(port replica) acked_lsn with
+      (match wait_applied ~port:rport acked_lsn with
       | Error m -> problems := m :: !problems
       | Ok _ -> (
-          match read_rows ~deadline_ms:2000. ~port:(port replica) with
+          match read_rows ~deadline_ms:2000. ~port:rport with
           | Error m -> problems := ("replica read: " ^ m) :: !problems
           | Ok rows ->
               problems := verify_rows ~where:"replica" txns rows @ !problems));
-      if !primary_alive && alive ~port:(port primary) then begin
-        match read_rows ~deadline_ms:2000. ~port:(port primary) with
+      if !primary_alive && alive ~port:pport then begin
+        match read_rows ~deadline_ms:2000. ~port:pport with
         | Error m -> problems := ("primary read: " ^ m) :: !problems
         | Ok rows ->
             problems := verify_rows ~where:"primary" txns rows @ !problems

@@ -298,7 +298,7 @@ let test_plan_cache_speedup () =
   (* measured on a statement whose execution is trivial, so throughput
      is bounded by parse+plan — the regime the cache exists for.
      Data-bound statements spread the same absolute win over their
-     index probes (bench-plan reports both). *)
+     index probes (the plan bench reports both). *)
   let db = Relation.Catalog.create () in
   let cached = E.session db in
   let uncached = E.session ~plan_cache:false db in

@@ -1,8 +1,9 @@
 (* The measurement harness itself: table rendering, CSV escaping, I/O
-   accounting. *)
+   accounting, and the bench drivers' JSON result record. *)
 
 module Tbl = Harness.Tbl
 module Measure = Harness.Measure
+module Report = Harness.Report
 
 let check = Alcotest.check
 
@@ -92,6 +93,63 @@ let test_query_batch () =
        ((b.Measure.avg_seconds *. 10.) -. b.Measure.total_seconds)
      < 1e-9)
 
+let test_report_escaping () =
+  check Alcotest.string "escaped"
+    "\"q\\\"b\\\\s\\nl\\r\\t\\u0001\\u001f\"\n"
+    (Report.to_string (Report.String "q\"b\\s\nl\r\t\001\031"))
+
+let test_report_non_finite () =
+  List.iter
+    (fun x ->
+      match Report.to_string (Report.Obj [ ("x", Report.Float x) ]) with
+      | s -> Alcotest.failf "%F printed as %s" x s
+      | exception Invalid_argument _ -> ())
+    [ nan; infinity; neg_infinity ]
+
+let prop_float_round_trip =
+  QCheck.Test.make ~count:5000 ~name:"finite floats read back equal"
+    QCheck.(
+      oneof [ float; map Int64.float_of_bits int64; float_range (-1e3) 1e3 ])
+    (fun x ->
+      QCheck.assume (Float.is_finite x);
+      let s = String.trim (Report.to_string (Report.Float x)) in
+      float_of_string s = x)
+
+let test_report_nesting () =
+  let doc =
+    Report.Obj
+      [ ("a", Report.Int 1);
+        ("l",
+         Report.List [ Report.Obj [ ("x", Report.Bool true) ]; Report.Obj [] ]);
+        ("o", Report.Obj [ ("f", Report.Float 0.1); ("s", Report.String "x") ])
+      ]
+  in
+  check Alcotest.string "layout"
+    "{\n\
+    \  \"a\": 1,\n\
+    \  \"l\": [\n\
+    \    {\"x\": true},\n\
+    \    {}\n\
+    \  ],\n\
+    \  \"o\": {\"f\": 0.1, \"s\": \"x\"}\n\
+     }\n"
+    (Report.to_string doc)
+
+let test_report_checks () =
+  let doc, failed =
+    Report.record ~bench:"demo" ~tiny:true
+      (Report.Obj [ ("n", Report.Int 3) ])
+      [ ("a_ok", true); ("b_ok", false); ("c_ok", true) ]
+  in
+  check Alcotest.(list string) "the false check is named" [ "b_ok" ] failed;
+  check Alcotest.string "bench, tiny, fields, then checks"
+    "{\"bench\": \"demo\", \"tiny\": true, \"n\": 3, \"a_ok\": true, \
+     \"b_ok\": false, \"c_ok\": true}\n"
+    (Report.to_string doc);
+  Alcotest.check_raises "fields must be an object"
+    (Invalid_argument "Report.record: fields must be an object") (fun () ->
+      ignore (Report.record ~bench:"demo" ~tiny:false (Report.Int 1) []))
+
 let () =
   Alcotest.run "harness"
     [
@@ -102,4 +160,12 @@ let () =
       ("measure",
        [ Alcotest.test_case "io accounting" `Quick test_measure_io;
          Alcotest.test_case "query batch" `Quick test_query_batch ]);
+      ("report",
+       [ Alcotest.test_case "string escaping" `Quick test_report_escaping;
+         Alcotest.test_case "non-finite floats raise" `Quick
+           test_report_non_finite;
+         QCheck_alcotest.to_alcotest prop_float_round_trip;
+         Alcotest.test_case "nesting" `Quick test_report_nesting;
+         Alcotest.test_case "failed checks are named" `Quick
+           test_report_checks ]);
     ]

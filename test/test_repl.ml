@@ -19,46 +19,19 @@ module R = Server.Replica
 
 let check = Alcotest.check
 
-type node = { sh : S.shared; disp : D.t; thread : Thread.t }
-
 let start_node ?(group_commit = 0.) ?replica_of () =
-  let cfg =
-    { D.default_config with
-      port = 0;
-      max_sessions = 32;
-      group_commit;
-      replica_of }
-  in
-  let sh = S.shared ~durable:true () in
-  let disp = D.create ~config:cfg sh in
-  let thread = Thread.create (fun () -> D.serve disp) () in
-  { sh; disp; thread }
-
-let stop_node n =
-  D.stop n.disp;
-  Thread.join n.thread
-
-let port n = D.port n.disp
+  Testbed.start
+    { D.default_config with max_sessions = 32; group_commit; replica_of }
+    (S.shared ~durable:true ())
 
 let ok = function
   | Ok v -> v
   | Error e -> Alcotest.failf "unexpected error: %s" (C.error_to_string e)
 
-(* Poll an endpoint's Repl_status until it has applied through [lsn]. *)
-let wait_applied ?(timeout = 5.) ~port lsn =
-  let c = C.connect ~deadline_ms:1000. ~port () in
-  let deadline = Unix.gettimeofday () +. timeout in
-  let rec go () =
-    let _, _, applied = ok (C.repl_status c) in
-    if applied >= lsn then applied
-    else if Unix.gettimeofday () > deadline then
-      Alcotest.failf "replica stuck at applied %d, want %d" applied lsn
-    else begin
-      Thread.delay 0.005;
-      go ()
-    end
-  in
-  Fun.protect ~finally:(fun () -> C.close c) go
+(* Block until the node on [port] has applied through [lsn]. *)
+let wait_applied ~port lsn =
+  if Testbed.wait_applied ~port lsn = None then
+    Alcotest.failf "replica on port %d stuck below lsn %d" port lsn
 
 let ivl lo up = Interval.Ivl.make lo up
 
@@ -74,8 +47,8 @@ let ids_of pairs =
 
 let test_catchup () =
   let primary = start_node () in
-  Fun.protect ~finally:(fun () -> stop_node primary) @@ fun () ->
-  let c = C.connect ~port:(port primary) () in
+  Fun.protect ~finally:(fun () -> Testbed.stop primary) @@ fun () ->
+  let c = C.connect ~port:(Testbed.port primary) () in
   let lsn = ref 0 in
   for i = 0 to 29 do
     let _, l = insert_committed c ~lo:(i * 10) ~up:((i * 10) + 5) in
@@ -84,11 +57,11 @@ let test_catchup () =
   (* The replica joins late: it must replay the whole retained history
      (no snapshot transfer — every page image travels the journal). *)
   let replica =
-    start_node ~replica_of:("127.0.0.1", port primary) ()
+    start_node ~replica_of:("127.0.0.1", Testbed.port primary) ()
   in
-  Fun.protect ~finally:(fun () -> stop_node replica) @@ fun () ->
-  ignore (wait_applied ~port:(port replica) !lsn);
-  let rc = C.connect ~port:(port replica) () in
+  Fun.protect ~finally:(fun () -> Testbed.stop replica) @@ fun () ->
+  wait_applied ~port:(Testbed.port replica) !lsn;
+  let rc = C.connect ~port:(Testbed.port replica) () in
   let rows = ok (C.intersect rc (ivl 0 2000)) in
   check Alcotest.int "replica serves all committed rows" 30
     (List.length (ids_of rows));
@@ -111,16 +84,16 @@ let test_catchup () =
 
 let test_semi_sync () =
   let primary = start_node () in
-  Fun.protect ~finally:(fun () -> stop_node primary) @@ fun () ->
+  Fun.protect ~finally:(fun () -> Testbed.stop primary) @@ fun () ->
   let replica =
-    start_node ~replica_of:("127.0.0.1", port primary) ()
+    start_node ~replica_of:("127.0.0.1", Testbed.port primary) ()
   in
-  Fun.protect ~finally:(fun () -> stop_node replica) @@ fun () ->
-  let c = C.connect ~port:(port primary) () in
+  Fun.protect ~finally:(fun () -> Testbed.stop replica) @@ fun () ->
+  let c = C.connect ~port:(Testbed.port primary) () in
   (* settle the subscription first: one committed write, wait it out *)
   let _, l0 = insert_committed c ~lo:1 ~up:2 in
-  ignore (wait_applied ~port:(port replica) l0);
-  let rc = C.connect ~port:(port replica) () in
+  wait_applied ~port:(Testbed.port replica) l0;
+  let rc = C.connect ~port:(Testbed.port replica) () in
   for i = 1 to 20 do
     let id, _ = insert_committed c ~lo:(100 + i) ~up:(200 + i) in
     (* the ack was held until the replica applied the batch, so the row
@@ -136,19 +109,19 @@ let test_semi_sync () =
 
 let test_group_commit_repl () =
   let primary = start_node ~group_commit:0.002 () in
-  Fun.protect ~finally:(fun () -> stop_node primary) @@ fun () ->
+  Fun.protect ~finally:(fun () -> Testbed.stop primary) @@ fun () ->
   let replica =
-    start_node ~replica_of:("127.0.0.1", port primary) ()
+    start_node ~replica_of:("127.0.0.1", Testbed.port primary) ()
   in
-  Fun.protect ~finally:(fun () -> stop_node replica) @@ fun () ->
-  let c = C.connect ~port:(port primary) () in
+  Fun.protect ~finally:(fun () -> Testbed.stop replica) @@ fun () ->
+  let c = C.connect ~port:(Testbed.port primary) () in
   let lsn = ref 0 in
   for i = 0 to 19 do
     let _, l = insert_committed c ~lo:i ~up:(i + 1) in
     lsn := l
   done;
-  ignore (wait_applied ~port:(port replica) !lsn);
-  let rc = C.connect ~port:(port replica) () in
+  wait_applied ~port:(Testbed.port replica) !lsn;
+  let rc = C.connect ~port:(Testbed.port replica) () in
   let rows = ok (C.intersect rc (ivl 0 2000)) in
   check Alcotest.int "all group-committed rows on the replica" 20
     (List.length (ids_of rows));
@@ -161,12 +134,14 @@ let test_group_commit_repl () =
 let test_failover () =
   let primary = start_node () in
   let replica =
-    start_node ~replica_of:("127.0.0.1", port primary) ()
+    start_node ~replica_of:("127.0.0.1", Testbed.port primary) ()
   in
-  Fun.protect ~finally:(fun () -> stop_node replica) @@ fun () ->
+  Fun.protect ~finally:(fun () -> Testbed.stop replica) @@ fun () ->
   let f =
     F.create ~deadline_ms:500.
-      ~endpoints:[ ("127.0.0.1", port primary); ("127.0.0.1", port replica) ]
+      ~endpoints:
+        [ ("127.0.0.1", Testbed.port primary);
+          ("127.0.0.1", Testbed.port replica) ]
       ()
   in
   Fun.protect ~finally:(fun () -> F.close f) @@ fun () ->
@@ -176,7 +151,7 @@ let test_failover () =
      the standby proves the semi-sync path is engaged. *)
   let id0 = ok (F.insert f (ivl 0 1)) in
   let l0 = ok (F.commit f) in
-  ignore (wait_applied ~port:(port replica) l0);
+  wait_applied ~port:(Testbed.port replica) l0;
   let acked = ref [ id0 ] in
   for i = 0 to 14 do
     let id = ok (F.insert f (ivl (i * 7) ((i * 7) + 3))) in
@@ -184,7 +159,7 @@ let test_failover () =
     acked := id :: !acked
   done;
   (* the node dies *)
-  stop_node primary;
+  Testbed.stop primary;
   (* reads keep working: the client rotates to the standby, and its
      read-your-writes token makes every acked write visible there *)
   let rows = ok (F.intersect f (ivl 0 2000)) in

@@ -234,62 +234,6 @@ let prop_scatter_allen =
 
 (* ---- live routed cluster: forked shards + in-process router ---- *)
 
-(* Real processes, not threads: the head-of-line regression needs the
-   kernel to preempt a pinned shard, which threads under one OCaml
-   runtime lock cannot model. The parent binds each port (to learn it)
-   pre-fork; every process then drops the listen-fd copies it does not
-   serve, so a dead shard's port refuses instead of black-holing. *)
-let spawn_shards slices =
-  let disps =
-    List.map
-      (fun slice ->
-        let sh = Server.Session.shared () in
-        Server.Session.preload_ids sh slice;
-        Server.Dispatcher.create
-          ~config:
-            { Server.Dispatcher.default_config with
-              host = "127.0.0.1"; port = 0 }
-          sh)
-      slices
-  in
-  flush stdout;
-  flush stderr;
-  let procs =
-    List.map
-      (fun disp ->
-        let port = Server.Dispatcher.port disp in
-        match Unix.fork () with
-        | 0 ->
-            List.iter
-              (fun d ->
-                if d != disp then Server.Dispatcher.release_listener d)
-              disps;
-            Sys.set_signal Sys.sigterm
-              (Sys.Signal_handle (fun _ -> Server.Dispatcher.stop disp));
-            Server.Dispatcher.serve disp;
-            Unix._exit 0
-        | pid -> (pid, port))
-      disps
-  in
-  List.iter Server.Dispatcher.release_listener disps;
-  procs
-
-let stop_shards procs =
-  List.iter
-    (fun (pid, _) ->
-      (try Unix.kill pid Sys.sigterm with Unix.Unix_error _ -> ());
-      try ignore (Unix.waitpid [] pid) with Unix.Unix_error _ -> ())
-    procs
-
-let slice_of data (lo, hi) =
-  let out = ref [] in
-  Array.iteri
-    (fun id ivl ->
-      if Interval.Ivl.lower ivl <= hi && Interval.Ivl.upper ivl >= lo then
-        out := (id, ivl) :: !out)
-    data;
-  Array.of_list (List.rev !out)
-
 (* Boot [shards] forked shard processes preloaded with [data]'s slices
    and a router over them; run [f router map data]; always tear down. *)
 let with_cluster ?(shards = 2) ?(deadline_ms = 2000.) ?(data = [||]) f =
@@ -300,13 +244,15 @@ let with_cluster ?(shards = 2) ?(deadline_ms = 2000.) ?(data = [||]) f =
       ~endpoints:(List.init n_shards (fun i -> [ ("h", i + 1) ]))
   in
   let procs =
-    spawn_shards
-      (List.init n_shards (fun i -> slice_of data (R.Map.range geometry i)))
+    Testbed.fork
+      (List.init n_shards (fun i ->
+           Testbed.slice data (R.Map.range geometry i)))
   in
   Thread.delay 0.2;
   let map =
     R.Map.create ~cuts
-      ~endpoints:(List.map (fun (_, p) -> [ ("127.0.0.1", p) ]) procs)
+      ~endpoints:
+        (List.map (fun (p : Testbed.proc) -> [ ("127.0.0.1", p.port) ]) procs)
   in
   let router =
     R.create
@@ -317,7 +263,7 @@ let with_cluster ?(shards = 2) ?(deadline_ms = 2000.) ?(data = [||]) f =
   let result = try Ok (f (R.port router) map) with e -> Error e in
   R.stop router;
   Thread.join thread;
-  stop_shards procs;
+  List.iter Testbed.kill procs;
   match result with Ok v -> v | Error e -> raise e
 
 let with_client port f =
@@ -330,20 +276,10 @@ let ok = function
 
 let live_data = dataset Workload.Distribution.D1
 
-let response_label = function
-  | P.Ack m -> "ack: " ^ m
-  | P.Rows _ -> "rows"
-  | P.Error m -> "error: " ^ m
-  | P.Invalid m -> "invalid: " ^ m
-  | P.Overloaded m -> "overloaded: " ^ m
-  | P.Partial { missing; msg } ->
-      Printf.sprintf "partial (%d missing): %s" (List.length missing) msg
-  | _ -> "unexpected response"
-
 let sorted_rows = function
   | P.Rows { rows; _ } ->
       List.sort (fun a b -> compare (a.(0), a.(1), a.(2)) (b.(0), b.(1), b.(2))) rows
-  | r -> Alcotest.failf "expected rows, got %s" (response_label r)
+  | r -> Alcotest.failf "expected rows, got %s" (Testbed.describe r)
 
 let oracle_rows data matches =
   Array.to_list data
@@ -436,7 +372,7 @@ let test_live_spanner_once () =
           | r ->
               Alcotest.failf "delete failed: %s"
                 (match r with
-                | Ok resp -> response_label resp
+                | Ok resp -> Testbed.describe resp
                 | Error e -> C.error_to_string e));
           List.iter
             (fun (lo, hi) ->
@@ -487,11 +423,13 @@ let test_live_partial () =
   let geometry =
     R.Map.create ~cuts ~endpoints:[ [ ("h", 1) ]; [ ("h", 2) ] ]
   in
-  let procs = spawn_shards [ slice_of live_data (R.Map.range geometry 0) ] in
+  let procs =
+    Testbed.fork [ Testbed.slice live_data (R.Map.range geometry 0) ]
+  in
   let map =
     R.Map.create ~cuts
       ~endpoints:
-        [ [ ("127.0.0.1", snd (List.hd procs)) ];
+        [ [ ("127.0.0.1", (List.hd procs).Testbed.port) ];
           [ ("127.0.0.1", dead_port) ] ]
   in
   let router =
@@ -504,7 +442,7 @@ let test_live_partial () =
     ~finally:(fun () ->
       R.stop router;
       Thread.join thread;
-      stop_shards procs)
+      List.iter Testbed.kill procs)
     (fun () ->
       with_client (R.port router) (fun c ->
           (match C.rpc_result c (P.Intersect { lower = 0; upper = 1000 }) with
@@ -512,7 +450,7 @@ let test_live_partial () =
           | r ->
               Alcotest.failf "healthy-shard query: %s"
                 (match r with
-                | Ok resp -> response_label resp
+                | Ok resp -> Testbed.describe resp
                 | Error e -> C.error_to_string e));
           match
             C.rpc_result c (P.Intersect { lower = 0; upper = domain_max })
@@ -524,7 +462,7 @@ let test_live_partial () =
           | r ->
               Alcotest.failf "expected Partial, got %s"
                 (match r with
-                | Ok resp -> response_label resp
+                | Ok resp -> Testbed.describe resp
                 | Error e -> C.error_to_string e)))
 
 (* A shard that never answers must not hold up requests for healthy
@@ -546,11 +484,13 @@ let test_live_blackhole_no_hol () =
   let geometry =
     R.Map.create ~cuts ~endpoints:[ [ ("h", 1) ]; [ ("h", 2) ] ]
   in
-  let procs = spawn_shards [ slice_of live_data (R.Map.range geometry 0) ] in
+  let procs =
+    Testbed.fork [ Testbed.slice live_data (R.Map.range geometry 0) ]
+  in
   let map =
     R.Map.create ~cuts
       ~endpoints:
-        [ [ ("127.0.0.1", snd (List.hd procs)) ];
+        [ [ ("127.0.0.1", (List.hd procs).Testbed.port) ];
           [ ("127.0.0.1", hole_port) ] ]
   in
   let router =
@@ -563,7 +503,7 @@ let test_live_blackhole_no_hol () =
     ~finally:(fun () ->
       R.stop router;
       Thread.join thread;
-      stop_shards procs;
+      List.iter Testbed.kill procs;
       Unix.close hole)
     (fun () ->
       let port = R.port router in
@@ -593,7 +533,7 @@ let test_live_blackhole_no_hol () =
       | r ->
           Alcotest.failf "healthy-shard query: %s"
             (match r with
-            | Ok resp -> response_label resp
+            | Ok resp -> Testbed.describe resp
             | Error e -> C.error_to_string e));
       Alcotest.(check bool)
         (Printf.sprintf "healthy-shard query answered in %.3f s < 0.5 s" dt)
@@ -608,7 +548,7 @@ let test_live_blackhole_no_hol () =
                 [ 1 ] missing
           | Some (Ok resp) ->
               Alcotest.failf "stuck query %d: expected Partial, got %s" i
-                (response_label resp)
+                (Testbed.describe resp)
           | Some (Error e) ->
               Alcotest.failf "stuck query %d: %s" i (C.error_to_string e)
           | None -> Alcotest.failf "stuck query %d: no answer" i)
@@ -681,12 +621,12 @@ let test_hol_regression () =
      the same loop as the fat scans. *)
   let single =
     let procs =
-      spawn_shards [ Array.mapi (fun id ivl -> (id, ivl)) hol_data ]
+      Testbed.fork [ Array.mapi (fun id ivl -> (id, ivl)) hol_data ]
     in
     Thread.delay 0.2;
-    let port = snd (List.hd procs) in
+    let port = (List.hd procs).Testbed.port in
     Fun.protect
-      ~finally:(fun () -> stop_shards procs)
+      ~finally:(fun () -> List.iter Testbed.kill procs)
       (fun () -> hol_pings ~port ~seconds ~fat_range:hol_range)
   in
   Alcotest.(check bool) "sampler got pings through the router" true
@@ -743,11 +683,11 @@ let read_to_eof fd =
    serving loop: 100 concurrent in-flight scrapes must leave the
    process thread count exactly where it was. *)
 let test_metrics_scrape_thread_bound () =
-  let procs = spawn_shards [ slice_of live_data (min_int, max_int) ] in
+  let procs = Testbed.fork [ Testbed.slice live_data (min_int, max_int) ] in
   Thread.delay 0.2;
   let map =
     R.Map.create ~cuts:[]
-      ~endpoints:[ [ ("127.0.0.1", snd (List.hd procs)) ] ]
+      ~endpoints:[ [ ("127.0.0.1", (List.hd procs).Testbed.port) ] ]
   in
   let router =
     R.create
@@ -759,7 +699,7 @@ let test_metrics_scrape_thread_bound () =
     ~finally:(fun () ->
       R.stop router;
       Thread.join thread;
-      stop_shards procs)
+      List.iter Testbed.kill procs)
     (fun () ->
       let mport = R.metrics_port router in
       let dial () =
