@@ -221,7 +221,7 @@ let explain_kind ~tiny kind =
       Relation.Catalog.flush db;
       Relation.Catalog.drop_cache db;
       let ids, io =
-        Measure.io db (fun () -> Ritree.Ri_tree.intersecting_ids tree q)
+        Measure.io db (fun () -> Exec.Planner.intersecting_ids tree q)
       in
       let actual_rows = List.length ids in
       io_errs.(i) <- rel_err pred_io io;
@@ -351,24 +351,20 @@ let plan_kind ~tiny kind =
       [ 0.001; 0.01; 0.1 ]
     @ Array.to_list (Workload.Query_gen.point_queries ~seed ~count:per_sel ())
   in
-  let wins = ref 0 and two = ref 0 and single = ref 0 and seq = ref 0 in
+  let wins = ref 0 and two = ref 0 and seq = ref 0 in
   List.iter
     (fun q ->
       let io p =
         cold db (fun () -> Exec.Planner.intersecting_ids ~path:p tree q)
       in
       let candidates =
-        (Exec.Planner.Two_branch, io Exec.Planner.Two_branch)
-        :: (Exec.Planner.Seq, io Exec.Planner.Seq)
-        :: (if Interval.Ivl.lower q = Interval.Ivl.upper q then
-              [ (Exec.Planner.Single_branch, io Exec.Planner.Single_branch) ]
-            else [])
+        [ (Exec.Planner.Two_branch, io Exec.Planner.Two_branch);
+          (Exec.Planner.Seq, io Exec.Planner.Seq) ]
       in
       let best = List.fold_left (fun a (_, c) -> min a c) max_int candidates in
       let chosen = Exec.Planner.choose tree stats q in
       (match chosen with
       | Exec.Planner.Two_branch -> incr two
-      | Exec.Planner.Single_branch -> incr single
       | Exec.Planner.Seq -> incr seq
       | Exec.Planner.Mem_path -> () (* no hot tier in this bench *));
       let chosen_io =
@@ -385,8 +381,7 @@ let plan_kind ~tiny kind =
       ("win_rate", R.Float (float_of_int !wins /. float_of_int (max 1 nq)));
       ("choices",
        R.Obj
-         [ ("two_branch", R.Int !two); ("single_branch", R.Int !single);
-           ("seq_scan", R.Int !seq) ]) ]
+         [ ("two_branch", R.Int !two); ("seq_scan", R.Int !seq) ]) ]
 
 let plan ~tiny =
   let throughput = plan_throughput ~tiny in
@@ -479,10 +474,10 @@ let memindex_kind ~tiny kind =
        batch_qps inter_qs (Memindex.Skip_list.intersecting_ids sl)) ]
   in
   let cold_qps =
-    cold_disk_qps db inter_qs (fun q -> Ritree.Ri_tree.intersecting_ids tree q)
+    cold_disk_qps db inter_qs (fun q -> Exec.Planner.intersecting_ids tree q)
   in
   let warm_qps =
-    batch_qps inter_qs (fun q -> Ritree.Ri_tree.intersecting_ids tree q)
+    batch_qps inter_qs (fun q -> Exec.Planner.intersecting_ids tree q)
   in
   (* Tier choice vs exhaustive per-tier cold-cache I/O: the memory tier
      is a real Memtier residency (budget far above the collection), the

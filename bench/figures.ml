@@ -192,7 +192,7 @@ let fig15 ~tiny =
           (fun sel ->
             let queries = Workload.Query_gen.queries ~data ~count:100 sel in
             Measure.query_batch db
-              (fun q -> Ritree.Ri_tree.count_intersecting tree q)
+              (fun q -> List.length (Exec.Planner.intersecting_ids tree q))
               queries)
           selectivities
       in
@@ -435,8 +435,8 @@ let join_bench ~tiny =
            + stats.Storage.Block_device.Stats.writes);
         Tbl.fmt_f secs ]
   in
-  run "index nested loop" (fun () -> Ritree.Join.index_nested_ids left right);
-  run "plane sweep" (fun () -> Ritree.Join.sweep_ids left right);
+  run "index nested loop" (fun () -> Exec.Join.index_nested_ids left right);
+  run "plane sweep" (fun () -> Exec.Join.sweep_ids left right);
   [ t ]
 
 (* ---- Ablation: skeleton index (paper's proposed extension) ---- *)
@@ -458,13 +458,13 @@ let ablation_skeleton ~tiny =
   done;
   let queries = Workload.Query_gen.point_queries ~count:200 () in
   let ri = Ritree.Skeleton.ri sk in
-  let plain =
-    Measure.query_batch db (fun q -> Ritree.Ri_tree.count_intersecting ri q)
-      queries
+  let count ?node_filter q =
+    List.length (Exec.Planner.intersecting_ids ?node_filter ri q)
   in
+  let plain = Measure.query_batch db (fun q -> count q) queries in
   let filtered =
     Measure.query_batch db
-      (fun q -> Ritree.Skeleton.count_intersecting sk q)
+      (count ~node_filter:(Ritree.Skeleton.node_filter sk))
       queries
   in
   let probes =
@@ -581,7 +581,7 @@ let micro ~tiny:_ =
       Test.make ~name:"ri.intersection(10k)"
         (Staged.stage (fun () ->
              let p = Workload.Prng.int rng 1_000_000 in
-             ignore (Ritree.Ri_tree.count_intersecting tree (Ivl.point p))))
+             ignore (Exec.Planner.intersecting_ids tree (Ivl.point p))))
     ]
   in
   let instance = Toolkit.Instance.monotonic_clock in

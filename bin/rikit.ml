@@ -196,7 +196,7 @@ let topo kind n d seed relation qlow qup =
   let tree = Ritree.Ri_tree.create db in
   Array.iteri (fun id ivl -> ignore (Ritree.Ri_tree.insert ~id tree ivl)) data;
   let q = Interval.Ivl.make qlow qup in
-  let hits = Ritree.Topological.query tree rel q in
+  let hits = Exec.Planner.allen_matches tree rel q in
   Printf.printf "%d stored intervals %s %s:\n" (List.length hits)
     (Interval.Allen.to_string rel)
     (Interval.Ivl.to_string q);
@@ -247,8 +247,8 @@ let join kind n d seed =
     n d
     (Workload.Distribution.kind_to_string kind)
     (n / 2) d;
-  run "index nested loop" (fun () -> Ritree.Join.index_nested_ids left right);
-  run "plane sweep" (fun () -> Ritree.Join.sweep_ids left right)
+  run "index nested loop" (fun () -> Exec.Join.index_nested_ids left right);
+  run "plane sweep" (fun () -> Exec.Join.sweep_ids left right)
 
 let join_cmd =
   Cmd.v

@@ -43,7 +43,7 @@ let () =
   List.iter
     (fun (ivl, id) ->
       Printf.printf "  id %d: %s\n" id (Ivl.to_string ivl))
-    (Ri.intersecting tree (Ivl.make 0 2000));
+    (Exec.Planner.intersecting tree (Ivl.make 0 2000));
 
   (* business continues on the recovered database *)
   ignore (Ri.insert tree (Ivl.make 1500 1600));

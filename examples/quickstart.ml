@@ -1,5 +1,6 @@
 (* Quickstart: create a database, index intervals with the RI-tree, and
-   run intersection / stabbing / topological queries.
+   run intersection / stabbing / topological queries through the query
+   planner ([Exec.Planner]), which runs the paper's Fig. 9 statement.
 
    Run with:  dune exec examples/quickstart.exe *)
 
@@ -28,7 +29,7 @@ let () =
 
   (* Intersection query: everything overlapping [50, 95]. *)
   let q = Ivl.make 50 95 in
-  let hits = Ritree.Ri_tree.intersecting tree q in
+  let hits = Exec.Planner.intersecting tree q in
   Printf.printf "\nintervals intersecting %s:\n" (Ivl.to_string q);
   List.iter
     (fun (ivl, id) -> Printf.printf "  id %d: %s\n" id (Ivl.to_string ivl))
@@ -38,10 +39,10 @@ let () =
   let p = 100 in
   Printf.printf "\nintervals containing %d: ids %s\n" p
     (String.concat ", "
-       (List.map string_of_int (Ritree.Ri_tree.stabbing_ids tree p)));
+       (List.map string_of_int (Exec.Planner.stabbing_ids tree p)));
 
   (* Topological queries (Allen relations, Sec. 4.5). *)
-  let during = Ritree.Topological.query tree Interval.Allen.During q in
+  let during = Exec.Planner.allen_matches tree Interval.Allen.During q in
   Printf.printf "\nintervals lying strictly inside %s:\n" (Ivl.to_string q);
   List.iter
     (fun (ivl, id) -> Printf.printf "  id %d: %s\n" id (Ivl.to_string ivl))
@@ -60,10 +61,10 @@ let () =
     p.Ritree.Ri_tree.min_level
     (Ritree.Ri_tree.height tree);
   print_newline ();
-  print_string (Ritree.Ri_tree.explain tree q);
+  print_string (Exec.Planner.explain tree (Exec.Planner.Intersect_target q));
 
   (* Physical I/O of one query, as the paper measures it. *)
   let _, blocks =
-    Harness.Measure.io db (fun () -> Ritree.Ri_tree.intersecting_ids tree q)
+    Harness.Measure.io db (fun () -> Exec.Planner.intersecting_ids tree q)
   in
   Printf.printf "\nphysical I/O for that query: %d blocks\n" blocks

@@ -76,14 +76,14 @@ let () =
     (Sqlfront.Engine.explain ~binds session fig9);
   exec session ~binds fig9;
 
-  (* Cross-check against the library's own query path. *)
+  (* Cross-check against the typed query path of the planner. *)
   let db2 = Relation.Catalog.create () in
   let tree = Ritree.Ri_tree.create db2 in
   List.iteri
     (fun i (l, u) -> ignore (Ritree.Ri_tree.insert ~id:(i + 1) tree (Ivl.make l u)))
     [ (3, 8); (10, 14); (1, 2); (6, 11); (13, 13) ];
-  Printf.printf "\nRI-tree library answers: %s\n"
+  Printf.printf "\nplanner answers: %s\n"
     (String.concat ", "
        (List.map string_of_int
           (List.sort compare
-             (Ritree.Ri_tree.intersecting_ids tree (Ivl.make qlow qup)))))
+             (Exec.Planner.intersecting_ids tree (Ivl.make qlow qup)))))

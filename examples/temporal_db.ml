@@ -39,7 +39,7 @@ let () =
       (fun (iv, id) ->
         let a = Hashtbl.find by_id id in
         Printf.printf "  %-18s %s\n" a.who (Format.asprintf "%a" Temporal.pp iv))
-      (Ritree.Temporal_store.intersecting store ~now q);
+      (Exec.Planner.temporal_matches store ~now q);
     print_newline ()
   in
 

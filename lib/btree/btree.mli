@@ -100,11 +100,6 @@ val cursor : t -> lo:key -> hi:key -> cursor
 
 val next : cursor -> key option
 
-val reset : cursor -> lo:key -> hi:key -> unit
-(** Reposition an existing cursor on a new [lo, hi] range of the same
-    tree. Equivalent to a fresh {!cursor} but without the allocation —
-    the repeated inner probes of a nested-loop join reuse one cursor. *)
-
 val iter_range : t -> lo:key -> hi:key -> (key -> unit) -> unit
 val fold_range : t -> lo:key -> hi:key -> ('a -> key -> 'a) -> 'a -> 'a
 val range_list : t -> lo:key -> hi:key -> key list

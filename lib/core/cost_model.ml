@@ -154,13 +154,3 @@ let choose ?mem tree stats q =
   match mem with
   | Some mi when mem_cost mi stats q <= snd disk -> Mem_plan
   | _ -> fst disk
-
-let adaptive_ids tree stats q =
-  match choose tree stats q with
-  | Index_plan | Mem_plan -> Ri_tree.intersecting_ids tree q
-  | Full_scan ->
-      let acc = ref [] in
-      Relation.Table.iter (Ri_tree.table tree) (fun _ row ->
-          if row.(1) <= Ivl.upper q && row.(2) >= Ivl.lower q then
-            acc := row.(3) :: !acc);
-      List.rev !acc

@@ -8,8 +8,25 @@
     query iff it ends before it or starts after it), and a block-level
     cost formula compares the RI-tree plan against a full table scan. At
     very high selectivities the scan is cheaper — the optimizer's choice,
-    not the index's failure — and {!adaptive_ids} switches plans
+    not the index's failure — and [Exec.Planner] switches plans
     accordingly. *)
+
+(** Equi-width histogram over one column, with its running min/max. *)
+module Histogram : sig
+  type t = {
+    lo : int;
+    hi : int;
+    counts : int array;  (** one per bucket *)
+    total : int;
+  }
+
+  val build : buckets:int -> int list -> t
+
+  val count_below : t -> int -> float
+  (** Estimated number of values strictly below the argument, assuming
+      uniformity within buckets. Bound arithmetic is in floats, so
+      columns holding [min_int]/[max_int] sentinels do not wrap. *)
+end
 
 module Stats : sig
   type t
@@ -50,9 +67,5 @@ val choose :
   ?mem:mem_info -> Ri_tree.t -> Stats.t -> Interval.Ivl.t -> plan_choice
 (** Cheapest of the disk plans and, when [mem] says the collection is
     resident, the hot-tier probe. *)
-
-val adaptive_ids : Ri_tree.t -> Stats.t -> Interval.Ivl.t -> int list
-(** Execute whichever plan {!choose} picks; both return exactly the
-    intersecting ids. *)
 
 val plan_to_string : plan_choice -> string

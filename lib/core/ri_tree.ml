@@ -29,7 +29,6 @@ type params = {
 (* Column positions in the base table (node, lower, upper, id). *)
 let col_lower = 1
 let col_upper = 2
-let col_id = 3
 
 (* Key columns of the lower and upper index. [Paper] is Fig. 2; [Covering]
    adds the other bound, so every step of the server's plans reads the
@@ -278,14 +277,17 @@ let delete (t : t) ~id ivl =
   | None -> false
 
 (* ------------------------------------------------------------------ *)
-(* Intersection queries: the two-branch UNION ALL plan of Fig. 9. *)
+(* The transient node tables of the Fig. 9 intersection query. *)
 
 type node_lists = {
   left_nodes : (int * int) list;  (* (min, max); scanned on upperIndex *)
   right_nodes : int list;         (* scanned on lowerIndex *)
 }
 
-let node_lists (t : t) ivl =
+(* [node_filter] lets the skeleton extension drop probes of single nodes
+   known to hold no intervals; a BETWEEN range over more than one node
+   is never filtered. *)
+let node_lists ?node_filter:(keep = fun _ -> true) (t : t) ivl =
   match t.offset with
   | None -> { left_nodes = []; right_nodes = [] }
   | Some off ->
@@ -298,142 +300,18 @@ let node_lists (t : t) ivl =
       let ql = clamp (Ivl.lower ivl) - off and qu = clamp (Ivl.upper ivl) - off in
       let lefts = ref [] and rights = ref [] in
       Backbone.collect t.roots ~min_level:t.min_level ~ql ~qu
-        ~left:(fun w -> lefts := (w, w) :: !lefts)
-        ~right:(fun w -> rights := w :: !rights);
+        ~left:(fun w -> if keep w then lefts := (w, w) :: !lefts)
+        ~right:(fun w -> if keep w then rights := w :: !rights);
       (* Sec. 4.3: the BETWEEN range joins the leftNodes table as the
          pair (ql, qu); the guard upper >= :lower is implied for it. *)
-      { left_nodes = (ql, qu) :: !lefts; right_nodes = !rights }
+      if ql <> qu || keep ql then lefts := (ql, qu) :: !lefts;
+      { left_nodes = !lefts; right_nodes = !rights }
 
-(* The plan of Fig. 10: two nested-loop joins of collection iterators
-   with index range scans, concatenated by UNION ALL. Both indexes
-   cover (node, bound, id): every key ends in id then rowid, and under
-   the Covering layout also carries the other bound — so no base-table
-   access.
-   [node_filter] lets the skeleton extension drop probes of single nodes
-   known to hold no intervals; the BETWEEN pair is never filtered. *)
-let filtered_node_lists ?node_filter t ivl =
-  let { left_nodes; right_nodes } = node_lists t ivl in
-  match node_filter with
-  | None -> (left_nodes, right_nodes)
-  | Some keep ->
-      ( List.filter (fun (a, b) -> a <> b || keep a) left_nodes,
-        List.filter keep right_nodes )
-
-(* The two join branches, as separate iterators so tracing can attribute
-   time and I/O per branch. Each branch probes its index once per
-   collected node; a shared probe cursor (Iter.index_probe) is
-   repositioned instead of reallocated for every inner scan of the
-   nested loop. *)
-let intersection_branches ?node_filter t ivl =
-  let left_nodes, right_nodes = filtered_node_lists ?node_filter t ivl in
-  let qlow = Ivl.lower ivl and qup = Ivl.upper ivl in
-  let upper_tree = Relation.Table.Index.tree t.upper_index in
-  let lower_tree = Relation.Table.Index.tree t.lower_index in
-  let probe_upper = Relation.Iter.index_probe t.upper_index in
-  let probe_lower = Relation.Iter.index_probe t.lower_index in
-  let upper_branch =
-    Relation.Iter.nested_loop
-      ~outer:(Relation.Iter.of_list (List.map (fun (a, b) -> [| a; b |]) left_nodes))
-      ~inner:(fun pair ->
-        probe_upper
-          ~lo:(Btree.lo_pad upper_tree [ pair.(0); qlow ])
-          ~hi:(Btree.hi_pad upper_tree [ pair.(1) ]))
-  in
-  let lower_branch =
-    Relation.Iter.nested_loop
-      ~outer:(Relation.Iter.of_list (List.map (fun w -> [| w |]) right_nodes))
-      ~inner:(fun node ->
-        probe_lower
-          ~lo:(Btree.lo_pad lower_tree [ node.(0) ])
-          ~hi:(Btree.hi_pad lower_tree [ node.(0); qup ]))
-  in
-  (left_nodes, right_nodes, upper_branch, lower_branch)
-
-let intersection_iter ?node_filter t ivl =
-  let _, _, upper_branch, lower_branch =
-    intersection_branches ?node_filter t ivl
-  in
-  Relation.Iter.union_all [ upper_branch; lower_branch ]
-
-(* Fold both branches with per-branch spans when tracing: union_all
-   would drain them in the same order, but through one opaque iterator.
-   The span [info] carries the outer-collection cardinality — the probe
-   count of that branch. *)
-let traced_fold ?node_filter t ivl f acc =
-  Obs.Trace.with_span "ritree.intersect" ~info:(Ivl.to_string ivl)
-    (fun () ->
-      let lefts, rights, upper_branch, lower_branch =
-        intersection_branches ?node_filter t ivl
-      in
-      if not (Obs.Trace.enabled ()) then
-        Relation.Iter.fold f
-          (Relation.Iter.fold f acc upper_branch)
-          lower_branch
-      else begin
-        let acc =
-          Obs.Trace.with_span "ritree.left_join"
-            ~info:(Printf.sprintf "%d nodes" (List.length lefts))
-            (fun () -> Relation.Iter.fold f acc upper_branch)
-        in
-        Obs.Trace.with_span "ritree.right_join"
-          ~info:(Printf.sprintf "%d nodes" (List.length rights))
-          (fun () -> Relation.Iter.fold f acc lower_branch)
-      end)
-
-let intersecting_ids ?node_filter t ivl =
-  (* both layouts key [id] at the same position in both indexes *)
-  let id =
-    Array.find_index (String.equal "id")
-      (Relation.Table.Index.columns t.lower_index)
-    |> Option.get
-  in
-  traced_fold ?node_filter t ivl (fun acc key -> key.(id) :: acc) []
-  |> List.rev
-
-let intersecting t ivl =
-  let rows =
-    Obs.Trace.with_span "ritree.intersect" ~info:(Ivl.to_string ivl)
-      (fun () ->
-        Relation.Iter.fetch t.table (intersection_iter t ivl)
-        |> Relation.Iter.to_list)
-  in
-  List.map
-    (fun row -> (Ivl.make row.(col_lower) row.(col_upper), row.(col_id)))
-    rows
-
-let stabbing_ids t p = intersecting_ids t (Ivl.point p)
-
-let count_intersecting ?node_filter t ivl =
-  traced_fold ?node_filter t ivl (fun acc _ -> acc + 1) 0
-
-(* Number of single-node probes the plan would perform (diagnostic for
-   the skeleton extension). *)
+(* Number of index probes the plan would perform, BETWEEN range
+   included (diagnostic for the skeleton extension). *)
 let probe_count ?node_filter t ivl =
-  let { left_nodes; right_nodes } = node_lists t ivl in
-  let keep = match node_filter with None -> fun _ -> true | Some f -> f in
-  List.length (List.filter (fun (a, b) -> a <> b || keep a) left_nodes)
-  + List.length (List.filter keep right_nodes)
-
-let explain t ivl =
-  let { left_nodes; right_nodes } = node_lists t ivl in
-  let buf = Buffer.create 256 in
-  let add fmt = Printf.ksprintf (Buffer.add_string buf) fmt in
-  add "SELECT STATEMENT\n";
-  add "  UNION-ALL\n";
-  add "    NESTED LOOPS\n";
-  add "      COLLECTION ITERATOR leftNodes(min, max): ";
-  List.iter (fun (a, b) -> add "(%d,%d) " a b) left_nodes;
-  let cols index =
-    String.concat ", " (Array.to_list (Relation.Table.Index.columns index))
-  in
-  add "\n      INDEX RANGE SCAN %s (%s)\n"
-    (Relation.Table.Index.name t.upper_index) (cols t.upper_index);
-  add "    NESTED LOOPS\n";
-  add "      COLLECTION ITERATOR rightNodes(node): ";
-  List.iter (fun w -> add "%d " w) right_nodes;
-  add "\n      INDEX RANGE SCAN %s (%s)\n"
-    (Relation.Table.Index.name t.lower_index) (cols t.lower_index);
-  Buffer.contents buf
+  let { left_nodes; right_nodes } = node_lists ?node_filter t ivl in
+  List.length left_nodes + List.length right_nodes
 
 let check_invariants t =
   Relation.Table.check_invariants t.table;
@@ -474,15 +352,3 @@ let insert_sentinel_row (t : t) ~node ~lower ~upper_code ~id =
   ignore (Relation.Table.insert t.table [| node; lower; upper_code; id |]);
   save_params t;
   id
-
-let sentinel_scan t ~node ~max_lower =
-  let tree = Relation.Table.Index.tree t.lower_index in
-  let it =
-    Relation.Iter.index_range t.lower_index ~lo:(Btree.lo_pad tree [ node ])
-      ~hi:(Btree.hi_pad tree [ node; max_lower ])
-  in
-  Relation.Iter.fetch t.table it
-  |> Relation.Iter.fold
-       (fun acc row -> (row.(col_lower), row.(col_upper), row.(col_id)) :: acc)
-       []
-  |> List.rev

@@ -16,9 +16,10 @@
     in [<name>_params]. Insertion
     computes the fork node of the interval on the virtual backbone
     ({!Backbone}) and executes a single relational insert; an
-    intersection query descends the virtual backbone (no I/O), fills the
-    transient node tables [leftNodes(min, max)] and [rightNodes(node)],
-    and runs the two-branch UNION ALL plan of Fig. 9 / Fig. 10 as index
+    intersection query descends the virtual backbone (no I/O) to fill
+    the transient node tables [leftNodes(min, max)] and
+    [rightNodes(node)] ({!node_lists}), and [Exec.Planner] runs the
+    two-branch UNION ALL plan of Fig. 9 / Fig. 10 over them as index
     range scans. Storing [n] intervals takes [O(n/b)] blocks; updates
     cost [O(log_b n)] I/Os; an intersection query reporting [r] results
     costs [O(h · log_b n + r/b)] I/Os. *)
@@ -98,42 +99,29 @@ val index_entries : t -> int
 val relation_pages : t -> int
 (** Pages of the base table plus both indexes. *)
 
-(** {2 Queries} *)
+(** {2 The Fig. 9 query's node tables}
 
-val intersecting_ids :
-  ?node_filter:(int -> bool) -> t -> Interval.Ivl.t -> int list
-(** Ids of all stored intervals intersecting the query interval, via the
-    paper's two-branch plan. No duplicates are produced (the branches are
-    provably disjoint — Sec. 4.2). [node_filter] drops the probes of
-    single backbone nodes for which it returns [false]; it must only
-    reject nodes that hold no intervals (used by {!Skeleton}). *)
-
-val intersecting : t -> Interval.Ivl.t -> (Interval.Ivl.t * int) list
-(** Same, but fetches the base rows to return the intervals. *)
-
-val stabbing_ids : t -> int -> int list
-(** Point query: intervals containing the given value (degenerate query
-    interval, Sec. 4.1). *)
-
-val count_intersecting :
-  ?node_filter:(int -> bool) -> t -> Interval.Ivl.t -> int
-
-val probe_count : ?node_filter:(int -> bool) -> t -> Interval.Ivl.t -> int
-(** Single-node index probes the intersection plan performs for this
-    query (excluding the BETWEEN range scan) — the quantity the skeleton
-    extension reduces. *)
+    The tree runs no queries of its own: [Exec.Planner] plans and runs
+    the Fig. 9 statement over the tables and node lists below. *)
 
 type node_lists = {
   left_nodes : (int * int) list;  (** (min, max); scanned on upperIndex *)
   right_nodes : int list;         (** scanned on lowerIndex *)
 }
 
-val node_lists : t -> Interval.Ivl.t -> node_lists
+val node_lists :
+  ?node_filter:(int -> bool) -> t -> Interval.Ivl.t -> node_lists
 (** The transient leftNodes/rightNodes tables the Sec. 4.2 procedure
-    would populate for this query (already shifted by the tree's
-    offset; the BETWEEN pair rides first in [left_nodes]). Exposed so
-    tools can materialize them as SQL collections and drive the Fig. 9
-    query through the front end. *)
+    populates for this query (already shifted by the tree's offset; the
+    BETWEEN pair rides first in [left_nodes]). [node_filter] drops single
+    backbone nodes for which it returns [false]; it must only reject
+    nodes that hold no intervals (used by {!Skeleton}). A BETWEEN pair
+    spanning more than one node is never filtered. *)
+
+val probe_count : ?node_filter:(int -> bool) -> t -> Interval.Ivl.t -> int
+(** Index probes the intersection plan performs for this query: the
+    entries of both node lists, BETWEEN pair included — the quantity
+    the skeleton extension reduces. *)
 
 (** {2 Introspection} *)
 
@@ -153,10 +141,6 @@ val height : t -> int
 val fork_node : t -> Interval.Ivl.t -> int
 (** The (shifted) backbone node at which this interval is or would be
     registered — exposed for tests and examples. *)
-
-val explain : t -> Interval.Ivl.t -> string
-(** A textual execution plan for the intersection query, in the spirit of
-    the paper's Fig. 10, including the transient node tables. *)
 
 val check_invariants : t -> unit
 (** Table/index consistency plus RI-tree-specific invariants: every row's
@@ -182,8 +166,3 @@ val insert_sentinel_row :
   t -> node:int -> lower:int -> upper_code:int -> id:int option -> int
 (** Insert a row at a reserved fork value, bypassing the backbone; used
     by {!Temporal_store}. Returns the id. *)
-
-val sentinel_scan : t -> node:int -> max_lower:int -> (int * int * int) list
-(** [(lower, upper_code, id)] of sentinel rows with
-    [lower <= max_lower] — the extra [rightNodes] probe the temporal
-    extension adds at query time. *)

@@ -1,5 +1,3 @@
-module Ivl = Interval.Ivl
-
 type t = {
   ri : Ri_tree.t;
   table : Relation.Table.t; (* (node, count) *)
@@ -62,25 +60,17 @@ let delete t ~id ivl =
   if removed then materialize t (Ri_tree.fork_node t.ri ivl) (-1);
   removed
 
-let keep t node =
+let node_filter t node =
   match Hashtbl.find_opt t.counts node with
   | Some (c, _) -> c > 0
   | None -> false
-
-let intersecting_ids t ivl =
-  Ri_tree.intersecting_ids ~node_filter:(keep t) t.ri ivl
-
-let count_intersecting t ivl =
-  Ri_tree.count_intersecting ~node_filter:(keep t) t.ri ivl
-
-let stabbing_ids t p = intersecting_ids t (Ivl.point p)
 
 let materialized_nodes t =
   Hashtbl.fold (fun _ (c, _) acc -> if c > 0 then acc + 1 else acc) t.counts 0
 
 let probes_saved t ivl =
   ( Ri_tree.probe_count t.ri ivl,
-    Ri_tree.probe_count ~node_filter:(keep t) t.ri ivl )
+    Ri_tree.probe_count ~node_filter:(node_filter t) t.ri ivl )
 
 let check_invariants t =
   Ri_tree.check_invariants t.ri;

@@ -7,14 +7,14 @@
     The skeleton materialises, per backbone node, how many intervals are
     registered there — a relational table [<name>_skeleton(node, count)]
     kept in sync on every update and cached in memory like the parameter
-    dictionary. Intersection queries then skip the index probes of
-    backbone nodes known to be empty. On data that occupies only part of
-    the data space (the common case for growing temporal databases) this
-    removes most single-node probes; on dense data it degrades to the
-    plain plan.
+    dictionary. Intersection queries planned with {!node_filter} then
+    skip the index probes of backbone nodes known to be empty. On data
+    that occupies only part of the data space (the common case for
+    growing temporal databases) this removes most single-node probes; on
+    dense data it degrades to the plain plan.
 
-    The wrapper is a drop-in for {!Ri_tree}'s query interface and proves
-    its answers identical in the test suite. *)
+    The test suite proves the filtered plan's answers identical to the
+    plain one's. *)
 
 type t
 
@@ -31,9 +31,10 @@ val insert : ?id:int -> t -> Interval.Ivl.t -> int
 val delete : t -> id:int -> Interval.Ivl.t -> bool
 val count : t -> int
 
-val intersecting_ids : t -> Interval.Ivl.t -> int list
-val count_intersecting : t -> Interval.Ivl.t -> int
-val stabbing_ids : t -> int -> int list
+val node_filter : t -> int -> bool
+(** [false] exactly for the backbone nodes that hold no interval: the
+    [?node_filter] to hand [Exec.Planner.intersecting_ids] (or
+    {!Ri_tree.node_lists}) for the skeleton-filtered plan. *)
 
 val materialized_nodes : t -> int
 (** Distinct non-empty backbone nodes currently materialised. *)

@@ -7,7 +7,8 @@
     to the SQL plan: at query time the reserved values are simply
     appended to the transient [rightNodes] table — [fork_now] only when
     the query begins in the past ([query lower <= now]) — so the plan's
-    lower-bound scans test exactly the right predicate. *)
+    lower-bound scans test exactly the right predicate.
+    [Exec.Planner.temporal_matches] runs that query. *)
 
 type t
 
@@ -21,12 +22,5 @@ val ri : t -> Ri_tree.t
 (** The underlying RI-tree (finite intervals live there normally). *)
 
 val insert : ?id:int -> t -> Interval.Temporal.t -> int
-
-val intersecting_ids : t -> now:int -> Interval.Ivl.t -> int list
-(** Ids of stored valid-time intervals that, evaluated at time [now],
-    intersect the concrete query interval. *)
-
-val intersecting :
-  t -> now:int -> Interval.Ivl.t -> (Interval.Temporal.t * int) list
 
 val count : t -> int

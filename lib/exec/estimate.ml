@@ -1,13 +1,13 @@
 (* Cardinality & I/O estimation over the physical-plan IR.
 
-   A self-contained, Sec. 5-style estimator for EXPLAIN: per-table
-   equi-width histograms and distinct counts feed selectivities; index
-   probes cost the matching leaf span (plus a rowid fetch per row when
-   the index does not cover); a sequential scan costs the heap's page
-   count. Transient collections have exact, known cardinality and cost
-   no I/O — they are the leftNodes/rightNodes of the paper's Fig. 9
-   plan, so the predicted outer cardinality is exactly the RI-tree node
-   count.
+   A Sec. 5-style estimator for EXPLAIN: per-table equi-width
+   histograms (the cost model's, at 32 buckets per column) and distinct
+   counts feed selectivities; index probes cost the matching leaf span
+   (plus a rowid fetch per row when the index does not cover); a
+   sequential scan costs the heap's page count. Transient collections
+   have exact, known cardinality and cost no I/O — they are the
+   leftNodes/rightNodes of the paper's Fig. 9 plan, so the predicted
+   outer cardinality is exactly the RI-tree node count.
 
    Root-to-leaf descent pages are charged ONCE per statement per index,
    not once per probe: the upper levels of a B+tree are pinned hot in
@@ -16,23 +16,18 @@
    overshoots actual I/O by 2-5x on the Fig. 9 plans (tens of probes,
    shared root path). *)
 
+module Histogram = Ritree.Cost_model.Histogram
+
 let hbuckets = 32
 
 type col = {
-  h_lo : int;
-  h_hi : int;
-  h_counts : int array;
-  h_total : int;
+  h : Histogram.t;
   h_distinct : int;
   h_corr : float;
       (* |Pearson correlation| between the column value and the row's
          heap position — 1.0 means an index range on this column fetches
          consecutive heap pages, 0.0 a random scatter *)
 }
-
-(* Bound arithmetic in floats: columns may hold min_int/max_int
-   sentinels, and native-int spans would wrap. *)
-let fspan lo hi = Float.max 1.0 (float_of_int hi -. float_of_int lo +. 1.0)
 
 let clamp01 f = Float.max 0.0 (Float.min 1.0 f)
 
@@ -58,28 +53,9 @@ let heap_correlation values =
   if vx <= 0.0 || vy <= 0.0 then 0.0
   else clamp01 (Float.abs (cov /. sqrt (vx *. vy)))
 
-let build_col values n distinct =
-  match values with
-  | [] ->
-      { h_lo = 0; h_hi = 0; h_counts = Array.make hbuckets 0; h_total = 0;
-        h_distinct = 0; h_corr = 0.0 }
-  | v :: _ ->
-      let lo = List.fold_left min v values in
-      let hi = List.fold_left max v values in
-      let counts = Array.make hbuckets 0 in
-      let span = fspan lo hi in
-      List.iter
-        (fun x ->
-          let b =
-            int_of_float
-              ((float_of_int x -. float_of_int lo)
-               *. float_of_int hbuckets /. span)
-          in
-          let b = min (hbuckets - 1) (max 0 b) in
-          counts.(b) <- counts.(b) + 1)
-        values;
-      { h_lo = lo; h_hi = hi; h_counts = counts; h_total = n;
-        h_distinct = distinct; h_corr = heap_correlation values }
+let build_col values distinct =
+  { h = Histogram.build ~buckets:hbuckets values; h_distinct = distinct;
+    h_corr = heap_correlation values }
 
 type table_stats = {
   t_rows : int;
@@ -104,40 +80,21 @@ let analyze_table tbl =
     t_cols =
       List.init ncols (fun j ->
           (columns.(j),
-           build_col vals.(j) !rows (Hashtbl.length distinct.(j)))) }
-
-(* Estimated count of values strictly below [x]. *)
-let count_below h x =
-  if h.h_total = 0 || x <= h.h_lo then 0.0
-  else if x > h.h_hi then float_of_int h.h_total
-  else begin
-    let pos =
-      (float_of_int x -. float_of_int h.h_lo)
-      *. float_of_int hbuckets /. fspan h.h_lo h.h_hi
-    in
-    let pos = Float.max 0.0 (Float.min (float_of_int hbuckets) pos) in
-    let full = int_of_float pos in
-    let frac = pos -. float_of_int full in
-    let acc = ref 0.0 in
-    for b = 0 to min (hbuckets - 1) (full - 1) do
-      acc := !acc +. float_of_int h.h_counts.(b)
-    done;
-    if full < hbuckets then
-      acc := !acc +. (frac *. float_of_int h.h_counts.(full));
-    !acc
-  end
+           build_col vals.(j) (Hashtbl.length distinct.(j)))) }
 
 let succ_clamped v = if v = max_int then max_int else v + 1
 
 let frac_lt h v =
-  if h.h_total = 0 then 0.0
-  else clamp01 (count_below h v /. float_of_int h.h_total)
+  let total = h.h.Histogram.total in
+  if total = 0 then 0.0
+  else clamp01 (Histogram.count_below h.h v /. float_of_int total)
 
 let frac_le h v = frac_lt h (succ_clamped v)
 
 let eq_frac h v =
-  if h.h_total = 0 then 0.0
-  else Float.max (1.0 /. float_of_int h.h_total) (frac_le h v -. frac_lt h v)
+  let total = h.h.Histogram.total in
+  if total = 0 then 0.0
+  else Float.max (1.0 /. float_of_int total) (frac_le h v -. frac_lt h v)
 
 let distinct_frac h =
   if h.h_distinct <= 0 then 0.1 else 1.0 /. float_of_int h.h_distinct

@@ -1,4 +1,5 @@
 module Ivl = Interval.Ivl
+module Ri_tree = Ritree.Ri_tree
 
 let rows_of tree =
   let acc = ref [] in
@@ -18,7 +19,7 @@ let index_nested_ids left right =
         (fun inner_id ->
           pairs :=
             (if swap then (inner_id, id) else (id, inner_id)) :: !pairs)
-        (Ri_tree.intersecting_ids inner (Ivl.make l u)))
+        (Planner.intersecting_ids inner (Ivl.make l u)))
     (rows_of outer);
   !pairs
 

@@ -5,9 +5,9 @@
     provided:
 
     - {!index_nested_ids} streams the smaller relation's base table and
-      probes the other side's RI-tree with the Fig. 9 plan per row —
-      the plan a relational optimizer would produce when one side is
-      indexed;
+      probes the other side's RI-tree with the planner's Fig. 9 plan per
+      row — the plan a relational optimizer would produce when one side
+      is indexed;
     - {!sweep_ids} is the index-free endpoint plane-sweep: both tables
       are scanned once, intervals processed in lower-bound order with
       lazily expired active sets, O(n log n + output) time.
@@ -15,12 +15,13 @@
     Both return exactly the same pair set (verified in tests and usable
     as each other's oracle). *)
 
-val index_nested_ids : Ri_tree.t -> Ri_tree.t -> (int * int) list
+val index_nested_ids :
+  Ritree.Ri_tree.t -> Ritree.Ri_tree.t -> (int * int) list
 (** [(left id, right id)] for every intersecting pair, each exactly once
     (pairs of duplicate rows appear once per row pair). Ordering is
     unspecified. *)
 
-val sweep_ids : Ri_tree.t -> Ri_tree.t -> (int * int) list
+val sweep_ids : Ritree.Ri_tree.t -> Ritree.Ri_tree.t -> (int * int) list
 
-val count_pairs : Ri_tree.t -> Ri_tree.t -> int
+val count_pairs : Ritree.Ri_tree.t -> Ritree.Ri_tree.t -> int
 (** Size of the join result, via the sweep. *)

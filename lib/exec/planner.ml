@@ -4,14 +4,17 @@
    entry point executes through {!Executor} and explains through
    {!Render}.
 
+   This is the only RI-tree query path: the server, SQL, EXPLAIN, the
+   benchmarks, the CLI, the examples and the spatial, hierarchy and
+   join libraries all read through it.
+
    Access-path selection (Sec. 5): the planner consults
    `Ritree.Cost_model` to pick the full two-branch UNION ALL plan
    (Fig. 9/10) or a filtered sequential scan when the query is so
    unselective that reading the heap once beats probing (tiny tables,
-   near-full coverage). A third path, the single-branch probe of the
-   query point's backbone path (Sec. 4.1), is available on request but
-   never chosen by cost — see [choose]. All paths return exactly the
-   same result set (property-tested against the brute-force oracle). *)
+   near-full coverage). Without statistics it plans the two-branch
+   plan. All paths return exactly the same result set (property-tested
+   against the brute-force oracle). *)
 
 module Ivl = Interval.Ivl
 module Allen = Interval.Allen
@@ -19,11 +22,10 @@ module Temporal = Interval.Temporal
 module Ri = Ritree.Ri_tree
 module CM = Ritree.Cost_model
 
-type path = Two_branch | Single_branch | Seq | Mem_path
+type path = Two_branch | Seq | Mem_path
 
 let path_to_string = function
   | Two_branch -> "two-branch"
-  | Single_branch -> "single-branch"
   | Seq -> "seq-scan"
   | Mem_path -> "mem"
 
@@ -32,8 +34,6 @@ let path_to_string = function
    Whether a step must fetch the base row follows from these and the
    index layout (see [index_step]). *)
 type proj = Ir.ri_proj = Ids | Triples | Rows
-
-let default_path q = if Ivl.lower q = Ivl.upper q then Single_branch else Two_branch
 
 (* A compiled typed-op query: the IR plan plus the private context
    (parameter bindings and transient node-list collections) it executes
@@ -134,16 +134,17 @@ let two_branch_branches ?(extra = []) ~projs t =
           lower_step ];
       projections = projs; group_by = [] } ]
 
-let two_branch ?extra ?vis ~proj t q =
-  let nl = Ri.node_lists t q in
+let two_branch ?extra ?node_filter ?vis ~proj t q =
+  let nl = Ri.node_lists ?node_filter t q in
   let projs = projections t proj in
   { plan = plain_plan (two_branch_branches ?extra ~projs t);
     ctx =
       make_ctx ?vis (interval_binds q)
         [ left_collection nl; right_collection nl ] }
 
-(* ---- single-branch path probe for degenerate (point) queries ---- *)
-
+(* Every interval with a bound equal to value [x] is registered on the
+   backbone path of [x] (Sec. 4.1), so O(h) exact probes cover
+   Meets/Met_by. *)
 let path_nodes t x =
   let p = Ri.params t in
   match p.Ri.offset with
@@ -154,29 +155,6 @@ let path_nodes t x =
           right_root = p.Ri.right_root }
       in
       Ritree.Backbone.path roots ~min_level:p.Ri.min_level (x - off)
-
-let single_branch ?vis ~proj t q =
-  let projs = projections t proj in
-  let probe =
-    (* Every interval containing the point is registered on its backbone
-       path (Sec. 4.1): one lower-index probe per path node, upper bound
-       checked on the entry (covering layout) or the fetched row. *)
-    index_step t ~projs
-      ~filters:[ Ir.Cmp (Ir.Ge, field "i" "upper", Ir.Param "qlow") ]
-      ~index:(Ri.lower_index t) ~eq:[ field "pth" "node" ]
-      ?hi:(incl (Ir.Param "qup")) ()
-  in
-  let branch =
-    { Ir.steps =
-        [ Ir.mk_step ~alias:"pth" ~source:(Ir.Collection "pathNodes")
-            ~columns:[| "node" |] Ir.Seq_scan;
-          probe ];
-      projections = projs; group_by = [] }
-  in
-  let nodes = List.map (fun w -> [| w |]) (path_nodes t (Ivl.lower q)) in
-  { plan = plain_plan [ branch ];
-    ctx =
-      make_ctx ?vis (interval_binds q) [ ("pathNodes", ([| "node" |], nodes)) ] }
 
 (* ---- filtered sequential scan ---- *)
 
@@ -220,21 +198,16 @@ let mem_plan ?stats ~proj t (h : Ir.mem_handle) op q =
 
 (* Cost-based choice among the access paths. Scan-vs-index-vs-memory
    comes from the registered cost model; the memory tier only competes
-   when the caller holds a residency handle for this collection. The
-   single-branch stabbing probe is not cost-competitive even on its home
-   turf, point queries: it pays one lower-index probe per backbone path
-   node and, under the paper's layout, a heap fetch for every candidate
-   row (that lower index carries no upper bound) — while the two-branch
-   plan answers the same point from index probes that share leaf pages.
-   Cold-cache measurement across D1-D4 shows 1.2-8x more I/O for the
-   probe, so the planner emits it only on explicit request. *)
+   when the caller holds a residency handle for this collection. *)
 let choose ?mem t stats q =
   match CM.choose ?mem t stats q with
   | CM.Full_scan -> Seq
   | CM.Index_plan -> Two_branch
   | CM.Mem_plan -> Mem_path
 
-let plan_intersection ?stats ?path ?mem ?vis ~proj t q =
+(* [node_filter] (the skeleton's) prunes the two-branch plan's node
+   lists; the other paths probe no nodes. *)
+let plan_intersection ?stats ?path ?mem ?node_filter ?vis ~proj t q =
   (* the replica holds (lower, upper, id) only *)
   let mem = if proj = Rows then None else mem in
   let path =
@@ -244,24 +217,24 @@ let plan_intersection ?stats ?path ?mem ?vis ~proj t q =
     (* resident but uncosted: a zero-I/O probe is never the wrong pick *)
     | None, Some _, None -> Mem_path
     | None, None, Some st -> choose t st q
-    | None, None, None -> default_path q
+    | None, None, None -> Two_branch
   in
   match path with
   | Mem_path -> (
       match mem with
       | Some h -> mem_plan ?stats ~proj t h Ir.Mem_intersect q
       | None -> invalid_arg "plan_intersection: memory path without a handle")
-  | Two_branch -> two_branch ?vis ~proj t q
-  | Single_branch -> single_branch ?vis ~proj t q
+  | Two_branch -> two_branch ?node_filter ?vis ~proj t q
   | Seq -> seq_scan ?vis ~proj t q
 
 (* ---- execution helpers ---- *)
 
 let run c = Executor.run c.ctx c.plan
 
-let intersecting_ids ?stats ?path ?mem ?vis t q =
+let intersecting_ids ?stats ?path ?mem ?node_filter ?vis t q =
   List.map (fun (r : int array) -> r.(0))
-    (run (plan_intersection ?stats ?path ?mem ?vis ~proj:Ids t q)).Executor.rows
+    (run (plan_intersection ?stats ?path ?mem ?node_filter ?vis ~proj:Ids t q))
+      .Executor.rows
 
 let intersecting ?stats ?path ?mem ?vis t q =
   List.map

@@ -138,7 +138,7 @@ let check_recovered spec committed cat =
   let tree = Ritree.Ri_tree.open_existing cat in
   Ritree.Ri_tree.check_invariants tree;
   let everything = Interval.Ivl.make 0 spec.universe in
-  let got = sorted_ids (Ritree.Ri_tree.intersecting tree everything) in
+  let got = sorted_ids (Exec.Planner.intersecting tree everything) in
   let want = List.sort_uniq Int.compare (List.map fst committed) in
   if got <> want then
     failwith
@@ -148,7 +148,7 @@ let check_recovered spec committed cat =
          (List.length got) (List.length want));
   List.iter
     (fun q ->
-      let got = sorted_ids (Ritree.Ri_tree.intersecting tree q) in
+      let got = sorted_ids (Exec.Planner.intersecting tree q) in
       let want = oracle_intersecting committed q in
       if got <> want then
         failwith

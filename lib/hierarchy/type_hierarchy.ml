@@ -66,14 +66,14 @@ let subtypes t name =
   let q = interval_of t name in
   (* every type label range intersecting q: by construction either
      contains q or is contained in it; keep the contained ones *)
-  Ritree.Ri_tree.intersecting t.tree q
+  Exec.Planner.intersecting t.tree q
   |> List.filter_map (fun (ivl, id) ->
          if Ivl.subset ivl q then Some (Hashtbl.find t.names id) else None)
   |> List.sort compare
 
 let supertypes t name =
   let q = interval_of t name in
-  Ritree.Ri_tree.stabbing_ids t.tree (Ivl.lower q)
+  Exec.Planner.stabbing_ids t.tree (Ivl.lower q)
   |> List.filter_map (fun id ->
          let super = Hashtbl.find t.names id in
          if Ivl.subset q (interval_of t super) then Some super else None)
@@ -84,7 +84,7 @@ let common_supertype t a b =
   (* ancestors of a containing b's interval; the least is the one with
      the smallest range *)
   let candidates =
-    Ritree.Ri_tree.stabbing_ids t.tree (Ivl.lower ia)
+    Exec.Planner.stabbing_ids t.tree (Ivl.lower ia)
     |> List.filter_map (fun id ->
            let name = Hashtbl.find t.names id in
            let ivl = interval_of t name in

@@ -65,22 +65,6 @@ let index_range index ~lo ~hi =
   let cursor = Btree.cursor (Table.Index.tree index) ~lo ~hi in
   fun () -> Btree.next cursor
 
-let index_probe index =
-  let tree = Table.Index.tree index in
-  let cursor = ref None in
-  fun ~lo ~hi ->
-    let c =
-      match !cursor with
-      | Some c ->
-          Btree.reset c ~lo ~hi;
-          c
-      | None ->
-          let c = Btree.cursor tree ~lo ~hi in
-          cursor := Some c;
-          c
-    in
-    fun () -> Btree.next c
-
 let index_prefix index ~prefix =
   let tree = Table.Index.tree index in
   index_range index ~lo:(Btree.lo_pad tree prefix)

@@ -1,22 +1,10 @@
 (** Pull-based query operators (volcano-style iterators).
 
-    The execution plan of the paper's Fig. 10 —
-
-    {v
-    SELECT STATEMENT
-      UNION-ALL
-        NESTED LOOPS
-          COLLECTION ITERATOR
-          INDEX RANGE SCAN UPPER_INDEX
-        NESTED LOOPS
-          COLLECTION ITERATOR
-          INDEX RANGE SCAN LOWER_INDEX
-    v}
-
-    — is assembled from exactly these operators: {!of_list} is the
-    collection iterator over a transient node table, {!index_range}
-    is the index range scan, {!nested_loop} and {!union_all} are the
-    joins. *)
+    The operator kit the baseline access methods ([lib/baselines]) build
+    their queries from, plus the streaming heap scan behind the
+    executor's sequential scans. The RI-tree's Fig. 9/10 plan does not
+    run here: [Exec.Planner] builds it as an IR plan and
+    [Exec.Executor] runs it. *)
 
 type row = int array
 
@@ -42,15 +30,6 @@ val index_range : Table.Index.t -> lo:int array -> hi:int array -> t
 (** Stream full index entries (key columns then rowid) in key order,
     inclusive bounds. Bound arrays must have the index key width (use
     {!Btree.lo_pad} / {!Btree.hi_pad} on [Table.Index.tree]). *)
-
-val index_probe : Table.Index.t -> lo:int array -> hi:int array -> t
-(** Like {!index_range}, but every iterator obtained from the same
-    partial application [index_probe index] shares one B+-tree cursor,
-    repositioned per call: requesting a new range invalidates the
-    previously returned iterator. Exactly the contract of the inner side
-    of {!nested_loop}, which drains each inner stream before building
-    the next — the RI-tree query plan probes dozens of backbone nodes
-    per query through a single cursor this way. *)
 
 val index_prefix : Table.Index.t -> prefix:int list -> t
 (** All entries whose key starts with [prefix]. *)

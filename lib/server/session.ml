@@ -270,8 +270,7 @@ let exec t = function
               )))
   | Intersect { lower; upper } ->
       (* compiled onto the shared execution IR; the planner consults the
-         cost model to pick the memory tier, two-branch, single-branch,
-         or seq scan *)
+         cost model to pick the memory tier, two-branch or seq scan *)
       pair_rows
         (Exec.Planner.intersecting ~stats:(stats_for t.sh) ?mem:(mem_for t)
            ~vis:(vis_for t) t.sh.ritree (ivl lower upper))

@@ -50,12 +50,12 @@ let window_ids t rect =
     (fun seg ->
       List.iter
         (fun id -> Hashtbl.replace seen id ())
-        (Ritree.Ri_tree.intersecting_ids t.tree seg))
+        (Exec.Planner.intersecting_ids t.tree seg))
     (Zcurve.rect_segments ~bits:t.bits rect);
   Hashtbl.fold (fun id () acc -> id :: acc) seen [] |> List.sort compare
 
 let point_ids t x y =
   let z = Zcurve.encode ~bits:t.bits x y in
-  List.sort_uniq compare (Ritree.Ri_tree.stabbing_ids t.tree z)
+  List.sort_uniq compare (Exec.Planner.stabbing_ids t.tree z)
 
 let ri t = t.tree

@@ -1,8 +1,10 @@
-(* Statistics and the plan-choice cost model. *)
+(* Statistics and the plan-choice cost model, and the planner's
+   cost-based ("adaptive") choice it drives. *)
 
 module Ivl = Interval.Ivl
 module Ri = Ritree.Ri_tree
 module CM = Ritree.Cost_model
+module Pl = Exec.Planner
 
 let check = Alcotest.check
 let sorted = List.sort compare
@@ -76,7 +78,7 @@ let test_empty_tree () =
   check Alcotest.int "empty estimate" 0
     (CM.Stats.estimate_result_size stats (Ivl.make 0 100));
   check (Alcotest.list Alcotest.int) "adaptive on empty" []
-    (CM.adaptive_ids tree stats (Ivl.make 0 100))
+    (Pl.intersecting_ids ~stats tree (Ivl.make 0 100))
 
 let test_plan_crossover () =
   let _, _, tree, _ = build ~seed:113 ~n:20_000 ~len:2_000 in
@@ -108,7 +110,7 @@ let test_adaptive_correct_both_ways () =
     check (Alcotest.list Alcotest.int)
       (Printf.sprintf "adaptive %s" (Ivl.to_string q))
       (oracle q)
-      (sorted (CM.adaptive_ids tree stats q))
+      (sorted (Pl.intersecting_ids ~stats tree q))
   done
 
 let test_adaptive_io_not_worse () =
@@ -122,8 +124,12 @@ let test_adaptive_io_not_worse () =
     ignore (f ());
     (Relation.Catalog.io_stats db).Storage.Block_device.Stats.reads
   in
-  let via_index = io (fun () -> Ri.intersecting_ids tree everything) in
-  let via_adaptive = io (fun () -> CM.adaptive_ids tree stats everything) in
+  let via_index =
+    io (fun () -> Pl.intersecting_ids ~path:Pl.Two_branch tree everything)
+  in
+  let via_adaptive =
+    io (fun () -> Pl.intersecting_ids ~stats tree everything)
+  in
   check Alcotest.bool
     (Printf.sprintf "scan (%d) beats index plan (%d) at selectivity 1"
        via_adaptive via_index)

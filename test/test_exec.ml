@@ -61,16 +61,13 @@ let prop_paths_match_oracle =
           && sorted (Pl.intersecting_ids ~stats:f.stats f.tree q) = expect)
         (Lazy.force fixtures))
 
-let prop_point_single_branch =
-  QCheck.Test.make ~count:80 ~name:"point queries: single-branch ≡ oracle"
+let prop_point_stabbing =
+  QCheck.Test.make ~count:80 ~name:"point queries: stabbing ≡ oracle"
     QCheck.(make Gen.(int_bound Dist.domain_max) ~print:string_of_int)
     (fun p ->
-      let q = Ivl.point p in
       List.for_all
         (fun (_, f) ->
-          sorted (Pl.intersecting_ids ~path:Pl.Single_branch f.tree q)
-          = oracle f.data q
-          && sorted (Pl.stabbing_ids f.tree p) = oracle f.data q)
+          sorted (Pl.stabbing_ids f.tree p) = oracle f.data (Ivl.point p))
         (Lazy.force fixtures))
 
 (* ---- property: the 13 Allen plans ≡ brute force ---- *)
@@ -222,6 +219,30 @@ let cold_io db f =
   ignore (f ());
   (Relation.Catalog.io_stats db).Storage.Block_device.Stats.reads
 
+(* Planned without statistics, a point query takes the two-branch plan,
+   block for block: a single-branch probe of the point's backbone path
+   would cost 1.2-8x its cold I/O. *)
+let test_no_stats_point_is_two_branch () =
+  List.iter
+    (fun (kind, f) ->
+      Array.iter
+        (fun q ->
+          let two =
+            cold_io f.db (fun () ->
+                Pl.intersecting_ids ~path:Pl.Two_branch f.tree q)
+          in
+          let check_io label io =
+            if io <> two then
+              Alcotest.failf "%s %s %s: %d blocks, two-branch %d"
+                (Dist.kind_to_string kind) label (Ivl.to_string q) io two
+          in
+          check_io "no-stats"
+            (cold_io f.db (fun () -> Pl.intersecting_ids f.tree q));
+          check_io "stabbing"
+            (cold_io f.db (fun () -> Pl.stabbing_ids f.tree (Ivl.lower q))))
+        (Workload.Query_gen.point_queries ~seed:13 ~count:20 ()))
+    (Lazy.force fixtures)
+
 let test_cost_model_error_budget () =
   List.iter
     (fun kind ->
@@ -331,9 +352,11 @@ let () =
     [
       ("paths",
        [ QCheck_alcotest.to_alcotest prop_paths_match_oracle;
-         QCheck_alcotest.to_alcotest prop_point_single_branch;
+         QCheck_alcotest.to_alcotest prop_point_stabbing;
          QCheck_alcotest.to_alcotest prop_allen_match_oracle;
-         QCheck_alcotest.to_alcotest prop_temporal_match_oracle ]);
+         QCheck_alcotest.to_alcotest prop_temporal_match_oracle;
+         Alcotest.test_case "no-stats point query = two-branch I/O" `Quick
+           test_no_stats_point_is_two_branch ]);
       ("explain",
        [ Alcotest.test_case "SQL text = typed plan, rendered" `Quick
            test_sql_and_typed_render_identically;

@@ -83,7 +83,7 @@ let test_query_batch () =
   in
   let b =
     Measure.query_batch db
-      (fun q -> Ritree.Ri_tree.count_intersecting tree q)
+      (fun q -> List.length (Exec.Planner.intersecting_ids tree q))
       queries
   in
   check Alcotest.int "queries" 10 b.Measure.queries;

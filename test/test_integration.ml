@@ -77,10 +77,10 @@ let test_sql_agrees_with_library () =
       |> List.map (fun r -> r.(0))
       |> sorted
     in
-    let via_lib = sorted (Ritree.Ri_tree.intersecting_ids tree q) in
-    if via_sql <> via_lib then
-      Alcotest.failf "SQL %d vs library %d on %s" (List.length via_sql)
-        (List.length via_lib) (Ivl.to_string q)
+    let via_typed = sorted (Exec.Planner.intersecting_ids tree q) in
+    if via_sql <> via_typed then
+      Alcotest.failf "SQL %d vs typed op %d on %s" (List.length via_sql)
+        (List.length via_typed) (Ivl.to_string q)
   done
 
 let test_io_scales_with_results () =
@@ -108,9 +108,9 @@ let test_temporal_example_end_to_end () =
     (Ritree.Temporal_store.insert ~id:2 store
        (Interval.Temporal.make 5 Interval.Temporal.Infinity));
   check (Alcotest.list Alcotest.int) "plain" [ 1 ]
-    (Ritree.Ri_tree.intersecting_ids plain (Ivl.make 4 6));
+    (Exec.Planner.intersecting_ids plain (Ivl.make 4 6));
   check (Alcotest.list Alcotest.int) "temporal" [ 2 ]
-    (Ritree.Temporal_store.intersecting_ids store ~now:100 (Ivl.make 4 6))
+    (Exec.Planner.temporal_ids store ~now:100 (Ivl.make 4 6))
 
 let test_deletion_workload_consistency () =
   (* heavy churn across table, indexes and the RI-tree at once *)
@@ -139,7 +139,7 @@ let test_deletion_workload_consistency () =
     Hashtbl.fold (fun id _ acc -> id :: acc) live [] |> sorted
   in
   check (Alcotest.list Alcotest.int) "all live found" expected
-    (sorted (Ritree.Ri_tree.intersecting_ids tree (Ivl.make 0 200_000)))
+    (sorted (Exec.Planner.intersecting_ids tree (Ivl.make 0 200_000)))
 
 let () =
   Alcotest.run "integration"

@@ -2,7 +2,7 @@
 
 module Ivl = Interval.Ivl
 module Ri = Ritree.Ri_tree
-module Join = Ritree.Join
+module Join = Exec.Join
 
 let check = Alcotest.check
 let sorted = List.sort compare

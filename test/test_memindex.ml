@@ -167,7 +167,7 @@ let test_cross_validation () =
     let q = Ivl.make l (l + Workload.Prng.int rng 1_000) in
     let a = sorted (IT.intersecting_ids it q) in
     let b = ST.intersecting_ids st q in
-    let c = sorted (Ritree.Ri_tree.intersecting_ids ri q) in
+    let c = sorted (Exec.Planner.intersecting_ids ri q) in
     if a <> b || b <> c then
       Alcotest.failf "structures disagree on %s (%d/%d/%d)" (Ivl.to_string q)
         (List.length a) (List.length b) (List.length c)

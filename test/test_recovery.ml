@@ -5,6 +5,7 @@ module Ivl = Interval.Ivl
 module Catalog = Relation.Catalog
 module Table = Relation.Table
 module Ri = Ritree.Ri_tree
+module Pl = Exec.Planner
 
 let check = Alcotest.check
 let sorted = List.sort compare
@@ -267,7 +268,7 @@ let test_ritree_crash_recovery () =
   done;
   Catalog.commit db;
   let q = Ivl.make 20_000 30_000 in
-  let expected = sorted (Ri.intersecting_ids tree q) in
+  let expected = sorted (Pl.intersecting_ids tree q) in
   (* uncommitted inserts and deletes *)
   for i = 300 to 400 do
     let l = Workload.Prng.int rng 100_000 in
@@ -281,14 +282,14 @@ let test_ritree_crash_recovery () =
   Ri.check_invariants tree2;
   check Alcotest.int "count restored" 300 (Ri.count tree2);
   check (Alcotest.list Alcotest.int) "query answers restored" expected
-    (sorted (Ri.intersecting_ids tree2 q));
+    (sorted (Pl.intersecting_ids tree2 q));
   (* parameters reloaded from the dictionary *)
   let p = Ri.params tree2 in
   check Alcotest.bool "offset restored" true (p.Ri.offset <> None);
   (* the recovered tree accepts new work *)
   let fresh = Ri.insert tree2 (Ivl.make 25_000 26_000) in
   check Alcotest.bool "insert after recovery" true
-    (List.mem fresh (Ri.intersecting_ids tree2 q))
+    (List.mem fresh (Pl.intersecting_ids tree2 q))
 
 let test_repeated_crashes () =
   let db = ref (Catalog.create ~durable:true ()) in
@@ -319,7 +320,7 @@ let test_repeated_crashes () =
   done;
   let expected = Hashtbl.fold (fun id _ acc -> id :: acc) live [] |> sorted in
   check (Alcotest.list Alcotest.int) "all committed intervals alive" expected
-    (sorted (Ri.intersecting_ids !tree (Ivl.make 0 60_000)))
+    (sorted (Pl.intersecting_ids !tree (Ivl.make 0 60_000)))
 
 let test_random_crash_points () =
   (* Crash at arbitrary points in a random workload: the recovered state
@@ -358,7 +359,7 @@ let test_random_crash_points () =
     tree := Ri.open_existing !db;
     Ri.check_invariants !tree;
     let after =
-      sorted (Ri.intersecting_ids !tree (Ivl.make (-100_000) 200_000))
+      sorted (Pl.intersecting_ids !tree (Ivl.make (-100_000) 200_000))
     in
     if after <> !committed_snapshot then
       Alcotest.failf "trial: recovered %d ids, committed snapshot had %d"

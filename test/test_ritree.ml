@@ -1,8 +1,9 @@
-(* The RI-tree itself: relational behaviour, oracle agreement, paper
-   invariants. *)
+(* The RI-tree itself: relational behaviour, oracle agreement of the
+   planner's Fig. 9 queries over it, paper invariants. *)
 
 module Ivl = Interval.Ivl
 module Ri = Ritree.Ri_tree
+module Pl = Exec.Planner
 module Naive = Memindex.Naive
 
 let check = Alcotest.check
@@ -50,7 +51,7 @@ let test_schema_covering () =
   check (Alcotest.array Alcotest.string) "reopened upperIndex" upper_cols
     (Relation.Table.Index.columns (Ri.upper_index t2));
   check (Alcotest.list Alcotest.int) "reopened answers" [ 0 ]
-    (Ri.intersecting_ids t2 (Ivl.make 5 5));
+    (Pl.intersecting_ids t2 (Ivl.make 5 5));
   check Alcotest.bool "delete finds the row" true
     (Ri.delete t2 ~id:0 (Ivl.make 3 9));
   check Alcotest.int "empty" 0 (Ri.count t2)
@@ -107,8 +108,9 @@ let test_empty_tree_queries () =
   let db = mk_db () in
   let t = Ri.create db in
   check (Alcotest.list Alcotest.int) "empty" []
-    (Ri.intersecting_ids t (Ivl.make 0 100));
-  check Alcotest.int "count" 0 (Ri.count_intersecting t (Ivl.make 0 100))
+    (Pl.intersecting_ids t (Ivl.make 0 100));
+  check Alcotest.int "seq-scan count" 0
+    (List.length (Pl.intersecting_ids ~path:Pl.Seq t (Ivl.make 0 100)))
 
 (* Randomized oracle agreement, including deletions, duplicates,
    negative coordinates and data-space expansion in both directions. *)
@@ -137,16 +139,16 @@ let oracle_run ~seed ~n ~range ~len ~queries ~deletes =
     let ql = Workload.Prng.int rng (3 * range) - (3 * range / 2) in
     let q = Ivl.make ql (ql + Workload.Prng.int rng (2 * len)) in
     let expected = sorted (Naive.intersecting_ids naive q) in
-    let got = sorted (Ri.intersecting_ids t q) in
+    let got = sorted (Pl.intersecting_ids t q) in
     if got <> expected then
       Alcotest.failf "query %s: %d vs %d results" (Ivl.to_string q)
         (List.length got) (List.length expected);
     (* the UNION ALL branches are disjoint: no duplicates *)
     if List.length got <> List.length (List.sort_uniq compare got) then
       Alcotest.fail "duplicate results";
-    check Alcotest.int "count_intersecting agrees" (List.length expected)
-      (Ri.count_intersecting t q);
-    let rows = Ri.intersecting t q in
+    check Alcotest.int "seq-scan count agrees" (List.length expected)
+      (List.length (Pl.intersecting_ids ~path:Pl.Seq t q));
+    let rows = Pl.intersecting t q in
     check Alcotest.int "intersecting returns same size" (List.length expected)
       (List.length rows)
   done;
@@ -174,10 +176,10 @@ let test_stabbing () =
   ignore (Ri.insert ~id:2 t (Ivl.make 5 15));
   ignore (Ri.insert ~id:3 t (Ivl.make 12 20));
   check (Alcotest.list Alcotest.int) "stab 7" [ 1; 2 ]
-    (sorted (Ri.stabbing_ids t 7));
+    (sorted (Pl.stabbing_ids t 7));
   check (Alcotest.list Alcotest.int) "stab 12" [ 2; 3 ]
-    (sorted (Ri.stabbing_ids t 12));
-  check (Alcotest.list Alcotest.int) "stab 25" [] (Ri.stabbing_ids t 25)
+    (sorted (Pl.stabbing_ids t 12));
+  check (Alcotest.list Alcotest.int) "stab 25" [] (Pl.stabbing_ids t 25)
 
 let test_dynamic_expansion_both_ends () =
   (* Sec. 3.4: offset fixed at the first insertion; later intervals may
@@ -193,9 +195,9 @@ let test_dynamic_expansion_both_ends () =
   check Alcotest.bool "left subtree opened" true (p.Ri.left_root < 0);
   check Alcotest.bool "right subtree grown" true (p.Ri.right_root >= 512);
   check (Alcotest.list Alcotest.int) "all findable" [ 0; 1; 2 ]
-    (sorted (Ri.intersecting_ids t (Ivl.make 0 2_000_000)));
+    (sorted (Pl.intersecting_ids t (Ivl.make 0 2_000_000)));
   check (Alcotest.list Alcotest.int) "left find" [ 1 ]
-    (sorted (Ri.intersecting_ids t (Ivl.make 0 20)));
+    (sorted (Pl.intersecting_ids t (Ivl.make 0 20)));
   Ri.check_invariants t
 
 let test_height_independent_of_n () =
@@ -264,13 +266,13 @@ let test_bulk_load_equals_incremental () =
     let l = Workload.Prng.int rng 210_000 in
     let q = Ivl.make l (l + Workload.Prng.int rng 8_000) in
     check (Alcotest.list Alcotest.int) "same answers"
-      (sorted (Ri.intersecting_ids inc q))
-      (sorted (Ri.intersecting_ids blk q))
+      (sorted (Pl.intersecting_ids inc q))
+      (sorted (Pl.intersecting_ids blk q))
   done;
   (* the bulk-loaded tree stays dynamic *)
   let extra = Ri.insert blk (Ivl.make 50 60) in
   check Alcotest.bool "insert works" true
-    (List.mem extra (Ri.intersecting_ids blk (Ivl.make 55 58)));
+    (List.mem extra (Pl.intersecting_ids blk (Ivl.make 55 58)));
   check Alcotest.bool "delete works" true
     (Ri.delete blk ~id:extra (Ivl.make 50 60));
   Ri.check_invariants blk
@@ -280,7 +282,7 @@ let test_bulk_load_empty () =
   let t = Ri.bulk_load db [||] in
   check Alcotest.int "count" 0 (Ri.count t);
   check (Alcotest.list Alcotest.int) "query" []
-    (Ri.intersecting_ids t (Ivl.make 0 100));
+    (Pl.intersecting_ids t (Ivl.make 0 100));
   ignore (Ri.insert t (Ivl.make 1 2));
   check Alcotest.int "grows" 1 (Ri.count t)
 
@@ -297,12 +299,14 @@ let test_explain_mentions_plan () =
   let db = mk_db () in
   let t = Ri.create db in
   ignore (Ri.insert t (Ivl.make 10 50));
-  let plan = Ri.explain t (Ivl.make 20 30) in
+  let plan = Pl.explain t (Pl.Intersect_target (Ivl.make 20 30)) in
   List.iter
     (fun needle ->
       if not (contains_substring plan needle) then
         Alcotest.failf "plan misses %S:\n%s" needle plan)
-    [ "UNION-ALL"; "NESTED LOOPS"; "COLLECTION ITERATOR"; "INDEX RANGE SCAN" ]
+    [ "UNION-ALL"; "NESTED LOOPS"; "COLLECTION ITERATOR leftNodes";
+      "COLLECTION ITERATOR rightNodes"; "INDEX RANGE SCAN INTERVALS_UPPER";
+      "INDEX RANGE SCAN INTERVALS_LOWER" ]
 
 let test_bound_validation () =
   let db = mk_db () in

@@ -586,7 +586,9 @@ let test_graceful_shutdown_no_data_loss () =
   D.stop disp;
   Thread.join thread;
   S.reopen sh;
-  let ids = Ritree.Ri_tree.intersecting_ids (S.tree sh) (Interval.Ivl.make 1500 1500) in
+  let ids =
+    Exec.Planner.intersecting_ids (S.tree sh) (Interval.Ivl.make 1500 1500)
+  in
   check (Alcotest.list Alcotest.int) "row survived restart" [ 77 ] ids
 
 (* ---- robustness: idle reaping and degraded read-only mode ---- *)

@@ -4,10 +4,23 @@
 module Ivl = Interval.Ivl
 module Sk = Ritree.Skeleton
 module Ri = Ritree.Ri_tree
+module Pl = Exec.Planner
 module Naive = Memindex.Naive
 
 let check = Alcotest.check
 let sorted = List.sort compare
+
+(* The skeleton-filtered Fig. 9 plan: ids from the indexes alone, and
+   the count of the base rows the same plan fetches. *)
+let filtered_ids sk q =
+  Pl.intersecting_ids ~node_filter:(Sk.node_filter sk) (Sk.ri sk) q
+
+let filtered_count sk q =
+  let c =
+    Pl.plan_intersection ~node_filter:(Sk.node_filter sk) ~proj:Pl.Rows
+      (Sk.ri sk) q
+  in
+  List.length (Pl.run c).Exec.Executor.rows
 
 let test_answers_identical () =
   let rng = Workload.Prng.create ~seed:81 in
@@ -26,10 +39,10 @@ let test_answers_identical () =
     let q = Ivl.make l (l + Workload.Prng.int rng 4_000) in
     check (Alcotest.list Alcotest.int) "oracle"
       (sorted (Naive.intersecting_ids naive q))
-      (sorted (Sk.intersecting_ids sk q));
+      (sorted (filtered_ids sk q));
     check Alcotest.int "count agrees"
       (List.length (Naive.intersecting_ids naive q))
-      (Sk.count_intersecting sk q)
+      (filtered_count sk q)
   done
 
 let test_deletes_maintain_counts () =
@@ -42,10 +55,11 @@ let test_deletes_maintain_counts () =
   check Alcotest.bool "delete" true (Sk.delete sk ~id:1 ivl);
   Sk.check_invariants sk;
   check (Alcotest.list Alcotest.int) "still found" [ 2 ]
-    (Sk.stabbing_ids sk 150);
+    (filtered_ids sk (Ivl.point 150));
   check Alcotest.bool "delete last" true (Sk.delete sk ~id:2 ivl);
   Sk.check_invariants sk;
-  check (Alcotest.list Alcotest.int) "now empty" [] (Sk.stabbing_ids sk 150)
+  check (Alcotest.list Alcotest.int) "now empty" []
+    (filtered_ids sk (Ivl.point 150))
 
 let test_probes_saved_on_sparse_data () =
   (* data occupies 1 % of the domain; queries elsewhere benefit *)
@@ -66,7 +80,7 @@ let test_probes_saved_on_sparse_data () =
     true
     (filtered < plain);
   (* and the answer is still right: only the sentinel covers it *)
-  check Alcotest.int "answer" 1 (List.length (Sk.intersecting_ids sk far_query))
+  check Alcotest.int "answer" 1 (List.length (filtered_ids sk far_query))
 
 let test_of_ri_rebuild () =
   let rng = Workload.Prng.create ~seed:83 in
@@ -81,8 +95,8 @@ let test_of_ri_rebuild () =
   check Alcotest.bool "nodes materialised" true (Sk.materialized_nodes sk > 0);
   let q = Ivl.make 10_000 20_000 in
   check (Alcotest.list Alcotest.int) "same answers"
-    (sorted (Ri.intersecting_ids tree q))
-    (sorted (Sk.intersecting_ids sk q))
+    (sorted (Pl.intersecting_ids tree q))
+    (sorted (filtered_ids sk q))
 
 let () =
   Alcotest.run "skeleton"

@@ -1,8 +1,10 @@
-(* now/infinity handling of Sec. 4.6. *)
+(* now/infinity handling of Sec. 4.6: the store's sentinel rows, read
+   through the planner's temporal plan. *)
 
 module Ivl = Interval.Ivl
 module Temporal = Interval.Temporal
 module Store = Ritree.Temporal_store
+module Pl = Exec.Planner
 
 let check = Alcotest.check
 let sorted = List.sort compare
@@ -16,22 +18,22 @@ let test_basics () =
   check Alcotest.int "count" 3 (Store.count s);
   (* at now = 60: b covers [50,60] *)
   check (Alcotest.list Alcotest.int) "hit all" (sorted [ a; b; c ])
-    (sorted (Store.intersecting_ids s ~now:60 (Ivl.make 55 70)));
+    (sorted (Pl.temporal_ids s ~now:60 (Ivl.make 55 70)));
   (* at now = 40: b not valid in [55,70] yet *)
   check (Alcotest.list Alcotest.int) "b excluded" (sorted [ a; c ])
-    (sorted (Store.intersecting_ids s ~now:40 (Ivl.make 55 70)));
+    (sorted (Pl.temporal_ids s ~now:40 (Ivl.make 55 70)));
   (* infinity reaches arbitrarily far *)
   check (Alcotest.list Alcotest.int) "far future" [ c ]
-    (Store.intersecting_ids s ~now:42 (Ivl.make 1_000_000 2_000_000))
+    (Pl.temporal_ids s ~now:42 (Ivl.make 1_000_000 2_000_000))
 
 let test_now_not_yet_valid () =
   let db = Relation.Catalog.create () in
   let s = Store.create db in
   let x = Store.insert s (Temporal.make 900 Now) in
   check (Alcotest.list Alcotest.int) "not valid before start" []
-    (Store.intersecting_ids s ~now:500 (Ivl.make 0 10_000));
+    (Pl.temporal_ids s ~now:500 (Ivl.make 0 10_000));
   check (Alcotest.list Alcotest.int) "valid after start" [ x ]
-    (Store.intersecting_ids s ~now:950 (Ivl.make 0 10_000))
+    (Pl.temporal_ids s ~now:950 (Ivl.make 0 10_000))
 
 let test_sentinels_do_not_pollute_finite_queries () =
   let db = Relation.Catalog.create () in
@@ -42,7 +44,7 @@ let test_sentinels_do_not_pollute_finite_queries () =
   (* a query left of the sentinels' lower bounds sees only the finite
      interval *)
   check (Alcotest.list Alcotest.int) "only finite" [ f ]
-    (sorted (Store.intersecting_ids s ~now:9_000 (Ivl.make 0 100)));
+    (sorted (Pl.temporal_ids s ~now:9_000 (Ivl.make 0 100)));
   Ritree.Ri_tree.check_invariants (Store.ri s)
 
 (* Randomized agreement with the Temporal.resolve specification. *)
@@ -74,7 +76,7 @@ let test_oracle () =
         !stored
       |> sorted
     in
-    let got = sorted (Store.intersecting_ids s ~now q) in
+    let got = sorted (Pl.temporal_ids s ~now q) in
     if got <> expected then
       Alcotest.failf "now=%d %s: %d vs %d" now (Ivl.to_string q)
         (List.length got) (List.length expected)
@@ -86,7 +88,7 @@ let test_intersecting_returns_temporal_values () =
   ignore (Store.insert ~id:1 s (Temporal.make 0 (Finite 10)));
   ignore (Store.insert ~id:2 s (Temporal.make 3 Now));
   ignore (Store.insert ~id:3 s (Temporal.make 5 Infinity));
-  let hits = Store.intersecting s ~now:100 (Ivl.make 6 7) in
+  let hits = Pl.temporal_matches s ~now:100 (Ivl.make 6 7) in
   check Alcotest.int "three hits" 3 (List.length hits);
   List.iter
     (fun (tv, id) ->

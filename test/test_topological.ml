@@ -1,10 +1,11 @@
-(* Topological (Allen-relation) queries of Sec. 4.5, checked against the
-   brute-force oracle for every relation. *)
+(* Topological (Allen-relation) queries of Sec. 4.5, as the planner
+   runs them, checked against the brute-force oracle for every
+   relation. *)
 
 module Ivl = Interval.Ivl
 module Allen = Interval.Allen
 module Ri = Ritree.Ri_tree
-module Topo = Ritree.Topological
+module Pl = Exec.Planner
 module Naive = Memindex.Naive
 
 let check = Alcotest.check
@@ -29,7 +30,7 @@ let run_relation_oracle r ~seed ~queries =
     let ql = Workload.Prng.int rng 4000 - 2000 in
     let q = Ivl.make ql (ql + Workload.Prng.int rng 500) in
     let expected = sorted (Naive.relation_ids naive r q) in
-    let got = sorted (Topo.query_ids t r q) in
+    let got = sorted (Pl.allen_ids t r q) in
     if got <> expected then
       Alcotest.failf "%s %s: got %d, expected %d" (Allen.to_string r)
         (Ivl.to_string q) (List.length got) (List.length expected)
@@ -48,7 +49,7 @@ let test_point_queries_relations () =
       for p = -50 to 50 do
         let q = Ivl.point (p * 13) in
         let expected = sorted (Naive.relation_ids naive r q) in
-        let got = sorted (Topo.query_ids t r q) in
+        let got = sorted (Pl.allen_ids t r q) in
         if got <> expected then
           Alcotest.failf "%s point %d differs" (Allen.to_string r) (p * 13)
       done)
@@ -60,7 +61,7 @@ let test_relations_partition_results () =
   let _, t, naive = build ~seed:8 ~n:250 ~range:1000 ~len:300 in
   let q = Ivl.make 100 600 in
   let all_results =
-    List.concat_map (fun r -> Topo.query_ids t r q) Allen.all
+    List.concat_map (fun r -> Pl.allen_ids t r q) Allen.all
   in
   check Alcotest.int "every interval classified once"
     (List.length (Naive.to_list naive))
@@ -74,7 +75,7 @@ let test_query_returns_rows () =
   let t = Ri.create db in
   ignore (Ri.insert ~id:1 t (Ivl.make 0 10));
   ignore (Ri.insert ~id:2 t (Ivl.make 10 20));
-  let pairs = Topo.query t Allen.Meets (Ivl.make 20 30) in
+  let pairs = Pl.allen_matches t Allen.Meets (Ivl.make 20 30) in
   check Alcotest.int "one meets" 1 (List.length pairs);
   let ivl, id = List.hd pairs in
   check Alcotest.int "id" 2 id;
@@ -86,7 +87,7 @@ let test_empty_tree () =
   List.iter
     (fun r ->
       check (Alcotest.list Alcotest.int) (Allen.to_string r) []
-        (Topo.query_ids t r (Ivl.make 0 10)))
+        (Pl.allen_ids t r (Ivl.make 0 10)))
     Allen.all
 
 let () =

@@ -91,7 +91,9 @@ let test_span_closes_on_raise () =
 
 (* A cold RI-tree query on a catalog with a tiny buffer pool: descents
    fault pages in and force evictions, and every physical read must be
-   attributed to spans nested under the traced root. *)
+   attributed to spans nested under the traced root. The executor runs
+   the Fig. 9 plan as one span per UNION ALL branch, with its collection
+   and index-scan steps nested below. *)
 let test_eviction_attribution () =
   let db = Relation.Catalog.create ~cache_blocks:8 () in
   let tree = Ritree.Ri_tree.create db in
@@ -105,7 +107,7 @@ let test_eviction_attribution () =
   with_tracing (fun () ->
       let ids, span =
         T.traced "query" (fun () ->
-            Ritree.Ri_tree.intersecting_ids tree
+            Exec.Planner.intersecting_ids tree
               (Interval.Ivl.make 40_000 60_000))
       in
       check Alcotest.bool "query returned rows" true (ids <> []);
@@ -121,8 +123,17 @@ let test_eviction_attribution () =
           List.iter
             (fun n ->
               check Alcotest.bool n true (has n))
-            [ "ritree.intersect"; "ritree.left_join"; "ritree.right_join";
+            [ "sql.branch"; "exec.collection"; "exec.index_scan";
               "btree.descend"; "pool.fault" ];
+          (* one branch span per Fig. 9 join, named by its steps *)
+          check
+            (Alcotest.list Alcotest.string)
+            "branch spans" [ "lft,i"; "rgt,i" ]
+            (List.sort compare
+               (List.filter_map
+                  (fun s ->
+                    if s.T.name = "sql.branch" then Some s.T.info else None)
+                  all));
           check Alcotest.bool "cold cache faulted" true
             (root.T.io.C.reads > 0);
           check Alcotest.bool "misses recorded" true
