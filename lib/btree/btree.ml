@@ -205,25 +205,54 @@ let open_existing pool ~meta_page =
     page_count = fields.(6) }
 
 (* ------------------------------------------------------------------ *)
-(* Search *)
+(* In-place search.
 
-(* First index with keys.(i) >= probe. *)
-let bisect_left keys probe =
-  let lo = ref 0 and hi = ref (Array.length keys) in
+   Descents and scans read the pinned page bytes directly: a probe is
+   compared against the key components at their offsets, so no key is
+   decoded unless a caller receives it. *)
+
+let is_leaf buf = Bytes.get buf 0 = '\000'
+let nkeys buf = Bytes.get_uint16_be buf 2
+
+(* Compare the key stored at byte [off] of [buf] with [probe], from
+   component [i] of [width] on. *)
+let rec compare_at buf off (probe : key) i width =
+  if i = width then 0
+  else
+    let c = Int.compare (get_i64 buf (off + (8 * i))) probe.(i) in
+    if c <> 0 then c else compare_at buf off probe (i + 1) width
+
+(* Among the entries [from .. n-1] of a page laid out at [stride], the
+   first whose key is [>= probe], or [> probe] when [above]. *)
+let bisect t buf ~stride ~from ~n ~above probe =
+  let lo = ref from and hi = ref n in
   while !lo < !hi do
-    let mid = (!lo + !hi) / 2 in
-    if compare_keys keys.(mid) probe < 0 then lo := mid + 1 else hi := mid
+    let mid = (!lo + !hi) lsr 1 in
+    let c = compare_at buf (header_size + (mid * stride)) probe 0 t.key_width in
+    if c < 0 || (above && c = 0) then lo := mid + 1 else hi := mid
   done;
   !lo
 
-(* First index with keys.(i) > probe, i.e. the child slot for [probe]. *)
-let bisect_right keys probe =
-  let lo = ref 0 and hi = ref (Array.length keys) in
-  while !lo < !hi do
-    let mid = (!lo + !hi) / 2 in
-    if compare_keys keys.(mid) probe <= 0 then lo := mid + 1 else hi := mid
-  done;
-  !lo
+let child_at t buf slot =
+  if slot = 0 then get_i64 buf 8
+  else
+    get_i64 buf
+      (header_size + ((slot - 1) * node_stride t) + (8 * t.key_width))
+
+let at_leaf = (-1, -1)
+
+(* The one descent step, shared by every read and write: the slot of
+   the child that [probe] routes to in page [pid] (the number of
+   separators at or below it) and that child's page id, or [at_leaf]. *)
+let route t pid probe =
+  Storage.Buffer_pool.with_page t.pool pid ~dirty:false (fun buf ->
+      if is_leaf buf then at_leaf
+      else
+        let slot =
+          bisect t buf ~stride:(node_stride t) ~from:0 ~n:(nkeys buf)
+            ~above:true probe
+        in
+        (slot, child_at t buf slot))
 
 let check_width t k =
   if Array.length k <> t.key_width then
@@ -232,17 +261,27 @@ let check_width t k =
          t.key_width)
 
 let rec find_leaf t pid probe =
-  match read_node t pid with
-  | Leaf _ -> pid
-  | Node { keys; children } -> find_leaf t children.(bisect_right keys probe) probe
+  match route t pid probe with
+  | -1, _ -> pid
+  | _, child -> find_leaf t child probe
 
 let mem t k =
   check_width t k;
-  match read_node t (find_leaf t t.root k) with
-  | Leaf { keys; _ } ->
-      let pos = bisect_left keys k in
-      pos < Array.length keys && equal_keys keys.(pos) k
-  | Node _ -> assert false
+  let leaf = find_leaf t t.root k in
+  Storage.Buffer_pool.with_page t.pool leaf ~dirty:false (fun buf ->
+      let n = nkeys buf and stride = leaf_stride t in
+      let pos = bisect t buf ~stride ~from:0 ~n ~above:false k in
+      pos < n
+      && compare_at buf (header_size + (pos * stride)) k 0 t.key_width = 0)
+
+(* First index with keys.(i) >= probe, over a decoded page. *)
+let bisect_left keys probe =
+  let lo = ref 0 and hi = ref (Array.length keys) in
+  while !lo < !hi do
+    let mid = (!lo + !hi) / 2 in
+    if compare_keys keys.(mid) probe < 0 then lo := mid + 1 else hi := mid
+  done;
+  !lo
 
 (* ------------------------------------------------------------------ *)
 (* Array editing helpers *)
@@ -261,57 +300,67 @@ let remove_at arr pos =
 
 type ins_result = Done | Duplicate | Split of key * int
 
-let rec ins t pid k =
-  match read_node t pid with
-  | Leaf { keys; next } ->
-      let pos = bisect_left keys k in
-      if pos < Array.length keys && equal_keys keys.(pos) k then Duplicate
-      else
-        let keys = insert_at keys pos k in
-        if Array.length keys <= t.leaf_cap then begin
-          write_node t pid (Leaf { keys; next });
-          Done
-        end
-        else begin
-          let mid = Array.length keys / 2 in
-          let left = Array.sub keys 0 mid in
-          let right = Array.sub keys mid (Array.length keys - mid) in
-          let new_pid = alloc_page t in
-          write_node t new_pid (Leaf { keys = right; next });
-          write_node t pid (Leaf { keys = left; next = new_pid });
-          Split (right.(0), new_pid)
-        end
-  | Node { keys; children } -> (
-      let slot = bisect_right keys k in
-      match ins t children.(slot) k with
-      | (Done | Duplicate) as r -> r
-      | Split (sep, new_child) ->
-          let keys = insert_at keys slot sep in
-          let children = insert_at children (slot + 1) new_child in
-          if Array.length keys <= t.node_cap then begin
-            write_node t pid (Node { keys; children });
+(* [level] counts down to 1 at the leaves: the descent routes through
+   internal pages in place, and only a page being rewritten is
+   decoded. *)
+let rec ins t pid level k =
+  if level = 1 then
+    match read_node t pid with
+    | Node _ -> assert false
+    | Leaf { keys; next } ->
+        let pos = bisect_left keys k in
+        if pos < Array.length keys && equal_keys keys.(pos) k then Duplicate
+        else
+          let keys = insert_at keys pos k in
+          if Array.length keys <= t.leaf_cap then begin
+            write_node t pid (Leaf { keys; next });
             Done
           end
           else begin
-            (* Promote the middle separator. *)
             let mid = Array.length keys / 2 in
-            let promoted = keys.(mid) in
-            let lkeys = Array.sub keys 0 mid in
-            let rkeys = Array.sub keys (mid + 1) (Array.length keys - mid - 1)
-            in
-            let lchildren = Array.sub children 0 (mid + 1) in
-            let rchildren =
-              Array.sub children (mid + 1) (Array.length children - mid - 1)
-            in
+            let left = Array.sub keys 0 mid in
+            let right = Array.sub keys mid (Array.length keys - mid) in
             let new_pid = alloc_page t in
-            write_node t new_pid (Node { keys = rkeys; children = rchildren });
-            write_node t pid (Node { keys = lkeys; children = lchildren });
-            Split (promoted, new_pid)
-          end)
+            write_node t new_pid (Leaf { keys = right; next });
+            write_node t pid (Leaf { keys = left; next = new_pid });
+            Split (right.(0), new_pid)
+          end
+  else
+    let slot, child = route t pid k in
+    match ins t child (level - 1) k with
+    | (Done | Duplicate) as r -> r
+    | Split (sep, new_child) -> (
+        match read_node t pid with
+        | Leaf _ -> assert false
+        | Node { keys; children } ->
+            let keys = insert_at keys slot sep in
+            let children = insert_at children (slot + 1) new_child in
+            if Array.length keys <= t.node_cap then begin
+              write_node t pid (Node { keys; children });
+              Done
+            end
+            else begin
+              (* Promote the middle separator. *)
+              let mid = Array.length keys / 2 in
+              let promoted = keys.(mid) in
+              let lkeys = Array.sub keys 0 mid in
+              let rkeys =
+                Array.sub keys (mid + 1) (Array.length keys - mid - 1)
+              in
+              let lchildren = Array.sub children 0 (mid + 1) in
+              let rchildren =
+                Array.sub children (mid + 1) (Array.length children - mid - 1)
+              in
+              let new_pid = alloc_page t in
+              write_node t new_pid
+                (Node { keys = rkeys; children = rchildren });
+              write_node t pid (Node { keys = lkeys; children = lchildren });
+              Split (promoted, new_pid)
+            end)
 
 let insert t k =
   check_width t k;
-  match ins t t.root k with
+  match ins t t.root t.height k with
   | Duplicate -> false
   | Done ->
       t.count <- t.count + 1;
@@ -452,36 +501,41 @@ let fix_underflow t pid slot =
         else if slot > 0 then merge_with_right (slot - 1)
         else merge_with_right slot)
 
-let rec del t pid k =
-  match read_node t pid with
-  | Leaf { keys; next } ->
-      let pos = bisect_left keys k in
-      if pos < Array.length keys && equal_keys keys.(pos) k then begin
-        write_node t pid (Leaf { keys = remove_at keys pos; next });
-        true
-      end
-      else false
-  | Node { keys; children } ->
-      let slot = bisect_right keys k in
-      let removed = del t children.(slot) k in
-      if removed then fix_underflow t pid slot;
-      removed
+let rec del t pid level k =
+  if level = 1 then
+    match read_node t pid with
+    | Node _ -> assert false
+    | Leaf { keys; next } ->
+        let pos = bisect_left keys k in
+        if pos < Array.length keys && equal_keys keys.(pos) k then begin
+          write_node t pid (Leaf { keys = remove_at keys pos; next });
+          true
+        end
+        else false
+  else
+    let slot, child = route t pid k in
+    let removed = del t child (level - 1) k in
+    if removed then fix_underflow t pid slot;
+    removed
 
 let delete t k =
   check_width t k;
-  let removed = del t t.root k in
+  let removed = del t t.root t.height k in
   if removed then begin
     t.count <- t.count - 1;
     (* Collapse the root while it is an internal node with one child. *)
     let rec collapse () =
-      match read_node t t.root with
-      | Node { keys = [||]; children } ->
-          let old = t.root in
-          t.root <- children.(0);
-          t.height <- t.height - 1;
-          free_page t old;
-          collapse ()
-      | Node _ | Leaf _ -> ()
+      let only_child =
+        Storage.Buffer_pool.with_page t.pool t.root ~dirty:false (fun buf ->
+            if is_leaf buf || nkeys buf > 0 then -1 else get_i64 buf 8)
+      in
+      if only_child >= 0 then begin
+        let old = t.root in
+        t.root <- only_child;
+        t.height <- t.height - 1;
+        free_page t old;
+        collapse ()
+      end
     in
     collapse ();
     sync_meta t
@@ -505,67 +559,65 @@ let hi_pad t prefix =
   Array.init t.key_width (fun i ->
       if i < Array.length p then p.(i) else max_int)
 
+(* A cursor holds a byte copy of the current leaf's keys from its
+   position up to the first key above [hi]; [next] decodes one key of
+   it at a time. [next_leaf] is [-1] once a copied run ended below the
+   end of its leaf, or at the end of the chain. *)
 type cursor = {
   tree : t;
-  mutable hi : key;
-  mutable buf : key array;
+  hi : key;
+  mutable run : Bytes.t;
+  mutable len : int;
   mutable pos : int;
   mutable next_leaf : int;
-  mutable exhausted : bool;
 }
 
-let do_reset c ~lo ~hi =
-  let leaf = find_leaf c.tree c.tree.root lo in
-  match read_node c.tree leaf with
-  | Leaf { keys; next } ->
-      c.hi <- hi;
-      c.buf <- keys;
-      c.pos <- bisect_left keys lo;
-      c.next_leaf <- next;
-      c.exhausted <- false
-  | Node _ -> assert false
+(* Copy out of leaf [pid] the keys from the first at or above [lo] up to
+   the first above [c.hi]. *)
+let load c pid lo =
+  let t = c.tree in
+  Storage.Buffer_pool.with_page t.pool pid ~dirty:false (fun buf ->
+      let n = nkeys buf and stride = leaf_stride t in
+      let first =
+        match lo with
+        | None -> 0
+        | Some lo -> bisect t buf ~stride ~from:0 ~n ~above:false lo
+      in
+      let stop = bisect t buf ~stride ~from:first ~n ~above:true c.hi in
+      c.run <- Bytes.sub buf (header_size + (first * stride)) ((stop - first) * stride);
+      c.len <- stop - first;
+      c.pos <- 0;
+      c.next_leaf <- (if stop < n then -1 else get_i64 buf 8))
 
-let reset c ~lo ~hi =
-  check_width c.tree lo;
-  check_width c.tree hi;
+let descend c lo = load c (find_leaf c.tree c.tree.root lo) (Some lo)
+
+let cursor t ~lo ~hi =
+  check_width t lo;
+  check_width t hi;
+  let c = { tree = t; hi; run = Bytes.empty; len = 0; pos = 0; next_leaf = -1 } in
   (* One descent per probe: guard the span so the disabled path does
      not allocate a closure per probe. *)
   if Obs.Trace.enabled () then
-    Obs.Trace.with_span "btree.descend" (fun () -> do_reset c ~lo ~hi)
-  else do_reset c ~lo ~hi
-
-let cursor t ~lo ~hi =
-  let c =
-    { tree = t; hi; buf = [||]; pos = 0; next_leaf = -1; exhausted = true }
-  in
-  reset c ~lo ~hi;
+    Obs.Trace.with_span "btree.descend" (fun () -> descend c lo)
+  else descend c lo;
   c
 
 let rec next c =
-  if c.exhausted then None
-  else if c.pos < Array.length c.buf then begin
-    let k = c.buf.(c.pos) in
-    if compare_keys k c.hi > 0 then begin
-      c.exhausted <- true;
-      None
-    end
-    else begin
-      c.pos <- c.pos + 1;
-      Some k
-    end
+  if c.pos < c.len then begin
+    let width = c.tree.key_width in
+    let off = c.pos * 8 * width in
+    let k = Array.make width 0 in
+    for i = 0 to width - 1 do
+      k.(i) <- get_i64 c.run (off + (8 * i))
+    done;
+    c.pos <- c.pos + 1;
+    Some k
   end
-  else if c.next_leaf < 0 then begin
-    c.exhausted <- true;
-    None
+  else if c.next_leaf < 0 then None
+  else begin
+    load c c.next_leaf None;
+    next c
   end
-  else
-    match read_node c.tree c.next_leaf with
-    | Leaf { keys; next = nl } ->
-        c.buf <- keys;
-        c.pos <- 0;
-        c.next_leaf <- nl;
-        next c
-    | Node _ -> assert false
 
 let iter_range t ~lo ~hi f =
   let c = cursor t ~lo ~hi in
@@ -600,11 +652,17 @@ let min_key t =
 let max_key t =
   (* Descend along the rightmost spine. *)
   let rec go pid =
-    match read_node t pid with
-    | Leaf { keys; _ } ->
-        if Array.length keys = 0 then None
-        else Some keys.(Array.length keys - 1)
-    | Node { children; _ } -> go children.(Array.length children - 1)
+    let step =
+      Storage.Buffer_pool.with_page t.pool pid ~dirty:false (fun buf ->
+          let n = nkeys buf in
+          if not (is_leaf buf) then `Child (child_at t buf n)
+          else if n = 0 then `Empty
+          else `Key (read_key t buf (header_size + ((n - 1) * leaf_stride t))))
+    in
+    match step with
+    | `Child pid -> go pid
+    | `Empty -> None
+    | `Key k -> Some k
   in
   go t.root
 
@@ -612,6 +670,8 @@ let max_key t =
 (* Bulk loading *)
 
 let bulk_load ?(fill = 0.9) pool ~key_width seq =
+  if not (fill > 0. && fill <= 1.) then
+    invalid_arg (Printf.sprintf "Btree.bulk_load: fill %g not in (0, 1]" fill);
   let block_size = Storage.Buffer_pool.block_size pool in
   validate_geometry ~block_size ~key_width;
   let leaf_cap, node_cap = capacities ~block_size ~key_width in

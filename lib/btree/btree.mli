@@ -39,8 +39,8 @@ val bulk_load :
 (** [bulk_load pool ~key_width seq] builds a tree from a sorted,
     duplicate-free sequence of keys, packing leaves to [fill] (default
     0.9) of capacity.
-    @raise Invalid_argument if the sequence is not strictly
-    increasing. *)
+    @raise Invalid_argument if [fill] is not in [(0, 1]] or the
+    sequence is not strictly increasing. *)
 
 val open_existing : Storage.Buffer_pool.t -> meta_page:int -> t
 (** Re-open a tree persisted on the pool's device from its meta page
@@ -96,7 +96,12 @@ val hi_pad : t -> int list -> key
 type cursor
 
 val cursor : t -> lo:key -> hi:key -> cursor
-(** Cursor over entries [k] with [lo <= k <= hi], ascending. *)
+(** Cursor over entries [k] with [lo <= k <= hi], ascending. The
+    descent bisects the separators on the pinned page bytes; on each
+    leaf the cursor copies out only the run of keys from its position up
+    to the first key above [hi], and {!next} decodes only the keys it
+    yields. It moves to the next leaf only when every key it copied was
+    at or below [hi]. *)
 
 val next : cursor -> key option
 

@@ -106,6 +106,32 @@ let test_range_scan_bounds () =
   check (Alcotest.list Alcotest.int) "all" [ 2; 4; 6; 8; 10 ]
     (range min_int max_int)
 
+(* A scan pins the next leaf only when every key it copied from the
+   current one was at or below [hi]. Leaves of a tree bulk-loaded at
+   fill 1.0 hold [0 .. cap-1], [cap .. 2cap-1], ...; a probe pins
+   [height] pages routing to its leaf and the leaf once more to copy. *)
+let test_scan_leaf_pins () =
+  let pool = mk_pool () in
+  let t =
+    Btree.bulk_load ~fill:1.0 pool ~key_width:1
+      (Seq.init 1_000 (fun i -> [| i |]))
+  in
+  let cap = Btree.leaf_capacity t in
+  let pins lo hi =
+    let before = (Storage.Buffer_pool.Stats.get pool).logical_reads in
+    ignore (Btree.range_list t ~lo:[| lo |] ~hi:[| hi |]);
+    (Storage.Buffer_pool.Stats.get pool).logical_reads - before
+  in
+  let one_leaf = Btree.height t + 1 in
+  check Alcotest.int "stops inside the leaf" one_leaf (pins 0 (cap - 2));
+  check Alcotest.int "lo > hi" one_leaf (pins 5 3);
+  check Alcotest.int "ends on the leaf's last key" (one_leaf + 1)
+    (pins 0 (cap - 1));
+  check Alcotest.int "spans three leaves" (one_leaf + 2)
+    (pins (cap - 1) ((2 * cap) + 1));
+  check Alcotest.int "last leaf, past the end" one_leaf
+    (pins 999 max_int)
+
 let test_prefix_pads () =
   let t = Btree.create (mk_pool ()) ~key_width:3 in
   List.iter
@@ -159,6 +185,31 @@ let test_bulk_load_rejects_unsorted () =
       ignore
         (Btree.bulk_load (mk_pool ()) ~key_width:1
            (List.to_seq [ [| 2 |]; [| 1 |] ])))
+
+(* A fill above 1 once overran the leaf into the checksum trailer
+   (1.004 packed 254 keys into a 253-key leaf) or died with a bare
+   index error (1.01). *)
+let test_bulk_load_rejects_fill () =
+  let keys = List.init 2_000 (fun i -> [| i |]) in
+  let load fill =
+    let pool =
+      Storage.Buffer_pool.create ~capacity:64 ~checksums:true
+        (Storage.Block_device.create ~block_size:2048 ())
+    in
+    Btree.bulk_load ~fill pool ~key_width:1 (List.to_seq keys)
+  in
+  List.iter
+    (fun fill ->
+      match load fill with
+      | _ -> Alcotest.failf "fill %g accepted" fill
+      | exception Invalid_argument _ -> ())
+    [ 1.004; 1.01; 0.; -0.5; Float.nan ];
+  let t = load 1.0 in
+  Btree.check_invariants ~occupancy:false t;
+  check
+    (Alcotest.list (Alcotest.list Alcotest.int))
+    "contents" (List.map list_of_key keys)
+    (List.map list_of_key (Btree.to_list t))
 
 let test_bulk_load_empty () =
   let t = Btree.bulk_load (mk_pool ()) ~key_width:2 Seq.empty in
@@ -241,6 +292,140 @@ let test_deep_tree_small_pages () =
       if not (Btree.mem t k) then Alcotest.fail "lost key in deep tree")
     !inserted
 
+(* ---- in-place reads vs a Set oracle ----
+
+   Descents bisect the raw separators and cursors copy out only the run
+   of a leaf they yield, so the bounds are drawn to hit every edge of
+   that: full-width random keys, stored keys, keys just past a stored
+   key (between entries, and for bulk trees exactly at leaf ends),
+   [min_int]/[max_int] components and [lo > hi]. The trees are deep
+   (height >= 4) on 256-byte pages. *)
+
+(* Entries per key width that make the tree at least 4 levels deep even
+   when bulk-loaded at fill 1.0. *)
+let deep_count = [| 0; 9_000; 2_400; 800; 450; 300; 180 |]
+
+let gen_component rng ~span =
+  match Workload.Prng.int rng 64 with
+  | 0 -> min_int
+  | 1 -> max_int
+  | _ -> Workload.Prng.int rng span - (span / 2)
+
+let gen_key rng ~width ~span =
+  List.init width (fun _ -> gen_component rng ~span)
+
+(* Build a tree of [deep_count.(width)] entries by mixed insert/delete
+   ([fill = None]) or by [bulk_load ~fill]; returns it with its model. *)
+let build_deep ~width ~seed ~fill =
+  let rng = Workload.Prng.create ~seed in
+  let n = deep_count.(width) in
+  let span =
+    max 8 (int_of_float (Float.pow (float_of_int (4 * n)) (1. /. float_of_int width)))
+  in
+  let pool = mk_pool ~capacity:64 () in
+  match fill with
+  | Some fill ->
+      let model = ref KeySet.empty in
+      while KeySet.cardinal !model < n do
+        model := KeySet.add (gen_key rng ~width ~span) !model
+      done;
+      let seq = Seq.map key_of_list (KeySet.to_seq !model) in
+      (Btree.bulk_load ~fill pool ~key_width:width seq, !model, rng)
+  | None ->
+      let t = Btree.create pool ~key_width:width in
+      let model = ref KeySet.empty and size = ref 0 in
+      let seen = ref [||] and nseen = ref 0 in
+      while !size < n do
+        if !nseen > 0 && Workload.Prng.int rng 3 = 0 then begin
+          let k = !seen.(Workload.Prng.int rng !nseen) in
+          let expected = KeySet.mem k !model in
+          if Btree.delete t (key_of_list k) <> expected then
+            Alcotest.fail "delete disagrees with the model";
+          if expected then decr size;
+          model := KeySet.remove k !model
+        end
+        else begin
+          let k = gen_key rng ~width ~span in
+          let expected = not (KeySet.mem k !model) in
+          if Btree.insert t (key_of_list k) <> expected then
+            Alcotest.fail "insert disagrees with the model";
+          if expected then begin
+            incr size;
+            if !nseen = Array.length !seen then
+              seen := Array.append !seen (Array.make (max 16 !nseen) k);
+            !seen.(!nseen) <- k;
+            incr nseen
+          end;
+          model := KeySet.add k !model
+        end
+      done;
+      (t, !model, rng)
+
+let prop_in_place_reads =
+  QCheck.Test.make ~count:24
+    ~name:"deep trees: range_list and mem = Set oracle"
+    QCheck.(
+      triple (int_range 1 6) (int_range 0 1_000_000)
+        (option (float_range 0.5 1.0)))
+    (fun (width, seed, fill) ->
+      let t, model, rng = build_deep ~width ~seed ~fill in
+      Btree.check_invariants ~occupancy:(fill = None) t;
+      if Btree.height t < 4 then
+        QCheck.Test.fail_reportf "height %d < 4" (Btree.height t);
+      let stored = Array.of_seq (KeySet.to_seq model) in
+      let nstored = Array.length stored in
+      (* for bulk trees, the index of each leaf's last entry *)
+      let leaf_target =
+        Option.map
+          (fun f ->
+            max 2 (int_of_float (f *. float_of_int (Btree.leaf_capacity t))))
+          fill
+      in
+      let just_past k =
+        let k = Array.of_list k in
+        let last = width - 1 in
+        if k.(last) < max_int then k.(last) <- k.(last) + 1;
+        Array.to_list k
+      in
+      let gen_bound () =
+        match Workload.Prng.int rng 6 with
+        | 0 -> stored.(Workload.Prng.int rng nstored)
+        | 1 -> just_past stored.(Workload.Prng.int rng nstored)
+        | 2 -> (
+            match leaf_target with
+            | Some lt ->
+                let leaves = nstored / lt in
+                let i = (lt * (1 + Workload.Prng.int rng (max 1 leaves))) - 1 in
+                just_past stored.(min i (nstored - 1))
+            | None -> just_past stored.(Workload.Prng.int rng nstored))
+        | 3 -> List.init width (fun _ ->
+                   if Workload.Prng.bool rng then min_int else max_int)
+        | 4 ->
+            (* a stored prefix padded with an extreme *)
+            let k = stored.(Workload.Prng.int rng nstored) in
+            let cut = Workload.Prng.int rng width in
+            let pad = if Workload.Prng.bool rng then min_int else max_int in
+            List.mapi (fun i c -> if i < cut then c else pad) k
+        | _ -> gen_key rng ~width ~span:(4 * nstored)
+      in
+      let show k = String.concat "," (List.map string_of_int k) in
+      for _ = 1 to 150 do
+        let lo = gen_bound () and hi = gen_bound () in
+        let got =
+          List.map list_of_key
+            (Btree.range_list t ~lo:(key_of_list lo) ~hi:(key_of_list hi))
+        in
+        let expected =
+          KeySet.elements (KeySet.filter (fun k -> k >= lo && k <= hi) model)
+        in
+        if got <> expected then
+          QCheck.Test.fail_reportf "range [%s .. %s]: %d keys, expected %d"
+            (show lo) (show hi) (List.length got) (List.length expected);
+        if Btree.mem t (key_of_list lo) <> KeySet.mem lo model then
+          QCheck.Test.fail_reportf "mem %s" (show lo)
+      done;
+      true)
+
 let test_min_max () =
   let t = Btree.create (mk_pool ()) ~key_width:1 in
   List.iter (fun i -> ignore (Btree.insert t [| i |])) [ 42; -3; 17; 100 ];
@@ -268,15 +453,20 @@ let () =
            test_deep_tree_small_pages ]);
       ("scans",
        [ Alcotest.test_case "range bounds" `Quick test_range_scan_bounds;
+         Alcotest.test_case "next leaf only while keys <= hi" `Quick
+           test_scan_leaf_pins;
          Alcotest.test_case "prefix pads" `Quick test_prefix_pads ]);
       ("bulk",
        [ Alcotest.test_case "bulk load = inserts" `Quick
            test_bulk_load_matches_inserts;
          Alcotest.test_case "rejects unsorted" `Quick
            test_bulk_load_rejects_unsorted;
+         Alcotest.test_case "rejects fill outside (0, 1]" `Quick
+           test_bulk_load_rejects_fill;
          Alcotest.test_case "empty bulk" `Quick test_bulk_load_empty ]);
       ("oracle",
        [ Alcotest.test_case "random ops vs Set (2k)" `Quick test_random_small;
          Alcotest.test_case "random ops vs Set (8k)" `Slow test_random_larger;
          QCheck_alcotest.to_alcotest prop_insert_then_mem ]);
+      ("in-place reads", [ QCheck_alcotest.to_alcotest prop_in_place_reads ]);
     ]
