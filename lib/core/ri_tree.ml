@@ -195,9 +195,9 @@ let open_existing ?(name = "intervals") catalog =
       t.next_id <- row.(5));
   t
 
-let bulk_load ?(name = "intervals") catalog data =
+let bulk_load ?(name = "intervals") ?layout catalog data =
   let table, mk_indexes, params_table =
-    create_tables ~bulk:true ~name catalog
+    create_tables ~bulk:true ?layout ~name catalog
   in
   let offset = ref None in
   let roots = ref Backbone.empty_roots in

@@ -48,10 +48,11 @@ val open_existing : ?name:string -> Relation.Catalog.t -> t
 
 val bulk_load :
   ?name:string ->
+  ?layout:layout ->
   Relation.Catalog.t ->
   (Interval.Ivl.t * int) array ->
   t
-(** Build an RI-tree (always the {!Paper} layout) from a snapshot of
+(** Build an RI-tree (default layout {!Paper}) from a snapshot of
     [(interval, id)] pairs: heap rows
     are written sequentially and both indexes are bulk-loaded bottom-up,
     giving the tightly clustered pages the paper attributes to

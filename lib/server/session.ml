@@ -3,6 +3,7 @@ type shared = {
   mutable ritree : Ritree.Ri_tree.t;
   tree_name : string;
   dur : bool;
+  cache_blocks : int option;
   (* MVCC transaction manager: one per database. Sessions buffer writes
      into per-transaction write sets; COMMIT validates and applies them
      under a fresh commit LSN, ROLLBACK discards one session's set. *)
@@ -17,16 +18,17 @@ type shared = {
   memtier : Exec.Memtier.t;
 }
 
+(* The server answers (lower, upper, id): the covering layout serves
+   that from the two indexes alone (Fig. 10), never the table. *)
+let layout = Ritree.Ri_tree.Covering
+
 let shared ?(durable = false) ?cache_blocks ?(tree_name = "intervals")
     ?(hot_tier_mb = 0) () =
   let cat = Relation.Catalog.create ~durable ?cache_blocks () in
-  (* The server answers (lower, upper, id): the covering layout serves
-     that from the two indexes alone (Fig. 10), never the table. *)
-  let ritree =
-    Ritree.Ri_tree.create ~name:tree_name ~layout:Ritree.Ri_tree.Covering cat
-  in
+  let ritree = Ritree.Ri_tree.create ~name:tree_name ~layout cat in
   if durable then Relation.Catalog.commit cat;
-  { cat; ritree; tree_name; dur = durable; txns = Relation.Txn.create ();
+  { cat; ritree; tree_name; dur = durable; cache_blocks;
+    txns = Relation.Txn.create ();
     generation = 0; next_session = 0;
     stats = None; memtier = Exec.Memtier.create ~budget_mb:hot_tier_mb }
 
@@ -45,16 +47,6 @@ let durable sh = sh.dur
 let memtier sh = sh.memtier
 let txns sh = sh.txns
 
-let preload sh data =
-  Array.iteri (fun id ivl -> ignore (Ritree.Ri_tree.insert ~id sh.ritree ivl)) data;
-  Relation.Catalog.commit sh.cat
-
-let preload_ids sh data =
-  Array.iter
-    (fun (id, ivl) -> ignore (Ritree.Ri_tree.insert ~id sh.ritree ivl))
-    data;
-  Relation.Catalog.commit sh.cat
-
 let commit_shared sh = Relation.Catalog.commit sh.cat
 let commit_request_shared sh = Relation.Catalog.commit_request sh.cat
 let commit_force_shared sh = Relation.Catalog.commit_force sh.cat
@@ -71,8 +63,9 @@ let flush_shared sh =
   if sh.dur then Relation.Catalog.checkpoint sh.cat
   else Relation.Catalog.flush sh.cat
 
-let reattach sh =
-  sh.ritree <- Ritree.Ri_tree.open_existing ~name:sh.tree_name sh.cat;
+(* Swap in a tree over [sh.cat]. *)
+let attach sh ritree =
+  sh.ritree <- ritree;
   (* The physical handles were replaced and recovery reinstated exactly
      the committed state: every in-flight write set is void and the
      visibility sidecars describe tables that no longer exist. *)
@@ -81,6 +74,32 @@ let reattach sh =
   (* the replica indexed the replaced catalog's rows *)
   Exec.Memtier.invalidate sh.memtier sh.tree_name;
   sh.generation <- sh.generation + 1
+
+let reattach sh =
+  attach sh (Ritree.Ri_tree.open_existing ~name:sh.tree_name sh.cat)
+
+(* The preload bulk-builds the relation bottom-up, its leaves at the
+   B+-tree's default fill, so the journal logs each page about once
+   rather than the splits of one insert per interval. The relation must
+   be empty: the catalog that holds it is replaced by a fresh one with
+   the same settings. *)
+let preload_ids sh data =
+  if
+    Ritree.Ri_tree.count sh.ritree > 0
+    || List.length (Relation.Catalog.tables sh.cat) > 2
+  then invalid_arg "Session.preload: the database is not empty";
+  let cat =
+    Relation.Catalog.create ~durable:sh.dur ?cache_blocks:sh.cache_blocks ()
+  in
+  let ritree =
+    Ritree.Ri_tree.bulk_load ~name:sh.tree_name ~layout cat
+      (Array.map (fun (id, ivl) -> (ivl, id)) data)
+  in
+  Relation.Catalog.commit cat;
+  sh.cat <- cat;
+  attach sh ritree
+
+let preload sh data = preload_ids sh (Array.mapi (fun id ivl -> (id, ivl)) data)
 
 let reopen sh =
   if not sh.dur then failwith "Session.reopen: server is not durable";

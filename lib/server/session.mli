@@ -46,10 +46,15 @@ val txns : shared -> Relation.Txn.mgr
     here). *)
 
 val preload : shared -> Interval.Ivl.t array -> unit
-(** Bulk-insert a dataset into the RI-tree (ids [0..n-1]) and commit. *)
+(** Bulk-load a dataset into the empty RI-tree (ids [0..n-1]) and
+    commit: {!Ritree.Ri_tree.bulk_load} builds both covering indexes
+    bottom-up. The catalog is replaced by a fresh one with the same
+    settings, so call it before serving.
+    @raise Invalid_argument if the database holds any row or any table
+    besides the RI-tree's. *)
 
 val preload_ids : shared -> (int * Interval.Ivl.t) array -> unit
-(** Bulk-insert with explicit ids and commit. A shard of a routed
+(** {!preload} with explicit ids. A shard of a routed
     cluster preloads its slice of a global dataset this way, so a
     boundary spanner replicated on several shards carries one global
     identity — the key the router's merge deduplicates on. *)

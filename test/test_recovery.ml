@@ -291,6 +291,57 @@ let test_ritree_crash_recovery () =
   check Alcotest.bool "insert after recovery" true
     (List.mem fresh (Pl.intersecting_ids tree2 q))
 
+(* The server's preload bulk-builds its covering relation. A crash after
+   committed inserts and deletes on top of it recovers exactly the
+   committed state, and the tree reattaches from the dictionary. *)
+let test_bulk_preload_crash_reattach () =
+  let module S = Server.Session in
+  let module Dist = Workload.Distribution in
+  let data = Dist.generate ~seed:5 Dist.D1 ~n:3_000 ~d:2_000 in
+  let sh = S.shared ~durable:true () in
+  S.preload sh data;
+  Alcotest.check_raises "preload needs an empty database"
+    (Invalid_argument "Session.preload: the database is not empty")
+    (fun () -> S.preload sh data);
+  let tree = S.tree sh in
+  let live = Hashtbl.create 4_096 in
+  Array.iteri (fun id v -> Hashtbl.replace live id v) data;
+  let rng = Workload.Prng.create ~seed:93 in
+  let random_ivl () =
+    let l = Workload.Prng.int rng Dist.domain_max in
+    Ivl.make l (l + Workload.Prng.int rng 5_000)
+  in
+  for i = 0 to 99 do
+    let v = random_ivl () in
+    ignore (Ri.insert ~id:(10_000 + i) tree v);
+    Hashtbl.replace live (10_000 + i) v
+  done;
+  for id = 0 to 199 do
+    if Ri.delete tree ~id:(id * 7) data.(id * 7) then Hashtbl.remove live (id * 7)
+  done;
+  Catalog.commit (S.catalog sh);
+  (* uncommitted inserts and deletes *)
+  for i = 0 to 99 do
+    ignore (Ri.insert ~id:(20_000 + i) tree (random_ivl ()))
+  done;
+  for id = 1 to 200 do
+    ignore (Ri.delete tree ~id:(id * 5) data.(id * 5))
+  done;
+  let cat = Catalog.simulate_crash (S.catalog sh) in
+  let tree = Ri.open_existing cat in
+  Ri.check_invariants tree;
+  check Alcotest.int "count restored" (Hashtbl.length live) (Ri.count tree);
+  for _ = 1 to 50 do
+    let q = random_ivl () in
+    let expected =
+      Hashtbl.fold
+        (fun id v acc -> if Ivl.intersects v q then id :: acc else acc)
+        live []
+    in
+    check (Alcotest.list Alcotest.int) "answers restored" (sorted expected)
+      (sorted (Pl.intersecting_ids tree q))
+  done
+
 let test_repeated_crashes () =
   let db = ref (Catalog.create ~durable:true ()) in
   let tree = ref (Ri.create !db) in
@@ -821,6 +872,8 @@ let () =
            test_ritree_crash_recovery;
          Alcotest.test_case "repeated crash rounds" `Quick
            test_repeated_crashes;
+         Alcotest.test_case "bulk preload: crash, reattach" `Quick
+           test_bulk_preload_crash_reattach;
          Alcotest.test_case "random crash points" `Quick
            test_random_crash_points ]);
       ("delta log",

@@ -348,6 +348,52 @@ let test_apply_mid_epoch_resume () =
   check Alcotest.string "standby image = checkpointed primary image"
     (device_image primary) (device_image dev)
 
+(* The preload bulk-builds the relation and commits it as one batch. A
+   standby subscribing from LSN 0 replays that batch and the commits on
+   top of it, and its device ends byte-identical to the primary's. *)
+let test_apply_bulk_preload () =
+  let sh = S.shared ~durable:true () in
+  S.preload sh
+    (Workload.Distribution.generate ~seed:3 Workload.Distribution.D1
+       ~n:3_000 ~d:2_000);
+  let sess = S.create sh in
+  for i = 0 to 19 do
+    (match
+       S.handle sess
+         (P.Insert { lower = i * 11; upper = (i * 11) + 30; id = None })
+     with
+    | P.Ack _ -> ()
+    | _ -> Alcotest.fail "insert refused");
+    match S.handle sess P.Commit with
+    | P.Ack _ -> ()
+    | _ -> Alcotest.fail "commit refused"
+  done;
+  let cat = S.catalog sh in
+  let j = Option.get (Relation.Catalog.journal cat) in
+  let primary = Relation.Catalog.device cat in
+  let dev =
+    Storage.Block_device.create
+      ~block_size:(Storage.Block_device.block_size primary) ()
+  in
+  let eng = R.create () in
+  let stream = Bytes.to_string (Storage.Journal.stream_from j 0) in
+  let step = 4_093 in
+  let rec go off =
+    if off < String.length stream then begin
+      let n = min step (String.length stream - off) in
+      (match R.feed eng dev ~lsn:off (String.sub stream off n) with
+      | Ok _ -> ()
+      | Error e -> Alcotest.fail e);
+      go (off + n)
+    end
+  in
+  go 0;
+  check Alcotest.int "caught up" (Storage.Journal.durable_lsn j)
+    (R.applied_lsn eng);
+  Relation.Catalog.checkpoint cat;
+  check Alcotest.string "standby image = checkpointed primary image"
+    (device_image primary) (device_image dev)
+
 let () =
   Alcotest.run "repl"
     [
@@ -370,5 +416,7 @@ let () =
             test_apply_reconnect;
           Alcotest.test_case "mid-epoch resume applies deltas" `Quick
             test_apply_mid_epoch_resume;
+          Alcotest.test_case "bulk preload replays from LSN 0" `Quick
+            test_apply_bulk_preload;
         ] );
     ]
