@@ -563,6 +563,15 @@ let micro ~tiny:_ =
   in
   let btree = Btree.create pool ~key_width:3 in
   let counter = ref 0 in
+  (* A warm 4-wide tree of 35k entries, the size of the server's
+     covering index on mixed-disk, probed by one-key range cursors. *)
+  let probe_keys = Array.init 35_000 (fun i -> [| i / 16; i * 3; (i * 3) + 100; i |]) in
+  let probe_tree =
+    Btree.bulk_load
+      (Storage.Buffer_pool.create ~capacity:1024 (Storage.Block_device.create ()))
+      ~key_width:4 (Array.to_seq probe_keys)
+  in
+  Btree.iter probe_tree ignore;
   let tests =
     [ Test.make ~name:"backbone.fork"
         (Staged.stage (fun () ->
@@ -578,6 +587,10 @@ let micro ~tiny:_ =
         (Staged.stage (fun () ->
              incr counter;
              ignore (Btree.insert btree [| !counter mod 65536; !counter; 0 |])));
+      Test.make ~name:"btree.probe"
+        (Staged.stage (fun () ->
+             let k = probe_keys.(Workload.Prng.int rng 35_000) in
+             Btree.iter_range probe_tree ~lo:k ~hi:k ignore));
       Test.make ~name:"ri.intersection(10k)"
         (Staged.stage (fun () ->
              let p = Workload.Prng.int rng 1_000_000 in
