@@ -560,14 +560,13 @@ let hi_pad t prefix =
       if i < Array.length p then p.(i) else max_int)
 
 (* A cursor holds a byte copy of the current leaf's keys from its
-   position up to the first key above [hi]; [next] decodes one key of
-   it at a time. [next_leaf] is [-1] once a copied run ended below the
-   end of its leaf, or at the end of the chain. *)
+   position up to the first key above [hi]; [next] decodes the key at
+   byte [pos] of it. [next_leaf] is [-1] once a copied run ended below
+   the end of its leaf, or at the end of the chain. *)
 type cursor = {
   tree : t;
   hi : key;
   mutable run : Bytes.t;
-  mutable len : int;
   mutable pos : int;
   mutable next_leaf : int;
 }
@@ -584,8 +583,8 @@ let load c pid lo =
         | Some lo -> bisect t buf ~stride ~from:0 ~n ~above:false lo
       in
       let stop = bisect t buf ~stride ~from:first ~n ~above:true c.hi in
-      c.run <- Bytes.sub buf (header_size + (first * stride)) ((stop - first) * stride);
-      c.len <- stop - first;
+      c.run <-
+        Bytes.sub buf (header_size + (first * stride)) ((stop - first) * stride);
       c.pos <- 0;
       c.next_leaf <- (if stop < n then -1 else get_i64 buf 8))
 
@@ -594,7 +593,7 @@ let descend c lo = load c (find_leaf c.tree c.tree.root lo) (Some lo)
 let cursor t ~lo ~hi =
   check_width t lo;
   check_width t hi;
-  let c = { tree = t; hi; run = Bytes.empty; len = 0; pos = 0; next_leaf = -1 } in
+  let c = { tree = t; hi; run = Bytes.empty; pos = 0; next_leaf = -1 } in
   (* One descent per probe: guard the span so the disabled path does
      not allocate a closure per probe. *)
   if Obs.Trace.enabled () then
@@ -603,14 +602,9 @@ let cursor t ~lo ~hi =
   c
 
 let rec next c =
-  if c.pos < c.len then begin
-    let width = c.tree.key_width in
-    let off = c.pos * 8 * width in
-    let k = Array.make width 0 in
-    for i = 0 to width - 1 do
-      k.(i) <- get_i64 c.run (off + (8 * i))
-    done;
-    c.pos <- c.pos + 1;
+  if c.pos < Bytes.length c.run then begin
+    let k = read_key c.tree c.run c.pos in
+    c.pos <- c.pos + leaf_stride c.tree;
     Some k
   end
   else if c.next_leaf < 0 then None
@@ -650,21 +644,11 @@ let min_key t =
   next c
 
 let max_key t =
-  (* Descend along the rightmost spine. *)
-  let rec go pid =
-    let step =
-      Storage.Buffer_pool.with_page t.pool pid ~dirty:false (fun buf ->
-          let n = nkeys buf in
-          if not (is_leaf buf) then `Child (child_at t buf n)
-          else if n = 0 then `Empty
-          else `Key (read_key t buf (header_size + ((n - 1) * leaf_stride t))))
-    in
-    match step with
-    | `Child pid -> go pid
-    | `Empty -> None
-    | `Key k -> Some k
-  in
-  go t.root
+  let leaf = find_leaf t t.root (hi_pad t []) in
+  Storage.Buffer_pool.with_page t.pool leaf ~dirty:false (fun buf ->
+      let n = nkeys buf in
+      if n = 0 then None
+      else Some (read_key t buf (header_size + ((n - 1) * leaf_stride t))))
 
 (* ------------------------------------------------------------------ *)
 (* Bulk loading *)

@@ -453,20 +453,20 @@ let () =
            test_deep_tree_small_pages ]);
       ("scans",
        [ Alcotest.test_case "range bounds" `Quick test_range_scan_bounds;
+         Alcotest.test_case "prefix pads" `Quick test_prefix_pads;
          Alcotest.test_case "next leaf only while keys <= hi" `Quick
-           test_scan_leaf_pins;
-         Alcotest.test_case "prefix pads" `Quick test_prefix_pads ]);
+           test_scan_leaf_pins ]);
       ("bulk",
        [ Alcotest.test_case "bulk load = inserts" `Quick
            test_bulk_load_matches_inserts;
          Alcotest.test_case "rejects unsorted" `Quick
            test_bulk_load_rejects_unsorted;
+         Alcotest.test_case "empty bulk" `Quick test_bulk_load_empty;
          Alcotest.test_case "rejects fill outside (0, 1]" `Quick
-           test_bulk_load_rejects_fill;
-         Alcotest.test_case "empty bulk" `Quick test_bulk_load_empty ]);
+           test_bulk_load_rejects_fill ]);
       ("oracle",
        [ Alcotest.test_case "random ops vs Set (2k)" `Quick test_random_small;
          Alcotest.test_case "random ops vs Set (8k)" `Slow test_random_larger;
-         QCheck_alcotest.to_alcotest prop_insert_then_mem ]);
-      ("in-place reads", [ QCheck_alcotest.to_alcotest prop_in_place_reads ]);
+         QCheck_alcotest.to_alcotest prop_insert_then_mem;
+         QCheck_alcotest.to_alcotest prop_in_place_reads ]);
     ]

@@ -872,10 +872,10 @@ let () =
            test_ritree_crash_recovery;
          Alcotest.test_case "repeated crash rounds" `Quick
            test_repeated_crashes;
-         Alcotest.test_case "bulk preload: crash, reattach" `Quick
-           test_bulk_preload_crash_reattach;
          Alcotest.test_case "random crash points" `Quick
-           test_random_crash_points ]);
+           test_random_crash_points;
+         Alcotest.test_case "bulk preload: crash, reattach" `Quick
+           test_bulk_preload_crash_reattach ]);
       ("delta log",
        [ QCheck_alcotest.to_alcotest prop_diff_patch;
          QCheck_alcotest.to_alcotest prop_history_oracle;
