@@ -565,10 +565,13 @@ let micro ~tiny:_ =
   let counter = ref 0 in
   (* A warm 4-wide tree of 35k entries, the size of the server's
      covering index on mixed-disk, probed by one-key range cursors. *)
-  let probe_keys = Array.init 35_000 (fun i -> [| i / 16; i * 3; (i * 3) + 100; i |]) in
+  let probe_keys =
+    Array.init 35_000 (fun i -> [| i / 16; i * 3; (i * 3) + 100; i |])
+  in
   let probe_tree =
     Btree.bulk_load
-      (Storage.Buffer_pool.create ~capacity:1024 (Storage.Block_device.create ()))
+      (Storage.Buffer_pool.create ~capacity:1024
+         (Storage.Block_device.create ()))
       ~key_width:4 (Array.to_seq probe_keys)
   in
   Btree.iter probe_tree ignore;

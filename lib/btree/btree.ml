@@ -583,8 +583,8 @@ let load c pid lo =
         | Some lo -> bisect t buf ~stride ~from:0 ~n ~above:false lo
       in
       let stop = bisect t buf ~stride ~from:first ~n ~above:true c.hi in
-      c.run <-
-        Bytes.sub buf (header_size + (first * stride)) ((stop - first) * stride);
+      let off = header_size + (first * stride) in
+      c.run <- Bytes.sub buf off ((stop - first) * stride);
       c.pos <- 0;
       c.next_leaf <- (if stop < n then -1 else get_i64 buf 8))
 

@@ -80,9 +80,10 @@ let reattach sh =
 
 (* The preload bulk-builds the relation bottom-up, its leaves at the
    B+-tree's default fill, so the journal logs each page about once
-   rather than the splits of one insert per interval. The relation must
-   be empty: the catalog that holds it is replaced by a fresh one with
-   the same settings. *)
+   rather than the splits of one insert per interval. The database must
+   hold the empty RI-tree (its interval and parameter tables) and
+   nothing else: the catalog is replaced by a fresh one with the same
+   settings. *)
 let preload_ids sh data =
   if
     Ritree.Ri_tree.count sh.ritree > 0

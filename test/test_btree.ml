@@ -320,7 +320,8 @@ let build_deep ~width ~seed ~fill =
   let rng = Workload.Prng.create ~seed in
   let n = deep_count.(width) in
   let span =
-    max 8 (int_of_float (Float.pow (float_of_int (4 * n)) (1. /. float_of_int width)))
+    let root = Float.pow (float_of_int (4 * n)) (1. /. float_of_int width) in
+    max 8 (int_of_float root)
   in
   let pool = mk_pool ~capacity:64 () in
   match fill with
@@ -398,8 +399,9 @@ let prop_in_place_reads =
                 let i = (lt * (1 + Workload.Prng.int rng (max 1 leaves))) - 1 in
                 just_past stored.(min i (nstored - 1))
             | None -> just_past stored.(Workload.Prng.int rng nstored))
-        | 3 -> List.init width (fun _ ->
-                   if Workload.Prng.bool rng then min_int else max_int)
+        | 3 ->
+            List.init width (fun _ ->
+                if Workload.Prng.bool rng then min_int else max_int)
         | 4 ->
             (* a stored prefix padded with an extreme *)
             let k = stored.(Workload.Prng.int rng nstored) in

@@ -1,9 +1,9 @@
 (* The covering index layout answers exactly what the paper's layout
    answers. The property replays one seeded MVCC history on a server
    relation of each layout (the covering one bulk-built by the server's
-   preload, the paper's one by single inserts) — a committed batch of inserts and deletes,
-   a reader whose snapshot predates it, a writer with buffered inserts
-   and deletes — and compares every typed op (Intersect, the 13 Allen
+   preload, the paper's one by single inserts) — a committed batch of
+   inserts and deletes, a reader whose snapshot predates it, a writer
+   with buffered inserts and deletes — and compares every typed op (Intersect, the 13 Allen
    relations), SQL text and EXECUTE across the layouts and against brute
    force. The temporal now/infinity plan gets the same comparison. The
    unit cases pin the covering plans: no base-table access. *)

@@ -317,7 +317,8 @@ let test_bulk_preload_crash_reattach () =
     Hashtbl.replace live (10_000 + i) v
   done;
   for id = 0 to 199 do
-    if Ri.delete tree ~id:(id * 7) data.(id * 7) then Hashtbl.remove live (id * 7)
+    let id = id * 7 in
+    if Ri.delete tree ~id data.(id) then Hashtbl.remove live id
   done;
   Catalog.commit (S.catalog sh);
   (* uncommitted inserts and deletes *)
