@@ -13,6 +13,27 @@
 
 open Cmdliner
 
+(* Addresses are numeric: there is no name resolution, so a host name
+   is refused here rather than by every later connect or bind. *)
+let numeric_host s =
+  match Unix.inet_addr_of_string s with
+  | _ -> Ok s
+  | exception Failure _ ->
+      Error (`Msg (Printf.sprintf "bad host %S: not a numeric address" s))
+
+let host_conv = Arg.conv (numeric_host, Format.pp_print_string)
+
+let parse_hostport s =
+  let bad () = Error (`Msg (Printf.sprintf "bad HOST:PORT %S" s)) in
+  match String.rindex_opt s ':' with
+  | None -> bad ()
+  | Some i -> (
+      let port = String.sub s (i + 1) (String.length s - i - 1) in
+      match int_of_string_opt port with
+      | Some p when p > 0 ->
+          Result.map (fun h -> (h, p)) (numeric_host (String.sub s 0 i))
+      | _ -> bad ())
+
 let kind_conv =
   let parse s =
     match Workload.Distribution.kind_of_string s with
@@ -164,8 +185,8 @@ let serve host port kind n d seed max_sessions max_inflight max_queue durable
 
 let cmd =
   let host =
-    Arg.(value & opt string "127.0.0.1"
-         & info [ "host" ] ~doc:"Bind address.")
+    Arg.(value & opt host_conv "127.0.0.1"
+         & info [ "host" ] ~doc:"Bind address (numeric).")
   in
   let port =
     Arg.(value & opt int 7468
@@ -244,18 +265,8 @@ let cmd =
                    the tier.")
   in
   let replica_of =
-    let parse s =
-      match String.rindex_opt s ':' with
-      | Some i -> (
-          let host = String.sub s 0 i in
-          let port = String.sub s (i + 1) (String.length s - i - 1) in
-          match int_of_string_opt port with
-          | Some p when p > 0 && host <> "" -> Ok (host, p)
-          | _ -> Error (`Msg (Printf.sprintf "bad HOST:PORT %S" s)))
-      | None -> Error (`Msg (Printf.sprintf "bad HOST:PORT %S" s))
-    in
     let print ppf (h, p) = Format.fprintf ppf "%s:%d" h p in
-    Arg.(value & opt (some (conv (parse, print))) None
+    Arg.(value & opt (some (conv (parse_hostport, print))) None
          & info [ "replica-of" ] ~docv:"HOST:PORT"
              ~doc:"Run as a hot standby of the primary at HOST:PORT: \
                    subscribe to its journal stream, replay committed \
@@ -276,16 +287,6 @@ let cmd =
                    answering. Requires at least one --shard.")
   in
   let shard =
-    let parse_hostport s =
-      match String.rindex_opt s ':' with
-      | Some i -> (
-          let host = String.sub s 0 i in
-          let port = String.sub s (i + 1) (String.length s - i - 1) in
-          match int_of_string_opt port with
-          | Some p when p > 0 && host <> "" -> Ok (host, p)
-          | _ -> Error (`Msg (Printf.sprintf "bad HOST:PORT %S" s)))
-      | None -> Error (`Msg (Printf.sprintf "bad HOST:PORT %S" s))
-    in
     let parse s =
       let parts = String.split_on_char ',' s in
       let rec go acc = function

@@ -71,10 +71,12 @@ let timeout_fail t fmt =
    thread it is a poll(2) wait, which works on fds past FD_SETSIZE
    (e.g. in a process holding thousands of connections). [deadline =
    None] returns immediately — the subsequent blocking syscall provides
-   the wait. *)
+   the wait; [Some infinity] waits without bound. *)
 let wait_ready t deadline dir =
   match deadline with
   | None -> ()
+  | Some dl when dl = Float.infinity ->
+      ignore (Reactor.await_fd t.fd dir ~timeout:(-1.))
   | Some dl ->
       let rec loop () =
         let remain = dl -. Unix.gettimeofday () in
@@ -86,8 +88,13 @@ let wait_ready t deadline dir =
       loop ()
 
 let connect ?(host = "127.0.0.1") ?deadline_ms ~port () =
+  (* Before the socket exists, so a bad host leaks nothing. *)
+  let addr =
+    match Unix.inet_addr_of_string host with
+    | a -> Unix.ADDR_INET (a, port)
+    | exception Failure _ -> fail "bad host %S: not a numeric address" host
+  in
   let fd = Unix.socket Unix.PF_INET Unix.SOCK_STREAM 0 in
-  let addr = Unix.ADDR_INET (Unix.inet_addr_of_string host, port) in
   let cleanup () = try Unix.close fd with Unix.Unix_error _ -> () in
   (match deadline_ms with
   | None -> (
@@ -172,12 +179,16 @@ let read_frame ?deadline t =
 let deadline_of t =
   Option.map (fun ms -> Unix.gettimeofday () +. (ms /. 1000.)) t.deadline_ms
 
-let rpc t req =
+let send_frame t deadline req =
   if t.closed then fail "client is closed";
-  let deadline = deadline_of t in
   let id = t.next_id in
   t.next_id <- Int64.add t.next_id 1L;
   write_all t deadline (Protocol.encode_request ~id req);
+  id
+
+let rpc t req =
+  let deadline = deadline_of t in
+  let id = send_frame t deadline req in
   match read_frame ?deadline t with
   | Error e ->
       (* The frame was well-delimited, so the stream is still in sync:
@@ -191,6 +202,14 @@ let rpc t req =
       if rid <> id && rid <> 0L then
         fail "response id %Ld for request %Ld" rid id;
       resp
+
+let send t req = ignore (send_frame t (deadline_of t) req)
+
+let recv t =
+  if t.closed then fail "client is closed";
+  match read_frame ~deadline:Float.infinity t with
+  | Ok (_, resp) -> resp
+  | Error e -> raise (Undecodable (Protocol.error_to_string e))
 
 let rpc_result t req =
   match rpc t req with

@@ -11,7 +11,9 @@
     server-side errors all come back as typed {!error} values, never
     exceptions. {!retryable} says which of them are worth retrying, and
     {!retry} does so with bounded exponential backoff and jitter. Only
-    the low-level {!rpc} raises ({!Io_error}, transport only). *)
+    the low-level {!rpc} raises ({!Io_error}, transport only). A
+    response stream (a primary's frames to its standby) is read with
+    {!send} and {!recv}. In a reactor fiber every wait parks the fiber. *)
 
 type t
 
@@ -21,14 +23,15 @@ exception Timed_out of string
 (** A per-request deadline ({!connect}'s [?deadline_ms]) expired. The
     connection was closed before raising: a response arriving after its
     deadline would answer the wrong request. Only the low-level {!rpc}
-    raises it; the typed conveniences fold it into {!Timeout}. *)
+    and {!send} raise it; the typed conveniences fold it into
+    {!Timeout}. *)
 
 exception Undecodable of string
 (** The server answered with a well-delimited frame this client cannot
     decode (e.g. an op added after it was built). The stream is still in
     sync — the connection stays open and later calls keep working. Only
-    the low-level {!rpc} raises it; the typed conveniences fold it into
-    {!Unexpected}. *)
+    the low-level {!rpc} and {!recv} raise it; the typed conveniences
+    fold it into {!Unexpected}. *)
 
 (** Why a call failed. *)
 type error =
@@ -73,7 +76,9 @@ val connect : ?host:string -> ?deadline_ms:float -> port:int -> unit -> t
     and the connection is closed. Without it, calls block forever — a
     hung or partitioned server then also hangs the client, which is
     exactly what failover cannot afford.
-    @raise Io_error when the connection is refused.
+    [host] must be a numeric address: there is no name resolution.
+    @raise Io_error when the connection is refused or [host] is not
+    numeric (then no socket is opened).
     @raise Timed_out when [?deadline_ms] expires during connect. *)
 
 val close : t -> unit
@@ -86,6 +91,15 @@ val rpc : t -> Protocol.request -> Protocol.response
 
 val rpc_result : t -> Protocol.request -> (Protocol.response, error) result
 (** {!rpc} with the transport failure folded into the result. *)
+
+val send : t -> Protocol.request -> unit
+(** Write one request and read nothing back ([Repl_subscribe],
+    [Repl_ack]); bounded by the connection's deadline. Raises as {!rpc}
+    does, and {!Timed_out}. *)
+
+val recv : t -> Protocol.response
+(** The next response frame, whatever its request id, waited for
+    without bound. Raises as {!rpc} does. *)
 
 (** {2 Typed conveniences}
 

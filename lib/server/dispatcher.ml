@@ -31,20 +31,14 @@ type conn = {
   mutable repl_acked : int;  (* highest Repl_ack received *)
 }
 
-(* The replica's link back to its primary: one client connection
-   carrying the Repl_subscribe and the frame stream. The dial is fully
-   event-driven — non-blocking connect completed by a writability
-   callback, bounded by a connect timer, re-dialled by a backoff timer
-   whenever it drops — so an unresponsive primary costs the loop
-   nothing and commit-ack latency is never quantized to a poll tick. *)
+(* The replica's link back to its primary: one [Client] connection
+   carrying the Repl_subscribe and the frame stream, followed by a
+   fiber on the dispatcher's reactor (follow_upstream). *)
 type upstream = {
   uhost : string;
   uport : int;
-  mutable ufd : Unix.file_descr option;
-  mutable uconnected : bool;
-  mutable uframer : Protocol.Framer.t;
   engine : Replica.t;
-  mutable utimer : Reactor.timer option;  (* redial backoff or connect bound *)
+  mutable client : Client.t option;  (* the latest link; closed when done *)
 }
 
 type t = {
@@ -117,15 +111,7 @@ let create ?(config = default_config) sh =
           (Printf.sprintf "replica of %s:%d (serving reads only)" uhost
              uport);
         Some
-          {
-            uhost;
-            uport;
-            ufd = None;
-            uconnected = false;
-            uframer = Protocol.Framer.create ();
-            engine = Replica.create ();
-            utimer = None;
-          }
+          { uhost; uport; engine = Replica.create (); client = None }
   in
   let stop_r, stop_w = Unix.pipe () in
   {
@@ -638,151 +624,53 @@ let reap_stalled t now =
 (* ---------------- the upstream link (replica side) ---------------- *)
 
 let retry_delay = 0.2
-let connect_timeout = 0.25
 
-let clear_utimer t u =
-  match u.utimer with
-  | Some tm ->
-      Reactor.cancel t.reactor tm;
-      u.utimer <- None
-  | None -> ()
-
-let rec schedule_redial t u delay =
-  clear_utimer t u;
-  if not t.stopping then
-    u.utimer <-
-      Some
-        (Reactor.after t.reactor delay (fun () ->
-             u.utimer <- None;
-             dial_upstream t u))
-
-and drop_upstream t u =
-  (match u.ufd with
-  | Some fd ->
-      Reactor.deregister t.reactor fd;
-      (try Unix.close fd with Unix.Unix_error _ -> ())
-  | None -> ());
-  u.ufd <- None;
-  u.uconnected <- false;
-  u.uframer <- Protocol.Framer.create ();
-  schedule_redial t u retry_delay
-
-(* The requests a replica sends upstream (one subscribe, then acks) are
-   tiny and rare; write them whole. A full socket buffer here means the
-   primary is gone or wedged — drop the link and let the redial timer
-   take over rather than blocking the serve loop. *)
-and send_upstream t u req =
-  match u.ufd with
-  | None -> ()
-  | Some fd -> (
-      let frame = Protocol.encode_request ~id:1L req in
-      let len = Bytes.length frame in
-      let rec write_all off =
-        if off < len then
-          match Unix.write fd frame off (len - off) with
-          | 0 -> drop_upstream t u
-          | n -> write_all (off + n)
-          | exception Unix.Unix_error (Unix.EINTR, _, _) -> write_all off
-          | exception Unix.Unix_error _ -> drop_upstream t u
-      in
-      try write_all 0 with Unix.Unix_error _ -> drop_upstream t u)
-
-and on_upstream_connected t u fd =
-  clear_utimer t u;
-  u.uconnected <- true;
-  u.uframer <- Protocol.Framer.create ();
-  Reactor.register t.reactor fd
-    ~readable:(fun () -> read_upstream t u fd)
-    ();
-  (* Resubscribe from the LSN applied so far. A record half-received
-     when the old link died is simply refetched — Replica.reset dropped
-     the buffered tail — so a torn frame can never desync the apply
-     position. *)
-  let from_lsn = Replica.reset u.engine in
-  send_upstream t u (Protocol.Repl_subscribe { from_lsn })
-
-(* Dial the primary without ever blocking the loop: non-blocking
-   connect, completion reported by writability, bounded by a connect
-   timer instead of the old fixed 0.25 s select that froze every
-   session (and quantized commit-ack latency) per attempt. *)
-and dial_upstream t u =
-  if not (t.stopping || u.ufd <> None) then begin
-    let fd = Unix.socket Unix.PF_INET Unix.SOCK_STREAM 0 in
-    match
-      let addr = Unix.ADDR_INET (Unix.inet_addr_of_string u.uhost, u.uport) in
-      Unix.set_nonblock fd;
-      match Unix.connect fd addr with
-      | () -> `Connected
-      | exception Unix.Unix_error (Unix.EINPROGRESS, _, _) -> `In_progress
-    with
-    | `Connected ->
-        u.ufd <- Some fd;
-        on_upstream_connected t u fd
-    | `In_progress ->
-        u.ufd <- Some fd;
-        u.uconnected <- false;
-        Reactor.register t.reactor fd
-          ~writable:(fun () -> complete_upstream_connect t u fd)
-          ();
-        u.utimer <-
-          Some
-            (Reactor.after t.reactor connect_timeout (fun () ->
-                 u.utimer <- None;
-                 drop_upstream t u))
-    | exception _ ->
-        (try Unix.close fd with Unix.Unix_error _ -> ());
-        schedule_redial t u retry_delay
-  end
-
-and complete_upstream_connect t u fd =
-  match Unix.getsockopt_error fd with
-  | Some _ -> drop_upstream t u
-  | None -> on_upstream_connected t u fd
-  | exception Unix.Unix_error _ -> drop_upstream t u
-
-and apply_upstream_frame t u ~lsn payload =
-  let device = Relation.Catalog.device (Session.catalog t.sh) in
-  match Replica.feed u.engine device ~lsn payload with
-  | Ok 0 -> ()
-  | Ok _batches ->
-      (* Committed batches landed on the device: rebind catalog and
-         tree handles so readers see them, then tell the primary how
-         far we are (releasing its semi-sync parked acks). *)
-      Session.reload t.sh;
-      send_upstream t u
-        (Protocol.Repl_ack { lsn = Replica.applied_lsn u.engine })
-  | Result.Error msg ->
-      Printf.eprintf "rikitd: replication stream broken (%s), redialling\n%!"
-        msg;
-      drop_upstream t u
-
-and read_upstream t u fd =
-  let scratch = Bytes.create 65536 in
-  match Unix.read fd scratch 0 (Bytes.length scratch) with
-  | 0 -> drop_upstream t u
-  | n ->
-      Protocol.Framer.feed u.uframer scratch n;
-      let continue = ref true in
-      while !continue && u.ufd <> None do
-        match Protocol.Framer.next u.uframer with
-        | Ok None -> continue := false
-        | Ok (Some payload) -> (
-            match Protocol.decode_response payload with
-            | Ok (_, Protocol.Repl_state { durable_lsn; _ }) ->
-                Replica.note_primary u.engine durable_lsn
-            | Ok (_, Protocol.Repl_frame { lsn; payload }) ->
-                apply_upstream_frame t u ~lsn payload
-            | Ok (_, (Protocol.Error m | Protocol.Invalid m)) ->
-                Printf.eprintf
-                  "rikitd: primary refused subscription: %s\n%!" m;
-                drop_upstream t u
-            | Ok _ -> ()
-            | Result.Error _ -> drop_upstream t u)
-        | Result.Error _ -> drop_upstream t u
-      done
-  | exception Unix.Unix_error ((Unix.EWOULDBLOCK | Unix.EAGAIN | Unix.EINTR), _, _)
-    -> ()
-  | exception Unix.Unix_error _ -> drop_upstream t u
+(* Follow the primary until the server stops: dial, subscribe from the
+   LSN applied so far, apply the frames and acknowledge each applied
+   batch. A transport error, a gap or a refused subscription hangs up,
+   pauses and redials; a record half-received when a link died is
+   refetched (Replica.reset drops the buffered tail), so a torn frame
+   never desyncs the apply position. A fiber on the dispatcher's
+   reactor: every wait parks it, so an unresponsive primary costs the
+   loop nothing. *)
+let follow_upstream t u =
+  let rec stream c =
+    match Client.recv c with
+    | Protocol.Repl_state { durable_lsn; _ } ->
+        Replica.note_primary u.engine durable_lsn;
+        stream c
+    | Protocol.Repl_frame { lsn; payload } -> (
+        let device = Relation.Catalog.device (Session.catalog t.sh) in
+        match Replica.feed u.engine device ~lsn payload with
+        | Ok 0 -> stream c
+        | Ok _batches ->
+            (* Rebind catalog and tree handles so readers see the new
+               batches, then release the primary's semi-sync acks. *)
+            Session.reload t.sh;
+            Client.send c
+              (Protocol.Repl_ack { lsn = Replica.applied_lsn u.engine });
+            stream c
+        | Result.Error msg ->
+            Printf.eprintf
+              "rikitd: replication stream broken (%s), redialling\n%!" msg)
+    | Protocol.Error m | Protocol.Invalid m ->
+        Printf.eprintf "rikitd: primary refused subscription: %s\n%!" m
+    | _ -> stream c
+  in
+  while not t.stopping do
+    (try
+       let c =
+         Client.connect ~host:u.uhost ~deadline_ms:250. ~port:u.uport ()
+       in
+       u.client <- Some c;
+       Client.send c
+         (Protocol.Repl_subscribe { from_lsn = Replica.reset u.engine });
+       stream c
+     with Client.Io_error _ | Client.Timed_out _ | Client.Undecodable _
+        | Unix.Unix_error _ -> ());
+    Option.iter Client.close u.client;
+    if not t.stopping then Reactor.sleep retry_delay
+  done
 
 (* ---------------- the loop ---------------- *)
 
@@ -804,7 +692,9 @@ let serve t =
   | Some mfd ->
       t.http <- Some (Http_endpoint.attach r ~fd:mfd ~doc:(fun () -> metrics_doc t))
   | None -> ());
-  (match t.upstream with Some u -> dial_upstream t u | None -> ());
+  (match t.upstream with
+  | Some u -> Reactor.spawn r (fun () -> follow_upstream t u)
+  | None -> ());
   (* Housekeeping cadence: with idle reaping on, wake often enough that
      a connection is closed within ~a quarter timeout of earning it. *)
   let housekeeping_period =
@@ -859,13 +749,8 @@ let serve t =
       finished := true
     end
   done;
-  (match t.upstream with
-  | Some u -> (
-      clear_utimer t u;
-      match u.ufd with
-      | Some fd -> ( try Unix.close fd with Unix.Unix_error _ -> ())
-      | None -> ())
-  | None -> ());
+  (* A follower parked mid-wait is abandoned with the loop. *)
+  Option.iter (fun u -> Option.iter Client.close u.client) t.upstream;
   (match t.http with
   | Some h ->
       Http_endpoint.close_all h;

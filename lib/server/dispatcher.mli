@@ -3,14 +3,14 @@
     A single-process, single-writer {!Reactor} loop multiplexing many
     client connections over the shared database — the serving shape the
     paper assumes of its host RDBMS front end. Readiness comes from
-    poll(2) (no [FD_SETSIZE] ceiling), each socket is a {!Conn}, and
-    every time-driven behaviour — the group-commit window, idle reaping,
-    upstream redial backoff and connect bounds — is a timer on the
-    reactor's wheel rather than loop timeout math. Each round: accept
-    new connections, read and frame input, execute up to [max_inflight]
-    parsed requests round-robin across sessions, and drain output
-    buffers (sockets are non-blocking; a slow reader never stalls the
-    loop).
+    poll(2) (no [FD_SETSIZE] ceiling), each socket is a {!Conn}, the
+    group-commit window and idle reaping are timers on the reactor's
+    wheel rather than loop timeout math, and a standby follows its
+    primary through {!Client} in one fiber on the same reactor. Each
+    round: accept new connections, read and frame input, execute up to
+    [max_inflight] parsed requests round-robin across sessions, and
+    drain output buffers (sockets are non-blocking; a slow reader never
+    stalls the loop).
 
     Output is bounded: each connection writes through a
     {!Reactor.Writer} capped at [write_high_water] bytes. A consumer
@@ -72,12 +72,13 @@ type config = {
       (** when set, run as a hot standby of the primary at this
           [(host, port)]: the catalog is flipped read-only at {!create}
           (local mutations answer [Read_only]; reads serve normally),
-          and the serve loop dials the primary, subscribes to its
-          journal stream from the locally applied LSN, replays each
-          committed batch onto the local device ({!Replica}) and
-          acknowledges it. The link is redialled with a fixed short
-          delay whenever it drops, resubscribing from the applied LSN —
-          a torn frame or dropped connection never desyncs the replica.
+          and a fiber of the serve loop dials the primary with
+          {!Client}, subscribes to its journal stream from the locally
+          applied LSN, replays each committed batch onto the local
+          device ({!Replica}) and acknowledges it. The primary need not
+          be up yet: the fiber redials 0.2 s after every failed dial or
+          dropped link, resubscribing from the applied LSN — a torn
+          frame or dropped connection never desyncs the replica.
           Requires a durable {!Session.shared}. [None] (the default) is
           a plain primary, which accepts [Repl_subscribe] from any
           number of replicas and holds each commit Ack until all live

@@ -177,6 +177,117 @@ let test_failover () =
   | Error e ->
       Alcotest.failf "expected Read_only, got %s" (C.error_to_string e))
 
+(* ---- the standby's link to its primary, faulted and out of order ---- *)
+
+module N = Harness.Netchaos
+
+(* A chaos proxy carries the standby's side of the link: the subscribe
+   is frame 0, every later frame is an ack (or a resubscribe after a
+   redial). A partition severs the link and holds redials off for
+   0.5 s; a truncated ack tears a frame and cuts the link again. The
+   primary commits throughout, so both faults land while the stream is
+   live. Once healed, the standby holds everything the primary made
+   durable and answers the same rows. *)
+let test_faulted_link () =
+  let primary = start_node () in
+  Fun.protect ~finally:(fun () -> Testbed.stop primary) @@ fun () ->
+  let proxy =
+    N.create
+      ~target:("127.0.0.1", Testbed.port primary)
+      ~schedule:[ (3, N.Partition 0.5); (9, N.Truncate 6) ]
+      ()
+  in
+  let proxy_thread = Thread.create N.run proxy in
+  Fun.protect ~finally:(fun () ->
+      N.stop proxy;
+      Thread.join proxy_thread)
+  @@ fun () ->
+  let replica = start_node ~replica_of:("127.0.0.1", N.port proxy) () in
+  Fun.protect ~finally:(fun () -> Testbed.stop replica) @@ fun () ->
+  let c = C.connect ~port:(Testbed.port primary) () in
+  let i = ref 0 in
+  let deadline = Unix.gettimeofday () +. 10. in
+  while List.length (N.fired proxy) < 2 && Unix.gettimeofday () < deadline do
+    ignore (insert_committed c ~lo:(!i * 10) ~up:((!i * 10) + 5));
+    incr i;
+    Thread.delay 0.01
+  done;
+  check Alcotest.int "both faults fired" 2 (List.length (N.fired proxy));
+  for k = !i to !i + 4 do
+    ignore (insert_committed c ~lo:(k * 10) ~up:((k * 10) + 5))
+  done;
+  let _, durable, _ = ok (C.repl_status c) in
+  wait_applied ~port:(Testbed.port replica) durable;
+  let rc = C.connect ~port:(Testbed.port replica) () in
+  let everything = ivl 0 max_int in
+  let rows = ids_of (ok (C.intersect c everything)) in
+  check Alcotest.int "every commit on the primary" (!i + 5) (List.length rows);
+  check
+    Alcotest.(list int)
+    "standby rows = primary rows" rows
+    (ids_of (ok (C.intersect rc everything)));
+  C.close rc;
+  C.close c
+
+(* A port nothing listens on yet. *)
+let free_port () =
+  let fd = Unix.socket Unix.PF_INET Unix.SOCK_STREAM 0 in
+  Unix.bind fd (Unix.ADDR_INET (Unix.inet_addr_loopback, 0));
+  let port =
+    match Unix.getsockname fd with Unix.ADDR_INET (_, p) -> p | _ -> 0
+  in
+  Unix.close fd;
+  port
+
+(* Start order does not matter: a standby whose primary is not up yet
+   serves (it answers pings and says it is a replica) while it redials,
+   and follows the primary once one listens on that port. *)
+let test_standby_first () =
+  let pport = free_port () in
+  let replica = start_node ~replica_of:("127.0.0.1", pport) () in
+  Fun.protect ~finally:(fun () -> Testbed.stop replica) @@ fun () ->
+  Thread.delay 0.5;
+  let rc = C.connect ~deadline_ms:1000. ~port:(Testbed.port replica) () in
+  ok (C.ping rc);
+  let role, _, _ = ok (C.repl_status rc) in
+  check Alcotest.bool "replica role before any primary" true
+    (role = P.Replica);
+  let primary =
+    D.create
+      ~config:{ D.default_config with port = pport; max_sessions = 32 }
+      (S.shared ~durable:true ())
+  in
+  let serving = Thread.create D.serve primary in
+  Fun.protect ~finally:(fun () ->
+      D.stop primary;
+      Thread.join serving)
+  @@ fun () ->
+  let c = C.connect ~port:pport () in
+  let id, lsn = insert_committed c ~lo:40 ~up:50 in
+  wait_applied ~port:(Testbed.port replica) lsn;
+  check Alcotest.(list int) "the commit reached the standby" [ id ]
+    (ids_of (ok (C.intersect rc (ivl 40 50))));
+  C.close rc;
+  C.close c
+
+(* With its primary gone the standby is in its redial cycle; stopping
+   it must not wait that cycle out. *)
+let test_prompt_stop () =
+  let primary = start_node () in
+  let replica =
+    start_node ~replica_of:("127.0.0.1", Testbed.port primary) ()
+  in
+  let c = C.connect ~port:(Testbed.port primary) () in
+  let _, lsn = insert_committed c ~lo:1 ~up:2 in
+  wait_applied ~port:(Testbed.port replica) lsn;
+  C.close c;
+  Testbed.stop primary;
+  Thread.delay 0.3;
+  let t0 = Unix.gettimeofday () in
+  Testbed.stop replica;
+  let took = Unix.gettimeofday () -. t0 in
+  if took >= 1.0 then Alcotest.failf "standby took %.2f s to stop" took
+
 (* ---- apply engine: frame-chop insensitivity, torn tails, gaps ---- *)
 
 (* Real journal bytes from a real primary: a handful of committed
@@ -407,6 +518,12 @@ let () =
             test_group_commit_repl;
           Alcotest.test_case "primary kill: failover, zero acked loss"
             `Quick test_failover;
+          Alcotest.test_case "faulted standby link converges" `Quick
+            test_faulted_link;
+          Alcotest.test_case "standby started before its primary" `Quick
+            test_standby_first;
+          Alcotest.test_case "standby stops promptly, primary gone" `Quick
+            test_prompt_stop;
         ] );
       ( "apply",
         [

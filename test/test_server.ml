@@ -866,6 +866,23 @@ let test_explain_wire_op () =
    Simulated with a raw loopback "server from the future" that answers
    the first request with a well-delimited unknown-opcode frame and
    then behaves normally. *)
+(* There is no name resolution: a host name is refused with the typed
+   transport error before any socket exists, so the next socket gets the
+   number a socket opened and closed just before the call had. *)
+let test_bad_host_typed_no_leak () =
+  let probe () =
+    let fd = Unix.socket Unix.PF_INET Unix.SOCK_STREAM 0 in
+    Unix.close fd;
+    fd
+  in
+  let before = probe () in
+  (match C.connect ~host:"localhost" ~port:7468 () with
+  | c ->
+      C.close c;
+      Alcotest.fail "connected to a host name"
+  | exception C.Io_error _ -> ());
+  check Alcotest.bool "no fd leaked" true (probe () = before)
+
 let test_unknown_op_typed_error_no_desync () =
   let srv = Unix.socket Unix.PF_INET Unix.SOCK_STREAM 0 in
   Unix.setsockopt srv Unix.SO_REUSEADDR true;
@@ -1019,6 +1036,7 @@ let raw_suite =
         ("oversized frame", test_oversized_frame_closes_connection);
         ("unknown op: typed error, no desync",
          test_unknown_op_typed_error_no_desync);
+        ("bad host: typed error, no fd leak", test_bad_host_typed_no_leak);
       ] );
     ( "concurrency",
       [
