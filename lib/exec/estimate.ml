@@ -109,11 +109,11 @@ let hist_for stats c =
   | Some st -> List.assoc_opt c st.t_cols
 
 (* Evaluate a value against constants, parameters and [env] (concrete
-   outer-collection rows, when the caller enumerated them); [None] if it
-   references columns not bound there. *)
-let value_of ?(env = []) binds v =
-  match Executor.eval_value binds env v with
-  | v -> Some v
+   outer-collection rows bound under [scope], when the caller enumerated
+   them); [None] if it references columns not bound there. *)
+let value_of ?(scope = []) ?(env = [||]) binds v =
+  match Executor.compile_value binds scope v with
+  | f -> Some (f env)
   | exception Ir.Error _ -> None
 
 let col_of (step : Ir.step) = function
@@ -189,10 +189,10 @@ let filters_sel stats binds (step : Ir.step) =
     (step.Ir.key_filters @ step.Ir.filters)
 
 (* Entries matched per index probe, as a fraction of the index. [env]
-   supplies concrete outer-collection rows, so bounds like the Fig. 9
-   plan's [lft.min]/[lft.max] and [rgt.node] evaluate against the
-   histograms instead of the magic default fractions. *)
-let access_sel ?env stats binds (step : Ir.step) =
+   supplies concrete outer-collection rows under [scope], so bounds like
+   the Fig. 9 plan's [lft.min]/[lft.max] and [rgt.node] evaluate against
+   the histograms instead of the magic default fractions. *)
+let access_sel ?scope ?env stats binds (step : Ir.step) =
   match step.Ir.access with
   | Ir.Seq_scan | Ir.Mem_probe _ -> 1.0
   | Ir.Index_scan { index; eq; lo; hi; _ } ->
@@ -202,7 +202,7 @@ let access_sel ?env stats binds (step : Ir.step) =
         (fun i e ->
           let h = hist_for stats icols.(i) in
           let s =
-            match (h, value_of ?env binds e) with
+            match (h, value_of ?scope ?env binds e) with
             | Some h, Some v -> eq_frac h v
             | Some h, None -> distinct_frac h
             | None, _ -> default_eq
@@ -216,7 +216,7 @@ let access_sel ?env stats binds (step : Ir.step) =
           match (lo, h) with
           | None, _ -> 0.0
           | Some { Ir.v; inclusive }, Some h -> (
-              match value_of ?env binds v with
+              match value_of ?scope ?env binds v with
               | Some v -> if inclusive then frac_lt h v else frac_le h v
               | None -> default_range)
           | Some _, None -> default_range
@@ -225,7 +225,7 @@ let access_sel ?env stats binds (step : Ir.step) =
           match (hi, h) with
           | None, _ -> 1.0
           | Some { Ir.v; inclusive }, Some h -> (
-              match value_of ?env binds v with
+              match value_of ?scope ?env binds v with
               | Some v -> if inclusive then frac_le h v else frac_lt h v
               | None -> 1.0 -. default_range)
           | Some _, None -> 1.0 -. default_range
@@ -260,10 +260,16 @@ and branch_est = {
 (* An [Intersection] step's sub-plan, when the context can plan it now:
    the step opens a single-table branch, so its bounds are constants or
    parameters, and a parameter without a bind leaves it unresolved. *)
-let sub_plan ctx step =
-  match Executor.intersection_sub ctx [] step with
-  | c -> Some c
-  | exception Ir.Error _ -> None
+let sub_plan ctx (step : Ir.step) =
+  match step.Ir.source with
+  | Ir.Intersection { upper; lower; _ } -> (
+      match (value_of ctx.Ir.binds upper, value_of ctx.Ir.binds lower) with
+      | Some upper, Some lower -> (
+          match Executor.intersection_sub ctx step ~upper ~lower with
+          | c -> Some c
+          | exception Ir.Error _ -> None)
+      | _ -> None)
+  | Ir.Base _ | Ir.Collection _ | Ir.Mem _ -> None
 
 (* Estimate all branches of one statement together: the statement-wide
    [charged] set implements descent-once costing across branches that
@@ -291,10 +297,11 @@ let branches ctx (brs : Ir.branch list) =
       (fun (branch : Ir.branch) ->
         let loop = ref 1.0 in
         let total = ref 0.0 in
-        (* [Some envs]: the concrete outer rows this step will be probed
-           under (collections have known contents at plan time); [None]
-           once a base-table step or the cap makes them unenumerable. *)
-        let envs = ref (Some [ [] ]) in
+        (* [Some (scope, envs)]: the concrete outer rows this step will
+           be probed under (collections have known contents at plan
+           time); [None] once a base-table step or the cap makes them
+           unenumerable. *)
+        let envs = ref (Some ([], [ [||] ])) in
         let step_ests =
           List.map
             (fun (step : Ir.step) ->
@@ -309,17 +316,15 @@ let branches ctx (brs : Ir.branch list) =
                       | None -> 0
                     in
                     (match (!envs, coll) with
-                    | Some es, Some (cols, rows)
+                    | Some (scope, es), Some (cols, rows)
                       when n > 0 && List.length es * n <= max_envs ->
                         envs :=
                           Some
-                            (List.concat_map
-                               (fun e ->
-                                 List.map
-                                   (fun r ->
-                                     e @ [ (step.Ir.alias, (cols, r)) ])
-                                   rows)
-                               es)
+                            ( scope @ [ (step.Ir.alias, cols) ],
+                              List.concat_map
+                                (fun e ->
+                                  List.map (fun r -> Array.append e [| r |]) rows)
+                                es )
                     | _ -> envs := None);
                     (float_of_int n, 0.0, sel None, None)
                 | Ir.Intersection { table; _ }, _ -> (
@@ -407,14 +412,14 @@ let branches ctx (brs : Ir.branch list) =
                     in
                     let est =
                       match !envs with
-                      | Some (_ :: _ as es) ->
+                      | Some (scope, (_ :: _ as es)) ->
                           (* average the per-probe span over the actual
                              outer rows *)
                           let k = float_of_int (List.length es) in
                           let ms =
                             List.map
                               (fun env ->
-                                entries *. access_sel ~env (Some st) binds step)
+                                entries *. access_sel ~scope ~env (Some st) binds step)
                               es
                           in
                           let sum f =

@@ -1,8 +1,9 @@
-(* The one iterator-based executor behind every query path (SQL text,
-   typed wire ops, the CLI and the benchmarks). Branches execute as
-   right-deep nested loops over `Relation.Iter`-style cursors: transient
-   collections and streaming heap scans as outer loops, B+tree range
-   probes as inner loops — the Fig. 10 execution shape.
+(* The one executor behind every query path (SQL text, typed wire ops,
+   the CLI and the benchmarks). Branches execute as right-deep nested
+   loops over `Relation.Iter`-style cursors: transient collections and
+   streaming heap scans as outer loops, B+tree range probes as inner
+   loops — the Fig. 10 execution shape. Each branch compiles once per
+   execution, so no name is looked up inside the loops.
 
    Every IR node type has exactly one `Obs.Trace` instrumentation point:
    a `sql.branch` span per UNION ALL branch and, when tracing is
@@ -14,10 +15,18 @@ exception Error = Ir.Error
 
 let fail = Ir.fail
 
-(* ---------------- environments and evaluation ---------------- *)
+(* ---------------- compiling names to slots ---------------- *)
 
-(* alias -> (visible columns, current row) *)
-type binding = (string * (string array * int array)) list
+(* The rows bound by the enclosing nested loops, one per loop depth. A
+   base-table row or a covering index key keeps its trailing rowid: the
+   scope never names that slot, and [Star] copies the declared columns
+   only. *)
+type env = int array array
+
+(* The alias each loop depth binds and the columns it exposes,
+   outermost first. A step's scope is known before it runs, from the
+   steps outside it. *)
+type scope = (string * string array) list
 
 let col_position columns c =
   let rec go i =
@@ -27,51 +36,86 @@ let col_position columns c =
   in
   go 0
 
-let lookup_col bound alias col =
+(* The (depth, slot) a column reference reads. An alias names the
+   outermost depth binding it; a bare name must occur at exactly one
+   depth. *)
+let resolve (scope : scope) alias col =
   match alias with
-  | Some a -> (
-      match List.assoc_opt a bound with
-      | None -> fail "unknown alias %s" a
-      | Some (columns, row) -> (
-          match col_position columns col with
-          | Some i -> row.(i)
-          | None -> fail "alias %s has no column %s" a col))
+  | Some a ->
+      let rec go d = function
+        | [] -> fail "unknown alias %s" a
+        | (a', columns) :: _ when a' = a -> (
+            match col_position columns col with
+            | Some i -> (d, i)
+            | None -> fail "alias %s has no column %s" a col)
+        | _ :: rest -> go (d + 1) rest
+      in
+      go 0 scope
   | None -> (
       let hits =
-        List.filter_map
-          (fun (_, (columns, row)) ->
-            Option.map (fun i -> row.(i)) (col_position columns col))
-          bound
+        List.concat
+          (List.mapi
+             (fun d (_, columns) ->
+               match col_position columns col with
+               | Some i -> [ (d, i) ]
+               | None -> [])
+             scope)
       in
       match hits with
-      | [ v ] -> v
+      | [ h ] -> h
       | [] -> fail "unknown column %s" col
       | _ -> fail "ambiguous column %s" col)
 
-let eval_value binds (bound : binding) = function
-  | Ir.Const n -> n
+(* Names resolve here, once: an unknown or ambiguous column or a missing
+   bind raises {!Error} whether or not any row ever reaches the
+   expression. *)
+let compile_value binds scope = function
+  | Ir.Const n -> fun (_ : env) -> n
   | Ir.Param h -> (
       match List.assoc_opt h binds with
-      | Some v -> v
+      | Some v -> fun _ -> v
       | None -> fail "missing host variable :%s" h)
-  | Ir.Field (alias, col) -> lookup_col bound alias col
+  | Ir.Field (alias, col) ->
+      let d, i = resolve scope alias col in
+      fun env -> env.(d).(i)
 
-let rec eval_pred binds (bound : binding) = function
-  | Ir.Cmp (op, a, b) ->
-      let va = eval_value binds bound a and vb = eval_value binds bound b in
-      (match op with
-      | Ir.Eq -> va = vb
-      | Ir.Ne -> va <> vb
-      | Ir.Lt -> va < vb
-      | Ir.Le -> va <= vb
-      | Ir.Gt -> va > vb
-      | Ir.Ge -> va >= vb)
+let rec compile_pred binds scope = function
+  | Ir.Cmp (op, a, b) -> (
+      let a = compile_value binds scope a and b = compile_value binds scope b in
+      match op with
+      | Ir.Eq -> fun env -> a env = b env
+      | Ir.Ne -> fun env -> a env <> b env
+      | Ir.Lt -> fun env -> a env < b env
+      | Ir.Le -> fun env -> a env <= b env
+      | Ir.Gt -> fun env -> a env > b env
+      | Ir.Ge -> fun env -> a env >= b env)
   | Ir.Between (e, lo, hi) ->
-      let v = eval_value binds bound e in
-      eval_value binds bound lo <= v && v <= eval_value binds bound hi
-  | Ir.And (a, b) -> eval_pred binds bound a && eval_pred binds bound b
-  | Ir.Or (a, b) -> eval_pred binds bound a || eval_pred binds bound b
-  | Ir.Not e -> not (eval_pred binds bound e)
+      let e = compile_value binds scope e
+      and lo = compile_value binds scope lo
+      and hi = compile_value binds scope hi in
+      fun env ->
+        let v = e env in
+        lo env <= v && v <= hi env
+  | Ir.And (a, b) ->
+      let a = compile_pred binds scope a and b = compile_pred binds scope b in
+      fun env -> a env && b env
+  | Ir.Or (a, b) ->
+      let a = compile_pred binds scope a and b = compile_pred binds scope b in
+      fun env -> a env || b env
+  | Ir.Not e ->
+      let e = compile_pred binds scope e in
+      fun env -> not (e env)
+
+(* A conjunction; [None] when there is nothing to check. *)
+let compile_filters binds scope = function
+  | [] -> None
+  | p :: ps ->
+      Some
+        (List.fold_left
+           (fun acc p ->
+             let p = compile_pred binds scope p in
+             fun env -> acc env && p env)
+           (compile_pred binds scope p) ps)
 
 (* ---------------- node execution ---------------- *)
 
@@ -99,199 +143,277 @@ let node_span (step : Ir.step) =
   | Ir.Base _, Ir.Index_scan _ -> "exec.index_scan"
   | Ir.Base _, Ir.Mem_probe _ -> "exec.invalid"
 
-(* Key components for an index range bound. An exclusive bound at the
-   integer edge admits no key at all, so it yields [None] instead of
-   wrapping round to the opposite edge and widening the probe to the
-   whole index. *)
-let start_key binds bound { Ir.v; inclusive } =
-  let x = eval_value binds bound v in
-  if inclusive then Some x else if x = max_int then None else Some (x + 1)
-
-let stop_key binds bound { Ir.v; inclusive } =
-  let x = eval_value binds bound v in
-  if inclusive then Some x else if x = min_int then None else Some (x - 1)
+(* A key-range bound compiled to write key component [i]; it answers
+   [false] when the bound admits no key at all. An exclusive bound at
+   the integer [edge] is such a bound: it must not wrap round to the
+   opposite edge and widen the probe to the whole index. *)
+let key_bound binds scope key i ~edge ~next { Ir.v; inclusive } =
+  let v = compile_value binds scope v in
+  fun env ->
+    let x = v env in
+    if inclusive then begin
+      key.(i) <- x;
+      true
+    end
+    else
+      x <> edge
+      && begin
+        key.(i) <- next x;
+        true
+      end
 
 (* The sub-plan an [Intersection] step runs: the candidate interval
    [min(A,B), A] over its relation, planned by the context for this
-   execution. *)
-let intersection_sub ctx bound (step : Ir.step) =
+   execution. [upper] and [lower] are the values of A and B. *)
+let intersection_sub ctx (step : Ir.step) ~upper ~lower =
   match step.Ir.source with
-  | Ir.Intersection { table; upper; lower; proj } -> (
-      let a = eval_value ctx.Ir.binds bound upper
-      and b = eval_value ctx.Ir.binds bound lower in
+  | Ir.Intersection { table; proj; _ } -> (
       let name = Relation.Table.name table in
-      match ctx.Ir.intersection name ~proj (Interval.Ivl.make (min a b) a) with
+      let q = Interval.Ivl.make (min upper lower) upper in
+      match ctx.Ir.intersection name ~proj q with
       | Some c -> c
       | None -> fail "%s is not an RI-tree relation of this session" name)
   | Ir.Base _ | Ir.Collection _ | Ir.Mem _ ->
       invalid_arg "Executor.intersection_sub"
 
-let rec run_step ctx bound (step : Ir.step) (emit : binding -> unit) =
-  let binds = ctx.Ir.binds in
-  let bind columns row = bound @ [ (step.Ir.alias, (columns, row)) ] in
-  let visit columns row =
-    let b2 = bind columns row in
-    if List.for_all (fun f -> eval_pred binds b2 f) step.Ir.filters then begin
-      step.Ir.seen <- step.Ir.seen + 1;
-      emit b2
-    end
+(* The rowids a snapshot sees; every rowid when physical state is the
+   snapshot. *)
+let visible = function
+  | None -> fun _ -> true
+  | Some v -> v.Relation.Txn.visible
+
+(* The columns a step binds at its depth. *)
+let step_columns (step : Ir.step) =
+  match (step.Ir.source, step.Ir.access) with
+  | Ir.Base _, Ir.Index_scan { index; covering = true; _ } ->
+      Relation.Table.Index.columns index
+  | Ir.Base tbl, (Ir.Seq_scan | Ir.Index_scan _ | Ir.Mem_probe _) ->
+      Relation.Table.columns tbl
+  | (Ir.Collection _ | Ir.Mem _ | Ir.Intersection _), _ -> step.Ir.columns
+
+type cell = Slot of int * int | Whole of int * int (* depth, width *)
+
+(* The branch's projection over the innermost scope, as one closure that
+   builds an output row from the bound rows. *)
+let compile_projection scope projections =
+  let cells =
+    Array.of_list
+      (List.concat_map
+         (function
+           | Ir.Star ->
+               List.mapi
+                 (fun d (_, columns) -> Whole (d, Array.length columns))
+                 scope
+           | Ir.Count_star -> []
+           | Ir.Agg _ -> fail "aggregate outside an aggregate query"
+           | Ir.Col (alias, c) ->
+               let d, i = resolve scope alias c in
+               [ Slot (d, i) ])
+         projections)
   in
-  let body () =
+  let width =
+    Array.fold_left
+      (fun w -> function Slot _ -> w + 1 | Whole (_, n) -> w + n)
+      0 cells
+  in
+  fun (env : env) ->
+    let out = Array.make width 0 in
+    let pos = ref 0 in
+    for j = 0 to Array.length cells - 1 do
+      match cells.(j) with
+      | Slot (d, i) ->
+          out.(!pos) <- env.(d).(i);
+          incr pos
+      | Whole (d, n) ->
+          Array.blit env.(d) 0 out !pos n;
+          pos := !pos + n
+    done;
+    out
+
+(* Compile [step] under [outer], the scope of the steps outside it; its
+   loop depth is the length of [outer]. [next] compiles under the
+   extended scope and runs once per row the step emits; the result runs
+   the step's loop for one binding of the outer rows. *)
+let rec compile_step ctx outer (step : Ir.step) next =
+  let binds = ctx.Ir.binds in
+  let d = List.length outer in
+  let columns = step_columns step in
+  let scope = outer @ [ (step.Ir.alias, columns) ] in
+  let filters = compile_filters binds scope step.Ir.filters in
+  let next = next scope in
+  let visit env row =
+    env.(d) <- row;
+    match filters with
+    | Some f when not (f env) -> ()
+    | _ ->
+        step.Ir.seen <- step.Ir.seen + 1;
+        next env
+  in
+  let body =
     match (step.Ir.source, step.Ir.access) with
-    | Ir.Collection name, _ -> (
-        match ctx.Ir.collection name with
-        | None -> fail "collection %s disappeared" name
-        | Some (columns, rows) -> List.iter (fun r -> visit columns r) rows)
-    | Ir.Intersection _, _ ->
-        let sub = intersection_sub ctx bound step in
-        List.iter
-          (fun br ->
-            List.iter (visit step.Ir.columns) (fst (run_branch sub.Ir.ctx br)))
-          sub.Ir.plan.Ir.branches
+    | Ir.Collection name, _ ->
+        fun env -> (
+          match ctx.Ir.collection name with
+          | None -> fail "collection %s disappeared" name
+          | Some (cols, rows) ->
+              if cols != columns && cols <> columns then
+                fail "collection %s changed its columns" name;
+              List.iter (visit env) rows)
+    | Ir.Intersection { upper; lower; _ }, _ ->
+        let upper = compile_value binds outer upper
+        and lower = compile_value binds outer lower in
+        fun env ->
+          let sub =
+            intersection_sub ctx step ~upper:(upper env) ~lower:(lower env)
+          in
+          List.iter
+            (fun br -> List.iter (visit env) (fst (run_branch sub.Ir.ctx br)))
+            sub.Ir.plan.Ir.branches
     | Ir.Mem h, Ir.Mem_probe { op; lo; hi; _ } ->
-        let lo = eval_value binds bound lo
-        and up = eval_value binds bound hi in
-        List.iter
-          (fun (l, u, id) -> visit step.Ir.columns [| l; u; id |])
-          (h.Ir.mem_probe op ~lo ~up)
+        let lo = compile_value binds outer lo
+        and up = compile_value binds outer hi in
+        fun env ->
+          List.iter
+            (fun (l, u, id) -> visit env [| l; u; id |])
+            (h.Ir.mem_probe op ~lo:(lo env) ~up:(up env))
     | Ir.Mem _, _ -> fail "hot-tier source requires a memory probe"
     | Ir.Base _, Ir.Mem_probe _ -> fail "memory probe against a base table"
     | Ir.Base tbl, Ir.Seq_scan ->
         (* Streaming scan: the heap cursor behind Iter.heap_scan holds
            one page of rows at a time, so a sequential scan of any size
-           runs in constant memory. The appended rowid column is used
-           for the snapshot visibility check, then dropped. *)
-        let columns = Relation.Table.columns tbl in
+           runs in constant memory. The trailing rowid decides snapshot
+           visibility and is never addressed after. *)
         let view = ctx.Ir.vis (Relation.Table.name tbl) in
-        let accept =
-          match view with
-          | None -> fun _ -> true
-          | Some v -> v.Relation.Txn.visible
-        in
-        Relation.Iter.iter
-          (fun r ->
-            let n = Array.length r in
-            if accept r.(n - 1) then visit columns (Array.sub r 0 (n - 1)))
-          (Relation.Iter.heap_scan tbl);
-        (match view with
-        | None -> ()
-        | Some v -> List.iter (visit columns) (v.Relation.Txn.extra ()))
+        let accept = visible view in
+        fun env ->
+          Relation.Iter.iter
+            (fun r -> if accept r.(Array.length r - 1) then visit env r)
+            (Relation.Iter.heap_scan tbl);
+          Option.iter
+            (fun v -> List.iter (visit env) (v.Relation.Txn.extra ()))
+            view
     | ( Ir.Base tbl,
         Ir.Index_scan { index; eq; lo; hi; refine_lo; refine_hi; covering } )
       ->
-        let tree = Relation.Table.Index.tree index in
-        let width = Btree.key_width tree in
-        let icols = Relation.Table.Index.columns index in
-        let eq_vals = List.map (eval_value binds bound) eq in
-        let k = List.length eq_vals in
-        let lo_key = Array.make width min_int in
-        let hi_key = Array.make width max_int in
-        List.iteri
-          (fun i v ->
-            lo_key.(i) <- v;
-            hi_key.(i) <- v)
-          eq_vals;
-        let empty = ref false in
-        let set key i bound_key b =
-          match bound_key binds bound b with
-          | Some x -> key.(i) <- x
-          | None -> empty := true
-        in
-        Option.iter (set lo_key k start_key) lo;
-        Option.iter (set hi_key k stop_key) hi;
-        let rpos = k + if lo <> None || hi <> None then 1 else 0 in
-        if rpos > k && rpos < width then begin
-          Option.iter (set lo_key rpos start_key) refine_lo;
-          Option.iter (set hi_key rpos stop_key) refine_hi
-        end;
-        if not !empty then begin
-          let view = ctx.Ir.vis (Relation.Table.name tbl) in
-          let accept =
-            match view with
-            | None -> fun _ -> true
-            | Some v -> v.Relation.Txn.visible
-          in
-          let entry_visit key =
-            let entry_ok =
-              step.Ir.key_filters = []
-              ||
-              (* key filters see the index entry (sans rowid), so
-                 non-matching entries are skipped without a fetch *)
-              let entry = Array.sub key 0 (Array.length key - 1) in
-              let b2 = bind icols entry in
-              List.for_all (fun f -> eval_pred binds b2 f) step.Ir.key_filters
-            in
-            if entry_ok then
-              if covering then
-                visit icols (Array.sub key 0 (Array.length key - 1))
-              else
-                let rowid = key.(Array.length key - 1) in
-                match Relation.Table.fetch tbl rowid with
-                | Some row -> visit (Relation.Table.columns tbl) row
-                | None -> ()
-          in
-          Btree.iter_range tree ~lo:lo_key ~hi:hi_key (fun key ->
-              if accept key.(Array.length key - 1) then entry_visit key);
-          match view with
-          | None -> ()
-          | Some v ->
-              (* Overlay rows are injected per probe: each row's index
-                 entry joins exactly the probes whose key range would
-                 have contained its physical registration, so UNION ALL
-                 branch disjointness and per-probe key filters behave as
-                 for physical rows. The rowid slot is unconstrained in
-                 every probe (min_int..max_int), so a pseudo-rowid of 0
-                 never decides the comparison. *)
-              List.iter
-                (fun row ->
-                  let key = Relation.Table.Index.key_of_row index 0 row in
-                  if key_in_range ~lo:lo_key ~hi:hi_key key then
-                    if covering then entry_visit key
-                    else
-                      let entry_ok =
-                        step.Ir.key_filters = []
-                        ||
-                        let entry = Array.sub key 0 (Array.length key - 1) in
-                        let b2 = bind icols entry in
-                        List.for_all
-                          (fun f -> eval_pred binds b2 f)
-                          step.Ir.key_filters
-                      in
-                      if entry_ok then visit (Relation.Table.columns tbl) row)
-                (v.Relation.Txn.extra ())
-        end
+        compile_index_scan ctx outer step tbl index ~eq ~lo ~hi
+          ~refine_lo ~refine_hi ~covering visit
+  in
+  if Obs.Trace.enabled () then fun env ->
+    Obs.Trace.with_span (node_span step) ~info:step.Ir.alias (fun () ->
+        body env)
+  else body
+
+(* The bounds compile once and each probe fills its two key arrays:
+   equality components, then the range column, then the refinement
+   column after it. Entries the key filters reject are skipped before
+   any fetch. *)
+and compile_index_scan ctx outer (step : Ir.step) tbl index ~eq ~lo ~hi
+    ~refine_lo ~refine_hi ~covering visit =
+  let binds = ctx.Ir.binds in
+  let tree = Relation.Table.Index.tree index in
+  let width = Btree.key_width tree in
+  let lo_key = Array.make width min_int in
+  let hi_key = Array.make width max_int in
+  let eq_fills =
+    List.mapi
+      (fun i v ->
+        let v = compile_value binds outer v in
+        fun env ->
+          let x = v env in
+          lo_key.(i) <- x;
+          hi_key.(i) <- x;
+          true)
+      eq
+  in
+  let range i lo hi =
+    List.filter_map Fun.id
+      [ Option.map (key_bound binds outer lo_key i ~edge:max_int ~next:succ) lo;
+        Option.map (key_bound binds outer hi_key i ~edge:min_int ~next:pred) hi ]
+  in
+  let k = List.length eq in
+  let rpos = k + if lo <> None || hi <> None then 1 else 0 in
+  let fills =
+    Array.of_list
+      (eq_fills @ range k lo hi
+      @ if rpos > k && rpos < width then range rpos refine_lo refine_hi
+        else [])
+  in
+  let fill env =
+    let rec go i = i >= Array.length fills || (fills.(i) env && go (i + 1)) in
+    go 0
+  in
+  let d = List.length outer in
+  (* key filters see the index entry, bound at this step's depth *)
+  let key_ok =
+    match
+      compile_filters binds
+        (outer @ [ (step.Ir.alias, Relation.Table.Index.columns index) ])
+        step.Ir.key_filters
+    with
+    | None -> fun _ _ -> true
+    | Some f ->
+        fun (env : env) key ->
+          env.(d) <- key;
+          f env
+  in
+  let entry_visit env key =
+    if key_ok env key then
+      if covering then visit env key
+      else
+        match Relation.Table.fetch tbl key.(Array.length key - 1) with
+        | Some row -> visit env row
+        | None -> ()
+  in
+  let view = ctx.Ir.vis (Relation.Table.name tbl) in
+  let accept = visible view in
+  fun env ->
+    if fill env then begin
+      Btree.iter_range tree ~lo:lo_key ~hi:hi_key (fun key ->
+          if accept key.(Array.length key - 1) then entry_visit env key);
+      match view with
+      | None -> ()
+      | Some v ->
+          (* Overlay rows are injected per probe: each row's index entry
+             joins exactly the probes whose key range would have
+             contained its physical registration, so UNION ALL branch
+             disjointness and per-probe key filters behave as for
+             physical rows. The rowid slot is unconstrained in every
+             probe (min_int..max_int), so a pseudo-rowid of 0 never
+             decides the comparison. *)
+          List.iter
+            (fun row ->
+              let key = Relation.Table.Index.key_of_row index 0 row in
+              if key_in_range ~lo:lo_key ~hi:hi_key key then
+                if covering then entry_visit env key
+                else if key_ok env key then visit env row)
+            (v.Relation.Txn.extra ())
+    end
+
+(* Compile a branch into one closure over a fresh environment, then run
+   it: every name in it resolves before the first row is read. *)
+and run_branch ctx (branch : Ir.branch) =
+  let body () =
+    let rows = ref [] in
+    let count = ref 0 in
+    let rec chain outer = function
+      | [] ->
+          let project = compile_projection outer branch.Ir.projections in
+          fun env ->
+            incr count;
+            rows := project env :: !rows
+      | step :: rest ->
+          compile_step ctx outer step (fun scope -> chain scope rest)
+    in
+    let run = chain [] branch.Ir.steps in
+    run (Array.make (List.length branch.Ir.steps) [||]);
+    (List.rev !rows, !count)
   in
   if Obs.Trace.enabled () then
-    Obs.Trace.with_span (node_span step) ~info:step.Ir.alias body
+    Obs.Trace.with_span "sql.branch"
+      ~info:
+        (String.concat "," (List.map (fun s -> s.Ir.alias) branch.Ir.steps))
+      body
   else body ()
-
-and run_branch ctx (branch : Ir.branch) =
-  Obs.Trace.with_span "sql.branch"
-    ~info:
-      (String.concat "," (List.map (fun s -> s.Ir.alias) branch.Ir.steps))
-  @@ fun () ->
-  let rows = ref [] in
-  let count = ref 0 in
-  let rec loop bound = function
-    | [] ->
-        incr count;
-        let row =
-          List.concat_map
-            (function
-              | Ir.Star ->
-                  List.concat_map
-                    (fun (_, (_, row)) -> Array.to_list row)
-                    bound
-              | Ir.Count_star -> []
-              | Ir.Agg _ -> fail "aggregate outside an aggregate query"
-              | Ir.Col (alias, c) -> [ lookup_col bound alias c ])
-            branch.Ir.projections
-        in
-        rows := Array.of_list row :: !rows
-    | step :: rest -> run_step ctx bound step (fun b2 -> loop b2 rest)
-  in
-  loop [] branch.Ir.steps;
-  (List.rev !rows, !count)
 
 let projection_columns (branch : Ir.branch) =
   List.concat_map
@@ -507,14 +629,11 @@ let run ctx (plan : Ir.plan) =
           rows = run_aggregate ctx plan.Ir.branches first.Ir.projections }
       end
       else begin
-        let all_rows = ref [] in
-        List.iter
-          (fun branch ->
-            let rows, _ = run_branch ctx branch in
-            all_rows := !all_rows @ rows)
-          plan.Ir.branches;
+        let rows =
+          List.concat_map (fun br -> fst (run_branch ctx br)) plan.Ir.branches
+        in
         { columns = projection_columns first;
-          rows = order_and_limit first plan !all_rows }
+          rows = order_and_limit first plan rows }
       end
 
 (* Measure an execution: wall time and the process-global physical-I/O

@@ -221,16 +221,12 @@ let ivl lower upper =
     invalid_arg (Printf.sprintf "empty interval [%d, %d]" lower upper)
   else Interval.Ivl.make lower upper
 
-let pair_rows pairs =
+(* The typed ops plan [Triples], so the executor's rows are already the
+   wire's (lower, upper, id) rows. *)
+let triple_rows (c : Exec.Planner.compiled) =
   Protocol.Rows
-    {
-      columns = [ "lower"; "upper"; "id" ];
-      rows =
-        List.map
-          (fun (i, id) ->
-            [| Interval.Ivl.lower i; Interval.Ivl.upper i; id |])
-          pairs;
-    }
+    { columns = [ "lower"; "upper"; "id" ];
+      rows = (Exec.Planner.run c).Exec.Executor.rows }
 
 let exec t = function
   | Protocol.Sql text -> (
@@ -291,12 +287,13 @@ let exec t = function
   | Intersect { lower; upper } ->
       (* compiled onto the shared execution IR; the planner consults the
          cost model to pick the memory tier, two-branch or seq scan *)
-      pair_rows
-        (Exec.Planner.intersecting ~stats:(stats_for t.sh) ?mem:(mem_for t)
-           ~vis:(vis_for t) t.sh.ritree (ivl lower upper))
+      triple_rows
+        (Exec.Planner.plan_intersection ~stats:(stats_for t.sh)
+           ?mem:(mem_for t) ~vis:(vis_for t) ~proj:Exec.Planner.Triples
+           t.sh.ritree (ivl lower upper))
   | Allen { relation; lower; upper } ->
-      pair_rows
-        (Exec.Planner.allen_matches ?mem:(mem_for t) ~vis:(vis_for t)
+      triple_rows
+        (Exec.Planner.plan_allen ?mem:(mem_for t) ~vis:(vis_for t)
            t.sh.ritree relation (ivl lower upper))
   | Begin ->
       if Relation.Txn.pinned t.txn then

@@ -153,6 +153,15 @@ let rec expr_aliases acc = function
   | Ast.And (a, b) | Ast.Or (a, b) -> expr_aliases (expr_aliases acc a) b
   | Ast.Not e -> expr_aliases acc e
 
+let rec bare_columns acc = function
+  | Ast.Col (None, c) -> c :: acc
+  | Ast.Col (Some _, _) | Ast.Int _ | Ast.Host _ -> acc
+  | Ast.Cmp (_, a, b) | Ast.And (a, b) | Ast.Or (a, b) ->
+      bare_columns (bare_columns acc a) b
+  | Ast.Between (e, lo, hi) ->
+      bare_columns (bare_columns (bare_columns acc e) lo) hi
+  | Ast.Not e -> bare_columns acc e
+
 let rec split_and = function
   | Ast.And (a, b) -> split_and a @ split_and b
   | e -> [ e ]
@@ -532,7 +541,8 @@ let plan_generic_branch session (select : Ast.select) =
   done;
   let ordered = List.rev !ordered in
   (* Attach each unconsumed conjunct to the earliest step where all its
-     aliases are bound. *)
+     aliases and bare columns are bound. A bare column no step or
+     several steps bind is left to the executor, which rejects it. *)
   let alias_order = List.map (fun (a, _, _, _) -> a) ordered in
   let step_filters = Array.make (List.length ordered) [] in
   List.iter
@@ -546,8 +556,24 @@ let plan_generic_branch session (select : Ast.select) =
           in
           go 0 alias_order
         in
+        let bare_position c =
+          match
+            List.concat
+              (List.mapi
+                 (fun i (_, _, columns, _) ->
+                   if Array.mem c columns then [ i ] else [])
+                 ordered)
+          with
+          | [ i ] -> i
+          | _ -> 0
+        in
         let slot =
           List.fold_left (fun acc a -> max acc (position a)) 0 aliases
+        in
+        let slot =
+          List.fold_left
+            (fun acc c -> max acc (bare_position c))
+            slot (bare_columns [] conj)
         in
         step_filters.(slot) <- step_filters.(slot) @ [ conj ]
       end)
@@ -634,6 +660,16 @@ let stmt_kind = function
   | Ast.Select _ -> "SELECT"
   | Ast.Explain _ -> "EXPLAIN"
 
+(* A DELETE/UPDATE WHERE clause over the rows of [tname], compiled
+   once before the scan. *)
+let row_filter binds tname columns = function
+  | None -> fun _ -> true
+  | Some w ->
+      let w =
+        Executor.compile_pred binds [ (tname, columns) ] (compile_pred w)
+      in
+      fun row -> w [| row |]
+
 let rec run_stmt session binds = function
   | Ast.Create_table (name, cols) ->
       ignore
@@ -654,7 +690,7 @@ let rec run_stmt session binds = function
           let row =
             Array.of_list
               (List.map
-                 (fun e -> Executor.eval_value binds [] (compile_value e))
+                 (fun e -> Executor.compile_value binds [] (compile_value e) [||])
                  values)
           in
           if Array.length row <> Array.length (Relation.Table.columns tbl)
@@ -667,14 +703,7 @@ let rec run_stmt session binds = function
       match Relation.Catalog.find_table session.catalog tname with
       | None -> fail "unknown table %s" tname
       | Some tbl ->
-          let columns = Relation.Table.columns tbl in
-          let where = Option.map compile_pred where in
-          let pred row =
-            match where with
-            | None -> true
-            | Some w ->
-                Executor.eval_pred binds [ (tname, (columns, row)) ] w
-          in
+          let pred = row_filter binds tname (Relation.Table.columns tbl) where in
           match active_txn session with
           | None ->
               let n = Relation.Table.delete_where tbl pred in
@@ -714,23 +743,18 @@ let rec run_stmt session binds = function
             List.map
               (fun (c, e) ->
                 match Executor.col_position columns c with
-                | Some i -> (i, compile_value e)
+                | Some i ->
+                    ( i,
+                      Executor.compile_value binds [ (tname, columns) ]
+                        (compile_value e) )
                 | None -> fail "unknown column %s in UPDATE" c)
               sets
           in
-          let where = Option.map compile_pred where in
-          let matches row =
-            match where with
-            | None -> true
-            | Some w ->
-                Executor.eval_pred binds [ (tname, (columns, row)) ] w
-          in
+          let matches = row_filter binds tname columns where in
           let updated row =
-            let bound = [ (tname, (columns, row)) ] in
+            let env = [| row |] in
             let row' = Array.copy row in
-            List.iter
-              (fun (i, v) -> row'.(i) <- Executor.eval_value binds bound v)
-              set_positions;
+            List.iter (fun (i, v) -> row'.(i) <- v env) set_positions;
             row'
           in
           match active_txn session with

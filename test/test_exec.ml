@@ -203,6 +203,67 @@ let test_two_branch_golden () =
       "COLLECTION ITERATOR rightNodes [step 3]";
       "INDEX RANGE SCAN INTERVALS_LOWER"; "[step 4]" ]
 
+(* EXPLAIN ANALYZE of the same plan reports each step's emitted rows.
+   The counts are pinned: the node lists, the probes the outer rows
+   drive and the rows each inner probe keeps. *)
+let test_two_branch_analyze_counts () =
+  let f = List.assoc Dist.D1 (Lazy.force fixtures) in
+  let q = Ivl.make 400_000 410_000 in
+  let text = Pl.explain ~analyze:true f.tree (Pl.Intersect_target q) in
+  let counts label =
+    let n = String.length label in
+    let rec scan i acc =
+      if i + n > String.length text then List.rev acc
+      else if String.sub text i n = label then begin
+        let j = ref (i + n) in
+        while !j < String.length text && text.[!j] >= '0' && text.[!j] <= '9' do
+          incr j
+        done;
+        scan !j (int_of_string (String.sub text (i + n) (!j - i - n)) :: acc)
+      end
+      else scan (i + 1) acc
+    in
+    scan 0 []
+  in
+  check Alcotest.(list int) "per-step actual rows" [ 12; 6; 9; 0 ]
+    (counts "actual rows=");
+  check Alcotest.(list int) "ACTUAL footer"
+    [ List.length (oracle f.data q) ]
+    (counts "ACTUAL     rows=")
+
+(* ---- the executor's allocation per returned row ----
+
+   A warm covering D1 n=35 000 relation (the mixed-disk server's) answers
+   a fixed seeded set of 0.6 % intersections through the planner's
+   two-branch plan. Names resolve once per branch, so what is left per
+   row is mostly the key the cursor yields and the output row. Measured:
+   44.1 words per row, against 200.2 when every row looked its names up
+   in an association list. *)
+let test_exec_words_per_row () =
+  let data = Dist.generate ~seed:1 Dist.D1 ~n:35_000 ~d:2_000 in
+  let db = Relation.Catalog.create ~cache_blocks:4_096 () in
+  let tree =
+    Ri.bulk_load ~layout:Ri.Covering db
+      (Array.mapi (fun id ivl -> (ivl, id)) data)
+  in
+  let queries = Workload.Query_gen.queries ~seed:3 ~data ~count:50 0.006 in
+  let run () =
+    Array.fold_left
+      (fun n q ->
+        n
+        + List.length
+            (Pl.run (Pl.plan_intersection ~proj:Pl.Triples tree q))
+              .Exec.Executor.rows)
+      0 queries
+  in
+  ignore (run ());
+  let w0 = Gc.minor_words () in
+  let rows = run () in
+  let words = (Gc.minor_words () -. w0) /. float_of_int rows in
+  if words > 60.0 then
+    Alcotest.failf "%.1f minor words per returned row (%d rows), bound 60"
+      words rows
+
 (* ---- satellite: estimator accuracy budget ----
 
    Median relative I/O error of the cost model against a cold cache
@@ -362,7 +423,12 @@ let () =
            test_sql_and_typed_render_identically;
          Alcotest.test_case "UNION ALL steps numbered distinctly" `Quick
            test_union_all_steps_distinct;
-         Alcotest.test_case "two-branch golden" `Quick test_two_branch_golden ]);
+         Alcotest.test_case "two-branch golden" `Quick test_two_branch_golden;
+         Alcotest.test_case "two-branch EXPLAIN ANALYZE counts" `Quick
+           test_two_branch_analyze_counts ]);
+      ("allocation",
+       [ Alcotest.test_case "covering intersection <= 60 words/row" `Quick
+           test_exec_words_per_row ]);
       ("estimates",
        [ Alcotest.test_case "median I/O error within 1.5x" `Slow
            test_cost_model_error_budget ]);

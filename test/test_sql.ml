@@ -290,6 +290,91 @@ let test_errors () =
     [ "INSERT INTO e VALUES (1, 2)"; "SELECT nope FROM e";
       "SELECT a FROM e WHERE a" ]
 
+(* Name resolution does not depend on the data: each statement raises
+   over empty tables exactly as it does once rows exist. *)
+let test_name_errors_without_rows () =
+  let s = mk_session () in
+  ignore (E.exec s "CREATE TABLE t (a int, b int)");
+  ignore (E.exec s "CREATE TABLE u (a int, c int)");
+  let expect_errors stage =
+    List.iter
+      (fun sql ->
+        match E.exec s sql with
+        | _ -> Alcotest.failf "%s: no error for %s" stage sql
+        | exception E.Error _ -> ())
+      [ "SELECT nope FROM t"; "SELECT a FROM t WHERE nope = 1";
+        "SELECT a FROM t, u"; "SELECT a FROM t WHERE b = :x";
+        "DELETE FROM t WHERE nope = 1"; "UPDATE t SET b = nope" ]
+  in
+  expect_errors "empty";
+  ignore (E.exec s "INSERT INTO t VALUES (1, 2)");
+  ignore (E.exec s "INSERT INTO u VALUES (1, 3)");
+  expect_errors "one row each"
+
+(* A bare column in a join conjunct filters at the step that binds it,
+   not at the outermost one. *)
+let test_bare_column_in_join () =
+  let s = mk_session () in
+  ignore (E.exec s "CREATE TABLE t (a int, b int)");
+  ignore (E.exec s "CREATE TABLE u (x int, c int)");
+  ignore (E.exec s "INSERT INTO t VALUES (1, 2)");
+  ignore (E.exec s "INSERT INTO u VALUES (3, 4)");
+  ignore (E.exec s "INSERT INTO u VALUES (5, 6)");
+  check rows "filtered on u" [ [| 2; 4 |] ]
+    (E.query s "SELECT b, c FROM t, u WHERE c = 4");
+  check rows "filtered on both" [ [| 1; 2; 5; 6 |] ]
+    (E.query s "SELECT * FROM t, u WHERE b = 2 AND x = 5")
+
+(* SELECT * yields the declared columns only, never the rowid a heap
+   row or an index key carries, on a seq scan, a covering index scan
+   and a join, and under a transaction's snapshot overlay. *)
+let test_star_declared_columns () =
+  let s = mk_session () in
+  ignore (E.exec s "CREATE TABLE h (x int, y int)");
+  ignore (E.exec s "CREATE TABLE k (x int, y int)");
+  ignore (E.exec s "CREATE INDEX k_xy ON k (x, y)");
+  check Alcotest.bool "covering index scan" false
+    (contains (E.explain s "SELECT * FROM k WHERE x = 1") "BY ROWID");
+  let h = ref [] and k = ref [] in
+  let insert name rel x y =
+    ignore (E.exec s (Printf.sprintf "INSERT INTO %s VALUES (%d, %d)" name x y));
+    rel := [| x; y |] :: !rel
+  in
+  let delete name rel x =
+    ignore (E.exec s (Printf.sprintf "DELETE FROM %s WHERE x = %d" name x));
+    rel := List.filter (fun r -> r.(0) <> x) !rel
+  in
+  for i = 0 to 9 do
+    insert "h" h i (10 * i);
+    insert "k" k (i mod 4) (100 + i)
+  done;
+  let agree stage =
+    let q sql = List.sort compare (E.query s sql) in
+    check rows (stage ^ ": seq scan") (List.sort compare !h)
+      (q "SELECT * FROM h");
+    check rows (stage ^ ": covering index scan")
+      (List.sort compare (List.filter (fun r -> r.(0) = 1) !k))
+      (q "SELECT * FROM k WHERE x = 1");
+    check rows (stage ^ ": join")
+      (List.sort compare
+         (List.concat_map
+            (fun a ->
+              List.filter_map
+                (fun b -> if a.(0) = b.(0) then Some (Array.append a b) else None)
+                !k)
+            !h))
+      (q "SELECT * FROM h, k WHERE h.x = k.x")
+  in
+  agree "committed";
+  E.set_txn s (Some (Relation.Txn.begin_txn (Relation.Txn.create ())));
+  insert "h" h 2 7;
+  insert "h" h 11 110;
+  insert "k" k 1 200;
+  insert "k" k 3 201;
+  delete "h" h 3;
+  delete "k" k 2;
+  agree "open transaction"
+
 let test_order_by_limit () =
   let s = seeded_session () in
   let got = E.query s "SELECT b FROM t WHERE a = 2 ORDER BY b DESC" in
@@ -569,7 +654,13 @@ let () =
            test_column_named_count_min_max;
          Alcotest.test_case "script execution" `Quick test_exec_script;
          Alcotest.test_case "strict bounds at the int edges" `Quick
-           test_strict_bounds_at_int_edges ]);
+           test_strict_bounds_at_int_edges;
+         Alcotest.test_case "name errors without rows" `Quick
+           test_name_errors_without_rows;
+         Alcotest.test_case "bare column in a join" `Quick
+           test_bare_column_in_join;
+         Alcotest.test_case "SELECT * = declared columns" `Quick
+           test_star_declared_columns ]);
       ("explain",
        [ Alcotest.test_case "explain analyze" `Quick test_explain_analyze;
          Alcotest.test_case "explain does not execute" `Quick

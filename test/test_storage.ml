@@ -20,7 +20,18 @@ let test_device_alloc_rw () =
   check Alcotest.int "reads" 1 s.Dev.Stats.reads;
   check Alcotest.int "writes" 1 s.Dev.Stats.writes;
   Dev.Stats.reset d;
-  check Alcotest.int "reset" 0 (Dev.Stats.total (Dev.Stats.get d))
+  check Alcotest.int "reset" 0 (Dev.Stats.total (Dev.Stats.get d));
+  (* every byte keeps its place, including a tail shorter than a word,
+     and a fresh block reads as zeros *)
+  let d = Dev.create ~block_size:100 () in
+  let a = Dev.alloc d and b = Dev.alloc d in
+  let buf = Bytes.init 100 (fun i -> Char.chr ((i * 7) land 255)) in
+  Dev.write d a buf;
+  let out = Bytes.create 100 in
+  Dev.read d a out;
+  check Alcotest.bytes "odd-size round trip" buf out;
+  Dev.read d b out;
+  check Alcotest.bytes "zero-filled" (Bytes.make 100 '\000') out
 
 let test_device_validation () =
   let d = Dev.create ~block_size:128 () in
