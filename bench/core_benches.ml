@@ -392,14 +392,13 @@ let plan ~tiny =
 
 (* ---- memindex: the main-memory hot tier ----
 
-   Three measurements per Table-1 distribution: query throughput of the
-   four main-memory structures (HINT vs the interval-tree, segment-tree
-   and skip-list baselines) on stabbing and intersection batches; the
-   same batch against the disk RI-tree with a cold and a warm buffer
-   pool (the memory/disk crossover the hot tier exploits); and the
-   cost model's tier choice scored against exhaustive per-tier
-   cold-cache I/O, the [plan] methodology extended with the memory
-   tier. *)
+   Three measurements per Table-1 distribution: query throughput of
+   HINT (the hot tier's engine) and the Edelsbrunner interval tree on
+   stabbing and intersection batches; the same batch against the disk
+   RI-tree with a cold and a warm buffer pool (the memory/disk
+   crossover the hot tier exploits); and the cost model's tier choice
+   scored against exhaustive per-tier cold-cache I/O, the [plan]
+   methodology extended with the memory tier. *)
 
 (* Repeat the whole batch until ~50 ms elapsed: single-query timings on
    main-memory structures are far below timer resolution. *)
@@ -437,7 +436,7 @@ let memindex_kind ~tiny kind =
   let data = Dist.generate ~seed kind ~n ~d:2000 in
   let dlo = Array.fold_left (fun a i -> min a (Interval.Ivl.lower i)) max_int data in
   let dhi = Array.fold_left (fun a i -> max a (Interval.Ivl.upper i)) min_int data in
-  (* the four main-memory structures over the same rows *)
+  (* both main-memory structures over the same rows *)
   let it = Memindex.Interval_tree.create ~lo:dlo ~hi:dhi in
   Array.iteri (fun id ivl -> ignore (Memindex.Interval_tree.insert ~id it ivl)) data;
   let hint =
@@ -445,9 +444,6 @@ let memindex_kind ~tiny kind =
       ~m:(Memindex.Hint.suggested_grid ~rows:n) ()
   in
   Array.iteri (fun id ivl -> ignore (Memindex.Hint.insert ~id hint ivl)) data;
-  let st = Memindex.Segment_tree.build data in
-  let sl = Memindex.Skip_list.create () in
-  Array.iteri (fun id ivl -> ignore (Memindex.Skip_list.insert ~id sl ivl)) data;
   (* the disk RI-tree over the same rows *)
   let db, tree = build_tree data in
   let stats = Ritree.Cost_model.Stats.analyze tree in
@@ -458,20 +454,12 @@ let memindex_kind ~tiny kind =
     [ ("hint", batch_qps stab_qs (fun q ->
            Memindex.Hint.stabbing_ids hint (Interval.Ivl.lower q)));
       ("interval_tree", batch_qps stab_qs (fun q ->
-           Memindex.Interval_tree.stabbing_ids it (Interval.Ivl.lower q)));
-      ("segment_tree", batch_qps stab_qs (fun q ->
-           Memindex.Segment_tree.stabbing_ids st (Interval.Ivl.lower q)));
-      ("skip_list", batch_qps stab_qs (fun q ->
-           Memindex.Skip_list.stabbing_ids sl (Interval.Ivl.lower q))) ]
+           Memindex.Interval_tree.stabbing_ids it (Interval.Ivl.lower q))) ]
   in
   let inter =
     [ ("hint", batch_qps inter_qs (Memindex.Hint.intersecting_ids hint));
       ("interval_tree",
-       batch_qps inter_qs (Memindex.Interval_tree.intersecting_ids it));
-      ("segment_tree",
-       batch_qps inter_qs (Memindex.Segment_tree.intersecting_ids st));
-      ("skip_list",
-       batch_qps inter_qs (Memindex.Skip_list.intersecting_ids sl)) ]
+       batch_qps inter_qs (Memindex.Interval_tree.intersecting_ids it)) ]
   in
   let cold_qps =
     cold_disk_qps db inter_qs (fun q -> Exec.Planner.intersecting_ids tree q)

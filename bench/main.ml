@@ -28,7 +28,7 @@
      storage   buffer-pool eviction, hit rate, group commit
      explain   Sec. 5 cost model vs cold-cache I/O, EXPLAIN ANALYZE
      plan      plan-cache throughput, access-path win rates
-     memindex  HINT and in-memory baselines vs the disk RI-tree
+     memindex  HINT and the interval tree vs the disk RI-tree
      txn       MVCC multi-writer commits vs the serialized baseline
      replica   replication lag, late-join catch-up, failover
      shard     scatter-gather under a head-of-line hotspot

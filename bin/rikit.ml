@@ -422,6 +422,12 @@ let bench_serve_cmd =
 
 (* ---- sql ---- *)
 
+(* A bad statement is the script's fault, not the tool's: one line on
+   stderr and exit 1, not an uncaught-exception dump. *)
+let sql_error msg =
+  Printf.eprintf "rikit sql: %s\n" msg;
+  exit 1
+
 let run_sql file =
   let src =
     let ic = open_in file in
@@ -432,6 +438,13 @@ let run_sql file =
   in
   let db = Relation.Catalog.create () in
   let session = Sqlfront.Engine.session db in
+  let results =
+    try Sqlfront.Engine.exec_script session src with
+    | Sqlfront.Engine.Error m -> sql_error m
+    | Sqlfront.Parser.Error m -> sql_error ("parse error: " ^ m)
+    | Sqlfront.Lexer.Error (m, pos) ->
+        sql_error (Printf.sprintf "lex error at %d: %s" pos m)
+  in
   List.iter
     (function
       | Sqlfront.Engine.Done msg -> Printf.printf "%s\n" msg
@@ -443,7 +456,7 @@ let run_sql file =
                 (String.concat " | "
                    (Array.to_list (Array.map string_of_int r))))
             rows)
-    (Sqlfront.Engine.exec_script session src)
+    results
 
 let sql_cmd =
   let file =

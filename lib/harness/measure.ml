@@ -20,19 +20,6 @@ let io catalog f =
   let stats = Relation.Catalog.io_stats catalog in
   (r, stats.Storage.Block_device.Stats.reads + stats.Storage.Block_device.Stats.writes)
 
-let timed_io catalog f =
-  let s0 = Relation.Catalog.io_stats catalog in
-  let t0 = Unix.gettimeofday () in
-  let r = f () in
-  let elapsed = Unix.gettimeofday () -. t0 in
-  let s1 = Relation.Catalog.io_stats catalog in
-  let delta =
-    s1.Storage.Block_device.Stats.reads + s1.Storage.Block_device.Stats.writes
-    - s0.Storage.Block_device.Stats.reads
-    - s0.Storage.Block_device.Stats.writes
-  in
-  (r, elapsed, delta)
-
 let percentile xs p =
   let n = Array.length xs in
   if n = 0 then invalid_arg "Measure.percentile: empty sample";

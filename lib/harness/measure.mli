@@ -23,12 +23,6 @@ val io : Relation.Catalog.t -> (unit -> 'a) -> 'a * int
 (** Result and physical I/Os (reads + writes) during the call; resets the
     device counters around the call. *)
 
-val timed_io : Relation.Catalog.t -> (unit -> 'a) -> 'a * float * int
-(** [timed_io db f] is [(f (), wall seconds, physical I/Os)]. Unlike
-    {!io} the device counters are read as before/after deltas, not
-    reset, and the cache is left warm — the per-request accounting the
-    server dispatcher wraps around every statement. *)
-
 val percentile : float array -> float -> float
 (** [percentile xs p] is the nearest-rank [p]-percentile ([0 <= p <= 1])
     of the sample; [xs] need not be sorted.

@@ -230,6 +230,22 @@ let park_or_push t conn id ~lsn resp =
   if subscribers t = [] then Conn.send conn.io ~id resp
   else t.parked_acks <- (conn, id, lsn, resp) :: t.parked_acks
 
+(* [(f (), wall seconds, physical I/Os)] of one request. The device
+   counters are read as before/after deltas, not reset, and the cache
+   is left warm. *)
+let timed_io catalog f =
+  let s0 = Relation.Catalog.io_stats catalog in
+  let t0 = Unix.gettimeofday () in
+  let r = f () in
+  let elapsed = Unix.gettimeofday () -. t0 in
+  let s1 = Relation.Catalog.io_stats catalog in
+  let delta =
+    s1.Storage.Block_device.Stats.reads + s1.Storage.Block_device.Stats.writes
+    - s0.Storage.Block_device.Stats.reads
+    - s0.Storage.Block_device.Stats.writes
+  in
+  (r, elapsed, delta)
+
 (* ---------------- group-commit window ---------------- *)
 
 let clear_commit_timer t =
@@ -251,7 +267,7 @@ let flush_group_commits t =
       let pending = List.rev newest_first in
       t.pending_commits <- [];
       let batch, _, io =
-        Harness.Measure.timed_io (Session.catalog t.sh) (fun () ->
+        timed_io (Session.catalog t.sh) (fun () ->
             Session.commit_force_shared t.sh)
       in
       let count = List.length pending in
@@ -492,14 +508,14 @@ let execute_one t conn id req =
                      ~io:(device_stats t)),
                 None )
             in
-            Harness.Measure.timed_io (Session.catalog t.sh) snap
+            timed_io (Session.catalog t.sh) snap
         | Protocol.Metrics ->
-            Harness.Measure.timed_io (Session.catalog t.sh) (fun () ->
+            timed_io (Session.catalog t.sh) (fun () ->
                 (Protocol.Ack (metrics_doc t), None))
         | req ->
             (* The root span of the request's trace tree; [traced]
                returns it only when tracing is enabled. *)
-            Harness.Measure.timed_io (Session.catalog t.sh) (fun () ->
+            timed_io (Session.catalog t.sh) (fun () ->
                 Obs.Trace.traced ~info:op "request" (fun () ->
                     Session.handle conn.session req))
       in

@@ -7,7 +7,7 @@
     bucket midpoint — at most a factor [sqrt 2] off, plenty for the
     dashboards the paper's Figs. 13/14 correspond to). Physical I/O is
     the device-counter delta the dispatcher measures around each
-    request via {!Harness.Measure.timed_io}. *)
+    request. *)
 
 type t
 

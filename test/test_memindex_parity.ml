@@ -1,5 +1,5 @@
-(* Parity suite: every main-memory structure (HINT, interval tree,
-   segment tree, interval skip list) must agree with the Naive oracle on
+(* Parity suite: both main-memory structures (HINT, the hot tier's
+   engine, and the interval tree) must agree with the Naive oracle on
    stabbing, intersection, and all thirteen Allen relations — across the
    paper's D1–D4 workloads and across adversarial bound values
    (min_int/max_int endpoints, points, empty stores): the bug class the
@@ -8,15 +8,13 @@
 module Ivl = Interval.Ivl
 module Allen = Interval.Allen
 module IT = Memindex.Interval_tree
-module ST = Memindex.Segment_tree
-module SL = Memindex.Skip_list
 module H = Memindex.Hint
 module Naive = Memindex.Naive
 
 let check = Alcotest.check
 let sorted = List.sort_uniq Int.compare
 
-(* A uniform facade over the four structures plus the oracle. *)
+(* A uniform facade over the two structures; the oracle stands apart. *)
 type store = {
   s_name : string;
   stab : int -> int list;
@@ -37,23 +35,13 @@ let build_stores ?(m = 6) data =
   Array.iteri (fun i ivl -> ignore (IT.insert ~id:i it ivl)) data;
   let h = H.create ~lo:min_int ~hi:max_int ~m () in
   Array.iteri (fun i ivl -> ignore (H.insert ~id:i h ivl)) data;
-  let st = ST.build data in
-  let sl = SL.create () in
-  Array.iteri (fun i ivl -> ignore (SL.insert ~id:i sl ivl)) data;
   H.check_invariants h;
-  SL.check_invariants sl;
   [
     { s_name = "hint"; stab = H.stabbing_ids h; inter = H.intersecting_ids h;
       rel = (fun r q -> H.relation_ids h r q) };
     { s_name = "interval_tree"; stab = IT.stabbing_ids it;
       inter = IT.intersecting_ids it;
       rel = (fun r q -> IT.relation_ids it r q) };
-    { s_name = "segment_tree"; stab = ST.stabbing_ids st;
-      inter = ST.intersecting_ids st;
-      rel = (fun r q -> ST.relation_ids st r q) };
-    { s_name = "skip_list"; stab = SL.stabbing_ids sl;
-      inter = SL.intersecting_ids sl;
-      rel = (fun r q -> SL.relation_ids sl r q) };
   ]
 
 let agree_on_query stores naive q =
