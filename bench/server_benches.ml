@@ -57,8 +57,7 @@ let writes_per_txn = 4
 
 let txn_config ~sessions ~group_commit =
   { D.default_config with
-    max_sessions = sessions + 2; max_inflight = 64; max_queue = 4096;
-    group_commit }
+    max_sessions = sessions + 2; group_commit }
 
 let txn_serial ~txns_per =
   with_server (txn_config ~sessions:1 ~group_commit:0.) (fun port ->
@@ -148,8 +147,7 @@ let txn ~tiny =
 let repl_node ?replica_of () =
   Testbed.start
     { D.default_config with
-      max_sessions = 16; max_inflight = 64; max_queue = 4096;
-      group_commit = 0.002; replica_of }
+      max_sessions = 16; group_commit = 0.002; replica_of }
     (Server.Session.shared ~durable:true ())
 
 (* (durable, applied) LSNs of the server on [port]. *)

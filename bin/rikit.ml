@@ -438,25 +438,25 @@ let run_sql file =
   in
   let db = Relation.Catalog.create () in
   let session = Sqlfront.Engine.session db in
-  let results =
-    try Sqlfront.Engine.exec_script session src with
-    | Sqlfront.Engine.Error m -> sql_error m
-    | Sqlfront.Parser.Error m -> sql_error ("parse error: " ^ m)
-    | Sqlfront.Lexer.Error (m, pos) ->
-        sql_error (Printf.sprintf "lex error at %d: %s" pos m)
+  (* Each result is printed (and flushed) before the next statement
+     runs, so a failing statement still leaves the earlier ones'
+     output ahead of its error. *)
+  let print = function
+    | Sqlfront.Engine.Done msg -> Printf.printf "%s\n%!" msg
+    | Sqlfront.Engine.Rows { columns; rows } ->
+        Printf.printf "%s\n" (String.concat " | " columns);
+        List.iter
+          (fun r ->
+            Printf.printf "%s\n"
+              (String.concat " | " (Array.to_list (Array.map string_of_int r))))
+          rows;
+        flush stdout
   in
-  List.iter
-    (function
-      | Sqlfront.Engine.Done msg -> Printf.printf "%s\n" msg
-      | Sqlfront.Engine.Rows { columns; rows } ->
-          Printf.printf "%s\n" (String.concat " | " columns);
-          List.iter
-            (fun r ->
-              Printf.printf "%s\n"
-                (String.concat " | "
-                   (Array.to_list (Array.map string_of_int r))))
-            rows)
-    results
+  try Sqlfront.Engine.exec_script session src print with
+  | Sqlfront.Engine.Error m -> sql_error m
+  | Sqlfront.Parser.Error m -> sql_error ("parse error: " ^ m)
+  | Sqlfront.Lexer.Error (m, pos) ->
+      sql_error (Printf.sprintf "lex error at %d: %s" pos m)
 
 let sql_cmd =
   let file =

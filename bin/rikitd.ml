@@ -4,7 +4,7 @@
    statements and typed interval operations against one shared database
    preloaded with a Table-1 distribution. Single-process poll(2) event
    loop with admission control; Ctrl-C (or SIGTERM) shuts down gracefully —
-   queued requests are answered, the buffer pool is flushed (a durable
+   a staged group commit is forced, the buffer pool is flushed (a durable
    catalog is checkpointed), and the stats dump is printed.
 
    With --router it holds no data and fans each query out to the
@@ -104,8 +104,7 @@ let serve_router host port max_sessions metrics_port shards domain_max
        ~io:{ Storage.Block_device.Stats.reads = 0; writes = 0 });
   print_string "shutdown complete: shard legs closed\n"
 
-let serve host port kind n d seed max_sessions max_inflight max_queue durable
-    group_commit_ms idle_timeout metrics_port slow_query_ms hot_tier_mb
+let serve host port kind n d seed max_sessions durable group_commit_ms idle_timeout metrics_port slow_query_ms hot_tier_mb
     replica_of router shards domain_max shard_deadline_ms =
   if router then
     serve_router host port max_sessions metrics_port shards domain_max
@@ -121,7 +120,7 @@ let serve host port kind n d seed max_sessions max_inflight max_queue durable
   let durable = durable || replica_of <> None in
   let n = if replica_of <> None then 0 else n in
   let config =
-    { Server.Dispatcher.host; port; max_sessions; max_inflight; max_queue;
+    { Server.Dispatcher.host; port; max_sessions;
       group_commit = group_commit_ms /. 1000.; idle_timeout; metrics_port;
       slow_query_ms; replica_of;
       write_high_water = Server.Dispatcher.default_config.write_high_water }
@@ -146,10 +145,10 @@ let serve host port kind n d seed max_sessions max_inflight max_queue durable
   Sys.set_signal Sys.sigint (Sys.Signal_handle stop);
   Sys.set_signal Sys.sigterm (Sys.Signal_handle stop);
   Printf.printf
-    "rikitd listening on %s:%d (protocol v%d, max %d sessions, %d queued%s%s%s)\n%!"
+    "rikitd listening on %s:%d (protocol v%d, max %d sessions%s%s%s)\n%!"
     host
     (Server.Dispatcher.port disp)
-    Server.Protocol.version max_sessions max_queue
+    Server.Protocol.version max_sessions
     (if durable then ", durable" else "")
     (if group_commit_ms > 0. then
        Printf.sprintf ", group commit %.1f ms" group_commit_ms
@@ -209,17 +208,6 @@ let cmd =
          & info [ "max-sessions" ]
              ~doc:"Connections admitted concurrently; beyond this a \
                    connection is answered Overloaded and closed.")
-  in
-  let max_inflight =
-    Arg.(value & opt int 32
-         & info [ "max-inflight" ]
-             ~doc:"Requests executed per event-loop round.")
-  in
-  let max_queue =
-    Arg.(value & opt int 1024
-         & info [ "max-queue" ]
-             ~doc:"Parsed-but-unexecuted request bound; beyond this a \
-                   request is answered Overloaded.")
   in
   let durable =
     Arg.(value & flag
@@ -333,7 +321,7 @@ let cmd =
     (Cmd.info "rikitd" ~version:"1.0.0"
        ~doc:"Concurrent interval-query server (RI-tree, VLDB 2000)")
     Term.(const serve $ host $ port $ kind $ n $ d $ seed $ max_sessions
-          $ max_inflight $ max_queue $ durable $ group_commit
+          $ durable $ group_commit
           $ idle_timeout $ metrics_port $ slow_query_ms $ hot_tier
           $ replica_of $ router $ shard $ domain_max $ shard_deadline)
 

@@ -839,8 +839,3 @@ let check_invariants ?(occupancy = true) t =
   | [] -> fail "tree has no leaves"
   | first :: _ ->
       if chain first [] <> in_order then fail "leaf chain broken"
-
-let pp_stats ppf t =
-  Format.fprintf ppf
-    "entries=%d height=%d pages=%d leaf_cap=%d node_cap=%d" t.count t.height
-    t.page_count t.leaf_cap t.node_cap

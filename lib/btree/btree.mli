@@ -117,5 +117,3 @@ val check_invariants : ?occupancy:bool -> t -> unit
     [?occupancy:false] skips the minimum-occupancy check — bulk-loaded
     trees may legitimately end with under-full trailing nodes.
     @raise Failure describing the first violated invariant. *)
-
-val pp_stats : Format.formatter -> t -> unit

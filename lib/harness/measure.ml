@@ -47,8 +47,3 @@ let query_batch catalog count_query queries =
     total_reads = stats.Storage.Block_device.Stats.reads;
     avg_io = float_of_int total_io /. float_of_int n;
     total_seconds = elapsed; avg_seconds = elapsed /. float_of_int n }
-
-let pp_batch ppf b =
-  Format.fprintf ppf
-    "%d queries, %d results, %.1f I/O per query, %.4f s per query"
-    b.queries b.total_results b.avg_io b.avg_seconds

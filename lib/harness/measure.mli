@@ -37,5 +37,3 @@ val query_batch :
     physical I/O and wall time. The buffer cache is {e not} flushed
     between queries — the warm-cache regime of the paper's repeated-query
     experiments. *)
-
-val pp_batch : Format.formatter -> batch -> unit

@@ -86,7 +86,6 @@ let create ~target ~schedule ?(on_kill = fun () -> ()) () =
   }
 
 let port t = t.port
-let frames_seen t = t.frames
 let fired t = List.rev t.fired
 
 let close_quiet fd = try Unix.close fd with Unix.Unix_error _ -> ()

@@ -52,8 +52,5 @@ val run : t -> unit
 val stop : t -> unit
 (** Ask {!run} to exit; safe from any thread, idempotent. *)
 
-val frames_seen : t -> int
-(** Client->server frames counted so far — the next op index. *)
-
 val fired : t -> (int * fault) list
 (** Injections that actually ran, in firing order. *)

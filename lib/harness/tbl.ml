@@ -66,5 +66,3 @@ let fmt_f v =
   if Float.abs v >= 100.0 then Printf.sprintf "%.0f" v
   else if Float.abs v >= 1.0 then Printf.sprintf "%.1f" v
   else Printf.sprintf "%.4f" v
-
-let fmt_i = string_of_int

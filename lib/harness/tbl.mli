@@ -18,5 +18,3 @@ val save_csv : t -> string -> unit
 
 val fmt_f : float -> string
 (** Compact float formatting for cells ("12.3", "0.004"). *)
-
-val fmt_i : int -> string

@@ -10,7 +10,7 @@ type span = {
    until the frame closes. *)
 type frame = {
   f_name : string;
-  mutable f_info : string;
+  f_info : string;
   t0 : float;
   c0 : Counters.snapshot;
   mutable kids_rev : span list;
@@ -115,12 +115,6 @@ let with_span ?(info = "") name f =
         ignore (close_frame fr);
         Printexc.raise_with_backtrace e bt
   end
-
-let annotate s =
-  if !flag then
-    match !stack with
-    | [] -> ()
-    | f :: _ -> f.f_info <- (if f.f_info = "" then s else f.f_info ^ " " ^ s)
 
 let render ?max_bytes sp =
   let b = Buffer.create 256 in

@@ -38,10 +38,6 @@ val traced : ?info:string -> string -> (unit -> 'a) -> 'a * span option
     tracing is disabled or when called inside an open span — only roots
     are returned). *)
 
-val annotate : string -> unit
-(** Append detail to the innermost open span's [info]. No-op when
-    disabled or outside any span. *)
-
 val recent : unit -> span list
 (** Finished root spans, newest first, up to {!ring_capacity}. *)
 

@@ -12,6 +12,7 @@ type entry = {
 type t = {
   tbl : (Unix.file_descr, entry) Hashtbl.t;
   wheel : Timer_wheel.t;
+  mutable turn : int;  (* run_once calls so far *)
 }
 
 type timer = Timer_wheel.timer
@@ -20,6 +21,7 @@ let create () =
   {
     tbl = Hashtbl.create 64;
     wheel = Timer_wheel.create ~now:(Unix.gettimeofday ());
+    turn = 0;
   }
 
 let nop () = ()
@@ -76,7 +78,19 @@ let run_once ?(max_timeout = 1.0) t =
       t.tbl;
     Array.sub buf 0 !i
   in
-  let ready = Backend.wait entries ~timeout in
+  (* Each turn starts its callbacks at a different ready fd. In table
+     order the same fd would go first on every turn: a request on it
+     would never wait behind one that arrived in the same turn, and a
+     request on the last fd always would. *)
+  let ready =
+    match Backend.wait entries ~timeout with
+    | ([] | [ _ ]) as ready -> ready
+    | ready ->
+        let k = t.turn mod List.length ready in
+        List.filteri (fun i _ -> i >= k) ready
+        @ List.filteri (fun i _ -> i < k) ready
+  in
+  t.turn <- t.turn + 1;
   ignore (Timer_wheel.advance t.wheel ~now:(Unix.gettimeofday ()));
   List.iter
     (fun (fd, r, w) ->

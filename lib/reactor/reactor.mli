@@ -48,9 +48,10 @@ val timer_count : t -> int
 
 (** One loop turn: sleep in [poll(2)] until readiness, the earliest
     timer deadline, or [max_timeout] (whichever is soonest; default
-    1 s), then fire due timers and ready callbacks. Callbacks may
-    freely register/deregister fds and timers, including their
-    own. *)
+    1 s), then fire due timers and ready callbacks. The callbacks
+    start at a different ready fd on each turn, so no fd is always
+    served first. Callbacks may freely register/deregister fds and
+    timers, including their own. *)
 val run_once : ?max_timeout:float -> t -> unit
 
 (** {2 Fibers}

@@ -16,7 +16,6 @@ type t = {
   journal : Storage.Journal.t option;
   block_size : int;
   cache_blocks : int;
-  checksums : bool;
   mutable degraded : string option; (* Some reason = read-only mode *)
 }
 
@@ -42,18 +41,18 @@ let register_index t table index =
     (fun pos col -> sys_insert t 3 tree_meta pos col)
     (Table.Index.columns index)
 
-let create ?device ?(durable = false) ?checksums ?(block_size = 2048)
+let create ?device ?(durable = false) ?(block_size = 2048)
     ?(cache_blocks = 200) () =
-  (* Durable catalogs default to checksummed pages: the journal is only
-     trustworthy if corruption of what it protects is detectable. *)
-  let checksums = Option.value checksums ~default:durable in
   let device =
     match device with
     | Some d -> d
     | None -> Storage.Block_device.create ~block_size ()
   in
   let pool =
-    Storage.Buffer_pool.create ~capacity:cache_blocks ~checksums device
+    (* Durable catalogs checksum their pages: the journal is only
+       trustworthy if corruption of what it protects is detectable. *)
+    Storage.Buffer_pool.create ~capacity:cache_blocks ~checksums:durable
+      device
   in
   let journal =
     if durable then begin
@@ -70,12 +69,11 @@ let create ?device ?(durable = false) ?checksums ?(block_size = 2048)
   | Some s -> assert (Heap.meta_page s = 0)
   | None -> ());
   { device; pool; tables = Hashtbl.create 16; sys; journal; block_size;
-    cache_blocks; checksums; degraded = None }
+    cache_blocks; degraded = None }
 
 let durable t = t.sys <> None
 let pool t = t.pool
 let device t = t.device
-let checksums t = t.checksums
 let journal t = t.journal
 let degraded_reason t = t.degraded
 let degraded t = t.degraded <> None
@@ -127,10 +125,11 @@ let journal_stats t =
       (Storage.Journal.record_count j, Storage.Journal.byte_size j))
     t.journal
 
-(* Rebuild every table handle from the on-device dictionary. *)
-let open_from_device ~device ~journal ~block_size ~cache_blocks ~checksums =
+(* Rebuild every table handle from the on-device dictionary. Only a
+   durable catalog has one, so the pages are checksummed. *)
+let open_from_device ~device ~journal ~block_size ~cache_blocks =
   let pool =
-    Storage.Buffer_pool.create ~capacity:cache_blocks ~checksums device
+    Storage.Buffer_pool.create ~capacity:cache_blocks ~checksums:true device
   in
   (match journal with
   | Some j -> Storage.Buffer_pool.attach_journal pool j
@@ -140,7 +139,7 @@ let open_from_device ~device ~journal ~block_size ~cache_blocks ~checksums =
   let name_of row = Codec.decode_name (Array.sub row 3 Codec.width) in
   let catalog =
     { device; pool; tables = Hashtbl.create 16; sys = Some sys;
-      journal; block_size; cache_blocks; checksums; degraded = None }
+      journal; block_size; cache_blocks; degraded = None }
   in
   let table_rows = List.filter (fun r -> r.(0) = 0) rows in
   List.iter
@@ -181,14 +180,12 @@ let simulate_crash ?(force = false) t =
   ignore (Storage.Journal.recover journal t.device);
   open_from_device ~device:t.device ~journal:(Some journal)
     ~block_size:t.block_size ~cache_blocks:t.cache_blocks
-    ~checksums:t.checksums
 
 let reopen t =
   require_durable t "reopen";
   checkpoint t;
   open_from_device ~device:t.device ~journal:t.journal
     ~block_size:t.block_size ~cache_blocks:t.cache_blocks
-    ~checksums:t.checksums
 
 let reload t =
   require_durable t "reload";
@@ -203,17 +200,16 @@ let reload t =
   let fresh =
     open_from_device ~device:t.device ~journal:t.journal
       ~block_size:t.block_size ~cache_blocks:t.cache_blocks
-      ~checksums:t.checksums
   in
   (* keep the read-only flag (replica mode) across the handle swap *)
   (match t.degraded with Some r -> fresh.degraded <- Some r | None -> ());
   fresh
 
 let scrub ?(repair = false) t =
-  if not t.checksums then
+  if not (durable t) then
     failwith "Catalog.scrub: catalog has no page checksums";
   (* Scrub reads the raw device; anything cached and dirty must be on
      disk first or the walk would report stale blocks. *)
   Storage.Buffer_pool.flush t.pool;
-  Storage.Scrub.run ~repair ?journal:t.journal ~checksums:t.checksums
+  Storage.Scrub.run ~repair ?journal:t.journal ~checksums:true
     t.device

@@ -14,7 +14,6 @@ type t
 val create :
   ?device:Storage.Block_device.t ->
   ?durable:bool ->
-  ?checksums:bool ->
   ?block_size:int ->
   ?cache_blocks:int ->
   unit ->
@@ -23,11 +22,10 @@ val create :
     [durable:false] (no journaling overhead in benchmarks).
     [?device] substitutes a pre-built device — how the fault-injection
     harness slips a {!Storage.Faulty_device} underneath a catalog
-    ([block_size] is then ignored). [?checksums] defaults to [durable]:
-    recovery without corruption detection is half a guarantee. *)
+    ([block_size] is then ignored). A durable catalog checksums its
+    pages: recovery without corruption detection is half a guarantee. *)
 
 val durable : t -> bool
-val checksums : t -> bool
 val pool : t -> Storage.Buffer_pool.t
 val device : t -> Storage.Block_device.t
 val journal : t -> Storage.Journal.t option
@@ -122,5 +120,5 @@ val degrade : t -> string -> unit
 val scrub : ?repair:bool -> t -> Storage.Scrub.report
 (** Flush the pool, then walk every device block verifying checksum
     trailers; with [~repair:true], restore corrupt blocks from valid
-    journal images. Checksummed catalogs only.
-    @raise Failure if the catalog has no checksums. *)
+    journal images. Durable (hence checksummed) catalogs only.
+    @raise Failure if the catalog is not durable. *)

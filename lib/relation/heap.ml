@@ -79,7 +79,6 @@ let sync_meta t =
 let row_width t = t.row_width
 let count t = t.count
 let page_count t = t.page_count
-let slots_per_page t = t.cap
 let meta_page t = t.meta_page
 
 let open_existing pool ~meta_page =

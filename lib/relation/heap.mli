@@ -26,7 +26,6 @@ val meta_page : t -> int
 val row_width : t -> int
 val count : t -> int
 val page_count : t -> int
-val slots_per_page : t -> int
 
 val insert : t -> int array -> rowid
 (** Insert a row, filling a freed slot if one exists, otherwise appending

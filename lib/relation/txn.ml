@@ -112,7 +112,6 @@ let begin_txn m =
   m.live <- t :: m.live;
   t
 
-let txn_id t = t.id
 let manager t = t.mgr
 let is_active t = t.state = Active
 let pinned t = t.pinned <> None
@@ -125,7 +124,6 @@ let snapshot t =
   { high = (match t.pinned with Some h -> h | None -> t.mgr.committed_lsn);
     owner = Some t }
 
-let read_snapshot m = { high = m.committed_lsn; owner = None }
 let snapshot_high s = s.high
 
 (* ---------------- write-set buffering ---------------- *)
@@ -179,13 +177,6 @@ let pending_inserts t tname =
       | W_insert { tname = n; row; _ } when n = tname -> row :: acc
       | _ -> acc)
     [] t.writes
-
-let own_deleted_rowids t tname =
-  List.filter_map
-    (function
-      | W_delete { tname = n; rowid; _ } when n = tname -> Some rowid
-      | _ -> None)
-    t.writes
 
 (* Remove the oldest buffered insert matching [f]; delete-your-own-
    insert never reaches the shared heap at all. *)

@@ -56,7 +56,6 @@ val table_lsn : mgr -> string -> int
 (** {1 Lifecycle} *)
 
 val begin_txn : mgr -> txn
-val txn_id : txn -> int
 val manager : txn -> mgr
 val is_active : txn -> bool
 
@@ -70,9 +69,6 @@ val pinned : txn -> bool
     transactions) the latest committed LSN — read-committed with
     read-your-own-writes. *)
 val snapshot : txn -> snap
-
-(** A plain reader's snapshot (no pending-write overlay). *)
-val read_snapshot : mgr -> snap
 
 val snapshot_high : snap -> int
 
@@ -101,9 +97,6 @@ val buffer_delete :
 
 (** Buffered inserts for a table, oldest first. *)
 val pending_inserts : txn -> string -> int array list
-
-(** Rowids this transaction has pending deletes for. *)
-val own_deleted_rowids : txn -> string -> int list
 
 (** Remove and return the oldest buffered insert matching the
     predicate — deleting your own uncommitted insert never touches the

@@ -381,10 +381,3 @@ let retry ?(backoff = default_backoff) f =
     | Result.Error _ as e -> e
   in
   go 1
-
-let connect_retry ?backoff ?host ?deadline_ms ~port () =
-  retry ?backoff (fun () ->
-      match connect ?host ?deadline_ms ~port () with
-      | c -> Ok c
-      | exception Io_error m -> Result.Error (Io m)
-      | exception Timed_out m -> Result.Error (Timeout m))

@@ -181,12 +181,3 @@ val retry :
 (** Re-run [f] while it fails with a {!retryable} error and attempts
     remain, sleeping between tries. The first non-retryable error (or
     exhaustion) is returned as-is. *)
-
-val connect_retry :
-  ?backoff:backoff ->
-  ?host:string ->
-  ?deadline_ms:float ->
-  port:int ->
-  unit ->
-  (t, error) result
-(** {!connect} under {!retry} — rides out a server restart window. *)

@@ -117,14 +117,18 @@ let maybe_close c =
       c.closing && (not c.lingering) && not (Reactor.Writer.has_pending c.wr)
     then linger c
 
+(* A dead connection's fd number may already belong to a newer one. *)
 let flush c =
-  if Reactor.Writer.has_pending c.wr then begin
-    match Reactor.Writer.flush c.wr ~now:(Unix.gettimeofday ()) with
-    | Reactor.Writer.Drained | Reactor.Writer.Pending -> ()
-    | Reactor.Writer.Peer_gone -> c.force_close <- true
-  end;
-  (* Write interest on an idle socket would spin the loop. *)
-  Reactor.set_write_interest c.reactor c.fd (Reactor.Writer.has_pending c.wr)
+  if not c.dead then begin
+    if Reactor.Writer.has_pending c.wr then begin
+      match Reactor.Writer.flush c.wr ~now:(Unix.gettimeofday ()) with
+      | Reactor.Writer.Drained | Reactor.Writer.Pending -> ()
+      | Reactor.Writer.Peer_gone -> c.force_close <- true
+    end;
+    (* Write interest on an idle socket would spin the loop. *)
+    Reactor.set_write_interest c.reactor c.fd
+      (Reactor.Writer.has_pending c.wr)
+  end
 
 (* A consumer whose buffer bursts the high-water mark is slower than the
    server for longer than the bound can absorb: it gets one typed
@@ -147,6 +151,11 @@ let send c ~id resp =
                     "slow consumer: write buffer over %d bytes, closing"
                     (Reactor.Writer.high_water c.wr)))))
     end
+
+let reply c ~id resp =
+  send c ~id resp;
+  flush c;
+  maybe_close c
 
 (* A fresh buffer per read, not one per reactor: nothing read here may
    be shared between the reactor threads of one process. *)
@@ -195,13 +204,13 @@ let frames c on_request buf n =
           (match Protocol.decode_request payload with
           | Ok (id, req) -> on_request id req
           | Result.Error err ->
-              send c ~id:0L (Protocol.Error (Protocol.error_to_string err)));
+              reply c ~id:0L (Protocol.Error (Protocol.error_to_string err)));
           next ()
       | Result.Error err ->
           (* A length prefix beyond the payload cap: the byte stream is
              beyond recovery. Answer, then close once the answer
              drains. *)
-          send c ~id:0L (Protocol.Error (Protocol.error_to_string err));
-          c.closing <- true
+          c.closing <- true;
+          reply c ~id:0L (Protocol.Error (Protocol.error_to_string err))
   in
   next ()

@@ -64,7 +64,7 @@ val create : Reactor.t -> ?high_water:int -> Unix.file_descr -> t
     [on_cut_off] runs when a {!send} leaves the output buffer over its
     high-water mark: returning [true] (the default) cuts the consumer
     off — the owner drops its unanswered work, and one typed
-    [Overloaded] frame is queued past the mark before the connection
+    [Overloaded] frame is buffered past the mark before the connection
     closes; returning [false] exempts the connection (a replication
     subscriber is flow-controlled instead). [on_close] runs once, when
     the socket is closed. *)
@@ -80,17 +80,23 @@ val serve :
     [on_request id req] until [c] starts closing. An undecodable
     payload is answered with a typed [Error] (request id 0) and the
     connection survives; a framing error (oversized length prefix) is
-    answered the same way and closes the connection. *)
+    answered the same way and closes the connection. Both answers are
+    flushed at once. *)
 val frames :
   t -> (int64 -> Protocol.request -> unit) -> bytes -> int -> unit
 
 (** Queue one response frame under the high-water rule (see {!serve}).
     Dropped once the connection is cut off, lingering or closed. Does
-    not write: see {!flush}. *)
+    not write: whoever queues a frame also calls {!flush} and
+    {!maybe_close}, or {!reply} does all three. *)
 val send : t -> id:int64 -> Protocol.response -> unit
 
+(** {!send}, {!flush}, then {!maybe_close}. *)
+val reply : t -> id:int64 -> Protocol.response -> unit
+
 (** Write what the socket accepts and keep write interest equal to
-    "has pending bytes". A peer gone under us sets [force_close]. *)
+    "has pending bytes". A peer gone under us sets [force_close]. A
+    no-op once the connection is dead. *)
 val flush : t -> unit
 
 (** Close [c] if it is [force_close], or start its lingering close if

@@ -2,8 +2,6 @@ type config = {
   host : string;
   port : int;
   max_sessions : int;
-  max_inflight : int;
-  max_queue : int;
   group_commit : float;
   idle_timeout : float;
   metrics_port : int option;
@@ -15,15 +13,13 @@ type config = {
 }
 
 let default_config =
-  { host = "127.0.0.1"; port = 7468; max_sessions = 64; max_inflight = 32;
-    max_queue = 1024; group_commit = 0.; idle_timeout = 0.;
-    metrics_port = None; slow_query_ms = 0.; replica_of = None;
-    write_high_water = 4 * 1024 * 1024 }
+  { host = "127.0.0.1"; port = 7468; max_sessions = 64; group_commit = 0.;
+    idle_timeout = 0.; metrics_port = None; slow_query_ms = 0.;
+    replica_of = None; write_high_water = 4 * 1024 * 1024 }
 
 type conn = {
   io : Conn.t;
   session : Session.t;
-  pending : (int64 * Protocol.request) Queue.t;
   mutable repl_from : int option;
       (* Some lsn: this connection subscribed to the journal stream and
          the next frame shipped to it starts at [lsn] *)
@@ -45,17 +41,9 @@ type t = {
   cfg : config;
   sh : Session.shared;
   st : Server_stats.t;
-  reactor : Reactor.t;
-  listen_fd : Unix.file_descr;
-  bound_port : int;
-  metrics_fd : Unix.file_descr option;
-  metrics_bound_port : int;
-  stop_r : Unix.file_descr;
-  stop_w : Unix.file_descr;
-  mutable stopping : bool;
+  l : Listener.t;
+  reactor : Reactor.t;  (* the listener's *)
   mutable conns : conn list;
-  mutable nconns : int;  (* length of [conns]; admission is O(1) *)
-  mutable queued : int;  (* total pending requests across connections *)
   mutable pending_commits : (conn * int64 * float) list;
       (* COMMITs staged in the open group-commit window, newest first;
          the float is the staging time, for the latency histogram *)
@@ -66,7 +54,6 @@ type t = {
          LSN (the int). Released immediately when no subscriber is
          connected (asynchronous fallback). *)
   upstream : upstream option;  (* Some _ iff cfg.replica_of is set *)
-  mutable http : Http_endpoint.t option;  (* live while serving *)
 }
 
 (* A standby that stops draining its stream holds the semi-sync ack
@@ -81,18 +68,9 @@ let repl_stall_timeout = 5.0
 let default_stall_grace = 5.0
 
 let create ?(config = default_config) sh =
-  (* A peer hanging up mid-write must surface as EPIPE, not kill the
-     daemon. *)
-  (try Sys.set_signal Sys.sigpipe Sys.Signal_ignore with Invalid_argument _ -> ());
-  let fd, bound_port =
-    Conn.listen ~host:config.host ~port:config.port ~backlog:128
-  in
-  let metrics_fd, metrics_bound_port =
-    match config.metrics_port with
-    | None -> (None, 0)
-    | Some p ->
-        let mfd, bp = Conn.listen ~host:config.host ~port:p ~backlog:16 in
-        (Some mfd, bp)
+  let l =
+    Listener.create ~host:config.host ~port:config.port
+      ~metrics_port:config.metrics_port
   in
   (* Slow-query logging reports the request's trace tree, so the tracer
      must be on for the spans to exist. *)
@@ -113,31 +91,21 @@ let create ?(config = default_config) sh =
         Some
           { uhost; uport; engine = Replica.create (); client = None }
   in
-  let stop_r, stop_w = Unix.pipe () in
   {
     cfg = config;
     sh;
     st = Server_stats.create ~now:(Unix.gettimeofday ());
-    reactor = Reactor.create ();
-    listen_fd = fd;
-    bound_port;
-    metrics_fd;
-    metrics_bound_port;
-    stop_r;
-    stop_w;
-    stopping = false;
+    l;
+    reactor = Listener.reactor l;
     conns = [];
-    nconns = 0;
-    queued = 0;
     pending_commits = [];
     commit_timer = None;
     parked_acks = [];
     upstream;
-    http = None;
   }
 
-let port t = t.bound_port
-let metrics_port t = t.metrics_bound_port
+let port t = Listener.port t.l
+let metrics_port t = Listener.metrics_port t.l
 let stats t = t.st
 let shared t = t.sh
 
@@ -173,30 +141,64 @@ let metrics_doc t =
     ~cat:(Session.catalog t.sh) ~memtier:(Session.memtier t.sh)
     ~txns:(Session.txns t.sh) ()
 
-let stop t =
-  (* A single byte on the self-pipe wakes the reactor; writing is
-     async-signal-safe, so Ctrl-C handlers may call this directly. *)
-  try ignore (Unix.write t.stop_w (Bytes.make 1 '!') 0 1)
-  with Unix.Unix_error _ -> ()
-
-let release_listener t =
-  try Unix.close t.listen_fd with Unix.Unix_error _ -> ()
+let stop t = Listener.stop t.l
+let release_listener t = Listener.release t.l
 
 (* ---------------- output ---------------- *)
 
-(* The high-water cut-off drops the connection's unanswered requests.
-   Replication subscribers are exempt: shipping is flow-controlled in
-   [pump_replication] and a genuinely stalled standby is reaped by
-   [repl_stall_timeout]. *)
-let cut_off t conn =
+(* The high-water cut-off closes the connection, so the rest of its
+   input is never decoded. Replication subscribers are exempt: shipping
+   is flow-controlled in [pump_replication] and a genuinely stalled
+   standby is reaped by [repl_stall_timeout]. *)
+let cut_off t conn () =
   conn.repl_from = None
   && begin
        Server_stats.overloaded t.st;
-       t.queued <- t.queued - Queue.length conn.pending;
-       Queue.clear conn.pending;
-       Server_stats.queue_depth t.st t.queued;
        true
      end
+
+(* ---------------- replication fan-out (primary side) ---------------- *)
+
+(* Ship newly durable journal bytes to every subscriber, chunked well
+   under the frame payload cap. Bytes go out in LSN order on each
+   connection, so a subscriber's stream is always a contiguous prefix.
+   Shipping is flow-controlled by the subscriber's bounded writer: a
+   standby that stops draining keeps its cursor parked (and is
+   eventually reaped by the stall timeout) instead of growing an
+   unbounded buffer or wedging the loop — other subscribers and the
+   semi-sync ack path continue unimpeded. *)
+let repl_chunk_bytes = 1 lsl 20
+
+let pump_replication t =
+  match Relation.Catalog.journal (Session.catalog t.sh) with
+  | None -> ()
+  | Some j ->
+      let dur = Storage.Journal.durable_lsn j in
+      List.iter
+        (fun conn ->
+          match conn.repl_from with
+          | Some cur when cur < dur && not conn.io.closing ->
+              let cursor = ref cur in
+              while
+                !cursor < dur
+                && Reactor.Writer.pending_bytes conn.io.wr
+                   < Reactor.Writer.high_water conn.io.wr
+              do
+                let payload =
+                  Storage.Journal.stream_from ~max_bytes:repl_chunk_bytes j
+                    !cursor
+                in
+                Conn.send conn.io ~id:conn.repl_id
+                  (Protocol.Repl_frame
+                     { lsn = !cursor;
+                       payload = Bytes.unsafe_to_string payload });
+                cursor := !cursor + Bytes.length payload
+              done;
+              conn.repl_from <- Some !cursor;
+              Conn.flush conn.io;
+              Conn.maybe_close conn.io
+          | _ -> ())
+        t.conns
 
 (* ---------------- semi-synchronous commit acks ---------------- *)
 
@@ -218,7 +220,7 @@ let release_parked_acks t =
       in
       t.parked_acks <- still;
       List.iter
-        (fun (conn, id, _, resp) -> Conn.send conn.io ~id resp)
+        (fun (conn, id, _, resp) -> Conn.reply conn.io ~id resp)
         (List.rev ready)
 
 (* Park a commit Ack until the subscribers catch up — or push it right
@@ -227,7 +229,7 @@ let release_parked_acks t =
    force and ack can lose nothing a client was told was committed, and
    a replica promoted after a primary kill holds every acked write. *)
 let park_or_push t conn id ~lsn resp =
-  if subscribers t = [] then Conn.send conn.io ~id resp
+  if subscribers t = [] then Conn.reply conn.io ~id resp
   else t.parked_acks <- (conn, id, lsn, resp) :: t.parked_acks
 
 (* [(f (), wall seconds, physical I/Os)] of one request. The device
@@ -286,15 +288,25 @@ let flush_group_commits t =
                   batch lsn)))
         pending
 
+(* Runs after every executed request and every window flush. The
+   window's deadline is a timer; this is the early close — as soon as
+   no live session holds buffered writes, no further COMMIT can join
+   the batch and waiting only delays the acknowledgements (the
+   commit-siblings rule). Then ship whatever the flush, a synchronous
+   commit or a buffer-pool write-back made durable. *)
+let settle t =
+  let writing c =
+    (not c.io.closing) && Session.has_pending_writes c.session
+  in
+  if t.pending_commits <> [] && not (List.exists writing t.conns) then
+    flush_group_commits t;
+  pump_replication t
+
 (* ---------------- connection lifecycle ---------------- *)
 
 (* Conn closed the socket: forget everything the connection held. *)
 let forget t conn =
   t.conns <- List.filter (fun c -> c != conn) t.conns;
-  t.nconns <- t.nconns - 1;
-  t.queued <- t.queued - Queue.length conn.pending;
-  Server_stats.queue_depth t.st t.queued;
-  Queue.clear conn.pending;
   (* Purge COMMITs the dead connection staged in the open window:
      nobody is owed the Ack and its latency must not pollute the
      histogram. The journal-staged intent is already applied and must
@@ -308,7 +320,8 @@ let forget t conn =
     t.pending_commits <- others;
     if others = [] then begin
       clear_commit_timer t;
-      ignore (Session.commit_force_shared t.sh)
+      ignore (Session.commit_force_shared t.sh);
+      pump_replication t
     end
   end;
   (* Acks parked for the dead connection are owed to nobody. *)
@@ -318,47 +331,6 @@ let forget t conn =
   (* A dead subscriber no longer holds the ack floor down; recompute
      it over the survivors (or release everything if none remain). *)
   if conn.repl_from <> None then release_parked_acks t
-
-let enqueue_request t conn id req =
-  if t.queued >= t.cfg.max_queue then begin
-    Server_stats.overloaded t.st;
-    Conn.send conn.io ~id
-      (Protocol.Overloaded
-         (Printf.sprintf "request queue full (%d pending)" t.queued))
-  end
-  else begin
-    Queue.add (id, req) conn.pending;
-    t.queued <- t.queued + 1;
-    Server_stats.queue_depth t.st t.queued
-  end
-
-let admit t () =
-  if t.nconns < t.cfg.max_sessions then None
-  else begin
-    Server_stats.overloaded t.st;
-    Some (Printf.sprintf "server at session limit (%d)" t.cfg.max_sessions)
-  end
-
-let accept_connections t =
-  Conn.accept t.listen_fd ~admit:(admit t) (fun fd ->
-      let io = Conn.create t.reactor ~high_water:t.cfg.write_high_water fd in
-      let conn =
-        {
-          io;
-          session = Session.create t.sh;
-          pending = Queue.create ();
-          repl_from = None;
-          repl_id = 0L;
-          repl_acked = 0;
-        }
-      in
-      t.conns <- conn :: t.conns;
-      t.nconns <- t.nconns + 1;
-      Conn.serve io
-        ~on_cut_off:(fun () -> cut_off t conn)
-        ~on_close:(fun () -> forget t conn)
-        (Conn.frames io (enqueue_request t conn));
-      Server_stats.session_opened t.st)
 
 (* ---------------- execution ---------------- *)
 
@@ -399,18 +371,18 @@ let handle_repl t conn id req =
   match req with
   | Protocol.Repl_subscribe { from_lsn } -> (
       if t.upstream <> None then
-        Conn.send conn.io ~id
+        Conn.reply conn.io ~id
           (Protocol.Error "this server is a replica; subscribe to the primary")
       else
         match Relation.Catalog.journal (Session.catalog t.sh) with
         | None ->
-            Conn.send conn.io ~id
+            Conn.reply conn.io ~id
               (Protocol.Error "replication requires a durable server")
         | Some j ->
             let base = Storage.Journal.base_lsn j in
             let dur = Storage.Journal.durable_lsn j in
             if from_lsn < base || from_lsn > dur then
-              Conn.send conn.io ~id
+              Conn.reply conn.io ~id
                 (Protocol.Invalid
                    (Printf.sprintf
                       "from_lsn %d outside retained log [%d, %d]" from_lsn
@@ -419,7 +391,7 @@ let handle_repl t conn id req =
               conn.repl_from <- Some from_lsn;
               conn.repl_id <- id;
               conn.repl_acked <- from_lsn;
-              Conn.send conn.io ~id
+              Conn.reply conn.io ~id
                 (Protocol.Repl_state
                    { role = Protocol.Primary; durable_lsn = dur;
                      applied_lsn = dur })
@@ -446,20 +418,18 @@ let handle_repl t conn id req =
               { role = Protocol.Primary; durable_lsn = lsn;
                 applied_lsn = lsn }
       in
-      Conn.send conn.io ~id state
+      Conn.reply conn.io ~id state
   | Protocol.Shard_map_req ->
       (* An unsharded server is a degenerate one-shard cluster: a single
          range covering the whole interval space. Clients discover
          topology the same way against rikitd and the router. *)
-      Conn.send conn.io ~id
+      Conn.reply conn.io ~id
         (Protocol.Shard_map
            [ { Protocol.shard_lo = min_int; shard_hi = max_int;
-               endpoints = [ (t.cfg.host, t.bound_port) ] } ])
+               endpoints = [ (t.cfg.host, port t) ] } ])
   | _ -> assert false
 
-let execute_one t conn id req =
-  t.queued <- t.queued - 1;
-  Server_stats.queue_depth t.st t.queued;
+let execute t conn id req =
   match req with
   | Protocol.Repl_subscribe _ | Protocol.Repl_ack _ | Protocol.Repl_status
   | Protocol.Shard_map_req ->
@@ -471,7 +441,7 @@ let execute_one t conn id req =
          the window for everyone and the force would touch a damaged
          image. *)
       let reason = Option.get (Session.degraded_reason_shared t.sh) in
-      Conn.send conn.io ~id
+      Conn.reply conn.io ~id
         (Protocol.Read_only
            (Printf.sprintf "server is read-only: %s" reason))
   | Protocol.Commit when t.cfg.group_commit > 0. -> (
@@ -488,10 +458,11 @@ let execute_one t conn id req =
               Some
                 (Reactor.after t.reactor t.cfg.group_commit (fun () ->
                      t.commit_timer <- None;
-                     flush_group_commits t))
-      | Result.Error m -> Conn.send conn.io ~id (Protocol.Conflict m)
+                     flush_group_commits t;
+                     settle t))
+      | Result.Error m -> Conn.reply conn.io ~id (Protocol.Conflict m)
       | exception e ->
-          Conn.send conn.io ~id
+          Conn.reply conn.io ~id
             (Protocol.Error ("commit failed: " ^ Printexc.to_string e)))
   | req ->
       (* A rollback must not outrun COMMITs already staged ahead of it:
@@ -531,77 +502,30 @@ let execute_one t conn id req =
       (match (req, resp) with
       | Protocol.Commit, Protocol.Ack _ ->
           park_or_push t conn id ~lsn:(Session.durable_lsn_shared t.sh) resp
-      | _ -> Conn.send conn.io ~id resp)
+      | _ -> Conn.reply conn.io ~id resp)
 
-let execute_round t ~limit =
-  (* Round-robin: one request per ready session per pass, so a chatty
-     pipeliner cannot starve its neighbours. The accept-order snapshot
-     is taken once — re-reversing [t.conns] every pass made a 64-session
-     pipelined tick quadratic in allocation. A connection closed by an
-     earlier pass is skipped naturally: closing clears its queue. *)
-  let order = List.rev t.conns in
-  let budget = ref limit in
-  let progress = ref true in
-  while !budget > 0 && !progress do
-    progress := false;
-    List.iter
-      (fun conn ->
-        if !budget > 0 && not (Queue.is_empty conn.pending) then begin
-          let id, req = Queue.take conn.pending in
-          execute_one t conn id req;
-          decr budget;
-          progress := true
-        end)
-      order
-  done
+(* Each request runs in the [Conn.frames] callback that decoded it. *)
+let on_request t conn id req =
+  execute t conn id req;
+  settle t
 
-(* ---------------- replication fan-out (primary side) ---------------- *)
-
-(* Ship newly durable journal bytes to every subscriber, chunked well
-   under the frame payload cap. Bytes go out in LSN order on each
-   connection, so a subscriber's stream is always a contiguous prefix.
-   Shipping is flow-controlled by the subscriber's bounded writer: a
-   standby that stops draining keeps its cursor parked (and is
-   eventually reaped by the stall timeout) instead of growing an
-   unbounded buffer or wedging the loop — other subscribers and the
-   semi-sync ack path continue unimpeded. *)
-let repl_chunk_bytes = 1 lsl 20
-
-let pump_replication t =
-  match Relation.Catalog.journal (Session.catalog t.sh) with
-  | None -> ()
-  | Some j ->
-      let dur = Storage.Journal.durable_lsn j in
-      List.iter
-        (fun conn ->
-          match conn.repl_from with
-          | Some cur when cur < dur ->
-              let cursor = ref cur in
-              while
-                !cursor < dur
-                && Reactor.Writer.pending_bytes conn.io.wr
-                   < Reactor.Writer.high_water conn.io.wr
-              do
-                let payload =
-                  Storage.Journal.stream_from ~max_bytes:repl_chunk_bytes j
-                    !cursor
-                in
-                Conn.send conn.io ~id:conn.repl_id
-                  (Protocol.Repl_frame
-                     { lsn = !cursor;
-                       payload = Bytes.unsafe_to_string payload });
-                cursor := !cursor + Bytes.length payload
-              done;
-              conn.repl_from <- Some !cursor
-          | _ -> ())
-        (subscribers t)
+let accept t fd =
+  let io = Conn.create t.reactor ~high_water:t.cfg.write_high_water fd in
+  let conn =
+    { io; session = Session.create t.sh; repl_from = None; repl_id = 0L;
+      repl_acked = 0 }
+  in
+  t.conns <- conn :: t.conns;
+  Conn.serve io ~on_cut_off:(cut_off t conn)
+    ~on_close:(fun () -> forget t conn)
+    (Conn.frames io (on_request t conn))
 
 (* ---------------- housekeeping (idle + stalled consumers) ------------ *)
 
 (* A leaked client — connected, silent, holding a session against
    max_sessions — gets a typed goodbye and the door. Only genuinely
-   quiescent connections qualify: anything with parsed-but-unanswered
-   requests or undrained output is still being served. *)
+   quiescent connections qualify: anything with undrained output is
+   still being served. *)
 let reap_idle t now =
   if t.cfg.idle_timeout > 0. then
     List.iter
@@ -612,14 +536,13 @@ let reap_idle t now =
           (* a subscriber legitimately sends nothing for long stretches
              on an idle primary — reaping it would force a pointless
              resubscribe cycle *)
-          && Queue.is_empty conn.pending
           && (not (Reactor.Writer.has_pending conn.io.wr))
           && now -. conn.io.last_active > t.cfg.idle_timeout
         then begin
-          Conn.send conn.io ~id:0L
+          conn.io.closing <- true;
+          Conn.reply conn.io ~id:0L
             (Protocol.Goodbye
-               (Printf.sprintf "idle for %.0fs, closing" t.cfg.idle_timeout));
-          conn.io.closing <- true
+               (Printf.sprintf "idle for %.0fs, closing" t.cfg.idle_timeout))
         end)
       t.conns
 
@@ -634,7 +557,10 @@ let reap_stalled t now =
         else if t.cfg.idle_timeout > 0. then t.cfg.idle_timeout
         else default_stall_grace
       in
-      if stalled > limit then conn.io.force_close <- true)
+      if stalled > limit then begin
+        conn.io.force_close <- true;
+        Conn.maybe_close conn.io
+      end)
     t.conns
 
 (* ---------------- the upstream link (replica side) ---------------- *)
@@ -673,7 +599,7 @@ let follow_upstream t u =
         Printf.eprintf "rikitd: primary refused subscription: %s\n%!" m
     | _ -> stream c
   in
-  while not t.stopping do
+  while not (Listener.stopping t.l) do
     (try
        let c =
          Client.connect ~host:u.uhost ~deadline_ms:250. ~port:u.uport ()
@@ -685,97 +611,47 @@ let follow_upstream t u =
      with Client.Io_error _ | Client.Timed_out _ | Client.Undecodable _
         | Unix.Unix_error _ -> ());
     Option.iter Client.close u.client;
-    if not t.stopping then Reactor.sleep retry_delay
+    if not (Listener.stopping t.l) then Reactor.sleep retry_delay
   done
 
 (* ---------------- the loop ---------------- *)
 
+(* After the last turn every request decoded has been answered or
+   staged: force the open window, ship it, release parked semi-sync
+   acks as-is (their writes are durable locally and the stream to any
+   subscriber was just pumped), push the last bytes out (sockets
+   willing) and close. *)
+let drain t =
+  flush_group_commits t;
+  pump_replication t;
+  let parked = List.rev t.parked_acks in
+  t.parked_acks <- [];
+  List.iter (fun (conn, id, _, resp) -> Conn.send conn.io ~id resp) parked;
+  List.iter
+    (fun conn ->
+      Conn.flush conn.io;
+      Conn.close conn.io)
+    t.conns
+
 let serve t =
-  let scratch = Bytes.create 16 in
-  let finished = ref false in
-  let r = t.reactor in
-  Unix.set_nonblock t.listen_fd;
-  Reactor.register r t.stop_r
-    ~readable:(fun () ->
-      (try ignore (Unix.read t.stop_r scratch 0 (Bytes.length scratch))
-       with Unix.Unix_error _ -> ());
-      t.stopping <- true;
-      Reactor.set_read_interest r t.listen_fd false;
-      match t.http with Some h -> Http_endpoint.stop_accepting h | None -> ())
-    ();
-  Reactor.register r t.listen_fd ~readable:(fun () -> accept_connections t) ();
-  (match t.metrics_fd with
-  | Some mfd ->
-      t.http <- Some (Http_endpoint.attach r ~fd:mfd ~doc:(fun () -> metrics_doc t))
-  | None -> ());
-  (match t.upstream with
-  | Some u -> Reactor.spawn r (fun () -> follow_upstream t u)
-  | None -> ());
-  (* Housekeeping cadence: with idle reaping on, wake often enough that
-     a connection is closed within ~a quarter timeout of earning it. *)
-  let housekeeping_period =
+  Option.iter
+    (fun u -> Reactor.spawn t.reactor (fun () -> follow_upstream t u))
+    t.upstream;
+  (* With idle reaping on, wake often enough that a connection is
+     closed within ~a quarter timeout of earning it. *)
+  let period =
     if t.cfg.idle_timeout > 0. then
       Float.min 1.0 (Float.max 0.02 (t.cfg.idle_timeout /. 4.))
     else 0.5
   in
-  let rec housekeeping () =
-    let now = Unix.gettimeofday () in
-    if not t.stopping then reap_idle t now;
-    reap_stalled t now;
-    if not !finished then
-      ignore (Reactor.after r housekeeping_period housekeeping)
-  in
-  ignore (Reactor.after r housekeeping_period housekeeping);
-  while not !finished do
-    (* Sleep only when idle: with requests still queued (an execute
-       round is inflight-capped) the next round must run immediately. *)
-    let timeout = if t.queued > 0 || t.stopping then 0. else 1.0 in
-    Reactor.run_once r ~max_timeout:timeout;
-    execute_round t
-      ~limit:(if t.stopping then t.queued else t.cfg.max_inflight);
-    (* The window's deadline is a timer; what remains inline is the
-       early close — as soon as no live session holds buffered writes,
-       no further COMMIT can join the batch and waiting only delays the
-       acknowledgements (the commit-siblings rule). *)
-    if
-      t.pending_commits <> []
-      && (t.stopping
-         || not
-              (List.exists
-                 (fun c ->
-                   (not c.io.closing) && Session.has_pending_writes c.session)
-                 t.conns))
-    then flush_group_commits t;
-    (* Ship anything the window flush (or a synchronous commit, or a
-       write-back) just made durable. *)
-    pump_replication t;
-    List.iter (fun conn -> Conn.flush conn.io) t.conns;
-    List.iter (fun conn -> Conn.maybe_close conn.io) t.conns;
-    if t.stopping && t.queued = 0 then begin
-      (* Everything parsed has been answered; push the last bytes out
-         (sockets willing) and leave. Parked semi-sync acks are
-         released as-is — their writes are durable locally and the
-         stream to any subscriber was already pumped. *)
-      List.iter
-        (fun (conn, id, _, resp) -> Conn.send conn.io ~id resp)
-        (List.rev t.parked_acks);
-      t.parked_acks <- [];
-      List.iter (fun conn -> Conn.flush conn.io) t.conns;
-      List.iter (fun conn -> Conn.close conn.io) t.conns;
-      finished := true
-    end
-  done;
+  Listener.serve t.l ~max_sessions:t.cfg.max_sessions ~stats:t.st
+    ~metrics_doc:(fun () -> metrics_doc t)
+    ~period
+    ~housekeeping:(fun now ->
+      reap_idle t now;
+      reap_stalled t now)
+    ~accept:(accept t)
+    ~drain:(fun () -> drain t);
   (* A follower parked mid-wait is abandoned with the loop. *)
   Option.iter (fun u -> Option.iter Client.close u.client) t.upstream;
-  (match t.http with
-  | Some h ->
-      Http_endpoint.close_all h;
-      t.http <- None
-  | None -> ());
-  (try Unix.close t.listen_fd with Unix.Unix_error _ -> ());
-  (match t.metrics_fd with
-  | Some mfd -> ( try Unix.close mfd with Unix.Unix_error _ -> ())
-  | None -> ());
-  (try Unix.close t.stop_r with Unix.Unix_error _ -> ());
-  (try Unix.close t.stop_w with Unix.Unix_error _ -> ());
   Session.flush_shared t.sh

@@ -2,15 +2,15 @@
 
     A single-process, single-writer {!Reactor} loop multiplexing many
     client connections over the shared database — the serving shape the
-    paper assumes of its host RDBMS front end. Readiness comes from
-    poll(2) (no [FD_SETSIZE] ceiling), each socket is a {!Conn}, the
-    group-commit window and idle reaping are timers on the reactor's
-    wheel rather than loop timeout math, and a standby follows its
-    primary through {!Client} in one fiber on the same reactor. Each
-    round: accept new connections, read and frame input, execute up to
-    [max_inflight] parsed requests round-robin across sessions, and
-    drain output buffers (sockets are non-blocking; a slow reader never
-    stalls the loop).
+    paper assumes of its host RDBMS front end. The {!Listener} owns the
+    ports, admission, the self-pipe stop and the loop; each socket is a
+    {!Conn}, the group-commit window and idle reaping are timers on the
+    reactor's wheel, and a standby follows its primary through
+    {!Client} in one fiber on the same reactor. Each request runs in
+    the read callback that decoded it, and its response is written
+    before the callback returns (sockets are non-blocking; a slow reader
+    never stalls the loop). A pipelined burst — up to one 64 KB read —
+    therefore runs before other connections' reads are served.
 
     Output is bounded: each connection writes through a
     {!Reactor.Writer} capped at [write_high_water] bytes. A consumer
@@ -25,15 +25,12 @@
 
     - a connection beyond [max_sessions] is answered with one
       [Overloaded] frame (request id 0) and closed;
-    - a request arriving while [max_queue] requests are already parsed
-      but unexecuted gets an [Overloaded] response instead of a seat in
-      the queue;
     - a malformed payload gets a typed [Error] response; only a framing
       desync (oversized length prefix) closes the connection, again
       after a typed response.
 
     {!stop} is thread- and signal-safe (self-pipe); {!serve} then stops
-    accepting, answers everything already queued, flushes the buffer
+    accepting, forces the open group-commit window, flushes the buffer
     pool (checkpointing a durable catalog, so nothing acknowledged is
     lost on restart) and returns. *)
 
@@ -41,8 +38,6 @@ type config = {
   host : string;  (** bind address, default ["127.0.0.1"] *)
   port : int;  (** [0] picks an ephemeral port (see {!port}) *)
   max_sessions : int;
-  max_inflight : int;  (** requests executed per loop round *)
-  max_queue : int;  (** parsed-but-unexecuted requests, across sessions *)
   group_commit : float;
       (** group-commit window in seconds; [0.] commits synchronously.
           When positive, a COMMIT request stages its dirty-page images
@@ -53,8 +48,8 @@ type config = {
           sessions amortize the log force without ever being told an
           undurable state was durable. *)
   idle_timeout : float;
-      (** seconds a connection may sit with no bytes received, no queued
-          requests and no undrained output before it is answered with a
+      (** seconds a connection may sit with no bytes received and no
+          undrained output before it is answered with a
           typed [Goodbye] frame (request id 0) and closed, freeing its
           seat against [max_sessions]. [0.] (the default) disables
           reaping. *)
@@ -91,15 +86,15 @@ type config = {
 }
 
 val default_config : config
-(** [127.0.0.1:7468], 64 sessions, 32 inflight, 1024 queued, synchronous
-    commit, no idle timeout, no metrics endpoint, no slow-query log,
+(** [127.0.0.1:7468], 64 sessions, synchronous commit, no idle timeout, no metrics endpoint, no slow-query log,
     not a replica, 4 MiB write high-water. *)
 
 type t
 
 val create : ?config:config -> Session.shared -> t
 (** Bind and listen immediately (so [port] is known before {!serve}
-    runs). @raise Unix.Unix_error if the address is unavailable. *)
+    runs) and ignore SIGPIPE ({!Listener.create}).
+    @raise Unix.Unix_error if the address is unavailable. *)
 
 val port : t -> int
 (** The actual bound port — useful with [config.port = 0]. *)

@@ -26,8 +26,6 @@ type t = {
 let silent_after = 1.0
 let drain_grace = 5.0
 
-let conn_count t = List.length t.conns
-
 let cancel_timer t hc =
   Option.iter (Reactor.cancel t.r) hc.htimer;
   hc.htimer <- None

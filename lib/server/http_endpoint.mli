@@ -11,9 +11,6 @@ type t
     closed when the response drains. *)
 val attach : Reactor.t -> fd:Unix.file_descr -> doc:(unit -> string) -> t
 
-(** Live scrape connections (test/metrics hook). *)
-val conn_count : t -> int
-
 (** Stop accepting new scrapes; in-flight ones finish. *)
 val stop_accepting : t -> unit
 

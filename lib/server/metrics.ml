@@ -69,10 +69,6 @@ let render ?repl ~now ~stats ~cat ~memtier ~txns () =
   counter b ~name:"rikit_overload_rejections_total"
     ~help:"Connections or requests refused by admission control."
     (int_ v.v_overload_rejections);
-  gauge b ~name:"rikit_queue_depth"
-    ~help:"Requests parsed but not yet executed." (int_ v.v_queue_depth);
-  gauge b ~name:"rikit_queue_depth_peak" ~help:"Peak request queue depth."
-    (int_ v.v_peak_queue_depth);
   op_histograms b v.v_ops;
   counter b ~name:"rikit_pool_hits_total"
     ~help:"Buffer-pool pins satisfied from the cache." (int_ ps.hits);

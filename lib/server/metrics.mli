@@ -5,8 +5,7 @@
     endpoint. Families:
 
     - [rikit_uptime_seconds], [rikit_sessions], [rikit_sessions_peak],
-      [rikit_requests_total], [rikit_overload_rejections_total],
-      [rikit_queue_depth], [rikit_queue_depth_peak]
+      [rikit_requests_total], [rikit_overload_rejections_total]
     - [rikit_op_latency_us] — a histogram per wire op (cumulative
       [_bucket{op,le}] over the power-of-two microsecond buckets of
       {!Server_stats}, plus [_sum] and [_count]), and

@@ -132,7 +132,9 @@ type stats = {
   peak_sessions : int;
   total_requests : int;
   overload_rejections : int;
-  queue_depth : int;        (** requests parsed but not yet executed *)
+  queue_depth : int;
+      (** requests parsed but not yet executed: always 0 since each
+          request runs where it is decoded; kept for the frame layout *)
   peak_queue_depth : int;
   io_reads : int;           (** device counters since server start *)
   io_writes : int;

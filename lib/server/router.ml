@@ -188,19 +188,12 @@ type conn = {
 type t = {
   cfg : config;
   map : Map.t;
-  reactor : Reactor.t;
-  listen_fd : Unix.file_descr;
-  bound_port : int;
-  metrics_fd : Unix.file_descr option;
-  metrics_bound_port : int;
+  l : Listener.t;
+  reactor : Reactor.t;  (* the listener's *)
   st : Server_stats.t;
-  stop_r : Unix.file_descr;
-  stop_w : Unix.file_descr;
   conns : (Unix.file_descr, conn) Hashtbl.t;
   mutable orphans : conn list;
       (* closed while their job's fiber still holds the legs *)
-  mutable http : Http_endpoint.t option;
-  mutable stopping : bool;
   shard_lsn : int array;
       (* highest commit LSN acked per shard, router-global: a fresh
          connection's legs are seeded with these so read-your-writes
@@ -211,47 +204,30 @@ type t = {
 }
 
 let create cfg ~map =
-  let listen_fd, bound_port =
-    Conn.listen ~host:cfg.host ~port:cfg.port ~backlog:128
+  let l =
+    Listener.create ~host:cfg.host ~port:cfg.port
+      ~metrics_port:cfg.metrics_port
   in
-  let metrics_fd, metrics_bound_port =
-    match cfg.metrics_port with
-    | None -> (None, 0)
-    | Some p ->
-        let fd, bp = Conn.listen ~host:cfg.host ~port:p ~backlog:16 in
-        (Some fd, bp)
-  in
-  let stop_r, stop_w = Unix.pipe () in
   let k = Map.shards map in
   {
     cfg;
     map;
-    reactor = Reactor.create ();
-    listen_fd;
-    bound_port;
-    metrics_fd;
-    metrics_bound_port;
+    l;
+    reactor = Listener.reactor l;
     st = Server_stats.create ~now:(Unix.gettimeofday ());
-    stop_r;
-    stop_w;
     conns = Hashtbl.create 64;
     orphans = [];
-    http = None;
-    stopping = false;
     shard_lsn = Array.make k 0;
     shard_rpcs = Array.make k 0;
     shard_errors = Array.make k 0;
     partials = 0;
   }
 
-let port t = t.bound_port
-let metrics_port t = t.metrics_bound_port
+let port t = Listener.port t.l
+let metrics_port t = Listener.metrics_port t.l
 let stats t = t.st
 let map t = t.map
-
-let stop t =
-  try ignore (Unix.write t.stop_w (Bytes.make 1 '!') 0 1)
-  with Unix.Unix_error _ -> ()
+let stop t = Listener.stop t.l
 
 let metrics_doc t =
   let shards =
@@ -643,18 +619,14 @@ let forget t conn =
   Server_stats.session_closed t.st;
   if conn.inflight then t.orphans <- conn :: t.orphans else close_legs conn
 
-let push_frame conn id resp =
-  Conn.send conn.io ~id resp;
-  Conn.flush conn.io
-
-(* The high-water cut-off drops the connection's queued requests. *)
+(* The high-water cut-off drops the connection's waiting requests. *)
 let cut_off t conn () =
   Server_stats.overloaded t.st;
   Queue.clear conn.jobs;
   true
 
 (* Run the job as a fiber: it parks on every shard wait and ends by
-   delivering its response, then starts the connection's next queued
+   delivering its response, then starts the connection's next waiting
    request. *)
 let rec start_job t conn id req =
   conn.inflight <- true;
@@ -683,10 +655,7 @@ and deliver t conn resp =
     close_legs conn
   end
   else begin
-    (match resp with
-    | Some (id, r) -> push_frame conn id r
-    | None -> ());
-    Conn.maybe_close conn.io;
+    Option.iter (fun (id, r) -> Conn.reply conn.io ~id r) resp;
     next_job t conn
   end
 
@@ -697,44 +666,33 @@ let on_request t conn id req =
     Queue.clear conn.jobs;
     conn.io.closing <- true;
     Server_stats.overloaded t.st;
-    push_frame conn 0L
+    Conn.reply conn.io ~id:0L
       (Protocol.Overloaded
-         (Printf.sprintf "pipeline limit (%d requests) exceeded" max_pipeline));
-    Conn.maybe_close conn.io
+         (Printf.sprintf "pipeline limit (%d requests) exceeded" max_pipeline))
   end
   else begin
     Queue.push (id, req) conn.jobs;
     next_job t conn
   end
 
-let admit t () =
-  if Hashtbl.length t.conns < t.cfg.max_sessions then None
-  else begin
-    Server_stats.overloaded t.st;
-    Some (Printf.sprintf "router at session limit (%d)" t.cfg.max_sessions)
-  end
-
-let accept_connections t =
-  Conn.accept t.listen_fd ~admit:(admit t) (fun fd ->
-      let io = Conn.create t.reactor fd in
-      let conn =
-        { io;
-          legs = Array.make (Map.shards t.map) None;
-          begun = Array.make (Map.shards t.map) false;
-          in_txn = false;
-          jobs = Queue.create ();
-          inflight = false }
-      in
-      Hashtbl.replace t.conns fd conn;
-      Server_stats.session_opened t.st;
-      Conn.serve io ~on_cut_off:(cut_off t conn)
-        ~on_close:(fun () -> forget t conn)
-        (Conn.frames io (on_request t conn)))
+let accept t fd =
+  let io = Conn.create t.reactor fd in
+  let conn =
+    { io;
+      legs = Array.make (Map.shards t.map) None;
+      begun = Array.make (Map.shards t.map) false;
+      in_txn = false;
+      jobs = Queue.create ();
+      inflight = false }
+  in
+  Hashtbl.replace t.conns fd conn;
+  Conn.serve io ~on_cut_off:(cut_off t conn)
+    ~on_close:(fun () -> forget t conn)
+    (Conn.frames io (on_request t conn))
 
 (* Reap connections whose peer stopped reading: undrained output that
    has made no write progress for [stall_grace] seconds. *)
-let rec housekeeping t () =
-  let now = Unix.gettimeofday () in
+let reap_stalled t now =
   let victims =
     Hashtbl.fold
       (fun _ c acc ->
@@ -746,61 +704,18 @@ let rec housekeeping t () =
     (fun c ->
       c.io.force_close <- true;
       Conn.maybe_close c.io)
-    victims;
-  if not t.stopping then
-    ignore (Reactor.after t.reactor 1.0 (housekeeping t))
+    victims
 
-let drain_pipe fd =
-  let buf = Bytes.create 64 in
-  let rec go () =
-    match Unix.read fd buf 0 (Bytes.length buf) with
-    | n when n = Bytes.length buf -> go ()
-    | _ -> ()
-    | exception
-        Unix.Unix_error ((Unix.EAGAIN | Unix.EWOULDBLOCK | Unix.EINTR), _, _)
-      ->
-        ()
-    | exception Unix.Unix_error _ -> ()
-  in
-  go ()
-
-let cleanup t =
-  Reactor.deregister t.reactor t.listen_fd;
-  (try Unix.close t.listen_fd with Unix.Unix_error _ -> ());
-  (match t.http with Some h -> Http_endpoint.close_all h | None -> ());
-  (match t.metrics_fd with
-  | Some m -> ( try Unix.close m with Unix.Unix_error _ -> ())
-  | None -> ());
+(* Fibers still parked on a shard are abandoned with the reactor;
+   closing made their connections orphans, whose legs go now. *)
+let drain t =
   let conns = Hashtbl.fold (fun _ c acc -> c :: acc) t.conns [] in
   List.iter (fun c -> Conn.close c.io) conns;
-  (* fibers still parked on a shard are abandoned with the reactor;
-     closing made their connections orphans, whose legs go now *)
   List.iter close_legs t.orphans;
-  t.orphans <- [];
-  List.iter
-    (fun fd -> try Unix.close fd with Unix.Unix_error _ -> ())
-    [ t.stop_r; t.stop_w ]
+  t.orphans <- []
 
 let serve t =
-  Unix.set_nonblock t.listen_fd;
-  Reactor.register t.reactor t.listen_fd
-    ~readable:(fun () -> accept_connections t)
-    ();
-  Reactor.register t.reactor t.stop_r
-    ~readable:(fun () ->
-      drain_pipe t.stop_r;
-      t.stopping <- true;
-      Reactor.set_read_interest t.reactor t.listen_fd false)
-    ();
-  (match t.metrics_fd with
-  | Some m ->
-      Unix.set_nonblock m;
-      t.http <-
-        Some
-          (Http_endpoint.attach t.reactor ~fd:m ~doc:(fun () -> metrics_doc t))
-  | None -> ());
-  ignore (Reactor.after t.reactor 1.0 (housekeeping t));
-  while not t.stopping do
-    Reactor.run_once ~max_timeout:1.0 t.reactor
-  done;
-  cleanup t
+  Listener.serve t.l ~max_sessions:t.cfg.max_sessions ~stats:t.st
+    ~metrics_doc:(fun () -> metrics_doc t)
+    ~period:1.0 ~housekeeping:(reap_stalled t) ~accept:(accept t)
+    ~drain:(fun () -> drain t)

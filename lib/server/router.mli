@@ -135,7 +135,8 @@ val default_config : config
 type t
 
 val create : config -> map:Map.t -> t
-(** Bind the listening socket(s); serving starts with {!serve}. *)
+(** Bind the listening socket(s) and ignore SIGPIPE
+    ({!Listener.create}); serving starts with {!serve}. *)
 
 val port : t -> int
 (** The actually-bound client port. *)

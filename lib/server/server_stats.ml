@@ -18,8 +18,6 @@ type t = {
   mutable peak_sessions : int;
   mutable total_requests : int;
   mutable overload_rejections : int;
-  mutable queue : int;
-  mutable peak_queue : int;
 }
 
 let create ~now =
@@ -30,8 +28,6 @@ let create ~now =
     peak_sessions = 0;
     total_requests = 0;
     overload_rejections = 0;
-    queue = 0;
-    peak_queue = 0;
   }
 
 let bucket_of_us us =
@@ -79,10 +75,7 @@ let session_opened t =
   if t.sessions > t.peak_sessions then t.peak_sessions <- t.sessions
 
 let session_closed t = t.sessions <- t.sessions - 1
-
-let queue_depth t d =
-  t.queue <- d;
-  if d > t.peak_queue then t.peak_queue <- d
+let sessions t = t.sessions
 
 let percentile_us o p =
   if o.count = 0 then 0
@@ -128,8 +121,9 @@ let snapshot t ~now ~io : Protocol.stats =
     peak_sessions = t.peak_sessions;
     total_requests = t.total_requests;
     overload_rejections = t.overload_rejections;
-    queue_depth = t.queue;
-    peak_queue_depth = t.peak_queue;
+    (* Requests run where they are decoded: nothing waits in a queue. *)
+    queue_depth = 0;
+    peak_queue_depth = 0;
     io_reads = io.Storage.Block_device.Stats.reads;
     io_writes = io.Storage.Block_device.Stats.writes;
     ops;
@@ -140,10 +134,9 @@ let render (s : Protocol.stats) =
   Printf.bprintf b
     "server stats (uptime %.1f s)\n\
     \  sessions: %d (peak %d)   requests: %d   overload rejections: %d\n\
-    \  queue depth: %d (peak %d)   physical I/O: %d reads, %d writes\n"
+    \  physical I/O: %d reads, %d writes\n"
     s.uptime_s s.sessions s.peak_sessions s.total_requests
-    s.overload_rejections s.queue_depth s.peak_queue_depth s.io_reads
-    s.io_writes;
+    s.overload_rejections s.io_reads s.io_writes;
   if s.ops <> [] then begin
     Printf.bprintf b "  %-10s %8s %10s %9s %9s %9s %9s %8s\n" "op" "count"
       "io/req" "p50(us)" "p95(us)" "p99(us)" "max(us)" "io";
@@ -181,8 +174,6 @@ type view = {
   v_peak_sessions : int;
   v_total_requests : int;
   v_overload_rejections : int;
-  v_queue_depth : int;
-  v_peak_queue_depth : int;
   v_ops : op_view list;
 }
 
@@ -209,7 +200,5 @@ let view t =
     v_peak_sessions = t.peak_sessions;
     v_total_requests = t.total_requests;
     v_overload_rejections = t.overload_rejections;
-    v_queue_depth = t.queue;
-    v_peak_queue_depth = t.peak_queue;
     v_ops;
   }

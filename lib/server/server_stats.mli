@@ -1,5 +1,5 @@
 (** Server-side metrics: per-op latency histograms, physical I/O per
-    request, session and queue gauges.
+    request, session gauges.
 
     Latencies are kept in logarithmic (power-of-two microsecond)
     histograms, so recording is O(1) and allocation-free on the hot
@@ -24,8 +24,8 @@ val overloaded : t -> unit
 val session_opened : t -> unit
 val session_closed : t -> unit
 
-val queue_depth : t -> int -> unit
-(** Update the pending-request gauge (tracks the peak). *)
+val sessions : t -> int
+(** Sessions open now: opened minus closed. *)
 
 val snapshot : t -> now:float -> io:Storage.Block_device.Stats.t -> Protocol.stats
 (** The wire-ready snapshot: gauges, counters, and per-op percentile
@@ -82,8 +82,6 @@ type view = {
   v_peak_sessions : int;
   v_total_requests : int;
   v_overload_rejections : int;
-  v_queue_depth : int;
-  v_peak_queue_depth : int;
   v_ops : op_view list;  (** sorted by op name *)
 }
 

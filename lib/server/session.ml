@@ -127,7 +127,6 @@ type t = {
   mutable engine_gen : int;
   prepared : (string, Sqlfront.Engine.prepared) Hashtbl.t;
   mutable reqs : int;
-  mutable sql_stmts : int;  (* survives engine re-attach after reopen *)
   (* The session's current transaction. Always live between requests:
      COMMIT/ROLLBACK immediately begin the successor, so every
      statement — transactional or autocommit-style — runs inside one. *)
@@ -176,7 +175,6 @@ let create sh =
       engine_gen = sh.generation;
       prepared = Hashtbl.create 8;
       reqs = 0;
-      sql_stmts = 0;
       txn = Relation.Txn.begin_txn sh.txns;
     }
   in
@@ -203,15 +201,12 @@ let sync_txn t = if not (Relation.Txn.is_active t.txn) then renew t
 
 let engine t =
   if t.engine_gen <> t.sh.generation then begin
-    t.sql_stmts <- t.sql_stmts + Sqlfront.Engine.statements t.engine;
     attach_engine t;
     (* prepared plans pin tables of the replaced catalog: drop them *)
     Hashtbl.reset t.prepared;
     t.engine_gen <- t.sh.generation
   end;
   t.engine
-
-let sql_statements t = t.sql_stmts + Sqlfront.Engine.statements t.engine
 
 (* Validation failures are the client's bug, not the server's: raise
    Invalid_argument so [handle] can answer with a typed [Invalid] frame

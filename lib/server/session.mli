@@ -113,10 +113,6 @@ val has_pending_writes : t -> bool
     could still grow: once no live session has writes in flight, waiting
     out the window deadline only adds latency. *)
 
-val sql_statements : t -> int
-(** SQL statements run through this session's engine (the
-    {!Sqlfront.Engine.statements} counter, surviving re-attach). *)
-
 val mutating : t -> Protocol.request -> bool
 (** Whether the request writes to the shared database. SQL is classified
     by its first keyword ([select]/[explain] are reads); [Execute] by the

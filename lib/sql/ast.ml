@@ -51,12 +51,6 @@ type stmt =
   | Select of query
   | Explain of { analyze : bool; target : stmt }
 
-let aggregate_to_string = function
-  | Count -> "COUNT"
-  | Min -> "MIN"
-  | Max -> "MAX"
-  | Sum -> "SUM"
-
 let cmp_to_string = function
   | Eq -> "="
   | Ne -> "<>"

@@ -57,6 +57,5 @@ type stmt =
           [EXPLAIN ANALYZE] also executes the statement and reports the
           actuals side by side. *)
 
-val aggregate_to_string : aggregate -> string
 val cmp_to_string : cmp -> string
 val expr_to_string : expr -> string

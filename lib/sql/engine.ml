@@ -30,7 +30,6 @@ let parse src =
 type session = {
   catalog : Relation.Catalog.t;
   collections : (string, string array * int array list) Hashtbl.t;
-  mutable statements : int;
   cache : Ir.plan Exec.Plan_cache.t;
   cache_enabled : bool;
   (* Bumped whenever cached plans are invalidated (DDL, collection
@@ -58,14 +57,12 @@ and ritree = {
 let session ?(plan_cache = true) catalog =
   { catalog;
     collections = Hashtbl.create 8;
-    statements = 0;
     cache = Exec.Plan_cache.create ();
     cache_enabled = plan_cache;
     generation = 0;
     txn = None;
     ritree = None }
 
-let statements s = s.statements
 
 let catalog s = s.catalog
 
@@ -830,13 +827,9 @@ and run_explain session binds ~analyze = function
              ~io ~ms)
       end
 
-let counted session stmt binds =
-  let r =
-    Obs.Trace.with_span "sql.stmt" ~info:(stmt_kind stmt) (fun () ->
-        guard (fun () -> run_stmt session binds stmt))
-  in
-  session.statements <- session.statements + 1;
-  r
+let traced session stmt binds =
+  Obs.Trace.with_span "sql.stmt" ~info:(stmt_kind stmt) (fun () ->
+      guard (fun () -> run_stmt session binds stmt))
 
 (* ---------------- the plan cache ---------------- *)
 
@@ -963,29 +956,22 @@ let execute_prepared session p args =
   let binds = List.combine p.p_params args in
   match prepared_plan session p with
   | Some plan ->
-      let r =
-        Obs.Trace.with_span "sql.stmt" ~info:"SELECT" (fun () ->
-            guard (fun () -> run_plan session binds plan))
-      in
-      session.statements <- session.statements + 1;
-      r
-  | None -> counted session p.p_stmt binds
+      Obs.Trace.with_span "sql.stmt" ~info:"SELECT" (fun () ->
+          guard (fun () -> run_plan session binds plan))
+  | None -> traced session p.p_stmt binds
 
 (* ---------------- entry points ---------------- *)
 
 let exec ?(binds = []) session src =
   match lookup_cached session src with
   | Some (plan, params) ->
-      let r =
-        Obs.Trace.with_span "sql.stmt" ~info:"SELECT" (fun () ->
-            guard (fun () -> run_plan session (binds @ params) plan))
-      in
-      session.statements <- session.statements + 1;
-      r
-  | None -> counted session (parse src) binds
+      Obs.Trace.with_span "sql.stmt" ~info:"SELECT" (fun () ->
+          guard (fun () -> run_plan session (binds @ params) plan))
+  | None -> traced session (parse src) binds
 
-let exec_script ?(binds = []) session src =
-  List.map (fun stmt -> counted session stmt binds) (Parser.parse_script src)
+let exec_script ?(binds = []) session src f =
+  List.iter (fun stmt -> f (traced session stmt binds))
+    (Parser.parse_script src)
 
 let query ?binds session src =
   match exec ?binds session src with
@@ -1000,9 +986,9 @@ let explain ?(binds = []) session src =
   | _ -> fail "explain: only SELECT is supported"
 
 let explain_text ?(binds = []) ?(analyze = false) session src =
-  let r =
+  match
     Obs.Trace.with_span "sql.stmt" ~info:"EXPLAIN" (fun () ->
         guard (fun () -> run_explain session binds ~analyze (parse src)))
-  in
-  session.statements <- session.statements + 1;
-  match r with Done s -> s | Rows _ -> assert false
+  with
+  | Done s -> s
+  | Rows _ -> assert false

@@ -48,11 +48,6 @@ val set_ritree :
     typed op's planner inputs, read at each execution; reads see this
     session's transaction snapshot. Invalidates cached plans. *)
 
-val statements : session -> int
-(** Statements successfully executed via {!exec}/{!exec_script} in this
-    session — the per-session counter the server's session manager
-    reports. *)
-
 val set_collection :
   session -> string -> columns:string list -> int array list -> unit
 (** Register (or replace) a transient collection table visible to
@@ -75,7 +70,12 @@ val exec : ?binds:(string * int) list -> session -> string -> result
     missing binds (parse errors raise {!Parser.Error}). *)
 
 val exec_script :
-  ?binds:(string * int) list -> session -> string -> result list
+  ?binds:(string * int) list -> session -> string -> (result -> unit) ->
+  unit
+(** Parse a [;]-separated script, then execute its statements in order,
+    handing each result to [f] before the next statement runs — so when
+    a statement raises, every earlier result has already been seen.
+    @raise Error (or a parse error) as {!exec} does. *)
 
 val query :
   ?binds:(string * int) list -> session -> string -> int array list

@@ -1,6 +1,6 @@
 (* Integration tests for rikitd's serving path: a live dispatcher on an
    ephemeral loopback port, driven by real sockets — concurrent
-   clients, admission control at the session and queue limits, framing
+   clients, admission control at the session limit, framing
    errors on the wire, and durable commit/rollback/restart. *)
 
 module P = Server.Protocol
@@ -10,17 +10,15 @@ module C = Server.Client
 
 let check = Alcotest.check
 
-let config ?(max_sessions = 8) ?(max_inflight = 32) ?(max_queue = 1024)
-    ?(group_commit = 0.) ?(idle_timeout = 0.) ?metrics_port
-    ?(slow_query_ms = 0.) ?replica_of ?write_high_water () =
+let config ?(max_sessions = 8) ?(group_commit = 0.) ?(idle_timeout = 0.)
+    ?metrics_port ?(slow_query_ms = 0.) ?replica_of ?write_high_water () =
   let write_high_water =
     match write_high_water with
     | Some hw -> hw
     | None -> D.default_config.write_high_water
   in
-  { D.host = "127.0.0.1"; port = 0; max_sessions; max_inflight; max_queue;
-    group_commit; idle_timeout; metrics_port; slow_query_ms; replica_of;
-    write_high_water }
+  { D.host = "127.0.0.1"; port = 0; max_sessions; group_commit; idle_timeout;
+    metrics_port; slow_query_ms; replica_of; write_high_water }
 
 (* Start a dispatcher on an ephemeral port; run [f port]; always stop
    the loop and join its thread. *)
@@ -185,15 +183,6 @@ let test_session_limit () =
           in
           retry 40))
 
-let test_queue_limit () =
-  (* max_queue = 0: every request is turned away with a typed
-     Overloaded response — the knob works end to end *)
-  with_server ~config:(config ~max_queue:0 ()) (fun port _ _ ->
-      with_client port (fun c ->
-          match C.rpc c P.Ping with
-          | P.Overloaded _ -> ()
-          | _ -> Alcotest.fail "request admitted past a zero queue"))
-
 (* ---- wire-level degradation ---- *)
 
 let raw_connect port =
@@ -216,8 +205,27 @@ let raw_read_frame fd =
   exact payload 0 len;
   payload
 
-let test_malformed_payload_gets_typed_error () =
-  with_server (fun port _ _ ->
+(* The raw-socket cases run against both servers: [serve f] starts one
+   on an ephemeral port and runs [f port]. *)
+let dispatcher f = with_server (fun port _ _ -> f port)
+
+(* A router over one shard that is never dialled: none of these cases
+   needs a shard. *)
+let router_config = { Server.Router.default_config with port = 0 }
+let lone_shard =
+  Server.Router.Map.create ~cuts:[] ~endpoints:[ [ ("127.0.0.1", 1) ] ]
+
+let router f =
+  let r = Server.Router.create router_config ~map:lone_shard in
+  let thread = Thread.create Server.Router.serve r in
+  Fun.protect
+    ~finally:(fun () ->
+      Server.Router.stop r;
+      Thread.join thread)
+    (fun () -> f (Server.Router.port r))
+
+let test_malformed_payload_gets_typed_error serve () =
+  serve (fun port ->
       let fd = raw_connect port in
       Fun.protect
         ~finally:(fun () -> try Unix.close fd with Unix.Unix_error _ -> ())
@@ -239,8 +247,8 @@ let test_malformed_payload_gets_typed_error () =
           | Ok (9L, P.Ack _) -> ()
           | _ -> Alcotest.fail "connection did not survive"))
 
-let test_oversized_frame_closes_connection () =
-  with_server (fun port _ _ ->
+let test_oversized_frame_closes_connection serve () =
+  serve (fun port ->
       let fd = raw_connect port in
       Fun.protect
         ~finally:(fun () -> try Unix.close fd with Unix.Unix_error _ -> ())
@@ -257,6 +265,18 @@ let test_oversized_frame_closes_connection () =
           | 0 -> ()
           | _ -> Alcotest.fail "server kept a desynced connection open"
           | exception Unix.Unix_error (Unix.ECONNRESET, _, _) -> ()))
+
+(* A router must outlive a peer that hangs up mid-write, exactly like
+   the dispatcher: creating one leaves SIGPIPE ignored. *)
+let test_router_ignores_sigpipe () =
+  let before = Sys.signal Sys.sigpipe Sys.Signal_default in
+  Fun.protect
+    ~finally:(fun () -> Sys.set_signal Sys.sigpipe before)
+    (fun () ->
+      router (fun _ ->
+          match Sys.signal Sys.sigpipe Sys.Signal_ignore with
+          | Sys.Signal_ignore -> ()
+          | _ -> Alcotest.fail "router left SIGPIPE at its default"))
 
 (* ---- concurrency ---- *)
 
@@ -1028,12 +1048,17 @@ let raw_suite =
     ( "admission",
       [
         ("session limit", test_session_limit);
-        ("queue limit", test_queue_limit);
       ] );
     ( "wire",
       [
-        ("malformed payload", test_malformed_payload_gets_typed_error);
-        ("oversized frame", test_oversized_frame_closes_connection);
+        ("malformed payload",
+         test_malformed_payload_gets_typed_error dispatcher);
+        ("oversized frame", test_oversized_frame_closes_connection dispatcher);
+        ("malformed payload, router",
+         test_malformed_payload_gets_typed_error router);
+        ("oversized frame, router",
+         test_oversized_frame_closes_connection router);
+        ("router ignores SIGPIPE", test_router_ignores_sigpipe);
         ("unknown op: typed error, no desync",
          test_unknown_op_typed_error_no_desync);
         ("bad host: typed error, no fd leak", test_bad_host_typed_no_leak);

@@ -607,11 +607,11 @@ let test_strict_bounds_at_int_edges () =
 
 let test_exec_script () =
   let s = mk_session () in
-  let results =
-    E.exec_script s
-      "CREATE TABLE z (a int); INSERT INTO z VALUES (5); SELECT a FROM z;"
-  in
-  check Alcotest.int "three results" 3 (List.length results)
+  let results = ref [] in
+  E.exec_script s
+    "CREATE TABLE z (a int); INSERT INTO z VALUES (5); SELECT a FROM z;"
+    (fun r -> results := r :: !results);
+  check Alcotest.int "three results" 3 (List.length !results)
 
 let () =
   Alcotest.run "sql"
