@@ -30,6 +30,7 @@
      plan      plan-cache throughput, access-path win rates
      memindex  HINT and the interval tree vs the disk RI-tree
      txn       MVCC multi-writer commits vs the serialized baseline
+     commit    CPU and journal bytes of one 4-insert COMMIT
      replica   replication lag, late-join catch-up, failover
      shard     scatter-gather under a head-of-line hotspot
      reactor   connection scaling of the event core *)
@@ -60,6 +61,7 @@ let registry =
     ("plan", Record Core_benches.plan);
     ("memindex", Record Core_benches.memindex);
     ("txn", Record Server_benches.txn);
+    ("commit", Record Server_benches.commit);
     ("replica", Record Server_benches.replica);
     ("shard", Record Server_benches.shard);
     ("reactor", Record Server_benches.reactor) ]

@@ -142,6 +142,97 @@ let txn ~tiny =
            ]) ],
     [] )
 
+(* ---- commit: what one 4-insert COMMIT costs and what it logs ----
+
+   The [mixed-disk] writer in process, without sockets: a durable
+   covering D1 n = 35 000 bulk preload, then four D1-shaped inserts and
+   a COMMIT, over and over. Each commit is timed in its two halves —
+   the MVCC apply ([Txn.commit], which writes the rows into the pages)
+   and the pool commit ([Buffer_pool.commit]: log every dirty page,
+   append the marker, force) — in process CPU time. Afterwards the
+   journal's bytes since the preload are parsed to count what each
+   commit logged. *)
+
+let commit_inserts = 4
+
+(* The records a log stream holds, by kind: full Writes, Writes of a
+   fresh (all-zero) page, plain Deltas, Deltas with a move. *)
+let record_kinds log =
+  List.fold_left
+    (fun (w, fw, d, md) (r, _) ->
+      match r with
+      | Storage.Journal.Write { before; _ } ->
+          if Storage.Mem.is_zero before then (w, fw + 1, d, md)
+          else (w + 1, fw, d, md)
+      | Storage.Journal.Delta { move = None; _ } -> (w, fw, d + 1, md)
+      | Storage.Journal.Delta { move = Some _; _ } -> (w, fw, d, md + 1)
+      | Storage.Journal.Commit -> (w, fw, d, md))
+    (0, 0, 0, 0)
+    (Storage.Journal.parse log ~len:(Bytes.length log))
+
+let commit ~tiny =
+  let n = 35_000 and commits = if tiny then 100 else 1_000 in
+  let sh = Server.Session.shared ~durable:true () in
+  let (), preload_s =
+    Harness.Measure.wall (fun () ->
+        Server.Session.preload sh (Dist.generate ~seed:1 Dist.D1 ~n ~d:2000))
+  in
+  let j = Option.get (Relation.Catalog.journal (Server.Session.catalog sh)) in
+  let s = Server.Session.create sh in
+  let rng = Workload.Prng.create ~seed:7 in
+  let insert () =
+    let dm = Dist.domain_max in
+    let lower = Workload.Prng.int rng (dm + 1) in
+    let upper = min dm (lower + Workload.Prng.int rng 4001) in
+    match Server.Session.handle s (P.Insert { lower; upper; id = None }) with
+    | P.Ack _ -> ()
+    | _ -> failwith "commit bench: insert refused"
+  in
+  let apply_us = Array.make commits 0. and pool_us = Array.make commits 0. in
+  let lsn0 = Storage.Journal.durable_lsn j
+  and bytes0 = Storage.Journal.byte_size j in
+  for i = 0 to commits - 1 do
+    ignore (Server.Session.handle s P.Begin);
+    for _ = 1 to commit_inserts do
+      insert ()
+    done;
+    let staged, apply_s =
+      Harness.Measure.wall (fun () -> Server.Session.stage_commit s)
+    in
+    if staged <> Ok () then failwith "commit bench: conflict";
+    let _, pool_s =
+      Harness.Measure.wall (fun () -> Server.Session.commit_force_shared sh)
+    in
+    apply_us.(i) <- 1e6 *. apply_s;
+    pool_us.(i) <- 1e6 *. pool_s
+  done;
+  let per x = float_of_int x /. float_of_int commits in
+  (* to 0.1 us: the CPU clock's float noise is not a measurement *)
+  let us xs =
+    let r x = R.Float (Float.round (10. *. x) /. 10.) in
+    R.Obj
+      [ ("mean", r (Array.fold_left ( +. ) 0. xs /. float_of_int commits));
+        ("p50", r (Harness.Measure.percentile xs 0.5));
+        ("p90", r (Harness.Measure.percentile xs 0.9)) ]
+  in
+  let w, fw, d, md = record_kinds (Storage.Journal.stream_from j lsn0) in
+  let bytes = per (Storage.Journal.durable_lsn j - lsn0) in
+  ( R.Obj
+      [ ("n", R.Int n); ("commits", R.Int commits);
+        ("inserts_per_commit", R.Int commit_inserts);
+        ("preload_s", R.Float (Float.round (1000. *. preload_s) /. 1000.));
+        ("apply_us", us apply_us); ("pool_commit_us", us pool_us);
+        ("pages_per_commit", R.Float (per (w + fw + d + md)));
+        ("records_per_commit",
+         R.Obj
+           [ ("write", R.Float (per w)); ("fresh_write", R.Float (per fw));
+             ("delta", R.Float (per d)); ("move_delta", R.Float (per md)) ]);
+        ("bytes_per_commit", R.Float bytes);
+        ("payload_bytes_per_commit",
+         R.Float (per (Storage.Journal.byte_size j - bytes0))) ],
+    [ ("moves_logged", md > 0);
+      ("bytes_per_commit_le_3000", bytes <= 3000.) ] )
+
 (* ---- replica: replication lag, failover time, read scale-out ---- *)
 
 let repl_node ?replica_of () =

@@ -22,45 +22,14 @@ let of_impl ~block_size ~read ~write ~alloc ~allocated =
 (* Default in-memory backend: one fixed-size block per allocation, as in
    the paper's simulated U-SCSI disk. The blocks live outside the OCaml
    heap, in [Bigarray] storage, so a large device neither grows the
-   major heap's live set nor the GC slack that scales with it. *)
-type block = (char, Bigarray.int8_unsigned_elt, Bigarray.c_layout) Bigarray.Array1.t
-
-external get64 : block -> int -> int64 = "%caml_bigstring_get64u"
-external set64 : block -> int -> int64 -> unit = "%caml_bigstring_set64u"
-external bytes_get64 : Bytes.t -> int -> int64 = "%caml_bytes_get64u"
-external bytes_set64 : Bytes.t -> int -> int64 -> unit = "%caml_bytes_set64u"
-
-(* Copies run 8 bytes at a time over buffers whose length [check] has
-   verified; a block size that is not a multiple of 8 finishes byte by
-   byte. *)
-let copy_in (blk : block) buf n =
-  let words = n land lnot 7 in
-  let i = ref 0 in
-  while !i < words do
-    set64 blk !i (bytes_get64 buf !i);
-    i := !i + 8
-  done;
-  for i = words to n - 1 do
-    Bigarray.Array1.unsafe_set blk i (Bytes.unsafe_get buf i)
-  done
-
-let copy_out (blk : block) buf n =
-  let words = n land lnot 7 in
-  let i = ref 0 in
-  while !i < words do
-    bytes_set64 buf !i (get64 blk !i);
-    i := !i + 8
-  done;
-  for i = words to n - 1 do
-    Bytes.unsafe_set buf i (Bigarray.Array1.unsafe_get blk i)
-  done
-
+   major heap's live set nor the GC slack that scales with it; a
+   transfer is one [memcpy]. *)
 let create ?(block_size = 2048) () =
   if block_size < 64 then
     invalid_arg
       (Printf.sprintf "Block_device.create: block size %d too small"
          block_size);
-  let empty : block = Bigarray.Array1.create Bigarray.char Bigarray.c_layout 0 in
+  let empty = Mem.create 0 in
   let blocks = ref (Array.make 64 empty) in
   let allocated = ref 0 in
   let check id buf op =
@@ -73,11 +42,11 @@ let create ?(block_size = 2048) () =
   in
   let read id buf =
     check id buf "read";
-    copy_out !blocks.(id) buf block_size
+    Mem.blit_to_bytes !blocks.(id) 0 buf 0 block_size
   in
   let write id buf =
     check id buf "write";
-    copy_in !blocks.(id) buf block_size
+    Mem.blit_from_bytes buf 0 !blocks.(id) 0 block_size
   in
   let alloc () =
     let cap = Array.length !blocks in
@@ -87,7 +56,7 @@ let create ?(block_size = 2048) () =
       blocks := grown
     end;
     let id = !allocated in
-    let blk = Bigarray.Array1.create Bigarray.char Bigarray.c_layout block_size in
+    let blk = Mem.create block_size in
     Bigarray.Array1.fill blk '\000';
     !blocks.(id) <- blk;
     allocated := id + 1;

@@ -87,11 +87,6 @@ let stamp t data =
     let payload = dev_size t - 4 in
     Bytes.set_int32_le data payload (Checksum.bytes data ~pos:0 ~len:payload)
 
-let all_zero data =
-  let n = Bytes.length data in
-  let rec go i = i >= n || (Bytes.get_uint8 data i = 0 && go (i + 1)) in
-  go 0
-
 (* A freshly allocated block is all zeroes and has never been stamped;
    by convention it verifies (cf. Postgres treating zero pages as
    valid). Anything else must match its trailer. *)
@@ -100,7 +95,7 @@ let verify t page_id data =
     let payload = dev_size t - 4 in
     let stored = Bytes.get_int32_le data payload in
     let actual = Checksum.bytes data ~pos:0 ~len:payload in
-    if stored <> actual && not (all_zero data) then
+    if stored <> actual && not (Mem.is_zero data) then
       raise (Corrupt_page page_id)
   end
 
@@ -138,9 +133,12 @@ let log_write t frame =
         Journal.append j
           (Journal.Write { page; before = base; after = frame.data })
       else begin
-        match Journal.diff ~base frame.data with
-        | [] -> ()
-        | ranges -> Journal.append j (Journal.Delta { page; ranges })
+        match
+          Journal.delta ~trailer:(dev_size t - block_size t) ~base frame.data
+        with
+        | None, [] -> ()
+        | move, ranges ->
+            Journal.append j (Journal.Delta { page; move; ranges })
       end;
       (match frame.shadow with
       | Some s -> Bytes.blit frame.data 0 s 0 (Bytes.length s)

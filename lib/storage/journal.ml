@@ -1,6 +1,8 @@
+type move = { src : int; dst : int; len : int }
+
 type record =
   | Write of { page : int; before : Bytes.t; after : Bytes.t }
-  | Delta of { page : int; ranges : (int * Bytes.t) list }
+  | Delta of { page : int; move : move option; ranges : (int * Bytes.t) list }
   | Commit
 
 (* The log is held as serialized bytes, exactly as it would sit on a log
@@ -10,7 +12,17 @@ type record =
      body   := page:u32le blen:u32le alen:u32le before after   (tag 1)
              | empty                                            (tag 2)
              | page:u32le nranges:u16le range*                  (tag 3)
+             | page:u32le alen:u32le nranges:u16le range*       (tag 4)
+             | page:u32le move nranges:u16le range*             (tag 5)
+     move   := src:u16le dst:u16le len:u16le
      range  := off:u16le len:u16le bytes
+
+   Tag 4 is a Write whose before-image is [alen] zero bytes — a page
+   never written before, which is every page a B+-tree split or a bulk
+   load allocates. Neither that image nor the zero free space of the
+   after-image is serialized: the after-image is logged as its ranges
+   against zero. Tag 5 is a Delta whose move is blitted before its
+   ranges are patched.
 
    The bytes live outside the OCaml heap, in fixed-size [Bigarray]
    chunks allocated as the log grows: a log of hundreds of MB then
@@ -27,13 +39,10 @@ type record =
    log) drops the page from the table and its next record is a Write
    again. *)
 
-type chunk =
-  (char, Bigarray.int8_unsigned_elt, Bigarray.c_layout) Bigarray.Array1.t
-
 let chunk_bytes = 1 lsl 20
 
 type t = {
-  mutable chunks : chunk array;
+  mutable chunks : Mem.buf array;
   images : (int, int) Hashtbl.t;  (* page -> offset of its epoch image *)
   mutable len : int;
   mutable durable : int;
@@ -56,10 +65,7 @@ let create () =
 
 let ensure_capacity t n =
   while Array.length t.chunks * chunk_bytes < n do
-    let chunk =
-      Bigarray.Array1.create Bigarray.char Bigarray.c_layout chunk_bytes
-    in
-    t.chunks <- Array.append t.chunks [| chunk |]
+    t.chunks <- Array.append t.chunks [| Mem.create chunk_bytes |]
   done
 
 (* [f chunk off src_pos n] for each run of [len] store bytes from
@@ -78,18 +84,12 @@ let runs t pos len f =
 let store_write t pos src src_pos len =
   ensure_capacity t (pos + len);
   runs t pos len (fun ch off k n ->
-      for i = 0 to n - 1 do
-        Bigarray.Array1.unsafe_set ch (off + i)
-          (Bytes.unsafe_get src (src_pos + k + i))
-      done)
+      Mem.blit_from_bytes src (src_pos + k) ch off n)
 
 (* Copy [len] store bytes from [pos] into [dst] at [dst_pos]. *)
 let store_read t pos dst dst_pos len =
   runs t pos len (fun ch off k n ->
-      for i = 0 to n - 1 do
-        Bytes.unsafe_set dst (dst_pos + k + i)
-          (Bigarray.Array1.unsafe_get ch (off + i))
-      done)
+      Mem.blit_to_bytes ch off dst (dst_pos + k) n)
 
 let push t src =
   store_write t t.len src 0 (Bytes.length src);
@@ -107,21 +107,21 @@ let store_sub t pos len =
    log than to skip. *)
 let merge_gap = 8
 
-let diff ~base data =
-  let n = Bytes.length data in
-  if Bytes.length base <> n then invalid_arg "Journal.diff: length mismatch";
-  (* the first differing byte at or after [i] (or [n]), a word at a
+(* The ranges of [data] in the window [lo, hi) that differ from [base],
+   pushed onto [acc] in reverse order. *)
+let diff_window ~base data ~lo ~hi acc =
+  (* the first differing byte at or after [i] (or [hi]), a word at a
      time over equal stretches *)
   let rec next_diff i =
-    if i + 8 <= n
+    if i + 8 <= hi
        && Int64.equal (Bytes.get_int64_ne base i) (Bytes.get_int64_ne data i)
     then next_diff (i + 8)
-    else if i < n && Bytes.unsafe_get base i = Bytes.unsafe_get data i then
+    else if i < hi && Bytes.unsafe_get base i = Bytes.unsafe_get data i then
       next_diff (i + 1)
     else i
   in
   let rec next_same i =
-    if i < n && Bytes.unsafe_get base i <> Bytes.unsafe_get data i then
+    if i < hi && Bytes.unsafe_get base i <> Bytes.unsafe_get data i then
       next_same (i + 1)
     else i
   in
@@ -129,25 +129,102 @@ let diff ~base data =
      equal bytes; returns its end and the next differing byte *)
   let rec extend e =
     let k = next_diff e in
-    if k < n && k - e <= merge_gap then extend (next_same k) else (e, k)
+    if k < hi && k - e <= merge_gap then extend (next_same k) else (e, k)
   in
   let rec ranges acc i =
     let s = next_diff i in
-    if s >= n then List.rev acc
+    if s >= hi then acc
     else
       let e, k = extend (next_same s) in
       ranges ((s, Bytes.sub data s (e - s)) :: acc) k
   in
-  ranges [] 0
+  ranges acc lo
 
-let patch image ranges =
+let check_lengths what base data =
+  if Bytes.length base <> Bytes.length data then
+    invalid_arg (Printf.sprintf "Journal.%s: length mismatch" what)
+
+let diff ~base data =
+  check_lengths "diff" base data;
+  List.rev (diff_window ~base data ~lo:0 ~hi:(Bytes.length data) [])
+
+(* ---- move deltas ----
+
+   A B+-tree insert or delete shifts a page's entries by one stride. A
+   byte diff logs the whole shifted tail; a move logs six bytes. The
+   pages keep their free space zeroed, so the shift is the difference
+   of the two images' used ends (one past the last nonzero byte below
+   the checksum trailer), and the moved run is the common suffix of the
+   two used prefixes, verified backwards from those ends. The move
+   rewrites exactly [dst, dst + len), so what is left to log are the
+   changes in the windows on either side of it, diffed in place. A run
+   shorter than [min_move] is not worth its header: the page gets a
+   plain diff. Either way the zero free space past both used ends is
+   scanned once, by [used_end], and never diffed. *)
+let min_move = 32
+
+(* One past the last nonzero byte of [b] below [lim]. *)
+let used_end b lim =
+  let rec word i =
+    if i >= 8 && Int64.equal (Bytes.get_int64_ne b (i - 8)) 0L then
+      word (i - 8)
+    else byte i
+  and byte i =
+    if i > 0 && Bytes.unsafe_get b (i - 1) = '\000' then byte (i - 1) else i
+  in
+  word lim
+
+(* The length of the longest common suffix of [a] below [ea] and [b]
+   below [eb]. *)
+let common_suffix a ea b eb =
+  let m = min ea eb in
+  let rec word k =
+    if k + 8 <= m
+       && Int64.equal
+            (Bytes.get_int64_ne a (ea - k - 8))
+            (Bytes.get_int64_ne b (eb - k - 8))
+    then word (k + 8)
+    else byte k
+  and byte k =
+    if k < m
+       && Bytes.unsafe_get a (ea - k - 1) = Bytes.unsafe_get b (eb - k - 1)
+    then byte (k + 1)
+    else k
+  in
+  word 0
+
+let delta ~trailer ~base data =
+  check_lengths "delta" base data;
+  let n = Bytes.length data and lim = Bytes.length data - trailer in
+  let eb = used_end base lim and ed = used_end data lim in
+  (* [max eb ed, lim) is zero in both images: nothing to diff there *)
+  let hi = max eb ed in
+  let windows move ws =
+    ( move,
+      List.rev
+        (List.fold_left
+           (fun acc (lo, hi) -> diff_window ~base data ~lo ~hi acc)
+           [] ws) )
+  in
+  let len = if eb = ed then 0 else common_suffix base eb data ed in
+  if len < min_move then windows None [ (0, hi); (lim, n) ]
+  else
+    let dst = ed - len in
+    windows
+      (Some { src = eb - len; dst; len })
+      [ (0, dst); (ed, hi); (lim, n) ]
+
+let patch ?move image ranges =
+  Option.iter
+    (fun { src; dst; len } -> Bytes.blit image src image dst len)
+    move;
   List.iter (fun (off, b) -> Bytes.blit b 0 image off (Bytes.length b)) ranges
 
 let has_image t page = Hashtbl.mem t.images page
 
 (* ---- appending ---- *)
 
-(* A Write record's CRC covers tag+body: chained over the 13-byte header
+(* A full Write's CRC covers tag+body: chained over the 13-byte header
    and the two images, so the record is never copied to be summed. *)
 let write_crc hdr before after =
   let crc = Checksum.all hdr in
@@ -159,16 +236,18 @@ let u16 what v =
     invalid_arg (Printf.sprintf "Journal.append: %s %d exceeds u16" what v);
   v
 
-(* A Delta record, CRC included, and the bytes its ranges carry. *)
-let encode_delta page ranges =
+(* A record of tag 3, 4 or 5: an [h]-byte header — the tag, the fields
+   [fields] writes, the range count — then the ranges. Returns the
+   record, CRC included, and the bytes its ranges carry. *)
+let encode_ranges ~tag ~h fields ranges =
   let payload =
     List.fold_left (fun a (_, r) -> a + 4 + Bytes.length r) 0 ranges
   in
-  let body = 7 + payload in
+  let body = h + payload in
   let b = Bytes.create (body + 4) in
-  Bytes.set_uint8 b 0 3;
-  Bytes.set_int32_le b 1 (Int32.of_int page);
-  Bytes.set_uint16_le b 5 (u16 "range count" (List.length ranges));
+  Bytes.set_uint8 b 0 tag;
+  fields b;
+  Bytes.set_uint16_le b (h - 2) (u16 "range count" (List.length ranges));
   ignore
     (List.fold_left
        (fun pos (off, r) ->
@@ -177,9 +256,11 @@ let encode_delta page ranges =
          Bytes.set_uint16_le b (pos + 2) (u16 "range length" len);
          Bytes.blit r 0 b (pos + 4) len;
          pos + 4 + len)
-       7 ranges);
+       h ranges);
   Bytes.set_int32_le b body (Checksum.bytes b ~pos:0 ~len:body);
   (b, payload)
+
+let set_u32 b off v = Bytes.set_int32_le b off (Int32.of_int v)
 
 let count_payload t n =
   t.p_count <- t.p_count + 1;
@@ -190,26 +271,54 @@ let append t r =
   match r with
   | Write { page; before; after } ->
       if not (has_image t page) then Hashtbl.replace t.images page t.len;
-      let hdr = Bytes.create 13 in
-      Bytes.set_uint8 hdr 0 1;
-      Bytes.set_int32_le hdr 1 (Int32.of_int page);
-      Bytes.set_int32_le hdr 5 (Int32.of_int (Bytes.length before));
-      Bytes.set_int32_le hdr 9 (Int32.of_int (Bytes.length after));
-      let trailer = Bytes.create 4 in
-      Bytes.set_int32_le trailer 0 (write_crc hdr before after);
-      push t hdr;
-      push t before;
-      push t after;
-      push t trailer;
-      count_payload t (Bytes.length before + Bytes.length after)
-  | Delta { page; ranges } ->
+      let alen = Bytes.length after in
+      if Bytes.length before = alen && alen <= 0xFFFF && Mem.is_zero before
+      then begin
+        (* a fresh page: its after-image as ranges against zero *)
+        let b, payload =
+          encode_ranges ~tag:4 ~h:11
+            (fun b -> set_u32 b 1 page; set_u32 b 5 alen)
+            (diff ~base:before after)
+        in
+        push t b;
+        count_payload t payload
+      end
+      else begin
+        let hdr = Bytes.create 13 in
+        Bytes.set_uint8 hdr 0 1;
+        set_u32 hdr 1 page;
+        set_u32 hdr 5 (Bytes.length before);
+        set_u32 hdr 9 alen;
+        let trailer = Bytes.create 4 in
+        Bytes.set_int32_le trailer 0 (write_crc hdr before after);
+        push t hdr;
+        push t before;
+        push t after;
+        push t trailer;
+        count_payload t (Bytes.length before + alen)
+      end
+  | Delta { page; move; ranges } ->
       if not (has_image t page) then
         invalid_arg
           (Printf.sprintf
              "Journal.append: Delta for page %d, which has no image in \
               this checkpoint epoch"
              page);
-      let b, payload = encode_delta page ranges in
+      let b, payload =
+        match move with
+        | None -> encode_ranges ~tag:3 ~h:7 (fun b -> set_u32 b 1 page) ranges
+        | Some { src; dst; len } ->
+            let b, payload =
+              encode_ranges ~tag:5 ~h:13
+                (fun b ->
+                  set_u32 b 1 page;
+                  Bytes.set_uint16_le b 5 (u16 "move source" src);
+                  Bytes.set_uint16_le b 7 (u16 "move target" dst);
+                  Bytes.set_uint16_le b 9 (u16 "move length" len))
+                ranges
+            in
+            (b, payload + 6)
+      in
       push t b;
       count_payload t payload
   | Commit ->
@@ -312,9 +421,20 @@ let truncate t =
 
 type scan = { records : (record * int) list; torn : bool }
 
+(* The [k] ranges serialized from [pos] of [body]. *)
+let rec decode_ranges body pos k =
+  if k = 0 then []
+  else
+    let off = Bytes.get_uint16_le body pos
+    and n = Bytes.get_uint16_le body (pos + 2) in
+    (off, Bytes.sub body (pos + 4) n)
+    :: decode_ranges body (pos + 4 + n) (k - 1)
+
 (* The longest valid prefix of the records in [pos, len) of a byte
    source read through [read src_pos dst dst_pos n], each paired with
-   the offset one past its end. *)
+   the offset one past its end. A record is decoded only once its CRC
+   has matched: rot in a length or an offset must make a torn log, not
+   an allocation or a blit out of bounds. *)
 let scan_source read ~pos ~len =
   let pos = ref pos in
   let out = ref [] in
@@ -327,7 +447,7 @@ let scan_source read ~pos ~len =
      while !pos < len do
        let start = !pos in
        read start hdr 0 1;
-       let r, crc, body_len =
+       let crc, body_len, decode =
          match Bytes.get_uint8 hdr 0 with
          | 1 ->
              if start + 13 > len then raise Exit;
@@ -337,19 +457,19 @@ let scan_source read ~pos ~len =
              let before = Bytes.create blen and after = Bytes.create alen in
              read (start + 13) before 0 blen;
              read (start + 13 + blen) after 0 alen;
-             ( Write { page; before; after },
-               write_crc hdr before after,
-               13 + blen + alen )
+             ( write_crc hdr before after,
+               13 + blen + alen,
+               fun () -> Write { page; before; after } )
          | 2 ->
              if start + 5 > len then raise Exit;
-             (Commit, Checksum.bytes hdr ~pos:0 ~len:1, 1)
-         | 3 ->
-             if start + 7 > len then raise Exit;
-             read start hdr 0 7;
-             let page = u32 hdr 1 and nranges = Bytes.get_uint16_le hdr 5 in
+             (Checksum.bytes hdr ~pos:0 ~len:1, 1, fun () -> Commit)
+         | (3 | 4 | 5) as tag ->
+             let h = match tag with 3 -> 7 | 4 -> 11 | _ -> 13 in
+             if start + h > len then raise Exit;
+             read start hdr 0 h;
              (* the range headers give the body's length *)
-             let fin = ref (start + 7) in
-             for _ = 1 to nranges do
+             let fin = ref (start + h) in
+             for _ = 1 to Bytes.get_uint16_le hdr (h - 2) do
                if !fin + 4 > len then raise Exit;
                read !fin trailer 0 4;
                fin := !fin + 4 + Bytes.get_uint16_le trailer 2
@@ -357,21 +477,34 @@ let scan_source read ~pos ~len =
              if !fin + 4 > len then raise Exit;
              let body = Bytes.create (!fin - start) in
              read start body 0 (Bytes.length body);
-             let rec ranges pos k =
-               if k = 0 then []
-               else
-                 let off = Bytes.get_uint16_le body pos
-                 and n = Bytes.get_uint16_le body (pos + 2) in
-                 (off, Bytes.sub body (pos + 4) n)
-                 :: ranges (pos + 4 + n) (k - 1)
+             let decode () =
+               let page = u32 body 1 in
+               let ranges =
+                 decode_ranges body h (Bytes.get_uint16_le body (h - 2))
+               in
+               match tag with
+               | 3 -> Delta { page; move = None; ranges }
+               | 4 ->
+                   let alen = u32 body 5 in
+                   let fits (off, r) = off + Bytes.length r <= alen in
+                   if not (List.for_all fits ranges) then raise Exit;
+                   let after = Bytes.make alen '\000' in
+                   patch after ranges;
+                   Write { page; before = Bytes.make alen '\000'; after }
+               | _ ->
+                   let move =
+                     { src = Bytes.get_uint16_le body 5;
+                       dst = Bytes.get_uint16_le body 7;
+                       len = Bytes.get_uint16_le body 9 }
+                   in
+                   Delta { page; move = Some move; ranges }
              in
-             ( Delta { page; ranges = ranges 7 nranges },
-               Checksum.all body,
-               Bytes.length body )
+             (Checksum.all body, Bytes.length body, decode)
          | _ -> raise Exit
        in
        read (start + body_len) trailer 0 4;
        if Bytes.get_int32_le trailer 0 <> crc then raise Exit;
+       let r = decode () in
        pos := start + body_len + 4;
        out := (r, !pos) :: !out
      done
@@ -412,12 +545,12 @@ let target_map records =
           if i <= !last_commit then Hashtbl.replace target page after
           else if not (Hashtbl.mem target page) then
             Hashtbl.replace target page before
-      | Delta { page; ranges } ->
+      | Delta { page; move; ranges } ->
           (* a Delta always follows its page's image in a log the pool
              wrote; one whose image was torn away has nothing to patch *)
           if i <= !last_commit then
             Option.iter
-              (fun image -> patch image ranges)
+              (fun image -> patch ?move image ranges)
               (Hashtbl.find_opt target page))
     rs;
   target

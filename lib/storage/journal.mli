@@ -2,12 +2,17 @@
 
     The paper sells the RI-tree on inheriting the host RDBMS's
     "industrial strength" recovery services for free; this journal is
-    that service in our bundled engine. It is a physiological redo log
-    in the manner of ARIES with PostgreSQL's full-page-writes rule. A
-    {e checkpoint epoch} is the span between two {!truncate}s. The first
-    record for a page in an epoch is a full {!Write} of its before- and
-    after-image; every later record for that page is a {!Delta}: the
-    byte ranges that changed since the page's last logged image. Every
+    that service in our bundled engine. It is a redo log with
+    PostgreSQL's full-page-writes rule whose records say what a page
+    operation changed, not every byte it moved. A {e checkpoint epoch}
+    is the span between two {!truncate}s. The first record for a page in
+    an epoch is a full {!Write} of its before- and after-image (when
+    the before-image is all zero, as for every freshly allocated page,
+    only the after-image's nonzero ranges are serialized); every later
+    record for that page is a
+    {!Delta} against the page's last logged image: an optional {!move}
+    — the shift of a B+-tree insert or delete, six bytes however long
+    the shifted tail — then the byte ranges that changed. Every
     write-back of a dirty page logs one of the two,
     {!Buffer_pool.commit} force-logs all dirty pages followed by a
     commit marker (log-force, lazy data pages), and {!recover}
@@ -34,12 +39,15 @@
 
 type t
 
+type move = { src : int; dst : int; len : int }
+(** Blit [len] bytes of an image from [src] to [dst] (overlap allowed). *)
+
 type record =
   | Write of { page : int; before : Bytes.t; after : Bytes.t }
       (** A full image: the page's first record in its epoch. *)
-  | Delta of { page : int; ranges : (int * Bytes.t) list }
-      (** [(off, bytes)] ranges to patch into the page's last logged
-          image, in increasing offset order. *)
+  | Delta of { page : int; move : move option; ranges : (int * Bytes.t) list }
+      (** Apply [move] to the page's last logged image, then patch the
+          [(off, bytes)] ranges, in increasing offset order. *)
   | Commit
 
 val create : unit -> t
@@ -47,8 +55,8 @@ val create : unit -> t
 val append : t -> record -> unit
 (** Serialize the record (with its CRC) into the pending tail.
     @raise Invalid_argument on a [Delta] for a page with no image in
-    the epoch ({!has_image}), or whose range count, offsets or lengths
-    exceed 65 535. *)
+    the epoch ({!has_image}), or whose range count, offsets or lengths,
+    or move fields, exceed 65 535. *)
 
 val has_image : t -> int -> bool
 (** Whether the page has a full image in the current epoch — i.e.
@@ -63,17 +71,30 @@ val diff : base:Bytes.t -> Bytes.t -> (int * Bytes.t) list
     if they are equal.
     @raise Invalid_argument if the lengths differ. *)
 
-val patch : Bytes.t -> (int * Bytes.t) list -> unit
-(** Blit each range into the image at its offset. *)
+val delta :
+  trailer:int -> base:Bytes.t -> Bytes.t -> move option * (int * Bytes.t) list
+(** [delta ~trailer ~base page] is what a {!Delta} from [base] to [page]
+    logs. When [page] is [base] with its used prefix shifted — found in
+    O(1) from the two images' used ends, one past their last nonzero
+    byte below the [trailer] (the checksum's bytes at the end), and
+    verified backwards from them — it is that move plus the {!diff} of
+    the windows on either side of the moved run. Otherwise it is
+    [(None, diff ~base page)]. Either way
+    [patch ?move base ranges] turns [base] into [page].
+    @raise Invalid_argument if the lengths differ. *)
+
+val patch : ?move:move -> Bytes.t -> (int * Bytes.t) list -> unit
+(** Apply the move, then blit each range into the image at its offset. *)
 
 val records : t -> record list
 (** All parseable records, durable then pending, oldest first. *)
 
 val record_count : t -> int
 val byte_size : t -> int
-(** Payload bytes logged: both images of a [Write]; the ranges of a
-    [Delta], with their 4-byte range headers. Diagnostic, excludes the
-    record framing. *)
+(** Payload bytes logged: both images of a [Write], or, when its
+    before-image is all zero, the nonzero ranges of its after-image;
+    the ranges of a [Delta], plus 6 bytes for a move. Ranges count
+    their 4-byte headers. Diagnostic, excludes the record framing. *)
 
 val force : t -> unit
 (** Make everything appended so far durable — the simulated log force

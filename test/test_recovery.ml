@@ -558,7 +558,8 @@ let prop_diff_patch =
       in
       let j = J.create () in
       J.append j (J.Write { page = 7; before; after = before });
-      if ranges <> [] then J.append j (J.Delta { page = 7; ranges });
+      if ranges <> [] then
+        J.append j (J.Delta { page = 7; move = None; ranges });
       J.append j J.Commit;
       J.force j;
       let stream = J.stream_from j 0 in
@@ -567,6 +568,72 @@ let prop_diff_patch =
       && well_formed (-9) ranges
       && parsed = J.records j
       && List.length parsed = (if ranges = [] then 2 else 3)
+      && Hashtbl.find (J.recovery_images j) 7 = after)
+
+(* A B+-tree page gains or loses one entry: the entries after the slot
+   shift by one stride, the free space behind them stays zero, and the
+   checksum trailer changes. [delta] must find that shift as one move
+   — whenever the shifted run is long enough to pay for one — and log
+   little more than one stride, and the move and ranges must rebuild
+   the page, directly and through the serialized log. *)
+let prop_delta_move =
+  let gen =
+    QCheck.Gen.(
+      let* stride = int_range 8 64 in
+      let* n = int_range 256 2048 in
+      let cap = (n - 4 - 16) / stride in
+      let* k = int_range 1 (cap - 1) in
+      let entry = bytes_size ~gen:(char_range '\001' '\255') (return stride) in
+      let* entries = list_repeat (k + 1) entry in
+      let* insert = bool in
+      let* slot = int_bound (k - 1) in
+      let* trailer = bytes_size (return 4) in
+      let page entries =
+        let b = Bytes.make n '\000' in
+        Bytes.fill b 0 16 '\007';
+        Bytes.set_uint16_be b 2 (List.length entries);
+        List.iteri
+          (fun i e -> Bytes.blit e 0 b (16 + (i * stride)) stride)
+          entries;
+        b
+      in
+      (* [before] holds the first [k] entries; an insert adds the last
+         one at [slot], a delete drops the one at [slot] *)
+      let before = List.filteri (fun i _ -> i < k) entries in
+      let after =
+        if insert then
+          List.filteri (fun i _ -> i < slot) before
+          @ (List.nth entries k :: List.filteri (fun i _ -> i >= slot) before)
+        else List.filteri (fun i _ -> i <> slot) before
+      in
+      let before = page before and after = page after in
+      Bytes.blit trailer 0 after (n - 4) 4;
+      let tail = (if insert then k - slot else k - slot - 1) * stride in
+      return (stride, tail, before, after))
+  in
+  QCheck.Test.make ~count:500 ~name:"delta logs a shift as one move"
+    (QCheck.make
+       ~print:(fun (stride, tail, b, a) ->
+         Printf.sprintf "stride=%d tail=%d before=%S after=%S" stride tail
+           (Bytes.to_string b) (Bytes.to_string a))
+       gen)
+    (fun (stride, tail, before, after) ->
+      let move, ranges = J.delta ~trailer:4 ~base:before after in
+      let img = Bytes.copy before in
+      J.patch ?move img ranges;
+      let j = J.create () in
+      J.append j (J.Write { page = 7; before; after = before });
+      let at = J.unforced_bytes j in
+      J.append j (J.Delta { page = 7; move; ranges });
+      let size = J.unforced_bytes j - at in
+      J.append j J.Commit;
+      J.force j;
+      let stream = J.stream_from j 0 in
+      let parsed = List.map fst (J.parse stream ~len:(Bytes.length stream)) in
+      (tail < 32 || move <> None)
+      && size <= stride + 64
+      && Bytes.equal img after
+      && parsed = J.records j
       && Hashtbl.find (J.recovery_images j) 7 = after)
 
 (* A random history through a small journaled pool — byte edits and
@@ -824,16 +891,122 @@ let test_dropped_first_image_relogged () =
   Dev.read dev q buf;
   check Alcotest.char "q recovered" 'q' (Bytes.get buf 0)
 
+(* The fresh-page Write (tag 4) and the move Delta (tag 5) under every
+   single-byte rot and every tear of the durable log: each damaged log
+   parses as a torn log holding a prefix of the clean records, and
+   neither the scrub images nor recovery raise. *)
+let test_new_tags_damage () =
+  (* a fresh page: 20 bytes of data, zero free space, a trailer *)
+  let fresh =
+    Bytes.init 64 (fun i ->
+        if i < 20 || i >= 60 then Char.chr (1 + i) else '\000')
+  in
+  let journal () =
+    let j = J.create () in
+    J.append j
+      (J.Write { page = 0; before = Bytes.make 64 '\000'; after = fresh });
+    J.append j J.Commit;
+    J.append j
+      (J.Delta
+         { page = 0; move = Some { src = 0; dst = 8; len = 40 };
+           ranges = [ (0, Bytes.of_string "ab") ] });
+    J.append j J.Commit;
+    J.force j;
+    j
+  in
+  let clean = journal () in
+  let records = J.records clean in
+  check Alcotest.int "payload: two ranges of the fresh page, a move, a range"
+    ((4 + 20) + (4 + 4) + 6 + (4 + 2))
+    (J.byte_size clean);
+  check Alcotest.int "serialized: no zero bytes of the fresh page"
+    ((11 + 32 + 4) + 5 + (13 + 6 + 4) + 5)
+    (J.durable_bytes clean);
+  check Alcotest.bool "the fresh page's images are rebuilt" true
+    (match records with
+    | J.Write { before; after; _ } :: _ ->
+        Bytes.equal before (Bytes.make 64 '\000') && Bytes.equal after fresh
+    | _ -> false);
+  let want = Bytes.copy fresh in
+  J.patch ~move:{ src = 0; dst = 8; len = 40 } want
+    [ (0, Bytes.of_string "ab") ];
+  check Alcotest.bytes "clean recovery image" want
+    (Hashtbl.find (J.recovery_images clean) 0);
+  let size = J.durable_bytes clean in
+  let stream = J.stream_from clean 0 in
+  let ends = 0 :: List.map snd (J.parse stream ~len:size) in
+  (* a tear on a record boundary leaves a valid, shorter log *)
+  let survive what damage ~torn =
+    for at = 0 to size - 1 do
+      let j = journal () in
+      damage j at;
+      let rs = J.records j in
+      let n = List.length rs in
+      if
+        not
+          (J.durable_torn j = torn at
+          && n < 4
+          && rs = List.filteri (fun i _ -> i < n) records)
+      then Alcotest.failf "%s at %d: not a torn prefix" what at;
+      let dev = Dev.create ~block_size:64 () in
+      ignore (Dev.alloc dev);
+      match
+        ignore (J.recovery_images j);
+        J.recover j dev
+      with
+      | _ -> ()
+      | exception e ->
+          Alcotest.failf "%s at %d: %s" what at (Printexc.to_string e)
+    done
+  in
+  survive "rot" (fun j off -> J.corrupt_byte j ~off) ~torn:(fun _ -> true);
+  survive "tear" (fun j keep -> J.tear j ~keep) ~torn:(fun keep ->
+      not (List.mem keep ends))
+
+(* What a 4-insert COMMIT logs on the [mixed-disk] writer's fixture: a
+   durable covering D1 n = 35 000 bulk preload, then 1 000 commits of
+   four D1-shaped inserts (the [commit] bench driver's run). Byte diffs
+   logged 9 063 serialized bytes per commit, mostly the tails that leaf
+   inserts shift; moves and fresh-page images log about 2 640. *)
+let test_commit_log_bytes () =
+  let module S = Server.Session in
+  let module Dist = Workload.Distribution in
+  let sh = S.shared ~durable:true () in
+  S.preload sh (Dist.generate ~seed:1 Dist.D1 ~n:35_000 ~d:2000);
+  let j = Option.get (Catalog.journal (S.catalog sh)) in
+  let s = S.create sh in
+  let rng = Workload.Prng.create ~seed:7 in
+  let commits = 1000 and lsn0 = J.durable_lsn j in
+  for _ = 1 to commits do
+    for _ = 1 to 4 do
+      let lower = Workload.Prng.int rng (Dist.domain_max + 1) in
+      let upper = min Dist.domain_max (lower + Workload.Prng.int rng 4001) in
+      match S.handle s (Server.Protocol.Insert { lower; upper; id = None }) with
+      | Server.Protocol.Ack _ -> ()
+      | _ -> Alcotest.fail "insert refused"
+    done;
+    match S.handle s Server.Protocol.Commit with
+    | Server.Protocol.Ack _ -> ()
+    | _ -> Alcotest.fail "commit refused"
+  done;
+  let per = (J.durable_lsn j - lsn0) / commits in
+  if per > 3000 then
+    Alcotest.failf "%d serialized journal bytes per 4-insert commit, bound 3000"
+      per
+
 let test_delta_needs_image () =
   let j = J.create () in
   Alcotest.check_raises "delta without an epoch image"
     (Invalid_argument
        "Journal.append: Delta for page 3, which has no image in this \
         checkpoint epoch") (fun () ->
-      J.append j (J.Delta { page = 3; ranges = [ (0, Bytes.of_string "x") ] }));
+      J.append j
+        (J.Delta
+           { page = 3; move = None; ranges = [ (0, Bytes.of_string "x") ] }));
   J.append j
     (J.Write { page = 3; before = Bytes.make 4 'a'; after = Bytes.make 4 'b' });
-  J.append j (J.Delta { page = 3; ranges = [ (1, Bytes.of_string "xy") ] });
+  J.append j
+    (J.Delta { page = 3; move = None; ranges = [ (1, Bytes.of_string "xy") ] });
   check Alcotest.int "delta bytes: header + range" (8 + 4 + 2) (J.byte_size j);
   J.truncate j;
   check Alcotest.bool "checkpoint starts a new epoch" false (J.has_image j 3)
@@ -879,9 +1052,14 @@ let () =
            test_bulk_preload_crash_reattach ]);
       ("delta log",
        [ QCheck_alcotest.to_alcotest prop_diff_patch;
+         QCheck_alcotest.to_alcotest prop_delta_move;
          QCheck_alcotest.to_alcotest prop_history_oracle;
          Alcotest.test_case "delta needs an epoch image" `Quick
            test_delta_needs_image;
+         Alcotest.test_case "rot and tears on fresh images and moves" `Quick
+           test_new_tags_damage;
+         Alcotest.test_case "covering commit logs <= 3000 bytes" `Quick
+           test_commit_log_bytes;
          Alcotest.test_case "scrub repairs across a checkpoint" `Quick
            test_scrub_across_checkpoint;
          Alcotest.test_case "dropped first image is re-logged in full" `Quick

@@ -390,15 +390,17 @@ let test_apply_reconnect () =
 (* A standby that joins mid-epoch: it applied a prefix of the stream,
    then a fresh engine subscribes from that non-zero LSN and receives
    batches made mostly of deltas against pages the standby already
-   holds. Its device must end byte-identical to the primary's once the
-   primary checkpoints. *)
+   holds, some of them the moves of B+-tree leaf inserts. Its device
+   must end byte-identical to the primary's once the primary
+   checkpoints. *)
 let test_apply_mid_epoch_resume () =
   let sh = S.shared ~durable:true () in
   let sess = S.create sh in
+  (* scattered bounds, so that leaf inserts land mid-page and shift *)
   let insert_commit i =
+    let lower = i * 37 mod 500 in
     (match
-       S.handle sess
-         (P.Insert { lower = i * 7; upper = (i * 7) + 20; id = None })
+       S.handle sess (P.Insert { lower; upper = lower + 20; id = None })
      with
     | P.Ack _ -> ()
     | _ -> Alcotest.fail "insert refused");
@@ -427,20 +429,22 @@ let test_apply_mid_epoch_resume () =
     insert_commit i
   done;
   let tail = Bytes.to_string (Storage.Journal.stream_from j resume) in
-  let writes, deltas =
+  let writes, deltas, moves =
     List.fold_left
-      (fun (w, d) (r, _) ->
+      (fun (w, d, m) (r, _) ->
         match r with
-        | Storage.Journal.Write _ -> (w + 1, d)
-        | Storage.Journal.Delta _ -> (w, d + 1)
-        | Storage.Journal.Commit -> (w, d))
-      (0, 0)
+        | Storage.Journal.Write _ -> (w + 1, d, m)
+        | Storage.Journal.Delta { move; _ } ->
+            (w, d + 1, if move = None then m else m + 1)
+        | Storage.Journal.Commit -> (w, d, m))
+      (0, 0, 0)
       (Storage.Journal.parse (Bytes.of_string tail) ~len:(String.length tail))
   in
   Alcotest.(check bool)
-    (Printf.sprintf "delta-heavy tail (%d writes, %d deltas)" writes deltas)
+    (Printf.sprintf "delta-heavy tail (%d writes, %d deltas, %d moves)" writes
+       deltas moves)
     true
-    (resume > 0 && deltas > 4 * writes);
+    (resume > 0 && deltas > 4 * writes && moves > 0);
   let eng = R.create ~from_lsn:resume () in
   let step = 97 in
   let rec go off =
