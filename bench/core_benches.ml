@@ -159,12 +159,14 @@ let storage ~tiny =
 
 (* ---- explain: the Sec. 5 cost model vs cold-cache reality ----
 
-   Per query, predict result size (histograms) and physical I/O (index
-   cost formula), then measure both against a cold cache, and report
-   the relative-error distribution. One query per distribution is also
-   pushed through the SQL front end — transient leftNodes/rightNodes
-   collections plus the Fig. 9 UNION ALL — under EXPLAIN ANALYZE, tying
-   the engine's estimator to the same ground truth. *)
+   Per query, predict physical I/O and rows with the estimator EXPLAIN
+   prints (and the planner chooses by), and the result size with the
+   statistics' interval-identity estimate, then measure them against a
+   cold cache, and report the relative-error distributions. One query
+   per distribution is also pushed through the SQL front end — transient
+   leftNodes/rightNodes collections plus the Fig. 9 UNION ALL — under
+   EXPLAIN ANALYZE, tying the engine's estimator to the same ground
+   truth. *)
 
 let err_stats errs =
   let mean, p50, p90, mx =
@@ -212,11 +214,20 @@ let explain_kind ~tiny kind =
   in
   let io_errs = Array.make (Array.length queries) 0. in
   let rows_errs = Array.make (Array.length queries) 0. in
+  let explain_rows_errs = Array.make (Array.length queries) 0. in
   let pred_io_total = ref 0. and actual_io_total = ref 0 in
   let pred_rows_total = ref 0 and actual_rows_total = ref 0 in
   Array.iteri
     (fun i q ->
-      let pred_io = Ritree.Cost_model.index_cost tree stats q in
+      (* the plan measured below: no statistics, so the two-branch plan *)
+      let c = Exec.Planner.plan_intersection ~proj:Exec.Planner.Ids tree q in
+      let ests =
+        Exec.Estimate.branches ~stats c.Exec.Ir.ctx
+          c.Exec.Ir.plan.Exec.Ir.branches
+      in
+      let sum f = List.fold_left (fun a e -> a +. f e) 0. ests in
+      let pred_io = sum (fun e -> e.Exec.Estimate.total_io) in
+      let explain_rows = sum (fun e -> e.Exec.Estimate.out_rows) in
       let pred_rows = Ritree.Cost_model.Stats.estimate_result_size stats q in
       Relation.Catalog.flush db;
       Relation.Catalog.drop_cache db;
@@ -226,6 +237,7 @@ let explain_kind ~tiny kind =
       let actual_rows = List.length ids in
       io_errs.(i) <- rel_err pred_io io;
       rows_errs.(i) <- rel_err (float_of_int pred_rows) actual_rows;
+      explain_rows_errs.(i) <- rel_err explain_rows actual_rows;
       pred_io_total := !pred_io_total +. pred_io;
       actual_io_total := !actual_io_total + io;
       pred_rows_total := !pred_rows_total + pred_rows;
@@ -259,6 +271,7 @@ let explain_kind ~tiny kind =
       ("actual_rows_total", R.Int !actual_rows_total);
       ("io_rel_err", err_stats io_errs);
       ("rows_rel_err", err_stats rows_errs);
+      ("explain_rows_rel_err", err_stats explain_rows_errs);
       ("explain_analyze", R.String sql_explain) ]
 
 let explain ~tiny =
@@ -472,13 +485,6 @@ let memindex_kind ~tiny kind =
      disk paths are the [plan] candidates. *)
   let memtier = Exec.Memtier.create ~budget_mb:256 in
   let mem = Exec.Memtier.acquire memtier tree in
-  let mem_info =
-    Option.map
-      (fun (h : Exec.Ir.mem_handle) ->
-        { Ritree.Cost_model.mem_levels = h.Exec.Ir.mem_levels;
-          mem_entries = h.Exec.Ir.mem_entries })
-      mem
-  in
   let wins = ref 0 and mem_chosen = ref 0 in
   Array.iter
     (fun q ->
@@ -494,7 +500,7 @@ let memindex_kind ~tiny kind =
           (Exec.Planner.Seq, disk_io Exec.Planner.Seq) ]
       in
       let best = List.fold_left (fun a (_, c) -> min a c) max_int candidates in
-      let chosen = Exec.Planner.choose ?mem:mem_info tree stats q in
+      let chosen = Exec.Planner.choose ?mem tree stats q in
       if chosen = Exec.Planner.Mem_path then incr mem_chosen;
       let chosen_io =
         match List.assoc_opt chosen candidates with

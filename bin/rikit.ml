@@ -96,9 +96,18 @@ let explain kind n d seed trace qlow qup =
   let stats = Ritree.Cost_model.Stats.analyze tree in
   print_string
     (Exec.Planner.explain ~stats tree (Exec.Planner.Intersect_target q));
-  Printf.printf "chosen access path: %s  (full scan: %.0f blocks)\n"
-    (Exec.Planner.path_to_string (Exec.Planner.choose tree stats q))
-    (Ritree.Cost_model.scan_cost tree);
+  (* the chooser's candidates, priced by the estimator printed above *)
+  let cands =
+    Exec.Planner.candidates ~stats ~proj:Exec.Planner.Triples tree q
+  in
+  let chosen, _, _ = Exec.Planner.cheapest cands in
+  Printf.printf "chosen access path: %s  (est io: %s)\n"
+    (Exec.Planner.path_to_string chosen)
+    (String.concat ", "
+       (List.map
+          (fun (p, _, io) ->
+            Printf.sprintf "%s %.0f" (Exec.Planner.path_to_string p) io)
+          cands));
   Relation.Catalog.flush db;
   Relation.Catalog.drop_cache db;
   if trace then Obs.Trace.set_enabled true;

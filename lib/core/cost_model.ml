@@ -6,6 +6,7 @@ module Histogram = struct
     lo : int;
     hi : int;
     counts : int array;
+    below : int array;
     total : int;
   }
 
@@ -14,27 +15,38 @@ module Histogram = struct
      `hi - lo + 1` or `x - lo` in native ints would wrap. Floats lose
      precision at that scale but only blur bucket boundaries, which the
      estimate tolerates; wraparound flips signs and destroys it. *)
-  let fspan lo hi = Float.max 1.0 (float_of_int hi -. float_of_int lo +. 1.0)
+  let fspan lo hi =
+    let s = float_of_int hi -. float_of_int lo +. 1.0 in
+    if s < 1.0 then 1.0 else s
 
+  (* [below] holds prefix sums, so [count_below] is O(1). *)
   let build ~buckets values =
-    match values with
-    | [] -> { lo = 0; hi = 0; counts = Array.make buckets 0; total = 0 }
-    | v :: _ ->
-        let lo = List.fold_left min v values in
-        let hi = List.fold_left max v values in
-        let counts = Array.make buckets 0 in
-        let span = fspan lo hi in
-        List.iter
-          (fun x ->
-            let b =
-              int_of_float
-                ((float_of_int x -. float_of_int lo)
-                 *. float_of_int buckets /. span)
-            in
-            let b = min (buckets - 1) (max 0 b) in
-            counts.(b) <- counts.(b) + 1)
-          values;
-        { lo; hi; counts; total = List.length values }
+    let counts = Array.make buckets 0 in
+    let n = Array.length values in
+    let lo = ref 0 and hi = ref 0 in
+    if n > 0 then begin
+      lo := values.(0);
+      hi := values.(0);
+      for i = 1 to n - 1 do
+        lo := Int.min !lo values.(i);
+        hi := Int.max !hi values.(i)
+      done;
+      let span = fspan !lo !hi in
+      for i = 0 to n - 1 do
+        let b =
+          int_of_float
+            ((float_of_int values.(i) -. float_of_int !lo)
+             *. float_of_int buckets /. span)
+        in
+        let b = Int.min (buckets - 1) (Int.max 0 b) in
+        counts.(b) <- counts.(b) + 1
+      done
+    end;
+    let below = Array.make (buckets + 1) 0 in
+    Array.iteri (fun b c -> below.(b + 1) <- below.(b) + c) counts;
+    { lo = !lo; hi = !hi; counts; below; total = n }
+
+  let total t = t.total
 
   (* Estimated number of values strictly below [x], assuming uniformity
      within buckets. *)
@@ -47,110 +59,115 @@ module Histogram = struct
         (float_of_int x -. float_of_int t.lo)
         *. float_of_int buckets /. fspan t.lo t.hi
       in
-      let pos = Float.max 0.0 (Float.min (float_of_int buckets) pos) in
+      let fb = float_of_int buckets in
+      let pos = if pos < 0.0 then 0.0 else if pos > fb then fb else pos in
       let full = int_of_float pos in
       let frac = pos -. float_of_int full in
-      let acc = ref 0.0 in
-      for b = 0 to min (buckets - 1) (full - 1) do
-        acc := !acc +. float_of_int t.counts.(b)
-      done;
-      if full < buckets then acc := !acc +. (frac *. float_of_int t.counts.(full));
-      !acc
+      let whole = float_of_int t.below.(min buckets full) in
+      if full < buckets then whole +. (frac *. float_of_int t.counts.(full))
+      else whole
     end
 end
 
 module Stats = struct
-  type t = {
-    n : int;
-    lowers : Histogram.t;
-    uppers : Histogram.t;
+  type col = {
+    hist : Histogram.t;
+    fine : Histogram.t;
+    distinct : int;
+    corr : float;
   }
 
-  let analyze ?(buckets = 64) tree =
-    let lowers = ref [] and uppers = ref [] in
-    Relation.Table.iter (Ri_tree.table tree) (fun _ row ->
-        lowers := row.(1) :: !lowers;
-        uppers := row.(2) :: !uppers);
-    { n = Ri_tree.count tree;
-      lowers = Histogram.build ~buckets !lowers;
-      uppers = Histogram.build ~buckets !uppers }
+  type t = { table : string; rows : int; cols : (string * col) list }
 
-  let row_count t = t.n
+  let clamp01 f = Float.max 0.0 (Float.min 1.0 f)
+
+  (* |Pearson correlation| of value vs heap position (the sign is
+     irrelevant for locality: a perfectly descending column is just as
+     clustered as an ascending one). *)
+  let heap_correlation values =
+    let n = ref 0.0 and sx = ref 0.0 and sy = ref 0.0 in
+    let sxx = ref 0.0 and syy = ref 0.0 and sxy = ref 0.0 in
+    for i = 0 to Array.length values - 1 do
+      let x = float_of_int i and y = float_of_int values.(i) in
+      n := !n +. 1.0;
+      sx := !sx +. x;
+      sy := !sy +. y;
+      sxx := !sxx +. (x *. x);
+      syy := !syy +. (y *. y);
+      sxy := !sxy +. (x *. y)
+    done;
+    let cov = (!n *. !sxy) -. (!sx *. !sy) in
+    let vx = (!n *. !sxx) -. (!sx *. !sx)
+    and vy = (!n *. !syy) -. (!sy *. !sy) in
+    if vx <= 0.0 || vy <= 0.0 then 0.0
+    else clamp01 (Float.abs (cov /. sqrt (vx *. vy)))
+
+  (* Sorts [values] in place, so it runs after the position-dependent
+     correlation. *)
+  let distinct_count values =
+    Array.sort Int.compare values;
+    let d = ref 0 in
+    for i = 0 to Array.length values - 1 do
+      if i = 0 || values.(i) <> values.(i - 1) then incr d
+    done;
+    !d
+
+  (* One heap scan fills one [int array] per column, sized by the row
+     count the heap keeps. *)
+  let of_table tbl =
+    let columns = Relation.Table.columns tbl in
+    let vals =
+      Array.map (fun _ -> Array.make (Relation.Table.row_count tbl) 0) columns
+    in
+    let rows = ref 0 in
+    Relation.Table.iter tbl (fun _ row ->
+        for j = 0 to Array.length vals - 1 do
+          vals.(j).(!rows) <- row.(j)
+        done;
+        incr rows);
+    (* the estimator reads 32 buckets, the interval-identity estimate
+       64 *)
+    let col_of values =
+      let hist = Histogram.build ~buckets:32 values
+      and fine = Histogram.build ~buckets:64 values in
+      let corr = heap_correlation values in
+      { hist; fine; distinct = distinct_count values; corr }
+    in
+    { table = Relation.Table.name tbl;
+      rows = !rows;
+      cols =
+        List.combine (Array.to_list columns)
+          (Array.to_list (Array.map col_of vals)) }
+
+  let analyze tree = of_table (Ri_tree.table tree)
+
+  let table t = t.table
+  let row_count t = t.rows
+  let column t c =
+    List.find_map (fun (c', col) -> if c' = c then Some col else None) t.cols
 
   (* Misses: upper < qlow, or lower > qup. *)
   let estimate_result_size t q =
-    if t.n = 0 then 0
-    else begin
-      let ends_before = Histogram.count_below t.uppers (Ivl.lower q) in
-      (* "count_below (upper+1)" = "count at or below upper" — but the
-         successor of the Sec. 4.6 infinity sentinel (max_int) wraps to
-         min_int and collapses the count to 0, so clamp it. At max_int
-         itself count_below may undercount by the values exactly equal
-         to max_int; an [x, infinity) query instead takes the x > hi
-         shortcut whenever the data contains no sentinel bounds. *)
-      let upper_succ =
-        if Ivl.upper q = max_int then max_int else Ivl.upper q + 1
-      in
-      let starts_after =
-        float_of_int t.n -. Histogram.count_below t.lowers upper_succ
-      in
-      let est = float_of_int t.n -. ends_before -. starts_after in
-      max 0 (min t.n (int_of_float (Float.round est)))
-    end
+    match (column t "lower", column t "upper") with
+    | Some lowers, Some uppers when t.rows > 0 ->
+        let ends_before = Histogram.count_below uppers.fine (Ivl.lower q) in
+        (* "count_below (upper+1)" = "count at or below upper" — but the
+           successor of the Sec. 4.6 infinity sentinel (max_int) wraps to
+           min_int and collapses the count to 0, so clamp it. At max_int
+           itself count_below may undercount by the values exactly equal
+           to max_int; an [x, infinity) query instead takes the x > hi
+           shortcut whenever the data contains no sentinel bounds. *)
+        let upper_succ =
+          if Ivl.upper q = max_int then max_int else Ivl.upper q + 1
+        in
+        let starts_after =
+          float_of_int t.rows -. Histogram.count_below lowers.fine upper_succ
+        in
+        let est = float_of_int t.rows -. ends_before -. starts_after in
+        max 0 (min t.rows (int_of_float (Float.round est)))
+    | _ -> 0
 
   let estimate_selectivity t q =
-    if t.n = 0 then 0.0
-    else float_of_int (estimate_result_size t q) /. float_of_int t.n
+    if t.rows = 0 then 0.0
+    else float_of_int (estimate_result_size t q) /. float_of_int t.rows
 end
-
-type plan_choice = Index_plan | Full_scan | Mem_plan
-
-let plan_to_string = function
-  | Index_plan -> "index"
-  | Full_scan -> "scan"
-  | Mem_plan -> "mem"
-
-(* What the tier-choice arithmetic needs to know about a RAM-resident
-   HINT replica of the collection. *)
-type mem_info = { mem_levels : int; mem_entries : int }
-
-(* Blocks for the Fig. 9 plan. The node probes hit the two interval
-   indexes whose upper levels are shared across probes and stay
-   buffer-resident for the whole statement, so the root-to-leaf descent
-   is charged once per index (2 * depth), not once per probe — charging
-   it per probe overshot measured I/O by 2-5x on probe-heavy workloads.
-   Each probe then costs one leaf visit, plus the leaves holding the
-   estimated result. *)
-let index_cost tree stats q =
-  let n = max 2 (Stats.row_count stats) in
-  let probes = float_of_int (Ri_tree.probe_count tree q + 1) in
-  let lower = Relation.Table.Index.tree (Ri_tree.lower_index tree) in
-  let fanout = float_of_int (Btree.leaf_capacity lower) in
-  let depth = Float.max 1.0 (log (float_of_int n) /. log fanout) in
-  let r = float_of_int (Stats.estimate_result_size stats q) in
-  (2.0 *. depth) +. probes +. (r /. fanout)
-
-let scan_cost tree =
-  float_of_int (Relation.Heap.page_count (Relation.Table.heap (Ri_tree.table tree)))
-
-(* A hot-tier probe does no physical I/O; to keep it comparable with the
-   block-denominated disk costs it is priced in block-equivalents at a
-   fixed CPU-to-I/O exchange rate: one block read buys ~50k in-memory
-   partition visits / result touches. The probe walks at most two
-   comparison-bearing partitions per HINT level plus the estimated
-   result, so memory wins by orders of magnitude except against a
-   same-statement warm cache — which the model deliberately ignores,
-   matching the paper's cold-buffer costing. *)
-let mem_ops_per_block = 50_000.0
-
-let mem_cost (mi : mem_info) stats q =
-  let r = float_of_int (Stats.estimate_result_size stats q) in
-  let walk = float_of_int (mi.mem_levels * 8) in
-  (walk +. r) /. mem_ops_per_block
-
-let choose ?mem tree stats q =
-  let ic = index_cost tree stats q and sc = scan_cost tree in
-  let disk = if ic <= sc then (Index_plan, ic) else (Full_scan, sc) in
-  match mem with
-  | Some mi when mem_cost mi stats q <= snd disk -> Mem_plan
-  | _ -> fst disk

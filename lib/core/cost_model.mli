@@ -1,26 +1,25 @@
-(** Statistics and a cost model for RI-tree queries.
+(** Statistics for the optimizer's one cost model.
 
     Sec. 5 of the paper: "With a cost model registered at the optimizer,
     the server is able to generate efficient execution plans for queries
-    on interval data types." This module provides that piece for our
-    engine: equi-width histograms over the stored lower and upper bounds
-    estimate an intersection query's result size (an interval misses the
-    query iff it ends before it or starts after it), and a block-level
-    cost formula compares the RI-tree plan against a full table scan. At
-    very high selectivities the scan is cheaper — the optimizer's choice,
-    not the index's failure — and [Exec.Planner] switches plans
-    accordingly. *)
+    on interval data types." The cost model itself is [Exec.Estimate]:
+    it prices a physical plan in rows and block I/O, EXPLAIN prints its
+    numbers, and [Exec.Planner] chooses between the two-branch plan and
+    a sequential scan by the same numbers, priced for their access
+    paths (the plans projecting ids). This module holds what it
+    reads: one statistics object per table, built in one scan, with an
+    equi-width histogram, a distinct count and the heap correlation of
+    every column. The interval-identity estimate below (an interval
+    misses a query iff it ends before it or starts after it) sizes the
+    memory probe's result. *)
 
-(** Equi-width histogram over one column, with its running min/max. *)
+(** Equi-width histogram over one column, with its running min/max.
+    Only {!Stats} builds one. *)
 module Histogram : sig
-  type t = {
-    lo : int;
-    hi : int;
-    counts : int array;  (** one per bucket *)
-    total : int;
-  }
+  type t
 
-  val build : buckets:int -> int list -> t
+  val total : t -> int
+  (** Values counted. *)
 
   val count_below : t -> int -> float
   (** Estimated number of values strictly below the argument, assuming
@@ -29,43 +28,33 @@ module Histogram : sig
 end
 
 module Stats : sig
+  type col = {
+    hist : Histogram.t;  (** 32 buckets: the estimator's *)
+    fine : Histogram.t;  (** 64 buckets: the interval-identity estimate's *)
+    distinct : int;
+    corr : float;
+        (** |Pearson correlation| between the value and the row's heap
+            position: 1.0 means an index range on this column fetches
+            consecutive heap pages, 0.0 a random scatter *)
+  }
+
   type t
 
-  val analyze : ?buckets:int -> Ri_tree.t -> t
-  (** One scan of the interval table (default 64 buckets per
-      histogram). *)
+  val of_table : Relation.Table.t -> t
+  (** One scan of the table's heap. *)
+
+  val analyze : Ri_tree.t -> t
+  (** [of_table] of the RI-tree's interval relation. *)
+
+  val table : t -> string
+  (** Name of the table analyzed. *)
 
   val row_count : t -> int
+
+  val column : t -> string -> col option
 
   val estimate_result_size : t -> Interval.Ivl.t -> int
   (** Histogram estimate of the number of intersecting intervals. *)
 
   val estimate_selectivity : t -> Interval.Ivl.t -> float
 end
-
-type plan_choice = Index_plan | Full_scan | Mem_plan
-
-type mem_info = { mem_levels : int; mem_entries : int }
-(** Shape of a RAM-resident HINT replica, for tier choice. *)
-
-val index_cost : Ri_tree.t -> Stats.t -> Interval.Ivl.t -> float
-(** Estimated physical blocks for the Fig. 9 plan: one [O(log_b n)]
-    descent per index (the upper levels are shared across the
-    statement's probes and stay buffer-resident), one leaf visit per
-    transient-node probe, plus the leaves holding the estimated
-    results. *)
-
-val scan_cost : Ri_tree.t -> float
-(** Blocks of a full heap scan. *)
-
-val mem_cost : mem_info -> Stats.t -> Interval.Ivl.t -> float
-(** Block-equivalent cost of probing the RAM-resident replica: zero
-    physical I/O, CPU priced at a fixed in-memory-operations-per-block
-    exchange rate so tiers compare in one unit. *)
-
-val choose :
-  ?mem:mem_info -> Ri_tree.t -> Stats.t -> Interval.Ivl.t -> plan_choice
-(** Cheapest of the disk plans and, when [mem] says the collection is
-    resident, the hot-tier probe. *)
-
-val plan_to_string : plan_choice -> string

@@ -1,8 +1,11 @@
-(* Cardinality & I/O estimation over the physical-plan IR.
+(* Cardinality & I/O estimation over the physical-plan IR: the one cost
+   model. EXPLAIN prints its numbers and the planner chooses the access
+   path by them.
 
-   A Sec. 5-style estimator for EXPLAIN: per-table equi-width
-   histograms (the cost model's, at 32 buckets per column) and distinct
-   counts feed selectivities; index probes cost the matching leaf span
+   A Sec. 5-style estimator: each table's statistics object
+   ([Ritree.Cost_model.Stats]: per column a 32-bucket equi-width
+   histogram, a distinct count and the heap correlation) feeds
+   selectivities; index probes cost the matching leaf span
    (plus a rowid fetch per row when the index does not cover); a
    sequential scan costs the heap's page count. Transient collections
    have exact, known cardinality and cost no I/O — they are the
@@ -17,104 +20,47 @@
    shared root path). *)
 
 module Histogram = Ritree.Cost_model.Histogram
-
-let hbuckets = 32
-
-type col = {
-  h : Histogram.t;
-  h_distinct : int;
-  h_corr : float;
-      (* |Pearson correlation| between the column value and the row's
-         heap position — 1.0 means an index range on this column fetches
-         consecutive heap pages, 0.0 a random scatter *)
-}
+module Stats = Ritree.Cost_model.Stats
 
 let clamp01 f = Float.max 0.0 (Float.min 1.0 f)
 
-(* |Pearson correlation| of value vs position in [values] (the sign is
-   irrelevant for locality: a perfectly descending column is just as
-   clustered as an ascending one). *)
-let heap_correlation values =
-  let n = ref 0.0 and sx = ref 0.0 and sy = ref 0.0 in
-  let sxx = ref 0.0 and syy = ref 0.0 and sxy = ref 0.0 in
-  List.iteri
-    (fun i v ->
-      let x = float_of_int i and y = float_of_int v in
-      n := !n +. 1.0;
-      sx := !sx +. x;
-      sy := !sy +. y;
-      sxx := !sxx +. (x *. x);
-      syy := !syy +. (y *. y);
-      sxy := !sxy +. (x *. y))
-    values;
-  let cov = (!n *. !sxy) -. (!sx *. !sy) in
-  let vx = (!n *. !sxx) -. (!sx *. !sx)
-  and vy = (!n *. !syy) -. (!sy *. !sy) in
-  if vx <= 0.0 || vy <= 0.0 then 0.0
-  else clamp01 (Float.abs (cov /. sqrt (vx *. vy)))
-
-let build_col values distinct =
-  { h = Histogram.build ~buckets:hbuckets values; h_distinct = distinct;
-    h_corr = heap_correlation values }
-
-type table_stats = {
-  t_rows : int;
-  t_pages : int;
-  t_cols : (string * col) list;
-}
-
-let analyze_table tbl =
-  let columns = Relation.Table.columns tbl in
-  let ncols = Array.length columns in
-  let vals = Array.make ncols [] in
-  let distinct = Array.init ncols (fun _ -> Hashtbl.create 64) in
-  let rows = ref 0 in
-  Relation.Table.iter tbl (fun _ row ->
-      incr rows;
-      for j = 0 to ncols - 1 do
-        vals.(j) <- row.(j) :: vals.(j);
-        Hashtbl.replace distinct.(j) row.(j) ()
-      done);
-  { t_rows = !rows;
-    t_pages = Relation.Heap.page_count (Relation.Table.heap tbl);
-    t_cols =
-      List.init ncols (fun j ->
-          (columns.(j),
-           build_col vals.(j) (Hashtbl.length distinct.(j)))) }
-
 let succ_clamped v = if v = max_int then max_int else v + 1
 
-let frac_lt h v =
-  let total = h.h.Histogram.total in
+let frac_lt (h : Stats.col) v =
+  let total = Histogram.total h.hist in
   if total = 0 then 0.0
-  else clamp01 (Histogram.count_below h.h v /. float_of_int total)
+  else clamp01 (Histogram.count_below h.hist v /. float_of_int total)
 
 let frac_le h v = frac_lt h (succ_clamped v)
 
-let eq_frac h v =
-  let total = h.h.Histogram.total in
+let eq_frac (h : Stats.col) v =
+  let total = Histogram.total h.hist in
   if total = 0 then 0.0
   else Float.max (1.0 /. float_of_int total) (frac_le h v -. frac_lt h v)
 
-let distinct_frac h =
-  if h.h_distinct <= 0 then 0.1 else 1.0 /. float_of_int h.h_distinct
+let distinct_frac (h : Stats.col) =
+  if h.distinct <= 0 then 0.1 else 1.0 /. float_of_int h.distinct
 
 (* System R-style defaults when no histogram or no evaluable value. *)
 let default_eq = 0.1
 let default_range = 1.0 /. 3.0
 
-let hist_for stats c =
-  match stats with
-  | None -> None
-  | Some st -> List.assoc_opt c st.t_cols
+let hist_for stats c = Option.bind stats (fun st -> Stats.column st c)
 
-(* Evaluate a value against constants, parameters and [env] (concrete
-   outer-collection rows bound under [scope], when the caller enumerated
-   them); [None] if it references columns not bound there. *)
-let value_of ?(scope = []) ?(env = [||]) binds v =
+(* Compile a value against constants, parameters and the outer rows
+   bound under [scope] (concrete outer-collection rows, when the caller
+   enumerated them); [None] if it references columns not bound there. *)
+let compile ?(scope = []) binds v =
   match Executor.compile_value binds scope v with
-  | f -> Some (f env)
+  | f -> Some f
   | exception Ir.Error _ -> None
+
+(* A constant or bound parameter; a field has no value outside a scope. *)
+let value_of binds = function
+  | Ir.Const n -> Some n
+  | Ir.Param h ->
+      List.find_map (fun (h', v) -> if h' = h then Some v else None) binds
+  | Ir.Field _ -> None
 
 let col_of (step : Ir.step) = function
   | Ir.Field (Some a, c) when a = step.Ir.alias -> Some c
@@ -188,51 +134,59 @@ let filters_sel stats binds (step : Ir.step) =
     1.0
     (step.Ir.key_filters @ step.Ir.filters)
 
-(* Entries matched per index probe, as a fraction of the index. [env]
-   supplies concrete outer-collection rows under [scope], so bounds like
-   the Fig. 9 plan's [lft.min]/[lft.max] and [rgt.node] evaluate against
-   the histograms instead of the magic default fractions. *)
-let access_sel ?scope ?env stats binds (step : Ir.step) =
+(* Entries matched per index probe, as a fraction of the index, per
+   outer row. The bounds are compiled and their histograms looked up
+   once per step; the returned function evaluates them against one
+   concrete outer row under [scope], so bounds like the Fig. 9 plan's
+   [lft.min]/[lft.max] and [rgt.node] meet the histograms instead of the
+   magic default fractions. *)
+let access_sel ?scope stats binds (step : Ir.step) : Executor.env -> float =
   match step.Ir.access with
-  | Ir.Seq_scan | Ir.Mem_probe _ -> 1.0
+  | Ir.Seq_scan | Ir.Mem_probe _ -> fun _ -> 1.0
   | Ir.Index_scan { index; eq; lo; hi; _ } ->
       let icols = Relation.Table.Index.columns index in
-      let sel = ref 1.0 in
-      List.iteri
-        (fun i e ->
-          let h = hist_for stats icols.(i) in
-          let s =
-            match (h, value_of ?scope ?env binds e) with
-            | Some h, Some v -> eq_frac h v
-            | Some h, None -> distinct_frac h
-            | None, _ -> default_eq
-          in
-          sel := !sel *. s)
-        eq;
+      let const s = fun (_ : Executor.env) -> s in
+      let eq_sels =
+        Array.of_list
+          (List.mapi
+             (fun i e ->
+               match (hist_for stats icols.(i), compile ?scope binds e) with
+               | Some h, Some f -> fun env -> eq_frac h (f env)
+               | Some h, None -> const (distinct_frac h)
+               | None, _ -> const default_eq)
+             eq)
+      in
       let rc = List.length eq in
-      if (lo <> None || hi <> None) && rc < Array.length icols then begin
-        let h = hist_for stats icols.(rc) in
-        let lo_frac =
-          match (lo, h) with
-          | None, _ -> 0.0
-          | Some { Ir.v; inclusive }, Some h -> (
-              match value_of ?scope ?env binds v with
-              | Some v -> if inclusive then frac_lt h v else frac_le h v
-              | None -> default_range)
-          | Some _, None -> default_range
-        in
-        let hi_frac =
-          match (hi, h) with
-          | None, _ -> 1.0
-          | Some { Ir.v; inclusive }, Some h -> (
-              match value_of ?scope ?env binds v with
-              | Some v -> if inclusive then frac_le h v else frac_lt h v
-              | None -> 1.0 -. default_range)
-          | Some _, None -> 1.0 -. default_range
-        in
-        sel := !sel *. clamp01 (hi_frac -. lo_frac)
-      end;
-      !sel
+      let range =
+        if (lo <> None || hi <> None) && rc < Array.length icols then begin
+          let h = hist_for stats icols.(rc) in
+          let bound b ~absent ~unknown ~incl ~excl =
+            match (b, h) with
+            | None, _ -> const absent
+            | Some { Ir.v; inclusive }, Some h -> (
+                let frac = if inclusive then incl h else excl h in
+                match compile ?scope binds v with
+                | Some f -> fun env -> frac (f env)
+                | None -> const unknown)
+            | Some _, None -> const unknown
+          in
+          let lo_frac =
+            bound lo ~absent:0.0 ~unknown:default_range ~incl:frac_lt
+              ~excl:frac_le
+          and hi_frac =
+            bound hi ~absent:1.0 ~unknown:(1.0 -. default_range)
+              ~incl:frac_le ~excl:frac_lt
+          in
+          Some (fun env -> clamp01 (hi_frac env -. lo_frac env))
+        end
+        else None
+      in
+      fun env ->
+        let sel = ref 1.0 in
+        for i = 0 to Array.length eq_sels - 1 do
+          sel := !sel *. eq_sels.(i) env
+        done;
+        match range with None -> !sel | Some r -> !sel *. r env
 
 let index_geometry index =
   let tree = Relation.Table.Index.tree index in
@@ -243,6 +197,12 @@ let index_geometry index =
       (log (float_of_int (max 2 entries)) /. log (float_of_int leaf_cap))
   in
   (float_of_int entries, float_of_int leaf_cap, depth)
+
+(* The heap's page count now, an in-memory field: the statistics'
+   histograms age until the next refresh, but a scan's price follows the
+   table as it grows. *)
+let heap_pages tbl =
+  float_of_int (Relation.Heap.page_count (Relation.Table.heap tbl))
 
 type step_est = {
   est_out : float;  (* rows emitted by this step across the whole run *)
@@ -274,17 +234,21 @@ let sub_plan ctx (step : Ir.step) =
 (* Estimate all branches of one statement together: the statement-wide
    [charged] set implements descent-once costing across branches that
    probe the same index, and the table statistics are shared with any
-   intersection sub-plans. *)
-let branches ctx (brs : Ir.branch list) =
-  let stats_cache : (string, table_stats) Hashtbl.t = Hashtbl.create 4 in
+   intersection sub-plans. [stats] prices the table it was analyzed on
+   with no I/O; any other table is analyzed here, once per call. *)
+let branches ?stats ctx (brs : Ir.branch list) =
+  let analyzed : (string, Stats.t) Hashtbl.t = Hashtbl.create 4 in
   let stats_for tbl =
     let name = Relation.Table.name tbl in
-    match Hashtbl.find_opt stats_cache name with
-    | Some st -> st
-    | None ->
-        let st = analyze_table tbl in
-        Hashtbl.add stats_cache name st;
-        st
+    match stats with
+    | Some st when Stats.table st = name -> st
+    | _ -> (
+        match Hashtbl.find_opt analyzed name with
+        | Some st -> st
+        | None ->
+            let st = Stats.of_table tbl in
+            Hashtbl.add analyzed name st;
+            st)
   in
   let charged : (string, unit) Hashtbl.t = Hashtbl.create 4 in
   (* Enumerating the cross product of outer transient collections is
@@ -306,6 +270,14 @@ let branches ctx (brs : Ir.branch list) =
           List.map
             (fun (step : Ir.step) ->
               let sel st = filters_sel st binds step in
+              (* a full read of the table's heap *)
+              let scan tbl =
+                let st = stats_for tbl in
+                ( float_of_int (Stats.row_count st),
+                  !loop *. heap_pages tbl,
+                  sel (Some st),
+                  None )
+              in
               let per_rows, io, sel, sub =
                 match (step.Ir.source, step.Ir.access) with
                 | Ir.Collection name, _ ->
@@ -342,12 +314,7 @@ let branches ctx (brs : Ir.branch list) =
                           !loop *. sum (fun e -> e.total_io),
                           1.0,
                           Some (c, ests) )
-                    | None ->
-                        let st = stats_for table in
-                        ( float_of_int st.t_rows,
-                          !loop *. float_of_int st.t_pages,
-                          sel (Some st),
-                          None ))
+                    | None -> scan table)
                 | Ir.Mem h, access ->
                     (* RAM-resident probe: no physical I/O by construction;
                        the planner already sized the result when it chose
@@ -362,12 +329,8 @@ let branches ctx (brs : Ir.branch list) =
                 | Ir.Base _, Ir.Mem_probe _ ->
                     Ir.fail "memory probe against a base table"
                 | Ir.Base tbl, Ir.Seq_scan ->
-                    let st = stats_for tbl in
                     envs := None;
-                    ( float_of_int st.t_rows,
-                      !loop *. float_of_int st.t_pages,
-                      sel (Some st),
-                      None )
+                    scan tbl
                 | Ir.Base tbl, Ir.Index_scan { index; covering; eq; _ } ->
                     let st = stats_for tbl in
                     let entries, leaf_cap, depth = index_geometry index in
@@ -390,12 +353,13 @@ let branches ctx (brs : Ir.branch list) =
                     let fetch_io total_rows =
                       if covering || total_rows <= 0.0 then 0.0
                       else begin
-                        let p = Float.max 1.0 (float_of_int st.t_pages) in
+                        let p = Float.max 1.0 (heap_pages tbl) in
                         let random =
                           p *. (1.0 -. ((1.0 -. (1.0 /. p)) ** total_rows))
                         in
                         let rows_per_page =
-                          Float.max 1.0 (float_of_int st.t_rows /. p)
+                          Float.max 1.0
+                            (float_of_int (Stats.row_count st) /. p)
                         in
                         let clustered =
                           Float.min random ((total_rows /. rows_per_page) +. 1.0)
@@ -404,7 +368,7 @@ let branches ctx (brs : Ir.branch list) =
                         let rc = min (List.length eq) (Array.length icols - 1) in
                         let c2 =
                           match hist_for (Some st) icols.(rc) with
-                          | Some h -> h.h_corr *. h.h_corr
+                          | Some h -> h.Stats.corr *. h.Stats.corr
                           | None -> 0.0
                         in
                         (c2 *. clustered) +. ((1.0 -. c2) *. random)
@@ -416,22 +380,23 @@ let branches ctx (brs : Ir.branch list) =
                           (* average the per-probe span over the actual
                              outer rows *)
                           let k = float_of_int (List.length es) in
-                          let ms =
-                            List.map
-                              (fun env ->
-                                entries *. access_sel ~scope ~env (Some st) binds step)
-                              es
-                          in
-                          let sum f =
-                            List.fold_left (fun a m -> a +. f m) 0.0 ms
-                          in
-                          let m_avg = sum (fun m -> m) /. k in
+                          let sel = access_sel ~scope (Some st) binds step in
+                          let m_sum = ref 0.0 and io_sum = ref 0.0 in
+                          List.iter
+                            (fun env ->
+                              let m = entries *. sel env in
+                              m_sum := !m_sum +. m;
+                              io_sum := !io_sum +. probe_io m)
+                            es;
+                          let m_avg = !m_sum /. k in
                           ( m_avg,
                             descent
-                            +. (!loop *. (sum probe_io /. k))
+                            +. (!loop *. (!io_sum /. k))
                             +. fetch_io (!loop *. m_avg) )
                       | _ ->
-                          let m = entries *. access_sel (Some st) binds step in
+                          let m =
+                            entries *. access_sel (Some st) binds step [||]
+                          in
                           ( m,
                             descent +. (!loop *. probe_io m)
                             +. fetch_io (!loop *. m) )

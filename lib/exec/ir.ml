@@ -42,8 +42,6 @@ type mem_op =
 type mem_handle = {
   mem_name : string; (* the indexed collection, for EXPLAIN *)
   mem_rows : int; (* resident cardinality *)
-  mem_levels : int; (* HINT hierarchy depth, for the cost model *)
-  mem_entries : int; (* registrations incl. replicas *)
   mem_bytes : int; (* resident size *)
   mem_probe : mem_op -> lo:int -> up:int -> (int * int * int) list;
       (* (lower, upper, id) triples *)

@@ -166,8 +166,6 @@ let handle t (e : entry) : Ir.mem_handle =
   in
   { Ir.mem_name = e.e_name;
     mem_rows = Hint.count hint;
-    mem_levels = Hint.levels hint;
-    mem_entries = Hint.entry_count hint;
     mem_bytes = e.e_bytes;
     mem_probe =
       (fun op ~lo ~up ->

@@ -8,13 +8,14 @@
    benchmarks, the CLI, the examples and the spatial, hierarchy and
    join libraries all read through it.
 
-   Access-path selection (Sec. 5): the planner consults
-   `Ritree.Cost_model` to pick the full two-branch UNION ALL plan
-   (Fig. 9/10) or a filtered sequential scan when the query is so
-   unselective that reading the heap once beats probing (tiny tables,
-   near-full coverage). Without statistics it plans the two-branch
-   plan. All paths return exactly the same result set (property-tested
-   against the brute-force oracle). *)
+   Access-path selection (Sec. 5): the planner prices the access path
+   of the full two-branch UNION ALL plan (Fig. 9/10) and of a filtered
+   sequential scan with {!Estimate}, the model EXPLAIN prints, and keeps
+   the cheaper: the scan wins when the query is so unselective that
+   reading the heap once beats probing (tiny tables, near-full
+   coverage). Without statistics it plans the two-branch plan. All
+   paths return exactly the same result set (property-tested against
+   the brute-force oracle). *)
 
 module Ivl = Interval.Ivl
 module Allen = Interval.Allen
@@ -134,8 +135,10 @@ let two_branch_branches ?(extra = []) ~projs t =
           lower_step ];
       projections = projs; group_by = [] } ]
 
-let two_branch ?extra ?node_filter ?vis ~proj t q =
-  let nl = Ri.node_lists ?node_filter t q in
+let two_branch ?extra ?node_filter ?nl ?vis ~proj t q =
+  let nl =
+    match nl with Some nl -> nl | None -> Ri.node_lists ?node_filter t q
+  in
   let projs = projections t proj in
   { plan = plain_plan (two_branch_branches ?extra ~projs t);
     ctx =
@@ -175,9 +178,6 @@ let seq_scan ?vis ~proj t q =
 
 (* ---- RAM-resident hot-tier probe ---- *)
 
-let mem_info (h : Ir.mem_handle) =
-  { CM.mem_levels = h.Ir.mem_levels; mem_entries = h.Ir.mem_entries }
-
 let mem_plan ?stats ~proj t (h : Ir.mem_handle) op q =
   let est_rows =
     match (op, stats) with
@@ -196,36 +196,64 @@ let mem_plan ?stats ~proj t (h : Ir.mem_handle) op q =
             group_by = [] } ];
     ctx = make_ctx (interval_binds q) [] }
 
-(* Cost-based choice among the access paths. Scan-vs-index-vs-memory
-   comes from the registered cost model; the memory tier only competes
-   when the caller holds a residency handle for this collection. *)
-let choose ?mem t stats q =
-  match CM.choose ?mem t stats q with
-  | CM.Full_scan -> Seq
-  | CM.Index_plan -> Two_branch
-  | CM.Mem_plan -> Mem_path
+(* ---- cost-based choice (Sec. 5) ---- *)
+
+let total_io ests =
+  List.fold_left (fun a e -> a +. e.Estimate.total_io) 0.0 ests
+
+(* The predicted I/O of a compiled plan: the figure EXPLAIN's PREDICTED
+   footer prints for it. *)
+let price ?stats c =
+  total_io (Estimate.branches ?stats c.ctx c.plan.Ir.branches)
+
+(* The disk paths for [q], each built with the caller's projection and
+   priced by its access path with exactly [stats]: no I/O, so a plan can
+   be priced from statistics analyzed elsewhere. The access path is the
+   same plan projecting ids, which reads the index alone under either
+   layout; the rowid fetches a non-covering projection adds are not
+   priced into the choice. Under the covering layout both are one
+   price, the one EXPLAIN prints. *)
+let candidates ?node_filter ?vis ~stats ~proj t q =
+  let nl = Ri.node_lists ?node_filter t q in
+  List.map
+    (fun (path, build) ->
+      let c = build proj in
+      (path, c, price ~stats (if proj = Ids then c else build Ids)))
+    [ (Two_branch, fun proj -> two_branch ~nl ?vis ~proj t q);
+      (Seq, fun proj -> seq_scan ?vis ~proj t q) ]
+
+(* The cheapest candidate; a tie keeps the two-branch plan. *)
+let cheapest cands =
+  List.fold_left
+    (fun ((_, _, best) as b) ((_, _, io) as c) -> if io < best then c else b)
+    (List.hd cands) (List.tl cands)
 
 (* [node_filter] (the skeleton's) prunes the two-branch plan's node
-   lists; the other paths probe no nodes. *)
+   lists; the other paths probe no nodes. A resident replica answers
+   with no I/O, so the memory probe wins whenever the caller holds one;
+   otherwise the cheaper disk plan is returned as it was built for
+   pricing. *)
 let plan_intersection ?stats ?path ?mem ?node_filter ?vis ~proj t q =
   (* the replica holds (lower, upper, id) only *)
   let mem = if proj = Rows then None else mem in
-  let path =
-    match (path, mem, stats) with
-    | Some p, _, _ -> p
-    | None, Some h, Some st -> choose ~mem:(mem_info h) t st q
-    (* resident but uncosted: a zero-I/O probe is never the wrong pick *)
-    | None, Some _, None -> Mem_path
-    | None, None, Some st -> choose t st q
-    | None, None, None -> Two_branch
-  in
-  match path with
-  | Mem_path -> (
-      match mem with
-      | Some h -> mem_plan ?stats ~proj t h Ir.Mem_intersect q
-      | None -> invalid_arg "plan_intersection: memory path without a handle")
-  | Two_branch -> two_branch ?node_filter ?vis ~proj t q
-  | Seq -> seq_scan ?vis ~proj t q
+  let mem_probe h = mem_plan ?stats ~proj t h Ir.Mem_intersect q in
+  match (path, mem, stats) with
+  | Some Mem_path, Some h, _ | None, Some h, _ -> mem_probe h
+  | Some Mem_path, None, _ ->
+      invalid_arg "plan_intersection: memory path without a handle"
+  | Some Two_branch, _, _ | None, None, None ->
+      two_branch ?node_filter ?vis ~proj t q
+  | Some Seq, _, _ -> seq_scan ?vis ~proj t q
+  | None, None, Some stats ->
+      let _, c, _ = cheapest (candidates ?node_filter ?vis ~stats ~proj t q) in
+      c
+
+let choose ?(mem : Ir.mem_handle option) t stats q =
+  match mem with
+  | Some _ -> Mem_path
+  | None ->
+      let path, _, _ = cheapest (candidates ~stats ~proj:Ids t q) in
+      path
 
 (* ---- execution helpers ---- *)
 
@@ -432,15 +460,13 @@ let memo_intersections ctx =
   in
   { ctx with Ir.intersection }
 
-let explain_compiled ?(analyze = false) ctx (plan : Ir.plan) =
+let explain_compiled ?stats ?(analyze = false) ctx (plan : Ir.plan) =
   let ctx = memo_intersections ctx in
-  let ests = Estimate.branches ctx plan.Ir.branches in
+  let ests = Estimate.branches ?stats ctx plan.Ir.branches in
   let pred_rows =
     List.fold_left (fun a e -> a +. e.Estimate.out_rows) 0.0 ests
   in
-  let pred_io =
-    List.fold_left (fun a e -> a +. e.Estimate.total_io) 0.0 ests
-  in
+  let pred_io = total_io ests in
   let nodes =
     List.fold_left
       (fun a b -> a + Estimate.node_count ctx b)
@@ -498,4 +524,4 @@ let plan_target ?stats ?mem ?vis t = function
 
 let explain ?stats ?analyze ?mem ?vis t target =
   let c = plan_target ?stats ?mem ?vis t target in
-  explain_compiled ?analyze c.ctx c.plan
+  explain_compiled ?stats ?analyze c.ctx c.plan

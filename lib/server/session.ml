@@ -10,9 +10,10 @@ type shared = {
   txns : Relation.Txn.mgr;
   mutable generation : int;
   mutable next_session : int;
-  (* Cost-model statistics for the typed-op planner, tagged with the
-     tree's row count at analyze time; refreshed when the count drifts
-     by 2x either way ("stats refresh"). *)
+  (* The relation's statistics, tagged with the tree's row count at
+     analyze time; refreshed when the count drifts by 2x either way
+     ("stats refresh"). The typed-op planner chooses with them and
+     every EXPLAIN (wire or SQL) prices with them. *)
   mutable stats : (int * Ritree.Cost_model.Stats.t) option;
   (* RAM-resident hot tier (budget 0 = disabled). *)
   memtier : Exec.Memtier.t;
@@ -360,8 +361,8 @@ let exec t = function
                (Exec.Planner.Intersect_target (ivl lower upper)))
       | Protocol.Explain_allen { relation; lower; upper } ->
           Ack
-            (Exec.Planner.explain ~analyze ?mem:(mem_for t) ~vis:(vis_for t)
-               t.sh.ritree
+            (Exec.Planner.explain ~stats:(stats_for t.sh) ~analyze
+               ?mem:(mem_for t) ~vis:(vis_for t) t.sh.ritree
                (Exec.Planner.Allen_target (relation, ivl lower upper))))
 
 (* Group-commit staging: counts as a request for this session, but the

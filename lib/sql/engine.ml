@@ -810,7 +810,10 @@ let rec run_stmt session binds = function
 and run_explain session binds ~analyze = function
   | Ast.Select q ->
       let plan = compile_query session q in
-      Done (Exec.Planner.explain_compiled ~analyze (ctx session binds) plan)
+      let stats = Option.map (fun r -> r.stats ()) session.ritree in
+      Done
+        (Exec.Planner.explain_compiled ?stats ~analyze (ctx session binds)
+           plan)
   | target ->
       if not analyze then Done (Exec.Render.statement_note (stmt_kind target))
       else begin

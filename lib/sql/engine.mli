@@ -45,7 +45,8 @@ val set_ritree :
     [A] and one bounding [upper] from below by [B] runs the typed op's
     cost-based plan for the candidate interval [[min(A,B), A]], with
     every conjunct kept as a residual filter. [stats] and [mem] are the
-    typed op's planner inputs, read at each execution; reads see this
+    typed op's planner inputs, read at each execution; EXPLAIN prices
+    the relation with [stats] too, so it scans no heap. Reads see this
     session's transaction snapshot. Invalidates cached plans. *)
 
 val set_collection :

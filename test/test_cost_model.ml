@@ -9,10 +9,10 @@ module Pl = Exec.Planner
 let check = Alcotest.check
 let sorted = List.sort compare
 
-let build ~seed ~n ~len =
+let build ?layout ~seed ~n ~len () =
   let rng = Workload.Prng.create ~seed in
   let db = Relation.Catalog.create () in
-  let tree = Ri.create db in
+  let tree = Ri.create ?layout db in
   let data = ref [] in
   for i = 0 to n - 1 do
     let l = Workload.Prng.int rng 100_000 in
@@ -23,7 +23,7 @@ let build ~seed ~n ~len =
   (rng, db, tree, !data)
 
 let test_estimate_accuracy () =
-  let rng, _, tree, data = build ~seed:111 ~n:5_000 ~len:2_000 in
+  let rng, _, tree, data = build ~seed:111 ~n:5_000 ~len:2_000 () in
   let stats = CM.Stats.analyze tree in
   check Alcotest.int "row count" 5_000 (CM.Stats.row_count stats);
   for _ = 1 to 50 do
@@ -41,7 +41,7 @@ let test_estimate_accuracy () =
   done
 
 let test_estimate_edges () =
-  let _, _, tree, _ = build ~seed:112 ~n:1_000 ~len:1_000 in
+  let _, _, tree, _ = build ~seed:112 ~n:1_000 ~len:1_000 () in
   let stats = CM.Stats.analyze tree in
   check Alcotest.int "far left" 0
     (CM.Stats.estimate_result_size stats (Ivl.make (-9_000_000) (-8_000_000)));
@@ -57,7 +57,7 @@ let test_estimate_edges () =
    infinity-bounded query — the temporal extension's [now]/[infinity]
    idiom — estimated ~0 rows instead of ~n. *)
 let test_infinity_bounds () =
-  let _, _, tree, _ = build ~seed:116 ~n:1_000 ~len:1_000 in
+  let _, _, tree, _ = build ~seed:116 ~n:1_000 ~len:1_000 () in
   let stats = CM.Stats.analyze tree in
   check Alcotest.int "upper = max_int" 1_000
     (CM.Stats.estimate_result_size stats (Ivl.make 0 max_int));
@@ -81,17 +81,52 @@ let test_empty_tree () =
     (Pl.intersecting_ids ~stats tree (Ivl.make 0 100))
 
 let test_plan_crossover () =
-  let _, _, tree, _ = build ~seed:113 ~n:20_000 ~len:2_000 in
+  let _, _, tree, _ = build ~seed:113 ~n:20_000 ~len:2_000 () in
   let stats = CM.Stats.analyze tree in
   (* a needle query wants the index *)
-  check Alcotest.string "selective -> index" "index"
-    (CM.plan_to_string (CM.choose tree stats (Ivl.make 50_000 50_010)));
+  check Alcotest.string "selective -> two-branch" "two-branch"
+    (Pl.path_to_string (Pl.choose tree stats (Ivl.make 50_000 50_010)));
   (* a query covering everything wants the scan *)
-  check Alcotest.string "full -> scan" "scan"
-    (CM.plan_to_string (CM.choose tree stats (Ivl.make (-1_000_000) 2_000_000)))
+  check Alcotest.string "full -> seq-scan" "seq-scan"
+    (Pl.path_to_string (Pl.choose tree stats (Ivl.make (-1_000_000) 2_000_000)))
+
+(* The chooser and EXPLAIN read one model: EXPLAIN plans through the
+   chooser, and under the covering layout its PREDICTED io is the least
+   of the candidates' prices, the chosen path's. *)
+let choice_fixture =
+  lazy
+    (let _, _, tree, _ =
+       build ~layout:Ri.Covering ~seed:117 ~n:4_000 ~len:2_000 ()
+     in
+     (tree, CM.Stats.analyze tree))
+
+let prop_choice_is_explained =
+  let query =
+    QCheck.Gen.(
+      let* l = int_range (-10_000) 110_000 in
+      let* len = oneof [ return 0; int_bound 2_000; int_bound 200_000 ] in
+      return (Ivl.make l (l + len)))
+  in
+  QCheck.Test.make ~count:60 ~name:"choice = cheapest estimate = EXPLAIN"
+    (QCheck.make ~print:Ivl.to_string query)
+    (fun q ->
+      let tree, stats = Lazy.force choice_fixture in
+      let cands = Pl.candidates ~stats ~proj:Pl.Ids tree q in
+      let least =
+        List.fold_left (fun a (_, _, io) -> Float.min a io) infinity cands
+      in
+      let chosen = Pl.choose tree stats q in
+      let predicted =
+        List.find
+          (fun l -> String.starts_with ~prefix:"PREDICTED" l)
+          (String.split_on_char '\n'
+             (Pl.explain ~stats tree (Pl.Intersect_target q)))
+      in
+      List.exists (fun (p, _, io) -> p = chosen && io = least) cands
+      && String.ends_with ~suffix:(Printf.sprintf "io=%.0f" least) predicted)
 
 let test_adaptive_correct_both_ways () =
-  let rng, _, tree, data = build ~seed:114 ~n:3_000 ~len:3_000 in
+  let rng, _, tree, data = build ~seed:114 ~n:3_000 ~len:3_000 () in
   let stats = CM.Stats.analyze tree in
   let oracle q =
     List.filter_map
@@ -114,7 +149,7 @@ let test_adaptive_correct_both_ways () =
   done
 
 let test_adaptive_io_not_worse () =
-  let _, db, tree, _ = build ~seed:115 ~n:30_000 ~len:2_000 in
+  let _, db, tree, _ = build ~seed:115 ~n:30_000 ~len:2_000 () in
   let stats = CM.Stats.analyze tree in
   let everything = Ivl.make (-1_000_000) 2_000_000 in
   let io f =
@@ -147,6 +182,7 @@ let () =
          Alcotest.test_case "empty tree" `Quick test_empty_tree ]);
       ("planning",
        [ Alcotest.test_case "plan crossover" `Quick test_plan_crossover;
+         QCheck_alcotest.to_alcotest prop_choice_is_explained;
          Alcotest.test_case "adaptive correctness" `Quick
            test_adaptive_correct_both_ways;
          Alcotest.test_case "adaptive wins at full selectivity" `Quick

@@ -408,6 +408,30 @@ let test_explain_no_heap_access () =
   check Alcotest.bool "the paper's layout fetches rows" true
     (contains text "TABLE ACCESS BY ROWID")
 
+(* EXPLAIN prices with the session's cached statistics: once a query has
+   built them, no EXPLAIN (typed or SQL) reads a page, even from a cold
+   pool. *)
+let test_explain_reads_no_page () =
+  let sh = S.shared () in
+  S.preload sh explain_data;
+  let s = S.create sh in
+  ignore
+    (rows "intersect"
+       (S.handle s (P.Intersect { lower = 500_000; upper = 506_000 })));
+  let cat = S.catalog sh in
+  Relation.Catalog.flush cat;
+  Relation.Catalog.drop_cache cat;
+  Relation.Catalog.reset_io_stats cat;
+  List.iter
+    (fun target -> ignore (explain s target))
+    [ P.Explain_intersect { lower = 500_000; upper = 506_000 };
+      P.Explain_allen
+        { relation = Allen.During; lower = 500_000; upper = 506_000 };
+      P.Explain_sql
+        "SELECT id FROM intervals WHERE lower <= 506000 AND upper >= 500000" ];
+  check Alcotest.int "device reads" 0
+    (Relation.Catalog.io_stats cat).Storage.Block_device.Stats.reads
+
 let () =
   Alcotest.run "covering"
     [ ( "parity",
@@ -415,4 +439,6 @@ let () =
           QCheck_alcotest.to_alcotest prop_temporal_parity ] );
       ( "plan",
         [ Alcotest.test_case "EXPLAIN without heap access" `Quick
-            test_explain_no_heap_access ] ) ]
+            test_explain_no_heap_access;
+          Alcotest.test_case "EXPLAIN reads no page with built stats" `Quick
+            test_explain_reads_no_page ] ) ]

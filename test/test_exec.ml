@@ -304,7 +304,7 @@ let test_no_stats_point_is_two_branch () =
         (Workload.Query_gen.point_queries ~seed:13 ~count:20 ()))
     (Lazy.force fixtures)
 
-let test_cost_model_error_budget () =
+let test_estimate_error_budget () =
   List.iter
     (fun kind ->
       let f = build kind ~n:4_000 in
@@ -322,27 +322,15 @@ let test_cost_model_error_budget () =
                  Float.abs (pred -. float_of_int actual)
                  /. Float.max 1.0 (float_of_int actual)
                in
-               let cm = rel (CM.index_cost f.tree f.stats q) in
-               let c = Pl.plan_intersection ~path:Pl.Two_branch ~proj:Pl.Ids f.tree q in
-               let ests =
-                 Exec.Estimate.branches c.Pl.ctx c.Pl.plan.Exec.Ir.branches
+               let c =
+                 Pl.plan_intersection ~path:Pl.Two_branch ~proj:Pl.Ids f.tree q
                in
-               let est =
-                 rel
-                   (List.fold_left
-                      (fun a e -> a +. e.Exec.Estimate.total_io)
-                      0.0 ests)
-               in
-               (cm, est))
+               rel (Pl.price ~stats:f.stats c))
       in
-      let p50_cm = median (List.map fst errs)
-      and p50_est = median (List.map snd errs) in
-      if p50_cm > 1.5 then
-        Alcotest.failf "%s: cost-model median error %.2f > 1.5"
-          (Dist.kind_to_string kind) p50_cm;
-      if p50_est > 1.5 then
-        Alcotest.failf "%s: estimator median error %.2f > 1.5"
-          (Dist.kind_to_string kind) p50_est)
+      let p50 = median errs in
+      if p50 > 1.0 then
+        Alcotest.failf "%s: estimator median error %.2f > 1.0"
+          (Dist.kind_to_string kind) p50)
     Dist.all_kinds
 
 (* ---- the plan cache ---- *)
@@ -430,8 +418,8 @@ let () =
        [ Alcotest.test_case "covering intersection <= 60 words/row" `Quick
            test_exec_words_per_row ]);
       ("estimates",
-       [ Alcotest.test_case "median I/O error within 1.5x" `Slow
-           test_cost_model_error_budget ]);
+       [ Alcotest.test_case "median I/O error within 1.0x" `Slow
+           test_estimate_error_budget ]);
       ("plan cache",
        [ Alcotest.test_case "hit: no parse, no plan, DDL invalidates" `Quick
            test_plan_cache_hit_no_parse;
