@@ -20,7 +20,7 @@ let mk_methods data ~queries =
   [ Methods.ri_tree (); Methods.tile ~level (); Methods.ist () ]
 
 let batch_of (m : Methods.t) queries =
-  Measure.query_batch m.catalog m.count_query queries
+  Measure.query_batch m.catalog (Methods.count m) queries
 
 (* ---- Table 1 ---- *)
 
@@ -286,7 +286,7 @@ let fig17 ~tiny =
       match methods with
       | [ ri; tile; ist ] ->
           let one (m : Methods.t) =
-            Measure.query_batch m.catalog m.count_query [| q |]
+            Measure.query_batch m.catalog (Methods.count m) [| q |]
           in
           let bt = one tile and bi = one ist and br = one ri in
           Tbl.add_row t
@@ -310,8 +310,8 @@ let wlist ~tiny =
   let ri = Methods.ri_tree () in
   Methods.load ri data;
   let wl = Methods.window_list data in
-  let br = Measure.query_batch ri.catalog ri.count_query queries in
-  let bw = Measure.query_batch wl.catalog wl.count_query queries in
+  let br = Measure.query_batch ri.catalog (Methods.count ri) queries in
+  let bw = Measure.query_batch wl.catalog (Methods.count wl) queries in
   let t =
     Tbl.create
       ~title:

@@ -165,7 +165,9 @@ let compare_methods kind n d seed selectivity queries_n =
   List.iter
     (fun (m : Harness.Methods.t) ->
       Harness.Methods.load m data;
-      let b = Harness.Measure.query_batch m.catalog m.count_query queries in
+      let b =
+        Harness.Measure.query_batch m.catalog (Harness.Methods.count m) queries
+      in
       Harness.Tbl.add_row table
         [ m.label; string_of_int (m.index_entries ());
           Harness.Tbl.fmt_f b.Harness.Measure.avg_io;

@@ -78,28 +78,31 @@ let delete t ~id ivl =
 let count t = Relation.Table.row_count t.table
 let index_entries t = Relation.Table.Index.entry_count t.index
 
-(* Fig. 11: one range scan; the filter on the secondary bound cannot be
-   pushed into the scan range, which is the structural weakness the
-   paper exposes. *)
-let intersection_iter t q =
-  let qlow = Ivl.lower q and qup = Ivl.upper q in
-  match t.order with
-  | D_order ->
-      (* upper >= qlow, scanning to the end of the index. *)
-      Relation.Iter.filter
-        (fun k -> k.(1) <= qup)
-        (Relation.Iter.index_range t.index
-           ~lo:[| qlow; min_int; min_int; min_int |]
-           ~hi:[| max_int; max_int; max_int; max_int |])
-  | V_order ->
-      Relation.Iter.filter
-        (fun k -> k.(1) >= qlow)
-        (Relation.Iter.index_range t.index
-           ~lo:[| min_int; min_int; min_int; min_int |]
-           ~hi:[| qup; max_int; max_int; max_int |])
+(* Fig. 11 as a plan: one covering range scan bounded on the first key
+   column; the bound on the second column cannot be pushed into the scan
+   range and stays a residual filter, which is the structural weakness
+   the paper exposes. D-order scans from upper >= :qlow to the end of the
+   index. *)
+let plan t q =
+  let module Ir = Exec.Ir in
+  let bound p = Some { Ir.v = Ir.Param p; inclusive = true } in
+  let cmp op c p = Ir.Cmp (op, Ir.Field (None, c), Ir.Param p) in
+  let lo, hi, residual =
+    match t.order with
+    | D_order -> (bound "qlow", None, cmp Ir.Le "lower" "qup")
+    | V_order -> (None, bound "qup", cmp Ir.Ge "upper" "qlow")
+  in
+  let scan =
+    Ir.mk_step ~alias:"i" ~source:(Ir.Base t.table)
+      ~columns:(Relation.Table.Index.columns t.index) ~filters:[ residual ]
+      (Ir.Index_scan
+         { index = t.index; eq = []; lo; hi; refine_lo = None;
+           refine_hi = None; covering = true })
+  in
+  { Exec.Planner.plan =
+      Exec.Planner.plain_plan
+        [ { Ir.steps = [ scan ]; projections = [ Ir.Col (None, "id") ];
+            group_by = [] } ];
+    ctx = Exec.Planner.make_ctx (Exec.Planner.interval_binds q) [] }
 
-let intersecting_ids t q =
-  Relation.Iter.fold (fun acc k -> k.(2) :: acc) [] (intersection_iter t q)
-  |> List.rev
-
-let count_intersecting t q = Relation.Iter.count (intersection_iter t q)
+let intersecting_ids t q = Exec.Planner.ids (plan t q)

@@ -44,4 +44,3 @@ val count : t -> int
 val index_entries : t -> int
 
 val intersecting_ids : t -> Interval.Ivl.t -> int list
-val count_intersecting : t -> Interval.Ivl.t -> int

@@ -57,17 +57,17 @@ let max_length t = t.max_length
 
 let decode z = Ivl.make (z lsr shift) (z land ((1 lsl shift) - 1))
 
-let intersection_iter t q =
+(* The z range of every interval starting in [qlow - max_length, qup],
+   filtered on the decoded bounds. The filter reads a bit field of z,
+   which no plan predicate expresses, so the scan walks the index
+   directly, as [delete] does. *)
+let intersecting_ids t q =
   let qlow = Ivl.lower q and qup = Ivl.upper q in
   let lo_lower = max 0 (qlow - t.max_length) in
-  Relation.Iter.filter
-    (fun k -> Ivl.intersects (decode k.(0)) q)
-    (Relation.Iter.index_range t.index
-       ~lo:[| lo_lower lsl shift; min_int; min_int |]
-       ~hi:[| (qup lsl shift) lor ((1 lsl shift) - 1); max_int; max_int |])
-
-let intersecting_ids t q =
-  Relation.Iter.fold (fun acc k -> k.(1) :: acc) [] (intersection_iter t q)
+  Btree.fold_range
+    (Relation.Table.Index.tree t.index)
+    ~lo:[| lo_lower lsl shift; min_int; min_int |]
+    ~hi:[| (qup lsl shift) lor ((1 lsl shift) - 1); max_int; max_int |]
+    (fun acc k -> if Ivl.intersects (decode k.(0)) q then k.(1) :: acc else acc)
+    []
   |> List.rev
-
-let count_intersecting t q = Relation.Iter.count (intersection_iter t q)

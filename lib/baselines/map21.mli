@@ -22,7 +22,7 @@ val max_length : t -> int
     original static partitioning). *)
 
 val intersecting_ids : t -> Interval.Ivl.t -> int list
-val count_intersecting : t -> Interval.Ivl.t -> int
+(** One range scan of the index, filtered on the decoded bounds. *)
 
 val encode : Interval.Ivl.t -> int
 (** The MAP21 key of an interval. *)

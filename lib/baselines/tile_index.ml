@@ -141,27 +141,12 @@ let redundancy t =
 
 (* Equijoin of the query's fixed tiles against the index, sequential
    scan of the variable tiles, duplicate elimination on id. *)
-let intersection_iter t q =
-  let ts = t.tile_size in
-  let first = Ivl.lower q / ts and last = Ivl.upper q / ts in
-  let tiles = List.init (last - first + 1) (fun i -> first + i) in
-  let scans =
-    List.map
-      (fun tile ->
-        Relation.Iter.filter
-          (fun k -> k.(1) <= Ivl.upper q && k.(2) >= Ivl.lower q)
-          (Relation.Iter.index_range t.index
-             ~lo:[| tile; min_int; min_int; min_int; min_int |]
-             ~hi:[| tile; max_int; max_int; max_int; max_int |]))
-      tiles
-  in
-  Relation.Iter.distinct_by (fun k -> k.(3)) (Relation.Iter.union_all scans)
+let plan t q =
+  Exec.Planner.partition_join ~collection:("tiles", "tile") ~index:t.index
+    ~bounds:("vlo", "vhi") ~first:(Ivl.lower q / t.tile_size)
+    ~last:(Ivl.upper q / t.tile_size) t.table q
 
-let intersecting_ids t q =
-  Relation.Iter.fold (fun acc k -> k.(3) :: acc) [] (intersection_iter t q)
-  |> List.rev
-
-let count_intersecting t q = Relation.Iter.count (intersection_iter t q)
+let intersecting_ids t q = Exec.Planner.ids (plan t q)
 
 let recommended_level ?(candidates = [ 4; 5; 6; 7; 8; 9; 10; 11; 12 ])
     ~sample ~queries () =

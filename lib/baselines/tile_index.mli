@@ -54,8 +54,6 @@ val redundancy : t -> float
 val intersecting_ids : t -> Interval.Ivl.t -> int list
 (** Duplicate-free ids of intersecting intervals. *)
 
-val count_intersecting : t -> Interval.Ivl.t -> int
-
 val recommended_level :
   ?candidates:int list ->
   sample:Interval.Ivl.t array ->

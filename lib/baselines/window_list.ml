@@ -86,20 +86,15 @@ let window_of t p =
   in
   match Btree.next c with Some key -> key.(1) | None -> 0
 
-let scan_window t w q =
-  Relation.Iter.filter
-    (fun k -> k.(1) <= Ivl.upper q && k.(2) >= Ivl.lower q)
-    (Relation.Iter.index_range t.index
-       ~lo:[| w; min_int; min_int; min_int; min_int |]
-       ~hi:[| w; max_int; max_int; max_int; max_int |])
+(* The windows [w1..w2] the query's bounds fall in, each scanned in
+   full and filtered; an interval spanning several windows is kept
+   once. *)
+let plan t q =
+  Exec.Planner.partition_join ~collection:("windows", "window") ~index:t.index
+    ~bounds:("lower", "upper") ~first:(window_of t (Ivl.lower q))
+    ~last:(window_of t (Ivl.upper q)) t.table q
 
-let intersecting_ids t q =
-  let w1 = window_of t (Ivl.lower q) in
-  let w2 = window_of t (Ivl.upper q) in
-  let scans = List.init (w2 - w1 + 1) (fun i -> scan_window t (w1 + i) q) in
-  Relation.Iter.distinct_by (fun k -> k.(3)) (Relation.Iter.union_all scans)
-  |> Relation.Iter.fold (fun acc k -> k.(3) :: acc) []
-  |> List.rev
+let intersecting_ids t q = Exec.Planner.ids (plan t q)
 
 let stabbing_ids t p = intersecting_ids t (Ivl.point p)
 

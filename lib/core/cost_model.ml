@@ -102,10 +102,54 @@ module Stats = struct
     if vx <= 0.0 || vy <= 0.0 then 0.0
     else clamp01 (Float.abs (cov /. sqrt (vx *. vy)))
 
+  (* In-place ascending sort: quicksort with a Hoare partition around
+     the middle element, recursing into the smaller side and looping on
+     the larger (so the stack stays O(log n)), insertion sort below 16
+     elements. Monomorphic: no comparison closure per step, unlike
+     [Array.sort Int.compare]'s heap sort. *)
+  let sort_ints (a : int array) =
+    let rec go lo hi =
+      if hi - lo < 16 then
+        for i = lo + 1 to hi do
+          let x = a.(i) in
+          let j = ref (i - 1) in
+          while !j >= lo && a.(!j) > x do
+            a.(!j + 1) <- a.(!j);
+            decr j
+          done;
+          a.(!j + 1) <- x
+        done
+      else begin
+        let p = a.(lo + ((hi - lo) / 2)) in
+        let i = ref lo and j = ref hi in
+        while !i <= !j do
+          while a.(!i) < p do incr i done;
+          while a.(!j) > p do decr j done;
+          if !i <= !j then begin
+            let x = a.(!i) in
+            a.(!i) <- a.(!j);
+            a.(!j) <- x;
+            incr i;
+            decr j
+          end
+        done;
+        (* [lo, j] holds values <= p, [i, hi] values >= p *)
+        if !j - lo < hi - !i then begin
+          go lo !j;
+          go !i hi
+        end
+        else begin
+          go !i hi;
+          go lo !j
+        end
+      end
+    in
+    go 0 (Array.length a - 1)
+
   (* Sorts [values] in place, so it runs after the position-dependent
      correlation. *)
   let distinct_count values =
-    Array.sort Int.compare values;
+    sort_ints values;
     let d = ref 0 in
     for i = 0 to Array.length values - 1 do
       if i = 0 || values.(i) <> values.(i - 1) then incr d

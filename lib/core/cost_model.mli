@@ -43,6 +43,9 @@ module Stats : sig
   val of_table : Relation.Table.t -> t
   (** One scan of the table's heap. *)
 
+  val distinct_count : int array -> int
+  (** The number of distinct values; sorts the array in place. *)
+
   val analyze : Ri_tree.t -> t
   (** [of_table] of the RI-tree's interval relation. *)
 

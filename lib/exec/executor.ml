@@ -1,9 +1,10 @@
 (* The one executor behind every query path (SQL text, typed wire ops,
-   the CLI and the benchmarks). Branches execute as right-deep nested
-   loops over `Relation.Iter`-style cursors: transient collections and
-   streaming heap scans as outer loops, B+tree range probes as inner
-   loops — the Fig. 10 execution shape. Each branch compiles once per
-   execution, so no name is looked up inside the loops.
+   the CLI and the Sec. 6 benchmarks, competitors included). Branches
+   execute as right-deep nested loops of callbacks: transient
+   collections and streaming heap-cursor scans as outer loops, B+tree
+   range probes as inner loops — the Fig. 10 execution shape. Each
+   branch compiles once per execution, so no name is looked up inside
+   the loops.
 
    Every IR node type has exactly one `Obs.Trace` instrumentation point:
    a `sql.branch` span per UNION ALL branch and, when tracing is
@@ -279,16 +280,27 @@ let rec compile_step ctx outer (step : Ir.step) next =
     | Ir.Mem _, _ -> fail "hot-tier source requires a memory probe"
     | Ir.Base _, Ir.Mem_probe _ -> fail "memory probe against a base table"
     | Ir.Base tbl, Ir.Seq_scan ->
-        (* Streaming scan: the heap cursor behind Iter.heap_scan holds
-           one page of rows at a time, so a sequential scan of any size
-           runs in constant memory. The trailing rowid decides snapshot
-           visibility and is never addressed after. *)
+        (* Streaming scan: the heap cursor holds one page of rows at a
+           time, so a sequential scan of any size runs in constant
+           memory. Each row is bound with its rowid appended; the rowid
+           decides snapshot visibility and is never addressed after. *)
         let view = ctx.Ir.vis (Relation.Table.name tbl) in
         let accept = visible view in
         fun env ->
-          Relation.Iter.iter
-            (fun r -> if accept r.(Array.length r - 1) then visit env r)
-            (Relation.Iter.heap_scan tbl);
+          let c = Relation.Heap.cursor (Relation.Table.heap tbl) in
+          let rec go () =
+            match Relation.Heap.next c with
+            | None -> ()
+            | Some (rid, row) ->
+                if accept rid then begin
+                  let n = Array.length row in
+                  visit env
+                    (Array.init (n + 1) (fun i ->
+                         if i < n then row.(i) else rid))
+                end;
+                go ()
+          in
+          go ();
           Option.iter
             (fun v -> List.iter (visit env) (v.Relation.Txn.extra ()))
             view
@@ -467,24 +479,26 @@ let run_group_by ctx (branch : Ir.branch) =
         @ List.map (fun (a, c) -> Ir.Col (a, c)) agg_cols }
   in
   let rows, _ = run_branch ctx branch' in
-  let karity = List.length group in
-  let groups : (int list, int * int list array) Hashtbl.t =
+  let karity = List.length group and naggs = List.length agg_cols in
+  (* per group key, in first-seen order: its row count and, per
+     aggregate, the values it collected *)
+  let groups : (int array, int ref * int list array) Hashtbl.t =
     Hashtbl.create 64
   in
   let order = ref [] in
   List.iter
-    (fun row ->
-      let key = Array.to_list (Array.sub row 0 karity) in
-      let vals =
-        Array.init (List.length agg_cols) (fun i -> row.(karity + i))
-      in
+    (fun (row : int array) ->
+      let key = if naggs = 0 then row else Array.sub row 0 karity in
       match Hashtbl.find_opt groups key with
       | Some (count, lists) ->
-          Array.iteri (fun i v -> lists.(i) <- v :: lists.(i)) vals;
-          Hashtbl.replace groups key (count + 1, lists)
+          incr count;
+          for i = 0 to naggs - 1 do
+            lists.(i) <- row.(karity + i) :: lists.(i)
+          done
       | None ->
           order := key :: !order;
-          Hashtbl.replace groups key (1, Array.map (fun v -> [ v ]) vals))
+          Hashtbl.add groups key
+            (ref 1, Array.init naggs (fun i -> [ row.(karity + i) ])))
     rows;
   List.rev_map
     (fun key ->
@@ -501,8 +515,8 @@ let run_group_by ctx (branch : Ir.branch) =
                       if gc = c && (a = None || ga = None || a = ga) then i
                       else pos (i + 1) rest
                 in
-                List.nth key (pos 0 group)
-            | Ir.Count_star -> count
+                key.(pos 0 group)
+            | Ir.Count_star -> !count
             | Ir.Agg (agg, _) -> (
                 let vs = lists.(!next) in
                 incr next;

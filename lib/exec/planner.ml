@@ -259,10 +259,11 @@ let choose ?(mem : Ir.mem_handle option) t stats q =
 
 let run c = Executor.run c.ctx c.plan
 
+(* The first column of every result row: the ids of an [Ids] plan. *)
+let ids c = List.map (fun (r : int array) -> r.(0)) (run c).Executor.rows
+
 let intersecting_ids ?stats ?path ?mem ?node_filter ?vis t q =
-  List.map (fun (r : int array) -> r.(0))
-    (run (plan_intersection ?stats ?path ?mem ?node_filter ?vis ~proj:Ids t q))
-      .Executor.rows
+  ids (plan_intersection ?stats ?path ?mem ?node_filter ?vis ~proj:Ids t q)
 
 let intersecting ?stats ?path ?mem ?vis t q =
   List.map
@@ -271,6 +272,37 @@ let intersecting ?stats ?path ?mem ?vis t q =
       .Executor.rows
 
 let stabbing_ids ?stats t p = intersecting_ids ?stats t (Ivl.point p)
+
+(* ---- partition joins (the Tile Index and the Window-List, Sec. 6) ----
+
+   A transient collection of partition numbers [first..last] joined to a
+   covering index led by the partition column: the intersection test on
+   the entry's bounds [lower_col]/[upper_col] is the residual filter, and
+   grouping on id drops the duplicates that redundant registration
+   produces, keeping each id once in first-seen order. *)
+let partition_join ~collection:(name, col) ~index
+    ~bounds:(lower_col, upper_col) ~first ~last table q =
+  let parts =
+    Ir.mk_step ~alias:"p" ~source:(Ir.Collection name) ~columns:[| col |]
+      Ir.Seq_scan
+  in
+  let scan =
+    Ir.mk_step ~alias:"i" ~source:(Ir.Base table)
+      ~columns:(Relation.Table.Index.columns index)
+      ~filters:
+        [ Ir.Cmp (Ir.Le, field "i" lower_col, Ir.Param "qup");
+          Ir.Cmp (Ir.Ge, field "i" upper_col, Ir.Param "qlow") ]
+      (Ir.Index_scan
+         { index; eq = [ field "p" col ]; lo = None; hi = None;
+           refine_lo = None; refine_hi = None; covering = true })
+  in
+  let parts_rows = List.init (last - first + 1) (fun i -> [| first + i |]) in
+  { plan =
+      plain_plan
+        [ { Ir.steps = [ parts; scan ];
+            projections = [ Ir.Col (Some "i", "id") ];
+            group_by = [ (Some "i", "id") ] } ];
+    ctx = make_ctx (interval_binds q) [ (name, ([| col |], parts_rows)) ] }
 
 (* ---- Allen-relation decomposition (Sec. 4.5) ----
 

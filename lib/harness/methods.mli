@@ -9,7 +9,6 @@ type t = {
   label : string;
   catalog : Relation.Catalog.t;
   insert : Interval.Ivl.t -> int -> unit; (* interval, id *)
-  count_query : Interval.Ivl.t -> int;    (* number of intersecting ids *)
   query_ids : Interval.Ivl.t -> int list;
   index_entries : unit -> int;
 }
@@ -39,6 +38,9 @@ val ist_bulk :
 val tile_bulk :
   ?block_size:int -> ?cache_blocks:int -> level:int ->
   Interval.Ivl.t array -> t
+
+val count : t -> Interval.Ivl.t -> int
+(** The number of intersecting ids: the length of [query_ids]. *)
 
 val load : t -> Interval.Ivl.t array -> unit
 (** Insert interval [i] of the array with id [i]. *)

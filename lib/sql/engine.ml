@@ -165,28 +165,6 @@ let rec split_and = function
 
 (* ---------------- logical planning ---------------- *)
 
-type source =
-  | Base of Relation.Table.t
-  | Collection of string (* resolved from the session at run time *)
-
-type bound_expr = { e : Ast.expr; inclusive : bool }
-
-type access =
-  | Seq_scan
-  | Index_scan of {
-      index : Relation.Table.Index.t;
-      eq : Ast.expr list; (* probes for the leading key columns *)
-      lo : bound_expr option; (* range on the next key column *)
-      hi : bound_expr option;
-      (* Start/stop-key refinement on the column after the range column
-         (the paper's Sec. 4.3 lemma: "i.upper >= :lower" tightens the
-         start key of the BETWEEN scan). The conjunct stays in the
-         residual filter; the refinement only skips entries. *)
-      refine_lo : bound_expr option;
-      refine_hi : bound_expr option;
-      covering : bool; (* no base-table fetch needed *)
-    }
-
 (* Columns of [alias] referenced anywhere in the branch. [None]-alias
    column references are conservatively attributed to every alias that
    has such a column. *)
@@ -248,14 +226,15 @@ let is_col_of alias columns c = function
 
 type candidate = {
   c_score : int;
-  c_access : access;
+  c_access : Ir.access;
   c_marks : Ast.expr list; (* conjuncts consumed by the access path *)
 }
 
-(* Collect the lo/hi bounds available on column [c] from [conjuncts];
-   each kind is taken at most once. *)
+(* Collect the lo/hi bounds available on column [c] from [conjuncts],
+   compiled to IR bounds; each kind is taken at most once. *)
 let range_bounds_on alias columns c ~outer ~usable conjuncts =
   let lo = ref None and hi = ref None and marks = ref [] in
+  let bound e inclusive = Some { Ir.v = compile_value e; inclusive } in
   List.iter
     (fun conj ->
       if usable conj then
@@ -264,16 +243,16 @@ let range_bounds_on alias columns c ~outer ~usable conjuncts =
           -> (
             match op with
             | Ast.Ge when !lo = None ->
-                lo := Some { e = b; inclusive = true };
+                lo := bound b true;
                 marks := conj :: !marks
             | Ast.Gt when !lo = None ->
-                lo := Some { e = b; inclusive = false };
+                lo := bound b false;
                 marks := conj :: !marks
             | Ast.Le when !hi = None ->
-                hi := Some { e = b; inclusive = true };
+                hi := bound b true;
                 marks := conj :: !marks
             | Ast.Lt when !hi = None ->
-                hi := Some { e = b; inclusive = false };
+                hi := bound b false;
                 marks := conj :: !marks
             | Ast.Eq | Ast.Ne | Ast.Lt | Ast.Le | Ast.Gt | Ast.Ge -> ())
         | Ast.Cmp (op, a, b) when is_col_of alias columns c b && outer_only outer a
@@ -281,24 +260,24 @@ let range_bounds_on alias columns c ~outer ~usable conjuncts =
             (* mirrored: e op col *)
             match op with
             | Ast.Le when !lo = None ->
-                lo := Some { e = a; inclusive = true };
+                lo := bound a true;
                 marks := conj :: !marks
             | Ast.Lt when !lo = None ->
-                lo := Some { e = a; inclusive = false };
+                lo := bound a false;
                 marks := conj :: !marks
             | Ast.Ge when !hi = None ->
-                hi := Some { e = a; inclusive = true };
+                hi := bound a true;
                 marks := conj :: !marks
             | Ast.Gt when !hi = None ->
-                hi := Some { e = a; inclusive = false };
+                hi := bound a false;
                 marks := conj :: !marks
             | Ast.Eq | Ast.Ne | Ast.Lt | Ast.Le | Ast.Gt | Ast.Ge -> ())
         | Ast.Between (e, b_lo, b_hi)
           when is_col_of alias columns c e && outer_only outer b_lo
                && outer_only outer b_hi ->
             if !lo = None && !hi = None then begin
-              lo := Some { e = b_lo; inclusive = true };
-              hi := Some { e = b_hi; inclusive = true };
+              lo := bound b_lo true;
+              hi := bound b_hi true;
               marks := conj :: !marks
             end
         | _ -> ())
@@ -330,7 +309,9 @@ let best_index_access select tbl alias columns ~outer ~usable conjuncts =
               conjuncts
           with
           | Some (Ast.Cmp (Ast.Eq, a, b) as conj) ->
-              let probe = if is_col_of alias columns c a then b else a in
+              let probe =
+                compile_value (if is_col_of alias columns c a then b else a)
+              in
               eq := probe :: !eq;
               eq_marks := conj :: !eq_marks;
               incr pos
@@ -373,8 +354,8 @@ let best_index_access select tbl alias columns ~outer ~usable conjuncts =
           Some
             { c_score = score;
               c_access =
-                Index_scan { index = idx; eq; lo; hi; refine_lo; refine_hi;
-                             covering };
+                Ir.Index_scan { index = idx; eq; lo; hi; refine_lo; refine_hi;
+                                covering };
               c_marks = !eq_marks @ range_marks }
         end)
       (Relation.Table.indexes tbl)
@@ -385,20 +366,6 @@ let best_index_access select tbl alias columns ~outer ~usable conjuncts =
       | Some best when best.c_score >= c.c_score -> acc
       | _ -> Some c)
     None candidates
-
-let compile_bound { e; inclusive } = { Ir.v = compile_value e; inclusive }
-
-let compile_access = function
-  | Seq_scan -> Ir.Seq_scan
-  | Index_scan { index; eq; lo; hi; refine_lo; refine_hi; covering } ->
-      Ir.Index_scan
-        { index;
-          eq = List.map compile_value eq;
-          lo = Option.map compile_bound lo;
-          hi = Option.map compile_bound hi;
-          refine_lo = Option.map compile_bound refine_lo;
-          refine_hi = Option.map compile_bound refine_hi;
-          covering }
 
 let conjuncts_of (select : Ast.select) =
   match select.Ast.where with None -> [] | Some w -> split_and w
@@ -486,10 +453,10 @@ let plan_generic_branch session (select : Ast.select) =
   let resolve (tname, alias_opt) =
     let alias = Option.value ~default:tname alias_opt in
     match Relation.Catalog.find_table session.catalog tname with
-    | Some tbl -> (alias, Base tbl, Relation.Table.columns tbl)
+    | Some tbl -> (alias, Ir.Base tbl, Relation.Table.columns tbl)
     | None -> (
         match Hashtbl.find_opt session.collections tname with
-        | Some (cols, _) -> (alias, Collection tname, cols)
+        | Some (cols, _) -> (alias, Ir.Collection tname, cols)
         | None -> fail "unknown table %s" tname)
   in
   let items = List.map resolve select.Ast.froms in
@@ -504,14 +471,14 @@ let plan_generic_branch session (select : Ast.select) =
       List.map
         (fun ((alias, source, columns) as item) ->
           match source with
-          | Collection _ -> (1, item, None)
-          | Base tbl -> (
+          | Ir.Base tbl -> (
               match
                 best_index_access select tbl alias columns ~outer:!bound
                   ~usable conjuncts
               with
               | Some cand -> (cand.c_score, item, Some cand)
-              | None -> (0, item, None)))
+              | None -> (0, item, None))
+          | Ir.Collection _ | Ir.Mem _ | Ir.Intersection _ -> (1, item, None))
         !remaining
     in
     let best =
@@ -530,7 +497,7 @@ let plan_generic_branch session (select : Ast.select) =
           | Some c ->
               List.iter consume c.c_marks;
               c.c_access
-          | None -> Seq_scan
+          | None -> Ir.Seq_scan
         in
         ordered := (alias, source, columns, access) :: !ordered;
         bound := !bound @ [ (alias, columns) ];
@@ -580,18 +547,13 @@ let plan_generic_branch session (select : Ast.select) =
       (fun i (alias, source, columns, access) ->
         let columns =
           match access with
-          | Index_scan { index; covering = true; _ } ->
+          | Ir.Index_scan { index; covering = true; _ } ->
               Relation.Table.Index.columns index
-          | Index_scan _ | Seq_scan -> columns
-        in
-        let source =
-          match source with
-          | Base tbl -> Ir.Base tbl
-          | Collection name -> Ir.Collection name
+          | Ir.Index_scan _ | Ir.Seq_scan | Ir.Mem_probe _ -> columns
         in
         Ir.mk_step ~alias ~source ~columns
           ~filters:(List.map compile_pred step_filters.(i))
-          (compile_access access))
+          access)
       ordered
   in
   { Ir.steps;

@@ -209,6 +209,34 @@ let test_window_list_static () =
     (Failure "Window_list.insert: the Window-List is a static structure")
     (fun () -> ignore (Baselines.Window_list.insert t (Ivl.make 1 2)))
 
+(* ---- the competitors' I/O ---- *)
+
+(* The [rikit compare] methods over one seeded batch (D1 n = 2 000, seed
+   42, 20 queries at 1 %), each from a cold 50-block cache: the physical
+   reads and the result count are pinned to the values the Sec. 6 method
+   handles gave before the competitors' queries became executor plans. *)
+let test_compare_io_pinned () =
+  let module M = Harness.Methods in
+  let data =
+    Workload.Distribution.generate ~seed:42 Workload.Distribution.D1 ~n:2_000
+      ~d:2_000
+  in
+  let queries = Workload.Query_gen.queries ~data ~count:20 0.01 in
+  let level = M.calibrated_tile_level data ~queries in
+  let cache_blocks = 50 in
+  List.iter
+    (fun ((m : M.t), io) ->
+      M.load m data;
+      Relation.Catalog.drop_cache m.M.catalog;
+      let b = Harness.Measure.query_batch m.M.catalog (M.count m) queries in
+      check Alcotest.int (m.M.label ^ " I/O") io b.Harness.Measure.total_io;
+      check Alcotest.int (m.M.label ^ " results") 400
+        b.Harness.Measure.total_results)
+    [ (M.ri_tree ~cache_blocks (), 64);
+      (M.tile ~cache_blocks ~level (), 140);
+      (M.ist ~cache_blocks (), 44);
+      (M.map21 ~cache_blocks (), 20) ]
+
 let () =
   Alcotest.run "baselines"
     [
@@ -234,4 +262,7 @@ let () =
       ("window-list",
        [ Alcotest.test_case "oracle + stabbing" `Quick test_window_list_oracle;
          Alcotest.test_case "static structure" `Quick test_window_list_static ]);
+      ("compare",
+       [ Alcotest.test_case "I/O and results pinned" `Quick
+           test_compare_io_pinned ]);
     ]

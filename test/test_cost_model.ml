@@ -171,6 +171,39 @@ let test_adaptive_io_not_worse () =
     true
     (via_adaptive < via_index)
 
+(* The distinct count sorts in place with its own quicksort: the count
+   must equal a hash-table oracle's and the array must end sorted, for
+   duplicate-heavy, full-range (min_int/max_int included), sorted,
+   reversed and all-equal columns, on both sides of the insertion-sort
+   cutoff. *)
+let prop_distinct_count =
+  let column =
+    QCheck.Gen.(
+      let* n = oneof [ int_bound 20; int_bound 600 ] in
+      let value =
+        oneof
+          [ int_bound 8; int_range (-50) 50; return min_int; return max_int;
+            int_range min_int max_int ]
+      in
+      let* a = array_size (return n) value in
+      let* shape = int_bound 3 in
+      return
+        (match shape with
+        | 0 -> a
+        | 1 -> (Array.sort compare a; a)
+        | 2 -> (Array.sort (fun x y -> compare y x) a; a)
+        | _ -> Array.make n (if n = 0 then 0 else a.(0))))
+  in
+  QCheck.Test.make ~count:300 ~name:"distinct count = hash-table oracle"
+    (QCheck.make ~print:QCheck.Print.(array int) column)
+    (fun a ->
+      let seen = Hashtbl.create 64 in
+      Array.iter (fun v -> Hashtbl.replace seen v ()) a;
+      let expected_sorted = Array.copy a in
+      Array.sort compare expected_sorted;
+      let d = CM.Stats.distinct_count a in
+      d = Hashtbl.length seen && a = expected_sorted)
+
 let () =
   Alcotest.run "cost_model"
     [
@@ -179,7 +212,8 @@ let () =
          Alcotest.test_case "edge estimates" `Quick test_estimate_edges;
          Alcotest.test_case "infinity-bounded queries" `Quick
            test_infinity_bounds;
-         Alcotest.test_case "empty tree" `Quick test_empty_tree ]);
+         Alcotest.test_case "empty tree" `Quick test_empty_tree;
+         QCheck_alcotest.to_alcotest prop_distinct_count ]);
       ("planning",
        [ Alcotest.test_case "plan crossover" `Quick test_plan_crossover;
          QCheck_alcotest.to_alcotest prop_choice_is_explained;

@@ -396,6 +396,45 @@ let test_plan_cache_speedup () =
     true
     (tu >= 2.0 *. tc)
 
+(* A sequential scan binds every heap row, in heap order, with its rowid
+   appended: a snapshot view that hides one rowid drops exactly that
+   row, and the rows the view adds follow the heap's. *)
+let test_seq_scan_rows () =
+  let db = Relation.Catalog.create ~block_size:256 () in
+  let t = Relation.Catalog.create_table db ~name:"t" ~columns:[ "k"; "v" ] in
+  let rids =
+    List.init 20 (fun i -> Relation.Table.insert t [| i mod 5; 100 + i |])
+  in
+  let heap_rows = ref [] in
+  Relation.Table.iter t (fun rid row -> heap_rows := (rid, row) :: !heap_rows);
+  let heap_rows = List.rev !heap_rows in
+  let scan vis =
+    let step =
+      Exec.Ir.mk_step ~alias:"t" ~source:(Exec.Ir.Base t)
+        ~columns:(Relation.Table.columns t) Exec.Ir.Seq_scan
+    in
+    (Exec.Executor.run
+       { (Pl.make_ctx [] []) with Exec.Ir.vis }
+       (Pl.plain_plan
+          [ { Exec.Ir.steps = [ step ]; projections = [ Exec.Ir.Star ];
+              group_by = [] } ]))
+      .Exec.Executor.rows
+  in
+  let rows = Alcotest.list (Alcotest.array Alcotest.int) in
+  check rows "every row, heap order" (List.map snd heap_rows)
+    (scan Exec.Ir.no_vis);
+  let hidden = List.nth rids 7 in
+  let view =
+    { Relation.Txn.visible = (fun rid -> rid <> hidden);
+      extra = (fun () -> [ [| 9; 999 |] ]) }
+  in
+  check rows "the view's rowid test and extra rows"
+    (List.filter_map
+       (fun (rid, row) -> if rid = hidden then None else Some row)
+       heap_rows
+    @ [ [| 9; 999 |] ])
+    (scan (fun _ -> Some view))
+
 let () =
   Alcotest.run "exec"
     [
@@ -405,7 +444,9 @@ let () =
          QCheck_alcotest.to_alcotest prop_allen_match_oracle;
          QCheck_alcotest.to_alcotest prop_temporal_match_oracle;
          Alcotest.test_case "no-stats point query = two-branch I/O" `Quick
-           test_no_stats_point_is_two_branch ]);
+           test_no_stats_point_is_two_branch;
+         Alcotest.test_case "seq scan yields rows, rowids" `Quick
+           test_seq_scan_rows ]);
       ("explain",
        [ Alcotest.test_case "SQL text = typed plan, rendered" `Quick
            test_sql_and_typed_render_identically;

@@ -89,8 +89,9 @@ let test_io_scales_with_results () =
   Methods.load m data;
   let small = Workload.Query_gen.queries ~seed:76 ~data ~count:20 0.002 in
   let large = Workload.Query_gen.queries ~seed:76 ~data ~count:20 0.05 in
-  let bs = Harness.Measure.query_batch m.Methods.catalog m.Methods.count_query small in
-  let bl = Harness.Measure.query_batch m.Methods.catalog m.Methods.count_query large in
+  let batch = Harness.Measure.query_batch m.Methods.catalog (Methods.count m) in
+  let bs = batch small in
+  let bl = batch large in
   check Alcotest.bool
     (Printf.sprintf "more results, more I/O (%.1f vs %.1f)"
        bs.Harness.Measure.avg_io bl.Harness.Measure.avg_io)

@@ -139,6 +139,26 @@ let test_io_counting () =
   check Alcotest.bool "cold scan costs reads" true
     (stats.Storage.Block_device.Stats.reads > 10)
 
+(* Index entries are the key columns with the rowid appended; a key
+   prefix selects exactly the rows carrying it. *)
+let test_index_prefix () =
+  let db = mk_db () in
+  let t = Catalog.create_table db ~name:"t" ~columns:[ "k"; "v" ] in
+  let idx = Table.create_index t ~name:"k" ~columns:[ "k" ] in
+  let rids = List.init 20 (fun i -> Table.insert t [| i mod 5; 100 + i |]) in
+  let tree = Table.Index.tree idx in
+  let entries =
+    Btree.range_list tree ~lo:(Btree.lo_pad tree [ 2 ])
+      ~hi:(Btree.hi_pad tree [ 2 ])
+  in
+  check
+    (Alcotest.list (Alcotest.array Alcotest.int))
+    "k = 2 entries"
+    (List.filteri (fun i _ -> i mod 5 = 2) rids
+    |> List.map (fun r -> [| 2; r |])
+    |> List.sort compare)
+    entries
+
 let () =
   Alcotest.run "table"
     [
@@ -151,6 +171,7 @@ let () =
          Alcotest.test_case "bulk index = incremental index" `Quick
            test_bulk_index_equals_incremental;
          Alcotest.test_case "index_on" `Quick test_index_on_lookup;
+         Alcotest.test_case "index prefix entries" `Quick test_index_prefix;
          Alcotest.test_case "update_row maintains indexes" `Quick
            test_update_row_maintains_indexes;
          Alcotest.test_case "delete_where" `Quick test_delete_where;
