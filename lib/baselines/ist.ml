@@ -97,7 +97,7 @@ let plan t q =
       ~columns:(Relation.Table.Index.columns t.index) ~filters:[ residual ]
       (Ir.Index_scan
          { index = t.index; eq = []; lo; hi; refine_lo = None;
-           refine_hi = None; covering = true })
+           refine_hi = None; covering = true; batched = false })
   in
   { Exec.Planner.plan =
       Exec.Planner.plain_plan

@@ -234,8 +234,9 @@ let compile_projection scope projections =
 (* Compile [step] under [outer], the scope of the steps outside it; its
    loop depth is the length of [outer]. [next] compiles under the
    extended scope and runs once per row the step emits; the result runs
-   the step's loop for one binding of the outer rows. *)
-let rec compile_step ctx outer (step : Ir.step) next =
+   the step's loop for one binding of the outer rows. A batched index
+   step queues its scans on the branch's [pending]. *)
+let rec compile_step ctx pending outer (step : Ir.step) next =
   let binds = ctx.Ir.binds in
   let d = List.length outer in
   let columns = step_columns step in
@@ -305,10 +306,10 @@ let rec compile_step ctx outer (step : Ir.step) next =
             (fun v -> List.iter (visit env) (v.Relation.Txn.extra ()))
             view
     | ( Ir.Base tbl,
-        Ir.Index_scan { index; eq; lo; hi; refine_lo; refine_hi; covering } )
-      ->
-        compile_index_scan ctx outer step tbl index ~eq ~lo ~hi
-          ~refine_lo ~refine_hi ~covering visit
+        Ir.Index_scan
+          { index; eq; lo; hi; refine_lo; refine_hi; covering; batched } ) ->
+        compile_index_scan ctx pending outer step tbl index ~eq ~lo ~hi
+          ~refine_lo ~refine_hi ~covering ~batched visit
   in
   if Obs.Trace.enabled () then fun env ->
     Obs.Trace.with_span (node_span step) ~info:step.Ir.alias (fun () ->
@@ -318,9 +319,10 @@ let rec compile_step ctx outer (step : Ir.step) next =
 (* The bounds compile once and each probe fills its two key arrays:
    equality components, then the range column, then the refinement
    column after it. Entries the key filters reject are skipped before
-   any fetch. *)
-and compile_index_scan ctx outer (step : Ir.step) tbl index ~eq ~lo ~hi
-    ~refine_lo ~refine_hi ~covering visit =
+   any fetch. A batched probe descends at once, on copies of its key
+   arrays, and queues its scan with the outer rows it ran under. *)
+and compile_index_scan ctx pending outer (step : Ir.step) tbl index ~eq ~lo
+    ~hi ~refine_lo ~refine_hi ~covering ~batched visit =
   let binds = ctx.Ir.binds in
   let tree = Relation.Table.Index.tree index in
   let width = Btree.key_width tree in
@@ -378,35 +380,53 @@ and compile_index_scan ctx outer (step : Ir.step) tbl index ~eq ~lo ~hi
   in
   let view = ctx.Ir.vis (Relation.Table.name tbl) in
   let accept = visible view in
-  fun env ->
-    if fill env then begin
-      Btree.iter_range tree ~lo:lo_key ~hi:hi_key (fun key ->
-          if accept key.(Array.length key - 1) then entry_visit env key);
-      match view with
+  (* Drain the cursor of a probe over [lo, hi]. *)
+  let scan env c ~lo ~hi =
+    let rec go () =
+      match Btree.next c with
+      | Some key ->
+          if accept key.(Array.length key - 1) then entry_visit env key;
+          go ()
       | None -> ()
-      | Some v ->
-          (* Overlay rows are injected per probe: each row's index entry
-             joins exactly the probes whose key range would have
-             contained its physical registration, so UNION ALL branch
-             disjointness and per-probe key filters behave as for
-             physical rows. The rowid slot is unconstrained in every
-             probe (min_int..max_int), so a pseudo-rowid of 0 never
-             decides the comparison. *)
-          List.iter
-            (fun row ->
-              let key = Relation.Table.Index.key_of_row index 0 row in
-              if key_in_range ~lo:lo_key ~hi:hi_key key then
-                if covering then entry_visit env key
-                else if key_ok env key then visit env row)
-            (v.Relation.Txn.extra ())
-    end
+    in
+    go ();
+    match view with
+    | None -> ()
+    | Some v ->
+        (* Overlay rows are injected per probe: each row's index entry
+           joins exactly the probes whose key range would have contained
+           its physical registration, so UNION ALL branch disjointness
+           and per-probe key filters behave as for physical rows. The
+           rowid slot is unconstrained in every probe (min_int..max_int),
+           so a pseudo-rowid of 0 never decides the comparison. *)
+        List.iter
+          (fun row ->
+            let key = Relation.Table.Index.key_of_row index 0 row in
+            if key_in_range ~lo ~hi key then
+              if covering then entry_visit env key
+              else if key_ok env key then visit env row)
+          (v.Relation.Txn.extra ())
+  in
+  fun env ->
+    if fill env then
+      if not batched then
+        scan env (Btree.cursor tree ~lo:lo_key ~hi:hi_key) ~lo:lo_key
+          ~hi:hi_key
+      else begin
+        let lo = Array.copy lo_key and hi = Array.copy hi_key in
+        let c = Btree.cursor tree ~lo ~hi and bound = Array.sub env 0 d in
+        Queue.add (fun () -> Array.blit bound 0 env 0 d; scan env c ~lo ~hi)
+          pending
+      end
 
 (* Compile a branch into one closure over a fresh environment, then run
-   it: every name in it resolves before the first row is read. *)
+   it: every name in it resolves before the first row is read. The scans
+   its batched probes queued run once its loops have, in queue order. *)
 and run_branch ctx (branch : Ir.branch) =
   let body () =
     let rows = ref [] in
     let count = ref 0 in
+    let pending = Queue.create () in
     let rec chain outer = function
       | [] ->
           let project = compile_projection outer branch.Ir.projections in
@@ -414,10 +434,13 @@ and run_branch ctx (branch : Ir.branch) =
             incr count;
             rows := project env :: !rows
       | step :: rest ->
-          compile_step ctx outer step (fun scope -> chain scope rest)
+          compile_step ctx pending outer step (fun scope -> chain scope rest)
     in
     let run = chain [] branch.Ir.steps in
     run (Array.make (List.length branch.Ir.steps) [||]);
+    while not (Queue.is_empty pending) do
+      (Queue.take pending) ()
+    done;
     (List.rev !rows, !count)
   in
   if Obs.Trace.enabled () then

@@ -83,6 +83,12 @@ type access =
       refine_lo : bound option;
       refine_hi : bound option;
       covering : bool; (* no base-table fetch needed *)
+      (* Open the probe when the loop reaches it but defer its scan until
+         the branch's loops have run: every probe's descent then comes
+         before any leaf scan, as in a union of eagerly opened cursors.
+         The partition joins of the Sec. 6 competitors read pages in
+         that order. *)
+      batched : bool;
     }
   | Mem_probe of {
       op : mem_op;

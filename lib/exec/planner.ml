@@ -98,7 +98,8 @@ let index_step t ~projs ?(key_filters = []) ?(filters = []) ~index ?(eq = [])
   Ir.mk_step ~alias:"i" ~source:(Ir.Base table)
     ~columns:(if covering then icols else Relation.Table.columns table)
     ~key_filters ~filters
-    (Ir.Index_scan { index; eq; lo; hi; refine_lo; refine_hi; covering })
+    (Ir.Index_scan
+       { index; eq; lo; hi; refine_lo; refine_hi; covering; batched = false })
 
 (* ---- the Fig. 9/10 two-branch UNION ALL plan ---- *)
 
@@ -279,7 +280,8 @@ let stabbing_ids ?stats t p = intersecting_ids ?stats t (Ivl.point p)
    covering index led by the partition column: the intersection test on
    the entry's bounds [lower_col]/[upper_col] is the residual filter, and
    grouping on id drops the duplicates that redundant registration
-   produces, keeping each id once in first-seen order. *)
+   produces, keeping each id once in first-seen order. The probes are
+   batched: every partition's descent precedes the first leaf scan. *)
 let partition_join ~collection:(name, col) ~index
     ~bounds:(lower_col, upper_col) ~first ~last table q =
   let parts =
@@ -294,7 +296,8 @@ let partition_join ~collection:(name, col) ~index
           Ir.Cmp (Ir.Ge, field "i" upper_col, Ir.Param "qlow") ]
       (Ir.Index_scan
          { index; eq = [ field "p" col ]; lo = None; hi = None;
-           refine_lo = None; refine_hi = None; covering = true })
+           refine_lo = None; refine_hi = None; covering = true;
+           batched = true })
   in
   let parts_rows = List.init (last - first + 1) (fun i -> [| first + i |]) in
   { plan =

@@ -58,8 +58,8 @@ let plan ?(annot = fun (_ : Ir.step) -> "") ?(sub = fun (_ : Ir.step) -> None)
     | Ir.Base _, Ir.Mem_probe _ ->
         add "%sINVALID STEP%s\n" indent (next_step ())
     | ( Ir.Base _,
-        Ir.Index_scan { index; eq; lo; hi; refine_lo; refine_hi; covering }
-      ) ->
+        Ir.Index_scan
+          { index; eq; lo; hi; refine_lo; refine_hi; covering; batched } ) ->
         let icols = Relation.Table.Index.columns index in
         let parts = ref [] in
         List.iteri
@@ -104,7 +104,8 @@ let plan ?(annot = fun (_ : Ir.step) -> "") ?(sub = fun (_ : Ir.step) -> None)
             parts :=
               (Ir.pred_to_string p ^ " [key filter]") :: !parts)
           step.Ir.key_filters;
-        add "%sINDEX RANGE SCAN %s (%s)%s%s%s\n" indent
+        add "%sINDEX RANGE SCAN%s %s (%s)%s%s%s\n" indent
+          (if batched then " BATCHED" else "")
           (String.uppercase_ascii (Relation.Table.Index.name index))
           (String.concat ", " (List.rev !parts))
           (if covering then "" else " + TABLE ACCESS BY ROWID")

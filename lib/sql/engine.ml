@@ -355,7 +355,7 @@ let best_index_access select tbl alias columns ~outer ~usable conjuncts =
             { c_score = score;
               c_access =
                 Ir.Index_scan { index = idx; eq; lo; hi; refine_lo; refine_hi;
-                                covering };
+                                covering; batched = false };
               c_marks = !eq_marks @ range_marks }
         end)
       (Relation.Table.indexes tbl)

@@ -435,6 +435,68 @@ let test_seq_scan_rows () =
     @ [ [| 9; 999 |] ])
     (scan (fun _ -> Some view))
 
+(* A batched index step under a collection loop defers each probe's
+   scan until every probe has descended. It must still yield what the
+   plain nested loop yields, in the same order, with each probe's outer
+   row bound when its scan runs and a snapshot's extra rows injected
+   into exactly the probe whose key range holds them. *)
+let test_batched_probes () =
+  let db = Relation.Catalog.create ~block_size:256 () in
+  let t = Relation.Catalog.create_table db ~name:"t" ~columns:[ "k"; "v" ] in
+  let rids =
+    List.init 60 (fun i -> Relation.Table.insert t [| i mod 5; 100 + i |])
+  in
+  let index =
+    Relation.Table.create_index t ~name:"t_kv" ~columns:[ "k"; "v" ]
+  in
+  let ks = [ [| 3 |]; [| 1 |]; [| 4 |] ] in
+  let run ~batched vis =
+    let outer =
+      Exec.Ir.mk_step ~alias:"p" ~source:(Exec.Ir.Collection "ks")
+        ~columns:[| "k" |] Exec.Ir.Seq_scan
+    in
+    let scan =
+      Exec.Ir.mk_step ~alias:"i" ~source:(Exec.Ir.Base t)
+        ~columns:(Relation.Table.Index.columns index)
+        (Exec.Ir.Index_scan
+           { index; eq = [ Exec.Ir.Field (Some "p", "k") ]; lo = None;
+             hi = None; refine_lo = None; refine_hi = None; covering = true;
+             batched })
+    in
+    (Exec.Executor.run
+       { (Pl.make_ctx [] [ ("ks", ([| "k" |], ks)) ]) with Exec.Ir.vis }
+       (Pl.plain_plan
+          [ { Exec.Ir.steps = [ outer; scan ];
+              projections =
+                [ Exec.Ir.Col (Some "p", "k"); Exec.Ir.Col (Some "i", "v") ];
+              group_by = [] } ]))
+      .Exec.Executor.rows
+  in
+  let rows = Alcotest.list (Alcotest.array Alcotest.int) in
+  let expected =
+    List.concat_map
+      (fun k ->
+        List.filter_map
+          (fun i -> if i mod 5 = k.(0) then Some [| k.(0); 100 + i |] else None)
+          (List.init 60 Fun.id))
+      ks
+  in
+  check rows "plain nested loop" expected (run ~batched:false Exec.Ir.no_vis);
+  check rows "batched = plain" expected (run ~batched:true Exec.Ir.no_vis);
+  let hidden = List.nth rids 6 (* k = 1, v = 106 *) in
+  let view =
+    { Relation.Txn.visible = (fun rid -> rid <> hidden);
+      extra = (fun () -> [ [| 1; 999 |] ]) }
+  in
+  let vis = fun _ -> Some view in
+  check rows "batched = plain under a snapshot view"
+    (run ~batched:false vis) (run ~batched:true vis);
+  check Alcotest.bool "the view's rows reach the k = 1 probe only" true
+    (let r = run ~batched:true vis in
+     List.mem [| 1; 999 |] r
+     && (not (List.mem [| 1; 106 |] r))
+     && List.length r = List.length expected)
+
 let () =
   Alcotest.run "exec"
     [
@@ -445,6 +507,8 @@ let () =
          QCheck_alcotest.to_alcotest prop_temporal_match_oracle;
          Alcotest.test_case "no-stats point query = two-branch I/O" `Quick
            test_no_stats_point_is_two_branch;
+         Alcotest.test_case "batched probes = nested loop" `Quick
+           test_batched_probes;
          Alcotest.test_case "seq scan yields rows, rowids" `Quick
            test_seq_scan_rows ]);
       ("explain",
