@@ -73,7 +73,7 @@ let () =
   in
   let binds = [ ("lower", qlow); ("upper", qup) ] in
   Printf.printf "EXPLAIN (cf. the paper's Fig. 10):\n%s\n"
-    (Sqlfront.Engine.explain ~binds session fig9);
+    (Sqlfront.Engine.explain session fig9);
   exec session ~binds fig9;
 
   (* Cross-check against the typed query path of the planner. *)

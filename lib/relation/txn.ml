@@ -47,6 +47,14 @@ type write =
       seen : int; (* snapshot high the victim was found under *)
     }
 
+(* Heap slots, as (table, rowid). *)
+module Slots = Map.Make (struct
+  type t = string * int
+
+  let compare (n, r) (n', r') =
+    match Int.compare r r' with 0 -> String.compare n n' | c -> c
+end)
+
 type mgr = {
   mutable committed_lsn : int;
   mutable next_txn : int;
@@ -62,10 +70,15 @@ and txn = {
   mgr : mgr;
   mutable pinned : int option; (* explicit BEGIN: frozen snapshot high *)
   mutable writes : write list; (* newest first *)
+  (* the [seen] of every buffered delete, by slot, so
+     [deletes_occupant] never walks [writes] *)
+  mutable deletes : int list Slots.t;
   mutable state : state;
 }
 
-type snap = { high : int; owner : txn option }
+(* A snapshot: every commit with LSN <= [high] is visible, with the
+   owner's pending writes overlaid. *)
+type snap = { high : int; owner : txn }
 
 type view = {
   visible : int -> bool; (* is this physical rowid in the snapshot? *)
@@ -108,11 +121,10 @@ let table_lsn m tname =
 let begin_txn m =
   m.next_txn <- m.next_txn + 1;
   let t = { id = m.next_txn; mgr = m; pinned = None; writes = [];
-            state = Active } in
+            deletes = Slots.empty; state = Active } in
   m.live <- t :: m.live;
   t
 
-let manager t = t.mgr
 let is_active t = t.state = Active
 let pinned t = t.pinned <> None
 
@@ -120,11 +132,11 @@ let pin t =
   if t.state <> Active then invalid_arg "Txn.pin: transaction is not active";
   if t.pinned = None then t.pinned <- Some t.mgr.committed_lsn
 
-let snapshot t =
-  { high = (match t.pinned with Some h -> h | None -> t.mgr.committed_lsn);
-    owner = Some t }
+(* The snapshot high a statement of [t] reads at. *)
+let snapshot_high t =
+  match t.pinned with Some h -> h | None -> t.mgr.committed_lsn
 
-let snapshot_high s = s.high
+let snapshot t = { high = snapshot_high t; owner = t }
 
 (* ---------------- write-set buffering ---------------- *)
 
@@ -145,28 +157,35 @@ let buffer_insert t ~table ~tname row =
   active_guard t "buffer_insert";
   t.writes <- W_insert { table; tname; row } :: t.writes
 
-let buffer_delete t ~table ~tname ~rowid ~row ~seen =
+(* The commit LSN of the insert that put the occupant in [rowid]; 0
+   for a row born before tracking. *)
+let born_at m tname rowid =
+  match Hashtbl.find_opt m.vtables tname with
+  | None -> 0
+  | Some v -> Option.value ~default:0 (Hashtbl.find_opt v.xmin rowid)
+
+(* Does [t] hold a buffered delete of the row occupying [rowid]? [born]
+   is the occupant's insert LSN: a buffered delete only refers to the
+   occupant it was found under ([born <= seen]). Once that victim died
+   and a concurrent commit reused the slot, the occupant is a DIFFERENT
+   row — deleting it is legitimate, and the stale buffered delete
+   surfaces as a typed Conflict at commit validation (its dead record
+   is pinned by [low_water] until then). *)
+let deletes_occupant t tname rowid ~born =
+  match Slots.find_opt (tname, rowid) t.deletes with
+  | None -> false
+  | Some seens -> List.exists (fun seen -> born <= seen) seens
+
+let buffer_delete t ~table ~tname ~rowid ~row =
   active_guard t "buffer_delete";
-  (* Generation-aware double-delete check, mirroring [own_delete]: a
-     buffered delete refers to the occupant it was found under
-     ([born <= seen]). Once that victim died and a concurrent commit
-     reused the slot, the occupant is a DIFFERENT row — deleting it is
-     legitimate, and the stale buffered delete surfaces as a typed
-     Conflict at commit validation (its dead record is pinned by
-     [low_water] until then). *)
-  let born =
-    match Hashtbl.find_opt t.mgr.vtables tname with
-    | None -> 0
-    | Some v -> (
-        match Hashtbl.find_opt v.xmin rowid with Some l -> l | None -> 0)
-  in
-  if
-    List.exists
-      (function
-        | W_delete w -> w.tname = tname && w.rowid = rowid && born <= w.seen
-        | W_insert _ -> false)
-      t.writes
-  then invalid_arg "Txn.buffer_delete: row already deleted by this transaction";
+  if deletes_occupant t tname rowid ~born:(born_at t.mgr tname rowid) then
+    invalid_arg "Txn.buffer_delete: row already deleted by this transaction";
+  (* the victim was found in this statement, under this snapshot *)
+  let seen = snapshot_high t in
+  t.deletes <-
+    Slots.update (tname, rowid)
+      (fun seens -> Some (seen :: Option.value ~default:[] seens))
+      t.deletes;
   t.writes <- W_delete { table; tname; rowid; row; seen } :: t.writes
 
 (* Pending inserts in chronological (buffer) order. *)
@@ -206,15 +225,16 @@ let take_pending_insert t tname f =
       t.writes <- keep;
       Some row
 
-(* Remove every buffered insert matching [f]; returns how many. *)
+(* Remove every buffered insert matching [f]; returns them oldest
+   first. *)
 let remove_pending_inserts t tname f =
   active_guard t "remove_pending_inserts";
-  let removed = ref 0 in
+  let removed = ref [] in
   t.writes <-
     List.filter
       (function
         | W_insert { tname = n; row; _ } when n = tname && f row ->
-            incr removed;
+            removed := row :: !removed;
             false
         | _ -> true)
       t.writes;
@@ -222,32 +242,15 @@ let remove_pending_inserts t tname f =
 
 (* ---------------- visibility ---------------- *)
 
-(* Does this snapshot's own transaction have a pending delete of the
-   row occupying [rowid]? [born] is the occupant's insert LSN: a
-   buffered delete only refers to the occupant it was found under
-   ([born <= seen]) — after a concurrent commit frees the slot and a
-   later insert reuses it, the new occupant ([born > seen]) is a
-   different row and must NOT be hidden. The stale delete itself is
-   caught at commit validation. *)
+(* Is the row occupying [rowid] hidden by the snapshot owner's pending
+   delete? A later occupant of a reused slot is a different row and is
+   not hidden. *)
 let own_delete snap tname rowid ~born =
-  match snap.owner with
-  | Some t when t.state = Active ->
-      List.exists
-        (function
-          | W_delete { tname = n; rowid = r; seen; _ } ->
-              n = tname && r = rowid && born <= seen
-          | W_insert _ -> false)
-        t.writes
-  | _ -> false
+  snap.owner.state = Active && deletes_occupant snap.owner tname rowid ~born
 
 (* Is the physically present row at [rowid] part of this snapshot? *)
 let rowid_visible m snap tname rowid =
-  let born =
-    match Hashtbl.find_opt m.vtables tname with
-    | None -> 0
-    | Some v -> (
-        match Hashtbl.find_opt v.xmin rowid with Some lsn -> lsn | None -> 0)
-  in
+  let born = born_at m tname rowid in
   born <= snap.high && not (own_delete snap tname rowid ~born)
 
 (* Deleted rows the snapshot can still see (born within, died after),
@@ -265,34 +268,47 @@ let dead_visible m snap tname =
           else None)
         v.deads
 
+(* The one victim search of every delete: the visible candidates that
+   match, then the matching rows a newer commit deleted but this
+   snapshot still sees — buffering their delete surfaces the
+   write-write race as a typed Conflict at commit instead of a silent
+   no-op. *)
+let victims ?candidates t ~table ~tname pred =
+  let m = t.mgr and snap = snapshot t in
+  let ok rowid row = rowid_visible m snap tname rowid && pred row in
+  let live =
+    match candidates with
+    | Some find -> find ~ok
+    | None ->
+        let acc = ref [] in
+        Table.iter table (fun rowid row ->
+            if ok rowid row then acc := (rowid, row) :: !acc);
+        List.rev !acc
+  in
+  live @ List.filter (fun (_, row) -> pred row) (dead_visible m snap tname)
+
 (* The executor's overlay for one table: [None] means "physical state
    is exactly the snapshot" (the overwhelmingly common case), so scans
    pay nothing. *)
-let view m snap tname =
-  let vt = Hashtbl.find_opt m.vtables tname in
-  let own_writes =
-    match snap.owner with
-    | Some t when t.state = Active -> writes_on t tname
-    | _ -> false
-  in
-  let tracked =
-    match vt with
-    | None -> false
-    | Some v -> v.deads <> [] || Hashtbl.length v.xmin > 0
-  in
-  if (not tracked) && not own_writes then None
-  else
-    Some
-      { visible = (fun rowid -> rowid_visible m snap tname rowid);
-        extra =
-          (fun () ->
-            let deads = List.map snd (dead_visible m snap tname) in
-            let own =
-              match snap.owner with
-              | Some t when t.state = Active -> pending_inserts t tname
-              | _ -> []
-            in
-            deads @ own) }
+let view t =
+  let m = t.mgr and snap = snapshot t in
+  fun tname ->
+    let tracked =
+      match Hashtbl.find_opt m.vtables tname with
+      | None -> false
+      | Some v -> v.deads <> [] || Hashtbl.length v.xmin > 0
+    in
+    if (not tracked) && not (t.state = Active && writes_on t tname) then None
+    else
+      Some
+        { visible = (fun rowid -> rowid_visible m snap tname rowid);
+          extra =
+            (fun () ->
+              let deads = List.map snd (dead_visible m snap tname) in
+              let own =
+                if t.state = Active then pending_inserts t tname else []
+              in
+              deads @ own) }
 
 (* ---------------- commit / abort ---------------- *)
 
@@ -332,6 +348,7 @@ let gc m =
 let finish_aborted t =
   t.state <- Aborted;
   t.writes <- [];
+  t.deletes <- Slots.empty;
   t.pinned <- None;
   unregister t;
   t.mgr.aborts <- t.mgr.aborts + 1;
@@ -377,11 +394,15 @@ let commit t =
   let m = t.mgr in
   match List.rev t.writes with
   | [] ->
+      (* Only a pinned snapshot held the low-water mark down; an
+         unpinned read-only transaction (every autocommit SELECT) frees
+         nothing for [gc] to reclaim. *)
+      let was_pinned = t.pinned <> None in
       t.state <- Committed;
       t.pinned <- None;
       unregister t;
       m.commits <- m.commits + 1;
-      gc m;
+      if was_pinned then gc m;
       m.committed_lsn
   | writes ->
       (try validate m writes
@@ -399,11 +420,7 @@ let commit t =
               vt.last_lsn <- lsn
           | W_delete { table; tname; rowid; row; _ } ->
               let vt = vtable_for m tname in
-              let born =
-                match Hashtbl.find_opt vt.xmin rowid with
-                | Some l -> l
-                | None -> 0
-              in
+              let born = born_at m tname rowid in
               vt.deads <- (rowid, { dead_row = row; born; died = lsn })
                           :: vt.deads;
               Hashtbl.remove vt.xmin rowid;
@@ -413,6 +430,7 @@ let commit t =
       m.committed_lsn <- lsn;
       t.state <- Committed;
       t.writes <- [];
+      t.deletes <- Slots.empty;
       t.pinned <- None;
       unregister t;
       m.commits <- m.commits + 1;
@@ -427,6 +445,7 @@ let reset m =
     (fun t ->
       t.state <- Aborted;
       t.writes <- [];
+      t.deletes <- Slots.empty;
       t.pinned <- None;
       m.aborts <- m.aborts + 1)
     m.live;

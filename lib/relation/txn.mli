@@ -24,10 +24,6 @@ exception Conflict of string
 type mgr
 type txn
 
-(** A snapshot: every commit with LSN <= [high] is visible. Carries the
-    owning transaction (if any) so its own pending writes overlay. *)
-type snap = { high : int; owner : txn option }
-
 (** Per-table visibility overlay for scans. [visible rowid] filters
     physically present rows; [extra ()] yields rows the snapshot sees
     that are not physically present (recently deleted rows plus the
@@ -56,7 +52,6 @@ val table_lsn : mgr -> string -> int
 (** {1 Lifecycle} *)
 
 val begin_txn : mgr -> txn
-val manager : txn -> mgr
 val is_active : txn -> bool
 
 (** Freeze the snapshot at the current committed LSN (explicit BEGIN):
@@ -65,12 +60,11 @@ val pin : txn -> unit
 
 val pinned : txn -> bool
 
-(** The transaction's current snapshot: the pinned LSN, or (implicit
-    transactions) the latest committed LSN — read-committed with
-    read-your-own-writes. *)
-val snapshot : txn -> snap
-
-val snapshot_high : snap -> int
+(** The high of the transaction's current snapshot, which sees every
+    commit with LSN <= it: the pinned LSN, or (implicit transactions)
+    the latest committed LSN — read-committed, with the transaction's
+    own pending writes overlaid. *)
+val snapshot_high : txn -> int
 
 (** The dead-row GC low-water mark: the lowest snapshot high any live
     transaction may still read at — the minimum over every pinned
@@ -87,13 +81,13 @@ val has_writes : txn -> bool
 val writes_on : txn -> string -> bool
 val buffer_insert : txn -> table:Table.t -> tname:string -> int array -> unit
 
-(** Buffer the delete of a physically present row. [seen] is the
-    snapshot high the victim was found under; validation uses it to
-    detect delete-delete races across heap-slot reuse. Raises
-    [Invalid_argument] on a duplicate delete of the same row. *)
+(** Buffer the delete of a physically present row, found (by
+    {!victims}) in the same statement. Validation compares against the
+    snapshot high it is found under, to detect delete-delete races
+    across heap-slot reuse. Raises [Invalid_argument] on a duplicate
+    delete of the same row. *)
 val buffer_delete :
-  txn -> table:Table.t -> tname:string -> rowid:int -> row:int array ->
-  seen:int -> unit
+  txn -> table:Table.t -> tname:string -> rowid:int -> row:int array -> unit
 
 (** Buffered inserts for a table, oldest first. *)
 val pending_inserts : txn -> string -> int array list
@@ -105,20 +99,30 @@ val take_pending_insert :
   txn -> string -> (int array -> bool) -> int array option
 
 (** Remove every buffered insert matching the predicate; returns the
-    count removed. *)
-val remove_pending_inserts : txn -> string -> (int array -> bool) -> int
+    removed rows, oldest first. *)
+val remove_pending_inserts :
+  txn -> string -> (int array -> bool) -> int array list
 
 (** {1 Visibility} *)
 
-val rowid_visible : mgr -> snap -> string -> int -> bool
+(** The rows of [tname] the transaction's snapshot sees that satisfy
+    the predicate, as (rowid, row): every delete searches with it. First
+    the physically present candidates [candidates ~ok] yields, where
+    [ok rowid row] keeps the visible matches (default: a scan of
+    [table]'s heap); then the matching rows a newer commit already
+    deleted but the snapshot still sees, whose buffered delete fails
+    commit with {!Conflict}. Rows the transaction already deletes and
+    its own pending inserts are not included. *)
+val victims :
+  ?candidates:(ok:(int -> int array -> bool) -> (int * int array) list) ->
+  txn -> table:Table.t -> tname:string -> (int array -> bool) ->
+  (int * int array) list
 
-(** Deleted rows still visible to the snapshot, as (rowid, row). *)
-val dead_visible : mgr -> snap -> string -> (int * int array) list
-
-(** The scan overlay for one table; [None] when physical state already
-    equals the snapshot (nothing tracked, no own writes) so the common
-    case costs nothing. *)
-val view : mgr -> snap -> string -> view option
+(** [view t] takes the transaction's current snapshot (once per
+    statement) and gives each table's scan overlay under it; [None]
+    when physical state already equals the snapshot (nothing tracked,
+    no own writes) so the common case costs nothing. *)
+val view : txn -> string -> view option
 
 (** {1 Commit / abort} *)
 

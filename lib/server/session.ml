@@ -124,7 +124,7 @@ let max_prepared = 64
 type t = {
   sh : shared;
   sid : int;
-  mutable engine : Sqlfront.Engine.session;
+  engine : Sqlfront.Engine.session;
   mutable engine_gen : int;
   prepared : (string, Sqlfront.Engine.prepared) Hashtbl.t;
   mutable reqs : int;
@@ -135,10 +135,7 @@ type t = {
 }
 
 (* The snapshot overlay for this session's typed-op planner paths. *)
-let vis_for t =
-  let mgr = t.sh.txns in
-  let snap = Relation.Txn.snapshot t.txn in
-  fun name -> Relation.Txn.view mgr snap name
+let vis_for t = Relation.Txn.view t.txn
 
 (* Residency handle for the shared tree, if the tier serves one for
    THIS session's snapshot. Taken per statement: mutation
@@ -149,37 +146,28 @@ let vis_for t =
 let mem_for t =
   if Relation.Txn.writes_on t.txn t.sh.tree_name then None
   else
-    let snap_high =
-      Relation.Txn.snapshot_high (Relation.Txn.snapshot t.txn)
-    in
+    let snap_high = Relation.Txn.snapshot_high t.txn in
     let lsn = Relation.Txn.table_lsn t.sh.txns t.sh.tree_name in
     Exec.Memtier.acquire ~snap_high ~lsn t.sh.memtier t.sh.ritree
 
-(* A SQL engine over the shared catalog, bound to the session's
-   transaction, whose intersection predicates plan with the same inputs
-   as the typed Intersect op (its snapshot comes from the transaction). *)
-let attach_engine t =
-  let engine = Sqlfront.Engine.session t.sh.cat in
-  Sqlfront.Engine.set_txn engine (Some t.txn);
-  Sqlfront.Engine.set_ritree engine t.sh.ritree
+(* The session's SQL engine plans intersection predicates with the same
+   inputs as the typed Intersect op (its snapshot comes from the
+   transaction). *)
+let attach_tree t =
+  Sqlfront.Engine.set_ritree t.engine t.sh.ritree
     ~stats:(fun () -> stats_for t.sh)
-    ~mem:(fun () -> mem_for t);
-  t.engine <- engine
+    ~mem:(fun () -> mem_for t)
 
 let create sh =
   sh.next_session <- sh.next_session + 1;
+  let txn = Relation.Txn.begin_txn sh.txns in
+  let engine = Sqlfront.Engine.session sh.cat in
+  Sqlfront.Engine.set_txn engine txn;
   let t =
-    {
-      sh;
-      sid = sh.next_session;
-      engine = Sqlfront.Engine.session sh.cat;
-      engine_gen = sh.generation;
-      prepared = Hashtbl.create 8;
-      reqs = 0;
-      txn = Relation.Txn.begin_txn sh.txns;
-    }
+    { sh; sid = sh.next_session; engine; engine_gen = sh.generation;
+      prepared = Hashtbl.create 8; reqs = 0; txn }
   in
-  attach_engine t;
+  attach_tree t;
   t
 
 let close t = Relation.Txn.abort t.txn
@@ -194,17 +182,19 @@ let has_pending_writes t = Relation.Txn.has_writes t.txn
    implicit one and rebind the SQL engine to it. *)
 let renew t =
   t.txn <- Relation.Txn.begin_txn t.sh.txns;
-  Sqlfront.Engine.set_txn t.engine (Some t.txn)
+  Sqlfront.Engine.set_txn t.engine t.txn
 
 (* After [reattach] ({!reopen}, crash recovery) the manager was reset
    and this session's transaction force-aborted behind its back. *)
 let sync_txn t = if not (Relation.Txn.is_active t.txn) then renew t
 
+(* After a catalog swap ({!reopen}, {!reload}, {!preload}) rebind the
+   engine to the new handles; the rebinding invalidates its plans, so
+   prepared statements recompile against them at their next EXECUTE. *)
 let engine t =
   if t.engine_gen <> t.sh.generation then begin
-    attach_engine t;
-    (* prepared plans pin tables of the replaced catalog: drop them *)
-    Hashtbl.reset t.prepared;
+    Sqlfront.Engine.set_catalog t.engine t.sh.cat;
+    attach_tree t;
     t.engine_gen <- t.sh.generation
   end;
   t.engine
@@ -241,45 +231,24 @@ let exec t = function
       Ack (Printf.sprintf "inserted id %d" assigned)
   | Delete { lower; upper; id } -> (
       let q = ivl lower upper in
-      let tbl = Ritree.Ri_tree.table t.sh.ritree in
-      let tname = t.sh.tree_name in
+      let tree = t.sh.ritree in
+      let table = Ritree.Ri_tree.table tree and tname = t.sh.tree_name in
+      let same row = row.(1) = lower && row.(2) = upper && row.(3) = id in
       (* Deleting your own uncommitted insert never touches the heap. *)
-      match
-        Relation.Txn.take_pending_insert t.txn tname (fun row ->
-            row.(1) = lower && row.(2) = upper && row.(3) = id)
-      with
+      match Relation.Txn.take_pending_insert t.txn tname same with
       | Some _ -> Ack "deleted 1 row"
       | None -> (
-          let mgr = t.sh.txns in
-          let snap = Relation.Txn.snapshot t.txn in
-          let seen = Relation.Txn.snapshot_high snap in
-          let ok rowid _row =
-            Relation.Txn.rowid_visible mgr snap tname rowid
+          (* the index probe names the candidates; the first visible
+             one, or else one a newer commit deleted, is the victim *)
+          let candidates ~ok =
+            Option.to_list (Ritree.Ri_tree.find_victim ~ok tree ~id q)
           in
-          match Ritree.Ri_tree.find_victim ~ok t.sh.ritree ~id q with
-          | Some (rowid, row) ->
-              Relation.Txn.buffer_delete t.txn ~table:tbl ~tname ~rowid ~row
-                ~seen;
+          match Relation.Txn.victims ~candidates t.txn ~table ~tname same with
+          | (rowid, row) :: _ ->
+              Relation.Txn.buffer_delete t.txn ~table ~tname ~rowid ~row;
               Ack "deleted 1 row"
-          | None -> (
-              (* A row this snapshot still sees but a newer commit
-                 already deleted: buffer it anyway, so the write-write
-                 race surfaces as a typed Conflict at COMMIT instead of
-                 a silent no-op. *)
-              match
-                List.find_opt
-                  (fun ((_ : int), row) ->
-                    row.(1) = lower && row.(2) = upper && row.(3) = id)
-                  (Relation.Txn.dead_visible mgr snap tname)
-              with
-              | Some (rowid, row) ->
-                  Relation.Txn.buffer_delete t.txn ~table:tbl ~tname ~rowid
-                    ~row ~seen;
-                  Ack "deleted 1 row"
-              | None ->
-                  Error
-                    (Printf.sprintf "no row ([%d, %d], id %d)" lower upper id)
-              )))
+          | [] ->
+              Error (Printf.sprintf "no row ([%d, %d], id %d)" lower upper id)))
   | Intersect { lower; upper } ->
       (* compiled onto the shared execution IR; the planner consults the
          cost model to pick the memory tier, two-branch or seq scan *)

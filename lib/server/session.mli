@@ -92,7 +92,9 @@ val reload : shared -> unit
     commit batch lands on the device. Cached pages are dropped without
     write-back, live transactions are force-aborted (a replica's pinned
     snapshots do not survive an applied batch), and the hot tier is
-    invalidated. Durable servers only. *)
+    invalidated. Durable servers only. After this and {!reopen},
+    sessions keep their prepared statements, which recompile against
+    the new handles at their next EXECUTE. *)
 
 (** {2 Sessions} *)
 

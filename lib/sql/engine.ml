@@ -28,22 +28,27 @@ let parse src =
   Parser.parse src
 
 type session = {
-  catalog : Relation.Catalog.t;
+  mutable catalog : Relation.Catalog.t;
   collections : (string, string array * int array list) Hashtbl.t;
   cache : Ir.plan Exec.Plan_cache.t;
   cache_enabled : bool;
   (* Bumped whenever cached plans are invalidated (DDL, collection
      schema change); prepared statements recompile when stale. *)
   mutable generation : int;
-  (* The MVCC transaction DML runs in, when the hosting server threads
-     one through; [None] keeps the historical direct-write behaviour of
-     standalone engine users (tools, tests). *)
-  mutable txn : Relation.Txn.txn option;
+  (* The MVCC transaction every statement runs in; who began it decides
+     who commits it. *)
+  mutable txn : binding;
   (* The RI-tree relation intersection predicates plan through, when the
      hosting server attaches one; [None] plans every branch by the
      generic rules (standalone tools, tests). *)
   mutable ritree : ritree option;
 }
+
+(* [Own m]: a standalone session begins a transaction on its own
+   manager for each statement and commits it when the statement ends
+   (autocommit). [Host t]: the hosting server's transaction, which the
+   host commits. *)
+and binding = Own of Relation.Txn.mgr | Host of Relation.Txn.txn
 
 (* The tree plus the inputs the typed intersection op plans with; both
    are read per execution, so cached plans see refreshed statistics and
@@ -60,22 +65,35 @@ let session ?(plan_cache = true) catalog =
     cache = Exec.Plan_cache.create ();
     cache_enabled = plan_cache;
     generation = 0;
-    txn = None;
+    txn = Own (Relation.Txn.create ());
     ritree = None }
-
 
 let catalog s = s.catalog
 
-let set_txn s t = s.txn <- t
+let set_txn s t = s.txn <- Host t
 
-let active_txn s =
+(* Run [f] in the statement's transaction, committing it here when this
+   session began it. *)
+let in_txn s f =
   match s.txn with
-  | Some t when Relation.Txn.is_active t -> Some t
-  | _ -> None
+  | Host t -> f t
+  | Own mgr -> (
+      let t = Relation.Txn.begin_txn mgr in
+      match f t with
+      | r ->
+          ignore (Relation.Txn.commit t);
+          r
+      | exception e ->
+          Relation.Txn.abort t;
+          raise e)
 
 let invalidate_plans s =
   Exec.Plan_cache.invalidate s.cache;
   s.generation <- s.generation + 1
+
+let set_catalog s catalog =
+  s.catalog <- catalog;
+  invalidate_plans s
 
 let set_ritree s tree ~stats ~mem =
   s.ritree <- Some { tree; stats; mem };
@@ -576,17 +594,6 @@ let compile_query session (q : Ast.query) : Ir.plan =
 
 (* ---------------- execution via the shared executor ---------------- *)
 
-(* Per-statement snapshot: implicit transactions read-committed (fresh
-   high each statement), pinned ones snapshot-stable — [Txn.snapshot]
-   resolves either way at ctx construction time. *)
-let vis_of session =
-  match active_txn session with
-  | None -> Ir.no_vis
-  | Some t ->
-      let mgr = Relation.Txn.manager t in
-      let snap = Relation.Txn.snapshot t in
-      fun name -> Relation.Txn.view mgr snap name
-
 (* Intersection sub-plans come from the typed op's planner, under this
    statement's snapshot. *)
 let intersection_of session vis name ~proj q =
@@ -597,16 +604,20 @@ let intersection_of session vis name ~proj q =
            ~vis ~proj r.tree q)
   | _ -> None
 
-let ctx session binds =
-  let vis = vis_of session in
+(* Per-statement snapshot: implicit transactions read-committed (fresh
+   high each statement), pinned ones snapshot-stable — [Txn.view]
+   resolves either way at ctx construction time. *)
+let ctx session t binds =
+  let vis = Relation.Txn.view t in
   { Ir.binds;
     collection = (fun name -> Hashtbl.find_opt session.collections name);
     intersection = intersection_of session vis;
     vis }
 
 let run_plan session binds plan =
-  let out = Executor.run (ctx session binds) plan in
-  Rows { columns = out.Executor.columns; rows = out.Executor.rows }
+  in_txn session (fun t ->
+      let out = Executor.run (ctx session t binds) plan in
+      Rows { columns = out.Executor.columns; rows = out.Executor.rows })
 
 (* ---------------- statement dispatch ---------------- *)
 
@@ -629,6 +640,13 @@ let row_filter binds tname columns = function
       in
       fun row -> w [| row |]
 
+(* Resolve a DML target and run [f] on it in the statement's
+   transaction: every write buffers into the write set. *)
+let write session tname f =
+  match Relation.Catalog.find_table session.catalog tname with
+  | None -> fail "unknown table %s" tname
+  | Some tbl -> in_txn session (fun t -> f t tbl)
+
 let rec run_stmt session binds = function
   | Ast.Create_table (name, cols) ->
       ignore
@@ -642,10 +660,8 @@ let rec run_stmt session binds = function
           ignore (Relation.Table.create_index tbl ~name:iname ~columns:cols);
           invalidate_plans session;
           Done (Printf.sprintf "index %s created" iname))
-  | Ast.Insert (tname, values) -> (
-      match Relation.Catalog.find_table session.catalog tname with
-      | None -> fail "unknown table %s" tname
-      | Some tbl ->
+  | Ast.Insert (tname, values) ->
+      write session tname (fun t tbl ->
           let row =
             Array.of_list
               (List.map
@@ -654,49 +670,23 @@ let rec run_stmt session binds = function
           in
           if Array.length row <> Array.length (Relation.Table.columns tbl)
           then fail "INSERT arity mismatch for %s" tname;
-          (match active_txn session with
-          | Some t -> Relation.Txn.buffer_insert t ~table:tbl ~tname row
-          | None -> ignore (Relation.Table.insert tbl row));
+          Relation.Txn.buffer_insert t ~table:tbl ~tname row;
           Done "1 row inserted")
-  | Ast.Delete (tname, where) -> (
-      match Relation.Catalog.find_table session.catalog tname with
-      | None -> fail "unknown table %s" tname
-      | Some tbl ->
+  | Ast.Delete (tname, where) ->
+      write session tname (fun t tbl ->
           let pred = row_filter binds tname (Relation.Table.columns tbl) where in
-          match active_txn session with
-          | None ->
-              let n = Relation.Table.delete_where tbl pred in
-              Done (Printf.sprintf "%d rows deleted" n)
-          | Some t ->
-              let mgr = Relation.Txn.manager t in
-              let snap = Relation.Txn.snapshot t in
-              let seen = Relation.Txn.snapshot_high snap in
-              let n = ref 0 in
-              let victims = ref [] in
-              Relation.Table.iter tbl (fun rowid row ->
-                  if
-                    Relation.Txn.rowid_visible mgr snap tname rowid
-                    && pred row
-                  then victims := (rowid, row) :: !victims);
-              (* Rows a newer commit already deleted but this snapshot
-                 still sees: buffering them surfaces the write-write
-                 race as a typed Conflict at commit. *)
-              List.iter
-                (fun (rowid, row) -> if pred row then victims := (rowid, row) :: !victims)
-                (Relation.Txn.dead_visible mgr snap tname);
-              List.iter
-                (fun (rowid, row) ->
-                  Relation.Txn.buffer_delete t ~table:tbl ~tname ~rowid ~row
-                    ~seen;
-                  incr n)
-                !victims;
-              (* Own uncommitted inserts never touch the shared heap. *)
-              let removed = Relation.Txn.remove_pending_inserts t tname pred in
-              Done (Printf.sprintf "%d rows deleted" (!n + removed)))
-  | Ast.Update (tname, sets, where) -> (
-      match Relation.Catalog.find_table session.catalog tname with
-      | None -> fail "unknown table %s" tname
-      | Some tbl ->
+          let victims = Relation.Txn.victims t ~table:tbl ~tname pred in
+          List.iter
+            (fun (rowid, row) ->
+              Relation.Txn.buffer_delete t ~table:tbl ~tname ~rowid ~row)
+            victims;
+          (* Own uncommitted inserts never touch the shared heap. *)
+          let own = Relation.Txn.remove_pending_inserts t tname pred in
+          Done
+            (Printf.sprintf "%d rows deleted"
+               (List.length victims + List.length own)))
+  | Ast.Update (tname, sets, where) ->
+      write session tname (fun t tbl ->
           let columns = Relation.Table.columns tbl in
           let set_positions =
             List.map
@@ -716,56 +706,23 @@ let rec run_stmt session binds = function
             List.iter (fun (i, v) -> row'.(i) <- v env) set_positions;
             row'
           in
-          match active_txn session with
-          | None ->
-              let victims = ref [] in
-              Relation.Table.iter tbl (fun rowid row ->
-                  if matches row then
-                    victims := (rowid, updated row) :: !victims);
-              List.iter
-                (fun (rowid, row') ->
-                  ignore (Relation.Table.update_row tbl rowid row'))
-                !victims;
-              Done (Printf.sprintf "%d rows updated" (List.length !victims))
-          | Some t ->
-              let mgr = Relation.Txn.manager t in
-              let snap = Relation.Txn.snapshot t in
-              let seen = Relation.Txn.snapshot_high snap in
-              (* Take this transaction's own matching pending inserts out
-                 BEFORE buffering any updated form: a drain after would
-                 pick the new forms up and update them a second time (a
-                 swap would undo itself), or loop forever on an update
-                 whose result still matches the predicate. *)
-              let rec drain acc =
-                match Relation.Txn.take_pending_insert t tname matches with
-                | None -> List.rev acc
-                | Some row -> drain (row :: acc)
-              in
-              let own = drain [] in
-              let n = ref 0 in
-              let victims = ref [] in
-              Relation.Table.iter tbl (fun rowid row ->
-                  if
-                    Relation.Txn.rowid_visible mgr snap tname rowid
-                    && matches row
-                  then victims := (rowid, row) :: !victims);
-              List.iter
-                (fun (rowid, row) ->
-                  if matches row then victims := (rowid, row) :: !victims)
-                (Relation.Txn.dead_visible mgr snap tname);
-              List.iter
-                (fun (rowid, row) ->
-                  Relation.Txn.buffer_delete t ~table:tbl ~tname ~rowid ~row
-                    ~seen;
-                  Relation.Txn.buffer_insert t ~table:tbl ~tname (updated row);
-                  incr n)
-                !victims;
-              List.iter
-                (fun row ->
-                  Relation.Txn.buffer_insert t ~table:tbl ~tname (updated row);
-                  incr n)
-                own;
-              Done (Printf.sprintf "%d rows updated" !n))
+          (* Take this transaction's own matching pending inserts out
+             BEFORE buffering any updated form, so no row is updated
+             twice (a swap would undo itself). *)
+          let own = Relation.Txn.remove_pending_inserts t tname matches in
+          let victims = Relation.Txn.victims t ~table:tbl ~tname matches in
+          List.iter
+            (fun (rowid, row) ->
+              Relation.Txn.buffer_delete t ~table:tbl ~tname ~rowid ~row;
+              Relation.Txn.buffer_insert t ~table:tbl ~tname (updated row))
+            victims;
+          List.iter
+            (fun row ->
+              Relation.Txn.buffer_insert t ~table:tbl ~tname (updated row))
+            own;
+          Done
+            (Printf.sprintf "%d rows updated"
+               (List.length victims + List.length own)))
   | Ast.Select q -> run_plan session binds (compile_query session q)
   | Ast.Explain { analyze; target } -> run_explain session binds ~analyze target
 
@@ -773,12 +730,15 @@ and run_explain session binds ~analyze = function
   | Ast.Select q ->
       let plan = compile_query session q in
       let stats = Option.map (fun r -> r.stats ()) session.ritree in
-      Done
-        (Exec.Planner.explain_compiled ?stats ~analyze (ctx session binds)
-           plan)
+      in_txn session (fun t ->
+          Done
+            (Exec.Planner.explain_compiled ?stats ~analyze
+               (ctx session t binds) plan))
   | target ->
       if not analyze then Done (Exec.Render.statement_note (stmt_kind target))
       else begin
+        (* a standalone write commits inside the measured region, so
+           its I/O counts *)
         let result, ms, io =
           Executor.measured (fun () -> run_stmt session binds target)
         in
@@ -943,8 +903,7 @@ let query ?binds session src =
   | Rows { rows; _ } -> rows
   | Done _ -> fail "query: statement did not return rows"
 
-let explain ?(binds = []) session src =
-  ignore binds;
+let explain session src =
   match parse src with
   | Ast.Select q ->
       guard (fun () -> Exec.Render.plan (compile_query session q).Ir.branches)

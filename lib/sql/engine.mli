@@ -16,7 +16,13 @@
     renderer and estimator the typed wire ops use. A per-session plan
     cache keyed on normalized statement text (see {!Normalize}) lets
     repeated SELECTs skip the parser and planner entirely; it is
-    invalidated by DDL and by collection schema changes. *)
+    invalidated by DDL and by collection schema changes.
+
+    Every statement runs in an MVCC transaction ({!Relation.Txn}): DML
+    buffers into its write set and reads see its snapshot. A standalone
+    session begins one on its own manager per statement and commits it
+    when the statement ends (autocommit); a session bound to a host's
+    transaction ({!set_txn}) leaves the commit to the host. *)
 
 type session
 
@@ -27,11 +33,16 @@ val session : ?plan_cache:bool -> Relation.Catalog.t -> session
 val catalog : session -> Relation.Catalog.t
 (** The database this session is bound to. *)
 
-val set_txn : session -> Relation.Txn.txn option -> unit
-(** Bind (or unbind) the MVCC transaction DML and snapshot reads run
-    under. With a transaction set, INSERT/DELETE/UPDATE buffer into its
-    write set and SELECT overlays its snapshot; without one, writes go
-    straight to the shared heap (standalone tools, historical tests). *)
+val set_catalog : session -> Relation.Catalog.t -> unit
+(** Rebind the session to a replacement handle of its database (a
+    reopened or reloaded catalog). Invalidates cached plans, so
+    prepared statements recompile at their next execution. *)
+
+val set_txn : session -> Relation.Txn.txn -> unit
+(** Run the following statements in the host's transaction: DML
+    buffers into its write set and reads see its snapshot (with the
+    transaction's own writes). The host commits or aborts it and binds
+    the successor; the engine never commits a host's transaction. *)
 
 val set_ritree :
   session ->
@@ -83,7 +94,7 @@ val query :
 (** [exec] specialised to SELECT; returns the rows.
     @raise Error if the statement is not a SELECT. *)
 
-val explain : ?binds:(string * int) list -> session -> string -> string
+val explain : session -> string -> string
 (** The plan text for a SELECT, without executing it. *)
 
 val explain_text :

@@ -165,33 +165,27 @@ let paper_sessions data =
   fun () ->
     let txn = ref (Txn.begin_txn mgr) in
     let engine = Engine.session cat in
-    Engine.set_txn engine (Some !txn);
+    Engine.set_txn engine !txn;
     Engine.set_ritree engine ri ~stats:(fun () -> stats) ~mem:(fun () -> None);
     let iq = ref None in
-    let vis () =
-      let snap = Txn.snapshot !txn in
-      fun name -> Txn.view mgr snap name
-    in
+    let vis () = Txn.view !txn in
     { begin_ = (fun () -> Txn.pin !txn);
       commit =
         (fun () ->
           ignore (Txn.commit !txn);
           Relation.Catalog.commit cat;
           txn := Txn.begin_txn mgr;
-          Engine.set_txn engine (Some !txn));
+          Engine.set_txn engine !txn);
       insert =
         (fun ~id v ->
           let _, row = Ri.prepare_insert ~id ri v in
           Txn.buffer_insert !txn ~table ~tname row);
       delete =
         (fun ~id v ->
-          let snap = Txn.snapshot !txn in
-          let ok rowid _ = Txn.rowid_visible mgr snap tname rowid in
-          match Ri.find_victim ~ok ri ~id v with
-          | Some (rowid, row) ->
-              Txn.buffer_delete !txn ~table ~tname ~rowid ~row
-                ~seen:(Txn.snapshot_high snap)
-          | None -> QCheck.Test.fail_reportf "paper: no victim id %d" id);
+          let candidates ~ok = Option.to_list (Ri.find_victim ~ok ri ~id v) in
+          match Txn.victims ~candidates !txn ~table ~tname (fun _ -> true) with
+          | (rowid, row) :: _ -> Txn.buffer_delete !txn ~table ~tname ~rowid ~row
+          | [] -> QCheck.Test.fail_reportf "paper: no victim id %d" id);
       prepare = (fun () -> iq := Some (Engine.prepare engine iq_sql));
       answers =
         (fun q ->

@@ -589,6 +589,48 @@ let test_disconnect_between_stage_and_force () =
             (intersect c (Interval.Ivl.make 7 8)));
       C.close sibling)
 
+(* Regression: a catalog swap (a standby's [reload] after every
+   replicated batch, a primary's [reopen]) rebuilt the session's SQL
+   engine and dropped its prepared statements, so the next EXECUTE
+   answered "unknown prepared statement". The engine is rebound
+   instead, and the statement recompiles against the new handles. *)
+let test_prepared_survive_catalog_swap () =
+  let sh = S.shared ~durable:true () in
+  S.preload sh dataset;
+  let s = S.create sh in
+  let q = Interval.Ivl.make 100_000 101_000 in
+  let params = [ Interval.Ivl.upper q; Interval.Ivl.lower q ] in
+  let expect what want =
+    match S.handle s (P.Execute { name = "q"; params }) with
+    | P.Rows { rows; _ } ->
+        check (Alcotest.list Alcotest.int) what want
+          (List.sort compare (List.map (fun r -> r.(0)) rows))
+    | P.Error m -> Alcotest.failf "%s: %s" what m
+    | _ -> Alcotest.failf "%s: EXECUTE did not return rows" what
+  in
+  let sql = "SELECT id FROM intervals WHERE lower <= :hi AND upper >= :lo" in
+  (match S.handle s (P.Prepare { name = "q"; sql }) with
+  | P.Ack _ -> ()
+  | _ -> Alcotest.fail "prepare");
+  let before = brute_force q in
+  check Alcotest.bool "the query has answers" true (before <> []);
+  expect "before the swap" before;
+  S.flush_shared sh;
+  S.reload sh;
+  expect "after reload" before;
+  (* a write committed after the swap reaches the recompiled plan *)
+  (match
+     S.handle s (P.Insert { lower = 100_500; upper = 100_600; id = Some 5_000 })
+   with
+  | P.Ack _ -> ()
+  | _ -> Alcotest.fail "insert");
+  (match S.handle s P.Commit with P.Ack _ -> () | _ -> Alcotest.fail "commit");
+  let after = List.sort compare (5_000 :: before) in
+  expect "a write after reload" after;
+  S.flush_shared sh;
+  S.reopen sh;
+  expect "after reopen" after
+
 let test_graceful_shutdown_no_data_loss () =
   (* insert + commit through the wire, stop the server (which
      checkpoints), then reopen the database from persistent storage —
@@ -1097,6 +1139,8 @@ let raw_suite =
         ("group-commit window", test_group_commit_window);
         ("graceful shutdown, no data loss",
          test_graceful_shutdown_no_data_loss);
+        ("prepared statements survive a catalog swap",
+         test_prepared_survive_catalog_swap);
       ] );
   ]
 

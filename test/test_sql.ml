@@ -366,7 +366,7 @@ let test_star_declared_columns () =
       (q "SELECT * FROM h, k WHERE h.x = k.x")
   in
   agree "committed";
-  E.set_txn s (Some (Relation.Txn.begin_txn (Relation.Txn.create ())));
+  E.set_txn s (Relation.Txn.begin_txn (Relation.Txn.create ()));
   insert "h" h 2 7;
   insert "h" h 11 110;
   insert "k" k 1 200;
@@ -449,13 +449,14 @@ let test_update_swap () =
   ignore (E.exec s "INSERT INTO t VALUES (5, 7)");
   ignore (E.exec s "UPDATE t SET a = b, b = a");
   check rows "autocommit swap" [ [| 7; 5 |] ] (E.query s "SELECT a, b FROM t");
-  let txn = Relation.Txn.begin_txn (Relation.Txn.create ()) in
-  E.set_txn s (Some txn);
+  let mgr = Relation.Txn.create () in
+  let txn = Relation.Txn.begin_txn mgr in
+  E.set_txn s txn;
   ignore (E.exec s "UPDATE t SET a = b, b = a");
   check rows "swap inside the transaction" [ [| 5; 7 |] ]
     (E.query s "SELECT a, b FROM t");
   ignore (Relation.Txn.commit txn);
-  E.set_txn s None;
+  E.set_txn s (Relation.Txn.begin_txn mgr);
   check rows "swap visible after commit" [ [| 5; 7 |] ]
     (E.query s "SELECT a, b FROM t")
 
@@ -613,6 +614,195 @@ let test_exec_script () =
     (fun r -> results := r :: !results);
   check Alcotest.int "three results" 3 (List.length !results)
 
+(* ---- DML against a list oracle ---- *)
+
+(* Random INSERT/DELETE/UPDATE scripts over t (a, b), each statement
+   applied to a plain list of rows as well. The generators include SET
+   swaps and updates whose result still matches their WHERE; small
+   domains make deletes hit the transaction's own pending inserts. *)
+type dml_pred = All | Cmp of int * string * int | Same
+type dml_value = K of int | C of int
+
+type dml =
+  | Ins of int * int
+  | Del of dml_pred
+  | Upd of (int * dml_value) list * dml_pred
+
+let dml_col i = if i = 0 then "a" else "b"
+
+let dml_where = function
+  | All -> ""
+  | Cmp (i, op, k) -> Printf.sprintf " WHERE %s %s %d" (dml_col i) op k
+  | Same -> " WHERE a = b"
+
+let dml_sql = function
+  | Ins (a, b) -> Printf.sprintf "INSERT INTO t VALUES (%d, %d)" a b
+  | Del p -> "DELETE FROM t" ^ dml_where p
+  | Upd (sets, p) ->
+      Printf.sprintf "UPDATE t SET %s%s"
+        (String.concat ", "
+           (List.map
+              (fun (i, v) ->
+                dml_col i ^ " = "
+                ^ match v with K k -> string_of_int k | C j -> dml_col j)
+              sets))
+        (dml_where p)
+
+let dml_holds p row =
+  match p with
+  | All -> true
+  | Same -> row.(0) = row.(1)
+  | Cmp (i, op, k) -> (
+      let x = row.(i) in
+      match op with
+      | "=" -> x = k
+      | "<>" -> x <> k
+      | "<" -> x < k
+      | "<=" -> x <= k
+      | ">" -> x > k
+      | _ -> x >= k)
+
+(* The oracle: the rows after the statement and its acknowledgement. *)
+let dml_apply rows = function
+  | Ins (a, b) -> (rows @ [ [| a; b |] ], "1 row inserted")
+  | Del p ->
+      let kept = List.filter (fun r -> not (dml_holds p r)) rows in
+      ( kept,
+        Printf.sprintf "%d rows deleted" (List.length rows - List.length kept) )
+  | Upd (sets, p) ->
+      let n = ref 0 in
+      let set r =
+        let r' = Array.copy r in
+        List.iter
+          (fun (i, v) -> r'.(i) <- (match v with K k -> k | C j -> r.(j)))
+          sets;
+        r'
+      in
+      let rows =
+        List.map
+          (fun r ->
+            if dml_holds p r then begin
+              incr n;
+              set r
+            end
+            else r)
+          rows
+      in
+      (rows, Printf.sprintf "%d rows updated" !n)
+
+let gen_dml =
+  let open QCheck.Gen in
+  let k = int_range 0 4 and col = int_range 0 1 in
+  let pred =
+    frequency
+      [ (1, return All);
+        (1, return Same);
+        ( 6,
+          map3
+            (fun i op k -> Cmp (i, op, k))
+            col
+            (oneofl [ "="; "<>"; "<"; "<="; ">"; ">=" ])
+            k ) ]
+  in
+  frequency
+    [ (5, map2 (fun a b -> Ins (a, b)) k k);
+      (2, map (fun p -> Del p) pred);
+      (1, map2 (fun i v -> Upd ([ (i, K v) ], Cmp (i, "<=", v))) col k);
+      (1, map (fun p -> Upd ([ (0, C 1); (1, C 0) ], p)) pred);
+      ( 2,
+        map3
+          (fun i v p -> Upd ([ (i, v) ], p))
+          col
+          (oneof [ map (fun k -> K k) k; map (fun j -> C j) col ])
+          pred ) ]
+
+let arb_script =
+  QCheck.make
+    ~print:(fun (init, script) ->
+      let lines l = String.concat "\n" (List.map (fun d -> dml_sql d ^ ";") l) in
+      Printf.sprintf "-- setup\n%s\n-- script\n%s"
+        (lines (List.map (fun (a, b) -> Ins (a, b)) init))
+        (lines script))
+    QCheck.Gen.(
+      pair
+        (list_size (int_range 0 6) (pair (int_range 0 4) (int_range 0 4)))
+        (list_size (int_range 1 25) gen_dml))
+
+(* The table through a seq scan and through an index range scan. *)
+let table_rows s =
+  ( List.sort compare (E.query s "SELECT a, b FROM t"),
+    List.sort compare (E.query s "SELECT a, b FROM t WHERE a >= 0") )
+
+(* A fresh table holding [init], written by a standalone session. *)
+let dml_setup init =
+  let cat = Relation.Catalog.create () in
+  let s = E.session cat in
+  ignore (E.exec s "CREATE TABLE t (a int, b int)");
+  ignore (E.exec s "CREATE INDEX t_ab ON t (a, b)");
+  List.iter (fun (a, b) -> ignore (E.exec s (dml_sql (Ins (a, b))))) init;
+  (cat, s, List.map (fun (a, b) -> [| a; b |]) init)
+
+let run_dml s rows stmt =
+  let rows', ack = dml_apply rows stmt in
+  (match E.exec s (dml_sql stmt) with
+  | E.Done msg when msg = ack -> ()
+  | E.Done msg ->
+      QCheck.Test.fail_reportf "%s: acknowledged %S, expected %S"
+        (dml_sql stmt) msg ack
+  | E.Rows _ -> QCheck.Test.fail_reportf "%s returned rows" (dml_sql stmt));
+  rows'
+
+let expect what want (scan, index) =
+  let want = List.sort compare want in
+  if scan <> want || index <> want then
+    QCheck.Test.fail_reportf "%s: %d rows scanned, %d indexed, %d expected"
+      what (List.length scan) (List.length index) (List.length want)
+
+(* Autocommit: each statement commits as it ends, so another session on
+   the catalog sees it at once. *)
+let prop_dml_autocommit =
+  QCheck.Test.make ~count:200 ~name:"DML = list oracle, autocommit" arb_script
+    (fun (init, script) ->
+      let cat, s, rows = dml_setup init in
+      let other = E.session cat in
+      ignore
+        (List.fold_left
+           (fun rows stmt ->
+             let rows = run_dml s rows stmt in
+             expect "writer" rows (table_rows s);
+             expect "second session" rows (table_rows other);
+             rows)
+           rows script);
+      true)
+
+(* One pinned transaction committed at the end: the writer reads its
+   own writes, a second session on the same manager sees none of them
+   before COMMIT and all of them after. *)
+let prop_dml_transaction =
+  QCheck.Test.make ~count:200 ~name:"DML = list oracle, one transaction"
+    arb_script (fun (init, script) ->
+      let cat, s, rows = dml_setup init in
+      let mgr = Relation.Txn.create () in
+      let txn = Relation.Txn.begin_txn mgr in
+      Relation.Txn.pin txn;
+      E.set_txn s txn;
+      let reader = E.session cat in
+      E.set_txn reader (Relation.Txn.begin_txn mgr);
+      let final =
+        List.fold_left
+          (fun rows' stmt ->
+            let rows' = run_dml s rows' stmt in
+            expect "writer" rows' (table_rows s);
+            expect "second session before COMMIT" rows (table_rows reader);
+            rows')
+          rows script
+      in
+      ignore (Relation.Txn.commit txn);
+      expect "second session after COMMIT" final (table_rows reader);
+      E.set_txn s (Relation.Txn.begin_txn mgr);
+      expect "writer after COMMIT" final (table_rows s);
+      true)
+
 let () =
   Alcotest.run "sql"
     [
@@ -667,4 +857,7 @@ let () =
            test_explain_does_not_execute;
          Alcotest.test_case "duplicate conjuncts" `Quick
            test_duplicate_conjuncts ]);
+      ("dml",
+       [ QCheck_alcotest.to_alcotest prop_dml_autocommit;
+         QCheck_alcotest.to_alcotest prop_dml_transaction ]);
     ]
