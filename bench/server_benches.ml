@@ -13,13 +13,28 @@ let ok_or_fail what = function
   | Ok v -> v
   | Error e -> failwith (what ^ ": " ^ C.error_to_string e)
 
-(* An in-process durable server for [f port]. *)
+(* An in-process durable server for [f port sh]. *)
 let with_server ?(preload = [||]) config f =
   let sh = Server.Session.shared ~durable:true () in
   if Array.length preload > 0 then Server.Session.preload sh preload;
   let node = Testbed.start config sh in
   Fun.protect ~finally:(fun () -> Testbed.stop node)
-    (fun () -> f (Testbed.port node))
+    (fun () -> f (Testbed.port node) sh)
+
+(* Log forces so far: one per closed group-commit window. *)
+let commit_batches sh =
+  Storage.Buffer_pool.commit_batches
+    (Relation.Catalog.pool (Server.Session.catalog sh))
+
+(* [(commits per second, commits per forced batch)] of [run ()], which
+   returns the commits it made. *)
+let commit_rate sh run =
+  let b0 = commit_batches sh and t0 = Unix.gettimeofday () in
+  let committed = run () in
+  let wall = Unix.gettimeofday () -. t0 in
+  let batches = commit_batches sh - b0 in
+  ( float_of_int committed /. wall,
+    float_of_int committed /. float_of_int (max 1 batches) )
 
 (* One client running [txns] transactions of [writes] inserts + COMMIT;
    returns the number of committed transactions. *)
@@ -47,7 +62,9 @@ let txn_writer ~port ~txns ~writes ~base =
       write sets: one writer at a time, every COMMIT forced on its own.
    2. Multi-writer — concurrent sessions buffering independent write
       sets, COMMITs validated per session and staged into a
-      group-commit window. The headline is multi/serial throughput.
+      group-commit window. The headline is multi/serial throughput;
+      commits per forced batch (1 at window 0) is its deterministic
+      side: how many COMMITs one log force carried.
    3. Contention — every session buffers a delete of the SAME row, all
       commit: exactly one wins per round, the rest get the typed
       [Conflict] frame (first-committer-wins), never a silent no-op. *)
@@ -60,30 +77,26 @@ let txn_config ~sessions ~group_commit =
     max_sessions = sessions + 2; group_commit }
 
 let txn_serial ~txns_per =
-  with_server (txn_config ~sessions:1 ~group_commit:0.) (fun port ->
-      let t0 = Unix.gettimeofday () in
-      let committed =
-        txn_writer ~port ~txns:(sessions * txns_per) ~writes:writes_per_txn
-          ~base:0
-      in
-      float_of_int committed /. (Unix.gettimeofday () -. t0))
+  with_server (txn_config ~sessions:1 ~group_commit:0.) (fun port sh ->
+      commit_rate sh (fun () ->
+          txn_writer ~port ~txns:(sessions * txns_per) ~writes:writes_per_txn
+            ~base:0))
 
 let txn_multi ~txns_per =
-  with_server (txn_config ~sessions ~group_commit:0.002) (fun port ->
-      let results = Array.make sessions 0 in
-      let t0 = Unix.gettimeofday () in
-      let threads =
-        List.init sessions (fun i ->
-            Thread.create
-              (fun () ->
-                results.(i) <-
-                  txn_writer ~port ~txns:txns_per ~writes:writes_per_txn
-                    ~base:(i * txns_per * writes_per_txn * 2))
-              ())
-      in
-      List.iter Thread.join threads;
-      let wall = Unix.gettimeofday () -. t0 in
-      float_of_int (Array.fold_left ( + ) 0 results) /. wall)
+  with_server (txn_config ~sessions ~group_commit:0.002) (fun port sh ->
+      commit_rate sh (fun () ->
+          let results = Array.make sessions 0 in
+          let threads =
+            List.init sessions (fun i ->
+                Thread.create
+                  (fun () ->
+                    results.(i) <-
+                      txn_writer ~port ~txns:txns_per ~writes:writes_per_txn
+                        ~base:(i * txns_per * writes_per_txn * 2))
+                  ())
+          in
+          List.iter Thread.join threads;
+          Array.fold_left ( + ) 0 results))
 
 (* Rows 0..rounds-1 preloaded committed; round r: every session buffers
    DELETE of row r, then every session commits in turn. *)
@@ -91,7 +104,7 @@ let txn_contention ~rounds =
   let preload =
     Array.init rounds (fun i -> Interval.Ivl.make (i * 100) ((i * 100) + 50))
   in
-  with_server ~preload (txn_config ~sessions ~group_commit:0.) (fun port ->
+  with_server ~preload (txn_config ~sessions ~group_commit:0.) (fun port _ ->
       let clients = Array.init sessions (fun _ -> C.connect ~port ()) in
       Fun.protect
         ~finally:(fun () -> Array.iter C.close clients)
@@ -125,14 +138,18 @@ let txn_contention ~rounds =
 let txn ~tiny =
   let txns_per = if tiny then 25 else 150 in
   let rounds = if tiny then 10 else 50 in
-  let serial_tps = txn_serial ~txns_per in
-  let multi_tps = txn_multi ~txns_per in
+  let serial_tps, serial_batch = txn_serial ~txns_per in
+  let multi_tps, multi_batch = txn_multi ~txns_per in
   let commits, conflicts = txn_contention ~rounds in
   ( R.Obj
       [ ("sessions", R.Int sessions); ("writes_per_txn", R.Int writes_per_txn);
         ("txns", R.Int (sessions * txns_per));
         ("serial_tps", R.Float serial_tps); ("multi_tps", R.Float multi_tps);
         ("speedup", R.Float (multi_tps /. Float.max 1e-9 serial_tps));
+        ("commits_per_batch",
+         R.Obj
+           [ ("serial", R.Float serial_batch);
+             ("multi", R.Float multi_batch) ]);
         ("conflict",
          R.Obj
            [ ("rounds", R.Int rounds); ("commits", R.Int commits);

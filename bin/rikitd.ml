@@ -220,7 +220,7 @@ let cmd =
              ~doc:"Group-commit window in milliseconds: COMMITs arriving \
                    within the window share one commit marker and one log \
                    force, and are acknowledged together when it closes. \
-                   0 commits synchronously.")
+                   0 closes the window inside each COMMIT's own request.")
   in
   let idle_timeout =
     Arg.(value & opt float 0.

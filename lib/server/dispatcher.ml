@@ -37,6 +37,18 @@ type upstream = {
   mutable client : Client.t option;  (* the latest link; closed when done *)
 }
 
+(* A COMMIT whose Ack is owed: staged in the open window until its
+   batch is forced, then held until every live subscriber has applied
+   past its LSN (semi-synchronous replication). *)
+type owed = {
+  conn : conn;
+  id : int64;
+  t0 : float;  (* before the apply: the commit's latency starts here *)
+  apply_io : int;  (* device I/Os of the apply; the force's share adds on *)
+  mutable ack : (int * Protocol.response) option;
+      (* [Some (lsn, Ack)] once the batch is forced *)
+}
+
 type t = {
   cfg : config;
   sh : Session.shared;
@@ -44,15 +56,10 @@ type t = {
   l : Listener.t;
   reactor : Reactor.t;  (* the listener's *)
   mutable conns : conn list;
-  mutable pending_commits : (conn * int64 * float) list;
-      (* COMMITs staged in the open group-commit window, newest first;
-         the float is the staging time, for the latency histogram *)
+  mutable owed : owed list;
+      (* newest first; the unforced ones — the open window — are a
+         prefix, since a force covers everything staged before it *)
   mutable commit_timer : Reactor.timer option;  (* window-close timer *)
-  mutable parked_acks : (conn * int64 * int * Protocol.response) list;
-      (* semi-synchronous replication: commit Acks held back until every
-         live subscriber has acknowledged applying through the commit's
-         LSN (the int). Released immediately when no subscriber is
-         connected (asynchronous fallback). *)
   upstream : upstream option;  (* Some _ iff cfg.replica_of is set *)
 }
 
@@ -98,9 +105,8 @@ let create ?(config = default_config) sh =
     l;
     reactor = Listener.reactor l;
     conns = [];
-    pending_commits = [];
+    owed = [];
     commit_timer = None;
-    parked_acks = [];
     upstream;
   }
 
@@ -200,55 +206,49 @@ let pump_replication t =
           | _ -> ())
         t.conns
 
-(* ---------------- semi-synchronous commit acks ---------------- *)
+(* ---------------- owed commit Acks ---------------- *)
 
-(* Push every parked commit Ack whose LSN every live subscriber has
-   acknowledged applying. With no subscribers left the floor is +inf:
-   everything parked is released (asynchronous fallback — a dead
-   standby must not wedge the primary's commits forever). *)
-let release_parked_acks t =
-  match t.parked_acks with
-  | [] -> ()
-  | parked ->
-      let floor =
-        List.fold_left
-          (fun acc c -> min acc c.repl_acked)
-          max_int (subscribers t)
-      in
-      let ready, still =
-        List.partition (fun (_, _, lsn, _) -> lsn <= floor) parked
-      in
-      t.parked_acks <- still;
-      List.iter
-        (fun (conn, id, _, resp) -> Conn.reply conn.io ~id resp)
-        (List.rev ready)
+(* Write a forced COMMIT's Ack with [write] ({!Conn.reply} or
+   {!Conn.send}). *)
+let answer write o =
+  match o.ack with Some (_, resp) -> write o.conn.io ~id:o.id resp | None -> ()
 
-(* Park a commit Ack until the subscribers catch up — or push it right
-   away when nobody subscribes. The write itself is already durable
-   locally; only the acknowledgement waits, so a primary crash between
-   force and ack can lose nothing a client was told was committed, and
-   a replica promoted after a primary kill holds every acked write. *)
-let park_or_push t conn id ~lsn resp =
-  if subscribers t = [] then Conn.reply conn.io ~id resp
-  else t.parked_acks <- (conn, id, lsn, resp) :: t.parked_acks
+(* Answer every owed Ack whose batch is forced and whose LSN every live
+   subscriber has acknowledged applying. With no subscribers left the
+   floor is +inf: every forced Ack goes out (asynchronous fallback — a
+   dead standby must not wedge the primary's commits forever). The
+   write is durable locally before its Ack waits here, so a primary
+   crash between force and Ack loses nothing a client was told was
+   committed, and a replica promoted after a primary kill holds every
+   acked write. *)
+let release_acks t =
+  if t.owed <> [] then begin
+    let floor =
+      List.fold_left (fun acc c -> min acc c.repl_acked) max_int (subscribers t)
+    in
+    let ready, still =
+      List.partition
+        (fun o ->
+          match o.ack with Some (lsn, _) -> lsn <= floor | None -> false)
+        t.owed
+    in
+    t.owed <- still;
+    List.iter (answer Conn.reply) (List.rev ready)
+  end
 
-(* [(f (), wall seconds, physical I/Os)] of one request. The device
-   counters are read as before/after deltas, not reset, and the cache
-   is left warm. *)
-let timed_io catalog f =
-  let s0 = Relation.Catalog.io_stats catalog in
-  let t0 = Unix.gettimeofday () in
-  let r = f () in
-  let elapsed = Unix.gettimeofday () -. t0 in
-  let s1 = Relation.Catalog.io_stats catalog in
-  let delta =
-    s1.Storage.Block_device.Stats.reads + s1.Storage.Block_device.Stats.writes
-    - s0.Storage.Block_device.Stats.reads
-    - s0.Storage.Block_device.Stats.writes
-  in
-  (r, elapsed, delta)
+let device_stats t =
+  Storage.Block_device.Stats.get
+    (Relation.Catalog.device (Session.catalog t.sh))
+
+(* Physical I/Os so far, read as before/after deltas (never reset). *)
+let device_io t =
+  let s = device_stats t in
+  s.Storage.Block_device.Stats.reads + s.Storage.Block_device.Stats.writes
 
 (* ---------------- group-commit window ---------------- *)
+
+let window_open t =
+  match t.owed with { ack = None; _ } :: _ -> true | _ -> false
 
 let clear_commit_timer t =
   match t.commit_timer with
@@ -258,48 +258,51 @@ let clear_commit_timer t =
   | None -> ()
 
 (* Close the group-commit window: one marker and one log force cover
-   every staged COMMIT, then all of them are acknowledged at once. No
-   requester was answered before this point, so a crash inside the
-   window loses nothing a client was told is durable. *)
-let flush_group_commits t =
-  clear_commit_timer t;
-  match t.pending_commits with
-  | [] -> ()
-  | newest_first ->
-      let pending = List.rev newest_first in
-      t.pending_commits <- [];
-      let batch, _, io =
-        timed_io (Session.catalog t.sh) (fun () ->
-            Session.commit_force_shared t.sh)
-      in
-      let count = List.length pending in
-      let io_share = io / count in
-      let now = Unix.gettimeofday () in
-      let lsn = Session.durable_lsn_shared t.sh in
-      List.iteri
-        (fun i (conn, id, t0) ->
-          let io =
-            if i = 0 then io - (io_share * (count - 1)) else io_share
-          in
-          Server_stats.record t.st ~op:"commit" ~seconds:(now -. t0) ~io;
-          park_or_push t conn id ~lsn
-            (Protocol.Ack
-               (Printf.sprintf "committed (group commit batch of %d) lsn %d"
-                  batch lsn)))
-        pending
+   every staged COMMIT. Each is recorded with its latency from before
+   its apply and its apply's I/O plus a share of the force's, and its
+   Ack is released as the subscribers allow. No requester was answered
+   before this point, so a crash inside the window loses nothing a
+   client was told is durable. *)
+let close_window t =
+  if window_open t then begin
+    clear_commit_timer t;
+    let io0 = device_io t in
+    let batch = Session.commit_force_shared t.sh in
+    let io = device_io t - io0 in
+    let staged = List.filter (fun o -> o.ack = None) t.owed in
+    let count = List.length staged in
+    let share = io / count in
+    let now = Unix.gettimeofday () in
+    let lsn = Session.durable_lsn_shared t.sh in
+    let ack =
+      Protocol.Ack
+        (if t.cfg.group_commit > 0. then
+           Printf.sprintf "committed (group commit batch of %d) lsn %d" batch
+             lsn
+         else Printf.sprintf "committed lsn %d" lsn)
+    in
+    (* newest first: the oldest carries the division's remainder *)
+    List.iteri
+      (fun i o ->
+        let io = if i = count - 1 then io - (share * (count - 1)) else share in
+        Server_stats.record t.st ~op:"commit" ~seconds:(now -. o.t0)
+          ~io:(o.apply_io + io);
+        o.ack <- Some (lsn, ack))
+      staged;
+    release_acks t
+  end
 
-(* Runs after every executed request and every window flush. The
+(* Runs after every executed request and every window close. The
    window's deadline is a timer; this is the early close — as soon as
    no live session holds buffered writes, no further COMMIT can join
    the batch and waiting only delays the acknowledgements (the
-   commit-siblings rule). Then ship whatever the flush, a synchronous
-   commit or a buffer-pool write-back made durable. *)
+   commit-siblings rule). Then ship whatever the force or a buffer-pool
+   write-back made durable. *)
 let settle t =
   let writing c =
     (not c.io.closing) && Session.has_pending_writes c.session
   in
-  if t.pending_commits <> [] && not (List.exists writing t.conns) then
-    flush_group_commits t;
+  if window_open t && not (List.exists writing t.conns) then close_window t;
   pump_replication t
 
 (* ---------------- connection lifecycle ---------------- *)
@@ -307,36 +310,26 @@ let settle t =
 (* Conn closed the socket: forget everything the connection held. *)
 let forget t conn =
   t.conns <- List.filter (fun c -> c != conn) t.conns;
-  (* Purge COMMITs the dead connection staged in the open window:
-     nobody is owed the Ack and its latency must not pollute the
-     histogram. The journal-staged intent is already applied and must
-     still be forced — if no live staging remains to carry the window,
-     force it now rather than leaving acknowledged-to-nobody writes
-     hanging on a deadline that was just cleared. *)
-  let mine, others =
-    List.partition (fun (c, _, _) -> c == conn) t.pending_commits
-  in
-  if mine <> [] then begin
-    t.pending_commits <- others;
-    if others = [] then begin
-      clear_commit_timer t;
-      ignore (Session.commit_force_shared t.sh);
-      pump_replication t
-    end
+  (* Acks owed to the dead connection are owed to nobody, and the
+     latency of its staged COMMITs must not pollute the histogram. A
+     staged intent is already applied and must still be forced — if no
+     live staging remains to carry the window, force it now rather than
+     leaving acknowledged-to-nobody writes hanging on a deadline that
+     was just cleared. *)
+  let staged = window_open t in
+  t.owed <- List.filter (fun o -> o.conn != conn) t.owed;
+  if staged && not (window_open t) then begin
+    clear_commit_timer t;
+    ignore (Session.commit_force_shared t.sh);
+    pump_replication t
   end;
-  (* Acks parked for the dead connection are owed to nobody. *)
-  t.parked_acks <- List.filter (fun (c, _, _, _) -> c != conn) t.parked_acks;
   Session.close conn.session;
   Server_stats.session_closed t.st;
   (* A dead subscriber no longer holds the ack floor down; recompute
      it over the survivors (or release everything if none remain). *)
-  if conn.repl_from <> None then release_parked_acks t
+  if conn.repl_from <> None then release_acks t
 
 (* ---------------- execution ---------------- *)
-
-let device_stats t =
-  Storage.Block_device.Stats.get
-    (Relation.Catalog.device (Session.catalog t.sh))
 
 (* Slow-query logging must never stall the event loop: the span tree is
    rendered under a byte cap (a pathological plan can hold thousands of
@@ -402,7 +395,7 @@ let handle_repl t conn id req =
          commit Acks. *)
       if conn.repl_from <> None && lsn > conn.repl_acked then begin
         conn.repl_acked <- lsn;
-        release_parked_acks t
+        release_acks t
       end
   | Protocol.Repl_status ->
       let state =
@@ -429,80 +422,66 @@ let handle_repl t conn id req =
                endpoints = [ (t.cfg.host, port t) ] } ])
   | _ -> assert false
 
+(* Apply and stage a COMMIT, owing its Ack to the window's close. At
+   window 0 the window closes — one force — before the request returns;
+   otherwise the first COMMIT into it arms the deadline. A refusal
+   (Conflict, Read_only, Error) staged nothing and is answered now. *)
+let commit t conn id ~t0 ~io0 =
+  match Session.stage_commit conn.session with
+  | Error resp -> Some resp
+  | Ok () ->
+      t.owed <-
+        { conn; id; t0; apply_io = device_io t - io0; ack = None } :: t.owed;
+      if t.cfg.group_commit = 0. then close_window t
+      else if t.commit_timer = None then
+        t.commit_timer <-
+          Some
+            (Reactor.after t.reactor t.cfg.group_commit (fun () ->
+                 t.commit_timer <- None;
+                 close_window t;
+                 settle t));
+      None
+
 let execute t conn id req =
   match req with
   | Protocol.Repl_subscribe _ | Protocol.Repl_ack _ | Protocol.Repl_status
   | Protocol.Shard_map_req ->
       handle_repl t conn id req
-  | Protocol.Commit
-    when Session.degraded_reason_shared t.sh <> None
-         && t.cfg.group_commit > 0. ->
-      (* Degraded COMMITs must not enter the batch: staging would dirty
-         the window for everyone and the force would touch a damaged
-         image. *)
-      let reason = Option.get (Session.degraded_reason_shared t.sh) in
-      Conn.reply conn.io ~id
-        (Protocol.Read_only
-           (Printf.sprintf "server is read-only: %s" reason))
-  | Protocol.Commit when t.cfg.group_commit > 0. -> (
-      (* Stage now, answer at the window flush — except a conflict,
-         which aborted the transaction without staging anything and is
-         answered immediately. The window close is a reactor timer, not
-         loop timeout math. *)
-      match Session.stage_commit conn.session with
-      | Ok () ->
-          let now = Unix.gettimeofday () in
-          t.pending_commits <- (conn, id, now) :: t.pending_commits;
-          if t.commit_timer = None then
-            t.commit_timer <-
-              Some
-                (Reactor.after t.reactor t.cfg.group_commit (fun () ->
-                     t.commit_timer <- None;
-                     flush_group_commits t;
-                     settle t))
-      | Result.Error m -> Conn.reply conn.io ~id (Protocol.Conflict m)
-      | exception e ->
-          Conn.reply conn.io ~id
-            (Protocol.Error ("commit failed: " ^ Printexc.to_string e)))
   | req ->
       (* A rollback must not outrun COMMITs already staged ahead of it:
          force the open batch first, then let it run. *)
-      if req = Protocol.Rollback && t.pending_commits <> [] then
-        flush_group_commits t;
+      if req = Protocol.Rollback then close_window t;
       let op = Protocol.request_op_name req in
-      let (resp, span), seconds, io =
+      let t0 = Unix.gettimeofday () and io0 = device_io t in
+      let resp, span =
         match req with
         | Protocol.Stats ->
-            let snap () =
-              ( Protocol.Stats_reply
-                  (Server_stats.snapshot t.st ~now:(Unix.gettimeofday ())
-                     ~io:(device_stats t)),
-                None )
-            in
-            timed_io (Session.catalog t.sh) snap
-        | Protocol.Metrics ->
-            timed_io (Session.catalog t.sh) (fun () ->
-                (Protocol.Ack (metrics_doc t), None))
+            ( Some
+                (Protocol.Stats_reply
+                   (Server_stats.snapshot t.st ~now:t0 ~io:(device_stats t))),
+              None )
+        | Protocol.Metrics -> (Some (Protocol.Ack (metrics_doc t)), None)
         | req ->
             (* The root span of the request's trace tree; [traced]
                returns it only when tracing is enabled. *)
-            timed_io (Session.catalog t.sh) (fun () ->
-                Obs.Trace.traced ~info:op "request" (fun () ->
-                    Session.handle conn.session req))
+            Obs.Trace.traced ~info:op "request" (fun () ->
+                match req with
+                | Protocol.Commit -> commit t conn id ~t0 ~io0
+                | req -> Some (Session.handle conn.session req))
       in
-      Server_stats.record t.st ~op ~seconds ~io;
-      (match span with
+      let seconds = Unix.gettimeofday () -. t0 in
+      (* an owed COMMIT is recorded when its window closes *)
+      Option.iter
+        (fun resp ->
+          Server_stats.record t.st ~op ~seconds ~io:(device_io t - io0);
+          Conn.reply conn.io ~id resp)
+        resp;
+      match span with
       | Some sp
         when t.cfg.slow_query_ms > 0.
              && seconds *. 1000. >= t.cfg.slow_query_ms ->
           log_slow_query t ~seconds sp
-      | _ -> ());
-      (* A synchronous COMMIT that succeeded is durable now; its Ack
-         rides the same semi-sync rule as a group-commit batch. *)
-      (match (req, resp) with
-      | Protocol.Commit, Protocol.Ack _ ->
-          park_or_push t conn id ~lsn:(Session.durable_lsn_shared t.sh) resp
-      | _ -> Conn.reply conn.io ~id resp)
+      | _ -> ()
 
 (* Each request runs in the [Conn.frames] callback that decoded it. *)
 let on_request t conn id req =
@@ -617,16 +596,15 @@ let follow_upstream t u =
 (* ---------------- the loop ---------------- *)
 
 (* After the last turn every request decoded has been answered or
-   staged: force the open window, ship it, release parked semi-sync
-   acks as-is (their writes are durable locally and the stream to any
-   subscriber was just pumped), push the last bytes out (sockets
-   willing) and close. *)
+   staged: force the open window, ship it, send every owed Ack as-is
+   (their writes are durable locally and the stream to any subscriber
+   was just pumped), push the last bytes out (sockets willing) and
+   close. *)
 let drain t =
-  flush_group_commits t;
+  close_window t;
   pump_replication t;
-  let parked = List.rev t.parked_acks in
-  t.parked_acks <- [];
-  List.iter (fun (conn, id, _, resp) -> Conn.send conn.io ~id resp) parked;
+  List.iter (answer Conn.send) (List.rev t.owed);
+  t.owed <- [];
   List.iter
     (fun conn ->
       Conn.flush conn.io;

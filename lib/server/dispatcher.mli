@@ -39,14 +39,18 @@ type config = {
   port : int;  (** [0] picks an ephemeral port (see {!port}) *)
   max_sessions : int;
   group_commit : float;
-      (** group-commit window in seconds; [0.] commits synchronously.
-          When positive, a COMMIT request stages its dirty-page images
-          and waits; when the window closes (or the server drains for
-          shutdown, or a ROLLBACK arrives behind the batch), a single
-          commit marker and a single log force cover every staged
-          COMMIT, and only then are they acknowledged — so concurrent
-          sessions amortize the log force without ever being told an
-          undurable state was durable. *)
+      (** group-commit window in seconds; [0.] closes the window
+          inside the request that opened it. Every COMMIT request is
+          applied and staged ({!Session.stage_commit}) and its Ack is
+          owed; when the window closes (at once for [0.], else at the
+          deadline, as soon as no other session holds buffered writes,
+          when the server drains for shutdown, or when a ROLLBACK
+          arrives behind the batch), a single commit marker and a
+          single log force cover every staged COMMIT, and only then
+          are they acknowledged — so concurrent sessions amortize the
+          log force without ever being told an undurable state was
+          durable. A COMMIT's recorded latency and I/O run from its
+          apply through the force. *)
   idle_timeout : float;
       (** seconds a connection may sit with no bytes received and no
           undrained output before it is answered with a
@@ -86,7 +90,7 @@ type config = {
 }
 
 val default_config : config
-(** [127.0.0.1:7468], 64 sessions, synchronous commit, no idle timeout, no metrics endpoint, no slow-query log,
+(** [127.0.0.1:7468], 64 sessions, group-commit window 0, no idle timeout, no metrics endpoint, no slow-query log,
     not a replica, 4 MiB write high-water. *)
 
 type t

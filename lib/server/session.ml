@@ -48,8 +48,6 @@ let durable sh = sh.dur
 let memtier sh = sh.memtier
 let txns sh = sh.txns
 
-let commit_shared sh = Relation.Catalog.commit sh.cat
-let commit_request_shared sh = Relation.Catalog.commit_request sh.cat
 let commit_force_shared sh = Relation.Catalog.commit_force sh.cat
 
 (* The durable-log byte offset — the LSN token commit acks carry so a
@@ -188,6 +186,19 @@ let renew t =
    and this session's transaction force-aborted behind its back. *)
 let sync_txn t = if not (Relation.Txn.is_active t.txn) then renew t
 
+(* Validate and apply the write set under a fresh commit LSN, begin
+   the successor transaction and stage the dirty pages for the next log
+   force. The one place a session's transaction commits; a Conflict
+   (first committer wins) has already aborted the loser. *)
+let apply_commit t =
+  match Relation.Txn.commit t.txn with
+  | _lsn ->
+      renew t;
+      Relation.Catalog.commit_request t.sh.cat
+  | exception (Relation.Txn.Conflict _ as e) ->
+      renew t;
+      raise e
+
 (* After a catalog swap ({!reopen}, {!reload}, {!preload}) rebind the
    engine to the new handles; the rebinding invalidates its plans, so
    prepared statements recompile against them at their next EXECUTE. *)
@@ -267,16 +278,10 @@ let exec t = function
         Relation.Txn.pin t.txn;
         Ack "begin"
       end
-  | Commit -> (
-      match Relation.Txn.commit t.txn with
-      | _lsn ->
-          commit_shared t.sh;
-          renew t;
-          Ack (Printf.sprintf "committed lsn %d" (durable_lsn_shared t.sh))
-      | exception Relation.Txn.Conflict m ->
-          (* [Txn.commit] already aborted the loser. *)
-          renew t;
-          Protocol.Conflict m)
+  | Commit ->
+      apply_commit t;
+      ignore (commit_force_shared t.sh);
+      Ack (Printf.sprintf "committed lsn %d" (durable_lsn_shared t.sh))
   | Rollback ->
       (* One session's write set only; everyone else is untouched. *)
       Relation.Txn.abort t.txn;
@@ -334,22 +339,6 @@ let exec t = function
                ?mem:(mem_for t) ~vis:(vis_for t) t.sh.ritree
                (Exec.Planner.Allen_target (relation, ivl lower upper))))
 
-(* Group-commit staging: counts as a request for this session, but the
-   Ack is owed only after the dispatcher forces the batch. The MVCC
-   apply happens NOW (validation, physical writes, commit LSN); only
-   durability is deferred, so a Conflict is answered immediately and
-   never enters the window. *)
-let stage_commit t =
-  t.reqs <- t.reqs + 1;
-  match Relation.Txn.commit t.txn with
-  | _lsn ->
-      renew t;
-      commit_request_shared t.sh;
-      Ok ()
-  | exception Relation.Txn.Conflict m ->
-      renew t;
-      Result.Error m
-
 (* First keyword of a SQL text, lowercased — enough to classify
    statements for degraded mode without a parse. *)
 let sql_keyword text =
@@ -388,36 +377,45 @@ let mutating t = function
          in degraded read-only mode. *)
       false
 
-let degraded_reason_shared sh = Relation.Catalog.degraded_reason sh.cat
+(* The typed frame answering a request that raised. *)
+let error_frame t = function
+  | Storage.Buffer_pool.Corrupt_page page ->
+      (* Garbage came off the disk. Keep serving what still
+         verifies, refuse to write on top of a damaged image. *)
+      let reason = Printf.sprintf "corrupt page %d" page in
+      Relation.Catalog.degrade t.sh.cat reason;
+      Protocol.Error
+        (Printf.sprintf
+           "corruption detected (%s): server now degraded read-only; \
+            run `rikit scrub` against this image" reason)
+  | Storage.Block_device.Io_error { op; block } ->
+      Protocol.Error
+        (Printf.sprintf "transient I/O error: %s of block %d failed" op block)
+  | Relation.Txn.Conflict m -> Protocol.Conflict m
+  | Sqlfront.Engine.Error m -> Protocol.Error m
+  | Exec.Ir.Error m -> Protocol.Error m
+  | Sqlfront.Parser.Error m -> Protocol.Error ("parse error: " ^ m)
+  | Sqlfront.Lexer.Error (m, pos) ->
+      Protocol.Error (Printf.sprintf "lex error at %d: %s" pos m)
+  | Failure m -> Protocol.Error m
+  | Invalid_argument m -> Protocol.Invalid m
+  | Not_found -> Protocol.Error "not found"
+  | e -> Protocol.Error ("internal error: " ^ Printexc.to_string e)
 
-let handle t req =
+(* The guard every request runs under, COMMIT's apply included: the
+   request is counted, the transaction resynced after a catalog swap, a
+   mutation refused in degraded mode, and an exception answered with a
+   typed frame. *)
+let guarded t req f =
   t.reqs <- t.reqs + 1;
   sync_txn t;
-  match degraded_reason_shared t.sh with
+  match Relation.Catalog.degraded_reason t.sh.cat with
   | Some reason when mutating t req ->
-      Protocol.Read_only (Printf.sprintf "server is read-only: %s" reason)
-  | _ -> (
-      try exec t req with
-      | Storage.Buffer_pool.Corrupt_page page ->
-          (* Garbage came off the disk. Keep serving what still
-             verifies, refuse to write on top of a damaged image. *)
-          let reason = Printf.sprintf "corrupt page %d" page in
-          Relation.Catalog.degrade t.sh.cat reason;
-          Protocol.Error
-            (Printf.sprintf
-               "corruption detected (%s): server now degraded read-only; \
-                run `rikit scrub` against this image" reason)
-      | Storage.Block_device.Io_error { op; block } ->
-          Protocol.Error
-            (Printf.sprintf "transient I/O error: %s of block %d failed" op
-               block)
-      | Relation.Txn.Conflict m -> Protocol.Conflict m
-      | Sqlfront.Engine.Error m -> Protocol.Error m
-      | Exec.Ir.Error m -> Protocol.Error m
-      | Sqlfront.Parser.Error m -> Protocol.Error ("parse error: " ^ m)
-      | Sqlfront.Lexer.Error (m, pos) ->
-          Protocol.Error (Printf.sprintf "lex error at %d: %s" pos m)
-      | Failure m -> Protocol.Error m
-      | Invalid_argument m -> Protocol.Invalid m
-      | Not_found -> Protocol.Error "not found"
-      | e -> Protocol.Error ("internal error: " ^ Printexc.to_string e))
+      Result.Error
+        (Protocol.Read_only (Printf.sprintf "server is read-only: %s" reason))
+  | _ -> ( try Ok (f ()) with e -> Result.Error (error_frame t e))
+
+let handle t req =
+  match guarded t req (fun () -> exec t req) with Ok r | Error r -> r
+
+let stage_commit t = guarded t Protocol.Commit (fun () -> apply_commit t)

@@ -11,8 +11,9 @@
     validates and applies them under a fresh commit LSN; ROLLBACK
     discards that one write set and nothing else. Reads are
     read-committed per statement, or snapshot-stable after an explicit
-    BEGIN pins the snapshot. On durable servers COMMIT additionally
-    forces (or group-commit stages) the journal. *)
+    BEGIN pins the snapshot. A COMMIT is applied and staged by
+    {!stage_commit}; one {!commit_force_shared} then makes a batch of
+    staged COMMITs durable. *)
 
 (** {2 Shared database state} *)
 
@@ -59,17 +60,9 @@ val preload_ids : shared -> (int * Interval.Ivl.t) array -> unit
     boundary spanner replicated on several shards carries one global
     identity — the key the router's merge deduplicates on. *)
 
-val commit_shared : shared -> unit
-(** {!Relation.Catalog.commit} on the current catalog handle. *)
-
-val commit_request_shared : shared -> unit
-(** Stage a commit for group commit ({!Relation.Catalog.commit_request});
-    the dispatcher batches these and answers after one
-    {!commit_force_shared} covers the whole window. *)
-
 val commit_force_shared : shared -> int
-(** Force the staged batch (one marker, one log force); returns its
-    size. *)
+(** Force every COMMIT staged since the last force ({!stage_commit}):
+    one marker, one log force. Returns the batch size. *)
 
 val durable_lsn_shared : shared -> int
 (** The durable-log byte offset ({!Storage.Journal.durable_lsn}) — the
@@ -121,9 +114,6 @@ val mutating : t -> Protocol.request -> bool
     kind of the named prepared statement in this session. Used to enforce
     degraded read-only mode. *)
 
-val degraded_reason_shared : shared -> string option
-(** [Some reason] once corruption flipped the catalog read-only. *)
-
 val handle : t -> Protocol.request -> Protocol.response
 (** Execute one request. Never raises: every failure — SQL errors, bad
     intervals — comes back as a typed frame ([Error], [Invalid],
@@ -132,13 +122,18 @@ val handle : t -> Protocol.request -> Protocol.response
     typed [Error] {e and} degrades the catalog: from then on mutating
     requests answer [Read_only] while reads keep serving. An injected
     transient {!Storage.Block_device.Io_error} returns a typed [Error]
-    the client may retry. *)
+    the client may retry. A [Commit] is {!stage_commit} followed by
+    {!commit_force_shared}, a batch of one, for in-process callers; the
+    dispatcher stages and forces COMMITs itself. *)
 
-val stage_commit : t -> (unit, string) result
-(** A COMMIT request entering a group-commit window: counted against
-    this session; the MVCC write set is validated and applied NOW and
-    the dirty images staged ({!commit_request_shared}), with the
-    marker/force (and the client's Ack) deferred to the dispatcher's
-    batch flush. [Error msg] is a first-committer-wins conflict — the
-    transaction is already aborted and replaced, nothing was staged,
-    and the client is owed a [Conflict] frame immediately. *)
+val stage_commit : t -> (unit, Protocol.response) result
+(** Apply a COMMIT and stage it for the next {!commit_force_shared},
+    under {!handle}'s guard: counted against this session, refused
+    [Read_only] in degraded mode, and every exception answered with
+    {!handle}'s typed frame (a corrupt page degrades the catalog). The
+    MVCC write set is validated and applied NOW and the successor
+    transaction begun; only durability, and with it the client's Ack,
+    waits for the force. [Error frame] is owed to the client at once:
+    a first-committer-wins [Conflict] (the transaction is already
+    aborted and replaced), [Read_only] or [Error]; nothing was staged
+    then. *)

@@ -22,9 +22,9 @@ let config ?(max_sessions = 8) ?(group_commit = 0.) ?(idle_timeout = 0.)
 
 (* Start a dispatcher on an ephemeral port; run [f port]; always stop
    the loop and join its thread. *)
-let with_server ?config:(cfg = config ()) ?(durable = false)
+let with_server ?config:(cfg = config ()) ?(durable = false) ?cache_blocks
     ?(hot_tier_mb = 0) ?(preload = [||]) f =
-  let sh = S.shared ~durable ~hot_tier_mb () in
+  let sh = S.shared ~durable ?cache_blocks ~hot_tier_mb () in
   if Array.length preload > 0 then S.preload sh preload;
   let disp = D.create ~config:cfg sh in
   let thread = Thread.create (fun () -> D.serve disp) () in
@@ -677,6 +677,21 @@ let test_idle_timeout_reaps () =
           | _ -> Alcotest.fail "connection stayed open after Goodbye"
           | exception Unix.Unix_error (Unix.ECONNRESET, _, _) -> ()))
 
+(* Push every page to disk, then flip one bit in each non-zero block
+   behind the server's back. *)
+let corrupt_every_block sh =
+  let cat = S.catalog sh in
+  Relation.Catalog.drop_cache cat;
+  let dev = Relation.Catalog.device cat in
+  let buf = Bytes.create (Storage.Block_device.block_size dev) in
+  for b = 0 to Storage.Block_device.allocated dev - 1 do
+    Storage.Block_device.read dev b buf;
+    if Bytes.exists (fun ch -> ch <> '\000') buf then begin
+      Bytes.set_uint8 buf 0 (Bytes.get_uint8 buf 0 lxor 0x01);
+      Storage.Block_device.write dev b buf
+    end
+  done
+
 let test_corruption_degrades_to_read_only () =
   with_server ~durable:true (fun port sh _ ->
       with_client port (fun c ->
@@ -688,19 +703,7 @@ let test_corruption_degrades_to_read_only () =
           (match C.rpc c P.Commit with
           | P.Ack _ -> ()
           | _ -> Alcotest.fail "commit");
-          (* push every page to disk, then flip one bit in each non-zero
-             block behind the server's back *)
-          let cat = S.catalog sh in
-          Relation.Catalog.drop_cache cat;
-          let dev = Relation.Catalog.device cat in
-          let buf = Bytes.create (Storage.Block_device.block_size dev) in
-          for b = 0 to Storage.Block_device.allocated dev - 1 do
-            Storage.Block_device.read dev b buf;
-            if Bytes.exists (fun ch -> ch <> '\000') buf then begin
-              Bytes.set_uint8 buf 0 (Bytes.get_uint8 buf 0 lxor 0x01);
-              Storage.Block_device.write dev b buf
-            end
-          done;
+          corrupt_every_block sh;
           (* the poisoned read comes back typed, not as a crash *)
           (match C.intersect c (Interval.Ivl.make 0 1000) with
           | Error (C.Server m) ->
@@ -717,6 +720,65 @@ let test_corruption_degrades_to_read_only () =
           | Error e ->
               Alcotest.failf "wrong refusal shape: %s" (C.error_to_string e));
           ping c))
+
+(* A COMMIT whose apply faults a corrupt page answers the typed
+   corruption error and degrades the server, whatever the group-commit
+   window: the next mutation is refused [Read_only]. *)
+let test_corrupt_commit_degrades window () =
+  with_server ~durable:true ~preload:dataset
+    ~config:(config ~group_commit:window ())
+    (fun port sh _ ->
+      with_client port (fun c ->
+          for i = 1 to 20 do
+            let lower = i * 997 in
+            match
+              C.insert c ~id:(5000 + i) (Interval.Ivl.make lower (lower + 40))
+            with
+            | Ok _ -> ()
+            | Error e -> Alcotest.failf "insert: %s" (C.error_to_string e)
+          done;
+          corrupt_every_block sh;
+          (match C.rpc c P.Commit with
+          | P.Error m ->
+              check Alcotest.bool "names the corruption" true
+                (contains m "corrupt")
+          | _ -> Alcotest.fail "commit over a corrupt page not an Error");
+          match C.insert c ~id:999 (Interval.Ivl.make 1 2) with
+          | Error (C.Read_only _) -> ()
+          | Ok _ -> Alcotest.fail "mutation admitted after a corrupt commit"
+          | Error e ->
+              Alcotest.failf "wrong refusal shape: %s" (C.error_to_string e)))
+
+(* A COMMIT's recorded I/O covers its apply and its force at every
+   window. The pool is smaller than the preload, so each apply faults
+   pages in and writes dirty ones back; one writer means every window
+   closes with a batch of one, so both runs must count the same I/O. *)
+let test_commit_io_every_window () =
+  let commit_io window =
+    with_server ~durable:true ~cache_blocks:16 ~preload:dataset
+      ~config:(config ~group_commit:window ())
+      (fun port _ _ ->
+        with_client port (fun c ->
+            let rng = Random.State.make [| 11 |] in
+            for _ = 1 to 10 do
+              for _ = 1 to 4 do
+                let lower = Random.State.int rng 1_000_000 in
+                match C.insert c (Interval.Ivl.make lower (lower + 500)) with
+                | Ok _ -> ()
+                | Error e -> Alcotest.failf "insert: %s" (C.error_to_string e)
+              done;
+              ignore (ok (C.commit c))
+            done;
+            let s = ok (C.server_stats c) in
+            let o =
+              List.find (fun (o : P.op_stat) -> o.P.op = "commit") s.P.ops
+            in
+            check Alcotest.int "commits recorded" 10 o.P.count;
+            o.P.total_io))
+  in
+  let sync = commit_io 0. in
+  check Alcotest.bool "the applies fault pages" true (sync > 0);
+  check Alcotest.int "commit I/O at a 20 ms window" sync (commit_io 0.02)
 
 (* ---- observability ---- *)
 
@@ -1122,6 +1184,10 @@ let raw_suite =
         ("idle timeout reaps sessions", test_idle_timeout_reaps);
         ("corruption degrades to read-only",
          test_corruption_degrades_to_read_only);
+        ("corrupt commit degrades, window 0",
+         test_corrupt_commit_degrades 0.);
+        ("corrupt commit degrades, window 20 ms",
+         test_corrupt_commit_degrades 0.02);
       ] );
     ( "sessions",
       [
@@ -1137,6 +1203,7 @@ let raw_suite =
         ("disconnect between stage and force",
          test_disconnect_between_stage_and_force);
         ("group-commit window", test_group_commit_window);
+        ("commit I/O at every window", test_commit_io_every_window);
         ("graceful shutdown, no data loss",
          test_graceful_shutdown_no_data_loss);
         ("prepared statements survive a catalog swap",
