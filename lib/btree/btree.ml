@@ -11,24 +11,26 @@ let compare_keys (a : key) (b : key) =
   in
   go 0
 
-let equal_keys a b = compare_keys a b = 0
-
 (* ------------------------------------------------------------------ *)
 (* Page layout.
 
    Every page starts with a 16-byte header:
      byte 0       node tag: 0 = leaf, 1 = internal
-     bytes 2-3    number of keys (uint16)
+     bytes 2-3    number of entries (uint16)
      bytes 8-15   leaf: page id of the next leaf (-1 at the end);
                   internal: page id of child 0
-   Entries follow from byte 16:
-     leaf         key components, 8 bytes each (stride 8*k)
-     internal     key followed by the right child id (stride 8*k + 8)
+   Entries follow from byte 16 at a fixed stride:
+     leaf         entry i is key i, 8 bytes per component (stride 8*k)
+     internal     entry i is key i, then child i+1 (stride 8*k + 8)
+   so every edit of either kind opens a one-entry gap, closes one, or
+   moves a run of entries to another page. Past the last entry, up to
+   the checksum trailer, every byte is zero: Journal.delta reads a
+   shift off the used end, and [check_invariants] verifies it.
 
    The meta page holds the tree descriptor:
      0  magic   8  key_width   16  root   24  count
      32 height  40 free list head (-1 none)   48 page_count
-   Free pages link through their first 8 bytes. *)
+   Free pages link through their first 8 bytes and are zero after. *)
 (* ------------------------------------------------------------------ *)
 
 let magic = 0x52495442 (* "RITB" *)
@@ -58,8 +60,11 @@ let leaf_capacity t = t.leaf_cap
 let get_i64 buf off = Int64.to_int (Bytes.get_int64_be buf off)
 let set_i64 buf off v = Bytes.set_int64_be buf off (Int64.of_int v)
 
+let peek t pid f = Storage.Buffer_pool.with_page t.pool pid ~dirty:false f
+let edit t pid f = Storage.Buffer_pool.with_page t.pool pid ~dirty:true f
+
 let sync_meta t =
-  Storage.Buffer_pool.with_page t.pool t.meta_page ~dirty:true (fun buf ->
+  edit t t.meta_page (fun buf ->
       set_i64 buf 0 magic;
       set_i64 buf 8 t.key_width;
       set_i64 buf 16 t.root;
@@ -73,26 +78,19 @@ let alloc_page t =
   if t.free_head < 0 then Storage.Buffer_pool.alloc t.pool
   else begin
     let pid = t.free_head in
-    let next =
-      Storage.Buffer_pool.with_page t.pool pid ~dirty:false (fun buf -> get_i64 buf 0)
-    in
-    t.free_head <- next;
+    t.free_head <- peek t pid (fun buf -> get_i64 buf 0);
     pid
   end
 
 let free_page t pid =
   t.page_count <- t.page_count - 1;
-  Storage.Buffer_pool.with_page t.pool pid ~dirty:true (fun buf ->
+  edit t pid (fun buf ->
+      Bytes.fill buf 8 (Storage.Buffer_pool.block_size t.pool - 8) '\000';
       set_i64 buf 0 t.free_head);
   t.free_head <- pid
 
 (* ------------------------------------------------------------------ *)
-(* Node codec *)
-
-type node =
-  | Leaf of { keys : key array; next : int }
-  | Node of { keys : key array; children : int array }
-      (* |children| = |keys| + 1 *)
+(* Entries in place *)
 
 let read_key t buf off =
   Array.init t.key_width (fun i -> get_i64 buf (off + (8 * i)))
@@ -104,55 +102,41 @@ let write_key t buf off (k : key) =
 
 let leaf_stride t = 8 * t.key_width
 let node_stride t = (8 * t.key_width) + 8
+let entry stride i = header_size + (i * stride)
+let is_leaf buf = Bytes.get buf 0 = '\000'
+let nkeys buf = Bytes.get_uint16_be buf 2
+let set_nkeys buf n = Bytes.set_uint16_be buf 2 n
 
-let read_node t pid =
-  Storage.Buffer_pool.with_page t.pool pid ~dirty:false (fun buf ->
-      let tag = Char.code (Bytes.get buf 0) in
-      let nkeys = Bytes.get_uint16_be buf 2 in
-      if tag = 0 then
-        let stride = leaf_stride t in
-        let keys =
-          Array.init nkeys (fun i ->
-              read_key t buf (header_size + (i * stride)))
-        in
-        Leaf { keys; next = get_i64 buf 8 }
-      else
-        let stride = node_stride t in
-        let keys =
-          Array.init nkeys (fun i ->
-              read_key t buf (header_size + (i * stride)))
-        in
-        let children =
-          Array.init (nkeys + 1) (fun i ->
-              if i = 0 then get_i64 buf 8
-              else
-                get_i64 buf
-                  (header_size + ((i - 1) * stride) + (8 * t.key_width)))
-        in
-        Node { keys; children })
+(* Make a zero page — fresh, or free past its link — an empty node. *)
+let init_page buf ~leaf ~next =
+  set_i64 buf 0 0;
+  if not leaf then Bytes.set buf 0 '\001';
+  set_i64 buf 8 next
 
-let write_node t pid node =
-  Storage.Buffer_pool.with_page t.pool pid ~dirty:true (fun buf ->
-      match node with
-      | Leaf { keys; next } ->
-          Bytes.set buf 0 '\000';
-          Bytes.set_uint16_be buf 2 (Array.length keys);
-          set_i64 buf 8 next;
-          let stride = leaf_stride t in
-          Array.iteri
-            (fun i k -> write_key t buf (header_size + (i * stride)) k)
-            keys
-      | Node { keys; children } ->
-          Bytes.set buf 0 '\001';
-          Bytes.set_uint16_be buf 2 (Array.length keys);
-          set_i64 buf 8 children.(0);
-          let stride = node_stride t in
-          Array.iteri
-            (fun i k ->
-              let off = header_size + (i * stride) in
-              write_key t buf off k;
-              set_i64 buf (off + (8 * t.key_width)) children.(i + 1))
-            keys)
+(* Keep the first [s] of a page's [n] entries; zero the rest. *)
+let cut buf ~stride ~n s =
+  Bytes.fill buf (entry stride s) ((n - s) * stride) '\000';
+  set_nkeys buf s
+
+(* Append the entries of [run] to a page of [n] entries. *)
+let append buf ~stride ~n run =
+  Bytes.blit run 0 buf (entry stride n) (Bytes.length run);
+  set_nkeys buf (n + (Bytes.length run / stride))
+
+(* Open a one-entry gap at slot [i] of a page of [n] entries and copy
+   the entry [e] into it. *)
+let put_entry buf ~n i e =
+  let stride = Bytes.length e in
+  let off = entry stride i in
+  Bytes.blit buf off buf (off + stride) ((n - i) * stride);
+  Bytes.blit e 0 buf off stride;
+  set_nkeys buf (n + 1)
+
+(* Close slot [i] of a page of [n] entries. *)
+let drop_entry buf ~stride ~n i =
+  let off = entry stride i in
+  Bytes.blit buf (off + stride) buf off ((n - i - 1) * stride);
+  cut buf ~stride ~n (n - 1)
 
 (* ------------------------------------------------------------------ *)
 (* Construction *)
@@ -183,7 +167,7 @@ let create pool ~key_width =
     { pool; meta_page; key_width; leaf_cap; node_cap; root; count = 0;
       height = 1; free_head = -1; page_count = 1 }
   in
-  write_node t root (Leaf { keys = [||]; next = -1 });
+  edit t root (fun buf -> init_page buf ~leaf:true ~next:(-1));
   sync_meta t;
   t
 
@@ -211,9 +195,6 @@ let open_existing pool ~meta_page =
    compared against the key components at their offsets, so no key is
    decoded unless a caller receives it. *)
 
-let is_leaf buf = Bytes.get buf 0 = '\000'
-let nkeys buf = Bytes.get_uint16_be buf 2
-
 (* Compare the key stored at byte [off] of [buf] with [probe], from
    component [i] of [width] on. *)
 let rec compare_at buf off (probe : key) i width =
@@ -228,16 +209,22 @@ let bisect t buf ~stride ~from ~n ~above probe =
   let lo = ref from and hi = ref n in
   while !lo < !hi do
     let mid = (!lo + !hi) lsr 1 in
-    let c = compare_at buf (header_size + (mid * stride)) probe 0 t.key_width in
+    let c = compare_at buf (entry stride mid) probe 0 t.key_width in
     if c < 0 || (above && c = 0) then lo := mid + 1 else hi := mid
   done;
   !lo
 
+(* The slot of [k] in leaf page [buf], or [-1 - pos] when absent and
+   [pos] is where it would go. *)
+let find t buf k =
+  let n = nkeys buf and stride = leaf_stride t in
+  let pos = bisect t buf ~stride ~from:0 ~n ~above:false k in
+  if pos < n && compare_at buf (entry stride pos) k 0 t.key_width = 0 then pos
+  else -1 - pos
+
 let child_at t buf slot =
   if slot = 0 then get_i64 buf 8
-  else
-    get_i64 buf
-      (header_size + ((slot - 1) * node_stride t) + (8 * t.key_width))
+  else get_i64 buf (entry (node_stride t) (slot - 1) + (8 * t.key_width))
 
 let at_leaf = (-1, -1)
 
@@ -245,7 +232,7 @@ let at_leaf = (-1, -1)
    the child that [probe] routes to in page [pid] (the number of
    separators at or below it) and that child's page id, or [at_leaf]. *)
 let route t pid probe =
-  Storage.Buffer_pool.with_page t.pool pid ~dirty:false (fun buf ->
+  peek t pid (fun buf ->
       if is_leaf buf then at_leaf
       else
         let slot =
@@ -268,110 +255,110 @@ let rec find_leaf t pid probe =
 let mem t k =
   check_width t k;
   let leaf = find_leaf t t.root k in
-  Storage.Buffer_pool.with_page t.pool leaf ~dirty:false (fun buf ->
-      let n = nkeys buf and stride = leaf_stride t in
-      let pos = bisect t buf ~stride ~from:0 ~n ~above:false k in
-      pos < n
-      && compare_at buf (header_size + (pos * stride)) k 0 t.key_width = 0)
-
-(* First index with keys.(i) >= probe, over a decoded page. *)
-let bisect_left keys probe =
-  let lo = ref 0 and hi = ref (Array.length keys) in
-  while !lo < !hi do
-    let mid = (!lo + !hi) / 2 in
-    if compare_keys keys.(mid) probe < 0 then lo := mid + 1 else hi := mid
-  done;
-  !lo
+  peek t leaf (fun buf -> find t buf k >= 0)
 
 (* ------------------------------------------------------------------ *)
-(* Array editing helpers *)
+(* Updates.
 
-let insert_at arr pos v =
-  let n = Array.length arr in
-  Array.init (n + 1) (fun i ->
-      if i < pos then arr.(i) else if i = pos then v else arr.(i - 1))
+   An update pins one page at a time, in a fixed order: it reads a page,
+   then edits it in place. Entries that change pages — the half a split
+   moves right, a borrowed entry, a merged page — are copied out under
+   the read pin of their source page. *)
 
-let remove_at arr pos =
-  let n = Array.length arr in
-  Array.init (n - 1) (fun i -> if i < pos then arr.(i) else arr.(i + 1))
+type ins_result = Done | Duplicate | Split of Bytes.t
+(* [Split e]: the page split, and its parent gains the entry [e] — the
+   new right page's first key, then its page id. *)
 
-(* ------------------------------------------------------------------ *)
-(* Insertion *)
+(* Under the read pin of a page of [n] entries that gains one at [pos]:
+   empty if the page has room, else a copy of the entries a split moves
+   to the new right page, the upper half of the [n + 1]. *)
+let split_run buf ~stride ~cap ~n pos =
+  if n < cap then Bytes.empty
+  else
+    let mid = (n + 1) / 2 in
+    let s = if pos < mid then mid - 1 else mid in
+    Bytes.sub buf (entry stride s) ((n - s) * stride)
 
-type ins_result = Done | Duplicate | Split of key * int
+(* Put entry [e] at slot [pos] of page [pid], whose [n] entries and
+   [split_run] the caller read. A split's right leaf inherits [next];
+   a right internal page hands its first key up and keeps that entry's
+   child as its child 0. *)
+let place t pid ~leaf ~n ~pos ~next e run =
+  let stride = Bytes.length e in
+  if Bytes.length run = 0 then begin
+    edit t pid (fun buf -> put_entry buf ~n pos e);
+    Done
+  end
+  else begin
+    let s = n - (Bytes.length run / stride) and left = pos < (n + 1) / 2 in
+    let kb = 8 * t.key_width in
+    let right = alloc_page t in
+    let sep =
+      edit t right (fun buf ->
+          init_page buf ~leaf ~next;
+          append buf ~stride ~n:0 run;
+          if not left then put_entry buf ~n:(n - s) (pos - s) e;
+          let sep = Bytes.create (node_stride t) in
+          Bytes.blit buf header_size sep 0 kb;
+          set_i64 sep kb right;
+          if not leaf then begin
+            set_i64 buf 8 (get_i64 buf (header_size + kb));
+            drop_entry buf ~stride ~n:(nkeys buf) 0
+          end;
+          sep)
+    in
+    edit t pid (fun buf ->
+        cut buf ~stride ~n s;
+        if leaf then set_i64 buf 8 right;
+        if left then put_entry buf ~n:s pos e);
+    Split sep
+  end
 
-(* [level] counts down to 1 at the leaves: the descent routes through
-   internal pages in place, and only a page being rewritten is
-   decoded. *)
+(* [level] counts down to 1 at the leaves. *)
 let rec ins t pid level k =
-  if level = 1 then
-    match read_node t pid with
-    | Node _ -> assert false
-    | Leaf { keys; next } ->
-        let pos = bisect_left keys k in
-        if pos < Array.length keys && equal_keys keys.(pos) k then Duplicate
-        else
-          let keys = insert_at keys pos k in
-          if Array.length keys <= t.leaf_cap then begin
-            write_node t pid (Leaf { keys; next });
-            Done
-          end
-          else begin
-            let mid = Array.length keys / 2 in
-            let left = Array.sub keys 0 mid in
-            let right = Array.sub keys mid (Array.length keys - mid) in
-            let new_pid = alloc_page t in
-            write_node t new_pid (Leaf { keys = right; next });
-            write_node t pid (Leaf { keys = left; next = new_pid });
-            Split (right.(0), new_pid)
-          end
+  if level = 1 then begin
+    let stride = leaf_stride t in
+    let n, at, next, run =
+      peek t pid (fun buf ->
+          let n = nkeys buf and at = find t buf k in
+          ( n, at, get_i64 buf 8,
+            if at >= 0 then Bytes.empty
+            else split_run buf ~stride ~cap:t.leaf_cap ~n (-1 - at) ))
+    in
+    if at >= 0 then Duplicate
+    else begin
+      let e = Bytes.create stride in
+      write_key t e 0 k;
+      place t pid ~leaf:true ~n ~pos:(-1 - at) ~next e run
+    end
+  end
   else
     let slot, child = route t pid k in
     match ins t child (level - 1) k with
     | (Done | Duplicate) as r -> r
-    | Split (sep, new_child) -> (
-        match read_node t pid with
-        | Leaf _ -> assert false
-        | Node { keys; children } ->
-            let keys = insert_at keys slot sep in
-            let children = insert_at children (slot + 1) new_child in
-            if Array.length keys <= t.node_cap then begin
-              write_node t pid (Node { keys; children });
-              Done
-            end
-            else begin
-              (* Promote the middle separator. *)
-              let mid = Array.length keys / 2 in
-              let promoted = keys.(mid) in
-              let lkeys = Array.sub keys 0 mid in
-              let rkeys =
-                Array.sub keys (mid + 1) (Array.length keys - mid - 1)
-              in
-              let lchildren = Array.sub children 0 (mid + 1) in
-              let rchildren =
-                Array.sub children (mid + 1) (Array.length children - mid - 1)
-              in
-              let new_pid = alloc_page t in
-              write_node t new_pid
-                (Node { keys = rkeys; children = rchildren });
-              write_node t pid (Node { keys = lkeys; children = lchildren });
-              Split (promoted, new_pid)
-            end)
+    | Split e ->
+        let stride = node_stride t in
+        let n, run =
+          peek t pid (fun buf ->
+              let n = nkeys buf in
+              (n, split_run buf ~stride ~cap:t.node_cap ~n slot))
+        in
+        place t pid ~leaf:false ~n ~pos:slot ~next:(-1) e run
 
 let insert t k =
   check_width t k;
   match ins t t.root t.height k with
   | Duplicate -> false
-  | Done ->
-      t.count <- t.count + 1;
-      sync_meta t;
-      true
-  | Split (sep, new_child) ->
-      let new_root = alloc_page t in
-      write_node t new_root
-        (Node { keys = [| sep |]; children = [| t.root; new_child |] });
-      t.root <- new_root;
-      t.height <- t.height + 1;
+  | r ->
+      (match r with
+      | Split e ->
+          let root = alloc_page t in
+          edit t root (fun buf ->
+              init_page buf ~leaf:false ~next:t.root;
+              put_entry buf ~n:0 0 e);
+          t.root <- root;
+          t.height <- t.height + 1
+      | Done | Duplicate -> ());
       t.count <- t.count + 1;
       sync_meta t;
       true
@@ -382,136 +369,97 @@ let insert t k =
 let leaf_min t = t.leaf_cap / 2
 let node_min t = t.node_cap / 2
 
-let node_size = function
-  | Leaf { keys; _ } -> Array.length keys
-  | Node { keys; _ } -> Array.length keys
-
-(* Rebalance [children.(slot)] of the internal node [pid] after a
-   deletion left it under-full. Siblings share the parent, so a borrow
-   rotates one entry through the parent separator and a merge removes
-   the separator. *)
+(* Rebalance child [slot] of the internal page [pid] after a deletion
+   left it under-full. Siblings share the parent, so a borrow rotates
+   one entry through the parent's separator and a merge drops the
+   separator. An internal child takes a separator down as an entry over
+   the child 0 it displaces. *)
 let fix_underflow t pid slot =
-  match read_node t pid with
-  | Leaf _ -> assert false
-  | Node { keys; children } -> (
-      let child_pid = children.(slot) in
-      let child = read_node t child_pid in
-      let min_size =
-        match child with Leaf _ -> leaf_min t | Node _ -> node_min t
+  let ns = node_stride t and kb = 8 * t.key_width in
+  let lo = max 0 (slot - 1) in
+  (* the children around [slot], and a copy of the separators between *)
+  let np, child, lsib, rsib, seps =
+    peek t pid (fun buf ->
+        let np = nkeys buf in
+        let sib i = if i >= 0 && i <= np then child_at t buf i else -1 in
+        ( np, child_at t buf slot, sib (slot - 1), sib (slot + 1),
+          Bytes.sub buf (entry ns lo) ((min np (slot + 1) - lo) * ns) ))
+  in
+  let down l c =
+    let e = Bytes.create ns in
+    Bytes.blit seps ((l - lo) * ns) e 0 kb;
+    set_i64 e kb c;
+    e
+  in
+  let leaf, size = peek t child (fun buf -> (is_leaf buf, nkeys buf)) in
+  let least = if leaf then leaf_min t else node_min t in
+  if size < least then begin
+    let stride = if leaf then leaf_stride t else ns in
+    let spare sib = sib >= 0 && peek t sib nkeys > least in
+    let left_ok = spare lsib in
+    let right_ok = spare rsib in
+    if left_ok then begin
+      let nl, last =
+        peek t lsib (fun buf ->
+            let nl = nkeys buf in
+            (nl, Bytes.sub buf (entry stride (nl - 1)) stride))
       in
-      if node_size child >= min_size then ()
-      else
-        let borrow_from_left l =
-          (* l = slot - 1 *)
-          let left_pid = children.(l) in
-          match (read_node t left_pid, child) with
-          | Leaf lf, Leaf cf ->
-              let n = Array.length lf.keys in
-              let moved = lf.keys.(n - 1) in
-              write_node t left_pid
-                (Leaf { keys = Array.sub lf.keys 0 (n - 1); next = lf.next });
-              write_node t child_pid
-                (Leaf { keys = insert_at cf.keys 0 moved; next = cf.next });
-              write_node t pid
-                (Node { keys = (let ks = Array.copy keys in ks.(l) <- moved; ks);
-                        children })
-          | Node ln, Node cn ->
-              let n = Array.length ln.keys in
-              let new_sep = ln.keys.(n - 1) in
-              let moved_child = ln.children.(n) in
-              write_node t left_pid
-                (Node { keys = Array.sub ln.keys 0 (n - 1);
-                        children = Array.sub ln.children 0 n });
-              write_node t child_pid
-                (Node { keys = insert_at cn.keys 0 keys.(l);
-                        children = insert_at cn.children 0 moved_child });
-              write_node t pid
-                (Node
-                   { keys = (let ks = Array.copy keys in ks.(l) <- new_sep; ks);
-                     children })
-          | _ -> assert false
-        in
-        let borrow_from_right () =
-          let right_pid = children.(slot + 1) in
-          match (read_node t right_pid, child) with
-          | Leaf rf, Leaf cf ->
-              let moved = rf.keys.(0) in
-              write_node t right_pid
-                (Leaf { keys = remove_at rf.keys 0; next = rf.next });
-              write_node t child_pid
-                (Leaf
-                   { keys = insert_at cf.keys (Array.length cf.keys) moved;
-                     next = cf.next });
-              write_node t pid
-                (Node
-                   { keys =
-                       (let ks = Array.copy keys in
-                        ks.(slot) <- rf.keys.(1);
-                        ks);
-                     children })
-          | Node rn, Node cn ->
-              let moved_child = rn.children.(0) in
-              let new_sep = rn.keys.(0) in
-              write_node t right_pid
-                (Node { keys = remove_at rn.keys 0;
-                        children = remove_at rn.children 0 });
-              write_node t child_pid
-                (Node
-                   { keys = insert_at cn.keys (Array.length cn.keys) keys.(slot);
-                     children =
-                       insert_at cn.children (Array.length cn.children)
-                         moved_child });
-              write_node t pid
-                (Node
-                   { keys =
-                       (let ks = Array.copy keys in
-                        ks.(slot) <- new_sep;
-                        ks);
-                     children })
-          | _ -> assert false
-        in
-        let merge_with_right l =
-          (* Merge children.(l) and children.(l+1) into children.(l),
-             dropping separator keys.(l). *)
-          let left_pid = children.(l) and right_pid = children.(l + 1) in
-          (match (read_node t left_pid, read_node t right_pid) with
-          | Leaf lf, Leaf rf ->
-              write_node t left_pid
-                (Leaf { keys = Array.append lf.keys rf.keys; next = rf.next })
-          | Node ln, Node rn ->
-              write_node t left_pid
-                (Node
-                   { keys =
-                       Array.concat [ ln.keys; [| keys.(l) |]; rn.keys ];
-                     children = Array.append ln.children rn.children })
-          | _ -> assert false);
-          free_page t right_pid;
-          write_node t pid
-            (Node { keys = remove_at keys l; children = remove_at children (l + 1) })
-        in
-        let left_ok =
-          slot > 0 && node_size (read_node t children.(slot - 1)) > min_size
-        in
-        let right_ok =
-          slot < Array.length keys
-          && node_size (read_node t children.(slot + 1)) > min_size
-        in
-        if left_ok then borrow_from_left (slot - 1)
-        else if right_ok then borrow_from_right ()
-        else if slot > 0 then merge_with_right (slot - 1)
-        else merge_with_right slot)
+      edit t lsib (fun buf -> cut buf ~stride ~n:nl (nl - 1));
+      edit t child (fun buf ->
+          if leaf then put_entry buf ~n:size 0 last
+          else begin
+            put_entry buf ~n:size 0 (down (slot - 1) (get_i64 buf 8));
+            set_i64 buf 8 (get_i64 last kb)
+          end);
+      edit t pid (fun buf -> Bytes.blit last 0 buf (entry ns (slot - 1)) kb)
+    end
+    else if right_ok then begin
+      let first, c0 =
+        peek t rsib (fun buf ->
+            (Bytes.sub buf header_size stride, get_i64 buf 8))
+      in
+      let sep =
+        edit t rsib (fun buf ->
+            drop_entry buf ~stride ~n:(nkeys buf) 0;
+            if leaf then Bytes.sub buf header_size kb
+            else begin
+              set_i64 buf 8 (get_i64 first kb);
+              first
+            end)
+      in
+      edit t child (fun buf ->
+          put_entry buf ~n:size size (if leaf then first else down slot c0));
+      edit t pid (fun buf -> Bytes.blit sep 0 buf (entry ns slot) kb)
+    end
+    else begin
+      (* merge child [lo + 1] into child [lo] *)
+      let lp, rp = if slot > 0 then (lsib, child) else (child, rsib) in
+      let next, run =
+        peek t rp (fun buf ->
+            (get_i64 buf 8, Bytes.sub buf header_size (nkeys buf * stride)))
+      in
+      let nl = peek t lp nkeys in
+      edit t lp (fun buf ->
+          if leaf then begin
+            append buf ~stride ~n:nl run;
+            set_i64 buf 8 next
+          end
+          else begin
+            put_entry buf ~n:nl nl (down lo next);
+            append buf ~stride ~n:(nl + 1) run
+          end);
+      free_page t rp;
+      edit t pid (fun buf -> drop_entry buf ~stride:ns ~n:np lo)
+    end
+  end
 
 let rec del t pid level k =
-  if level = 1 then
-    match read_node t pid with
-    | Node _ -> assert false
-    | Leaf { keys; next } ->
-        let pos = bisect_left keys k in
-        if pos < Array.length keys && equal_keys keys.(pos) k then begin
-          write_node t pid (Leaf { keys = remove_at keys pos; next });
-          true
-        end
-        else false
+  if level = 1 then begin
+    let n, at = peek t pid (fun buf -> (nkeys buf, find t buf k)) in
+    if at >= 0 then
+      edit t pid (fun buf -> drop_entry buf ~stride:(leaf_stride t) ~n at);
+    at >= 0
+  end
   else
     let slot, child = route t pid k in
     let removed = del t child (level - 1) k in
@@ -526,7 +474,7 @@ let delete t k =
     (* Collapse the root while it is an internal node with one child. *)
     let rec collapse () =
       let only_child =
-        Storage.Buffer_pool.with_page t.pool t.root ~dirty:false (fun buf ->
+        peek t t.root (fun buf ->
             if is_leaf buf || nkeys buf > 0 then -1 else get_i64 buf 8)
       in
       if only_child >= 0 then begin
@@ -575,7 +523,7 @@ type cursor = {
    the first above [c.hi]. *)
 let load c pid lo =
   let t = c.tree in
-  Storage.Buffer_pool.with_page t.pool pid ~dirty:false (fun buf ->
+  peek t pid (fun buf ->
       let n = nkeys buf and stride = leaf_stride t in
       let first =
         match lo with
@@ -583,8 +531,7 @@ let load c pid lo =
         | Some lo -> bisect t buf ~stride ~from:0 ~n ~above:false lo
       in
       let stop = bisect t buf ~stride ~from:first ~n ~above:true c.hi in
-      let off = header_size + (first * stride) in
-      c.run <- Bytes.sub buf off ((stop - first) * stride);
+      c.run <- Bytes.sub buf (entry stride first) ((stop - first) * stride);
       c.pos <- 0;
       c.next_leaf <- (if stop < n then -1 else get_i64 buf 8))
 
@@ -645,10 +592,10 @@ let min_key t =
 
 let max_key t =
   let leaf = find_leaf t t.root (hi_pad t []) in
-  Storage.Buffer_pool.with_page t.pool leaf ~dirty:false (fun buf ->
+  peek t leaf (fun buf ->
       let n = nkeys buf in
       if n = 0 then None
-      else Some (read_key t buf (header_size + ((n - 1) * leaf_stride t))))
+      else Some (read_key t buf (entry (leaf_stride t) (n - 1))))
 
 (* ------------------------------------------------------------------ *)
 (* Bulk loading *)
@@ -664,6 +611,13 @@ let bulk_load ?(fill = 0.9) pool ~key_width seq =
     { pool; meta_page; key_width; leaf_cap; node_cap; root = -1; count = 0;
       height = 1; free_head = -1; page_count = 0 }
   in
+  let stride = leaf_stride t in
+  let write_leaf pid keys ~next =
+    edit t pid (fun buf ->
+        init_page buf ~leaf:true ~next;
+        Array.iteri (fun i k -> write_key t buf (entry stride i) k) keys;
+        set_nkeys buf (Array.length keys))
+  in
   let leaf_target = max 2 (int_of_float (fill *. float_of_int leaf_cap)) in
   let node_target = max 2 (int_of_float (fill *. float_of_int node_cap)) in
   (* Stream the sorted keys into chained leaves. *)
@@ -678,7 +632,7 @@ let bulk_load ?(fill = 0.9) pool ~key_width seq =
       let keys = Array.of_list (List.rev !pending) in
       let pid = alloc_page t in
       if !prev_leaf >= 0 then
-        write_node t !prev_leaf (Leaf { keys = !prev_leaf_keys; next = pid });
+        write_leaf !prev_leaf !prev_leaf_keys ~next:pid;
       prev_leaf := pid;
       prev_leaf_keys := keys;
       leaves := (keys.(0), pid) :: !leaves;
@@ -702,11 +656,11 @@ let bulk_load ?(fill = 0.9) pool ~key_width seq =
     seq;
   flush_leaf ();
   if !prev_leaf >= 0 then
-    write_node t !prev_leaf (Leaf { keys = !prev_leaf_keys; next = -1 });
+    write_leaf !prev_leaf !prev_leaf_keys ~next:(-1);
   let level = List.rev !leaves in
   if level = [] then begin
     let root = alloc_page t in
-    write_node t root (Leaf { keys = [||]; next = -1 });
+    edit t root (fun buf -> init_page buf ~leaf:true ~next:(-1));
     t.root <- root;
     t.height <- 1
   end
@@ -747,12 +701,16 @@ let bulk_load ?(fill = 0.9) pool ~key_width seq =
                 match group with
                 | [] -> assert false
                 | (first_key, first_pid) :: rest ->
-                    let keys = Array.of_list (List.map fst rest) in
-                    let children =
-                      Array.of_list (first_pid :: List.map snd rest)
-                    in
                     let pid = alloc_page t in
-                    write_node t pid (Node { keys; children });
+                    edit t pid (fun buf ->
+                        init_page buf ~leaf:false ~next:first_pid;
+                        List.iteri
+                          (fun i (k, child) ->
+                            let off = entry (node_stride t) i in
+                            write_key t buf off k;
+                            set_i64 buf (off + (8 * key_width)) child)
+                          rest;
+                        set_nkeys buf (List.length rest));
                     (first_key, pid))
               !groups
           in
@@ -768,55 +726,57 @@ let bulk_load ?(fill = 0.9) pool ~key_width seq =
 
 let check_invariants ?(occupancy = true) t =
   let fail fmt = Format.kasprintf failwith fmt in
-  let leaves_seen = ref [] in
-  let pages_seen = ref 0 in
-  (* Returns (depth, count) of the subtree while checking that every key
-     lies within the separator bounds inherited from above. *)
+  let limit = Storage.Buffer_pool.block_size t.pool in
+  let leaves_seen = ref [] and pages_seen = ref 0 in
+  (* Checks the subtree at [pid], whose keys must lie in [lo, hi), and
+     returns its depth and entry count. The page is checked under its
+     pin; its children, each between two of its [bounds], after it. *)
   let rec walk pid ~is_root ~lo ~hi =
     incr pages_seen;
-    let in_bounds k =
-      (match lo with Some l -> compare_keys l k <= 0 | None -> true)
-      && match hi with Some h -> compare_keys k h < 0 | None -> true
+    let leaf, n, bounds, children =
+      peek t pid (fun buf ->
+          let leaf = is_leaf buf and n = nkeys buf in
+          let kind, cap, least, stride =
+            if leaf then ("leaf", t.leaf_cap, leaf_min t, leaf_stride t)
+            else ("node", t.node_cap, node_min t, node_stride t)
+          in
+          if occupancy && (not is_root) && n < least then
+            fail "%s %d under-full: %d < %d" kind pid n least;
+          if is_root && (not leaf) && n < 1 then
+            fail "internal root %d has no key" pid;
+          if n > cap then fail "%s %d over-full" kind pid;
+          let used = entry stride n in
+          if not (Storage.Mem.is_zero (Bytes.sub buf used (limit - used))) then
+            fail "%s %d has nonzero bytes past its last entry" kind pid;
+          ( leaf, n,
+            Array.init (n + 2) (fun i ->
+                if i = 0 then lo
+                else if i > n then hi
+                else Some (read_key t buf (entry stride (i - 1)))),
+            Array.init (if leaf then 0 else n + 1) (child_at t buf) ))
     in
-    match read_node t pid with
-    | Leaf { keys; _ } ->
-        let n = Array.length keys in
-        if occupancy && (not is_root) && n < leaf_min t then
-          fail "leaf %d under-full: %d < %d" pid n (leaf_min t);
-        if n > t.leaf_cap then fail "leaf %d over-full" pid;
-        Array.iteri
-          (fun i k ->
-            if i > 0 && compare_keys keys.(i - 1) k >= 0 then
-              fail "leaf %d keys out of order" pid;
-            if not (in_bounds k) then
-              fail "leaf %d key escapes separator bounds" pid)
-          keys;
-        leaves_seen := pid :: !leaves_seen;
-        (1, n)
-    | Node { keys; children } ->
-        let n = Array.length keys in
-        if occupancy && (not is_root) && n < node_min t then
-          fail "node %d under-full: %d < %d" pid n (node_min t);
-        if is_root && n < 1 then fail "internal root %d has no key" pid;
-        if n > t.node_cap then fail "node %d over-full" pid;
-        Array.iteri
-          (fun i k ->
-            if i > 0 && compare_keys keys.(i - 1) k >= 0 then
-              fail "node %d separators out of order" pid;
-            if not (in_bounds k) then
-              fail "node %d separator escapes bounds" pid)
-          keys;
-        let depth = ref 0 and total = ref 0 in
-        Array.iteri
-          (fun i child ->
-            let clo = if i = 0 then lo else Some keys.(i - 1) in
-            let chi = if i = n then hi else Some keys.(i) in
-            let d, c = walk child ~is_root:false ~lo:clo ~hi:chi in
-            if !depth = 0 then depth := d
-            else if d <> !depth then fail "node %d has uneven depths" pid;
-            total := !total + c)
-          children;
-        (!depth + 1, !total)
+    (* the keys ascend strictly, from [lo] on, to below [hi] *)
+    for i = 1 to n + 1 do
+      match (bounds.(i - 1), bounds.(i)) with
+      | Some a, Some b when n > 0 && compare_keys a b >= if i = 1 then 1 else 0
+        ->
+          fail "page %d keys out of order or out of bounds" pid
+      | _ -> ()
+    done;
+    if leaf then begin
+      leaves_seen := pid :: !leaves_seen;
+      (1, n)
+    end
+    else
+      let subtrees =
+        Array.mapi
+          (fun i c -> walk c ~is_root:false ~lo:bounds.(i) ~hi:bounds.(i + 1))
+          children
+      in
+      let depth = fst subtrees.(0) in
+      if Array.exists (fun (d, _) -> d <> depth) subtrees then
+        fail "node %d has uneven depths" pid;
+      (depth + 1, Array.fold_left (fun acc (_, c) -> acc + c) 0 subtrees)
   in
   let depth, total = walk t.root ~is_root:true ~lo:None ~hi:None in
   if depth <> t.height then
@@ -831,9 +791,9 @@ let check_invariants ?(occupancy = true) t =
   let rec chain pid acc =
     if pid < 0 then List.rev acc
     else
-      match read_node t pid with
-      | Leaf { next; _ } -> chain next (pid :: acc)
-      | Node _ -> fail "leaf chain reaches internal node %d" pid
+      match peek t pid (fun buf -> (is_leaf buf, get_i64 buf 8)) with
+      | false, _ -> fail "leaf chain reaches internal node %d" pid
+      | true, next -> chain next (pid :: acc)
   in
   match in_order with
   | [] -> fail "tree has no leaves"

@@ -121,8 +121,8 @@ let apply_batch t device ~fin =
       | Storage.Journal.Write { page; after; _ } ->
           if not (Hashtbl.mem images page) then order := page :: !order;
           Hashtbl.replace images page after
-      | Storage.Journal.Delta { page; move; ranges } ->
-          Storage.Journal.patch ?move (image page) ranges
+      | Storage.Journal.Delta { page; move; zero; ranges } ->
+          Storage.Journal.patch ?move ?zero (image page) ranges
       | Storage.Journal.Commit -> ());
       t.records <- t.records + 1)
     (List.rev t.pending);

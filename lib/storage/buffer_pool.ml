@@ -136,9 +136,9 @@ let log_write t frame =
         match
           Journal.delta ~trailer:(dev_size t - block_size t) ~base frame.data
         with
-        | None, [] -> ()
-        | move, ranges ->
-            Journal.append j (Journal.Delta { page; move; ranges })
+        | None, None, [] -> ()
+        | move, zero, ranges ->
+            Journal.append j (Journal.Delta { page; move; zero; ranges })
       end;
       (match frame.shadow with
       | Some s -> Bytes.blit frame.data 0 s 0 (Bytes.length s)

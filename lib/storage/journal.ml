@@ -2,7 +2,8 @@ type move = { src : int; dst : int; len : int }
 
 type record =
   | Write of { page : int; before : Bytes.t; after : Bytes.t }
-  | Delta of { page : int; move : move option; ranges : (int * Bytes.t) list }
+  | Delta of { page : int; move : move option; zero : (int * int) option;
+                ranges : (int * Bytes.t) list }
   | Commit
 
 (* The log is held as serialized bytes, exactly as it would sit on a log
@@ -14,7 +15,10 @@ type record =
              | page:u32le nranges:u16le range*                  (tag 3)
              | page:u32le alen:u32le nranges:u16le range*       (tag 4)
              | page:u32le move nranges:u16le range*             (tag 5)
+             | page:u32le zero nranges:u16le range*             (tag 6)
+             | page:u32le move zero nranges:u16le range*        (tag 7)
      move   := src:u16le dst:u16le len:u16le
+     zero   := off:u16le len:u16le
      range  := off:u16le len:u16le bytes
 
    Tag 4 is a Write whose before-image is [alen] zero bytes — a page
@@ -22,7 +26,9 @@ type record =
    load allocates. Neither that image nor the zero free space of the
    after-image is serialized: the after-image is logged as its ranges
    against zero. Tag 5 is a Delta whose move is blitted before its
-   ranges are patched.
+   ranges are patched; tags 6 and 7 are Deltas, without and with a
+   move, that also zero a span — the bytes a used end that shrank left
+   behind — after the move and before the ranges.
 
    The bytes live outside the OCaml heap, in fixed-size [Bigarray]
    chunks allocated as the log grows: a log of hundreds of MB then
@@ -157,10 +163,12 @@ let diff ~base data =
    the checksum trailer), and the moved run is the common suffix of the
    two used prefixes, verified backwards from those ends. The move
    rewrites exactly [dst, dst + len), so what is left to log are the
-   changes in the windows on either side of it, diffed in place. A run
-   shorter than [min_move] is not worth its header: the page gets a
-   plain diff. Either way the zero free space past both used ends is
-   scanned once, by [used_end], and never diffed. *)
+   changes in the window before it, diffed in place; bytes a shrinking
+   used end left behind are logged as one zero span, not as the
+   kilobyte of zeros a split frees. A run shorter than [min_move] is
+   not worth its header: the page gets a plain diff below its used
+   end. Either way the zero free space past both used ends is scanned
+   once, by [used_end], and never diffed. *)
 let min_move = 32
 
 (* One past the last nonzero byte of [b] below [lim]. *)
@@ -197,27 +205,26 @@ let delta ~trailer ~base data =
   check_lengths "delta" base data;
   let n = Bytes.length data and lim = Bytes.length data - trailer in
   let eb = used_end base lim and ed = used_end data lim in
-  (* [max eb ed, lim) is zero in both images: nothing to diff there *)
-  let hi = max eb ed in
+  (* [ed, eb) is zero in [data], [max eb ed, lim) in both images *)
+  let zero = if ed < eb then Some (ed, eb - ed) else None in
   let windows move ws =
-    ( move,
+    ( move, zero,
       List.rev
         (List.fold_left
            (fun acc (lo, hi) -> diff_window ~base data ~lo ~hi acc)
            [] ws) )
   in
   let len = if eb = ed then 0 else common_suffix base eb data ed in
-  if len < min_move then windows None [ (0, hi); (lim, n) ]
+  if len < min_move then windows None [ (0, ed); (lim, n) ]
   else
     let dst = ed - len in
-    windows
-      (Some { src = eb - len; dst; len })
-      [ (0, dst); (ed, hi); (lim, n) ]
+    windows (Some { src = eb - len; dst; len }) [ (0, dst); (lim, n) ]
 
-let patch ?move image ranges =
+let patch ?move ?zero image ranges =
   Option.iter
     (fun { src; dst; len } -> Bytes.blit image src image dst len)
     move;
+  Option.iter (fun (off, len) -> Bytes.fill image off len '\000') zero;
   List.iter (fun (off, b) -> Bytes.blit b 0 image off (Bytes.length b)) ranges
 
 let has_image t page = Hashtbl.mem t.images page
@@ -227,7 +234,7 @@ let has_image t page = Hashtbl.mem t.images page
 (* A full Write's CRC covers tag+body: chained over the 13-byte header
    and the two images, so the record is never copied to be summed. *)
 let write_crc hdr before after =
-  let crc = Checksum.all hdr in
+  let crc = Checksum.bytes hdr ~pos:0 ~len:13 in
   let crc = Checksum.bytes ~crc before ~pos:0 ~len:(Bytes.length before) in
   Checksum.bytes ~crc after ~pos:0 ~len:(Bytes.length after)
 
@@ -236,7 +243,7 @@ let u16 what v =
     invalid_arg (Printf.sprintf "Journal.append: %s %d exceeds u16" what v);
   v
 
-(* A record of tag 3, 4 or 5: an [h]-byte header — the tag, the fields
+(* A record of tag 3 to 7: an [h]-byte header — the tag, the fields
    [fields] writes, the range count — then the ranges. Returns the
    record, CRC included, and the bytes its ranges carry. *)
 let encode_ranges ~tag ~h fields ranges =
@@ -297,30 +304,39 @@ let append t r =
         push t trailer;
         count_payload t (Bytes.length before + alen)
       end
-  | Delta { page; move; ranges } ->
+  | Delta { page; move; zero; ranges } ->
       if not (has_image t page) then
         invalid_arg
           (Printf.sprintf
              "Journal.append: Delta for page %d, which has no image in \
               this checkpoint epoch"
              page);
+      let m = if move = None then 0 else 6
+      and z = if zero = None then 0 else 4 in
+      let tag =
+        match (move, zero) with
+        | None, None -> 3 | Some _, None -> 5 | None, Some _ -> 6 | _ -> 7
+      in
+      let set b off what v = Bytes.set_uint16_le b off (u16 what v) in
       let b, payload =
-        match move with
-        | None -> encode_ranges ~tag:3 ~h:7 (fun b -> set_u32 b 1 page) ranges
-        | Some { src; dst; len } ->
-            let b, payload =
-              encode_ranges ~tag:5 ~h:13
-                (fun b ->
-                  set_u32 b 1 page;
-                  Bytes.set_uint16_le b 5 (u16 "move source" src);
-                  Bytes.set_uint16_le b 7 (u16 "move target" dst);
-                  Bytes.set_uint16_le b 9 (u16 "move length" len))
-                ranges
-            in
-            (b, payload + 6)
+        encode_ranges ~tag ~h:(7 + m + z)
+          (fun b ->
+            set_u32 b 1 page;
+            Option.iter
+              (fun { src; dst; len } ->
+                set b 5 "move source" src;
+                set b 7 "move target" dst;
+                set b 9 "move length" len)
+              move;
+            Option.iter
+              (fun (off, len) ->
+                set b (5 + m) "zero offset" off;
+                set b (7 + m) "zero length" len)
+              zero)
+          ranges
       in
       push t b;
-      count_payload t payload
+      count_payload t (payload + m + z)
   | Commit ->
       let b = Bytes.create 5 in
       Bytes.set_uint8 b 0 2;
@@ -439,7 +455,7 @@ let scan_source read ~pos ~len =
   let pos = ref pos in
   let out = ref [] in
   let torn = ref false in
-  let hdr = Bytes.create 13 and trailer = Bytes.create 4 in
+  let hdr = Bytes.create 17 and trailer = Bytes.create 4 in
   let u32 b off =
     Int32.to_int (Int32.logand (Bytes.get_int32_le b off) 0xFFFFFFFFl)
   in
@@ -463,8 +479,8 @@ let scan_source read ~pos ~len =
          | 2 ->
              if start + 5 > len then raise Exit;
              (Checksum.bytes hdr ~pos:0 ~len:1, 1, fun () -> Commit)
-         | (3 | 4 | 5) as tag ->
-             let h = match tag with 3 -> 7 | 4 -> 11 | _ -> 13 in
+         | (3 | 4 | 5 | 6 | 7) as tag ->
+             let h = match tag with 3 -> 7 | 4 | 6 -> 11 | 5 -> 13 | _ -> 17 in
              if start + h > len then raise Exit;
              read start hdr 0 h;
              (* the range headers give the body's length *)
@@ -482,8 +498,9 @@ let scan_source read ~pos ~len =
                let ranges =
                  decode_ranges body h (Bytes.get_uint16_le body (h - 2))
                in
+               let u16 off = Bytes.get_uint16_le body off in
+               let m = if tag = 5 || tag = 7 then 6 else 0 in
                match tag with
-               | 3 -> Delta { page; move = None; ranges }
                | 4 ->
                    let alen = u32 body 5 in
                    let fits (off, r) = off + Bytes.length r <= alen in
@@ -493,11 +510,13 @@ let scan_source read ~pos ~len =
                    Write { page; before = Bytes.make alen '\000'; after }
                | _ ->
                    let move =
-                     { src = Bytes.get_uint16_le body 5;
-                       dst = Bytes.get_uint16_le body 7;
-                       len = Bytes.get_uint16_le body 9 }
+                     if m = 0 then None
+                     else Some { src = u16 5; dst = u16 7; len = u16 9 }
                    in
-                   Delta { page; move = Some move; ranges }
+                   let zero =
+                     if tag < 6 then None else Some (u16 (5 + m), u16 (7 + m))
+                   in
+                   Delta { page; move; zero; ranges }
              in
              (Checksum.all body, Bytes.length body, decode)
          | _ -> raise Exit
@@ -545,12 +564,12 @@ let target_map records =
           if i <= !last_commit then Hashtbl.replace target page after
           else if not (Hashtbl.mem target page) then
             Hashtbl.replace target page before
-      | Delta { page; move; ranges } ->
+      | Delta { page; move; zero; ranges } ->
           (* a Delta always follows its page's image in a log the pool
              wrote; one whose image was torn away has nothing to patch *)
           if i <= !last_commit then
             Option.iter
-              (fun image -> patch ?move image ranges)
+              (fun image -> patch ?move ?zero image ranges)
               (Hashtbl.find_opt target page))
     rs;
   target

@@ -11,8 +11,10 @@
     only the after-image's nonzero ranges are serialized); every later
     record for that page is a
     {!Delta} against the page's last logged image: an optional {!move}
-    — the shift of a B+-tree insert or delete, six bytes however long
-    the shifted tail — then the byte ranges that changed. Every
+    (the shift of a B+-tree insert or delete, six bytes however long
+    the shifted tail), an optional zero span (the bytes a delete, a
+    split or a merge freed, four bytes however many), then the byte
+    ranges that changed. Every
     write-back of a dirty page logs one of the two,
     {!Buffer_pool.commit} force-logs all dirty pages followed by a
     commit marker (log-force, lazy data pages), and {!recover}
@@ -45,9 +47,11 @@ type move = { src : int; dst : int; len : int }
 type record =
   | Write of { page : int; before : Bytes.t; after : Bytes.t }
       (** A full image: the page's first record in its epoch. *)
-  | Delta of { page : int; move : move option; ranges : (int * Bytes.t) list }
-      (** Apply [move] to the page's last logged image, then patch the
-          [(off, bytes)] ranges, in increasing offset order. *)
+  | Delta of { page : int; move : move option; zero : (int * int) option;
+                ranges : (int * Bytes.t) list }
+      (** Apply [move] to the page's last logged image, zero the
+          [(off, len)] span [zero], then patch the [(off, bytes)]
+          ranges, in increasing offset order. *)
   | Commit
 
 val create : unit -> t
@@ -72,19 +76,24 @@ val diff : base:Bytes.t -> Bytes.t -> (int * Bytes.t) list
     @raise Invalid_argument if the lengths differ. *)
 
 val delta :
-  trailer:int -> base:Bytes.t -> Bytes.t -> move option * (int * Bytes.t) list
+  trailer:int ->
+  base:Bytes.t ->
+  Bytes.t ->
+  move option * (int * int) option * (int * Bytes.t) list
 (** [delta ~trailer ~base page] is what a {!Delta} from [base] to [page]
     logs. When [page] is [base] with its used prefix shifted — found in
     O(1) from the two images' used ends, one past their last nonzero
     byte below the [trailer] (the checksum's bytes at the end), and
     verified backwards from them — it is that move plus the {!diff} of
-    the windows on either side of the moved run. Otherwise it is
-    [(None, diff ~base page)]. Either way
-    [patch ?move base ranges] turns [base] into [page].
+    the bytes before the moved run; otherwise the {!diff} below
+    [page]'s used end. A used end that shrank adds the zero span
+    between the two, and the trailer is diffed. Either way
+    [patch ?move ?zero base ranges] turns [base] into [page].
     @raise Invalid_argument if the lengths differ. *)
 
-val patch : ?move:move -> Bytes.t -> (int * Bytes.t) list -> unit
-(** Apply the move, then blit each range into the image at its offset. *)
+val patch :
+  ?move:move -> ?zero:int * int -> Bytes.t -> (int * Bytes.t) list -> unit
+(** Apply the move, zero the span, then blit each range in. *)
 
 val records : t -> record list
 (** All parseable records, durable then pending, oldest first. *)
@@ -93,7 +102,8 @@ val record_count : t -> int
 val byte_size : t -> int
 (** Payload bytes logged: both images of a [Write], or, when its
     before-image is all zero, the nonzero ranges of its after-image;
-    the ranges of a [Delta], plus 6 bytes for a move. Ranges count
+    the ranges of a [Delta], plus 6 bytes for a move and 4 for a zero
+    span. Ranges count
     their 4-byte headers. Diagnostic, excludes the record framing. *)
 
 val force : t -> unit

@@ -436,6 +436,185 @@ let test_min_max () =
   check (Alcotest.option (Alcotest.list Alcotest.int)) "max" (Some [ 100 ])
     (Option.map list_of_key (Btree.max_key t))
 
+(* ---- free space stays zero ----
+
+   Every live page is zero past its last entry, below the checksum
+   trailer, whatever edit touched it last; [check_invariants] verifies
+   it for every page. The trees live on 84-byte checksummed blocks — 8
+   keys a leaf, 4 separators an internal page — so a few hundred
+   operations split leaves and internal pages, borrow from both
+   siblings, merge, collapse the root and reuse freed pages. *)
+
+let small_tree () =
+  Btree.create
+    (Storage.Buffer_pool.create ~capacity:64 ~checksums:true
+       (Storage.Block_device.create ~block_size:84 ()))
+    ~key_width:1
+
+(* The leaves, left to right, as (first key, size), read off the page
+   bytes (the meta page holds the root at byte 16; child 0 and a leaf's
+   successor sit at byte 8 of a page, entries from byte 16); fails if a
+   leaf holds a nonzero byte past its last entry. *)
+let leaves t =
+  let page pid f =
+    Storage.Buffer_pool.with_page (Btree.pool t) pid ~dirty:false f
+  in
+  let i64 b off = Int64.to_int (Bytes.get_int64_be b off) in
+  let limit = Storage.Buffer_pool.block_size (Btree.pool t) in
+  let rec leftmost pid h =
+    if h = 1 then pid else leftmost (page pid (fun b -> i64 b 8)) (h - 1)
+  in
+  let rec chain pid acc =
+    if pid < 0 then List.rev acc
+    else
+      let first, n, next =
+        page pid (fun b ->
+            let n = Bytes.get_uint16_be b 2 in
+            let used = 16 + (8 * n) in
+            if not (Storage.Mem.is_zero (Bytes.sub b used (limit - used))) then
+              Alcotest.failf "leaf %d: nonzero bytes past its last entry" pid;
+            (i64 b 16, n, i64 b 8))
+      in
+      chain next ((first, n) :: acc)
+  in
+  let root = page (Btree.meta_page t) (fun b -> i64 b 16) in
+  chain (leftmost root (Btree.height t)) []
+
+(* Insert-heavy, mixed, delete-heavy, then insert-heavy again, over a
+   small key range. *)
+let gen_churn =
+  QCheck.Gen.(
+    let* span = int_range 30 300 in
+    let phase longest inserts =
+      list_size (int_range 0 longest)
+        (pair (map (fun p -> p < inserts) (int_bound 99)) (int_bound span))
+    in
+    let* grow = phase 300 90 in
+    let* mix = phase 200 50 in
+    let* shrink = phase 300 20 in
+    let* regrow = phase 100 90 in
+    return (grow @ mix @ shrink @ regrow))
+
+(* Run [ops] on a small tree, checking it after every operation against
+   [check_invariants], the leaves' free space and a set; with [seen],
+   record which structural edits the run made. *)
+let run_churn ?seen ops =
+  let t = small_tree () in
+  let dev = Storage.Buffer_pool.device (Btree.pool t) in
+  let model = ref KeySet.empty in
+  let note e = Option.iter (fun h -> Hashtbl.replace h e ()) seen in
+  List.iter
+    (fun (ins, k) ->
+      let before = leaves t and h0 = Btree.height t
+      and p0 = Btree.page_count t
+      and a0 = Storage.Block_device.allocated dev in
+      let present = KeySet.mem [ k ] !model in
+      if ins then begin
+        if Btree.insert t [| k |] = present then Alcotest.failf "insert %d" k;
+        model := KeySet.add [ k ] !model
+      end
+      else begin
+        if Btree.delete t [| k |] <> present then Alcotest.failf "delete %d" k;
+        model := KeySet.remove [ k ] !model
+      end;
+      Btree.check_invariants t;
+      let after = leaves t and h1 = Btree.height t in
+      if h1 > h0 && h0 >= 2 then note "internal split";
+      if h1 < h0 then note "root collapse";
+      if List.length after < List.length before then note "leaf merge";
+      if Btree.page_count t > p0 && Storage.Block_device.allocated dev = a0
+      then note "free page reused";
+      if present && (not ins) && List.length after = List.length before
+      then begin
+        (* the leaf that held [k], and the one that lost an entry *)
+        let index p l =
+          fst
+            (List.fold_left
+               (fun (found, i) x -> ((if p i x then i else found), i + 1))
+               (-1, 0) l)
+        in
+        let home = max 0 (index (fun _ (first, _) -> first <= k) before) in
+        let shrank =
+          index (fun i (_, n) -> n = snd (List.nth before i) - 1) after
+        in
+        if shrank >= 0 && shrank = home - 1 then note "borrow from left";
+        if shrank = home + 1 then note "borrow from right"
+      end)
+    ops;
+  if List.map list_of_key (Btree.to_list t) <> KeySet.elements !model then
+    Alcotest.fail "contents differ from the set"
+
+let prop_zero_free_space =
+  QCheck.Test.make ~count:100
+    ~name:"free space stays zero through splits, borrows and merges"
+    (QCheck.make gen_churn) (fun ops ->
+      run_churn ops;
+      true)
+
+(* The property's operation mix reaches every structural edit: fixed
+   seeds, so a change to the generator that stops reaching one fails
+   here. *)
+let test_churn_coverage () =
+  let seen = Hashtbl.create 8 and rand = Random.State.make [| 7 |] in
+  for _ = 1 to 30 do
+    run_churn ~seen (QCheck.Gen.generate1 ~rand gen_churn)
+  done;
+  List.iter
+    (fun e -> if not (Hashtbl.mem seen e) then Alcotest.failf "no %s" e)
+    [ "internal split"; "borrow from left"; "borrow from right"; "leaf merge";
+      "root collapse"; "free page reused" ]
+
+(* On a journaled pool a leaf edit logs one move: also after a split,
+   which zeroes the half it moved away, so the left leaf's used end is
+   its last entry; and a delete logs its freed stride as a zero span,
+   not as bytes — its ranges carry no zero byte of the page. *)
+let test_leaf_deltas () =
+  let pool =
+    Storage.Buffer_pool.create ~capacity:64 ~checksums:true
+      (Storage.Block_device.create ~block_size:2048 ())
+  in
+  let j = Storage.Journal.create () in
+  Storage.Buffer_pool.attach_journal pool j;
+  (* the covering index's width: node, lower, upper, id, rowid *)
+  let t = Btree.create pool ~key_width:5 in
+  (* [create] allocates the meta page, then the root leaf *)
+  let leaf = Btree.meta_page t + 1 in
+  let key i = [| 3; 10 * i; (10 * i) + 7; i; i |] in
+  (* the leaf's Deltas (move, ranges) that [f]'s commit logged *)
+  let logged f =
+    let n = List.length (Storage.Journal.records j) in
+    f ();
+    Storage.Buffer_pool.commit pool;
+    List.filteri (fun i _ -> i >= n) (Storage.Journal.records j)
+    |> List.filter_map (function
+         | Storage.Journal.Delta { page; move; ranges; _ } when page = leaf ->
+             Some (move, ranges)
+         | _ -> None)
+  in
+  Storage.Buffer_pool.commit pool;
+  ignore
+    (logged (fun () ->
+         for i = 0 to Btree.leaf_capacity t do
+           ignore (Btree.insert t (key (2 * i)))
+         done));
+  check Alcotest.int "the leaf split" 2 (Btree.height t);
+  (match logged (fun () -> ignore (Btree.insert t (key 3))) with
+  | [ (Some _, _) ] -> ()
+  | ds ->
+      Alcotest.failf "left-half insert: %d deltas, no move" (List.length ds));
+  let payload = Storage.Buffer_pool.block_size pool in
+  match logged (fun () -> ignore (Btree.delete t (key 4))) with
+  | [ (_, ranges) ] ->
+      List.iter
+        (fun (off, b) ->
+          Bytes.iteri
+            (fun i c ->
+              if off + i < payload && c = '\000' then
+                Alcotest.failf "delete logged a zero byte at %d" (off + i))
+            b)
+        ranges
+  | ds -> Alcotest.failf "delete: %d deltas" (List.length ds)
+
 let () =
   Alcotest.run "btree"
     [
@@ -471,4 +650,10 @@ let () =
          Alcotest.test_case "random ops vs Set (8k)" `Slow test_random_larger;
          QCheck_alcotest.to_alcotest prop_insert_then_mem;
          QCheck_alcotest.to_alcotest prop_in_place_reads ]);
+      ("zero tail",
+       [ QCheck_alcotest.to_alcotest prop_zero_free_space;
+         Alcotest.test_case "churn reaches every structural edit" `Quick
+           test_churn_coverage;
+         Alcotest.test_case "leaf deltas: a move after a split, no zeros"
+           `Quick test_leaf_deltas ]);
     ]
