@@ -248,7 +248,7 @@ let commit ~tiny =
         ("payload_bytes_per_commit",
          R.Float (per (Storage.Journal.byte_size j - bytes0))) ],
     [ ("moves_logged", md > 0);
-      ("bytes_per_commit_le_3000", bytes <= 3000.) ] )
+      ("bytes_per_commit_le_2004", bytes <= 2004.) ] )
 
 (* ---- replica: replication lag, failover time, read scale-out ---- *)
 

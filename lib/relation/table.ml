@@ -69,11 +69,17 @@ let create_index ?(bulk = false) t ~name ~columns =
   in
   let tree =
     if bulk then begin
-      let keys =
-        Heap.fold t.heap (fun acc rowid row -> key_of rowid row :: acc) []
+      let keys = Array.make (Heap.count t.heap) [||] in
+      let n =
+        Heap.fold t.heap
+          (fun i rowid row ->
+            keys.(i) <- key_of rowid row;
+            i + 1)
+          0
       in
-      let keys = List.sort Btree.compare_keys keys in
-      Btree.bulk_load t.pool ~key_width (List.to_seq keys)
+      assert (n = Array.length keys);
+      Array.sort Btree.compare_keys keys;
+      Btree.bulk_load t.pool ~key_width (Array.to_seq keys)
     end
     else begin
       let tree = Btree.create t.pool ~key_width in

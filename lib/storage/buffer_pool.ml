@@ -1,12 +1,18 @@
 exception Corrupt_page of int
 
+(* A frame record and its buffers outlive the page they hold: once the
+   pool is full, a miss reuses the evicted victim's record, data buffer
+   and shadow buffer, so a fault allocates nothing. A page's bytes are
+   therefore valid only while it is pinned. *)
 type frame = {
-  page_id : int;
-  data : Bytes.t;
+  mutable page_id : int;
+  mutable data : Bytes.t;
   mutable dirty : bool;
   mutable logged : bool;    (* content equals the last logged image *)
-  mutable shadow : Bytes.t option;
-      (* the last logged image, from the frame's first log on *)
+  mutable shadow : Bytes.t; (* [Bytes.empty] until the buffer's first log *)
+  mutable shadowed : bool;
+      (* [shadow] holds this page's last logged image: it has logged
+         since it was installed in this frame *)
   mutable pins : int;
   mutable prev : frame;     (* intrusive LRU ring; self-linked = off-ring *)
   mutable next : frame;
@@ -21,6 +27,10 @@ type t = {
   mutable pinned : int; (* frames with pins > 0 *)
   mutable journal : Journal.t option;
   before : Bytes.t; (* device image read as a frame's first log base *)
+  mutable spare : Bytes.t;
+      (* the buffer the next fault reads into ([Bytes.empty] until the
+         first one): a page is verified there before anything is evicted,
+         and the victim's data buffer becomes the next spare *)
   mutable staged_commits : int; (* commit requests awaiting a marker *)
   mutable commit_batches : int;
   mutable logical_reads : int;
@@ -34,7 +44,7 @@ type t = {
 let ring_sentinel () =
   let rec s =
     { page_id = -1; data = Bytes.empty; dirty = false; logged = false;
-      shadow = None; pins = 0; prev = s; next = s }
+      shadow = Bytes.empty; shadowed = false; pins = 0; prev = s; next = s }
   in
   s
 
@@ -61,9 +71,9 @@ let create ?(capacity = 200) ?(checksums = false) dev =
     invalid_arg "Buffer_pool.create: capacity must be positive";
   { dev; capacity; checksums; frames = Hashtbl.create (2 * capacity);
     lru = ring_sentinel (); pinned = 0; journal = None;
-    before = Bytes.create (Block_device.block_size dev); staged_commits = 0;
-    commit_batches = 0; logical_reads = 0; hits = 0; misses = 0;
-    evictions = 0 }
+    before = Bytes.create (Block_device.block_size dev); spare = Bytes.empty;
+    staged_commits = 0; commit_batches = 0; logical_reads = 0; hits = 0;
+    misses = 0; evictions = 0 }
 
 let attach_journal t j = t.journal <- Some j
 let journal t = t.journal
@@ -81,11 +91,13 @@ let dev_size t = Block_device.block_size t.dev
 let block_size t = if t.checksums then dev_size t - 4 else dev_size t
 
 (* Stamp the CRC trailer so the image about to be persisted (to the
-   device or into the journal) verifies on its next read. *)
+   device or into the journal) verifies on its next read. CRCs stay
+   unboxed ints: [Checksum.update] allocates nothing. *)
 let stamp t data =
   if t.checksums then
     let payload = dev_size t - 4 in
-    Bytes.set_int32_le data payload (Checksum.bytes data ~pos:0 ~len:payload)
+    Bytes.set_int32_le data payload
+      (Int32.of_int (Checksum.update 0 data ~pos:0 ~len:payload))
 
 (* A freshly allocated block is all zeroes and has never been stamped;
    by convention it verifies (cf. Postgres treating zero pages as
@@ -93,8 +105,10 @@ let stamp t data =
 let verify t page_id data =
   if t.checksums then begin
     let payload = dev_size t - 4 in
-    let stored = Bytes.get_int32_le data payload in
-    let actual = Checksum.bytes data ~pos:0 ~len:payload in
+    let stored =
+      Int32.to_int (Bytes.get_int32_le data payload) land 0xFFFF_FFFF
+    in
+    let actual = Checksum.update 0 data ~pos:0 ~len:payload in
     if stored <> actual && not (Mem.is_zero data) then
       raise (Corrupt_page page_id)
   end
@@ -122,11 +136,11 @@ let log_write t frame =
   | Some j ->
       let page = frame.page_id in
       let base =
-        match frame.shadow with
-        | Some s -> s
-        | None ->
-            Block_device.read t.dev page t.before;
-            t.before
+        if frame.shadowed then frame.shadow
+        else begin
+          Block_device.read t.dev page t.before;
+          t.before
+        end
       in
       (* [append] copies what it logs *)
       if not (Journal.has_image j page) then
@@ -140,9 +154,9 @@ let log_write t frame =
         | move, zero, ranges ->
             Journal.append j (Journal.Delta { page; move; zero; ranges })
       end;
-      (match frame.shadow with
-      | Some s -> Bytes.blit frame.data 0 s 0 (Bytes.length s)
-      | None -> frame.shadow <- Some (Bytes.copy frame.data));
+      if frame.shadow == Bytes.empty then frame.shadow <- Bytes.copy frame.data
+      else Bytes.blit frame.data 0 frame.shadow 0 (Bytes.length frame.data);
+      frame.shadowed <- true;
       frame.logged <- true
 
 let write_back t frame =
@@ -166,7 +180,8 @@ let all_pinned () = failwith "Buffer_pool: all frames pinned, cannot evict"
 
 (* Evict the least-recently-used unpinned frame to make room: the tail of
    the ring, O(1). Pinned frames are off the ring, so an empty ring means
-   every frame is pinned. *)
+   every frame is pinned. The victim leaves the ring and the table; its
+   record is the caller's to reuse. *)
 let evict_one t =
   let victim = t.lru.prev in
   if victim == t.lru then all_pinned ();
@@ -174,13 +189,39 @@ let evict_one t =
   ring_remove victim;
   Hashtbl.remove t.frames victim.page_id;
   t.evictions <- t.evictions + 1;
-  Obs.Counters.incr_pool_eviction ()
+  Obs.Counters.incr_pool_eviction ();
+  victim
 
-let install t page_id data dirty ~pins =
-  if Hashtbl.length t.frames >= t.capacity then evict_one t;
-  let rec frame =
-    { page_id; data; dirty; logged = false; shadow = None; pins;
-      prev = frame; next = frame }
+(* The spare buffer, created on first use. *)
+let spare t =
+  if t.spare == Bytes.empty then t.spare <- Bytes.create (dev_size t);
+  t.spare
+
+(* Install the page now held in the spare buffer. Below capacity the
+   spare becomes a new frame's buffer; at capacity the victim's record
+   takes the page, and the victim's buffer becomes the spare. *)
+let install t page_id ~dirty ~pins =
+  let data = t.spare in
+  let frame =
+    if Hashtbl.length t.frames < t.capacity then begin
+      t.spare <- Bytes.empty;
+      let rec frame =
+        { page_id; data; dirty; logged = false; shadow = Bytes.empty;
+          shadowed = false; pins; prev = frame; next = frame }
+      in
+      frame
+    end
+    else begin
+      let frame = evict_one t in
+      t.spare <- frame.data;
+      frame.page_id <- page_id;
+      frame.data <- data;
+      frame.dirty <- dirty;
+      frame.logged <- false;
+      frame.shadowed <- false;
+      frame.pins <- pins;
+      frame
+    end
   in
   if pins > 0 then t.pinned <- t.pinned + 1 else ring_push_mru t frame;
   Hashtbl.replace t.frames page_id frame;
@@ -188,18 +229,18 @@ let install t page_id data dirty ~pins =
 
 let alloc t =
   let id = Block_device.alloc t.dev in
-  let frame = install t id (Bytes.make (dev_size t) '\000') true ~pins:0 in
-  ignore frame;
+  Bytes.fill (spare t) 0 (dev_size t) '\000';
+  ignore (install t id ~dirty:true ~pins:0);
   id
 
 let fault_in t page_id =
-  let data = Bytes.create (dev_size t) in
+  let data = spare t in
   Block_device.read t.dev page_id data;
-  (* Verify before installing: a corrupt block must never enter the
-     cache as if it were valid data. *)
+  (* Verify before evicting or installing: a corrupt block must never
+     enter the cache as if it were valid data, nor cost a resident page
+     its frame. *)
   verify t page_id data;
-  let frame = install t page_id data false ~pins:1 in
-  frame.data
+  (install t page_id ~dirty:false ~pins:1).data
 
 let pin t page_id =
   t.logical_reads <- t.logical_reads + 1;

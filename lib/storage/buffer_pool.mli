@@ -13,14 +13,21 @@
     eviction path can never reach it, and an empty ring means the pool
     is exhausted). It measured ~16× the O(capacity) fold-based victim
     search it replaced at 200 frames ([BENCH_storage.json] before that
-    search was deleted). *)
+    search was deleted).
+
+    Frames are recycled: once the pool holds [capacity] pages, a miss
+    reuses the evicted victim's frame and buffers, so a fault allocates
+    nothing. The bytes {!pin} returns belong to the page only until its
+    last {!unpin}; after that the same buffer may hold another page. *)
 
 type t
 
 exception Corrupt_page of int
 (** Raised when a block read from the device fails its checksum trailer
     (checksummed pools only): the named page holds garbage — bit rot or
-    a torn write — and was {e not} installed in the cache. *)
+    a torn write — and was {e not} installed in the cache. The check
+    runs before any eviction, so the cached pages and their LRU order
+    are unchanged. *)
 
 val create : ?capacity:int -> ?checksums:bool -> Block_device.t -> t
 (** [create ~capacity dev] caches up to [capacity] blocks (default 200).
@@ -28,7 +35,8 @@ val create : ?capacity:int -> ?checksums:bool -> Block_device.t -> t
     trailer over the payload: {!block_size} shrinks by 4, write-backs
     stamp the trailer, and faulting a page in verifies it (raising
     {!Corrupt_page} on mismatch; an all-zero block — freshly allocated,
-    never written — passes).
+    never written — passes). No frame is allocated up front: frames are
+    created as pages are first cached.
     @raise Invalid_argument if [capacity < 1]. *)
 
 val device : t -> Block_device.t
@@ -42,15 +50,18 @@ val capacity : t -> int
 
 val alloc : t -> int
 (** Allocate a fresh page on the device and install it, dirty and
-    zero-filled, in the cache. Returns the page id. *)
+    zero-filled, in the cache (in a recycled buffer once the pool is
+    full). Returns the page id. *)
 
 val pin : t -> int -> Bytes.t
 (** [pin t id] returns the in-cache bytes of page [id], faulting it in
     from the device if necessary. The page cannot be evicted until every
     {!pin} is matched by an {!unpin}. Mutating the returned bytes is
     allowed; pass [~dirty:true] to the matching unpin so the mutation
-    survives eviction. On checksummed pools the buffer is the full
-    device block; only the first {!block_size} bytes are the caller's.
+    survives eviction. The bytes are the page's only while it is pinned:
+    once unpinned, the buffer may be recycled for another page. On
+    checksummed pools the buffer is the full device block; only the
+    first {!block_size} bytes are the caller's.
     @raise Failure if every frame is pinned (pool exhausted).
     @raise Corrupt_page if the faulted-in block fails verification.
     @raise Block_device.Io_error on an injected transient read fault. *)

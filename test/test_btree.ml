@@ -261,18 +261,36 @@ let random_ops_agree_with_set seed n =
 let test_random_small () = random_ops_agree_with_set 1 2_000
 let test_random_larger () = random_ops_agree_with_set 2 8_000
 
+(* [prop] again on a pool of 4-8 frames: nearly every fault then
+   recycles the victim's frame and buffer, so a page buffer kept past its
+   unpin reads another page's bytes and fails the oracle. *)
+let on_few_frames ~count ~name arb prop =
+  QCheck.Test.make ~count ~name:("4-8 frames: " ^ name)
+    QCheck.(pair (int_range 4 8) arb)
+    (fun (capacity, x) -> prop ~capacity x)
+
+let insert_then_mem_arb =
+  QCheck.(list (pair (int_range 0 200) (int_range 0 200)))
+
+let insert_then_mem ~capacity pairs =
+  let t = Btree.create (mk_pool ~capacity ()) ~key_width:2 in
+  List.iter (fun (a, b) -> ignore (Btree.insert t [| a; b |])) pairs;
+  List.for_all (fun (a, b) -> Btree.mem t [| a; b |]) pairs
+  && begin
+       List.iter (fun (a, b) -> ignore (Btree.delete t [| a; b |])) pairs;
+       List.for_all (fun (a, b) -> not (Btree.mem t [| a; b |])) pairs
+       && Btree.count t = 0
+     end
+
+let insert_then_mem_name = "insert implies mem; delete implies not mem"
+
 let prop_insert_then_mem =
-  QCheck.Test.make ~count:60 ~name:"insert implies mem; delete implies not mem"
-    QCheck.(list (pair (int_range 0 200) (int_range 0 200)))
-    (fun pairs ->
-      let t = Btree.create (mk_pool ()) ~key_width:2 in
-      List.iter (fun (a, b) -> ignore (Btree.insert t [| a; b |])) pairs;
-      List.for_all (fun (a, b) -> Btree.mem t [| a; b |]) pairs
-      && begin
-           List.iter (fun (a, b) -> ignore (Btree.delete t [| a; b |])) pairs;
-           List.for_all (fun (a, b) -> not (Btree.mem t [| a; b |])) pairs
-           && Btree.count t = 0
-         end)
+  QCheck.Test.make ~count:60 ~name:insert_then_mem_name insert_then_mem_arb
+    (insert_then_mem ~capacity:64)
+
+let prop_insert_then_mem_few_frames =
+  on_few_frames ~count:60 ~name:insert_then_mem_name insert_then_mem_arb
+    insert_then_mem
 
 (* Wide keys and tiny pages force deep trees. *)
 let test_deep_tree_small_pages () =
@@ -316,14 +334,14 @@ let gen_key rng ~width ~span =
 
 (* Build a tree of [deep_count.(width)] entries by mixed insert/delete
    ([fill = None]) or by [bulk_load ~fill]; returns it with its model. *)
-let build_deep ~width ~seed ~fill =
+let build_deep ?(capacity = 64) ~width ~seed ~fill () =
   let rng = Workload.Prng.create ~seed in
   let n = deep_count.(width) in
   let span =
     let root = Float.pow (float_of_int (4 * n)) (1. /. float_of_int width) in
     max 8 (int_of_float root)
   in
-  let pool = mk_pool ~capacity:64 () in
+  let pool = mk_pool ~capacity () in
   match fill with
   | Some fill ->
       let model = ref KeySet.empty in
@@ -362,71 +380,80 @@ let build_deep ~width ~seed ~fill =
       done;
       (t, !model, rng)
 
+let in_place_reads_name = "deep trees: range_list and mem = Set oracle"
+
+let in_place_reads_arb =
+  QCheck.(
+    triple (int_range 1 6) (int_range 0 1_000_000)
+      (option (float_range 0.5 1.0)))
+
+let in_place_reads ~capacity (width, seed, fill) =
+  let t, model, rng = build_deep ~capacity ~width ~seed ~fill () in
+  Btree.check_invariants ~occupancy:(fill = None) t;
+  if Btree.height t < 4 then
+    QCheck.Test.fail_reportf "height %d < 4" (Btree.height t);
+  let stored = Array.of_seq (KeySet.to_seq model) in
+  let nstored = Array.length stored in
+  (* for bulk trees, the index of each leaf's last entry *)
+  let leaf_target =
+    Option.map
+      (fun f ->
+        max 2 (int_of_float (f *. float_of_int (Btree.leaf_capacity t))))
+      fill
+  in
+  let just_past k =
+    let k = Array.of_list k in
+    let last = width - 1 in
+    if k.(last) < max_int then k.(last) <- k.(last) + 1;
+    Array.to_list k
+  in
+  let gen_bound () =
+    match Workload.Prng.int rng 6 with
+    | 0 -> stored.(Workload.Prng.int rng nstored)
+    | 1 -> just_past stored.(Workload.Prng.int rng nstored)
+    | 2 -> (
+        match leaf_target with
+        | Some lt ->
+            let leaves = nstored / lt in
+            let i = (lt * (1 + Workload.Prng.int rng (max 1 leaves))) - 1 in
+            just_past stored.(min i (nstored - 1))
+        | None -> just_past stored.(Workload.Prng.int rng nstored))
+    | 3 ->
+        List.init width (fun _ ->
+            if Workload.Prng.bool rng then min_int else max_int)
+    | 4 ->
+        (* a stored prefix padded with an extreme *)
+        let k = stored.(Workload.Prng.int rng nstored) in
+        let cut = Workload.Prng.int rng width in
+        let pad = if Workload.Prng.bool rng then min_int else max_int in
+        List.mapi (fun i c -> if i < cut then c else pad) k
+    | _ -> gen_key rng ~width ~span:(4 * nstored)
+  in
+  let show k = String.concat "," (List.map string_of_int k) in
+  for _ = 1 to 150 do
+    let lo = gen_bound () and hi = gen_bound () in
+    let got =
+      List.map list_of_key
+        (Btree.range_list t ~lo:(key_of_list lo) ~hi:(key_of_list hi))
+    in
+    let expected =
+      KeySet.elements (KeySet.filter (fun k -> k >= lo && k <= hi) model)
+    in
+    if got <> expected then
+      QCheck.Test.fail_reportf "range [%s .. %s]: %d keys, expected %d"
+        (show lo) (show hi) (List.length got) (List.length expected);
+    if Btree.mem t (key_of_list lo) <> KeySet.mem lo model then
+      QCheck.Test.fail_reportf "mem %s" (show lo)
+  done;
+  true
+
 let prop_in_place_reads =
-  QCheck.Test.make ~count:24
-    ~name:"deep trees: range_list and mem = Set oracle"
-    QCheck.(
-      triple (int_range 1 6) (int_range 0 1_000_000)
-        (option (float_range 0.5 1.0)))
-    (fun (width, seed, fill) ->
-      let t, model, rng = build_deep ~width ~seed ~fill in
-      Btree.check_invariants ~occupancy:(fill = None) t;
-      if Btree.height t < 4 then
-        QCheck.Test.fail_reportf "height %d < 4" (Btree.height t);
-      let stored = Array.of_seq (KeySet.to_seq model) in
-      let nstored = Array.length stored in
-      (* for bulk trees, the index of each leaf's last entry *)
-      let leaf_target =
-        Option.map
-          (fun f ->
-            max 2 (int_of_float (f *. float_of_int (Btree.leaf_capacity t))))
-          fill
-      in
-      let just_past k =
-        let k = Array.of_list k in
-        let last = width - 1 in
-        if k.(last) < max_int then k.(last) <- k.(last) + 1;
-        Array.to_list k
-      in
-      let gen_bound () =
-        match Workload.Prng.int rng 6 with
-        | 0 -> stored.(Workload.Prng.int rng nstored)
-        | 1 -> just_past stored.(Workload.Prng.int rng nstored)
-        | 2 -> (
-            match leaf_target with
-            | Some lt ->
-                let leaves = nstored / lt in
-                let i = (lt * (1 + Workload.Prng.int rng (max 1 leaves))) - 1 in
-                just_past stored.(min i (nstored - 1))
-            | None -> just_past stored.(Workload.Prng.int rng nstored))
-        | 3 ->
-            List.init width (fun _ ->
-                if Workload.Prng.bool rng then min_int else max_int)
-        | 4 ->
-            (* a stored prefix padded with an extreme *)
-            let k = stored.(Workload.Prng.int rng nstored) in
-            let cut = Workload.Prng.int rng width in
-            let pad = if Workload.Prng.bool rng then min_int else max_int in
-            List.mapi (fun i c -> if i < cut then c else pad) k
-        | _ -> gen_key rng ~width ~span:(4 * nstored)
-      in
-      let show k = String.concat "," (List.map string_of_int k) in
-      for _ = 1 to 150 do
-        let lo = gen_bound () and hi = gen_bound () in
-        let got =
-          List.map list_of_key
-            (Btree.range_list t ~lo:(key_of_list lo) ~hi:(key_of_list hi))
-        in
-        let expected =
-          KeySet.elements (KeySet.filter (fun k -> k >= lo && k <= hi) model)
-        in
-        if got <> expected then
-          QCheck.Test.fail_reportf "range [%s .. %s]: %d keys, expected %d"
-            (show lo) (show hi) (List.length got) (List.length expected);
-        if Btree.mem t (key_of_list lo) <> KeySet.mem lo model then
-          QCheck.Test.fail_reportf "mem %s" (show lo)
-      done;
-      true)
+  QCheck.Test.make ~count:24 ~name:in_place_reads_name in_place_reads_arb
+    (in_place_reads ~capacity:64)
+
+let prop_in_place_reads_few_frames =
+  on_few_frames ~count:8 ~name:in_place_reads_name in_place_reads_arb
+    in_place_reads
 
 let test_min_max () =
   let t = Btree.create (mk_pool ()) ~key_width:1 in
@@ -445,9 +472,9 @@ let test_min_max () =
    operations split leaves and internal pages, borrow from both
    siblings, merge, collapse the root and reuse freed pages. *)
 
-let small_tree () =
+let small_tree ~capacity =
   Btree.create
-    (Storage.Buffer_pool.create ~capacity:64 ~checksums:true
+    (Storage.Buffer_pool.create ~capacity ~checksums:true
        (Storage.Block_device.create ~block_size:84 ()))
     ~key_width:1
 
@@ -498,8 +525,8 @@ let gen_churn =
 (* Run [ops] on a small tree, checking it after every operation against
    [check_invariants], the leaves' free space and a set; with [seen],
    record which structural edits the run made. *)
-let run_churn ?seen ops =
-  let t = small_tree () in
+let run_churn ?seen ?(capacity = 64) ops =
+  let t = small_tree ~capacity in
   let dev = Storage.Buffer_pool.device (Btree.pool t) in
   let model = ref KeySet.empty in
   let note e = Option.iter (fun h -> Hashtbl.replace h e ()) seen in
@@ -544,11 +571,19 @@ let run_churn ?seen ops =
   if List.map list_of_key (Btree.to_list t) <> KeySet.elements !model then
     Alcotest.fail "contents differ from the set"
 
+let zero_free_space_name =
+  "free space stays zero through splits, borrows and merges"
+
 let prop_zero_free_space =
-  QCheck.Test.make ~count:100
-    ~name:"free space stays zero through splits, borrows and merges"
+  QCheck.Test.make ~count:100 ~name:zero_free_space_name
     (QCheck.make gen_churn) (fun ops ->
       run_churn ops;
+      true)
+
+let prop_zero_free_space_few_frames =
+  on_few_frames ~count:30 ~name:zero_free_space_name (QCheck.make gen_churn)
+    (fun ~capacity ops ->
+      run_churn ~capacity ops;
       true)
 
 (* The property's operation mix reaches every structural edit: fixed
@@ -649,11 +684,14 @@ let () =
        [ Alcotest.test_case "random ops vs Set (2k)" `Quick test_random_small;
          Alcotest.test_case "random ops vs Set (8k)" `Slow test_random_larger;
          QCheck_alcotest.to_alcotest prop_insert_then_mem;
-         QCheck_alcotest.to_alcotest prop_in_place_reads ]);
+         QCheck_alcotest.to_alcotest prop_in_place_reads;
+         QCheck_alcotest.to_alcotest prop_insert_then_mem_few_frames;
+         QCheck_alcotest.to_alcotest prop_in_place_reads_few_frames ]);
       ("zero tail",
        [ QCheck_alcotest.to_alcotest prop_zero_free_space;
          Alcotest.test_case "churn reaches every structural edit" `Quick
            test_churn_coverage;
          Alcotest.test_case "leaf deltas: a move after a split, no zeros"
-           `Quick test_leaf_deltas ]);
+           `Quick test_leaf_deltas;
+         QCheck_alcotest.to_alcotest prop_zero_free_space_few_frames ]);
     ]

@@ -1,6 +1,8 @@
-(* Storage engine: block device counters and buffer-pool behaviour. *)
+(* Storage engine: block device counters, buffer-pool behaviour, frame
+   recycling and the CRC-32 kernels. *)
 
 module Dev = Storage.Block_device
+module FD = Storage.Faulty_device
 module Pool = Storage.Buffer_pool
 
 let check = Alcotest.check
@@ -318,6 +320,120 @@ let test_pool_model_based () =
       check Alcotest.int (Printf.sprintf "page %d content" i) model.(i) v)
     pages
 
+(* ---- frame recycling ---- *)
+
+(* Once the pool is full, a miss reads into the spare buffer, which is
+   the data buffer of the previous miss's victim: on a sequential sweep
+   with capacity [cap], miss [k] evicts page [k - cap], so from the
+   second eviction on, page [k] lands in page [k - 1 - cap]'s buffer. *)
+let test_miss_reuses_victim_buffer () =
+  let cap = 3 and n = 10 in
+  let d = Dev.create ~block_size:64 () in
+  let pages = Array.init n (fun _ -> Dev.alloc d) in
+  let p = Pool.create ~capacity:cap d in
+  let bufs =
+    Array.map
+      (fun pg ->
+        let b = Pool.pin p pg in
+        Pool.unpin p pg ~dirty:false;
+        b)
+      pages
+  in
+  check Alcotest.int "every pin missed" n (Pool.Stats.get p).Pool.Stats.misses;
+  for k = cap + 1 to n - 1 do
+    if bufs.(k) != bufs.(k - 1 - cap) then
+      Alcotest.failf "page %d did not reuse the buffer of victim page %d" k
+        (k - 1 - cap)
+  done
+
+(* A bit flipped on the way in fails the page's CRC: the fault raises
+   before anything is evicted, so the resident set and the LRU order are
+   the ones from before, and the page's next (clean) read installs it. *)
+let test_corrupt_fault_evicts_nothing () =
+  let fd = FD.create (Dev.create ~block_size:64 ()) in
+  let p = Pool.create ~capacity:3 ~checksums:true (FD.device fd) in
+  let pages = Array.init 5 (fun _ -> Pool.alloc p) in
+  Array.iteri
+    (fun i pg ->
+      Pool.with_page p pg ~dirty:true (fun b ->
+          Bytes.fill b 0 8 (Char.chr (65 + i))))
+    pages;
+  Pool.clear p;
+  let touch i =
+    Pool.with_page p pages.(i) ~dirty:false (fun b -> Bytes.get b 0)
+  in
+  (* resident 0, 1, 2; least recently used first *)
+  List.iter (fun i -> ignore (touch i)) [ 0; 1; 2 ];
+  let resident () =
+    List.filter (fun i -> Pool.resident p pages.(i)) [ 0; 1; 2; 3; 4 ]
+  in
+  let before = Pool.Stats.get p in
+  FD.schedule_read_fault fd ~at:(FD.reads_done fd) (FD.Flip 9);
+  (match touch 3 with
+  | _ -> Alcotest.fail "a flipped bit was not detected"
+  | exception Pool.Corrupt_page pg ->
+      check Alcotest.int "names the page" pages.(3) pg);
+  check Alcotest.(list int) "resident set unchanged" [ 0; 1; 2 ] (resident ());
+  check Alcotest.int "nothing pinned" 0 (Pool.pinned_frames p);
+  check Alcotest.int "no eviction" before.Pool.Stats.evictions
+    (Pool.Stats.get p).Pool.Stats.evictions;
+  (* the LRU order survived: clean faults evict 0, then 1 *)
+  check Alcotest.char "clean reread" 'D' (touch 3);
+  check Alcotest.(list int) "LRU page 0 went first" [ 1; 2; 3 ] (resident ());
+  check Alcotest.char "next fault" 'E' (touch 4);
+  check Alcotest.(list int) "then page 1" [ 2; 3; 4 ] (resident ());
+  check Alcotest.char "recycled frames hold their pages" 'C' (touch 2)
+
+(* ---- CRC-32 ---- *)
+
+(* Byte-at-a-time CRC-32 with a table built bit by bit from the
+   polynomial: the oracle for both C kernels. *)
+let crc_table =
+  Array.init 256 (fun n ->
+      let c = ref n in
+      for _ = 1 to 8 do
+        c := if !c land 1 = 1 then 0xEDB88320 lxor (!c lsr 1) else !c lsr 1
+      done;
+      !c)
+
+let crc_bytewise crc b ~pos ~len =
+  let c = ref (crc land 0xFFFF_FFFF lxor 0xFFFF_FFFF) in
+  for i = pos to pos + len - 1 do
+    c := crc_table.((!c lxor Bytes.get_uint8 b i) land 0xff) lxor (!c lsr 8)
+  done;
+  !c lxor 0xFFFF_FFFF
+
+let test_crc_check_value () =
+  check Alcotest.int32 "check value" 0xCBF43926l
+    (Storage.Checksum.string "123456789");
+  check Alcotest.int "oracle check value" 0xCBF43926
+    (crc_bytewise 0 (Bytes.of_string "123456789") ~pos:0 ~len:9)
+
+(* Runs under 64 bytes take slice-by-8 only; longer ones, on a CPU with
+   PCLMULQDQ, the fold over their first [len land lnot 15] bytes and
+   slice-by-8 for the rest. A random [?crc] is a chained call. *)
+let prop_crc_kernels =
+  QCheck.Test.make ~count:1000 ~name:"Checksum.bytes = bytewise CRC-32"
+    QCheck.(
+      make
+        ~print:(fun (pos, len, crc, seed) ->
+          Printf.sprintf "pos=%d len=%d crc=%lx seed=%d" pos len crc seed)
+        Gen.(
+          quad (int_range 0 15)
+            (frequency [ (1, int_range 0 130); (1, int_range 0 4_200) ])
+            ui32 int))
+    (fun (pos, len, crc, seed) ->
+      let rng = Random.State.make [| seed |] in
+      let b =
+        Bytes.init (pos + len + 8) (fun _ ->
+            Char.chr (Random.State.int rng 256))
+      in
+      let got = Storage.Checksum.bytes ~crc b ~pos ~len in
+      Int32.to_int got land 0xFFFF_FFFF
+      = crc_bytewise (Int32.to_int crc) b ~pos ~len
+      && Storage.Checksum.update (Int32.to_int crc) b ~pos ~len
+         = Int32.to_int got land 0xFFFF_FFFF)
+
 let () =
   Alcotest.run "storage"
     [
@@ -348,4 +464,12 @@ let () =
       ("group commit",
        [ Alcotest.test_case "one marker per batch" `Quick
            test_group_commit_batching ]);
+      ("recycling",
+       [ Alcotest.test_case "a miss reuses the last victim's buffer"
+           `Quick test_miss_reuses_victim_buffer;
+         Alcotest.test_case "a corrupt fault evicts nothing" `Quick
+           test_corrupt_fault_evicts_nothing ]);
+      ("crc32",
+       [ Alcotest.test_case "check value" `Quick test_crc_check_value;
+         QCheck_alcotest.to_alcotest prop_crc_kernels ]);
     ]
