@@ -46,8 +46,8 @@ val port : t -> int
 (** The ephemeral loopback port clients should dial. *)
 
 val run : t -> unit
-(** Serve until {!stop}: a single select loop, meant for a dedicated
-    thread. Closes every socket before returning. *)
+(** Serve until {!stop} on the proxy's own reactor, meant for a
+    dedicated thread. Closes every socket before returning. *)
 
 val stop : t -> unit
 (** Ask {!run} to exit; safe from any thread, idempotent. *)

@@ -1,5 +1,5 @@
 module Backend = Backend
-module Timer_wheel = Timer_wheel
+module Timers = Timers
 module Writer = Writer
 
 type entry = {
@@ -11,18 +11,13 @@ type entry = {
 
 type t = {
   tbl : (Unix.file_descr, entry) Hashtbl.t;
-  wheel : Timer_wheel.t;
+  timers : Timers.t;
   mutable turn : int;  (* run_once calls so far *)
 }
 
-type timer = Timer_wheel.timer
+type timer = Timers.timer
 
-let create () =
-  {
-    tbl = Hashtbl.create 64;
-    wheel = Timer_wheel.create ~now:(Unix.gettimeofday ());
-    turn = 0;
-  }
+let create () = { tbl = Hashtbl.create 64; timers = Timers.create (); turn = 0 }
 
 let nop () = ()
 
@@ -49,19 +44,15 @@ let set_write_interest t fd v =
   | None -> ()
 
 let after t delay f =
-  let now = Unix.gettimeofday () in
-  Timer_wheel.add t.wheel ~now ~at:(now +. max 0. delay) f
+  Timers.add t.timers ~at:(Unix.gettimeofday () +. max 0. delay) f
 
-let at t when_ f =
-  Timer_wheel.add t.wheel ~now:(Unix.gettimeofday ()) ~at:when_ f
-
-let cancel t tm = Timer_wheel.cancel t.wheel tm
-let timer_count t = Timer_wheel.pending t.wheel
+let cancel t tm = Timers.cancel t.timers tm
+let timer_count t = Timers.pending t.timers
 
 let run_once ?(max_timeout = 1.0) t =
   let now = Unix.gettimeofday () in
   let timeout =
-    match Timer_wheel.next_deadline t.wheel with
+    match Timers.next_deadline t.timers with
     | None -> max_timeout
     | Some dl -> max 0. (min max_timeout (dl -. now))
   in
@@ -91,7 +82,7 @@ let run_once ?(max_timeout = 1.0) t =
         @ List.filteri (fun i _ -> i < k) ready
   in
   t.turn <- t.turn + 1;
-  ignore (Timer_wheel.advance t.wheel ~now:(Unix.gettimeofday ()));
+  ignore (Timers.advance t.timers ~now:(Unix.gettimeofday ()));
   List.iter
     (fun (fd, r, w) ->
       match Hashtbl.find_opt t.tbl fd with

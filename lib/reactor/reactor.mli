@@ -1,16 +1,17 @@
 (** The event core: one readiness engine shared by the dispatcher,
-    the router, replication fan-out, metrics endpoints, and client
-    deadline waits — plus the fibers the router runs its shard legs
-    on.
+    the router, replication fan-out, metrics endpoints, the chaos
+    proxy and client deadline waits — plus the fibers the router runs
+    its shard legs on.
 
     A reactor owns a set of registered fds with read/write interest
-    and callbacks, plus a hierarchical timer wheel. [run_once] blocks
-    in [poll(2)] ({!Backend}) until readiness or the earliest timer, fires due timers, then fires
-    ready-fd callbacks. Single-threaded: all callbacks run on the
-    thread calling [run_once]; nothing here takes locks. *)
+    and callbacks, plus a heap of exact timers ({!Timers}). [run_once]
+    blocks in [poll(2)] ({!Backend}) until readiness or the earliest
+    timer, fires due timers, then fires ready-fd callbacks.
+    Single-threaded: all callbacks run on the thread calling
+    [run_once]; nothing here takes locks. *)
 
 module Backend = Backend
-module Timer_wheel = Timer_wheel
+module Timers = Timers
 module Writer = Writer
 
 type t
@@ -39,10 +40,10 @@ val is_registered : t -> Unix.file_descr -> bool
 val set_read_interest : t -> Unix.file_descr -> bool -> unit
 val set_write_interest : t -> Unix.file_descr -> bool -> unit
 
-(** [after t delay f] / [at t when_ f]: schedule [f] on the loop
-    thread. Timers are one-shot; [cancel] is O(1) and idempotent. *)
+(** [after t delay f]: schedule [f] on the loop thread [delay]
+    seconds from now. Timers are one-shot; [cancel] removes one at
+    once and is idempotent. *)
 val after : t -> float -> (unit -> unit) -> timer
-val at : t -> float -> (unit -> unit) -> timer
 val cancel : t -> timer -> unit
 val timer_count : t -> int
 
@@ -74,11 +75,11 @@ val spawn : t -> (unit -> unit) -> unit
 (** [await_fd fd dir ~timeout] waits until [fd] is ready for [dir] or
     [timeout] seconds pass (negative: no bound); [true] iff ready. In
     a fiber it parks on a one-shot registration of [fd] (which must
-    not be registered otherwise) and a wheel timer; outside one it is
+    not be registered otherwise) and a timer; outside one it is
     {!Backend.wait_fd}. *)
 val await_fd : Unix.file_descr -> [ `Read | `Write ] -> timeout:float -> bool
 
-(** [sleep d] parks for [d] seconds on a wheel timer; outside a fiber,
+(** [sleep d] parks for [d] seconds on a timer; outside a fiber,
     [Unix.sleepf]. *)
 val sleep : float -> unit
 

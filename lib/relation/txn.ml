@@ -21,7 +21,7 @@
    Both sidecars are garbage-collected against the low-water mark of
    every live snapshot, so they stay bounded by the churn concurrent
    with the oldest open transaction. The engine is single-threaded (one
-   select loop), so commit/GC never race a statement mid-scan. *)
+   reactor loop), so commit/GC never race a statement mid-scan. *)
 
 exception Conflict of string
 

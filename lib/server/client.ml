@@ -67,11 +67,12 @@ let timeout_fail t fmt =
     fmt
 
 (* Wait until [t.fd] is ready for [dir], or the absolute [deadline]
-   passes. In a reactor fiber the wait parks the fiber; on a plain
-   thread it is a poll(2) wait, which works on fds past FD_SETSIZE
-   (e.g. in a process holding thousands of connections). [deadline =
-   None] returns immediately — the subsequent blocking syscall provides
-   the wait; [Some infinity] waits without bound. *)
+   passes; called only when a non-blocking read or write would block.
+   In a reactor fiber the wait parks the fiber; on a plain thread it
+   is a poll(2) wait, which works on fds past FD_SETSIZE (e.g. in a
+   process holding thousands of connections). [deadline = None] (a
+   blocking socket, which never reports EAGAIN) returns at once;
+   [Some infinity] waits without bound. *)
 let wait_ready t deadline dir =
   match deadline with
   | None -> ()
@@ -106,8 +107,9 @@ let connect ?(host = "127.0.0.1") ?deadline_ms ~port () =
       (* Bounded connect: non-blocking connect, wait for writability,
          then read the socket error out. A dead-but-routing host would
          otherwise hold us in the kernel's SYN retry loop. The socket
-         stays non-blocking: every later read and write waits for
-         readiness first, and a fiber must never block its thread. *)
+         stays non-blocking: a later read or write that would block
+         waits for readiness instead, and a fiber must never block its
+         thread. *)
       Unix.set_nonblock fd;
       try Unix.connect fd addr with
       | Unix.Unix_error (Unix.EINPROGRESS, _, _) -> (
@@ -139,12 +141,12 @@ let write_all t deadline buf =
   let len = Bytes.length buf in
   let sent = ref 0 in
   while !sent < len do
-    wait_ready t deadline `Write;
     match Unix.write t.fd buf !sent (len - !sent) with
     | 0 -> fail "connection closed while writing"
     | n -> sent := !sent + n
     | exception Unix.Unix_error (Unix.EINTR, _, _) -> ()
-    | exception Unix.Unix_error ((Unix.EAGAIN | Unix.EWOULDBLOCK), _, _) -> ()
+    | exception Unix.Unix_error ((Unix.EAGAIN | Unix.EWOULDBLOCK), _, _) ->
+        wait_ready t deadline `Write
     | exception Unix.Unix_error (e, _, _) ->
         fail "write: %s" (Unix.error_message e)
   done
@@ -152,12 +154,12 @@ let write_all t deadline buf =
 let read_exact t deadline buf off len =
   let got = ref 0 in
   while !got < len do
-    wait_ready t deadline `Read;
     match Unix.read t.fd buf (off + !got) (len - !got) with
     | 0 -> fail "connection closed by server"
     | n -> got := !got + n
     | exception Unix.Unix_error (Unix.EINTR, _, _) -> ()
-    | exception Unix.Unix_error ((Unix.EAGAIN | Unix.EWOULDBLOCK), _, _) -> ()
+    | exception Unix.Unix_error ((Unix.EAGAIN | Unix.EWOULDBLOCK), _, _) ->
+        wait_ready t deadline `Read
     | exception Unix.Unix_error (e, _, _) ->
         fail "read: %s" (Unix.error_message e)
   done

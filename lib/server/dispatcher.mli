@@ -5,7 +5,7 @@
     paper assumes of its host RDBMS front end. The {!Listener} owns the
     ports, admission, the self-pipe stop and the loop; each socket is a
     {!Conn}, the group-commit window and idle reaping are timers on the
-    reactor's wheel, and a standby follows its primary through
+    reactor, and a standby follows its primary through
     {!Client} in one fiber on the same reactor. Each request runs in
     the read callback that decoded it, and its response is written
     before the callback returns (sockets are non-blocking; a slow reader

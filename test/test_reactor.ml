@@ -1,4 +1,4 @@
-(* The event core in isolation: timer-wheel firing discipline, the
+(* The event core in isolation: exact-timer firing discipline, the
    bounded non-blocking writer's backpressure contract, the poll(2)
    readiness backend with the reactor loop running on it, and the
    fibers that park on that loop. *)
@@ -6,130 +6,191 @@
 module R = Reactor
 module B = Reactor.Backend
 module W = Reactor.Writer
-module TW = Reactor.Timer_wheel
+module T = Reactor.Timers
 
 let check = Alcotest.check
 
 (* writes to dead peers must surface as EPIPE, not kill the runner *)
 let () = Sys.set_signal Sys.sigpipe Sys.Signal_ignore
 
-(* ---- timer wheel ---- *)
+(* ---- timers ---- *)
 
-let test_wheel_order () =
-  let w = TW.create ~now:0. in
+let test_timers_order () =
+  let w = T.create () in
   let fired = ref [] in
   let note tag () = fired := tag :: !fired in
-  ignore (TW.add w ~now:0. ~at:0.030 (note "c"));
-  ignore (TW.add w ~now:0. ~at:0.010 (note "a"));
-  ignore (TW.add w ~now:0. ~at:0.020 (note "b"));
-  check Alcotest.int "pending" 3 (TW.pending w);
-  ignore (TW.advance w ~now:0.005);
+  ignore (T.add w ~at:0.030 (note "c"));
+  ignore (T.add w ~at:0.010 (note "a"));
+  ignore (T.add w ~at:0.020 (note "b"));
+  check Alcotest.int "pending" 3 (T.pending w);
+  ignore (T.advance w ~now:0.005);
   check (Alcotest.list Alcotest.string) "nothing early" [] !fired;
-  ignore (TW.advance w ~now:0.012);
+  ignore (T.advance w ~now:0.012);
   check (Alcotest.list Alcotest.string) "first due" [ "a" ] !fired;
-  ignore (TW.advance w ~now:0.100);
+  ignore (T.advance w ~now:0.100);
   check (Alcotest.list Alcotest.string) "rest in order" [ "c"; "b"; "a" ]
     !fired;
-  check Alcotest.int "drained" 0 (TW.pending w)
+  check Alcotest.int "drained" 0 (T.pending w)
 
-let test_wheel_cancel () =
-  let w = TW.create ~now:0. in
+let test_timers_cancel () =
+  let w = T.create () in
   let fired = ref 0 in
-  let t1 = TW.add w ~now:0. ~at:0.010 (fun () -> incr fired) in
-  let t2 = TW.add w ~now:0. ~at:0.010 (fun () -> incr fired) in
-  TW.cancel w t1;
-  TW.cancel w t1 (* double-cancel is a no-op *);
-  check Alcotest.int "one left" 1 (TW.pending w);
-  ignore (TW.advance w ~now:1.);
-  TW.cancel w t2 (* cancelling a fired timer is a no-op *);
+  let t1 = T.add w ~at:0.010 (fun () -> incr fired) in
+  let t2 = T.add w ~at:0.010 (fun () -> incr fired) in
+  T.cancel w t1;
+  T.cancel w t1 (* double-cancel is a no-op *);
+  check Alcotest.int "one left" 1 (T.pending w);
+  ignore (T.advance w ~now:1.);
+  T.cancel w t2 (* cancelling a fired timer is a no-op *);
   check Alcotest.int "only survivor fired" 1 !fired
 
-let test_wheel_past_deadline () =
-  let w = TW.create ~now:10. in
+let test_timers_past_deadline () =
+  let w = T.create () in
   let fired = ref 0 in
-  ignore (TW.add w ~now:10. ~at:3. (fun () -> incr fired));
-  ignore (TW.advance w ~now:10.01);
-  check Alcotest.int "past deadline fires on the next tick" 1 !fired
+  ignore (T.advance w ~now:10.);
+  ignore (T.add w ~at:3. (fun () -> incr fired));
+  check (Alcotest.option (Alcotest.float 0.)) "due now" (Some 10.)
+    (T.next_deadline w);
+  ignore (T.advance w ~now:10.01);
+  check Alcotest.int "past deadline fires on the next advance" 1 !fired
 
-let test_wheel_reentrant_add () =
-  let w = TW.create ~now:0. in
+let test_timers_reentrant_add () =
+  let w = T.create () in
   let fired = ref [] in
   ignore
-    (TW.add w ~now:0. ~at:0.010 (fun () ->
+    (T.add w ~at:0.010 (fun () ->
          fired := "outer" :: !fired;
-         ignore
-           (TW.add w ~now:0.010 ~at:0.020 (fun () ->
-                fired := "inner" :: !fired))));
-  ignore (TW.advance w ~now:0.015);
+         ignore (T.add w ~at:0.020 (fun () -> fired := "inner" :: !fired))));
+  ignore (T.advance w ~now:0.015);
   check (Alcotest.list Alcotest.string) "outer only" [ "outer" ] !fired;
-  ignore (TW.advance w ~now:0.050);
+  ignore (T.advance w ~now:0.050);
   check (Alcotest.list Alcotest.string) "inner after rearm"
     [ "inner"; "outer" ] !fired
 
-(* Mass cancellation sweeps the wheel (cancelled timers must not pile
-   up in far slots holding their closures); the sweep keeps every live
-   timer, on every level. *)
-let test_wheel_sweep_keeps_live () =
-  let w = TW.create ~now:0. in
+(* Mass cancellation removes timers from every position in the heap;
+   the live ones still fire, in deadline order. *)
+let test_timers_mass_cancel () =
+  let w = T.create () in
   let fired = ref [] in
   let timers =
     List.init 3000 (fun i ->
         let at = 0.001 *. float_of_int (1 + (i * 37 mod 100_000)) in
-        (i, TW.add w ~now:0. ~at (fun () -> fired := i :: !fired)))
+        (i, T.add w ~at (fun () -> fired := i :: !fired)))
   in
-  List.iter (fun (i, tm) -> if i mod 300 <> 0 then TW.cancel w tm) timers;
-  check Alcotest.int "ten live" 10 (TW.pending w);
-  ignore (TW.advance w ~now:200.);
+  List.iter (fun (i, tm) -> if i mod 300 <> 0 then T.cancel w tm) timers;
+  check Alcotest.int "ten live" 10 (T.pending w);
+  ignore (T.advance w ~now:200.);
   check
     Alcotest.(list int)
-    "exactly the live ones fire"
+    "exactly the live ones fire, in order"
     (List.init 10 (fun k -> k * 300))
-    (List.sort compare !fired)
+    (List.rev !fired)
 
-(* Random deadlines across cascade boundaries, advanced in random
-   steps: every timer fires exactly once, never before it is due
-   (modulo the 1 ms tick), and next_deadline never overshoots the true
-   earliest deadline. *)
-let prop_wheel_random =
-  QCheck.Test.make ~count:200 ~name:"wheel fires each timer once, on time"
+(* Random deadlines, a random subset cancelled (removals from every
+   position in the heap), then advanced in random steps: exactly the
+   live timers fire, once each, in (deadline, insertion) order and
+   never before their deadline, and next_deadline is the earliest live
+   deadline. *)
+let prop_timers_random =
+  QCheck.Test.make ~count:200 ~name:"each timer fires once, on time"
     QCheck.(
       pair
-        (list_of_size Gen.(1 -- 40) (float_bound_exclusive 600.))
+        (list_of_size Gen.(1 -- 40) (pair (float_bound_exclusive 600.) bool))
         (list_of_size Gen.(1 -- 60) (float_bound_exclusive 30.)))
-    (fun (deadlines, steps) ->
-      QCheck.assume (deadlines <> [] && steps <> []);
-      let w = TW.create ~now:0. in
+    (fun (timers, steps) ->
+      QCheck.assume (timers <> [] && steps <> []);
+      let w = T.create () in
       let now = ref 0. in
-      let fire_times = Hashtbl.create 16 in
-      List.iteri
-        (fun i at ->
-          ignore
-            (TW.add w ~now:0. ~at (fun () ->
-                 if Hashtbl.mem fire_times i then failwith "double fire";
-                 Hashtbl.add fire_times i !now)))
-        deadlines;
-      (match TW.next_deadline w with
-      | None -> failwith "no deadline with timers pending"
-      | Some d ->
-          let earliest = List.fold_left min infinity deadlines in
-          if d > earliest +. 0.001 then failwith "next_deadline overshoots");
+      let fired = ref [] in
+      let handles =
+        List.mapi
+          (fun i (at, _) ->
+            T.add w ~at (fun () -> fired := (i, at, !now) :: !fired))
+          timers
+      in
+      List.iter2 (fun tm (_, cancel) -> if cancel then T.cancel w tm)
+        handles timers;
+      let expected =
+        List.mapi (fun i (at, cancel) -> (i, at, cancel)) timers
+        |> List.filter (fun (_, _, cancel) -> not cancel)
+        |> List.map (fun (i, at, _) -> (i, at))
+        |> List.stable_sort (fun (_, a) (_, b) -> compare a b)
+      in
+      if T.pending w <> List.length expected then failwith "pending miscounts";
+      (match (T.next_deadline w, expected) with
+      | None, [] -> ()
+      | Some d, (_, earliest) :: _ when d = earliest -> ()
+      | Some d, _ -> failwith (Printf.sprintf "next_deadline %.4f" d)
+      | None, _ -> failwith "no deadline with timers pending");
       List.iter
         (fun step ->
           now := !now +. step;
-          ignore (TW.advance w ~now:!now))
+          ignore (T.advance w ~now:!now))
         steps;
       now := 700.;
-      ignore (TW.advance w ~now:!now);
-      List.iteri
-        (fun i at ->
-          match Hashtbl.find_opt fire_times i with
-          | None -> failwith "timer never fired"
-          | Some t ->
-              if t +. 0.0011 < at then
-                failwith
-                  (Printf.sprintf "fired %.4f before deadline %.4f" t at))
-        deadlines;
+      ignore (T.advance w ~now:!now);
+      if List.rev_map (fun (i, at, _) -> (i, at)) !fired <> expected then
+        failwith "wrong timers fired, or out of order";
+      List.iter
+        (fun (_, at, t) ->
+          if t < at then
+            failwith (Printf.sprintf "fired %.4f before deadline %.4f" t at))
+        !fired;
       true)
+
+let test_timers_fifo_ties () =
+  let w = T.create () in
+  let fired = ref [] in
+  List.iter
+    (fun tag -> ignore (T.add w ~at:0.010 (fun () -> fired := tag :: !fired)))
+    [ "a"; "b"; "c" ];
+  ignore (T.advance w ~now:0.010);
+  check (Alcotest.list Alcotest.string) "insertion order" [ "a"; "b"; "c" ]
+    (List.rev !fired)
+
+(* A callback that adds a timer already due does not run it in the
+   same advance — a callback re-arming itself at a past deadline would
+   otherwise spin there — while older due timers still fire. *)
+let test_timers_added_due () =
+  let w = T.create () in
+  let fired = ref [] in
+  let note tag () = fired := tag :: !fired in
+  ignore
+    (T.add w ~at:0.010 (fun () ->
+         note "outer" ();
+         ignore (T.add w ~at:0.005 (note "inner"))));
+  ignore (T.add w ~at:0.012 (note "older"));
+  check Alcotest.int "two fired" 2 (T.advance w ~now:0.015);
+  check (Alcotest.list Alcotest.string) "inner waits" [ "outer"; "older" ]
+    (List.rev !fired);
+  check Alcotest.int "one fired" 1 (T.advance w ~now:0.015);
+  check (Alcotest.list Alcotest.string) "inner next"
+    [ "outer"; "older"; "inner" ] (List.rev !fired)
+
+(* A cancelled timer leaves nothing behind: a request deadline,
+   cancelled once the answer arrived, once held its closure until the
+   cursor passed its slot, and tripled the router's RSS. *)
+let test_timers_cancel_frees () =
+  let w = T.create () in
+  ignore (T.add w ~at:1. ignore);
+  let churn n =
+    for i = 1 to n do
+      let payload = ref i in
+      T.cancel w (T.add w ~at:15. (fun () -> incr payload))
+    done
+  in
+  let words () = Obj.reachable_words (Obj.repr w) in
+  let idle = words () in
+  churn 1_000;
+  let after_1k = words () in
+  churn 999_000;
+  let after_1m = words () in
+  check Alcotest.int "1 000 pairs leave nothing" idle after_1k;
+  check Alcotest.bool
+    (Printf.sprintf "1 000 000 pairs: %d words, 1 000 pairs: %d" after_1m
+       after_1k)
+    true (after_1m <= after_1k);
+  check Alcotest.int "live timer kept" 1 (T.pending w)
 
 (* ---- bounded writer ---- *)
 
@@ -444,21 +505,65 @@ let test_fiber_fallback () =
         "all runs in order" [ 1; 2 ]
         (R.all [ (fun () -> 1); (fun () -> 2) ]))
 
+(* A fiber sends without parking: on a socket with room the write goes
+   out at once, so the frame is on the wire when [spawn] returns,
+   before the loop ever turns. *)
+let test_fiber_client_send () =
+  let lfd = Unix.socket Unix.PF_INET Unix.SOCK_STREAM 0 in
+  Unix.bind lfd (Unix.ADDR_INET (Unix.inet_addr_loopback, 0));
+  Unix.listen lfd 1;
+  let port =
+    match Unix.getsockname lfd with
+    | Unix.ADDR_INET (_, p) -> p
+    | _ -> assert false
+  in
+  let c = Server.Client.connect ~deadline_ms:1000. ~port () in
+  let peer, _ = Unix.accept lfd in
+  Fun.protect
+    ~finally:(fun () ->
+      Server.Client.close c;
+      Unix.close peer;
+      Unix.close lfd)
+    (fun () ->
+      let r = R.create () in
+      R.spawn r (fun () -> Server.Client.send c Server.Protocol.Ping);
+      check Alcotest.bool "frame on the wire before any turn" true
+        (B.wait_fd peer `Read ~timeout:0.);
+      let rec read_n buf off n =
+        if n > 0 then
+          match Unix.read peer buf off n with
+          | 0 -> Alcotest.fail "peer saw EOF"
+          | k -> read_n buf (off + k) (n - k)
+      in
+      let header = Bytes.create 4 in
+      read_n header 0 4;
+      let payload = Bytes.create (Int32.to_int (Bytes.get_int32_be header 0)) in
+      read_n payload 0 (Bytes.length payload);
+      match Server.Protocol.decode_request payload with
+      | Ok (_, Server.Protocol.Ping) -> ()
+      | _ -> Alcotest.fail "expected a Ping frame")
+
 let () =
   Alcotest.run "reactor"
     [
-      ("timer-wheel",
+      ("exact-timer",
        [ Alcotest.test_case "fires in deadline order" `Quick
-           test_wheel_order;
-         Alcotest.test_case "cancel is O(1) and idempotent" `Quick
-           test_wheel_cancel;
+           test_timers_order;
+         Alcotest.test_case "cancel is idempotent" `Quick
+           test_timers_cancel;
          Alcotest.test_case "past deadlines fire at once" `Quick
-           test_wheel_past_deadline;
+           test_timers_past_deadline;
          Alcotest.test_case "callbacks may re-arm" `Quick
-           test_wheel_reentrant_add;
-         Alcotest.test_case "mass cancel sweeps, live timers survive" `Quick
-           test_wheel_sweep_keeps_live;
-         QCheck_alcotest.to_alcotest prop_wheel_random ]);
+           test_timers_reentrant_add;
+         Alcotest.test_case "mass cancel, live timers survive" `Quick
+           test_timers_mass_cancel;
+         QCheck_alcotest.to_alcotest prop_timers_random;
+         Alcotest.test_case "equal deadlines: insertion order" `Quick
+           test_timers_fifo_ties;
+         Alcotest.test_case "added while due: next advance" `Quick
+           test_timers_added_due;
+         Alcotest.test_case "cancelled timers are not retained" `Quick
+           test_timers_cancel_frees ]);
       ("writer",
        [ Alcotest.test_case "high-water backpressure" `Quick
            test_writer_backpressure;
@@ -476,5 +581,7 @@ let () =
          Alcotest.test_case "all: input order, interleaved" `Quick
            test_fiber_all;
          Alcotest.test_case "outside a fiber: blocking waits" `Quick
-           test_fiber_fallback ]);
+           test_fiber_fallback;
+         Alcotest.test_case "Client.send writes without parking" `Quick
+           test_fiber_client_send ]);
     ]
