@@ -591,6 +591,31 @@ let micro ~tiny:_ =
       (Exec.Planner.plan_intersection ~proj:Exec.Planner.Triples served q)
   in
   Array.iter (fun q -> ignore (serve q)) served_queries;
+  (* A full scan of the warm probe tree into one key array, reported per
+     entry. *)
+  let scan_key = Array.make 4 0 in
+  let scan_lo = Btree.lo_pad probe_tree []
+  and scan_hi = Btree.hi_pad probe_tree [] in
+  let scan () =
+    let c = Btree.cursor probe_tree ~lo:scan_lo ~hi:scan_hi in
+    while Btree.next_into c scan_key do
+      ()
+    done
+  in
+  (* A 174-row (lower, upper, id) answer, as the server frames it. *)
+  let answer =
+    Server.Protocol.Rows
+      { columns = [ "lower"; "upper"; "id" ];
+        rows =
+          List.init 174 (fun i ->
+              [| 500_000 + (37 * i); 503_000 + (41 * i); i |]) }
+  in
+  (* ns per entry for the full scan, per call for the rest *)
+  let per_op name =
+    if String.ends_with ~suffix:"btree.scan" name then
+      float_of_int (Array.length probe_keys)
+    else 1.
+  in
   let tests =
     [ Test.make ~name:"backbone.fork"
         (Staged.stage (fun () ->
@@ -610,6 +635,10 @@ let micro ~tiny:_ =
         (Staged.stage (fun () ->
              let k = probe_keys.(Workload.Prng.int rng 35_000) in
              Btree.iter_range probe_tree ~lo:k ~hi:k ignore));
+      Test.make ~name:"btree.scan" (Staged.stage scan);
+      Test.make ~name:"wire.encode_rows"
+        (Staged.stage (fun () ->
+             ignore (Server.Protocol.encode_response ~id:1L answer)));
       Test.make ~name:"exec.intersection"
         (Staged.stage (fun () ->
              ignore (serve served_queries.(Workload.Prng.int rng 64))));
@@ -626,7 +655,7 @@ let micro ~tiny:_ =
       ~predictors:[| Measure.run |]
   in
   let t =
-    Tbl.create ~title:"Micro-benchmarks (bechamel)"
+    Tbl.create ~title:"Micro-benchmarks (bechamel; btree.scan per entry)"
       ~columns:[ "operation"; "ns/op" ]
   in
   List.iter
@@ -639,7 +668,7 @@ let micro ~tiny:_ =
         (fun name ols_result ->
           let est =
             match Analyze.OLS.estimates ols_result with
-            | Some [ e ] -> Printf.sprintf "%.0f" e
+            | Some [ e ] -> Printf.sprintf "%.0f" (e /. per_op name)
             | _ -> "n/a"
           in
           Tbl.add_row t [ name; est ])

@@ -228,17 +228,19 @@ let child_at t buf slot =
 
 let at_leaf = (-1, -1)
 
-(* The one descent step, shared by every read and write: the slot of
-   the child that [probe] routes to in page [pid] (the number of
-   separators at or below it) and that child's page id, or [at_leaf]. *)
+(* The slot of the child that [probe] routes to in the internal page
+   [buf]: the number of separators at or below it. *)
+let child_slot t buf probe =
+  bisect t buf ~stride:(node_stride t) ~from:0 ~n:(nkeys buf) ~above:true
+    probe
+
+(* The descent step of every write: the slot of the child that [probe]
+   routes to in page [pid] and that child's page id, or [at_leaf]. *)
 let route t pid probe =
   peek t pid (fun buf ->
       if is_leaf buf then at_leaf
       else
-        let slot =
-          bisect t buf ~stride:(node_stride t) ~from:0 ~n:(nkeys buf)
-            ~above:true probe
-        in
+        let slot = child_slot t buf probe in
         (slot, child_at t buf slot))
 
 let check_width t k =
@@ -247,10 +249,15 @@ let check_width t k =
       (Printf.sprintf "Btree: key width %d, expected %d" (Array.length k)
          t.key_width)
 
+(* [route] for a read: the same pin, without the closure and the pair
+   (a scan descends once per probe). *)
 let rec find_leaf t pid probe =
-  match route t pid probe with
-  | -1, _ -> pid
-  | _, child -> find_leaf t child probe
+  let buf = Storage.Buffer_pool.pin t.pool pid in
+  let child =
+    if is_leaf buf then -1 else child_at t buf (child_slot t buf probe)
+  in
+  Storage.Buffer_pool.unpin t.pool pid ~dirty:false;
+  if child < 0 then pid else find_leaf t child probe
 
 let mem t k =
   check_width t k;
@@ -508,57 +515,80 @@ let hi_pad t prefix =
       if i < Array.length p then p.(i) else max_int)
 
 (* A cursor holds a byte copy of the current leaf's keys from its
-   position up to the first key above [hi]; [next] decodes the key at
-   byte [pos] of it. [next_leaf] is [-1] once a copied run ended below
-   the end of its leaf, or at the end of the chain. *)
+   position up to the first key above [hi]: the first [len] bytes of
+   [run], a buffer it reuses for every leaf and every probe. It grows by
+   doubling and never past one leaf's entries, which stay below the
+   minor heap's largest block for 2 KB pages. [next_into] decodes the
+   key at byte [pos] of it. [next_leaf] is [-1] once a copied run ended
+   below the end of its leaf, or at the end of the chain. *)
 type cursor = {
   tree : t;
-  hi : key;
+  mutable hi : key;
   mutable run : Bytes.t;
+  mutable len : int;
   mutable pos : int;
   mutable next_leaf : int;
 }
 
-(* Copy out of leaf [pid] the keys from the first at or above [lo] up to
-   the first above [c.hi]. *)
-let load c pid lo =
+(* Copy out of leaf [pid] the keys from slot [first] on, or from the
+   first at or above [lo] when [first < 0], up to the first above
+   [c.hi]. The page is pinned once, as [peek] would. *)
+let load c pid ~first lo =
   let t = c.tree in
-  peek t pid (fun buf ->
-      let n = nkeys buf and stride = leaf_stride t in
-      let first =
-        match lo with
-        | None -> 0
-        | Some lo -> bisect t buf ~stride ~from:0 ~n ~above:false lo
-      in
-      let stop = bisect t buf ~stride ~from:first ~n ~above:true c.hi in
-      c.run <- Bytes.sub buf (entry stride first) ((stop - first) * stride);
-      c.pos <- 0;
-      c.next_leaf <- (if stop < n then -1 else get_i64 buf 8))
+  let buf = Storage.Buffer_pool.pin t.pool pid in
+  let n = nkeys buf and stride = leaf_stride t in
+  let first =
+    if first >= 0 then first
+    else bisect t buf ~stride ~from:0 ~n ~above:false lo
+  in
+  let stop = bisect t buf ~stride ~from:first ~n ~above:true c.hi in
+  let len = (stop - first) * stride in
+  if Bytes.length c.run < len then begin
+    let grown = max len (2 * Bytes.length c.run) in
+    c.run <- Bytes.create (min (t.leaf_cap * stride) grown)
+  end;
+  Bytes.blit buf (entry stride first) c.run 0 len;
+  c.len <- len;
+  c.pos <- 0;
+  c.next_leaf <- (if stop < n then -1 else get_i64 buf 8);
+  Storage.Buffer_pool.unpin t.pool pid ~dirty:false
 
-let descend c lo = load c (find_leaf c.tree c.tree.root lo) (Some lo)
+let descend c lo = load c (find_leaf c.tree c.tree.root lo) ~first:(-1) lo
 
-let cursor t ~lo ~hi =
-  check_width t lo;
-  check_width t hi;
-  let c = { tree = t; hi; run = Bytes.empty; pos = 0; next_leaf = -1 } in
+let seek c ~lo ~hi =
+  check_width c.tree lo;
+  check_width c.tree hi;
+  c.hi <- hi;
   (* One descent per probe: guard the span so the disabled path does
      not allocate a closure per probe. *)
   if Obs.Trace.enabled () then
     Obs.Trace.with_span "btree.descend" (fun () -> descend c lo)
-  else descend c lo;
+  else descend c lo
+
+let cursor t ~lo ~hi =
+  let c =
+    { tree = t; hi; run = Bytes.empty; len = 0; pos = 0; next_leaf = -1 }
+  in
+  seek c ~lo ~hi;
   c
 
-let rec next c =
-  if c.pos < Bytes.length c.run then begin
-    let k = read_key c.tree c.run c.pos in
+let rec next_into c (key : key) =
+  if c.pos < c.len then begin
+    for i = 0 to c.tree.key_width - 1 do
+      key.(i) <- get_i64 c.run (c.pos + (8 * i))
+    done;
     c.pos <- c.pos + leaf_stride c.tree;
-    Some k
+    true
   end
-  else if c.next_leaf < 0 then None
+  else if c.next_leaf < 0 then false
   else begin
-    load c c.next_leaf None;
-    next c
+    load c c.next_leaf ~first:0 c.hi;
+    next_into c key
   end
+
+let next c =
+  let k = Array.make c.tree.key_width 0 in
+  if next_into c k then Some k else None
 
 let iter_range t ~lo ~hi f =
   let c = cursor t ~lo ~hi in

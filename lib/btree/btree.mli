@@ -99,11 +99,29 @@ val cursor : t -> lo:key -> hi:key -> cursor
 (** Cursor over entries [k] with [lo <= k <= hi], ascending. The
     descent bisects the separators on the pinned page bytes; on each
     leaf the cursor copies out only the run of keys from its position up
-    to the first key above [hi], and {!next} decodes only the keys it
-    yields. It moves to the next leaf only when every key it copied was
-    at or below [hi]. *)
+    to the first key above [hi], into a buffer it keeps, and
+    {!next_into} decodes only the keys it yields. It moves to the next
+    leaf only when every key it copied was at or below [hi]. The cursor
+    reads [hi] until it is drained: the caller must not change it
+    before. *)
+
+val seek : cursor -> lo:key -> hi:key -> unit
+(** [seek c ~lo ~hi] points [c] at the entries of [lo .. hi] instead,
+    as a fresh [cursor t ~lo ~hi] would: one descent, pinning the same
+    pages in the same order. The cursor keeps its run buffer, so a probe
+    allocates nothing. *)
+
+val next_into : cursor -> key -> bool
+(** [next_into c key] writes the next entry into [key] and answers
+    [true], or answers [false] at the end of the range. What it writes
+    is valid until the next call: a caller that keeps a key copies it.
+    @raise Invalid_argument if [key] is shorter than the key width. *)
 
 val next : cursor -> key option
+(** {!next_into} into a fresh key. *)
+
+(** The wrappers below give each entry a fresh key, which the caller may
+    keep. *)
 
 val iter_range : t -> lo:key -> hi:key -> (key -> unit) -> unit
 val fold_range : t -> lo:key -> hi:key -> ('a -> key -> 'a) -> 'a -> 'a

@@ -80,7 +80,34 @@ let compile_value binds scope = function
       let d, i = resolve scope alias col in
       fun env -> env.(d).(i)
 
+(* [a op b] is [b (mirror op) a]. *)
+let mirror = function
+  | Ir.Eq -> Ir.Eq
+  | Ir.Ne -> Ir.Ne
+  | Ir.Lt -> Ir.Gt
+  | Ir.Le -> Ir.Ge
+  | Ir.Gt -> Ir.Lt
+  | Ir.Ge -> Ir.Le
+
+(* A column compared with a bound value: one closure, which reads the
+   column and compares. *)
+let field_cmp op d i (v : int) =
+  match op with
+  | Ir.Eq -> fun (env : env) -> env.(d).(i) = v
+  | Ir.Ne -> fun env -> env.(d).(i) <> v
+  | Ir.Lt -> fun env -> env.(d).(i) < v
+  | Ir.Le -> fun env -> env.(d).(i) <= v
+  | Ir.Gt -> fun env -> env.(d).(i) > v
+  | Ir.Ge -> fun env -> env.(d).(i) >= v
+
 let rec compile_pred binds scope = function
+  | Ir.Cmp (op, Ir.Field (alias, col), ((Ir.Const _ | Ir.Param _) as v)) ->
+      let d, i = resolve scope alias col in
+      field_cmp op d i (compile_value binds scope v [||])
+  | Ir.Cmp (op, ((Ir.Const _ | Ir.Param _) as v), Ir.Field (alias, col)) ->
+      let v = compile_value binds scope v [||] in
+      let d, i = resolve scope alias col in
+      field_cmp (mirror op) d i v
   | Ir.Cmp (op, a, b) -> (
       let a = compile_value binds scope a and b = compile_value binds scope b in
       match op with
@@ -243,13 +270,17 @@ let rec compile_step ctx pending outer (step : Ir.step) next =
   let scope = outer @ [ (step.Ir.alias, columns) ] in
   let filters = compile_filters binds scope step.Ir.filters in
   let next = next scope in
-  let visit env row =
-    env.(d) <- row;
+  (* the row bound at depth [d] goes on when it passes the filters *)
+  let emit env =
     match filters with
     | Some f when not (f env) -> ()
     | _ ->
         step.Ir.seen <- step.Ir.seen + 1;
         next env
+  in
+  let visit env row =
+    env.(d) <- row;
+    emit env
   in
   let body =
     match (step.Ir.source, step.Ir.access) with
@@ -269,7 +300,8 @@ let rec compile_step ctx pending outer (step : Ir.step) next =
             intersection_sub ctx step ~upper:(upper env) ~lower:(lower env)
           in
           List.iter
-            (fun br -> List.iter (visit env) (fst (run_branch sub.Ir.ctx br)))
+            (fun br ->
+              List.iter (visit env) (fst (run_branches sub.Ir.ctx [ br ])))
             sub.Ir.plan.Ir.branches
     | Ir.Mem h, Ir.Mem_probe { op; lo; hi; _ } ->
         let lo = compile_value binds outer lo
@@ -309,7 +341,7 @@ let rec compile_step ctx pending outer (step : Ir.step) next =
         Ir.Index_scan
           { index; eq; lo; hi; refine_lo; refine_hi; covering; batched } ) ->
         compile_index_scan ctx pending outer step tbl index ~eq ~lo ~hi
-          ~refine_lo ~refine_hi ~covering ~batched visit
+          ~refine_lo ~refine_hi ~covering ~batched ~emit visit
   in
   if Obs.Trace.enabled () then fun env ->
     Obs.Trace.with_span (node_span step) ~info:step.Ir.alias (fun () ->
@@ -318,11 +350,15 @@ let rec compile_step ctx pending outer (step : Ir.step) next =
 
 (* The bounds compile once and each probe fills its two key arrays:
    equality components, then the range column, then the refinement
-   column after it. Entries the key filters reject are skipped before
-   any fetch. A batched probe descends at once, on copies of its key
-   arrays, and queues its scan with the outer rows it ran under. *)
+   column after it. The step owns one key array and one cursor: each
+   probe re-seeks the cursor, which decodes every entry into the key,
+   bound at the step's depth, so an entry costs no allocation; what a
+   row keeps of it, the projection copies out. Entries the key filters
+   reject are skipped before any fetch. A batched probe descends at
+   once, on a cursor of its own and copies of its key arrays, and queues
+   its scan with copies of the outer rows it ran under. *)
 and compile_index_scan ctx pending outer (step : Ir.step) tbl index ~eq ~lo
-    ~hi ~refine_lo ~refine_hi ~covering ~batched visit =
+    ~hi ~refine_lo ~refine_hi ~covering ~batched ~emit visit =
   let binds = ctx.Ir.binds in
   let tree = Relation.Table.Index.tree index in
   let width = Btree.key_width tree in
@@ -357,6 +393,7 @@ and compile_index_scan ctx pending outer (step : Ir.step) tbl index ~eq ~lo
     go 0
   in
   let d = List.length outer in
+  let key = Array.make width 0 in
   (* key filters see the index entry, bound at this step's depth *)
   let key_ok =
     match
@@ -364,32 +401,28 @@ and compile_index_scan ctx pending outer (step : Ir.step) tbl index ~eq ~lo
         (outer @ [ (step.Ir.alias, Relation.Table.Index.columns index) ])
         step.Ir.key_filters
     with
-    | None -> fun _ _ -> true
-    | Some f ->
-        fun (env : env) key ->
-          env.(d) <- key;
-          f env
+    | None -> fun _ -> true
+    | Some f -> f
   in
-  let entry_visit env key =
-    if key_ok env key then
-      if covering then visit env key
+  (* one entry, with [key] bound at depth [d] *)
+  let entry env =
+    if key_ok env then
+      if covering then emit env
       else
-        match Relation.Table.fetch tbl key.(Array.length key - 1) with
-        | Some row -> visit env row
+        match Relation.Table.fetch tbl key.(width - 1) with
+        | Some row ->
+            visit env row;
+            env.(d) <- key
         | None -> ()
   in
   let view = ctx.Ir.vis (Relation.Table.name tbl) in
   let accept = visible view in
   (* Drain the cursor of a probe over [lo, hi]. *)
   let scan env c ~lo ~hi =
-    let rec go () =
-      match Btree.next c with
-      | Some key ->
-          if accept key.(Array.length key - 1) then entry_visit env key;
-          go ()
-      | None -> ()
-    in
-    go ();
+    env.(d) <- key;
+    while Btree.next_into c key do
+      if accept key.(width - 1) then entry env
+    done;
     match view with
     | None -> ()
     | Some v ->
@@ -402,37 +435,47 @@ and compile_index_scan ctx pending outer (step : Ir.step) tbl index ~eq ~lo
         List.iter
           (fun row ->
             let key = Relation.Table.Index.key_of_row index 0 row in
-            if key_in_range ~lo ~hi key then
-              if covering then entry_visit env key
-              else if key_ok env key then visit env row)
+            if key_in_range ~lo ~hi key then begin
+              env.(d) <- key;
+              if key_ok env then if covering then emit env else visit env row
+            end)
           (v.Relation.Txn.extra ())
   in
+  let cursor = ref None in
   fun env ->
     if fill env then
-      if not batched then
-        scan env (Btree.cursor tree ~lo:lo_key ~hi:hi_key) ~lo:lo_key
-          ~hi:hi_key
+      if not batched then begin
+        let c =
+          match !cursor with
+          | Some c ->
+              Btree.seek c ~lo:lo_key ~hi:hi_key;
+              c
+          | None ->
+              let c = Btree.cursor tree ~lo:lo_key ~hi:hi_key in
+              cursor := Some c;
+              c
+        in
+        scan env c ~lo:lo_key ~hi:hi_key
+      end
       else begin
         let lo = Array.copy lo_key and hi = Array.copy hi_key in
-        let c = Btree.cursor tree ~lo ~hi and bound = Array.sub env 0 d in
+        let c = Btree.cursor tree ~lo ~hi
+        and bound = Array.init d (fun i -> Array.copy env.(i)) in
         Queue.add (fun () -> Array.blit bound 0 env 0 d; scan env c ~lo ~hi)
           pending
       end
 
 (* Compile a branch into one closure over a fresh environment, then run
-   it: every name in it resolves before the first row is read. The scans
-   its batched probes queued run once its loops have, in queue order. *)
-and run_branch ctx (branch : Ir.branch) =
+   it: every name in it resolves before the first row is read. [sink]
+   compiles under the innermost scope and runs once per row the branch
+   yields; the rows it sees are the loops' own, valid only during the
+   call. The scans its batched probes queued run once its loops have,
+   in queue order. *)
+and iter_branch ctx (branch : Ir.branch) sink =
   let body () =
-    let rows = ref [] in
-    let count = ref 0 in
     let pending = Queue.create () in
     let rec chain outer = function
-      | [] ->
-          let project = compile_projection outer branch.Ir.projections in
-          fun env ->
-            incr count;
-            rows := project env :: !rows
+      | [] -> sink outer
       | step :: rest ->
           compile_step ctx pending outer step (fun scope -> chain scope rest)
     in
@@ -440,8 +483,7 @@ and run_branch ctx (branch : Ir.branch) =
     run (Array.make (List.length branch.Ir.steps) [||]);
     while not (Queue.is_empty pending) do
       (Queue.take pending) ()
-    done;
-    (List.rev !rows, !count)
+    done
   in
   if Obs.Trace.enabled () then
     Obs.Trace.with_span "sql.branch"
@@ -449,6 +491,19 @@ and run_branch ctx (branch : Ir.branch) =
         (String.concat "," (List.map (fun s -> s.Ir.alias) branch.Ir.steps))
       body
   else body ()
+
+(* The projected rows of [branches], in order, and their number. *)
+and run_branches ctx branches =
+  let rows = ref [] and count = ref 0 in
+  List.iter
+    (fun (branch : Ir.branch) ->
+      iter_branch ctx branch (fun scope ->
+          let project = compile_projection scope branch.Ir.projections in
+          fun env ->
+            incr count;
+            rows := project env :: !rows))
+    branches;
+  (List.rev !rows, !count)
 
 let projection_columns (branch : Ir.branch) =
   List.concat_map
@@ -471,9 +526,21 @@ let is_aggregate_projection = function
 
 (* ---------------- grouping, aggregation, ordering ---------------- *)
 
-(* GROUP BY: one pass over the branch's rows, accumulating per group
-   key. Plain projections must be grouping columns; aggregate order-by
-   keys are not supported. *)
+(* GROUP BY: the branch's rows are grouped as they stream, with no row
+   built. Plain projections must be grouping columns; aggregate
+   order-by keys are not supported. *)
+
+module Int_tbl = Hashtbl.Make (struct
+  type t = int
+
+  let equal = Int.equal
+  let hash x = x land max_int
+end)
+
+(* A group: its key cells, its row count and, per aggregate, the value
+   folded so far. *)
+type group = { key : int array; mutable count : int; acc : int array }
+
 let run_group_by ctx (branch : Ir.branch) =
   Obs.Trace.with_span "exec.group" @@ fun () ->
   let group = branch.Ir.group_by in
@@ -488,44 +555,69 @@ let run_group_by ctx (branch : Ir.branch) =
       | Ir.Star -> fail "SELECT * cannot be combined with GROUP BY"
       | Ir.Col _ | Ir.Count_star | Ir.Agg _ -> ())
     branch.Ir.projections;
-  let agg_cols =
-    List.filter_map
-      (function
-        | Ir.Agg (_, target) -> Some target
-        | Ir.Count_star | Ir.Star | Ir.Col _ -> None)
-      branch.Ir.projections
+  let aggs =
+    Array.of_list
+      (List.filter_map
+         (function
+           | Ir.Agg (a, target) -> Some (a, target)
+           | Ir.Count_star | Ir.Star | Ir.Col _ -> None)
+         branch.Ir.projections)
   in
-  let branch' =
-    { branch with
-      Ir.projections =
-        List.map (fun (a, c) -> Ir.Col (a, c)) group
-        @ List.map (fun (a, c) -> Ir.Col (a, c)) agg_cols }
-  in
-  let rows, _ = run_branch ctx branch' in
-  let karity = List.length group and naggs = List.length agg_cols in
-  (* per group key, in first-seen order: its row count and, per
-     aggregate, the values it collected *)
-  let groups : (int array, int ref * int list array) Hashtbl.t =
-    Hashtbl.create 64
-  in
+  (* groups in reverse first-seen order *)
   let order = ref [] in
-  List.iter
-    (fun (row : int array) ->
-      let key = if naggs = 0 then row else Array.sub row 0 karity in
-      match Hashtbl.find_opt groups key with
-      | Some (count, lists) ->
-          incr count;
-          for i = 0 to naggs - 1 do
-            lists.(i) <- row.(karity + i) :: lists.(i)
-          done
-      | None ->
-          order := key :: !order;
-          Hashtbl.add groups key
-            (ref 1, Array.init naggs (fun i -> [ row.(karity + i) ])))
-    rows;
+  iter_branch ctx branch (fun scope ->
+      let slot (alias, c) = resolve scope alias c in
+      let keys = Array.of_list (List.map slot group) in
+      let targets = Array.map (fun (_, t) -> slot t) aggs in
+      let value (env : env) j =
+        let d, i = targets.(j) in
+        env.(d).(i)
+      in
+      let fresh (env : env) key =
+        let g =
+          { key; count = 0; acc = Array.init (Array.length aggs) (value env) }
+        in
+        order := g :: !order;
+        g
+      in
+      (* the group of the row bound in [env] *)
+      let find =
+        match keys with
+        | [| (d, i) |] ->
+            let groups = Int_tbl.create 64 in
+            fun (env : env) ->
+              let k = env.(d).(i) in
+              (match Int_tbl.find groups k with
+              | g -> g
+              | exception Not_found ->
+                  let g = fresh env [| k |] in
+                  Int_tbl.add groups k g;
+                  g)
+        | _ ->
+            let groups = Hashtbl.create 64 in
+            fun env ->
+              let k = Array.map (fun (d, i) -> env.(d).(i)) keys in
+              (match Hashtbl.find groups k with
+              | g -> g
+              | exception Not_found ->
+                  let g = fresh env k in
+                  Hashtbl.add groups k g;
+                  g)
+      in
+      fun env ->
+        let g = find env in
+        if g.count > 0 then
+          for j = 0 to Array.length aggs - 1 do
+            let v = value env j in
+            match fst aggs.(j) with
+            | Ir.Count -> ()
+            | Ir.Sum -> g.acc.(j) <- g.acc.(j) + v
+            | Ir.Min -> if v < g.acc.(j) then g.acc.(j) <- v
+            | Ir.Max -> if v > g.acc.(j) then g.acc.(j) <- v
+          done;
+        g.count <- g.count + 1);
   List.rev_map
-    (fun key ->
-      let count, lists = Hashtbl.find groups key in
+    (fun g ->
       let next = ref 0 in
       let cells =
         List.map
@@ -538,16 +630,14 @@ let run_group_by ctx (branch : Ir.branch) =
                       if gc = c && (a = None || ga = None || a = ga) then i
                       else pos (i + 1) rest
                 in
-                key.(pos 0 group)
-            | Ir.Count_star -> !count
+                g.key.(pos 0 group)
+            | Ir.Count_star -> g.count
             | Ir.Agg (agg, _) -> (
-                let vs = lists.(!next) in
+                let j = !next in
                 incr next;
                 match agg with
-                | Ir.Count -> List.length vs
-                | Ir.Sum -> List.fold_left ( + ) 0 vs
-                | Ir.Min -> List.fold_left min (List.hd vs) vs
-                | Ir.Max -> List.fold_left max (List.hd vs) vs)
+                | Ir.Count -> g.count
+                | Ir.Sum | Ir.Min | Ir.Max -> g.acc.(j))
             | Ir.Star -> assert false)
           branch.Ir.projections
       in
@@ -576,7 +666,7 @@ let run_aggregate ctx branches projections =
           Ir.projections =
             List.map (fun t -> Ir.Col (fst t, snd t)) agg_cols }
       in
-      let rows, c = run_branch ctx branch' in
+      let rows, c = run_branches ctx [ branch' ] in
       count := !count + c;
       List.iter
         (fun row ->
@@ -666,9 +756,7 @@ let run ctx (plan : Ir.plan) =
           rows = run_aggregate ctx plan.Ir.branches first.Ir.projections }
       end
       else begin
-        let rows =
-          List.concat_map (fun br -> fst (run_branch ctx br)) plan.Ir.branches
-        in
+        let rows = fst (run_branches ctx plan.Ir.branches) in
         { columns = projection_columns first;
           rows = order_and_limit first plan rows }
       end

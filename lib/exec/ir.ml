@@ -78,8 +78,9 @@ type access =
       hi : bound option;
       (* Start/stop-key refinement on the column after the range column
          (the paper's Sec. 4.3 lemma: "i.upper >= :lower" tightens the
-         start key of the BETWEEN scan). The conjunct stays in the
-         residual filter; the refinement only skips entries. *)
+         start key of the BETWEEN scan). The refinement only skips
+         entries: a SQL conjunct stays in the residual filter, and the
+         typed two-branch plan drops the one its key bounds imply. *)
       refine_lo : bound option;
       refine_hi : bound option;
       covering : bool; (* no base-table fetch needed *)

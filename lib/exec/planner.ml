@@ -112,11 +112,14 @@ let right_collection nl =
   ("rightNodes", ([| "node" |], List.map (fun w -> [| w |]) nl.Ri.right_nodes))
 
 (* [extra] residual filters (the Allen endpoint decompositions) apply to
-   the inner step of both branches. *)
+   the inner step of both branches. The upper-index step checks no
+   [i.upper >= :qlow]: its key bounds imply it. A single left node's
+   scan starts at (node, :qlow), and an interval registered on a node of
+   the BETWEEN range (ql, qu) contains that node, so its upper bound is
+   at least :qlow (see [Ri_tree.node_lists]). *)
 let two_branch_branches ?(extra = []) ~projs t =
   let upper_step =
-    index_step t ~projs
-      ~filters:(Ir.Cmp (Ir.Ge, field "i" "upper", Ir.Param "qlow") :: extra)
+    index_step t ~projs ~filters:extra
       ~index:(Ri.upper_index t)
       ?lo:(incl (field "lft" "min")) ?hi:(incl (field "lft" "max"))
       ?refine_lo:(incl (Ir.Param "qlow")) ()

@@ -131,18 +131,6 @@ let put_string b s =
   put_u32 b (String.length s);
   Buffer.add_string b s
 
-let put_string_list b l =
-  put_u32 b (List.length l);
-  List.iter (put_string b) l
-
-let put_row b (row : int array) =
-  put_u32 b (Array.length row);
-  Array.iter (put_int b) row
-
-let put_rows b rows =
-  put_u32 b (List.length rows);
-  List.iter (put_row b) rows
-
 (* ---------------- decoding primitives ----------------
 
    A cursor over one payload. The [Short] exception is internal: it is
@@ -324,85 +312,122 @@ let encode_request ~id req =
       | Repl_status -> put_u8 b op_repl_status
       | Shard_map_req -> put_u8 b op_shard_map_req)
 
+(* A [Rows] answer, the large one, is written into one [Bytes] of
+   exactly the frame's size: the bytes [frame] would give, without a
+   buffer that grows from 64 bytes and boxes each cell. *)
+let encode_rows ~id columns rows =
+  let size =
+    List.fold_left (fun n c -> n + 4 + String.length c) (4 + 8 + 1 + 4) columns
+    + List.fold_left (fun n (r : int array) -> n + 4 + (8 * Array.length r)) 4
+        rows
+  in
+  let b = Bytes.create size in
+  let pos = ref 0 in
+  let u32 v =
+    Bytes.set_int32_be b !pos (Int32.of_int v);
+    pos := !pos + 4
+  in
+  u32 (size - 4);
+  Bytes.set_int64_be b 4 id;
+  Bytes.set_uint8 b 12 op_rows;
+  pos := 13;
+  u32 (List.length columns);
+  List.iter
+    (fun c ->
+      u32 (String.length c);
+      Bytes.blit_string c 0 b !pos (String.length c);
+      pos := !pos + String.length c)
+    columns;
+  u32 (List.length rows);
+  List.iter
+    (fun (r : int array) ->
+      u32 (Array.length r);
+      for i = 0 to Array.length r - 1 do
+        Bytes.set_int64_be b (!pos + (8 * i)) (Int64.of_int r.(i))
+      done;
+      pos := !pos + (8 * Array.length r))
+    rows;
+  b
+
 let encode_response ~id resp =
-  frame (fun b ->
-      put_i64 b id;
-      match resp with
-      | Ack msg ->
-          put_u8 b op_ack;
-          put_string b msg
-      | Rows { columns; rows } ->
-          put_u8 b op_rows;
-          put_string_list b columns;
-          put_rows b rows
-      | Error msg ->
-          put_u8 b op_error;
-          put_string b msg
-      | Overloaded msg ->
-          put_u8 b op_overloaded;
-          put_string b msg
-      | Read_only msg ->
-          put_u8 b op_read_only;
-          put_string b msg
-      | Goodbye msg ->
-          put_u8 b op_goodbye;
-          put_string b msg
-      | Invalid msg ->
-          put_u8 b op_invalid;
-          put_string b msg
-      | Conflict msg ->
-          put_u8 b op_conflict;
-          put_string b msg
-      | Repl_frame { lsn; payload } ->
-          put_u8 b op_repl_frame;
-          put_int b lsn;
-          put_string b payload
-      | Repl_state { role; durable_lsn; applied_lsn } ->
-          put_u8 b op_repl_state;
-          put_u8 b (match role with Primary -> 0 | Replica -> 1);
-          put_int b durable_lsn;
-          put_int b applied_lsn
-      | Shard_map entries ->
-          put_u8 b op_shard_map;
-          put_u32 b (List.length entries);
-          List.iter
-            (fun e ->
-              put_int b e.shard_lo;
-              put_int b e.shard_hi;
-              put_u32 b (List.length e.endpoints);
+  match resp with
+  | Rows { columns; rows } -> encode_rows ~id columns rows
+  | _ ->
+      frame (fun b ->
+          put_i64 b id;
+          match resp with
+          | Rows _ -> assert false (* [encode_rows] *)
+          | Ack msg ->
+              put_u8 b op_ack;
+              put_string b msg
+          | Error msg ->
+              put_u8 b op_error;
+              put_string b msg
+          | Overloaded msg ->
+              put_u8 b op_overloaded;
+              put_string b msg
+          | Read_only msg ->
+              put_u8 b op_read_only;
+              put_string b msg
+          | Goodbye msg ->
+              put_u8 b op_goodbye;
+              put_string b msg
+          | Invalid msg ->
+              put_u8 b op_invalid;
+              put_string b msg
+          | Conflict msg ->
+              put_u8 b op_conflict;
+              put_string b msg
+          | Repl_frame { lsn; payload } ->
+              put_u8 b op_repl_frame;
+              put_int b lsn;
+              put_string b payload
+          | Repl_state { role; durable_lsn; applied_lsn } ->
+              put_u8 b op_repl_state;
+              put_u8 b (match role with Primary -> 0 | Replica -> 1);
+              put_int b durable_lsn;
+              put_int b applied_lsn
+          | Shard_map entries ->
+              put_u8 b op_shard_map;
+              put_u32 b (List.length entries);
               List.iter
-                (fun (host, port) ->
-                  put_string b host;
-                  put_u32 b port)
-                e.endpoints)
-            entries
-      | Partial { missing; msg } ->
-          put_u8 b op_partial;
-          put_u32 b (List.length missing);
-          List.iter (put_u32 b) missing;
-          put_string b msg
-      | Stats_reply s ->
-          put_u8 b op_stats_reply;
-          put_i64 b (Int64.bits_of_float s.uptime_s);
-          put_int b s.sessions;
-          put_int b s.peak_sessions;
-          put_int b s.total_requests;
-          put_int b s.overload_rejections;
-          put_int b s.queue_depth;
-          put_int b s.peak_queue_depth;
-          put_int b s.io_reads;
-          put_int b s.io_writes;
-          put_u32 b (List.length s.ops);
-          List.iter
-            (fun o ->
-              put_string b o.op;
-              put_int b o.count;
-              put_int b o.total_io;
-              put_int b o.p50_us;
-              put_int b o.p95_us;
-              put_int b o.p99_us;
-              put_int b o.max_us)
-            s.ops)
+                (fun e ->
+                  put_int b e.shard_lo;
+                  put_int b e.shard_hi;
+                  put_u32 b (List.length e.endpoints);
+                  List.iter
+                    (fun (host, port) ->
+                      put_string b host;
+                      put_u32 b port)
+                    e.endpoints)
+                entries
+          | Partial { missing; msg } ->
+              put_u8 b op_partial;
+              put_u32 b (List.length missing);
+              List.iter (put_u32 b) missing;
+              put_string b msg
+          | Stats_reply s ->
+              put_u8 b op_stats_reply;
+              put_i64 b (Int64.bits_of_float s.uptime_s);
+              put_int b s.sessions;
+              put_int b s.peak_sessions;
+              put_int b s.total_requests;
+              put_int b s.overload_rejections;
+              put_int b s.queue_depth;
+              put_int b s.peak_queue_depth;
+              put_int b s.io_reads;
+              put_int b s.io_writes;
+              put_u32 b (List.length s.ops);
+              List.iter
+                (fun o ->
+                  put_string b o.op;
+                  put_int b o.count;
+                  put_int b o.total_io;
+                  put_int b o.p50_us;
+                  put_int b o.p95_us;
+                  put_int b o.p99_us;
+                  put_int b o.max_us)
+                s.ops)
 
 let decode body payload =
   if Bytes.length payload > max_payload then

@@ -387,11 +387,8 @@ let in_place_reads_arb =
     triple (int_range 1 6) (int_range 0 1_000_000)
       (option (float_range 0.5 1.0)))
 
-let in_place_reads ~capacity (width, seed, fill) =
-  let t, model, rng = build_deep ~capacity ~width ~seed ~fill () in
-  Btree.check_invariants ~occupancy:(fill = None) t;
-  if Btree.height t < 4 then
-    QCheck.Test.fail_reportf "height %d < 4" (Btree.height t);
+(* Bounds that hit every edge of a tree built by [build_deep]. *)
+let bound_gen t model rng ~width ~fill =
   let stored = Array.of_seq (KeySet.to_seq model) in
   let nstored = Array.length stored in
   (* for bulk trees, the index of each leaf's last entry *)
@@ -407,7 +404,7 @@ let in_place_reads ~capacity (width, seed, fill) =
     if k.(last) < max_int then k.(last) <- k.(last) + 1;
     Array.to_list k
   in
-  let gen_bound () =
+  fun () ->
     match Workload.Prng.int rng 6 with
     | 0 -> stored.(Workload.Prng.int rng nstored)
     | 1 -> just_past stored.(Workload.Prng.int rng nstored)
@@ -428,7 +425,13 @@ let in_place_reads ~capacity (width, seed, fill) =
         let pad = if Workload.Prng.bool rng then min_int else max_int in
         List.mapi (fun i c -> if i < cut then c else pad) k
     | _ -> gen_key rng ~width ~span:(4 * nstored)
-  in
+
+let in_place_reads ~capacity (width, seed, fill) =
+  let t, model, rng = build_deep ~capacity ~width ~seed ~fill () in
+  Btree.check_invariants ~occupancy:(fill = None) t;
+  if Btree.height t < 4 then
+    QCheck.Test.fail_reportf "height %d < 4" (Btree.height t);
+  let gen_bound = bound_gen t model rng ~width ~fill in
   let show k = String.concat "," (List.map string_of_int k) in
   for _ = 1 to 150 do
     let lo = gen_bound () and hi = gen_bound () in
@@ -454,6 +457,98 @@ let prop_in_place_reads =
 let prop_in_place_reads_few_frames =
   on_few_frames ~count:8 ~name:in_place_reads_name in_place_reads_arb
     in_place_reads
+
+(* ---- one cursor, re-seeked: next_into = range_list ----
+
+   The executor keeps one cursor per index step and seeks it to each
+   probe, and each entry is decoded into one key array. So the cursor
+   must forget everything of its last probe, drained or not, and must
+   pin what a fresh scan pins; and a key it wrote must not be read
+   after the next call, so the key is poisoned after each entry. *)
+
+let seek_reads_name = "one cursor: seek + next_into = range_list"
+
+let seek_reads ~capacity (width, seed, fill) =
+  let t, model, rng = build_deep ~capacity ~width ~seed ~fill () in
+  let gen_bound = bound_gen t model rng ~width ~fill in
+  let pool = Btree.pool t in
+  let reads () = (Storage.Buffer_pool.Stats.get pool).logical_reads in
+  let key = Array.make width 0 and cursor = ref None in
+  for probe = 1 to 150 do
+    let lo = key_of_list (gen_bound ()) and hi = key_of_list (gen_bound ()) in
+    let r0 = reads () in
+    let expected = Btree.range_list t ~lo ~hi in
+    let fresh_reads = reads () - r0 in
+    (* every fourth probe is abandoned after a few entries *)
+    let limit =
+      if probe mod 4 = 0 then Workload.Prng.int rng 3 else max_int
+    in
+    let r0 = reads () in
+    let c =
+      match !cursor with
+      | Some c ->
+          Btree.seek c ~lo ~hi;
+          c
+      | None ->
+          let c = Btree.cursor t ~lo ~hi in
+          cursor := Some c;
+          c
+    in
+    let got = ref [] and n = ref 0 in
+    while !n < limit && Btree.next_into c key do
+      got := Array.copy key :: !got;
+      incr n;
+      Array.fill key 0 width 0x5eed
+    done;
+    let got = List.rev !got in
+    let want = List.filteri (fun i _ -> i < limit) expected in
+    if got <> want then
+      QCheck.Test.fail_reportf "probe %d: %d keys, expected %d" probe
+        (List.length got) (List.length want);
+    if limit = max_int && reads () - r0 <> fresh_reads then
+      QCheck.Test.fail_reportf "probe %d: %d pins, a fresh scan %d" probe
+        (reads () - r0) fresh_reads
+  done;
+  true
+
+let prop_seek_reads =
+  QCheck.Test.make ~count:16 ~name:seek_reads_name in_place_reads_arb
+    (seek_reads ~capacity:64)
+
+let prop_seek_reads_few_frames =
+  on_few_frames ~count:8 ~name:seek_reads_name in_place_reads_arb seek_reads
+
+(* A full scan of a warm covering-width tree (node, lower, upper, id,
+   rowid; 35 000 entries on 2 KB pages) into one key array allocates at
+   most 1 minor word per entry: no key, no option and no run copy per
+   entry, only each leaf's pin. *)
+let test_scan_words_per_entry () =
+  let n = 35_000 in
+  let pool =
+    Storage.Buffer_pool.create ~capacity:4_096 ~checksums:true
+      (Storage.Block_device.create ~block_size:2048 ())
+  in
+  let t =
+    Btree.bulk_load pool ~key_width:5
+      (Seq.init n (fun i -> [| i / 16; 3 * i; (3 * i) + 100; i; i |]))
+  in
+  let lo = Btree.lo_pad t [] and hi = Btree.hi_pad t [] in
+  let key = Array.make 5 0 in
+  let scan () =
+    let c = Btree.cursor t ~lo ~hi and seen = ref 0 in
+    while Btree.next_into c key do
+      incr seen
+    done;
+    !seen
+  in
+  ignore (scan ());
+  let w0 = Gc.minor_words () in
+  let seen = scan () in
+  let words = (Gc.minor_words () -. w0) /. float_of_int seen in
+  check Alcotest.int "every entry" n seen;
+  if words > 1.0 then
+    Alcotest.failf "%.2f minor words per entry over %d entries, bound 1"
+      words seen
 
 let test_min_max () =
   let t = Btree.create (mk_pool ()) ~key_width:1 in
@@ -671,7 +766,9 @@ let () =
        [ Alcotest.test_case "range bounds" `Quick test_range_scan_bounds;
          Alcotest.test_case "prefix pads" `Quick test_prefix_pads;
          Alcotest.test_case "next leaf only while keys <= hi" `Quick
-           test_scan_leaf_pins ]);
+           test_scan_leaf_pins;
+         Alcotest.test_case "full scan <= 1 word per entry" `Quick
+           test_scan_words_per_entry ]);
       ("bulk",
        [ Alcotest.test_case "bulk load = inserts" `Quick
            test_bulk_load_matches_inserts;
@@ -686,7 +783,9 @@ let () =
          QCheck_alcotest.to_alcotest prop_insert_then_mem;
          QCheck_alcotest.to_alcotest prop_in_place_reads;
          QCheck_alcotest.to_alcotest prop_insert_then_mem_few_frames;
-         QCheck_alcotest.to_alcotest prop_in_place_reads_few_frames ]);
+         QCheck_alcotest.to_alcotest prop_in_place_reads_few_frames;
+         QCheck_alcotest.to_alcotest prop_seek_reads;
+         QCheck_alcotest.to_alcotest prop_seek_reads_few_frames ]);
       ("zero tail",
        [ QCheck_alcotest.to_alcotest prop_zero_free_space;
          Alcotest.test_case "churn reaches every structural edit" `Quick

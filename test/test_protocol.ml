@@ -388,6 +388,73 @@ let test_framer_oversized () =
   | Error (P.Oversized n) -> check Alcotest.int "length" (P.max_payload + 1) n
   | _ -> Alcotest.fail "oversized prefix accepted"
 
+(* ---- Rows: the sized encoder writes the Buffer encoder's bytes ----
+
+   A [Rows] frame is written into one [Bytes] of the frame's size. The
+   reference below is the [Buffer] encoder it replaced, kept verbatim in
+   substance: a length placeholder, the id, the opcode, the columns,
+   then each row's arity and cells, and the prefix patched last. *)
+
+let buffer_rows_frame ~id columns rows =
+  let b = Buffer.create 64 in
+  let u32 v = Buffer.add_int32_be b (Int32.of_int v) in
+  u32 0;
+  Buffer.add_int64_be b id;
+  Buffer.add_uint8 b 0x82;
+  u32 (List.length columns);
+  List.iter
+    (fun c ->
+      u32 (String.length c);
+      Buffer.add_string b c)
+    columns;
+  u32 (List.length rows);
+  List.iter
+    (fun r ->
+      u32 (Array.length r);
+      Array.iter (fun v -> Buffer.add_int64_be b (Int64.of_int v)) r)
+    rows;
+  let bytes = Buffer.to_bytes b in
+  Bytes.set_int32_be bytes 0 (Int32.of_int (Bytes.length bytes - 4));
+  bytes
+
+(* The sized frame equals the reference, its prefix is its length
+   minus 4, and it decodes back to the answer. *)
+let rows_frame_ok ~id columns rows =
+  let frame = P.encode_response ~id (P.Rows { columns; rows }) in
+  Bytes.equal frame (buffer_rows_frame ~id columns rows)
+  && Int32.to_int (Bytes.get_int32_be frame 0) = Bytes.length frame - 4
+  &&
+  match P.decode_response (payload_of frame) with
+  | Ok (id', P.Rows r) -> id' = id && r.columns = columns && r.rows = rows
+  | Ok _ | Error _ -> false
+
+let rows_arb =
+  let open QCheck.Gen in
+  let cell =
+    frequency [ (1, return min_int); (1, return max_int); (6, int) ]
+  in
+  let column = string_size ~gen:printable (int_range 0 12) in
+  QCheck.make
+    (triple (map Int64.of_int int)
+       (list_size (int_range 0 5) column)
+       (list_size (int_range 0 40) (array_size (int_range 0 6) cell)))
+
+let prop_rows_frame =
+  QCheck.Test.make ~count:300 ~name:"Rows frame = Buffer encoder's bytes"
+    rows_arb (fun (id, columns, rows) -> rows_frame_ok ~id columns rows)
+
+let test_rows_frame_edges () =
+  let ok label columns rows =
+    check Alcotest.bool label true (rows_frame_ok ~id:77L columns rows)
+  in
+  ok "empty answer" [ "id" ] [];
+  ok "no columns, no rows" [] [];
+  ok "zero columns" [] [ [||]; [||] ];
+  ok "extreme cells" [ "lower"; "upper" ]
+    [ [| min_int; max_int |]; [| max_int; min_int |]; [| 0; -1 |] ];
+  ok "10 000 rows" [ "lower"; "upper"; "id" ]
+    (List.init 10_000 (fun i -> [| i - 5_000; (i * 7919) - max_int; i |]))
+
 let () =
   Alcotest.run "protocol"
     [
@@ -400,6 +467,8 @@ let () =
           Alcotest.test_case "explain targets" `Quick
             test_explain_targets_roundtrip;
           Alcotest.test_case "responses" `Quick test_response_roundtrip;
+          Alcotest.test_case "Rows frame edges" `Quick test_rows_frame_edges;
+          QCheck_alcotest.to_alcotest prop_rows_frame;
         ] );
       ( "degraded",
         [
