@@ -301,7 +301,7 @@ let rec compile_step ctx pending outer (step : Ir.step) next =
           in
           List.iter
             (fun br ->
-              List.iter (visit env) (fst (run_branches sub.Ir.ctx [ br ])))
+              List.iter (visit env) (run_branches sub.Ir.ctx [ br ]))
             sub.Ir.plan.Ir.branches
     | Ir.Mem h, Ir.Mem_probe { op; lo; hi; _ } ->
         let lo = compile_value binds outer lo
@@ -492,18 +492,16 @@ and iter_branch ctx (branch : Ir.branch) sink =
       body
   else body ()
 
-(* The projected rows of [branches], in order, and their number. *)
+(* The projected rows of [branches], in order. *)
 and run_branches ctx branches =
-  let rows = ref [] and count = ref 0 in
+  let rows = ref [] in
   List.iter
     (fun (branch : Ir.branch) ->
       iter_branch ctx branch (fun scope ->
           let project = compile_projection scope branch.Ir.projections in
-          fun env ->
-            incr count;
-            rows := project env :: !rows))
+          fun env -> rows := project env :: !rows))
     branches;
-  (List.rev !rows, !count)
+  List.rev !rows
 
 let projection_columns (branch : Ir.branch) =
   List.concat_map
@@ -526,9 +524,12 @@ let is_aggregate_projection = function
 
 (* ---------------- grouping, aggregation, ordering ---------------- *)
 
-(* GROUP BY: the branch's rows are grouped as they stream, with no row
-   built. Plain projections must be grouping columns; aggregate
-   order-by keys are not supported. *)
+(* GROUP BY: the rows are grouped as the branches yield them, with no
+   row built. Plain projections must be grouping columns; aggregate
+   order-by keys are not supported. An aggregate query without GROUP BY
+   is the same fold with an empty key over every UNION ALL branch, each
+   reading the first branch's projections, and answers one row even
+   when no row arrives. *)
 
 module Int_tbl = Hashtbl.Make (struct
   type t = int
@@ -541,9 +542,9 @@ end)
    folded so far. *)
 type group = { key : int array; mutable count : int; acc : int array }
 
-let run_group_by ctx (branch : Ir.branch) =
+let run_group_by ctx (first : Ir.branch) branches =
   Obs.Trace.with_span "exec.group" @@ fun () ->
-  let group = branch.Ir.group_by in
+  let group = first.Ir.group_by and projections = first.Ir.projections in
   let is_group_col (alias, c) =
     List.exists (fun (_, gc) -> gc = c) group
     && match alias with _ -> true
@@ -554,149 +555,104 @@ let run_group_by ctx (branch : Ir.branch) =
           fail "column %s is not in GROUP BY" c
       | Ir.Star -> fail "SELECT * cannot be combined with GROUP BY"
       | Ir.Col _ | Ir.Count_star | Ir.Agg _ -> ())
-    branch.Ir.projections;
+    projections;
   let aggs =
     Array.of_list
       (List.filter_map
          (function
            | Ir.Agg (a, target) -> Some (a, target)
            | Ir.Count_star | Ir.Star | Ir.Col _ -> None)
-         branch.Ir.projections)
+         projections)
   in
-  (* groups in reverse first-seen order *)
+  (* groups in reverse first-seen order, shared by every branch *)
   let order = ref [] in
-  iter_branch ctx branch (fun scope ->
-      let slot (alias, c) = resolve scope alias c in
-      let keys = Array.of_list (List.map slot group) in
-      let targets = Array.map (fun (_, t) -> slot t) aggs in
-      let value (env : env) j =
-        let d, i = targets.(j) in
-        env.(d).(i)
-      in
-      let fresh (env : env) key =
-        let g =
-          { key; count = 0; acc = Array.init (Array.length aggs) (value env) }
-        in
-        order := g :: !order;
-        g
-      in
-      (* the group of the row bound in [env] *)
-      let find =
-        match keys with
-        | [| (d, i) |] ->
-            let groups = Int_tbl.create 64 in
-            fun (env : env) ->
-              let k = env.(d).(i) in
-              (match Int_tbl.find groups k with
-              | g -> g
-              | exception Not_found ->
-                  let g = fresh env [| k |] in
-                  Int_tbl.add groups k g;
-                  g)
-        | _ ->
-            let groups = Hashtbl.create 64 in
-            fun env ->
-              let k = Array.map (fun (d, i) -> env.(d).(i)) keys in
-              (match Hashtbl.find groups k with
-              | g -> g
-              | exception Not_found ->
-                  let g = fresh env k in
-                  Hashtbl.add groups k g;
-                  g)
-      in
-      fun env ->
-        let g = find env in
-        if g.count > 0 then
-          for j = 0 to Array.length aggs - 1 do
-            let v = value env j in
-            match fst aggs.(j) with
-            | Ir.Count -> ()
-            | Ir.Sum -> g.acc.(j) <- g.acc.(j) + v
-            | Ir.Min -> if v < g.acc.(j) then g.acc.(j) <- v
-            | Ir.Max -> if v > g.acc.(j) then g.acc.(j) <- v
-          done;
-        g.count <- g.count + 1);
-  List.rev_map
-    (fun g ->
-      let next = ref 0 in
-      let cells =
-        List.map
-          (fun p ->
-            match p with
-            | Ir.Col (a, c) ->
-                let rec pos i = function
-                  | [] -> fail "grouping column %s missing" c
-                  | (ga, gc) :: rest ->
-                      if gc = c && (a = None || ga = None || a = ga) then i
-                      else pos (i + 1) rest
-                in
-                g.key.(pos 0 group)
-            | Ir.Count_star -> g.count
-            | Ir.Agg (agg, _) -> (
-                let j = !next in
-                incr next;
-                match agg with
-                | Ir.Count -> g.count
-                | Ir.Sum | Ir.Min | Ir.Max -> g.acc.(j))
-            | Ir.Star -> assert false)
-          branch.Ir.projections
-      in
-      Array.of_list cells)
-    !order
-
-(* Aggregates without GROUP BY are computed over the concatenation of
-   all UNION ALL branches; mixing aggregate and plain projections is
-   rejected. *)
-let run_aggregate ctx branches projections =
-  Obs.Trace.with_span "exec.aggregate" @@ fun () ->
-  (* per branch, project the columns the aggregates read *)
-  let agg_cols =
-    List.filter_map
-      (function
-        | Ir.Agg (_, target) -> Some target
-        | Ir.Count_star | Ir.Star | Ir.Col _ -> None)
-      projections
-  in
-  let count = ref 0 in
-  let values = Array.make (List.length agg_cols) [] in
+  let one_col = Int_tbl.create 64 and many_cols = Hashtbl.create 64 in
   List.iter
     (fun branch ->
-      let branch' =
-        { branch with
-          Ir.projections =
-            List.map (fun t -> Ir.Col (fst t, snd t)) agg_cols }
-      in
-      let rows, c = run_branches ctx [ branch' ] in
-      count := !count + c;
-      List.iter
-        (fun row ->
-          Array.iteri (fun i _ -> values.(i) <- row.(i) :: values.(i)) values)
-        rows)
+      iter_branch ctx branch (fun scope ->
+          let slot (alias, c) = resolve scope alias c in
+          let keys = Array.of_list (List.map slot group) in
+          let targets = Array.map (fun (_, t) -> slot t) aggs in
+          let value (env : env) j =
+            let d, i = targets.(j) in
+            env.(d).(i)
+          in
+          let fresh (env : env) key =
+            let g =
+              { key; count = 0; acc = Array.init (Array.length aggs) (value env) }
+            in
+            order := g :: !order;
+            g
+          in
+          (* the group of the row bound in [env] *)
+          let find =
+            match keys with
+            | [||] -> (
+                fun env -> match !order with g :: _ -> g | [] -> fresh env [||])
+            | [| (d, i) |] ->
+                fun (env : env) ->
+                  let k = env.(d).(i) in
+                  (match Int_tbl.find one_col k with
+                  | g -> g
+                  | exception Not_found ->
+                      let g = fresh env [| k |] in
+                      Int_tbl.add one_col k g;
+                      g)
+            | _ ->
+                fun env ->
+                  let k = Array.map (fun (d, i) -> env.(d).(i)) keys in
+                  (match Hashtbl.find many_cols k with
+                  | g -> g
+                  | exception Not_found ->
+                      let g = fresh env k in
+                      Hashtbl.add many_cols k g;
+                      g)
+          in
+          fun env ->
+            let g = find env in
+            if g.count > 0 then
+              for j = 0 to Array.length aggs - 1 do
+                let v = value env j in
+                match fst aggs.(j) with
+                | Ir.Count -> ()
+                | Ir.Sum -> g.acc.(j) <- g.acc.(j) + v
+                | Ir.Min -> if v < g.acc.(j) then g.acc.(j) <- v
+                | Ir.Max -> if v > g.acc.(j) then g.acc.(j) <- v
+              done;
+            g.count <- g.count + 1))
     branches;
-  let next_value = ref 0 in
-  let cells =
-    List.map
-      (fun p ->
-        match p with
-        | Ir.Count_star -> !count
-        | Ir.Agg (a, _) -> (
-            let vs = values.(!next_value) in
-            incr next_value;
-            match a with
-            | Ir.Count -> List.length vs
-            | Ir.Sum -> List.fold_left ( + ) 0 vs
-            | Ir.Min -> (
-                match vs with
-                | [] -> fail "MIN over an empty result"
-                | v :: rest -> List.fold_left min v rest)
-            | Ir.Max -> (
-                match vs with
-                | [] -> fail "MAX over an empty result"
-                | v :: rest -> List.fold_left max v rest))
-        | Ir.Star | Ir.Col _ -> assert false)
-      projections
+  let row g =
+    let next = ref 0 in
+    let cells =
+      List.map
+        (fun p ->
+          match p with
+          | Ir.Col (a, c) ->
+              let rec pos i = function
+                | [] -> fail "grouping column %s missing" c
+                | (ga, gc) :: rest ->
+                    if gc = c && (a = None || ga = None || a = ga) then i
+                    else pos (i + 1) rest
+              in
+              g.key.(pos 0 group)
+          | Ir.Count_star -> g.count
+          | Ir.Agg (agg, _) -> (
+              let j = !next in
+              incr next;
+              match agg with
+              | Ir.Count -> g.count
+              | (Ir.Min | Ir.Max) when g.count = 0 ->
+                  fail "%s over an empty result" (Ir.agg_to_string agg)
+              | Ir.Sum when g.count = 0 -> 0
+              | Ir.Sum | Ir.Min | Ir.Max -> g.acc.(j))
+          | Ir.Star -> assert false)
+        projections
+    in
+    Array.of_list cells
   in
-  [ Array.of_list cells ]
+  match !order with
+  | [] when group = [] -> [ row { key = [||]; count = 0; acc = [||] } ]
+  | groups -> List.rev_map row groups
 
 let order_and_limit (first : Ir.branch) (plan : Ir.plan) rows =
   let rows =
@@ -739,27 +695,24 @@ let reset_seen (plan : Ir.plan) =
 let run ctx (plan : Ir.plan) =
   match plan.Ir.branches with
   | [] -> { columns = []; rows = [] }
-  | first :: _ when first.Ir.group_by <> [] ->
-      if List.length plan.Ir.branches > 1 then
-        fail "GROUP BY cannot be combined with UNION ALL";
-      let rows = run_group_by ctx first in
-      { columns = projection_columns first;
-        rows = order_and_limit first plan rows }
   | first :: _ ->
+      let grouped = first.Ir.group_by <> [] in
       let aggs = List.filter is_aggregate_projection first.Ir.projections in
-      if aggs <> [] then begin
+      if grouped && List.length plan.Ir.branches > 1 then
+        fail "GROUP BY cannot be combined with UNION ALL";
+      if (not grouped) && aggs <> [] then begin
         if List.length aggs <> List.length first.Ir.projections then
           fail "cannot mix aggregate and plain projections";
         if plan.Ir.order_by <> [] then
-          fail "ORDER BY does not apply to an aggregate query";
-        { columns = projection_columns first;
-          rows = run_aggregate ctx plan.Ir.branches first.Ir.projections }
-      end
-      else begin
-        let rows = fst (run_branches ctx plan.Ir.branches) in
-        { columns = projection_columns first;
-          rows = order_and_limit first plan rows }
-      end
+          fail "ORDER BY does not apply to an aggregate query"
+      end;
+      let rows =
+        if grouped then
+          order_and_limit first plan (run_group_by ctx first plan.Ir.branches)
+        else if aggs <> [] then run_group_by ctx first plan.Ir.branches
+        else order_and_limit first plan (run_branches ctx plan.Ir.branches)
+      in
+      { columns = projection_columns first; rows }
 
 (* Measure an execution: wall time and the process-global physical-I/O
    delta (single-threaded execution means the delta is attributable to

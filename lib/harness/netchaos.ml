@@ -88,7 +88,7 @@ let write_all t link fd s =
       | n -> go (off + n)
       | exception Unix.Unix_error (Unix.EINTR, _, _) -> go off
       | exception Unix.Unix_error ((Unix.EAGAIN | Unix.EWOULDBLOCK), _, _) ->
-          ignore (Reactor.Backend.wait_fd fd `Write ~timeout:(-1.));
+          ignore (Reactor.wait_fd fd `Write ~timeout:(-1.));
           go off
       | exception Unix.Unix_error _ -> close_link t link
   in

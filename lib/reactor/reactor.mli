@@ -4,13 +4,14 @@
     its shard legs on.
 
     A reactor owns a set of registered fds with read/write interest
-    and callbacks, plus a heap of exact timers ({!Timers}). [run_once]
-    blocks in [poll(2)] ({!Backend}) until readiness or the earliest
-    timer, fires due timers, then fires ready-fd callbacks.
-    Single-threaded: all callbacks run on the thread calling
-    [run_once]; nothing here takes locks. *)
+    and callbacks, plus a heap of exact timers ({!Timers}). Its
+    registry is the array set that [poll(2)] reads (a C stub, no fd
+    ceiling): registering, deregistering and the interest setters edit
+    it in place, and [run_once] hands it to [poll] as it stands, then
+    fires due timers and ready-fd callbacks. Single-threaded: all
+    callbacks run on the thread calling [run_once]; nothing here takes
+    locks. *)
 
-module Backend = Backend
 module Timers = Timers
 module Writer = Writer
 
@@ -19,10 +20,18 @@ type timer
 
 val create : unit -> t
 
+(** [wait_fd fd dir ~timeout] blocks the calling thread in [poll(2)]
+    until [fd] is ready for [dir] or [timeout] seconds pass (negative:
+    no bound, [0.]: just look); [true] iff it became ready. An error or
+    hangup on [fd] counts as ready; an interrupted wait ([EINTR]) as
+    not. It needs no reactor and touches none. *)
+val wait_fd : Unix.file_descr -> [ `Read | `Write ] -> timeout:float -> bool
+
 (** Register callbacks for an fd. Interest in a direction starts on
     iff that callback is supplied; adjust later with the interest
     setters. Registering an already-registered fd replaces the
-    previous entry. *)
+    previous entry in its slot; a report the poll made for the old
+    entry never fires the new one. *)
 val register :
   t ->
   Unix.file_descr ->
@@ -52,7 +61,10 @@ val timer_count : t -> int
     1 s), then fire due timers and ready callbacks. The callbacks
     start at a different ready fd on each turn, so no fd is always
     served first. Callbacks may freely register/deregister fds and
-    timers, including their own. *)
+    timers, including their own: a report fires a callback only if its
+    entry is still registered and still wants that direction when its
+    turn comes. A turn allocates nothing per registered fd. Not
+    reentrant: a callback must not call [run_once]. *)
 val run_once : ?max_timeout:float -> t -> unit
 
 (** {2 Fibers}
@@ -76,7 +88,7 @@ val spawn : t -> (unit -> unit) -> unit
     [timeout] seconds pass (negative: no bound); [true] iff ready. In
     a fiber it parks on a one-shot registration of [fd] (which must
     not be registered otherwise) and a timer; outside one it is
-    {!Backend.wait_fd}. *)
+    {!wait_fd}. *)
 val await_fd : Unix.file_descr -> [ `Read | `Write ] -> timeout:float -> bool
 
 (** [sleep d] parks for [d] seconds on a timer; outside a fiber,

@@ -1,7 +1,8 @@
 /* poll(2) binding: the reactor's readiness backend.
  *
- * Calling convention (see Backend.poll_raw):
- *   fds     : int array   — file descriptor numbers
+ * Calling convention (see Reactor.poll_raw):
+ *   fds     : int array   — file descriptor numbers (poll skips a
+ *                           negative one)
  *   events  : int array   — interest bits: 1 = readable, 2 = writable
  *   revents : int array   — written with readiness bits (same encoding);
  *                           POLLERR/POLLHUP/POLLNVAL are folded into both

@@ -346,7 +346,7 @@ let log_slow_query t ~seconds sp =
       (Obs.Trace.render ~max_bytes:slow_query_max_bytes sp)
   in
   let writable =
-    try Reactor.Backend.wait_fd Unix.stderr `Write ~timeout:0.
+    try Reactor.wait_fd Unix.stderr `Write ~timeout:0.
     with _ -> false
   in
   if not writable then incr slow_queries_dropped

@@ -31,7 +31,6 @@ type session = {
   mutable catalog : Relation.Catalog.t;
   collections : (string, string array * int array list) Hashtbl.t;
   cache : Ir.plan Exec.Plan_cache.t;
-  cache_enabled : bool;
   (* Bumped whenever cached plans are invalidated (DDL, collection
      schema change); prepared statements recompile when stale. *)
   mutable generation : int;
@@ -59,11 +58,10 @@ and ritree = {
   mem : unit -> Ir.mem_handle option;
 }
 
-let session ?(plan_cache = true) catalog =
+let session catalog =
   { catalog;
     collections = Hashtbl.create 8;
     cache = Exec.Plan_cache.create ();
-    cache_enabled = plan_cache;
     generation = 0;
     txn = Own (Relation.Txn.create ());
     ritree = None }
@@ -773,36 +771,33 @@ let compile_key session key =
    memo yields the normalized key and literal values without lexing, and
    the plan table yields the compiled plan without parsing or planning. *)
 let lookup_cached session src =
-  if not session.cache_enabled then None
-  else begin
-    let cache = session.cache in
-    match Exec.Plan_cache.find_raw cache src with
-    | Some (key, params) -> (
-        match Exec.Plan_cache.find cache key with
-        | Some plan -> Some (plan, params)
-        | None -> (
-            (* plan evicted or invalidated; the memo is still right *)
-            match compile_key session key with
-            | Some plan ->
-                Exec.Plan_cache.add cache key plan;
-                Some (plan, params)
-            | None -> None))
-    | None -> (
-        match Normalize.select src with
-        | None -> None
-        | Some { Normalize.key; params } -> (
-            match Exec.Plan_cache.find cache key with
-            | Some plan ->
-                Exec.Plan_cache.add_raw cache src key params;
-                Some (plan, params)
-            | None -> (
-                match compile_key session key with
-                | Some plan ->
-                    Exec.Plan_cache.add cache key plan;
-                    Exec.Plan_cache.add_raw cache src key params;
-                    Some (plan, params)
-                | None -> None)))
-  end
+  let cache = session.cache in
+  match Exec.Plan_cache.find_raw cache src with
+  | Some (key, params) -> (
+      match Exec.Plan_cache.find cache key with
+      | Some plan -> Some (plan, params)
+      | None -> (
+          (* plan evicted or invalidated; the memo is still right *)
+          match compile_key session key with
+          | Some plan ->
+              Exec.Plan_cache.add cache key plan;
+              Some (plan, params)
+          | None -> None))
+  | None -> (
+      match Normalize.select src with
+      | None -> None
+      | Some { Normalize.key; params } -> (
+          match Exec.Plan_cache.find cache key with
+          | Some plan ->
+              Exec.Plan_cache.add_raw cache src key params;
+              Some (plan, params)
+          | None -> (
+              match compile_key session key with
+              | Some plan ->
+                  Exec.Plan_cache.add cache key plan;
+                  Exec.Plan_cache.add_raw cache src key params;
+                  Some (plan, params)
+              | None -> None)))
 
 (* ---------------- prepared statements ---------------- *)
 

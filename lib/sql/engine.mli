@@ -26,9 +26,10 @@
 
 type session
 
-val session : ?plan_cache:bool -> Relation.Catalog.t -> session
-(** [plan_cache] (default [true]) controls whether SELECTs are cached;
-    benchmarks disable it to measure the uncached path. *)
+val session : Relation.Catalog.t -> session
+(** A fresh session with an empty plan cache. {!exec} and {!query}
+    cache SELECT plans; {!exec_script} never consults the cache, so it
+    is the uncached path. *)
 
 val catalog : session -> Relation.Catalog.t
 (** The database this session is bound to. *)

@@ -1,10 +1,9 @@
 (* The event core in isolation: exact-timer firing discipline, the
    bounded non-blocking writer's backpressure contract, the poll(2)
-   readiness backend with the reactor loop running on it, and the
-   fibers that park on that loop. *)
+   registry with the reactor loop running on it, and the fibers that
+   park on that loop. *)
 
 module R = Reactor
-module B = Reactor.Backend
 module W = Reactor.Writer
 module T = Reactor.Timers
 
@@ -321,40 +320,276 @@ let prop_writer_roundtrip =
           drain 1_000_000;
           Buffer.contents got = String.concat "" frames))
 
-(* ---- poll backend ---- *)
+(* ---- the poll registry ---- *)
+
+(* One turn that must not wait: every fd under test is ready. *)
+let turn r = R.run_once ~max_timeout:1. r
 
 let test_poll_readiness () =
+  let r = R.create () in
   with_socketpair (fun a b ->
-      (* empty socket: read not ready, timeout honoured *)
+      let fired = ref [] in
+      let note d () = fired := d :: !fired in
+      let take () =
+        let l = List.rev !fired in
+        fired := [];
+        l
+      in
+      R.register r a ~readable:(note `R) ~writable:(note `W) ();
+      (* empty socket, read interest only: nothing fires, the timeout
+         is honoured *)
+      R.set_write_interest r a false;
       let t0 = Unix.gettimeofday () in
-      let r = B.wait [| (a, true, false) |] ~timeout:0.05 in
-      check Alcotest.bool "quiet fd times out" true (r = []);
-      check Alcotest.bool
-        "timeout actually waited"
-        true
+      R.run_once ~max_timeout:0.05 r;
+      check Alcotest.bool "quiet fd times out" true (take () = []);
+      check Alcotest.bool "timeout actually waited" true
         (Unix.gettimeofday () -. t0 >= 0.04);
-      (* a writable socket reports writable *)
-      (match B.wait [| (a, false, true) |] ~timeout:1. with
-      | [ (fd, rd, wrt) ] ->
-          check Alcotest.bool "writable fd" true
-            (fd = a && wrt && not rd)
-      | _ -> Alcotest.fail "expected one writable entry");
-      (* data pending: readable, and only the armed direction *)
+      let t0 = Unix.gettimeofday () in
+      check Alcotest.bool "wait_fd times out" false
+        (R.wait_fd a `Read ~timeout:0.05);
+      check Alcotest.bool "wait_fd waited" true
+        (Unix.gettimeofday () -. t0 >= 0.04);
+      (* a writable socket reports writable, and only that *)
+      R.set_read_interest r a false;
+      R.set_write_interest r a true;
+      turn r;
+      check Alcotest.bool "writable fd" true (take () = [ `W ]);
+      check Alcotest.bool "wait_fd write" true
+        (R.wait_fd a `Write ~timeout:1.);
+      (* data pending: readable, and only the armed direction, though
+         the socket is writable too *)
       ignore (Unix.write b (Bytes.of_string "hi") 0 2);
-      (match B.wait [| (a, true, false) |] ~timeout:1. with
-      | [ (fd, rd, wrt) ] ->
-          check Alcotest.bool "readable fd" true
-            (fd = a && rd && not wrt)
-      | _ -> Alcotest.fail "expected one readable entry");
-      (* wait_fd agrees *)
-      check Alcotest.bool "wait_fd read" true
-        (B.wait_fd a `Read ~timeout:1.);
+      R.set_write_interest r a false;
+      R.set_read_interest r a true;
+      turn r;
+      check Alcotest.bool "readable fd" true (take () = [ `R ]);
+      check Alcotest.bool "wait_fd read" true (R.wait_fd a `Read ~timeout:1.);
       (* peer close: readable (EOF) *)
       let buf = Bytes.create 8 in
       ignore (Unix.read a buf 0 8);
       Unix.close b;
-      check Alcotest.bool "EOF is readable" true
-        (B.wait_fd a `Read ~timeout:1.))
+      turn r;
+      check Alcotest.bool "EOF is readable" true (take () = [ `R ]);
+      check Alcotest.bool "wait_fd EOF" true (R.wait_fd a `Read ~timeout:1.);
+      (* the hung-up fd with no interest left does not cut a wait short *)
+      R.set_read_interest r a false;
+      let t0 = Unix.gettimeofday () in
+      R.run_once ~max_timeout:0.05 r;
+      check Alcotest.bool "no interest, no wakeup" true
+        (take () = [] && Unix.gettimeofday () -. t0 >= 0.04);
+      R.deregister r a)
+
+(* [k] socketpairs whose near ends are readable (a byte waits in each)
+   and writable. *)
+let with_ready_pairs k f =
+  let pairs =
+    List.init k (fun _ ->
+        let a, b = Unix.socketpair Unix.PF_UNIX Unix.SOCK_STREAM 0 in
+        ignore (Unix.write_substring b "x" 0 1);
+        (a, b))
+  in
+  Fun.protect
+    ~finally:(fun () ->
+      List.iter
+        (fun (a, b) ->
+          (try Unix.close a with Unix.Unix_error _ -> ());
+          try Unix.close b with Unix.Unix_error _ -> ())
+        pairs)
+    (fun () -> f (Array.of_list (List.map fst pairs)))
+
+(* Two fds ready in one turn; whichever callback runs first applies
+   [mutate] to the other one, which then must not fire. *)
+let same_turn_mutation mutate () =
+  let r = R.create () in
+  with_ready_pairs 2 (fun fds ->
+      let fired = ref 0 in
+      for turn_no = 0 to 1 do
+        Array.iteri
+          (fun i fd ->
+            R.register r fd
+              ~readable:(fun () ->
+                incr fired;
+                mutate r fds.(1 - i))
+              ())
+          fds;
+        fired := 0;
+        turn r;
+        check Alcotest.int
+          (Printf.sprintf "turn %d: one callback" turn_no)
+          1 !fired
+      done)
+
+let test_deregister_same_turn =
+  same_turn_mutation (fun r fd -> R.deregister r fd)
+
+let test_interest_off_same_turn =
+  same_turn_mutation (fun r fd -> R.set_read_interest r fd false)
+
+(* A read callback closes its own fd and registers a new one that gets
+   the same number: the old entry's write report is stale and must not
+   fire the new entry's write callback. *)
+let test_reused_fd_number () =
+  let r = R.create () in
+  let idle_r, idle_w = Unix.pipe () in
+  with_ready_pairs 1 (fun fds ->
+      let fd = fds.(0) in
+      let log = ref [] in
+      let note s () = log := s :: !log in
+      R.register r fd
+        ~readable:(fun () ->
+          note "old r" ();
+          Unix.close fd;
+          (* the same number, now an idle pipe's read end *)
+          Unix.dup2 idle_r fd;
+          R.register r fd ~readable:(note "new r") ~writable:(note "new w") ())
+        ~writable:(note "old w") ();
+      turn r;
+      check Alcotest.(list string) "only the old read callback" [ "old r" ]
+        (List.rev !log);
+      check Alcotest.bool "the new entry is registered" true
+        (R.is_registered r fd);
+      R.deregister r fd);
+  Unix.close idle_r;
+  Unix.close idle_w
+
+(* With k fds ready on every turn, k turns serve each one first once. *)
+let test_rotation () =
+  let r = R.create () in
+  let k = 5 in
+  with_ready_pairs k (fun fds ->
+      let order = ref [] in
+      Array.iteri
+        (fun i fd -> R.register r fd ~readable:(fun () -> order := i :: !order) ())
+        fds;
+      let firsts =
+        List.init k (fun _ ->
+            order := [];
+            turn r;
+            let served = List.rev !order in
+            check Alcotest.int "all served" k (List.length served);
+            List.hd served)
+      in
+      check Alcotest.(list int) "each fd first exactly once"
+        (List.init k Fun.id) (List.sort compare firsts))
+
+(* Random register/deregister/interest toggles against a model: after
+   each step [is_registered] agrees with it, and one turn with every fd
+   ready fires exactly the callbacks it predicts, of the current
+   registration. *)
+type churn =
+  | Reg of int * bool * bool
+  | Dereg of int
+  | Interest of int * [ `R | `W ] * bool
+
+let churn_gen =
+  QCheck.Gen.(
+    let fd = int_bound 5 in
+    frequency
+      [ (3, map3 (fun i r w -> Reg (i, r, w)) fd bool bool);
+        (2, map (fun i -> Dereg i) fd);
+        (4,
+         map3
+           (fun i d v -> Interest (i, (if d then `R else `W), v))
+           fd bool bool) ])
+
+let churn_print = function
+  | Reg (i, r, w) -> Printf.sprintf "reg %d r=%b w=%b" i r w
+  | Dereg i -> Printf.sprintf "dereg %d" i
+  | Interest (i, d, v) ->
+      Printf.sprintf "%s %d %b" (if d = `R then "read" else "write") i v
+
+let prop_registry_churn =
+  QCheck.Test.make ~count:150 ~name:"registry churn = model"
+    QCheck.(
+      make ~print:(Print.list churn_print) Gen.(list_size (1 -- 40) churn_gen))
+    (fun steps ->
+      let r = R.create () in
+      with_ready_pairs 6 (fun fds ->
+          (* model: fd index -> (generation, has r cb, has w cb, want r, want w) *)
+          let model = Hashtbl.create 8 in
+          let fired = ref [] in
+          let gen = ref 0 in
+          List.for_all
+            (fun step ->
+              (match step with
+              | Reg (i, rd, wr) ->
+                  incr gen;
+                  let g = !gen in
+                  let cb d = Some (fun () -> fired := (i, g, d) :: !fired) in
+                  R.register r fds.(i)
+                    ?readable:(if rd then cb `R else None)
+                    ?writable:(if wr then cb `W else None)
+                    ();
+                  Hashtbl.replace model i (g, rd, wr, rd, wr)
+              | Dereg i ->
+                  R.deregister r fds.(i);
+                  Hashtbl.remove model i
+              | Interest (i, d, v) -> (
+                  (if d = `R then R.set_read_interest else R.set_write_interest)
+                    r fds.(i) v;
+                  match Hashtbl.find_opt model i with
+                  | Some (g, cr, cw, wr_, ww) ->
+                      Hashtbl.replace model i
+                        (if d = `R then (g, cr, cw, v, ww) else (g, cr, cw, wr_, v))
+                  | None -> ()));
+              let registered_ok =
+                Array.for_all Fun.id
+                  (Array.mapi
+                     (fun i fd -> R.is_registered r fd = Hashtbl.mem model i)
+                     fds)
+              in
+              fired := [];
+              R.run_once ~max_timeout:0. r;
+              let expected =
+                Hashtbl.fold
+                  (fun i (g, cr, cw, wr_, ww) acc ->
+                    (if cr && wr_ then [ (i, g, `R) ] else [])
+                    @ (if cw && ww then [ (i, g, `W) ] else [])
+                    @ acc)
+                  model []
+              in
+              registered_ok
+              && List.sort compare !fired = List.sort compare expected)
+            steps))
+
+(* A turn allocates nothing per registered fd: with one fd ready among
+   400 idle ones (dups of one idle pipe's read end) it allocates no
+   major-heap word, and the same minor words as among 10. *)
+let turn_words ~idle =
+  let r = R.create () in
+  let idle_r, idle_w = Unix.pipe () in
+  let dups = List.init idle (fun _ -> Unix.dup idle_r) in
+  List.iter (fun fd -> R.register r fd ~readable:ignore ()) dups;
+  let ready_r, ready_w = Unix.pipe () in
+  ignore (Unix.write_substring ready_w "x" 0 1);
+  let fired = ref 0 in
+  R.register r ready_r ~readable:(fun () -> incr fired) ();
+  for _ = 1 to 10 do
+    turn r
+  done;
+  let turns = 1000 in
+  Gc.minor ();
+  let minor0, _, major0 = Gc.counters () in
+  for _ = 1 to turns do
+    turn r
+  done;
+  let minor1, _, major1 = Gc.counters () in
+  List.iter Unix.close (idle_r :: idle_w :: ready_r :: ready_w :: dups);
+  check Alcotest.int "one callback per turn" (turns + 10) !fired;
+  let per w = w /. float_of_int turns in
+  (per (minor1 -. minor0), per (major1 -. major0))
+
+let test_turn_allocation () =
+  let minor10, _ = turn_words ~idle:10 in
+  let minor400, major400 = turn_words ~idle:400 in
+  check Alcotest.bool
+    (Printf.sprintf "< 1 major word per turn over 400 idle fds (%.2f)" major400)
+    true (major400 < 1.);
+  check Alcotest.bool
+    (Printf.sprintf "minor words per turn: 10 idle %.2f, 400 idle %.2f" minor10
+       minor400)
+    true
+    (minor400 <= minor10 +. 0.5)
 
 (* Timers fire, fd callbacks fire, interest toggles work — the loop
    every server component runs on. *)
@@ -528,7 +763,7 @@ let test_fiber_client_send () =
       let r = R.create () in
       R.spawn r (fun () -> Server.Client.send c Server.Protocol.Ping);
       check Alcotest.bool "frame on the wire before any turn" true
-        (B.wait_fd peer `Read ~timeout:0.);
+        (R.wait_fd peer `Read ~timeout:0.);
       let rec read_n buf off n =
         if n > 0 then
           match Unix.read peer buf off n with
@@ -573,7 +808,16 @@ let () =
          QCheck_alcotest.to_alcotest prop_writer_roundtrip ]);
       ("poll",
        [ Alcotest.test_case "readiness" `Quick test_poll_readiness;
-         Alcotest.test_case "reactor loop" `Quick test_reactor_loop ]);
+         Alcotest.test_case "reactor loop" `Quick test_reactor_loop;
+         Alcotest.test_case "deregistered in the turn" `Quick
+           test_deregister_same_turn;
+         Alcotest.test_case "interest off in the turn" `Quick
+           test_interest_off_same_turn;
+         Alcotest.test_case "reused fd number" `Quick test_reused_fd_number;
+         Alcotest.test_case "each ready fd first in turn" `Quick test_rotation;
+         QCheck_alcotest.to_alcotest prop_registry_churn;
+         Alcotest.test_case "no allocation per idle fd" `Quick
+           test_turn_allocation ]);
       ("fibers",
        [ Alcotest.test_case "await_fd: readiness and timeout" `Quick
            test_fiber_await;
