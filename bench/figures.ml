@@ -591,6 +591,20 @@ let micro ~tiny:_ =
       (Exec.Planner.plan_intersection ~proj:Exec.Planner.Triples served q)
   in
   Array.iter (fun q -> ignore (serve q)) served_queries;
+  (* A served point read: a point Intersect through [Session.handle] on
+     the hot-point fixture (durable covering D1 n = 2 000 preloaded into
+     the default 200-frame pool), seeded point queries. *)
+  let hot = Server.Session.shared ~durable:true () in
+  Server.Session.preload hot (Dist.generate ~seed:1 Dist.D1 ~n:2_000 ~d:2000);
+  let hot_session = Server.Session.create hot in
+  let points = Workload.Query_gen.point_queries ~seed:5 ~count:2_000 () in
+  let point_read () =
+    let q = points.(Workload.Prng.int rng 2_000) in
+    ignore
+      (Server.Session.handle hot_session
+         (Server.Protocol.Intersect { lower = Ivl.lower q; upper = Ivl.upper q }))
+  in
+  for _ = 1 to 2_000 do point_read () done;
   (* A full scan of the warm probe tree into one key array, reported per
      entry. *)
   let scan_key = Array.make 4 0 in
@@ -642,6 +656,7 @@ let micro ~tiny:_ =
       Test.make ~name:"exec.intersection"
         (Staged.stage (fun () ->
              ignore (serve served_queries.(Workload.Prng.int rng 64))));
+      Test.make ~name:"exec.point_intersection" (Staged.stage point_read);
       Test.make ~name:"ri.intersection(10k)"
         (Staged.stage (fun () ->
              let p = Workload.Prng.int rng 1_000_000 in

@@ -97,17 +97,14 @@ let explain kind n d seed trace qlow qup =
   print_string
     (Exec.Planner.explain ~stats tree (Exec.Planner.Intersect_target q));
   (* the chooser's candidates, priced by the estimator printed above *)
-  let cands =
-    Exec.Planner.candidates ~stats ~proj:Exec.Planner.Triples tree q
-  in
-  let chosen, _, _ = Exec.Planner.cheapest cands in
+  let prices = Exec.Planner.prices ~stats tree q in
   Printf.printf "chosen access path: %s  (est io: %s)\n"
-    (Exec.Planner.path_to_string chosen)
+    (Exec.Planner.path_to_string (Exec.Planner.cheapest prices))
     (String.concat ", "
        (List.map
-          (fun (p, _, io) ->
+          (fun (p, io) ->
             Printf.sprintf "%s %.0f" (Exec.Planner.path_to_string p) io)
-          cands));
+          prices));
   Relation.Catalog.flush db;
   Relation.Catalog.drop_cache db;
   if trace then Obs.Trace.set_enabled true;

@@ -15,7 +15,7 @@ module Histogram = struct
      `hi - lo + 1` or `x - lo` in native ints would wrap. Floats lose
      precision at that scale but only blur bucket boundaries, which the
      estimate tolerates; wraparound flips signs and destroys it. *)
-  let fspan lo hi =
+  let[@inline] fspan lo hi =
     let s = float_of_int hi -. float_of_int lo +. 1.0 in
     if s < 1.0 then 1.0 else s
 
@@ -50,7 +50,7 @@ module Histogram = struct
 
   (* Estimated number of values strictly below [x], assuming uniformity
      within buckets. *)
-  let count_below t x =
+  let[@inline] count_below t x =
     if t.total = 0 || x <= t.lo then 0.0
     else if x > t.hi then float_of_int t.total
     else begin

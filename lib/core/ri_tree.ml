@@ -284,12 +284,52 @@ type node_lists = {
   right_nodes : int list;         (* scanned on lowerIndex *)
 }
 
-(* [node_filter] lets the skeleton extension drop probes of single nodes
-   known to hold no intervals; a BETWEEN range over more than one node
-   is never filtered. *)
-let node_lists ?node_filter:(keep = fun _ -> true) (t : t) ivl =
+type node_buffers = {
+  mutable left : int array;
+  mutable n_left : int;
+  mutable right : int array;
+  mutable n_right : int;
+}
+
+let node_buffers () =
+  { left = Array.make 64 0; n_left = 0; right = Array.make 32 0; n_right = 0 }
+
+let grown a =
+  let b = Array.make (2 * Array.length a) 0 in
+  Array.blit a 0 b 0 (Array.length a);
+  b
+
+let push_left b lo hi =
+  let i = 2 * b.n_left in
+  if i + 2 > Array.length b.left then b.left <- grown b.left;
+  b.left.(i) <- lo;
+  b.left.(i + 1) <- hi;
+  b.n_left <- b.n_left + 1
+
+let push_right b w =
+  if b.n_right >= Array.length b.right then b.right <- grown b.right;
+  b.right.(b.n_right) <- w;
+  b.n_right <- b.n_right + 1
+
+(* Reverse the first [n] rows of [width] cells in place. *)
+let reverse_rows a ~width n =
+  for i = 0 to (n / 2) - 1 do
+    let j = n - 1 - i in
+    for c = 0 to width - 1 do
+      let x = a.((width * i) + c) in
+      a.((width * i) + c) <- a.((width * j) + c);
+      a.((width * j) + c) <- x
+    done
+  done
+
+(* Visit the query's node tables: [left min max] per leftNodes row,
+   [right node] per rightNodes row, each in backbone visiting order,
+   the BETWEEN pair last. [node_filter] lets the skeleton extension drop
+   probes of single nodes known to hold no intervals; a BETWEEN range
+   over more than one node is never filtered. *)
+let visit_nodes ?node_filter:(keep = fun _ -> true) (t : t) ivl ~left ~right =
   match t.offset with
-  | None -> { left_nodes = []; right_nodes = [] }
+  | None -> ()
   | Some off ->
       (* Stored bounds lie within the supported magnitude, so clamping
          the query to just outside it selects the same intervals and
@@ -298,14 +338,28 @@ let node_lists ?node_filter:(keep = fun _ -> true) (t : t) ivl =
         max (-max_bound_magnitude - 1) (min (max_bound_magnitude + 1) v)
       in
       let ql = clamp (Ivl.lower ivl) - off and qu = clamp (Ivl.upper ivl) - off in
-      let lefts = ref [] and rights = ref [] in
       Backbone.collect t.roots ~min_level:t.min_level ~ql ~qu
-        ~left:(fun w -> if keep w then lefts := (w, w) :: !lefts)
-        ~right:(fun w -> if keep w then rights := w :: !rights);
+        ~left:(fun w -> if keep w then left w w)
+        ~right:(fun w -> if keep w then right w);
       (* Sec. 4.3: the BETWEEN range joins the leftNodes table as the
          pair (ql, qu); the guard upper >= :lower is implied for it. *)
-      if ql <> qu || keep ql then lefts := (ql, qu) :: !lefts;
-      { left_nodes = !lefts; right_nodes = !rights }
+      if ql <> qu || keep ql then left ql qu
+
+(* Both tables list their rows in reverse visiting order, so the
+   BETWEEN pair comes first. *)
+let node_lists ?node_filter t ivl =
+  let lefts = ref [] and rights = ref [] in
+  visit_nodes ?node_filter t ivl
+    ~left:(fun lo hi -> lefts := (lo, hi) :: !lefts)
+    ~right:(fun w -> rights := w :: !rights);
+  { left_nodes = !lefts; right_nodes = !rights }
+
+let fill_node_lists ?node_filter t ivl b =
+  b.n_left <- 0;
+  b.n_right <- 0;
+  visit_nodes ?node_filter t ivl ~left:(push_left b) ~right:(push_right b);
+  reverse_rows b.left ~width:2 b.n_left;
+  reverse_rows b.right ~width:1 b.n_right
 
 (* Number of index probes the plan would perform, BETWEEN range
    included (diagnostic for the skeleton extension). *)

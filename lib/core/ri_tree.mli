@@ -119,6 +119,23 @@ val node_lists :
     nodes that hold no intervals (used by {!Skeleton}). A BETWEEN pair
     spanning more than one node is never filtered. *)
 
+type node_buffers = {
+  mutable left : int array;  (** [n_left] (min, max) pairs, row-major *)
+  mutable n_left : int;
+  mutable right : int array;  (** [n_right] nodes *)
+  mutable n_right : int;
+}
+(** The same two tables filled in place, for a caller that runs the
+    Fig. 9 statement many times: the arrays grow to the largest query
+    seen and are reused. *)
+
+val node_buffers : unit -> node_buffers
+
+val fill_node_lists :
+  ?node_filter:(int -> bool) -> t -> Interval.Ivl.t -> node_buffers -> unit
+(** {!node_lists} into the buffers, in the same order: the lists are
+    exactly the buffers' rows. *)
+
 val probe_count : ?node_filter:(int -> bool) -> t -> Interval.Ivl.t -> int
 (** Index probes the intersection plan performs for this query: the
     entries of both node lists, BETWEEN pair included — the quantity

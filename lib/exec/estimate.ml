@@ -22,18 +22,18 @@
 module Histogram = Ritree.Cost_model.Histogram
 module Stats = Ritree.Cost_model.Stats
 
-let clamp01 f = Float.max 0.0 (Float.min 1.0 f)
+let[@inline] clamp01 f = Float.max 0.0 (Float.min 1.0 f)
 
 let succ_clamped v = if v = max_int then max_int else v + 1
 
-let frac_lt (h : Stats.col) v =
+let[@inline] frac_lt (h : Stats.col) v =
   let total = Histogram.total h.hist in
   if total = 0 then 0.0
   else clamp01 (Histogram.count_below h.hist v /. float_of_int total)
 
-let frac_le h v = frac_lt h (succ_clamped v)
+let[@inline] frac_le h v = frac_lt h (succ_clamped v)
 
-let eq_frac (h : Stats.col) v =
+let[@inline] eq_frac (h : Stats.col) v =
   let total = Histogram.total h.hist in
   if total = 0 then 0.0
   else Float.max (1.0 /. float_of_int total) (frac_le h v -. frac_lt h v)
@@ -204,6 +204,9 @@ let index_geometry index =
 let heap_pages tbl =
   float_of_int (Relation.Heap.page_count (Relation.Table.heap tbl))
 
+(* The leaf pages one probe matching [m] entries reads. *)
+let[@inline] probe_io ~leaf_cap m = Float.max 1.0 (m /. leaf_cap)
+
 type step_est = {
   est_out : float;  (* rows emitted by this step across the whole run *)
   est_io : float;   (* physical I/O attributed to this step *)
@@ -231,6 +234,11 @@ let sub_plan ctx (step : Ir.step) =
       | _ -> None)
   | Ir.Base _ | Ir.Collection _ | Ir.Mem _ -> None
 
+(* Enumerating the cross product of outer transient collections is
+   bounded: past this many concrete environments the estimator falls
+   back to the default selectivity fractions. *)
+let max_envs = 1024
+
 (* Estimate all branches of one statement together: the statement-wide
    [charged] set implements descent-once costing across branches that
    probe the same index, and the table statistics are shared with any
@@ -251,10 +259,6 @@ let branches ?stats ctx (brs : Ir.branch list) =
             st)
   in
   let charged : (string, unit) Hashtbl.t = Hashtbl.create 4 in
-  (* Enumerating the cross product of outer transient collections is
-     bounded: past this many concrete environments the estimator falls
-     back to the default selectivity fractions. *)
-  let max_envs = 1024 in
   let rec estimate ctx brs =
     let binds = ctx.Ir.binds in
     List.map
@@ -283,16 +287,15 @@ let branches ?stats ctx (brs : Ir.branch list) =
                 | Ir.Collection name, _ ->
                     let coll = ctx.Ir.collection name in
                     let n =
-                      match coll with
-                      | Some (_, rows) -> List.length rows
-                      | None -> 0
+                      match coll with Some c -> c.Ir.rows | None -> 0
                     in
                     (match (!envs, coll) with
-                    | Some (scope, es), Some (cols, rows)
+                    | Some (scope, es), Some c
                       when n > 0 && List.length es * n <= max_envs ->
+                        let rows = List.init n (Ir.coll_row c) in
                         envs :=
                           Some
-                            ( scope @ [ (step.Ir.alias, cols) ],
+                            ( scope @ [ (step.Ir.alias, c.Ir.cols) ],
                               List.concat_map
                                 (fun e ->
                                   List.map (fun r -> Array.append e [| r |]) rows)
@@ -342,7 +345,6 @@ let branches ?stats ctx (brs : Ir.branch list) =
                         depth
                       end
                     in
-                    let probe_io m = Float.max 1.0 (m /. leaf_cap) in
                     (* Rowid fetches hit distinct heap pages, not one page
                        per row: repeated fetches of a page are buffer-pool
                        hits within the statement. Blend the two extremes
@@ -386,7 +388,7 @@ let branches ?stats ctx (brs : Ir.branch list) =
                             (fun env ->
                               let m = entries *. sel env in
                               m_sum := !m_sum +. m;
-                              io_sum := !io_sum +. probe_io m)
+                              io_sum := !io_sum +. probe_io ~leaf_cap m)
                             es;
                           let m_avg = !m_sum /. k in
                           ( m_avg,
@@ -398,7 +400,7 @@ let branches ?stats ctx (brs : Ir.branch list) =
                             entries *. access_sel (Some st) binds step [||]
                           in
                           ( m,
-                            descent +. (!loop *. probe_io m)
+                            descent +. (!loop *. probe_io ~leaf_cap m)
                             +. fetch_io (!loop *. m) )
                     in
                     envs := None;
@@ -424,7 +426,7 @@ let rec node_count ctx (branch : Ir.branch) =
       match step.Ir.source with
       | Ir.Collection name -> (
           match ctx.Ir.collection name with
-          | Some (_, rows) -> acc + List.length rows
+          | Some c -> acc + c.Ir.rows
           | None -> acc)
       | Ir.Intersection _ -> (
           match sub_plan ctx step with
@@ -435,3 +437,75 @@ let rec node_count ctx (branch : Ir.branch) =
           | None -> acc)
       | Ir.Base _ | Ir.Mem _ -> acc)
     0 branch.Ir.steps
+
+(* ---- the Fig. 9 plan, priced without a plan ----
+
+   The price {!branches} gives the ids-projected two-branch plan
+   ([Planner]'s Fig. 9 plan over [leftNodes]/[rightNodes]), computed
+   straight from the two node lists: the same float operations in the
+   same order, so the two agree exactly and EXPLAIN's PREDICTED io is
+   the price the chooser compared. Per branch: the index's descent once,
+   then the outer rows' average probe price times their count — or, past
+   {!max_envs} rows or with none, the default fractions' probe. A
+   collection step multiplies by 1.0 and adds 0.0, which change no
+   float, and an ids projection reads no base row, so neither appears
+   below. *)
+
+(* A branch's price from the average probe price of its [n] outer rows,
+   [io_sum / n], or from the fallback fraction's probe. *)
+let fig9_branch index ~n ~io_sum ~fallback =
+  let entries, leaf_cap, descent = index_geometry index in
+  let loop = float_of_int n in
+  if n > 0 && n <= max_envs then
+    descent +. (loop *. (io_sum ~entries ~leaf_cap /. float_of_int n))
+  else descent +. (loop *. probe_io ~leaf_cap (entries *. fallback))
+
+let fig9_io stats tbl ~upper_index ~lower_index ~(left : Ir.coll)
+    ~(right : Ir.coll) ~qup =
+  let st =
+    if Stats.table stats = Relation.Table.name tbl then stats
+    else Stats.of_table tbl
+  in
+  let node = Stats.column st "node" in
+  (* leftNodes: the range [min, max] on the upper index's node column *)
+  let range_default = clamp01 (1.0 -. default_range -. default_range) in
+  let left_io =
+    fig9_branch upper_index ~n:left.Ir.rows ~fallback:range_default
+      ~io_sum:(fun ~entries ~leaf_cap ->
+        let cells = left.Ir.cells and sum = ref 0.0 in
+        for i = 0 to left.Ir.rows - 1 do
+          let sel =
+            match node with
+            | None -> range_default
+            | Some h ->
+                clamp01
+                  (frac_le h cells.((2 * i) + 1) -. frac_lt h cells.(2 * i))
+          in
+          sum := !sum +. probe_io ~leaf_cap (entries *. sel)
+        done;
+        !sum)
+  in
+  (* rightNodes: node = the row's, and lower <= :qup *)
+  let below_qup =
+    match Stats.column st (Relation.Table.Index.columns lower_index).(1) with
+    | Some h -> clamp01 (frac_le h qup)
+    | None -> clamp01 (1.0 -. default_range)
+  in
+  let right_io =
+    fig9_branch lower_index ~n:right.Ir.rows
+      ~fallback:
+        ((match node with Some h -> distinct_frac h | None -> default_eq)
+        *. below_qup)
+      ~io_sum:(fun ~entries ~leaf_cap ->
+        let cells = right.Ir.cells and sum = ref 0.0 in
+        for i = 0 to right.Ir.rows - 1 do
+          let eq =
+            match node with
+            | Some h -> eq_frac h cells.(i)
+            | None -> default_eq
+          in
+          sum := !sum +. probe_io ~leaf_cap (entries *. (eq *. below_qup))
+        done;
+        !sum)
+  in
+  left_io +. right_io

@@ -67,15 +67,42 @@ let resolve (scope : scope) alias col =
       | [] -> fail "unknown column %s" col
       | _ -> fail "ambiguous column %s" col)
 
-(* Names resolve here, once: an unknown or ambiguous column or a missing
-   bind raises {!Error} whether or not any row ever reaches the
-   expression. *)
-let compile_value binds scope = function
-  | Ir.Const n -> fun (_ : env) -> n
+(* A plan compiles against a frame: one cell per parameter, which a
+   run may refill, and the context its collections, snapshot views and
+   intersection sub-plans come from. A plan run once gets a frame of its
+   context's binds. A plan kept for many runs shares a frame its owner
+   refills before each: an [open_] frame gains a cell for each
+   parameter the plan reads (see {!prepare}, and {!Planner}'s Fig. 9
+   forms). *)
+type frame = {
+  mutable cells : (string * int ref) list;
+  open_ : bool;
+  mutable ctx : Ir.ctx;
+}
+
+let cells_of binds = List.map (fun (h, v) -> (h, ref v)) binds
+let frame (ctx : Ir.ctx) =
+  { cells = cells_of ctx.Ir.binds; open_ = false; ctx }
+
+(* A constant or a parameter as the cell a run reads. Names resolve
+   here, once: an unknown or ambiguous column or a missing bind raises
+   {!Error} whether or not any row ever reaches the expression. *)
+let cell fr = function
+  | Ir.Const n -> ref n
   | Ir.Param h -> (
-      match List.assoc_opt h binds with
-      | Some v -> fun _ -> v
+      match List.assoc_opt h fr.cells with
+      | Some c -> c
+      | None when fr.open_ ->
+          let c = ref 0 in
+          fr.cells <- (h, c) :: fr.cells;
+          c
       | None -> fail "missing host variable :%s" h)
+  | Ir.Field _ -> invalid_arg "Executor.cell"
+
+let value_in fr scope = function
+  | (Ir.Const _ | Ir.Param _) as v ->
+      let c = cell fr v in
+      fun (_ : env) -> !c
   | Ir.Field (alias, col) ->
       let d, i = resolve scope alias col in
       fun env -> env.(d).(i)
@@ -89,27 +116,27 @@ let mirror = function
   | Ir.Gt -> Ir.Lt
   | Ir.Ge -> Ir.Le
 
-(* A column compared with a bound value: one closure, which reads the
-   column and compares. *)
-let field_cmp op d i (v : int) =
+(* A column compared with a constant or parameter: one closure, which
+   reads the column and the cell and compares. *)
+let field_cmp op d i (c : int ref) =
   match op with
-  | Ir.Eq -> fun (env : env) -> env.(d).(i) = v
-  | Ir.Ne -> fun env -> env.(d).(i) <> v
-  | Ir.Lt -> fun env -> env.(d).(i) < v
-  | Ir.Le -> fun env -> env.(d).(i) <= v
-  | Ir.Gt -> fun env -> env.(d).(i) > v
-  | Ir.Ge -> fun env -> env.(d).(i) >= v
+  | Ir.Eq -> fun (env : env) -> env.(d).(i) = !c
+  | Ir.Ne -> fun env -> env.(d).(i) <> !c
+  | Ir.Lt -> fun env -> env.(d).(i) < !c
+  | Ir.Le -> fun env -> env.(d).(i) <= !c
+  | Ir.Gt -> fun env -> env.(d).(i) > !c
+  | Ir.Ge -> fun env -> env.(d).(i) >= !c
 
-let rec compile_pred binds scope = function
+let rec pred_in fr scope = function
   | Ir.Cmp (op, Ir.Field (alias, col), ((Ir.Const _ | Ir.Param _) as v)) ->
       let d, i = resolve scope alias col in
-      field_cmp op d i (compile_value binds scope v [||])
+      field_cmp op d i (cell fr v)
   | Ir.Cmp (op, ((Ir.Const _ | Ir.Param _) as v), Ir.Field (alias, col)) ->
-      let v = compile_value binds scope v [||] in
+      let c = cell fr v in
       let d, i = resolve scope alias col in
-      field_cmp (mirror op) d i v
+      field_cmp (mirror op) d i c
   | Ir.Cmp (op, a, b) -> (
-      let a = compile_value binds scope a and b = compile_value binds scope b in
+      let a = value_in fr scope a and b = value_in fr scope b in
       match op with
       | Ir.Eq -> fun env -> a env = b env
       | Ir.Ne -> fun env -> a env <> b env
@@ -118,32 +145,37 @@ let rec compile_pred binds scope = function
       | Ir.Gt -> fun env -> a env > b env
       | Ir.Ge -> fun env -> a env >= b env)
   | Ir.Between (e, lo, hi) ->
-      let e = compile_value binds scope e
-      and lo = compile_value binds scope lo
-      and hi = compile_value binds scope hi in
+      let e = value_in fr scope e
+      and lo = value_in fr scope lo
+      and hi = value_in fr scope hi in
       fun env ->
         let v = e env in
         lo env <= v && v <= hi env
   | Ir.And (a, b) ->
-      let a = compile_pred binds scope a and b = compile_pred binds scope b in
+      let a = pred_in fr scope a and b = pred_in fr scope b in
       fun env -> a env && b env
   | Ir.Or (a, b) ->
-      let a = compile_pred binds scope a and b = compile_pred binds scope b in
+      let a = pred_in fr scope a and b = pred_in fr scope b in
       fun env -> a env || b env
   | Ir.Not e ->
-      let e = compile_pred binds scope e in
+      let e = pred_in fr scope e in
       fun env -> not (e env)
 
+let binds_frame binds =
+  { cells = cells_of binds; open_ = false; ctx = Ir.empty_ctx }
+let compile_value binds = value_in (binds_frame binds)
+let compile_pred binds = pred_in (binds_frame binds)
+
 (* A conjunction; [None] when there is nothing to check. *)
-let compile_filters binds scope = function
+let compile_filters fr scope = function
   | [] -> None
   | p :: ps ->
       Some
         (List.fold_left
            (fun acc p ->
-             let p = compile_pred binds scope p in
+             let p = pred_in fr scope p in
              fun env -> acc env && p env)
-           (compile_pred binds scope p) ps)
+           (pred_in fr scope p) ps)
 
 (* ---------------- node execution ---------------- *)
 
@@ -175,8 +207,8 @@ let node_span (step : Ir.step) =
    [false] when the bound admits no key at all. An exclusive bound at
    the integer [edge] is such a bound: it must not wrap round to the
    opposite edge and widen the probe to the whole index. *)
-let key_bound binds scope key i ~edge ~next { Ir.v; inclusive } =
-  let v = compile_value binds scope v in
+let key_bound fr scope key i ~edge ~next { Ir.v; inclusive } =
+  let v = value_in fr scope v in
   fun env ->
     let x = v env in
     if inclusive then begin
@@ -258,17 +290,29 @@ let compile_projection scope projections =
     done;
     out
 
+(* What compiling a plan shares between its steps: the frame, and the
+   work a run does before its loops (each base-table step reads its
+   snapshot view there, once per run). *)
+type comp = { fr : frame; mutable starts : (unit -> unit) list }
+
+(* The snapshot view of [tbl] for the current run. *)
+let run_view comp tbl =
+  let name = Relation.Table.name tbl in
+  let view = ref None in
+  comp.starts <- (fun () -> view := comp.fr.ctx.Ir.vis name) :: comp.starts;
+  view
+
 (* Compile [step] under [outer], the scope of the steps outside it; its
    loop depth is the length of [outer]. [next] compiles under the
    extended scope and runs once per row the step emits; the result runs
    the step's loop for one binding of the outer rows. A batched index
    step queues its scans on the branch's [pending]. *)
-let rec compile_step ctx pending outer (step : Ir.step) next =
-  let binds = ctx.Ir.binds in
+let rec compile_step comp pending outer (step : Ir.step) next =
+  let fr = comp.fr in
   let d = List.length outer in
   let columns = step_columns step in
   let scope = outer @ [ (step.Ir.alias, columns) ] in
-  let filters = compile_filters binds scope step.Ir.filters in
+  let filters = compile_filters fr scope step.Ir.filters in
   let next = next scope in
   (* the row bound at depth [d] goes on when it passes the filters *)
   let emit env =
@@ -285,27 +329,31 @@ let rec compile_step ctx pending outer (step : Ir.step) next =
   let body =
     match (step.Ir.source, step.Ir.access) with
     | Ir.Collection name, _ ->
+        (* each row is copied into the step's own row array *)
+        let width = Array.length columns in
+        let row = Array.make width 0 in
         fun env -> (
-          match ctx.Ir.collection name with
+          match comp.fr.ctx.Ir.collection name with
           | None -> fail "collection %s disappeared" name
-          | Some (cols, rows) ->
-              if cols != columns && cols <> columns then
+          | Some c ->
+              if c.Ir.cols != columns && c.Ir.cols <> columns then
                 fail "collection %s changed its columns" name;
-              List.iter (visit env) rows)
-    | Ir.Intersection { upper; lower; _ }, _ ->
-        let upper = compile_value binds outer upper
-        and lower = compile_value binds outer lower in
-        fun env ->
-          let sub =
-            intersection_sub ctx step ~upper:(upper env) ~lower:(lower env)
-          in
-          List.iter
-            (fun br ->
-              List.iter (visit env) (run_branches sub.Ir.ctx [ br ]))
-            sub.Ir.plan.Ir.branches
+              for i = 0 to c.Ir.rows - 1 do
+                Array.blit c.Ir.cells (i * width) row 0 width;
+                visit env row
+              done)
+    | Ir.Intersection { table; upper; lower; proj }, _ ->
+        let name = Relation.Table.name table in
+        let upper = value_in fr outer upper
+        and lower = value_in fr outer lower in
+        fun env -> (
+          let u = upper env in
+          let q = Interval.Ivl.make (min u (lower env)) u in
+          match comp.fr.ctx.Ir.intersection_rows name ~proj q with
+          | Some rows -> List.iter (visit env) rows
+          | None -> fail "%s is not an RI-tree relation of this session" name)
     | Ir.Mem h, Ir.Mem_probe { op; lo; hi; _ } ->
-        let lo = compile_value binds outer lo
-        and up = compile_value binds outer hi in
+        let lo = value_in fr outer lo and up = value_in fr outer hi in
         fun env ->
           List.iter
             (fun (l, u, id) -> visit env [| l; u; id |])
@@ -317,9 +365,10 @@ let rec compile_step ctx pending outer (step : Ir.step) next =
            time, so a sequential scan of any size runs in constant
            memory. Each row is bound with its rowid appended; the rowid
            decides snapshot visibility and is never addressed after. *)
-        let view = ctx.Ir.vis (Relation.Table.name tbl) in
-        let accept = visible view in
+        let view = run_view comp tbl in
         fun env ->
+          let view = !view in
+          let accept = visible view in
           let c = Relation.Heap.cursor (Relation.Table.heap tbl) in
           let rec go () =
             match Relation.Heap.next c with
@@ -340,26 +389,28 @@ let rec compile_step ctx pending outer (step : Ir.step) next =
     | ( Ir.Base tbl,
         Ir.Index_scan
           { index; eq; lo; hi; refine_lo; refine_hi; covering; batched } ) ->
-        compile_index_scan ctx pending outer step tbl index ~eq ~lo ~hi
+        compile_index_scan comp pending outer step tbl index ~eq ~lo ~hi
           ~refine_lo ~refine_hi ~covering ~batched ~emit visit
   in
-  if Obs.Trace.enabled () then fun env ->
-    Obs.Trace.with_span (node_span step) ~info:step.Ir.alias (fun () ->
-        body env)
-  else body
+  let span = node_span step and info = step.Ir.alias in
+  fun env ->
+    if Obs.Trace.enabled () then
+      Obs.Trace.with_span span ~info (fun () -> body env)
+    else body env
 
 (* The bounds compile once and each probe fills its two key arrays:
    equality components, then the range column, then the refinement
-   column after it. The step owns one key array and one cursor: each
-   probe re-seeks the cursor, which decodes every entry into the key,
-   bound at the step's depth, so an entry costs no allocation; what a
-   row keeps of it, the projection copies out. Entries the key filters
-   reject are skipped before any fetch. A batched probe descends at
-   once, on a cursor of its own and copies of its key arrays, and queues
-   its scan with copies of the outer rows it ran under. *)
-and compile_index_scan ctx pending outer (step : Ir.step) tbl index ~eq ~lo
+   column after it. The step owns one key array and one cursor, kept
+   from run to run: each probe re-seeks the cursor, which decodes every
+   entry into the key, bound at the step's depth, so an entry costs no
+   allocation; what a row keeps of it, the projection copies out. A
+   drained cursor holds no pin. Entries the key filters reject are
+   skipped before any fetch. A batched probe descends at once, on a
+   cursor of its own and copies of its key arrays, and queues its scan
+   with copies of the outer rows it ran under. *)
+and compile_index_scan comp pending outer (step : Ir.step) tbl index ~eq ~lo
     ~hi ~refine_lo ~refine_hi ~covering ~batched ~emit visit =
-  let binds = ctx.Ir.binds in
+  let fr = comp.fr in
   let tree = Relation.Table.Index.tree index in
   let width = Btree.key_width tree in
   let lo_key = Array.make width min_int in
@@ -367,7 +418,7 @@ and compile_index_scan ctx pending outer (step : Ir.step) tbl index ~eq ~lo
   let eq_fills =
     List.mapi
       (fun i v ->
-        let v = compile_value binds outer v in
+        let v = value_in fr outer v in
         fun env ->
           let x = v env in
           lo_key.(i) <- x;
@@ -377,8 +428,8 @@ and compile_index_scan ctx pending outer (step : Ir.step) tbl index ~eq ~lo
   in
   let range i lo hi =
     List.filter_map Fun.id
-      [ Option.map (key_bound binds outer lo_key i ~edge:max_int ~next:succ) lo;
-        Option.map (key_bound binds outer hi_key i ~edge:min_int ~next:pred) hi ]
+      [ Option.map (key_bound fr outer lo_key i ~edge:max_int ~next:succ) lo;
+        Option.map (key_bound fr outer hi_key i ~edge:min_int ~next:pred) hi ]
   in
   let k = List.length eq in
   let rpos = k + if lo <> None || hi <> None then 1 else 0 in
@@ -397,7 +448,7 @@ and compile_index_scan ctx pending outer (step : Ir.step) tbl index ~eq ~lo
   (* key filters see the index entry, bound at this step's depth *)
   let key_ok =
     match
-      compile_filters binds
+      compile_filters fr
         (outer @ [ (step.Ir.alias, Relation.Table.Index.columns index) ])
         step.Ir.key_filters
     with
@@ -415,10 +466,11 @@ and compile_index_scan ctx pending outer (step : Ir.step) tbl index ~eq ~lo
             env.(d) <- key
         | None -> ()
   in
-  let view = ctx.Ir.vis (Relation.Table.name tbl) in
-  let accept = visible view in
+  let view = run_view comp tbl in
   (* Drain the cursor of a probe over [lo, hi]. *)
   let scan env c ~lo ~hi =
+    let view = !view in
+    let accept = visible view in
     env.(d) <- key;
     while Btree.next_into c key do
       if accept key.(width - 1) then entry env
@@ -465,43 +517,34 @@ and compile_index_scan ctx pending outer (step : Ir.step) tbl index ~eq ~lo
           pending
       end
 
-(* Compile a branch into one closure over a fresh environment, then run
-   it: every name in it resolves before the first row is read. [sink]
+(* Compile a branch into one closure over an environment it keeps:
+   every name in it resolves before the first row is read. [sink]
    compiles under the innermost scope and runs once per row the branch
    yields; the rows it sees are the loops' own, valid only during the
    call. The scans its batched probes queued run once its loops have,
    in queue order. *)
-and iter_branch ctx (branch : Ir.branch) sink =
+let compile_branch comp (branch : Ir.branch) sink =
+  let pending = Queue.create () in
+  let rec chain outer = function
+    | [] -> sink outer
+    | step :: rest ->
+        compile_step comp pending outer step (fun scope -> chain scope rest)
+  in
+  let run = chain [] branch.Ir.steps in
+  let env = Array.make (List.length branch.Ir.steps) [||] in
   let body () =
-    let pending = Queue.create () in
-    let rec chain outer = function
-      | [] -> sink outer
-      | step :: rest ->
-          compile_step ctx pending outer step (fun scope -> chain scope rest)
-    in
-    let run = chain [] branch.Ir.steps in
-    run (Array.make (List.length branch.Ir.steps) [||]);
+    run env;
     while not (Queue.is_empty pending) do
       (Queue.take pending) ()
     done
   in
-  if Obs.Trace.enabled () then
-    Obs.Trace.with_span "sql.branch"
-      ~info:
-        (String.concat "," (List.map (fun s -> s.Ir.alias) branch.Ir.steps))
-      body
-  else body ()
-
-(* The projected rows of [branches], in order. *)
-and run_branches ctx branches =
-  let rows = ref [] in
-  List.iter
-    (fun (branch : Ir.branch) ->
-      iter_branch ctx branch (fun scope ->
-          let project = compile_projection scope branch.Ir.projections in
-          fun env -> rows := project env :: !rows))
-    branches;
-  List.rev !rows
+  fun () ->
+    if Obs.Trace.enabled () then
+      Obs.Trace.with_span "sql.branch"
+        ~info:
+          (String.concat "," (List.map (fun s -> s.Ir.alias) branch.Ir.steps))
+        body
+    else body ()
 
 let projection_columns (branch : Ir.branch) =
   List.concat_map
@@ -542,8 +585,7 @@ end)
    folded so far. *)
 type group = { key : int array; mutable count : int; acc : int array }
 
-let run_group_by ctx (first : Ir.branch) branches =
-  Obs.Trace.with_span "exec.group" @@ fun () ->
+let compile_group_by comp (first : Ir.branch) branches =
   let group = first.Ir.group_by and projections = first.Ir.projections in
   let is_group_col (alias, c) =
     List.exists (fun (_, gc) -> gc = c) group
@@ -567,9 +609,10 @@ let run_group_by ctx (first : Ir.branch) branches =
   (* groups in reverse first-seen order, shared by every branch *)
   let order = ref [] in
   let one_col = Int_tbl.create 64 and many_cols = Hashtbl.create 64 in
-  List.iter
+  let runs =
+   List.map
     (fun branch ->
-      iter_branch ctx branch (fun scope ->
+      compile_branch comp branch (fun scope ->
           let slot (alias, c) = resolve scope alias c in
           let keys = Array.of_list (List.map slot group) in
           let targets = Array.map (fun (_, t) -> slot t) aggs in
@@ -620,7 +663,8 @@ let run_group_by ctx (first : Ir.branch) branches =
                 | Ir.Max -> if v > g.acc.(j) then g.acc.(j) <- v
               done;
             g.count <- g.count + 1))
-    branches;
+    branches
+  in
   let row g =
     let next = ref 0 in
     let cells =
@@ -650,9 +694,15 @@ let run_group_by ctx (first : Ir.branch) branches =
     in
     Array.of_list cells
   in
-  match !order with
-  | [] when group = [] -> [ row { key = [||]; count = 0; acc = [||] } ]
-  | groups -> List.rev_map row groups
+  fun () ->
+    Obs.Trace.with_span "exec.group" @@ fun () ->
+    order := [];
+    Int_tbl.reset one_col;
+    Hashtbl.reset many_cols;
+    List.iter (fun run -> run ()) runs;
+    match !order with
+    | [] when group = [] -> [ row { key = [||]; count = 0; acc = [||] } ]
+    | groups -> List.rev_map row groups
 
 let order_and_limit (first : Ir.branch) (plan : Ir.plan) rows =
   let rows =
@@ -687,14 +737,27 @@ let order_and_limit (first : Ir.branch) (plan : Ir.plan) rows =
 
 type output = { columns : string list; rows : int array list }
 
+(* A plan compiled against a frame: [exec] runs it with what the frame
+   holds now. Not reentrant: a run must end before the next starts on
+   the same compiled plan. *)
+type compiled = {
+  frame : frame;
+  starts : (unit -> unit) list;
+  body : unit -> int array list;
+  columns : string list;
+}
+
 let reset_seen (plan : Ir.plan) =
   List.iter
     (fun b -> List.iter (fun (s : Ir.step) -> s.Ir.seen <- 0) b.Ir.steps)
     plan.Ir.branches
 
-let run ctx (plan : Ir.plan) =
+(* The one compile function: SQL text, EXPLAIN [ANALYZE], the typed ops
+   and the kept Fig. 9 forms all execute what it returns. *)
+let compile fr (plan : Ir.plan) =
+  let comp = { fr; starts = [] } in
   match plan.Ir.branches with
-  | [] -> { columns = []; rows = [] }
+  | [] -> { frame = fr; starts = []; body = (fun () -> []); columns = [] }
   | first :: _ ->
       let grouped = first.Ir.group_by <> [] in
       let aggs = List.filter is_aggregate_projection first.Ir.projections in
@@ -707,12 +770,53 @@ let run ctx (plan : Ir.plan) =
           fail "ORDER BY does not apply to an aggregate query"
       end;
       let rows =
-        if grouped then
-          order_and_limit first plan (run_group_by ctx first plan.Ir.branches)
-        else if aggs <> [] then run_group_by ctx first plan.Ir.branches
-        else order_and_limit first plan (run_branches ctx plan.Ir.branches)
+        if grouped || aggs <> [] then
+          compile_group_by comp first plan.Ir.branches
+        else begin
+          let out = ref [] in
+          let runs =
+            List.map
+              (fun (branch : Ir.branch) ->
+                compile_branch comp branch (fun scope ->
+                    let project =
+                      compile_projection scope branch.Ir.projections
+                    in
+                    fun env -> out := project env :: !out))
+              plan.Ir.branches
+          in
+          fun () ->
+            out := [];
+            List.iter (fun run -> run ()) runs;
+            let rows = List.rev !out in
+            out := [];
+            rows
+        end
       in
-      { columns = projection_columns first; rows }
+      { frame = fr;
+        starts = List.rev comp.starts;
+        body = (fun () -> order_and_limit first plan (rows ()));
+        columns = projection_columns first }
+
+let exec c =
+  List.iter (fun start -> start ()) c.starts;
+  { columns = c.columns; rows = c.body () }
+
+(* Compile [plan] against [ctx] and run it once. *)
+let run ctx plan = exec (compile (frame ctx) plan)
+
+(* Compile [plan] for many runs, each against a context of its own: one
+   cell per parameter the plan reads, which {!exec_in} fills. *)
+let prepare plan = compile { cells = []; open_ = true; ctx = Ir.empty_ctx } plan
+
+let exec_in (ctx : Ir.ctx) c =
+  List.iter
+    (fun (h, cell) ->
+      match List.assoc_opt h ctx.Ir.binds with
+      | Some v -> cell := v
+      | None -> fail "missing host variable :%s" h)
+    c.frame.cells;
+  c.frame.ctx <- ctx;
+  exec c
 
 (* Measure an execution: wall time and the process-global physical-I/O
    delta (single-threaded execution means the delta is attributable to

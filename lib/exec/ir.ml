@@ -134,21 +134,40 @@ type plan = {
   limit : int option;
 }
 
+(* A transient collection: [rows] rows of [Array.length cols] cells,
+   row-major at the front of [cells]. The Fig. 9 node lists fill two of
+   these in place per query (see {!Planner}). *)
+type coll = { cols : string array; mutable cells : int array; mutable rows : int }
+
+let coll cols rows =
+  let w = Array.length cols in
+  let cells = Array.make (w * List.length rows) 0 in
+  List.iteri (fun i r -> Array.blit r 0 cells (i * w) w) rows;
+  { cols; cells; rows = List.length rows }
+
+let coll_row c i =
+  let w = Array.length c.cols in
+  Array.sub c.cells (i * w) w
+
 (* The run-time context a plan executes against: parameter bindings,
    the transient collections (the SQL session's, or the planner's own),
    the planner for [Intersection] sources, and the MVCC snapshot
-   overlay. [intersection] plans the candidate interval over the named
-   RI-tree relation, or answers [None] when the session holds no such
-   tree. [vis] returns the per-table view of the executing session's
-   snapshot: base-table scans filter physically present rows through it
-   and merge the rows it serves that are not physically present
-   (recently deleted rows old snapshots still see, plus the session's
-   own pending inserts). [None] — the common case — means physical
-   state is exactly the snapshot and scans pay nothing. *)
+   overlay. [intersection] builds the plan of the candidate interval
+   over the named RI-tree relation, for EXPLAIN and the estimator;
+   [intersection_rows] answers its rows. Both answer [None] when the
+   session holds no such tree. [vis] returns the per-table view of the
+   executing session's snapshot: base-table scans filter physically
+   present rows through it and merge the rows it serves that are not
+   physically present (recently deleted rows old snapshots still see,
+   plus the session's own pending inserts). [None] — the common case —
+   means physical state is exactly the snapshot and scans pay
+   nothing. *)
 type ctx = {
   binds : (string * int) list;
-  collection : string -> (string array * int array list) option;
+  collection : string -> coll option;
   intersection : string -> proj:ri_proj -> Interval.Ivl.t -> compiled option;
+  intersection_rows :
+    string -> proj:ri_proj -> Interval.Ivl.t -> int array list option;
   vis : string -> Relation.Txn.view option;
 }
 
@@ -157,6 +176,13 @@ and compiled = { plan : plan; ctx : ctx }
 
 let no_vis : string -> Relation.Txn.view option = fun _ -> None
 let no_intersection _ ~proj:_ _ = None
+
+let empty_ctx =
+  { binds = [];
+    collection = (fun _ -> None);
+    intersection = no_intersection;
+    intersection_rows = no_intersection;
+    vis = no_vis }
 
 (* ---- printing (must match Sqlfront.Ast.expr_to_string verbatim: the
    renderer's FILTER and key lines are part of the EXPLAIN contract) ---- *)

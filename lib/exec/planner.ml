@@ -10,12 +10,18 @@
 
    Access-path selection (Sec. 5): the planner prices the access path
    of the full two-branch UNION ALL plan (Fig. 9/10) and of a filtered
-   sequential scan with {!Estimate}, the model EXPLAIN prints, and keeps
-   the cheaper: the scan wins when the query is so unselective that
-   reading the heap once beats probing (tiny tables, near-full
-   coverage). Without statistics it plans the two-branch plan. All
-   paths return exactly the same result set (property-tested against
-   the brute-force oracle). *)
+   sequential scan by {!Estimate}'s model, the one EXPLAIN prints, and
+   keeps the cheaper: the scan wins when the query is so unselective
+   that reading the heap once beats probing (tiny tables, near-full
+   coverage). The prices come straight from the node lists and the
+   heap's page count ({!path_prices}); no plan is built to price one.
+   Without statistics it plans the two-branch plan. All paths return
+   exactly the same result set (property-tested against the
+   brute-force oracle).
+
+   A server does not plan its reads: it runs a tree's {!forms}, the
+   Fig. 9 statement compiled once, and only fills the node lists,
+   prices, sets the frame and runs per query. *)
 
 module Ivl = Interval.Ivl
 module Allen = Interval.Allen
@@ -43,7 +49,8 @@ type compiled = Ir.compiled = { plan : Ir.plan; ctx : Ir.ctx }
 
 let make_ctx ?(vis = Ir.no_vis) binds colls =
   { Ir.binds; collection = (fun name -> List.assoc_opt name colls);
-    intersection = Ir.no_intersection; vis }
+    intersection = Ir.no_intersection;
+    intersection_rows = Ir.no_intersection; vis }
 
 let interval_binds q = [ ("qlow", Ivl.lower q); ("qup", Ivl.upper q) ]
 
@@ -103,13 +110,22 @@ let index_step t ~projs ?(key_filters = []) ?(filters = []) ~index ?(eq = [])
 
 (* ---- the Fig. 9/10 two-branch UNION ALL plan ---- *)
 
-let left_collection nl =
-  ( "leftNodes",
-    ( [| "min"; "max" |],
-      List.map (fun (a, b) -> [| a; b |]) nl.Ri.left_nodes ) )
+let left_cols = [| "min"; "max" |]
+let right_cols = [| "node" |]
 
-let right_collection nl =
-  ("rightNodes", ([| "node" |], List.map (fun w -> [| w |]) nl.Ri.right_nodes))
+(* The two node lists as the plan's collections, over the buffers'
+   arrays. *)
+let node_colls (b : Ri.node_buffers) =
+  ( { Ir.cols = left_cols; cells = b.Ri.left; rows = b.Ri.n_left },
+    { Ir.cols = right_cols; cells = b.Ri.right; rows = b.Ri.n_right } )
+
+let fresh_node_colls ?node_filter t q =
+  let b = Ri.node_buffers () in
+  Ri.fill_node_lists ?node_filter t q b;
+  node_colls b
+
+let node_collections (left, right) =
+  [ ("leftNodes", left); ("rightNodes", right) ]
 
 (* [extra] residual filters (the Allen endpoint decompositions) apply to
    the inner step of both branches. The upper-index step checks no
@@ -130,24 +146,24 @@ let two_branch_branches ?(extra = []) ~projs t =
   in
   [ { Ir.steps =
         [ Ir.mk_step ~alias:"lft" ~source:(Ir.Collection "leftNodes")
-            ~columns:[| "min"; "max" |] Ir.Seq_scan;
+            ~columns:left_cols Ir.Seq_scan;
           upper_step ];
       projections = projs; group_by = [] };
     { Ir.steps =
         [ Ir.mk_step ~alias:"rgt" ~source:(Ir.Collection "rightNodes")
-            ~columns:[| "node" |] Ir.Seq_scan;
+            ~columns:right_cols Ir.Seq_scan;
           lower_step ];
       projections = projs; group_by = [] } ]
 
+let two_branch_plan ?extra ~proj t =
+  plain_plan (two_branch_branches ?extra ~projs:(projections t proj) t)
+
 let two_branch ?extra ?node_filter ?nl ?vis ~proj t q =
   let nl =
-    match nl with Some nl -> nl | None -> Ri.node_lists ?node_filter t q
+    match nl with Some nl -> nl | None -> fresh_node_colls ?node_filter t q
   in
-  let projs = projections t proj in
-  { plan = plain_plan (two_branch_branches ?extra ~projs t);
-    ctx =
-      make_ctx ?vis (interval_binds q)
-        [ left_collection nl; right_collection nl ] }
+  { plan = two_branch_plan ?extra ~proj t;
+    ctx = make_ctx ?vis (interval_binds q) (node_collections nl) }
 
 (* Every interval with a bound equal to value [x] is registered on the
    backbone path of [x] (Sec. 4.1), so O(h) exact probes cover
@@ -165,20 +181,20 @@ let path_nodes t x =
 
 (* ---- filtered sequential scan ---- *)
 
-let seq_scan ?vis ~proj t q =
+let seq_scan_plan ~proj t =
   let table = Ri.table t in
-  let branch =
-    { Ir.steps =
-        [ Ir.mk_step ~alias:"i" ~source:(Ir.Base table)
-            ~columns:(Relation.Table.columns table)
-            ~filters:
-              [ Ir.Cmp (Ir.Le, field "i" "lower", Ir.Param "qup");
-                Ir.Cmp (Ir.Ge, field "i" "upper", Ir.Param "qlow") ]
-            Ir.Seq_scan ];
-      projections = projections t proj; group_by = [] }
-  in
-  { plan = plain_plan [ branch ];
-    ctx = make_ctx ?vis (interval_binds q) [] }
+  plain_plan
+    [ { Ir.steps =
+          [ Ir.mk_step ~alias:"i" ~source:(Ir.Base table)
+              ~columns:(Relation.Table.columns table)
+              ~filters:
+                [ Ir.Cmp (Ir.Le, field "i" "lower", Ir.Param "qup");
+                  Ir.Cmp (Ir.Ge, field "i" "upper", Ir.Param "qlow") ]
+              Ir.Seq_scan ];
+        projections = projections t proj; group_by = [] } ]
+
+let seq_scan ?vis ~proj t q =
+  { plan = seq_scan_plan ~proj t; ctx = make_ctx ?vis (interval_binds q) [] }
 
 (* ---- RAM-resident hot-tier probe ---- *)
 
@@ -210,33 +226,36 @@ let total_io ests =
 let price ?stats c =
   total_io (Estimate.branches ?stats c.ctx c.plan.Ir.branches)
 
-(* The disk paths for [q], each built with the caller's projection and
-   priced by its access path with exactly [stats]: no I/O, so a plan can
-   be priced from statistics analyzed elsewhere. The access path is the
-   same plan projecting ids, which reads the index alone under either
-   layout; the rowid fetches a non-covering projection adds are not
-   priced into the choice. Under the covering layout both are one
-   price, the one EXPLAIN prints. *)
-let candidates ?node_filter ?vis ~stats ~proj t q =
-  let nl = Ri.node_lists ?node_filter t q in
-  List.map
-    (fun (path, build) ->
-      let c = build proj in
-      (path, c, price ~stats (if proj = Ids then c else build Ids)))
-    [ (Two_branch, fun proj -> two_branch ~nl ?vis ~proj t q);
-      (Seq, fun proj -> seq_scan ?vis ~proj t q) ]
+(* The disk paths' prices for [q] over its node lists, from exactly
+   [stats]: no I/O and no plan, so a query is priced from statistics
+   analyzed elsewhere. The access path priced is the plan projecting
+   ids, which reads the index alone under either layout; the rowid
+   fetches a non-covering projection adds are not priced into the
+   choice. Each price is the one {!price} gives that plan, so under the
+   covering layout it is the one EXPLAIN prints. *)
+let path_prices ~stats t (left, right) q =
+  let tbl = Ri.table t in
+  [ ( Two_branch,
+      Estimate.fig9_io stats tbl ~upper_index:(Ri.upper_index t)
+        ~lower_index:(Ri.lower_index t) ~left ~right ~qup:(Ivl.upper q) );
+    (Seq, Estimate.heap_pages tbl) ]
 
-(* The cheapest candidate; a tie keeps the two-branch plan. *)
-let cheapest cands =
-  List.fold_left
-    (fun ((_, _, best) as b) ((_, _, io) as c) -> if io < best then c else b)
-    (List.hd cands) (List.tl cands)
+let prices ?node_filter ~stats t q =
+  path_prices ~stats t (fresh_node_colls ?node_filter t q) q
+
+(* The cheapest path; a tie keeps the two-branch plan. *)
+let cheapest = function
+  | [] -> invalid_arg "Planner.cheapest"
+  | first :: rest ->
+      fst
+        (List.fold_left
+           (fun ((_, best) as b) ((_, io) as c) -> if io < best then c else b)
+           first rest)
 
 (* [node_filter] (the skeleton's) prunes the two-branch plan's node
    lists; the other paths probe no nodes. A resident replica answers
    with no I/O, so the memory probe wins whenever the caller holds one;
-   otherwise the cheaper disk plan is returned as it was built for
-   pricing. *)
+   otherwise the cheaper disk plan is built, the only plan built. *)
 let plan_intersection ?stats ?path ?mem ?node_filter ?vis ~proj t q =
   (* the replica holds (lower, upper, id) only *)
   let mem = if proj = Rows then None else mem in
@@ -248,16 +267,14 @@ let plan_intersection ?stats ?path ?mem ?node_filter ?vis ~proj t q =
   | Some Two_branch, _, _ | None, None, None ->
       two_branch ?node_filter ?vis ~proj t q
   | Some Seq, _, _ -> seq_scan ?vis ~proj t q
-  | None, None, Some stats ->
-      let _, c, _ = cheapest (candidates ?node_filter ?vis ~stats ~proj t q) in
-      c
+  | None, None, Some stats -> (
+      let nl = fresh_node_colls ?node_filter t q in
+      match cheapest (path_prices ~stats t nl q) with
+      | Seq -> seq_scan ?vis ~proj t q
+      | Two_branch | Mem_path -> two_branch ~nl ?vis ~proj t q)
 
 let choose ?(mem : Ir.mem_handle option) t stats q =
-  match mem with
-  | Some _ -> Mem_path
-  | None ->
-      let path, _, _ = cheapest (candidates ~stats ~proj:Ids t q) in
-      path
+  match mem with Some _ -> Mem_path | None -> cheapest (prices ~stats t q)
 
 (* ---- execution helpers ---- *)
 
@@ -308,7 +325,7 @@ let partition_join ~collection:(name, col) ~index
         [ { Ir.steps = [ parts; scan ];
             projections = [ Ir.Col (Some "i", "id") ];
             group_by = [ (Some "i", "id") ] } ];
-    ctx = make_ctx (interval_binds q) [ (name, ([| col |], parts_rows)) ] }
+    ctx = make_ctx (interval_binds q) [ (name, Ir.coll [| col |] parts_rows) ] }
 
 (* ---- Allen-relation decomposition (Sec. 4.5) ----
 
@@ -376,7 +393,7 @@ let plan_allen_disk ?vis t r q =
           ctx =
             make_ctx ?vis (interval_binds q)
               [ ("pathNodes",
-                 ([| "node" |], List.map (fun w -> [| w |]) nodes)) ] }
+                 Ir.coll [| "node" |] (List.map (fun w -> [| w |]) nodes)) ] }
       in
       match r with
       | Allen.Before ->
@@ -424,6 +441,131 @@ let allen_matches ?mem ?vis t r q =
 
 let allen_ids ?mem ?vis t r q = List.map snd (allen_matches ?mem ?vis t r q)
 
+(* ---- Fig. 9 as a prepared statement ----
+
+   The paper's Fig. 9 is one static statement: its only inputs are
+   :lower, :upper and the two transient node lists. A tree's forms are
+   its two-branch plan (per projection, and per intersection-implying
+   Allen relation with that relation's endpoint filters) and its
+   filtered scan, each compiled once against one frame: the qlow/qup
+   cells, the two node-list buffers {!Ri.fill_node_lists} fills in
+   place, and the snapshot view. A query fills the lists, prices both
+   paths from them ({!path_prices}), sets the frame and runs the
+   cheaper form; no plan is built and nothing is compiled. The owner
+   keeps one set per tree and replaces it with the tree. A run that
+   starts while another is in progress on the same set builds and
+   compiles a plan of its own. *)
+
+type form =
+  | Form_two of proj
+  | Form_seq of proj
+  | Form_allen of Allen.relation
+
+type forms = {
+  tree : Ri.t;
+  nodes : Ri.node_buffers;
+  left : Ir.coll;  (* leftNodes, over [nodes]' arrays *)
+  right : Ir.coll;
+  qlow : int ref;
+  qup : int ref;
+  vis : (string -> Relation.Txn.view option) ref;
+  frame : Executor.frame;
+  mutable compiled : (form * Executor.compiled) list;
+  mutable busy : bool;
+}
+
+let prepare tree =
+  let nodes = Ri.node_buffers () in
+  let left, right = node_colls nodes in
+  let qlow = ref 0 and qup = ref 0 and vis = ref Ir.no_vis in
+  let some_left = Some left and some_right = Some right in
+  let ctx =
+    { Ir.binds = [];
+      collection =
+        (function
+        | "leftNodes" -> some_left
+        | "rightNodes" -> some_right
+        | _ -> None);
+      intersection = Ir.no_intersection;
+      intersection_rows = Ir.no_intersection;
+      vis = (fun name -> !vis name) }
+  in
+  { tree; nodes; left; right; qlow; qup; vis;
+    frame =
+      { Executor.cells = [ ("qlow", qlow); ("qup", qup) ]; open_ = false; ctx };
+    compiled = []; busy = false }
+
+let forms_tree f = f.tree
+
+let compiled_form f form =
+  match List.assoc_opt form f.compiled with
+  | Some c -> c
+  | None ->
+      let plan =
+        match form with
+        | Form_two proj -> two_branch_plan ~proj f.tree
+        | Form_seq proj -> seq_scan_plan ~proj f.tree
+        | Form_allen r ->
+            two_branch_plan ~extra:(allen_filters r) ~proj:Triples f.tree
+      in
+      let c = Executor.compile f.frame plan in
+      f.compiled <- (form, c) :: f.compiled;
+      c
+
+(* Set the frame for [q] and run the form [pick] names; [fallback] when
+   a run is already in progress on [f]. *)
+let run_forms f ~vis q ~fallback pick =
+  if f.busy then fallback ()
+  else begin
+    f.busy <- true;
+    match
+      Ri.fill_node_lists f.tree q f.nodes;
+      f.left.Ir.cells <- f.nodes.Ri.left;
+      f.left.Ir.rows <- f.nodes.Ri.n_left;
+      f.right.Ir.cells <- f.nodes.Ri.right;
+      f.right.Ir.rows <- f.nodes.Ri.n_right;
+      f.qlow := Ivl.lower q;
+      f.qup := Ivl.upper q;
+      f.vis := vis;
+      Executor.exec (compiled_form f (pick ()))
+    with
+    | out ->
+        f.busy <- false;
+        out
+    | exception e ->
+        f.busy <- false;
+        raise e
+  end
+
+(* {!plan_intersection} and its run, served from [f]'s forms. *)
+let intersect f ?stats ?mem ?(vis = Ir.no_vis) ~proj q =
+  let mem = if proj = Rows then None else mem in
+  match mem with
+  | Some h -> run (mem_plan ?stats ~proj f.tree h Ir.Mem_intersect q)
+  | None ->
+      run_forms f ~vis q
+        ~fallback:(fun () -> run (plan_intersection ?stats ~vis ~proj f.tree q))
+        (fun () ->
+          match stats with
+          | None -> Form_two proj
+          | Some stats -> (
+              match cheapest (path_prices ~stats f.tree (f.left, f.right) q) with
+              | Seq -> Form_seq proj
+              | Two_branch | Mem_path -> Form_two proj))
+
+(* {!plan_allen} and its run: the nine intersection-implying relations
+   from [f]'s forms. *)
+let allen f ?mem ?(vis = Ir.no_vis) r q =
+  match (mem, r) with
+  | ( None,
+      ( Allen.Overlaps | Allen.Finished_by | Allen.Contains | Allen.Starts
+      | Allen.Equals | Allen.Started_by | Allen.During | Allen.Finishes
+      | Allen.Overlapped_by ) ) ->
+      run_forms f ~vis q
+        ~fallback:(fun () -> run (plan_allen_disk ~vis f.tree r q))
+        (fun () -> Form_allen r)
+  | _ -> run (plan_allen ?mem ~vis f.tree r q)
+
 (* ---- temporal now/infinity rewrite (Sec. 4.6) ----
 
    The finite intervals run through the ordinary two-branch plan; a
@@ -441,7 +583,7 @@ let temporal_projs =
 
 let plan_temporal store ~now q =
   let t = Ritree.Temporal_store.ri store in
-  let nl = Ri.node_lists t q in
+  let nl = fresh_node_colls t q in
   let qlow = Ivl.lower q and qup = Ivl.upper q in
   let finite = two_branch_branches ~projs:temporal_projs t in
   let sentinel_step =
@@ -462,8 +604,8 @@ let plan_temporal store ~now q =
   { plan = plain_plan (finite @ [ sentinel_branch ]);
     ctx =
       make_ctx (interval_binds q)
-        [ left_collection nl; right_collection nl;
-          ("sentinelNodes", ([| "node"; "maxLower" |], sentinels)) ] }
+        (node_collections nl
+        @ [ ("sentinelNodes", Ir.coll [| "node"; "maxLower" |] sentinels) ]) }
 
 let temporal_matches store ~now q =
   List.map
@@ -496,7 +638,13 @@ let memo_intersections ctx =
         Hashtbl.add memo key c;
         c
   in
-  { ctx with Ir.intersection }
+  (* ANALYZE runs the very sub-plans rendered, so their steps count *)
+  let intersection_rows name ~proj q =
+    Option.map
+      (fun c -> (Executor.run c.ctx c.plan).Executor.rows)
+      (intersection name ~proj q)
+  in
+  { ctx with Ir.intersection; intersection_rows }
 
 let explain_compiled ?stats ?(analyze = false) ctx (plan : Ir.plan) =
   let ctx = memo_intersections ctx in

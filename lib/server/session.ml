@@ -1,6 +1,9 @@
 type shared = {
   mutable cat : Relation.Catalog.t;
   mutable ritree : Ritree.Ri_tree.t;
+  (* The tree's Fig. 9 statement, compiled once; replaced with the
+     tree. The typed ops and the SQL engine's intersections run it. *)
+  mutable forms : Exec.Planner.forms;
   tree_name : string;
   dur : bool;
   cache_blocks : int option;
@@ -28,7 +31,8 @@ let shared ?(durable = false) ?cache_blocks ?(tree_name = "intervals")
   let cat = Relation.Catalog.create ~durable ?cache_blocks () in
   let ritree = Ritree.Ri_tree.create ~name:tree_name ~layout cat in
   if durable then Relation.Catalog.commit cat;
-  { cat; ritree; tree_name; dur = durable; cache_blocks;
+  { cat; ritree; forms = Exec.Planner.prepare ritree; tree_name;
+    dur = durable; cache_blocks;
     txns = Relation.Txn.create ();
     generation = 0; next_session = 0;
     stats = None; memtier = Exec.Memtier.create ~budget_mb:hot_tier_mb }
@@ -65,6 +69,7 @@ let flush_shared sh =
 (* Swap in a tree over [sh.cat]. *)
 let attach sh ritree =
   sh.ritree <- ritree;
+  sh.forms <- Exec.Planner.prepare ritree;
   (* The physical handles were replaced and recovery reinstated exactly
      the committed state: every in-flight write set is void and the
      visibility sidecars describe tables that no longer exist. *)
@@ -152,7 +157,7 @@ let mem_for t =
    inputs as the typed Intersect op (its snapshot comes from the
    transaction). *)
 let attach_tree t =
-  Sqlfront.Engine.set_ritree t.engine t.sh.ritree
+  Sqlfront.Engine.set_ritree t.engine t.sh.forms
     ~stats:(fun () -> stats_for t.sh)
     ~mem:(fun () -> mem_for t)
 
@@ -218,12 +223,10 @@ let ivl lower upper =
     invalid_arg (Printf.sprintf "empty interval [%d, %d]" lower upper)
   else Interval.Ivl.make lower upper
 
-(* The typed ops plan [Triples], so the executor's rows are already the
+(* The typed ops run [Triples], so the executor's rows are already the
    wire's (lower, upper, id) rows. *)
-let triple_rows (c : Exec.Planner.compiled) =
-  Protocol.Rows
-    { columns = [ "lower"; "upper"; "id" ];
-      rows = (Exec.Planner.run c).Exec.Executor.rows }
+let triple_rows (out : Exec.Executor.output) =
+  Protocol.Rows { columns = [ "lower"; "upper"; "id" ]; rows = out.rows }
 
 let exec t = function
   | Protocol.Sql text -> (
@@ -261,16 +264,16 @@ let exec t = function
           | [] ->
               Error (Printf.sprintf "no row ([%d, %d], id %d)" lower upper id)))
   | Intersect { lower; upper } ->
-      (* compiled onto the shared execution IR; the planner consults the
-         cost model to pick the memory tier, two-branch or seq scan *)
+      (* the tree's compiled Fig. 9 forms; the cost model picks the
+         memory tier, two-branch or seq scan *)
       triple_rows
-        (Exec.Planner.plan_intersection ~stats:(stats_for t.sh)
+        (Exec.Planner.intersect t.sh.forms ~stats:(stats_for t.sh)
            ?mem:(mem_for t) ~vis:(vis_for t) ~proj:Exec.Planner.Triples
-           t.sh.ritree (ivl lower upper))
+           (ivl lower upper))
   | Allen { relation; lower; upper } ->
       triple_rows
-        (Exec.Planner.plan_allen ?mem:(mem_for t) ~vis:(vis_for t)
-           t.sh.ritree relation (ivl lower upper))
+        (Exec.Planner.allen t.sh.forms ?mem:(mem_for t) ~vis:(vis_for t)
+           relation (ivl lower upper))
   | Begin ->
       if Relation.Txn.pinned t.txn then
         Protocol.Invalid "transaction already in progress"

@@ -29,8 +29,8 @@ let parse src =
 
 type session = {
   mutable catalog : Relation.Catalog.t;
-  collections : (string, string array * int array list) Hashtbl.t;
-  cache : Ir.plan Exec.Plan_cache.t;
+  collections : (string, Ir.coll) Hashtbl.t;
+  cache : cached Exec.Plan_cache.t;
   (* Bumped whenever cached plans are invalidated (DDL, collection
      schema change); prepared statements recompile when stale. *)
   mutable generation : int;
@@ -43,17 +43,21 @@ type session = {
   mutable ritree : ritree option;
 }
 
+(* A cached SELECT: its plan, compiled at its first execution and run
+   from then on against each execution's context. *)
+and cached = Executor.compiled Lazy.t
+
 (* [Own m]: a standalone session begins a transaction on its own
    manager for each statement and commits it when the statement ends
    (autocommit). [Host t]: the hosting server's transaction, which the
    host commits. *)
 and binding = Own of Relation.Txn.mgr | Host of Relation.Txn.txn
 
-(* The tree plus the inputs the typed intersection op plans with; both
-   are read per execution, so cached plans see refreshed statistics and
-   the current hot-tier residency. *)
+(* The tree's compiled Fig. 9 forms plus the inputs the typed
+   intersection op plans with; both are read per execution, so cached
+   plans see refreshed statistics and the current hot-tier residency. *)
 and ritree = {
-  tree : Ritree.Ri_tree.t;
+  forms : Exec.Planner.forms;
   stats : unit -> Ritree.Cost_model.Stats.t;
   mem : unit -> Ir.mem_handle option;
 }
@@ -93,19 +97,19 @@ let set_catalog s catalog =
   s.catalog <- catalog;
   invalidate_plans s
 
-let set_ritree s tree ~stats ~mem =
-  s.ritree <- Some { tree; stats; mem };
+let set_ritree s forms ~stats ~mem =
+  s.ritree <- Some { forms; stats; mem };
   invalidate_plans s
 
 let set_collection s name ~columns rows =
   let cols = Array.of_list columns in
   (match Hashtbl.find_opt s.collections name with
-  | Some (old_cols, _) when old_cols = cols ->
+  | Some old when old.Ir.cols = cols ->
       (* same schema, fresh rows: cached plans resolve the rows at run
          time, so the usual per-query node-list refresh stays a hit *)
       ()
   | _ -> invalidate_plans s);
-  Hashtbl.replace s.collections name (cols, rows)
+  Hashtbl.replace s.collections name (Ir.coll cols rows)
 
 let clear_collection s name = Hashtbl.remove s.collections name
 
@@ -396,9 +400,9 @@ let conjuncts_of (select : Ast.select) =
    as a residual filter, so it answers the seq scan's multiset. *)
 let intersection_branch session (select : Ast.select) =
   match (session.ritree, select.Ast.froms) with
-  | Some r, [ (tname, alias_opt) ] when tname = Ritree.Ri_tree.name r.tree
-    -> (
-      let table = Ritree.Ri_tree.table r.tree in
+  | Some { forms; _ }, [ (tname, alias_opt) ]
+    when tname = Ritree.Ri_tree.name (Exec.Planner.forms_tree forms) -> (
+      let table = Ritree.Ri_tree.table (Exec.Planner.forms_tree forms) in
       let alias = Option.value ~default:tname alias_opt in
       let columns = Relation.Table.columns table in
       let conjuncts = conjuncts_of select in
@@ -472,7 +476,7 @@ let plan_generic_branch session (select : Ast.select) =
     | Some tbl -> (alias, Ir.Base tbl, Relation.Table.columns tbl)
     | None -> (
         match Hashtbl.find_opt session.collections tname with
-        | Some (cols, _) -> (alias, Ir.Collection tname, cols)
+        | Some c -> (alias, Ir.Collection tname, c.Ir.cols)
         | None -> fail "unknown table %s" tname)
   in
   let items = List.map resolve select.Ast.froms in
@@ -593,14 +597,28 @@ let compile_query session (q : Ast.query) : Ir.plan =
 (* ---------------- execution via the shared executor ---------------- *)
 
 (* Intersection sub-plans come from the typed op's planner, under this
-   statement's snapshot. *)
-let intersection_of session vis name ~proj q =
+   statement's snapshot: their rows from the tree's compiled forms, and
+   for EXPLAIN the plan the forms run. *)
+let tree_named session name =
   match session.ritree with
-  | Some r when name = Ritree.Ri_tree.name r.tree ->
-      Some
-        (Exec.Planner.plan_intersection ~stats:(r.stats ()) ?mem:(r.mem ())
-           ~vis ~proj r.tree q)
+  | Some r when name = Ritree.Ri_tree.name (Exec.Planner.forms_tree r.forms) ->
+      Some r
   | _ -> None
+
+let intersection_of session vis name ~proj q =
+  Option.map
+    (fun r ->
+      Exec.Planner.plan_intersection ~stats:(r.stats ()) ?mem:(r.mem ()) ~vis
+        ~proj (Exec.Planner.forms_tree r.forms) q)
+    (tree_named session name)
+
+let intersection_rows_of session vis name ~proj q =
+  Option.map
+    (fun r ->
+      (Exec.Planner.intersect r.forms ~stats:(r.stats ()) ?mem:(r.mem ()) ~vis
+         ~proj q)
+        .Executor.rows)
+    (tree_named session name)
 
 (* Per-statement snapshot: implicit transactions read-committed (fresh
    high each statement), pinned ones snapshot-stable — [Txn.view]
@@ -610,12 +628,20 @@ let ctx session t binds =
   { Ir.binds;
     collection = (fun name -> Hashtbl.find_opt session.collections name);
     intersection = intersection_of session vis;
+    intersection_rows = intersection_rows_of session vis;
     vis }
 
+let rows (out : Executor.output) =
+  Rows { columns = out.Executor.columns; rows = out.Executor.rows }
+
 let run_plan session binds plan =
+  in_txn session (fun t -> rows (Executor.run (ctx session t binds) plan))
+
+let cached plan : cached = lazy (Executor.prepare plan)
+
+let run_cached session binds (c : cached) =
   in_txn session (fun t ->
-      let out = Executor.run (ctx session t binds) plan in
-      Rows { columns = out.Executor.columns; rows = out.Executor.rows })
+      rows (Executor.exec_in (ctx session t binds) (Lazy.force c)))
 
 (* ---------------- statement dispatch ---------------- *)
 
@@ -761,7 +787,7 @@ let traced session stmt binds =
    path, which reports parse errors against the original text. *)
 let compile_key session key =
   match parse key with
-  | Ast.Select q -> Some (compile_query session q)
+  | Ast.Select q -> Some (cached (compile_query session q))
   | _ -> None
   | exception Parser.Error _ -> None
   | exception Lexer.Error _ -> None
@@ -836,7 +862,7 @@ let host_vars stmt =
 type prepared = {
   p_stmt : Ast.stmt;
   p_params : string list;
-  mutable p_plan : Ir.plan option; (* compiled SELECT *)
+  mutable p_plan : cached option; (* compiled SELECT *)
   mutable p_gen : int; (* generation the plan was compiled under *)
 }
 
@@ -844,7 +870,7 @@ let prepare session src =
   let stmt = parse src in
   let p_plan =
     match stmt with
-    | Ast.Select q -> Some (compile_query session q)
+    | Ast.Select q -> Some (cached (compile_query session q))
     | _ -> None
   in
   { p_stmt = stmt; p_params = host_vars stmt; p_plan;
@@ -861,7 +887,7 @@ let prepared_plan session p =
       match p.p_plan with
       | Some plan when p.p_gen = session.generation -> Some plan
       | _ ->
-          let plan = compile_query session q in
+          let plan = cached (compile_query session q) in
           p.p_plan <- Some plan;
           p.p_gen <- session.generation;
           Some plan)
@@ -877,7 +903,7 @@ let execute_prepared session p args =
   match prepared_plan session p with
   | Some plan ->
       Obs.Trace.with_span "sql.stmt" ~info:"SELECT" (fun () ->
-          guard (fun () -> run_plan session binds plan))
+          guard (fun () -> run_cached session binds plan))
   | None -> traced session p.p_stmt binds
 
 (* ---------------- entry points ---------------- *)
@@ -886,7 +912,7 @@ let exec ?(binds = []) session src =
   match lookup_cached session src with
   | Some (plan, params) ->
       Obs.Trace.with_span "sql.stmt" ~info:"SELECT" (fun () ->
-          guard (fun () -> run_plan session (binds @ params) plan))
+          guard (fun () -> run_cached session (binds @ params) plan))
   | None -> traced session (parse src) binds
 
 let exec_script ?(binds = []) session src f =

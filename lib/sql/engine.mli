@@ -47,18 +47,20 @@ val set_txn : session -> Relation.Txn.txn -> unit
 
 val set_ritree :
   session ->
-  Ritree.Ri_tree.t ->
+  Exec.Planner.forms ->
   stats:(unit -> Ritree.Cost_model.Stats.t) ->
   mem:(unit -> Exec.Ir.mem_handle option) ->
   unit
-(** Make intersection predicates on the tree's relation plan through
-    {!Exec.Planner.plan_intersection}: a single-table branch with a
+(** Make intersection predicates on the forms' tree's relation run
+    through {!Exec.Planner.intersect}: a single-table branch with a
     conjunct bounding [lower] from above by a constant or host variable
     [A] and one bounding [upper] from below by [B] runs the typed op's
-    cost-based plan for the candidate interval [[min(A,B), A]], with
-    every conjunct kept as a residual filter. [stats] and [mem] are the
-    typed op's planner inputs, read at each execution; EXPLAIN prices
-    the relation with [stats] too, so it scans no heap. Reads see this
+    cost-based choice of the tree's compiled forms for the candidate
+    interval [[min(A,B), A]], with every conjunct kept as a residual
+    filter; EXPLAIN renders the plan {!Exec.Planner.plan_intersection}
+    builds for it. [stats] and [mem] are the typed op's planner inputs,
+    read at each execution; EXPLAIN prices the relation with [stats]
+    too, so it scans no heap. Reads see this
     session's transaction snapshot. Invalidates cached plans. *)
 
 val set_collection :

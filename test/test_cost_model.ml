@@ -92,7 +92,7 @@ let test_plan_crossover () =
 
 (* The chooser and EXPLAIN read one model: EXPLAIN plans through the
    chooser, and under the covering layout its PREDICTED io is the least
-   of the candidates' prices, the chosen path's. *)
+   of the two paths' prices, the chosen path's. *)
 let choice_fixture =
   lazy
     (let _, _, tree, _ =
@@ -111,9 +111,9 @@ let prop_choice_is_explained =
     (QCheck.make ~print:Ivl.to_string query)
     (fun q ->
       let tree, stats = Lazy.force choice_fixture in
-      let cands = Pl.candidates ~stats ~proj:Pl.Ids tree q in
+      let prices = Pl.prices ~stats tree q in
       let least =
-        List.fold_left (fun a (_, _, io) -> Float.min a io) infinity cands
+        List.fold_left (fun a (_, io) -> Float.min a io) infinity prices
       in
       let chosen = Pl.choose tree stats q in
       let predicted =
@@ -122,8 +122,55 @@ let prop_choice_is_explained =
           (String.split_on_char '\n'
              (Pl.explain ~stats tree (Pl.Intersect_target q)))
       in
-      List.exists (fun (p, _, io) -> p = chosen && io = least) cands
+      List.exists (fun (p, io) -> p = chosen && io = least) prices
       && String.ends_with ~suffix:(Printf.sprintf "io=%.0f" least) predicted)
+
+(* The chooser prices the Fig. 9 plan straight from its node lists. Its
+   figures are the estimator's over the ids-projected plan, float for
+   float, for the D1-D4 distributions under both layouts, an empty tree
+   and a one-interval tree, points and ranges, queries outside the data,
+   and statistics analyzed before half the rows were inserted. *)
+let price_fixtures =
+  lazy
+    (let dist_tree layout kind =
+       let data = Workload.Distribution.generate ~seed:21 kind ~n:2_000 ~d:2_000 in
+       let db = Relation.Catalog.create () in
+       let tree = Ri.create ~layout db in
+       Array.iteri (fun id ivl -> if id < 1_000 then ignore (Ri.insert ~id tree ivl)) data;
+       let early = CM.Stats.analyze tree in
+       Array.iteri (fun id ivl -> if id >= 1_000 then ignore (Ri.insert ~id tree ivl)) data;
+       [ (tree, CM.Stats.analyze tree); (tree, early) ]
+     in
+     let small layout ivls =
+       let tree = Ri.create ~layout (Relation.Catalog.create ()) in
+       List.iteri (fun id ivl -> ignore (Ri.insert ~id tree ivl)) ivls;
+       (tree, CM.Stats.analyze tree)
+     in
+     List.concat_map
+       (fun layout ->
+         List.concat_map (dist_tree layout) Workload.Distribution.all_kinds
+         @ [ small layout []; small layout [ Ivl.make 500_000 500_100 ] ])
+       [ Ri.Paper; Ri.Covering ])
+
+let prop_direct_price_exact =
+  let dm = Workload.Distribution.domain_max in
+  let query =
+    QCheck.Gen.(
+      let* l = int_range (-200_000) (dm + 200_000) in
+      let* len = oneof [ return 0; int_bound 2_000; int_bound 200_000; return (2 * dm) ] in
+      return (Ivl.make l (l + len)))
+  in
+  QCheck.Test.make ~count:150 ~name:"direct price = estimate over the plan"
+    (QCheck.make ~print:Ivl.to_string query)
+    (fun q ->
+      List.for_all
+        (fun (tree, stats) ->
+          let direct = Pl.prices ~stats tree q in
+          List.assoc Pl.Two_branch direct
+          = Pl.price ~stats (Pl.two_branch ~proj:Pl.Ids tree q)
+          && List.assoc Pl.Seq direct
+             = Pl.price ~stats (Pl.seq_scan ~proj:Pl.Ids tree q))
+        (Lazy.force price_fixtures))
 
 let test_adaptive_correct_both_ways () =
   let rng, _, tree, data = build ~seed:114 ~n:3_000 ~len:3_000 () in
@@ -217,6 +264,7 @@ let () =
       ("planning",
        [ Alcotest.test_case "plan crossover" `Quick test_plan_crossover;
          QCheck_alcotest.to_alcotest prop_choice_is_explained;
+         QCheck_alcotest.to_alcotest prop_direct_price_exact;
          Alcotest.test_case "adaptive correctness" `Quick
            test_adaptive_correct_both_ways;
          Alcotest.test_case "adaptive wins at full selectivity" `Quick

@@ -166,7 +166,8 @@ let paper_sessions ?cache_blocks data =
     let txn = ref (Txn.begin_txn mgr) in
     let engine = Engine.session cat in
     Engine.set_txn engine !txn;
-    Engine.set_ritree engine ri ~stats:(fun () -> stats) ~mem:(fun () -> None);
+    Engine.set_ritree engine (Exec.Planner.prepare ri)
+      ~stats:(fun () -> stats) ~mem:(fun () -> None);
     let iq = ref None in
     let vis () = Txn.view !txn in
     { begin_ = (fun () -> Txn.pin !txn);

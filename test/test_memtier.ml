@@ -203,7 +203,7 @@ let test_tier_change_keeps_plans () =
   let mt = Mt.create ~budget_mb:64 in
   let s = E.session db in
   let stats = CM.Stats.analyze tree in
-  E.set_ritree s tree
+  E.set_ritree s (Exec.Planner.prepare tree)
     ~stats:(fun () -> stats)
     ~mem:(fun () -> if Mt.resident mt name then Mt.acquire mt tree else None);
   let lo = Ivl.lower q and hi = Ivl.upper q in
