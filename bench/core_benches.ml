@@ -23,7 +23,8 @@ let cold db f =
   Relation.Catalog.drop_cache db;
   snd (Measure.io db f)
 
-(* ---- storage: ring eviction, hit rate, group commit, the fault path ---- *)
+(* ---- storage: ring eviction, hit rate, group commit, the fault and
+   hit paths ---- *)
 
 (* Repeat [f] (performing [ops_per_round] operations) until at least
    [min_seconds] have elapsed, so the fast configurations are measured
@@ -204,18 +205,52 @@ let fault () =
       ],
     [ ("fault_major_words_per_miss_lt_1", major < 1.) ] )
 
+(* The hit path: pin/unpin pairs over a full 200-frame pool of 2 KB
+   pages, cycling through every resident page, so each pair finds its
+   page in the page table, takes it off the ring and puts it back at the
+   MRU end. The first pass counts minor words, the second is timed. *)
+let hit () =
+  let capacity = 200 and pairs = 1_000_000 in
+  let dev = Storage.Block_device.create ~block_size:2048 () in
+  let pool = Storage.Buffer_pool.create ~capacity dev in
+  for _ = 1 to capacity do
+    ignore (Storage.Buffer_pool.alloc pool)
+  done;
+  let pass () =
+    for i = 0 to pairs - 1 do
+      let page = i mod capacity in
+      ignore (Storage.Buffer_pool.pin pool page);
+      Storage.Buffer_pool.unpin pool page ~dirty:false
+    done
+  in
+  let w0 = Gc.minor_words () in
+  pass ();
+  let words = (Gc.minor_words () -. w0) /. float_of_int pairs in
+  let (), secs = Measure.wall pass in
+  let misses =
+    (Storage.Buffer_pool.Stats.get pool).Storage.Buffer_pool.Stats.misses
+  in
+  ( R.Obj
+      [ ("capacity", R.Int capacity); ("block_size", R.Int 2048);
+        ("pairs", R.Int pairs); ("misses", R.Int misses);
+        ("ns_per_pair", R.Float (1e9 *. secs /. float_of_int pairs));
+        ("minor_words_per_pair", R.Float words) ],
+    [ ("hit_minor_words_per_pair_eq_0", words = 0. && misses = 0) ] )
+
 let storage ~tiny =
   let eviction = eviction ~tiny in
   let capacity = if tiny then 32 else 200 in
   let sweep = hit_rate ~tiny ~capacity in
   let group_commit = group_commit ~tiny in
   let fault, fault_checks = fault () in
+  let hit, hit_checks = hit () in
   ( R.Obj
       [ ("eviction", R.List eviction);
         ("hit_rate",
          R.Obj [ ("capacity", R.Int capacity); ("sweep", R.List sweep) ]);
-        ("group_commit", R.List group_commit); ("fault", fault) ],
-    fault_checks )
+        ("group_commit", R.List group_commit); ("fault", fault);
+        ("hit", hit) ],
+    fault_checks @ hit_checks )
 
 (* ---- explain: the Sec. 5 cost model vs cold-cache reality ----
 

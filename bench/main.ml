@@ -25,7 +25,7 @@
      micro    bechamel micro-benchmarks of the core operations
 
    Drivers (one BENCH_<name>.json record each):
-     storage   buffer-pool eviction, hit rate, group commit
+     storage   buffer-pool eviction, hit rate, group commit, miss, hit
      explain   Sec. 5 cost model vs cold-cache I/O, EXPLAIN ANALYZE
      plan      plan-cache throughput, access-path win rates
      memindex  HINT and the interval tree vs the disk RI-tree

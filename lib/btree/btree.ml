@@ -249,20 +249,26 @@ let check_width t k =
       (Printf.sprintf "Btree: key width %d, expected %d" (Array.length k)
          t.key_width)
 
-(* [route] for a read: the same pin, without the closure and the pair
-   (a scan descends once per probe). *)
-let rec find_leaf t pid probe =
+(* [route] for a read, down to the leaf, one pin per level: [f x buf
+   probe] reads the leaf [probe] routes to under the pin that routed
+   there. [f] takes its context as [x], so a scan, which descends once
+   per probe, passes a toplevel function and allocates no closure. *)
+let rec at_leaf t pid probe f x =
   let buf = Storage.Buffer_pool.pin t.pool pid in
-  let child =
-    if is_leaf buf then -1 else child_at t buf (child_slot t buf probe)
-  in
-  Storage.Buffer_pool.unpin t.pool pid ~dirty:false;
-  if child < 0 then pid else find_leaf t child probe
+  if is_leaf buf then begin
+    let v = f x buf probe in
+    Storage.Buffer_pool.unpin t.pool pid ~dirty:false;
+    v
+  end
+  else begin
+    let child = child_at t buf (child_slot t buf probe) in
+    Storage.Buffer_pool.unpin t.pool pid ~dirty:false;
+    at_leaf t child probe f x
+  end
 
 let mem t k =
   check_width t k;
-  let leaf = find_leaf t t.root k in
-  peek t leaf (fun buf -> find t buf k >= 0)
+  at_leaf t t.root k (fun t buf k -> find t buf k >= 0) t
 
 (* ------------------------------------------------------------------ *)
 (* Updates.
@@ -530,12 +536,11 @@ type cursor = {
   mutable next_leaf : int;
 }
 
-(* Copy out of leaf [pid] the keys from slot [first] on, or from the
-   first at or above [lo] when [first < 0], up to the first above
-   [c.hi]. The page is pinned once, as [peek] would. *)
-let load c pid ~first lo =
+(* Copy out of the pinned leaf [buf] the keys from slot [first] on, or
+   from the first at or above [lo] when [first < 0], up to the first
+   above [c.hi]. *)
+let copy_run c buf ~first lo =
   let t = c.tree in
-  let buf = Storage.Buffer_pool.pin t.pool pid in
   let n = nkeys buf and stride = leaf_stride t in
   let first =
     if first >= 0 then first
@@ -550,10 +555,12 @@ let load c pid ~first lo =
   Bytes.blit buf (entry stride first) c.run 0 len;
   c.len <- len;
   c.pos <- 0;
-  c.next_leaf <- (if stop < n then -1 else get_i64 buf 8);
-  Storage.Buffer_pool.unpin t.pool pid ~dirty:false
+  c.next_leaf <- (if stop < n then -1 else get_i64 buf 8)
 
-let descend c lo = load c (find_leaf c.tree c.tree.root lo) ~first:(-1) lo
+(* The leaf a descent reaches is copied from under the pin it was routed
+   with. *)
+let copy_from_lo c buf lo = copy_run c buf ~first:(-1) lo
+let descend c lo = at_leaf c.tree c.tree.root lo copy_from_lo c
 
 let seek c ~lo ~hi =
   check_width c.tree lo;
@@ -582,7 +589,9 @@ let rec next_into c (key : key) =
   end
   else if c.next_leaf < 0 then false
   else begin
-    load c c.next_leaf ~first:0 c.hi;
+    let pool = c.tree.pool and pid = c.next_leaf in
+    copy_run c (Storage.Buffer_pool.pin pool pid) ~first:0 c.hi;
+    Storage.Buffer_pool.unpin pool pid ~dirty:false;
     next_into c key
   end
 
@@ -621,11 +630,12 @@ let min_key t =
   next c
 
 let max_key t =
-  let leaf = find_leaf t t.root (hi_pad t []) in
-  peek t leaf (fun buf ->
+  at_leaf t t.root (hi_pad t [])
+    (fun t buf _ ->
       let n = nkeys buf in
       if n = 0 then None
       else Some (read_key t buf (entry (leaf_stride t) (n - 1))))
+    t
 
 (* ------------------------------------------------------------------ *)
 (* Bulk loading *)

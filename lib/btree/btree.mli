@@ -97,7 +97,8 @@ type cursor
 
 val cursor : t -> lo:key -> hi:key -> cursor
 (** Cursor over entries [k] with [lo <= k <= hi], ascending. The
-    descent bisects the separators on the pinned page bytes; on each
+    descent bisects the separators on the pinned page bytes, one pin
+    per level, and reads the leaf under the pin it routed with. On each
     leaf the cursor copies out only the run of keys from its position up
     to the first key above [hi], into a buffer it keeps, and
     {!next_into} decodes only the keys it yields. It moves to the next

@@ -1,9 +1,9 @@
 exception Corrupt_page of int
 
-(* A frame record and its buffers outlive the page they hold: once the
-   pool is full, a miss reuses the evicted victim's record, data buffer
-   and shadow buffer, so a fault allocates nothing. A page's bytes are
-   therefore valid only while it is pinned. *)
+(* A frame record and its buffers outlive the page they hold: a miss
+   reuses the record, data buffer and shadow buffer of the slot it
+   takes, so a fault allocates nothing once every slot has held a page.
+   A page's bytes are therefore valid only while it is pinned. *)
 type frame = {
   mutable page_id : int;
   mutable data : Bytes.t;
@@ -14,23 +14,31 @@ type frame = {
       (* [shadow] holds this page's last logged image: it has logged
          since it was installed in this frame *)
   mutable pins : int;
-  mutable prev : frame;     (* intrusive LRU ring; self-linked = off-ring *)
-  mutable next : frame;
 }
 
+(* Residency and replacement are flat arrays over frame slots
+   [0 .. capacity - 1]. Slots [0 .. used - 1] hold the resident pages.
+   [slot_of] maps a page id to its slot, or -1; page ids are the
+   device's dense block numbers, so it grows by doubling as pages
+   appear. The LRU ring links slots through [prev] and [next], with the
+   sentinel at slot [capacity]; a slot off the ring is self-linked.
+   Nothing on a hit writes a pointer. *)
 type t = {
   dev : Block_device.t;
   capacity : int;
   checksums : bool;
-  frames : (int, frame) Hashtbl.t; (* page id -> frame *)
-  lru : frame; (* ring sentinel: [lru.next] is MRU, [lru.prev] is LRU *)
+  mutable slot_of : int array; (* page id -> slot, -1 when absent *)
+  frames : frame array; (* slot -> frame *)
+  mutable used : int; (* resident pages: slots [0 .. used - 1] *)
+  prev : int array; (* ring over slots; [next.(capacity)] is MRU *)
+  next : int array; (* and [prev.(capacity)] is LRU *)
   mutable pinned : int; (* frames with pins > 0 *)
   mutable journal : Journal.t option;
   before : Bytes.t; (* device image read as a frame's first log base *)
   mutable spare : Bytes.t;
       (* the buffer the next fault reads into ([Bytes.empty] until the
          first one): a page is verified there before anything is evicted,
-         and the victim's data buffer becomes the next spare *)
+         and the data buffer of the slot it takes becomes the next spare *)
   mutable staged_commits : int; (* commit requests awaiting a marker *)
   mutable commit_batches : int;
   mutable logical_reads : int;
@@ -39,41 +47,53 @@ type t = {
   mutable evictions : int;
 }
 
-(* ---- intrusive ring ---- *)
+(* ---- the ring over slots ---- *)
 
-let ring_sentinel () =
-  let rec s =
-    { page_id = -1; data = Bytes.empty; dirty = false; logged = false;
-      shadow = Bytes.empty; shadowed = false; pins = 0; prev = s; next = s }
-  in
-  s
+let ring_remove t s =
+  let p = t.prev.(s) and n = t.next.(s) in
+  t.next.(p) <- n;
+  t.prev.(n) <- p;
+  t.prev.(s) <- s;
+  t.next.(s) <- s
 
-let on_ring f = f.next != f || f.prev != f
-
-let ring_remove f =
-  if on_ring f then begin
-    f.prev.next <- f.next;
-    f.next.prev <- f.prev;
-    f.prev <- f;
-    f.next <- f
-  end
-
-(* Insert at the MRU end (right after the sentinel). *)
-let ring_push_mru t f =
-  ring_remove f;
-  f.next <- t.lru.next;
-  f.prev <- t.lru;
-  t.lru.next.prev <- f;
-  t.lru.next <- f
+(* Insert an off-ring slot at the MRU end (right after the sentinel). *)
+let ring_push_mru t s =
+  let head = t.next.(t.capacity) in
+  t.next.(s) <- head;
+  t.prev.(s) <- t.capacity;
+  t.prev.(head) <- s;
+  t.next.(t.capacity) <- s
 
 let create ?(capacity = 200) ?(checksums = false) dev =
   if capacity < 1 then
     invalid_arg "Buffer_pool.create: capacity must be positive";
-  { dev; capacity; checksums; frames = Hashtbl.create (2 * capacity);
-    lru = ring_sentinel (); pinned = 0; journal = None;
+  { dev; capacity; checksums;
+    slot_of = Array.make (max 64 (Block_device.allocated dev)) (-1);
+    frames =
+      Array.init capacity (fun _ ->
+          { page_id = -1; data = Bytes.empty; dirty = false; logged = false;
+            shadow = Bytes.empty; shadowed = false; pins = 0 });
+    used = 0; prev = Array.init (capacity + 1) Fun.id;
+    next = Array.init (capacity + 1) Fun.id; pinned = 0; journal = None;
     before = Bytes.create (Block_device.block_size dev); spare = Bytes.empty;
     staged_commits = 0; commit_batches = 0; logical_reads = 0; hits = 0;
     misses = 0; evictions = 0 }
+
+(* The slot of page [id], or -1: an id past the table's end, or a
+   negative one, is not resident. *)
+let find t id =
+  if id >= 0 && id < Array.length t.slot_of then
+    Array.unsafe_get t.slot_of id
+  else -1
+
+let set_slot t id s =
+  let len = Array.length t.slot_of in
+  if id >= len then begin
+    let grown = Array.make (max (id + 1) (2 * len)) (-1) in
+    Array.blit t.slot_of 0 grown 0 len;
+    t.slot_of <- grown
+  end;
+  t.slot_of.(id) <- s
 
 let attach_journal t j = t.journal <- Some j
 let journal t = t.journal
@@ -114,8 +134,8 @@ let verify t page_id data =
   end
 
 let capacity t = t.capacity
-let cached t = Hashtbl.length t.frames
-let resident t page_id = Hashtbl.mem t.frames page_id
+let cached t = t.used
+let resident t page_id = find t page_id >= 0
 let pinned_frames t = t.pinned
 
 (* Journal a page about to be written back or committed (steal policy:
@@ -178,16 +198,17 @@ let write_back t frame =
 
 let all_pinned () = failwith "Buffer_pool: all frames pinned, cannot evict"
 
-(* Evict the least-recently-used unpinned frame to make room: the tail of
-   the ring, O(1). Pinned frames are off the ring, so an empty ring means
-   every frame is pinned. The victim leaves the ring and the table; its
-   record is the caller's to reuse. *)
+(* Evict the least-recently-used unpinned page to make room: the tail of
+   the ring, O(1). Pinned slots are off the ring, so an empty ring means
+   every frame is pinned. The victim's slot leaves the ring and the page
+   table; it is the caller's to reuse. *)
 let evict_one t =
-  let victim = t.lru.prev in
-  if victim == t.lru then all_pinned ();
-  write_back t victim;
-  ring_remove victim;
-  Hashtbl.remove t.frames victim.page_id;
+  let victim = t.prev.(t.capacity) in
+  if victim = t.capacity then all_pinned ();
+  let frame = t.frames.(victim) in
+  write_back t frame;
+  ring_remove t victim;
+  t.slot_of.(frame.page_id) <- -1;
   t.evictions <- t.evictions + 1;
   Obs.Counters.incr_pool_eviction ();
   victim
@@ -197,34 +218,28 @@ let spare t =
   if t.spare == Bytes.empty then t.spare <- Bytes.create (dev_size t);
   t.spare
 
-(* Install the page now held in the spare buffer. Below capacity the
-   spare becomes a new frame's buffer; at capacity the victim's record
-   takes the page, and the victim's buffer becomes the spare. *)
+(* Install the page now held in the spare buffer in the next unused
+   slot, or at capacity in the victim's; the slot's old data buffer
+   ([Bytes.empty] the first time a slot is used) becomes the spare. *)
 let install t page_id ~dirty ~pins =
-  let data = t.spare in
-  let frame =
-    if Hashtbl.length t.frames < t.capacity then begin
-      t.spare <- Bytes.empty;
-      let rec frame =
-        { page_id; data; dirty; logged = false; shadow = Bytes.empty;
-          shadowed = false; pins; prev = frame; next = frame }
-      in
-      frame
+  let slot =
+    if t.used < t.capacity then begin
+      t.used <- t.used + 1;
+      t.used - 1
     end
-    else begin
-      let frame = evict_one t in
-      t.spare <- frame.data;
-      frame.page_id <- page_id;
-      frame.data <- data;
-      frame.dirty <- dirty;
-      frame.logged <- false;
-      frame.shadowed <- false;
-      frame.pins <- pins;
-      frame
-    end
+    else evict_one t
   in
-  if pins > 0 then t.pinned <- t.pinned + 1 else ring_push_mru t frame;
-  Hashtbl.replace t.frames page_id frame;
+  let frame = t.frames.(slot) in
+  let data = t.spare in
+  t.spare <- frame.data;
+  frame.page_id <- page_id;
+  frame.data <- data;
+  frame.dirty <- dirty;
+  frame.logged <- false;
+  frame.shadowed <- false;
+  frame.pins <- pins;
+  if pins > 0 then t.pinned <- t.pinned + 1 else ring_push_mru t slot;
+  set_slot t page_id slot;
   frame
 
 let alloc t =
@@ -244,52 +259,55 @@ let fault_in t page_id =
 
 let pin t page_id =
   t.logical_reads <- t.logical_reads + 1;
-  match Hashtbl.find_opt t.frames page_id with
-  | Some frame ->
-      t.hits <- t.hits + 1;
-      Obs.Counters.incr_pool_hit ();
-      if frame.pins = 0 then begin
-        (* Pinned frames live off the ring: they can never be reached by
-           the eviction path, whatever the replacement pressure. *)
-        ring_remove frame;
-        t.pinned <- t.pinned + 1
-      end;
-      frame.pins <- frame.pins + 1;
-      frame.data
-  | None ->
-      t.misses <- t.misses + 1;
-      Obs.Counters.incr_pool_miss ();
-      (* The span (and its info string) must cost nothing when tracing
-         is off: faults dominate cold scans, so even one allocation per
-         miss shows up in bench-storage. *)
-      if Obs.Trace.enabled () then
-        Obs.Trace.with_span "pool.fault"
-          ~info:(string_of_int page_id)
-          (fun () -> fault_in t page_id)
-      else fault_in t page_id
+  let slot = find t page_id in
+  if slot >= 0 then begin
+    let frame = t.frames.(slot) in
+    t.hits <- t.hits + 1;
+    Obs.Counters.incr_pool_hit ();
+    if frame.pins = 0 then begin
+      (* Pinned slots live off the ring: they can never be reached by
+         the eviction path, whatever the replacement pressure. *)
+      ring_remove t slot;
+      t.pinned <- t.pinned + 1
+    end;
+    frame.pins <- frame.pins + 1;
+    frame.data
+  end
+  else begin
+    t.misses <- t.misses + 1;
+    Obs.Counters.incr_pool_miss ();
+    (* The span (and its info string) must cost nothing when tracing
+       is off: faults dominate cold scans, so even one allocation per
+       miss shows up in bench-storage. *)
+    if Obs.Trace.enabled () then
+      Obs.Trace.with_span "pool.fault"
+        ~info:(string_of_int page_id)
+        (fun () -> fault_in t page_id)
+    else fault_in t page_id
+  end
 
 let unpin t page_id ~dirty =
-  match Hashtbl.find_opt t.frames page_id with
-  | Some frame when frame.pins > 0 ->
-      frame.pins <- frame.pins - 1;
-      if dirty then begin
-        frame.dirty <- true;
-        (* Content (presumably) changed: any journaled image is stale. *)
-        frame.logged <- false
-      end;
-      if frame.pins = 0 then begin
-        t.pinned <- t.pinned - 1;
-        ring_push_mru t frame
-      end
-  | Some _ ->
-      invalid_arg
-        (Printf.sprintf
-           "Buffer_pool.unpin: page %d is not pinned (double unpin)" page_id)
-  | None ->
-      invalid_arg
-        (Printf.sprintf
-           "Buffer_pool.unpin: page %d is not resident (evicted, or never \
-            pinned)" page_id)
+  let slot = find t page_id in
+  if slot < 0 then
+    invalid_arg
+      (Printf.sprintf
+         "Buffer_pool.unpin: page %d is not resident (evicted, or never \
+          pinned)" page_id);
+  let frame = t.frames.(slot) in
+  if frame.pins = 0 then
+    invalid_arg
+      (Printf.sprintf
+         "Buffer_pool.unpin: page %d is not pinned (double unpin)" page_id);
+  frame.pins <- frame.pins - 1;
+  if dirty then begin
+    frame.dirty <- true;
+    (* Content (presumably) changed: any journaled image is stale. *)
+    frame.logged <- false
+  end;
+  if frame.pins = 0 then begin
+    t.pinned <- t.pinned - 1;
+    ring_push_mru t slot
+  end
 
 let with_page t page_id ~dirty f =
   let data = pin t page_id in
@@ -305,23 +323,35 @@ let with_page t page_id ~dirty f =
       (try unpin t page_id ~dirty with _ -> ());
       Printexc.raise_with_backtrace e bt
 
-let flush t = Hashtbl.iter (fun _ f -> write_back t f) t.frames
+(* Apply [f] to the resident frames, in slot order. *)
+let iter_frames t f =
+  for s = 0 to t.used - 1 do
+    f t.frames.(s)
+  done
 
+let flush t = iter_frames t (write_back t)
+
+let check_unpinned what t =
+  iter_frames t (fun f ->
+      if f.pins > 0 then
+        failwith
+          (Printf.sprintf "Buffer_pool.%s: page %d is still pinned" what
+             f.page_id))
+
+(* Drop every frame: the page table forgets the resident pages and every
+   slot leaves the ring. Frame records and buffers stay for reuse. *)
 let reset_frames t =
-  Hashtbl.reset t.frames;
-  t.lru.prev <- t.lru;
-  t.lru.next <- t.lru;
+  iter_frames t (fun f -> t.slot_of.(f.page_id) <- -1);
+  t.used <- 0;
+  for s = 0 to t.capacity do
+    t.prev.(s) <- s;
+    t.next.(s) <- s
+  done;
   t.pinned <- 0
 
 let clear t =
-  Hashtbl.iter
-    (fun _ f ->
-      if f.pins > 0 then
-        failwith
-          (Printf.sprintf "Buffer_pool.clear: page %d is still pinned"
-             f.page_id);
-      write_back t f)
-    t.frames;
+  check_unpinned "clear" t;
+  flush t;
   reset_frames t
 
 (* ---- commit & group commit ----
@@ -335,13 +365,11 @@ let clear t =
    the lazy write-back policy) from being re-logged batch after batch. *)
 
 let log_dirty t =
-  Hashtbl.iter
-    (fun _ f ->
+  iter_frames t (fun f ->
       if f.dirty && not f.logged then begin
         stamp t f.data;
         log_write t f
       end)
-    t.frames
 
 let commit_request t = t.staged_commits <- t.staged_commits + 1
 
@@ -368,14 +396,7 @@ let commit t =
   ignore (commit_force t)
 
 let crash ?(force = false) t =
-  if not force then
-    Hashtbl.iter
-      (fun _ f ->
-        if f.pins > 0 then
-          failwith
-            (Printf.sprintf "Buffer_pool.crash: page %d is still pinned"
-               f.page_id))
-      t.frames;
+  if not force then check_unpinned "crash" t;
   t.staged_commits <- 0;
   (* Log bytes appended but never forced die with the machine. *)
   (match t.journal with Some j -> Journal.drop_unforced j | None -> ());

@@ -8,17 +8,26 @@
     perform their page accesses through it, so the device counters report
     exactly the physical I/O the paper measures.
 
-    Replacement is O(1): unpinned frames sit on an intrusive
-    doubly-linked ring in recency order (pinning unlinks a frame, so the
-    eviction path can never reach it, and an empty ring means the pool
-    is exhausted). It measured ~16× the O(capacity) fold-based victim
-    search it replaced at 200 frames ([BENCH_storage.json] before that
-    search was deleted).
+    Residency and replacement are flat arrays over [capacity] frame
+    slots. Page ids are the device's dense block numbers, so an [int]
+    array maps a page id to its slot (−1 when absent; it grows by
+    doubling as device pages appear, and an id past its end or a
+    negative one is simply not resident). Replacement is exact LRU in
+    O(1): idle slots sit on a doubly-linked ring kept as two [int]
+    arrays, [prev] and [next], with the sentinel at slot [capacity];
+    pinning takes a slot off the ring, so the eviction path can never
+    reach it, and an empty ring means the pool is exhausted. A hit is
+    two array reads and a few integer stores: it allocates nothing and
+    writes no pointer ([BENCH_storage.json]'s [hit] section: 14–22 ns
+    per resident pin and unpin, against 75–126 ns and 4 words through
+    the hash table and frame-record ring it replaced).
 
-    Frames are recycled: once the pool holds [capacity] pages, a miss
-    reuses the evicted victim's frame and buffers, so a fault allocates
-    nothing. The bytes {!pin} returns belong to the page only until its
-    last {!unpin}; after that the same buffer may hold another page. *)
+    Frames are recycled: a miss reuses the record, data buffer and
+    shadow buffer of the slot it takes (the victim's, once the pool
+    holds [capacity] pages), so a fault allocates nothing once every
+    slot has held a page. The bytes {!pin} returns belong to the page
+    only until its last {!unpin}; after that the same buffer may hold
+    another page. *)
 
 type t
 
@@ -35,8 +44,8 @@ val create : ?capacity:int -> ?checksums:bool -> Block_device.t -> t
     trailer over the payload: {!block_size} shrinks by 4, write-backs
     stamp the trailer, and faulting a page in verifies it (raising
     {!Corrupt_page} on mismatch; an all-zero block — freshly allocated,
-    never written — passes). No frame is allocated up front: frames are
-    created as pages are first cached.
+    never written — passes). No page buffer is allocated up front:
+    buffers are created as slots are first used.
     @raise Invalid_argument if [capacity < 1]. *)
 
 val device : t -> Block_device.t
@@ -82,8 +91,10 @@ val flush : t -> unit
 (** Write all dirty pages back to the device; pages stay cached. *)
 
 val clear : t -> unit
-(** Flush, then drop every frame: the cache becomes cold.
-    @raise Failure if any page is still pinned. *)
+(** Flush, then drop every page: the cache becomes cold (the frames'
+    buffers stay for reuse).
+    @raise Failure, before writing anything, if any page is still
+    pinned. *)
 
 (** {2 Durability (write-ahead journal)} *)
 

@@ -109,7 +109,8 @@ let test_range_scan_bounds () =
 (* A scan pins the next leaf only when every key it copied from the
    current one was at or below [hi]. Leaves of a tree bulk-loaded at
    fill 1.0 hold [0 .. cap-1], [cap .. 2cap-1], ...; a probe pins
-   [height] pages routing to its leaf and the leaf once more to copy. *)
+   [height] pages, one per level, and copies its leaf's run under the
+   pin that routed to it. *)
 let test_scan_leaf_pins () =
   let pool = mk_pool () in
   let t =
@@ -122,7 +123,7 @@ let test_scan_leaf_pins () =
     ignore (Btree.range_list t ~lo:[| lo |] ~hi:[| hi |]);
     (Storage.Buffer_pool.Stats.get pool).logical_reads - before
   in
-  let one_leaf = Btree.height t + 1 in
+  let one_leaf = Btree.height t in
   check Alcotest.int "stops inside the leaf" one_leaf (pins 0 (cap - 2));
   check Alcotest.int "lo > hi" one_leaf (pins 5 3);
   check Alcotest.int "ends on the leaf's last key" (one_leaf + 1)

@@ -240,6 +240,231 @@ let test_ring_matches_lru_model () =
   check (Alcotest.list Alcotest.int) "eviction order" (List.rev !model_evicted)
     (List.rev !pool_evicted)
 
+(* The same reference model under every pool operation, on 1-8-frame
+   pools: random allocs, nested pins, unpins (valid, double, of evicted
+   pages, and of ids that are negative or past the page table),
+   commits, flushes, clears and crashes. After every step the pool and
+   the model must agree on the outcome (or the exception), the resident
+   set — hence on the victim of every miss — the pinned frames and the
+   [Stats]. *)
+type pool_op =
+  | Alloc
+  | Pin of int (* the (k mod pages)-th device page *)
+  | Unpin of int * bool (* the (k mod pinned)-th pinned page *)
+  | Unpin_any of int * bool (* any device page: pinned, idle or evicted *)
+  | Unpin_bad of int (* an id that is not a device page *)
+  | Commit
+  | Flush
+  | Clear
+  | Crash of bool
+
+let show_op = function
+  | Alloc -> "alloc"
+  | Pin k -> Printf.sprintf "pin %d" k
+  | Unpin (k, d) -> Printf.sprintf "unpin %d%s" k (if d then " dirty" else "")
+  | Unpin_any (k, d) ->
+      Printf.sprintf "unpin_any %d%s" k (if d then " dirty" else "")
+  | Unpin_bad id -> Printf.sprintf "unpin_bad %d" id
+  | Commit -> "commit"
+  | Flush -> "flush"
+  | Clear -> "clear"
+  | Crash force -> Printf.sprintf "crash%s" (if force then " ~force" else "")
+
+let bad_ids = [ -1; -64; min_int; 64; 65; 1 lsl 20; max_int ]
+
+type lru_model = {
+  cap : int;
+  mutable ring : int list; (* idle resident pages, most recent first *)
+  mutable pins : (int * int) list; (* pinned resident pages, pin count *)
+  mutable reads : int;
+  mutable hits : int;
+  mutable misses : int;
+  mutable evictions : int;
+}
+
+let m_resident m id = List.mem id m.ring || List.mem_assoc id m.pins
+
+(* Room for one more page: evict the least recently used idle page. *)
+let m_make_room m =
+  if List.length m.ring + List.length m.pins = m.cap then
+    match List.rev m.ring with
+    | [] -> failwith "Buffer_pool: all frames pinned, cannot evict"
+    | victim :: _ ->
+        m.ring <- List.filter (( <> ) victim) m.ring;
+        m.evictions <- m.evictions + 1
+
+let m_pin m id =
+  m.reads <- m.reads + 1;
+  if m_resident m id then begin
+    m.hits <- m.hits + 1;
+    let n = Option.value ~default:0 (List.assoc_opt id m.pins) in
+    m.ring <- List.filter (( <> ) id) m.ring;
+    m.pins <- (id, n + 1) :: List.remove_assoc id m.pins
+  end
+  else begin
+    m.misses <- m.misses + 1;
+    m_make_room m;
+    m.pins <- (id, 1) :: m.pins
+  end
+
+let m_unpin m id =
+  match List.assoc_opt id m.pins with
+  | Some n ->
+      m.pins <- List.remove_assoc id m.pins;
+      if n = 1 then m.ring <- id :: m.ring else m.pins <- (id, n - 1) :: m.pins
+  | None when List.mem id m.ring ->
+      invalid_arg
+        (Printf.sprintf
+           "Buffer_pool.unpin: page %d is not pinned (double unpin)" id)
+  | None ->
+      invalid_arg
+        (Printf.sprintf
+           "Buffer_pool.unpin: page %d is not resident (evicted, or never \
+            pinned)" id)
+
+let m_drop m what ~force =
+  match m.pins with
+  | (id, _) :: _ when not force ->
+      failwith (Printf.sprintf "Buffer_pool.%s: page %d is still pinned" what id)
+  | _ ->
+      m.ring <- [];
+      m.pins <- []
+
+(* Which pinned page a refused clear or crash names depends on the order
+   of the pool's slots: any page the model has pinned is right. *)
+let names_pinned m msg =
+  match
+    Scanf.sscanf msg "Failure Buffer_pool.%s@: page %d is still pinned%!"
+      (fun _ id -> id)
+  with
+  | id -> List.mem_assoc id m.pins
+  | exception (Scanf.Scan_failure _ | End_of_file | Failure _) -> false
+
+let outcome f =
+  match f () with
+  | () -> "ok"
+  | exception Failure msg -> "Failure " ^ msg
+  | exception Invalid_argument msg -> "Invalid_argument " ^ msg
+
+let prop_pool_lru_model =
+  let gen_op =
+    QCheck.Gen.(
+      frequency
+        [ (2, return Alloc); (8, map (fun k -> Pin k) nat);
+          (6, map2 (fun k d -> Unpin (k, d)) nat bool);
+          (2, map2 (fun k d -> Unpin_any (k, d)) nat bool);
+          (1, map (fun id -> Unpin_bad id) (oneofl bad_ids));
+          (1, return Commit); (1, return Flush); (1, return Clear);
+          (1, map (fun f -> Crash f) bool) ])
+  in
+  QCheck.Test.make ~count:300 ~name:"ops = list LRU model, 1-8 frames"
+    QCheck.(
+      make
+        ~print:(fun (cap, pages, journal, ops) ->
+          Printf.sprintf "capacity=%d pages=%d journal=%b [%s]" cap pages
+            journal
+            (String.concat "; " (List.map show_op ops)))
+        Gen.(
+          quad (int_range 1 8) (int_range 0 12) bool
+            (list_size (int_range 1 200) gen_op)))
+    (fun (cap, pages, journal, ops) ->
+      let d = Dev.create ~block_size:64 () in
+      for _ = 1 to pages do
+        ignore (Dev.alloc d)
+      done;
+      let p = Pool.create ~capacity:cap d in
+      if journal then Pool.attach_journal p (Storage.Journal.create ());
+      let m =
+        { cap; ring = []; pins = []; reads = 0; hits = 0; misses = 0;
+          evictions = 0 }
+      in
+      List.iteri
+        (fun step op ->
+          let pages = Dev.allocated d in
+          let pool_run, model_run =
+            match op with
+            | Alloc ->
+                ( (fun () -> ignore (Pool.alloc p)),
+                  fun () ->
+                    m_make_room m;
+                    m.ring <- pages :: m.ring )
+            | Pin k when pages > 0 ->
+                let id = k mod pages in
+                ((fun () -> ignore (Pool.pin p id)), fun () -> m_pin m id)
+            | Unpin (k, dirty) when m.pins <> [] ->
+                let id = fst (List.nth m.pins (k mod List.length m.pins)) in
+                ((fun () -> Pool.unpin p id ~dirty), fun () -> m_unpin m id)
+            | Unpin_any (k, dirty) when pages > 0 ->
+                let id = k mod pages in
+                ((fun () -> Pool.unpin p id ~dirty), fun () -> m_unpin m id)
+            | Unpin_bad id ->
+                ( (fun () -> Pool.unpin p id ~dirty:false),
+                  fun () -> m_unpin m id )
+            | Commit -> ((fun () -> Pool.commit p), ignore)
+            | Flush -> ((fun () -> Pool.flush p), ignore)
+            | Clear ->
+                ((fun () -> Pool.clear p), fun () -> m_drop m "clear" ~force:false)
+            | Crash force ->
+                ( (fun () -> Pool.crash ~force p),
+                  fun () -> m_drop m "crash" ~force )
+            | Pin _ | Unpin _ | Unpin_any _ -> (ignore, ignore)
+          in
+          let got = outcome pool_run and want = outcome model_run in
+          let fail what =
+            QCheck.Test.fail_reportf "step %d (%s): %s" step (show_op op) what
+          in
+          let same =
+            got = want
+            || match op with
+               | Clear | Crash false -> names_pinned m got && names_pinned m want
+               | _ -> false
+          in
+          if not same then fail (Printf.sprintf "%s, model %s" got want);
+          for id = 0 to Dev.allocated d - 1 do
+            if Pool.resident p id <> m_resident m id then
+              fail (Printf.sprintf "page %d resident: %b" id (Pool.resident p id))
+          done;
+          List.iter
+            (fun id ->
+              if Pool.resident p id then
+                fail (Printf.sprintf "bad id %d resident" id))
+            bad_ids;
+          if Pool.cached p <> List.length m.ring + List.length m.pins then
+            fail "cached";
+          if Pool.pinned_frames p <> List.length m.pins then
+            fail "pinned frames";
+          let s = Pool.Stats.get p in
+          if
+            (s.Pool.Stats.logical_reads, s.hits, s.misses, s.evictions)
+            <> (m.reads, m.hits, m.misses, m.evictions)
+          then
+            fail
+              (Format.asprintf "stats %a, model logical=%d hits=%d \
+                                misses=%d evictions=%d"
+                 Pool.Stats.pp s m.reads m.hits m.misses m.evictions))
+        ops;
+      true)
+
+(* A pin and unpin of a resident page allocates nothing: the page table
+   and the ring are int arrays, and a hit writes no pointer. *)
+let test_hit_allocates_nothing () =
+  let d = Dev.create ~block_size:128 () in
+  let p = Pool.create ~capacity:8 d in
+  let pages = Array.init 8 (fun _ -> Pool.alloc p) in
+  let pairs () =
+    for i = 0 to 9_999 do
+      let pg = pages.(i land 7) in
+      ignore (Pool.pin p pg);
+      Pool.unpin p pg ~dirty:(i land 1 = 0)
+    done
+  in
+  pairs ();
+  let w0 = Gc.minor_words () in
+  pairs ();
+  let words = Gc.minor_words () -. w0 in
+  check (Alcotest.float 0.) "minor words for 10 000 pairs" 0. words;
+  check Alcotest.int "all hits" 0 (Pool.Stats.get p).Pool.Stats.misses
+
 (* If the body of with_page raises and the cleanup unpin then fails too,
    the body's exception — not the unpin's — must reach the caller. *)
 let test_with_page_exception_not_masked () =
@@ -452,7 +677,9 @@ let () =
          Alcotest.test_case "with_page unpins on exception" `Quick
            test_with_page_exception_unpins;
          Alcotest.test_case "model-based random ops" `Quick
-           test_pool_model_based ]);
+           test_pool_model_based;
+         Alcotest.test_case "resident pin+unpin: 0 words" `Quick
+           test_hit_allocates_nothing ]);
       ("eviction",
        [ Alcotest.test_case "storm counters" `Quick test_eviction_storm;
          Alcotest.test_case "pinned frame survives storm" `Quick
@@ -460,7 +687,8 @@ let () =
          Alcotest.test_case "ring matches LRU model" `Quick
            test_ring_matches_lru_model;
          Alcotest.test_case "with_page does not mask exceptions" `Quick
-           test_with_page_exception_not_masked ]);
+           test_with_page_exception_not_masked;
+         QCheck_alcotest.to_alcotest prop_pool_lru_model ]);
       ("group commit",
        [ Alcotest.test_case "one marker per batch" `Quick
            test_group_commit_batching ]);
