@@ -144,11 +144,13 @@ let timer_count t = Timers.pending t.timers
    registered the reused number afresh. *)
 let wants t e bit = e.slot >= 0 && t.events.(e.slot) land bit <> 0
 
-let run_once ?(max_timeout = 1.0) t =
+let run_once ?(max_timeout = -1.) t =
   let timeout =
     match Timers.next_deadline t.timers with
     | None -> max_timeout
-    | Some dl -> max 0. (min max_timeout (dl -. Unix.gettimeofday ()))
+    | Some dl ->
+        let left = max 0. (dl -. Unix.gettimeofday ()) in
+        if max_timeout < 0. then left else min max_timeout left
   in
   (* a callback that grows the registry replaces [t.fired], not these *)
   let fired = t.fired and bits = t.fired_bits in

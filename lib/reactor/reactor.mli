@@ -57,8 +57,8 @@ val cancel : t -> timer -> unit
 val timer_count : t -> int
 
 (** One loop turn: sleep in [poll(2)] until readiness, the earliest
-    timer deadline, or [max_timeout] (whichever is soonest; default
-    1 s), then fire due timers and ready callbacks. The callbacks
+    timer deadline, or [max_timeout] (whichever is soonest; negative,
+    the default: no cap), then fire due timers and ready callbacks. The callbacks
     start at a different ready fd on each turn, so no fd is always
     served first. Callbacks may freely register/deregister fds and
     timers, including their own: a report fires a callback only if its

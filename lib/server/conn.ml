@@ -9,12 +9,19 @@ type t = {
   mutable lingering : bool;
   mutable dead : bool;
   mutable last_active : float;
+  mutable idle_timeout : float;
+  mutable stall_timer : Reactor.timer option;
+  mutable idle_timer : Reactor.timer option;
   mutable on_cut_off : unit -> bool;
   mutable on_close : unit -> unit;
 }
 
 (* How long a lingering close waits for the peer's EOF. *)
 let linger_grace = 5.0
+
+(* A peer whose socket accepts nothing for this long while output is
+   pending is gone in all but name. *)
+let stall_grace = 5.0
 
 let listen ~host ~port ~backlog =
   let fd = Unix.socket Unix.PF_INET Unix.SOCK_STREAM 0 in
@@ -75,7 +82,7 @@ let rec accept lfd ~admit f =
           f fd);
       accept lfd ~admit f
 
-let create r ?high_water fd =
+let create r ?high_water ?(idle_timeout = 0.) fd =
   let now = Unix.gettimeofday () in
   {
     reactor = r;
@@ -88,13 +95,20 @@ let create r ?high_water fd =
     lingering = false;
     dead = false;
     last_active = now;
+    idle_timeout;
+    stall_timer = None;
+    idle_timer = None;
     on_cut_off = (fun () -> true);
     on_close = ignore;
   }
 
+let cancel c = Option.iter (Reactor.cancel c.reactor)
+
 let close c =
   if not c.dead then begin
     c.dead <- true;
+    cancel c c.stall_timer;
+    cancel c c.idle_timer;
     Reactor.deregister c.reactor c.fd;
     hang_up c.fd;
     c.on_close ()
@@ -117,6 +131,28 @@ let maybe_close c =
       c.closing && (not c.lingering) && not (Reactor.Writer.has_pending c.wr)
     then linger c
 
+(* The deadlines are lazy: a read or a drain touches no timer. A timer
+   that fires checks the real condition and re-arms for the time left
+   when its deadline has moved. *)
+let stall_limit c =
+  if c.idle_timeout > 0. then c.idle_timeout else stall_grace
+
+let rec arm_stall c delay =
+  c.stall_timer <- Some (Reactor.after c.reactor delay (fun () -> on_stall c))
+
+and on_stall c =
+  c.stall_timer <- None;
+  if (not c.dead) && Reactor.Writer.has_pending c.wr then begin
+    let stalled =
+      Reactor.Writer.stalled_for c.wr ~now:(Unix.gettimeofday ())
+    in
+    if stalled >= stall_limit c then begin
+      c.force_close <- true;
+      maybe_close c
+    end
+    else arm_stall c (stall_limit c -. stalled)
+  end
+
 (* A dead connection's fd number may already belong to a newer one. *)
 let flush c =
   if not c.dead then begin
@@ -125,9 +161,10 @@ let flush c =
       | Reactor.Writer.Drained | Reactor.Writer.Pending -> ()
       | Reactor.Writer.Peer_gone -> c.force_close <- true
     end;
+    let pending = Reactor.Writer.has_pending c.wr in
+    if pending && c.stall_timer = None then arm_stall c (stall_limit c);
     (* Write interest on an idle socket would spin the loop. *)
-    Reactor.set_write_interest c.reactor c.fd
-      (Reactor.Writer.has_pending c.wr)
+    Reactor.set_write_interest c.reactor c.fd pending
   end
 
 (* A consumer whose buffer bursts the high-water mark is slower than the
@@ -156,6 +193,27 @@ let reply c ~id resp =
   send c ~id resp;
   flush c;
   maybe_close c
+
+(* A leaked client — connected, silent, holding a seat — gets a typed
+   goodbye and the door. A connection with output pending is still
+   being served; its stall deadline covers a peer that stopped
+   reading. *)
+let rec arm_idle c delay =
+  c.idle_timer <- Some (Reactor.after c.reactor delay (fun () -> on_idle c))
+
+and on_idle c =
+  c.idle_timer <- None;
+  if not (c.dead || c.closing || c.idle_timeout <= 0.) then
+    if Reactor.Writer.has_pending c.wr then arm_idle c c.idle_timeout
+    else
+      let left = c.last_active +. c.idle_timeout -. Unix.gettimeofday () in
+      if left > 0. then arm_idle c left
+      else begin
+        c.closing <- true;
+        reply c ~id:0L
+          (Protocol.Goodbye
+             (Printf.sprintf "idle for %.0fs, closing" c.idle_timeout))
+      end
 
 (* A fresh buffer per read, not one per reactor: nothing read here may
    be shared between the reactor threads of one process. *)
@@ -192,7 +250,8 @@ let serve c ?(on_cut_off = fun () -> true) ?(on_close = ignore) on_data =
       flush c;
       maybe_close c)
     ();
-  Reactor.set_write_interest c.reactor c.fd false
+  Reactor.set_write_interest c.reactor c.fd false;
+  if c.idle_timeout > 0. then arm_idle c c.idle_timeout
 
 let frames c on_request buf n =
   Protocol.Framer.feed c.framer buf n;

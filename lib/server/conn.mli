@@ -17,7 +17,21 @@
     with an RST, which discards the final typed frame from the peer's
     receive queue and fails the peer's writes with [EPIPE].
     [force_close] ends the connection at the next {!maybe_close},
-    drained or not. *)
+    drained or not.
+
+    Deadlines: each connection holds at most one timer per deadline,
+    and nothing walks the connections to find them.
+    - The stall deadline is armed when a {!flush} leaves output
+      pending. A connection whose pending output makes no write
+      progress for its stall limit is closed like [force_close]. The limit is [idle_timeout] when that
+      is positive, else 5 s.
+    - The idle deadline is armed by {!serve} when [idle_timeout] is
+      positive. A connection that has received no byte for
+      [idle_timeout] seconds and owes no output gets a typed [Goodbye]
+      frame (request id 0) and closes.
+    Both are lazy: a read or a drain touches no timer. A timer that
+    fires checks the real condition and re-arms for the time left, or
+    lapses when nothing is pending. *)
 
 type t = {
   reactor : Reactor.t;
@@ -30,6 +44,13 @@ type t = {
   mutable lingering : bool;  (** write side shut; awaiting the peer's EOF *)
   mutable dead : bool;  (** deregistered and closed *)
   mutable last_active : float;  (** last byte received *)
+  mutable idle_timeout : float;
+      (** seconds of silence before the idle deadline; [0.]: none. The
+          owner sets it to [0.] to exempt a connection (a replication
+          subscriber) from both the idle deadline and the shorter
+          stall limit. *)
+  mutable stall_timer : Reactor.timer option;  (** the stall deadline *)
+  mutable idle_timer : Reactor.timer option;  (** the idle deadline *)
   mutable on_cut_off : unit -> bool;  (** set by {!serve} *)
   mutable on_close : unit -> unit;  (** set by {!serve} *)
 }
@@ -52,14 +73,16 @@ val accept :
   unit
 
 (** A fresh connection on an accepted socket, not yet registered;
-    [high_water] bounds its output buffer (default 4 MiB). *)
-val create : Reactor.t -> ?high_water:int -> Unix.file_descr -> t
+    [high_water] bounds its output buffer (default 4 MiB), and
+    [idle_timeout] (default [0.], none) sets its deadlines. *)
+val create :
+  Reactor.t -> ?high_water:int -> ?idle_timeout:float -> Unix.file_descr -> t
 
 (** [serve c ?on_cut_off ?on_close on_data] registers [c]: each read
     of new bytes is handed to [on_data buf n] (discarded instead once
     [c] is closing). A read error closes [c]; so does EOF, unless
     output is still owed — then [c] is closing and ends once it drains.
-    Write interest starts off.
+    Write interest starts off, and the idle deadline is armed.
 
     [on_cut_off] runs when a {!send} leaves the output buffer over its
     high-water mark: returning [true] (the default) cuts the consumer
@@ -95,7 +118,8 @@ val send : t -> id:int64 -> Protocol.response -> unit
 val reply : t -> id:int64 -> Protocol.response -> unit
 
 (** Write what the socket accepts and keep write interest equal to
-    "has pending bytes". A peer gone under us sets [force_close]. A
+    "has pending bytes"; output left pending arms the stall deadline
+    unless it is armed. A peer gone under us sets [force_close]. A
     no-op once the connection is dead. *)
 val flush : t -> unit
 
@@ -104,5 +128,6 @@ val flush : t -> unit
 val maybe_close : t -> unit
 
 (** Deregister and close now, after reading away (boundedly) any
-    unread inbound bytes; runs [on_close]. Idempotent. *)
+    unread inbound bytes; cancels the deadlines and runs [on_close].
+    Idempotent. *)
 val close : t -> unit

@@ -56,23 +56,13 @@ type t = {
   l : Listener.t;
   reactor : Reactor.t;  (* the listener's *)
   mutable conns : conn list;
+  mutable subs : conn list;  (* the conns with [repl_from <> None] *)
   mutable owed : owed list;
       (* newest first; the unforced ones — the open window — are a
          prefix, since a force covers everything staged before it *)
   mutable commit_timer : Reactor.timer option;  (* window-close timer *)
   upstream : upstream option;  (* Some _ iff cfg.replica_of is set *)
 }
-
-(* A standby that stops draining its stream holds the semi-sync ack
-   floor down and would pin its bounded write buffer full forever; past
-   this stall it is cut loose (it resubscribes from its applied LSN on
-   reconnect, losing nothing). *)
-let repl_stall_timeout = 5.0
-
-(* A non-subscriber whose socket accepts nothing for this long while
-   output is pending is gone in all but name. With idle reaping on,
-   the idle timeout governs instead. *)
-let default_stall_grace = 5.0
 
 let create ?(config = default_config) sh =
   let l =
@@ -105,18 +95,19 @@ let create ?(config = default_config) sh =
     l;
     reactor = Listener.reactor l;
     conns = [];
+    subs = [];
     owed = [];
     commit_timer = None;
     upstream;
   }
 
 let port t = Listener.port t.l
+let reactor t = t.reactor
 let metrics_port t = Listener.metrics_port t.l
 let stats t = t.st
 let shared t = t.sh
 
-let subscribers t =
-  List.filter (fun c -> c.repl_from <> None && not c.io.closing) t.conns
+let subscribers t = List.filter (fun c -> not c.io.closing) t.subs
 
 let metrics_doc t =
   let repl =
@@ -154,8 +145,10 @@ let release_listener t = Listener.release t.l
 
 (* The high-water cut-off closes the connection, so the rest of its
    input is never decoded. Replication subscribers are exempt: shipping
-   is flow-controlled in [pump_replication] and a genuinely stalled
-   standby is reaped by [repl_stall_timeout]. *)
+   is flow-controlled in [pump_replication], and a standby that stops
+   draining is closed at its stall deadline ({!Conn}): it would hold
+   the semi-sync ack floor down, and it resubscribes from its applied
+   LSN on reconnect, losing nothing. *)
 let cut_off t conn () =
   conn.repl_from = None
   && begin
@@ -170,7 +163,7 @@ let cut_off t conn () =
    connection, so a subscriber's stream is always a contiguous prefix.
    Shipping is flow-controlled by the subscriber's bounded writer: a
    standby that stops draining keeps its cursor parked (and is
-   eventually reaped by the stall timeout) instead of growing an
+   closed at its stall deadline) instead of growing an
    unbounded buffer or wedging the loop — other subscribers and the
    semi-sync ack path continue unimpeded. *)
 let repl_chunk_bytes = 1 lsl 20
@@ -204,7 +197,7 @@ let pump_replication t =
               Conn.flush conn.io;
               Conn.maybe_close conn.io
           | _ -> ())
-        t.conns
+        t.subs
 
 (* ---------------- owed commit Acks ---------------- *)
 
@@ -267,7 +260,7 @@ let close_window t =
   if window_open t then begin
     clear_commit_timer t;
     let io0 = device_io t in
-    let batch = Session.commit_force_shared t.sh in
+    let forced = Session.commit_force_shared t.sh in
     let io = device_io t - io0 in
     let staged = List.filter (fun o -> o.ack = None) t.owed in
     let count = List.length staged in
@@ -275,11 +268,13 @@ let close_window t =
     let now = Unix.gettimeofday () in
     let lsn = Session.durable_lsn_shared t.sh in
     let ack =
-      Protocol.Ack
-        (if t.cfg.group_commit > 0. then
-           Printf.sprintf "committed (group commit batch of %d) lsn %d" batch
-             lsn
-         else Printf.sprintf "committed lsn %d" lsn)
+      match forced with
+      | Error frame -> frame
+      | Ok batch when t.cfg.group_commit > 0. ->
+          Protocol.Ack
+            (Printf.sprintf "committed (group commit batch of %d) lsn %d" batch
+               lsn)
+      | Ok _ -> Protocol.Ack (Printf.sprintf "committed lsn %d" lsn)
     in
     (* newest first: the oldest carries the division's remainder *)
     List.iteri
@@ -310,6 +305,7 @@ let settle t =
 (* Conn closed the socket: forget everything the connection held. *)
 let forget t conn =
   t.conns <- List.filter (fun c -> c != conn) t.conns;
+  t.subs <- List.filter (fun c -> c != conn) t.subs;
   (* Acks owed to the dead connection are owed to nobody, and the
      latency of its staged COMMITs must not pollute the histogram. A
      staged intent is already applied and must still be forced — if no
@@ -381,6 +377,13 @@ let handle_repl t conn id req =
                       "from_lsn %d outside retained log [%d, %d]" from_lsn
                       base dur))
             else begin
+              if conn.repl_from = None then begin
+                t.subs <- conn :: t.subs;
+                (* a subscriber sends nothing for long stretches on an
+                   idle primary: no idle deadline, the standard stall
+                   grace *)
+                conn.io.idle_timeout <- 0.
+              end;
               conn.repl_from <- Some from_lsn;
               conn.repl_id <- id;
               conn.repl_acked <- from_lsn;
@@ -489,7 +492,10 @@ let on_request t conn id req =
   settle t
 
 let accept t fd =
-  let io = Conn.create t.reactor ~high_water:t.cfg.write_high_water fd in
+  let io =
+    Conn.create t.reactor ~high_water:t.cfg.write_high_water
+      ~idle_timeout:t.cfg.idle_timeout fd
+  in
   let conn =
     { io; session = Session.create t.sh; repl_from = None; repl_id = 0L;
       repl_acked = 0 }
@@ -498,49 +504,6 @@ let accept t fd =
   Conn.serve io ~on_cut_off:(cut_off t conn)
     ~on_close:(fun () -> forget t conn)
     (Conn.frames io (on_request t conn))
-
-(* ---------------- housekeeping (idle + stalled consumers) ------------ *)
-
-(* A leaked client — connected, silent, holding a session against
-   max_sessions — gets a typed goodbye and the door. Only genuinely
-   quiescent connections qualify: anything with undrained output is
-   still being served. *)
-let reap_idle t now =
-  if t.cfg.idle_timeout > 0. then
-    List.iter
-      (fun conn ->
-        if
-          (not conn.io.closing)
-          && conn.repl_from = None
-          (* a subscriber legitimately sends nothing for long stretches
-             on an idle primary — reaping it would force a pointless
-             resubscribe cycle *)
-          && (not (Reactor.Writer.has_pending conn.io.wr))
-          && now -. conn.io.last_active > t.cfg.idle_timeout
-        then begin
-          conn.io.closing <- true;
-          Conn.reply conn.io ~id:0L
-            (Protocol.Goodbye
-               (Printf.sprintf "idle for %.0fs, closing" t.cfg.idle_timeout))
-        end)
-      t.conns
-
-(* Consumers with pending output that accept no bytes at all: bounded
-   buffers stop the memory bleed, this stops the fd bleed. *)
-let reap_stalled t now =
-  List.iter
-    (fun conn ->
-      let stalled = Reactor.Writer.stalled_for conn.io.wr ~now in
-      let limit =
-        if conn.repl_from <> None then repl_stall_timeout
-        else if t.cfg.idle_timeout > 0. then t.cfg.idle_timeout
-        else default_stall_grace
-      in
-      if stalled > limit then begin
-        conn.io.force_close <- true;
-        Conn.maybe_close conn.io
-      end)
-    t.conns
 
 (* ---------------- the upstream link (replica side) ---------------- *)
 
@@ -622,19 +585,8 @@ let serve t =
   Option.iter
     (fun u -> Reactor.spawn t.reactor (fun () -> follow_upstream t u))
     t.upstream;
-  (* With idle reaping on, wake often enough that a connection is
-     closed within ~a quarter timeout of earning it. *)
-  let period =
-    if t.cfg.idle_timeout > 0. then
-      Float.min 1.0 (Float.max 0.02 (t.cfg.idle_timeout /. 4.))
-    else 0.5
-  in
   Listener.serve t.l ~max_sessions:t.cfg.max_sessions ~stats:t.st
     ~metrics_doc:(fun () -> metrics_doc t)
-    ~period
-    ~housekeeping:(fun now ->
-      reap_idle t now;
-      reap_stalled t now)
     ~accept:(accept t)
     ~drain:(fun () -> drain t);
   (* A follower parked mid-wait is abandoned with the loop. *)

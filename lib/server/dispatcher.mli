@@ -4,9 +4,9 @@
     client connections over the shared database — the serving shape the
     paper assumes of its host RDBMS front end. The {!Listener} owns the
     ports, admission, the self-pipe stop and the loop; each socket is a
-    {!Conn}, the group-commit window and idle reaping are timers on the
-    reactor, and a standby follows its primary through
-    {!Client} in one fiber on the same reactor. Each request runs in
+    {!Conn} with its own idle and stall deadlines, the group-commit
+    window is a timer on the reactor, and a standby follows its primary
+    through {!Client} in one fiber on the same reactor. Each request runs in
     the read callback that decoded it, and its response is written
     before the callback returns (sockets are non-blocking; a slow reader
     never stalls the loop). A pipelined burst — up to one 64 KB read —
@@ -55,8 +55,11 @@ type config = {
       (** seconds a connection may sit with no bytes received and no
           undrained output before it is answered with a
           typed [Goodbye] frame (request id 0) and closed, freeing its
-          seat against [max_sessions]. [0.] (the default) disables
-          reaping. *)
+          seat against [max_sessions]; when positive it is also how long
+          pending output may make no write progress before the
+          connection is closed (5 s otherwise). Replication subscribers
+          are exempt from both. [0.] (the default) disables idle
+          closing. *)
   metrics_port : int option;
       (** when set, a second listen socket on this port answers plain
           HTTP GETs with the Prometheus text exposition ({!Metrics});
@@ -105,6 +108,10 @@ val port : t -> int
 
 val metrics_port : t -> int
 (** The bound metrics port ([0] when the endpoint is disabled). *)
+
+val reactor : t -> Reactor.t
+(** The reactor {!serve} runs: every connection, deadline and fiber of
+    the server is on it. *)
 
 val metrics_doc : t -> string
 (** The Prometheus exposition document, as the endpoint would serve it

@@ -5,8 +5,9 @@
    reactor connection ({!Conn}) — accept, wait for the first request
    bytes (or one second of silence, matching the old SO_RCVTIMEO
    behaviour), write the document through a buffered writer, close
-   once drained. A scraper that connects and says nothing costs one idle fd, never a
-   thread and never a blocked loop. *)
+   once drained, or at the connection's stall deadline. A scraper that
+   connects and says nothing costs one idle fd, never a thread and
+   never a blocked loop. *)
 
 type hconn = {
   c : Conn.t;
@@ -22,17 +23,12 @@ type t = {
 }
 
 (* Answer even a silent scraper after this long (the old receive
-   timeout), and abandon an unread response after the grace. *)
+   timeout). *)
 let silent_after = 1.0
-let drain_grace = 5.0
 
 let cancel_timer t hc =
   Option.iter (Reactor.cancel t.r) hc.htimer;
   hc.htimer <- None
-
-let arm_timer t hc delay f =
-  cancel_timer t hc;
-  hc.htimer <- Some (Reactor.after t.r delay f)
 
 let respond t hc =
   if not (hc.responded || hc.c.dead) then begin
@@ -50,7 +46,7 @@ let respond t hc =
     in
     ignore (Reactor.Writer.push hc.c.wr (Bytes.of_string resp));
     hc.c.closing <- true;
-    arm_timer t hc drain_grace (fun () -> Conn.close hc.c);
+    cancel_timer t hc;
     Conn.flush hc.c;
     Conn.maybe_close hc.c
   end
@@ -64,7 +60,8 @@ let accept_scrapes t =
           cancel_timer t hc;
           t.conns <- List.filter (fun c -> c != hc) t.conns)
         (fun _ _ -> respond t hc);
-      arm_timer t hc silent_after (fun () -> respond t hc))
+      hc.htimer <-
+        Some (Reactor.after t.r silent_after (fun () -> respond t hc)))
 
 let attach r ~fd ~doc =
   Unix.set_nonblock fd;

@@ -36,8 +36,7 @@ let stop t =
 let close_quietly fd = try Unix.close fd with Unix.Unix_error _ -> ()
 let release t = close_quietly t.listen_fd
 
-let serve t ~max_sessions ~stats ~metrics_doc ~period ~housekeeping ~accept
-    ~drain =
+let serve t ~max_sessions ~stats ~metrics_doc ~accept ~drain =
   let r = t.reactor in
   let admit () =
     if Server_stats.sessions stats < max_sessions then None
@@ -68,15 +67,8 @@ let serve t ~max_sessions ~stats ~metrics_doc ~period ~housekeeping ~accept
       Reactor.set_read_interest r t.listen_fd false;
       Option.iter Http_endpoint.stop_accepting http)
     ();
-  let rec tick () =
-    if not t.stopping then begin
-      housekeeping (Unix.gettimeofday ());
-      ignore (Reactor.after r period tick)
-    end
-  in
-  ignore (Reactor.after r period tick);
   while not t.stopping do
-    Reactor.run_once r ~max_timeout:1.0
+    Reactor.run_once r
   done;
   drain ();
   Reactor.deregister r t.listen_fd;

@@ -1,14 +1,17 @@
 (** The listening half of a server, written once for the dispatcher
     and the router: the bound service and metrics ports, SIGPIPE, the
     self-pipe {!stop}, admission at [max_sessions], the metrics
-    endpoint, one housekeeping timer and the {!Reactor.run_once} loop
-    with its teardown.
+    endpoint and the {!Reactor.run_once} loop with its teardown.
 
     The owner keeps only its request handling. It is handed each
     admitted socket, makes it a {!Conn} on {!reactor} and answers every
     request in the [Conn.frames] callback that decoded it; whatever
     queues a frame on a connection also flushes it and calls
-    {!Conn.maybe_close}, so the loop never walks the connections. *)
+    {!Conn.maybe_close}, and each connection's stall and idle deadlines
+    are its own timers, so the loop never walks the connections. The
+    loop arms no timer of its own and caps no [poll]: it sleeps until
+    the next readiness or the next timer, and {!stop} arrives on the
+    self-pipe. *)
 
 type t
 
@@ -44,8 +47,6 @@ val serve :
   max_sessions:int ->
   stats:Server_stats.t ->
   metrics_doc:(unit -> string) ->
-  period:float ->
-  housekeeping:(float -> unit) ->
   accept:(Unix.file_descr -> unit) ->
   drain:(unit -> unit) ->
   unit
@@ -55,7 +56,7 @@ val serve :
     it to [accept]; the owner counts it closed when the connection
     ends. A socket past the limit gets one typed [Overloaded] frame and
     is closed. The metrics port, when bound, serves [metrics_doc ()]
-    ({!Http_endpoint}). [housekeeping now] runs every [period] seconds.
+    ({!Http_endpoint}).
 
     On {!stop} the loop finishes its turn, stops accepting and returns
     after [drain ()] (the owner answers what it still owes and closes

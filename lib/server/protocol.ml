@@ -623,37 +623,41 @@ let decode_response payload =
 (* ---------------- frame splitting ---------------- *)
 
 module Framer = struct
-  type t = { mutable data : Bytes.t; mutable len : int }
+  (* The unread bytes are [data.[pos .. len - 1]]. [next] only moves
+     [pos] and [feed] compacts once, so draining a pipelined burst of k
+     frames copies the unread tail once, not k times; a large frame
+     arriving over many reads stays at offset 0 and is not copied
+     again. *)
+  type t = { mutable data : Bytes.t; mutable pos : int; mutable len : int }
 
-  let create () = { data = Bytes.create 4096; len = 0 }
+  let create () = { data = Bytes.create 4096; pos = 0; len = 0 }
 
   let feed t buf n =
     if n < 0 || n > Bytes.length buf then
       invalid_arg "Protocol.Framer.feed: bad length";
-    let need = t.len + n in
-    if need > Bytes.length t.data then begin
-      let cap = max need (2 * Bytes.length t.data) in
-      let data = Bytes.create cap in
-      Bytes.blit t.data 0 data 0 t.len;
+    let held = t.len - t.pos in
+    if held + n > Bytes.length t.data then begin
+      let data = Bytes.create (max (held + n) (2 * Bytes.length t.data)) in
+      Bytes.blit t.data t.pos data 0 held;
       t.data <- data
-    end;
-    Bytes.blit buf 0 t.data t.len n;
-    t.len <- t.len + n
+    end
+    else if t.pos > 0 then Bytes.blit t.data t.pos t.data 0 held;
+    t.pos <- 0;
+    Bytes.blit buf 0 t.data held n;
+    t.len <- held + n
 
-  let buffered t = t.len
+  let buffered t = t.len - t.pos
 
   let next t =
-    if t.len < 4 then Ok None
+    if t.len - t.pos < 4 then Ok None
     else
-      let declared = Int32.to_int (Bytes.get_int32_be t.data 0) in
+      let declared = Int32.to_int (Bytes.get_int32_be t.data t.pos) in
       if declared < 0 || declared > max_payload then
         Result.Error (Oversized declared)
-      else if t.len < 4 + declared then Ok None
+      else if t.len - t.pos < 4 + declared then Ok None
       else begin
-        let payload = Bytes.sub t.data 4 declared in
-        let rest = t.len - 4 - declared in
-        Bytes.blit t.data (4 + declared) t.data 0 rest;
-        t.len <- rest;
+        let payload = Bytes.sub t.data (t.pos + 4) declared in
+        t.pos <- t.pos + 4 + declared;
         Ok (Some payload)
       end
 end

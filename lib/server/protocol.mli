@@ -92,8 +92,8 @@ type request =
           one [Repl_state] frame (confirming the primary's role and
           durable LSN), then a stream of [Repl_frame]s under the same
           request id, pushed after every commit force. The connection
-          becomes a replication feed; the subscriber is exempt from
-          idle reaping. [Invalid] if [from_lsn] falls outside the
+          becomes a replication feed; the subscriber has no idle
+          deadline. [Invalid] if [from_lsn] falls outside the
           retained log; [Error] on a non-durable or replica server. *)
   | Repl_ack of { lsn : int }
       (** Fire-and-forget: the subscriber has durably applied the log up

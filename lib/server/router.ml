@@ -224,6 +224,7 @@ let create cfg ~map =
   }
 
 let port t = Listener.port t.l
+let reactor t = t.reactor
 let metrics_port t = Listener.metrics_port t.l
 let stats t = t.st
 let map t = t.map
@@ -604,10 +605,6 @@ let execute t conn id req =
    before admission control cuts it off. *)
 let max_pipeline = 256
 
-(* How long undrained output may sit with no write progress before the
-   peer is declared a stalled consumer and reaped. *)
-let stall_grace = 5.0
-
 let close_legs conn =
   Array.iter (function Some l -> Failover.close l | None -> ()) conn.legs
 
@@ -690,22 +687,6 @@ let accept t fd =
     ~on_close:(fun () -> forget t conn)
     (Conn.frames io (on_request t conn))
 
-(* Reap connections whose peer stopped reading: undrained output that
-   has made no write progress for [stall_grace] seconds. *)
-let reap_stalled t now =
-  let victims =
-    Hashtbl.fold
-      (fun _ c acc ->
-        if Reactor.Writer.stalled_for c.io.wr ~now > stall_grace then c :: acc
-        else acc)
-      t.conns []
-  in
-  List.iter
-    (fun c ->
-      c.io.force_close <- true;
-      Conn.maybe_close c.io)
-    victims
-
 (* Fibers still parked on a shard are abandoned with the reactor;
    closing made their connections orphans, whose legs go now. *)
 let drain t =
@@ -717,5 +698,4 @@ let drain t =
 let serve t =
   Listener.serve t.l ~max_sessions:t.cfg.max_sessions ~stats:t.st
     ~metrics_doc:(fun () -> metrics_doc t)
-    ~period:1.0 ~housekeeping:(reap_stalled t) ~accept:(accept t)
-    ~drain:(fun () -> drain t)
+    ~accept:(accept t) ~drain:(fun () -> drain t)

@@ -23,8 +23,8 @@
     black-holed shard delays only the connections waiting on it —
     never a request for a healthy shard. Slow consumers (peers that
     stop reading) are cut off with a typed [Overloaded] frame when
-    their write buffer crosses the high-water mark, and reaped if they
-    stall.
+    their write buffer crosses the high-water mark, and closed at their
+    stall deadline ({!Conn}) if their output makes no progress for 5 s.
 
     {2 Placement and correctness}
 
@@ -143,6 +143,10 @@ val port : t -> int
 
 val metrics_port : t -> int
 (** The actually-bound metrics port (0 when metrics are disabled). *)
+
+val reactor : t -> Reactor.t
+(** The reactor {!serve} runs: every connection, deadline and request
+    fiber of the router is on it. *)
 
 val stats : t -> Server_stats.t
 (** Per-op latency includes a family per shard under [op="shard:<i>"] —

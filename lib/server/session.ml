@@ -26,9 +26,9 @@ type shared = {
    that from the two indexes alone (Fig. 10), never the table. *)
 let layout = Ritree.Ri_tree.Covering
 
-let shared ?(durable = false) ?cache_blocks ?(tree_name = "intervals")
+let shared ?device ?(durable = false) ?cache_blocks ?(tree_name = "intervals")
     ?(hot_tier_mb = 0) () =
-  let cat = Relation.Catalog.create ~durable ?cache_blocks () in
+  let cat = Relation.Catalog.create ?device ~durable ?cache_blocks () in
   let ritree = Ritree.Ri_tree.create ~name:tree_name ~layout cat in
   if durable then Relation.Catalog.commit cat;
   { cat; ritree; forms = Exec.Planner.prepare ritree; tree_name;
@@ -52,7 +52,44 @@ let durable sh = sh.dur
 let memtier sh = sh.memtier
 let txns sh = sh.txns
 
-let commit_force_shared sh = Relation.Catalog.commit_force sh.cat
+(* The typed frame answering a request that raised. *)
+let error_frame sh = function
+  | Storage.Buffer_pool.Corrupt_page page ->
+      (* Garbage came off the disk. Keep serving what still
+         verifies, refuse to write on top of a damaged image. *)
+      let reason = Printf.sprintf "corrupt page %d" page in
+      Relation.Catalog.degrade sh.cat reason;
+      Protocol.Error
+        (Printf.sprintf
+           "corruption detected (%s): server now degraded read-only; \
+            run `rikit scrub` against this image" reason)
+  | Storage.Block_device.Io_error { op; block } ->
+      Protocol.Error
+        (Printf.sprintf "transient I/O error: %s of block %d failed" op block)
+  | Relation.Txn.Conflict m -> Protocol.Conflict m
+  | Sqlfront.Engine.Error m -> Protocol.Error m
+  | Exec.Ir.Error m -> Protocol.Error m
+  | Sqlfront.Parser.Error m -> Protocol.Error ("parse error: " ^ m)
+  | Sqlfront.Lexer.Error (m, pos) ->
+      Protocol.Error (Printf.sprintf "lex error at %d: %s" pos m)
+  | Failure m -> Protocol.Error m
+  | Invalid_argument m -> Protocol.Invalid m
+  | Not_found -> Protocol.Error "not found"
+  | e -> Protocol.Error ("internal error: " ^ Printexc.to_string e)
+
+(* A force that fails leaves the batch applied but not durable, and
+   the log or the pages half-written: answer the batch, and accept no
+   further write on top of it. *)
+let commit_force_shared sh =
+  match Relation.Catalog.commit_force sh.cat with
+  | n -> Ok n
+  | exception (Storage.Block_device.Io_error { op; block } as e) ->
+      let frame = error_frame sh e in
+      Relation.Catalog.degrade sh.cat
+        (Printf.sprintf "commit force failed (%s of block %d)" op block);
+      Error frame
+  | exception (Storage.Buffer_pool.Corrupt_page _ as e) ->
+      Error (error_frame sh e)
 
 (* The durable-log byte offset — the LSN token commit acks carry so a
    failover client can wait out replica lag (read-your-writes). 0 on a
@@ -283,8 +320,10 @@ let exec t = function
       end
   | Commit ->
       apply_commit t;
-      ignore (commit_force_shared t.sh);
-      Ack (Printf.sprintf "committed lsn %d" (durable_lsn_shared t.sh))
+      (match commit_force_shared t.sh with
+      | Ok _ ->
+          Ack (Printf.sprintf "committed lsn %d" (durable_lsn_shared t.sh))
+      | Error frame -> frame)
   | Rollback ->
       (* One session's write set only; everyone else is untouched. *)
       Relation.Txn.abort t.txn;
@@ -380,31 +419,6 @@ let mutating t = function
          in degraded read-only mode. *)
       false
 
-(* The typed frame answering a request that raised. *)
-let error_frame t = function
-  | Storage.Buffer_pool.Corrupt_page page ->
-      (* Garbage came off the disk. Keep serving what still
-         verifies, refuse to write on top of a damaged image. *)
-      let reason = Printf.sprintf "corrupt page %d" page in
-      Relation.Catalog.degrade t.sh.cat reason;
-      Protocol.Error
-        (Printf.sprintf
-           "corruption detected (%s): server now degraded read-only; \
-            run `rikit scrub` against this image" reason)
-  | Storage.Block_device.Io_error { op; block } ->
-      Protocol.Error
-        (Printf.sprintf "transient I/O error: %s of block %d failed" op block)
-  | Relation.Txn.Conflict m -> Protocol.Conflict m
-  | Sqlfront.Engine.Error m -> Protocol.Error m
-  | Exec.Ir.Error m -> Protocol.Error m
-  | Sqlfront.Parser.Error m -> Protocol.Error ("parse error: " ^ m)
-  | Sqlfront.Lexer.Error (m, pos) ->
-      Protocol.Error (Printf.sprintf "lex error at %d: %s" pos m)
-  | Failure m -> Protocol.Error m
-  | Invalid_argument m -> Protocol.Invalid m
-  | Not_found -> Protocol.Error "not found"
-  | e -> Protocol.Error ("internal error: " ^ Printexc.to_string e)
-
 (* The guard every request runs under, COMMIT's apply included: the
    request is counted, the transaction resynced after a catalog swap, a
    mutation refused in degraded mode, and an exception answered with a
@@ -416,7 +430,7 @@ let guarded t req f =
   | Some reason when mutating t req ->
       Result.Error
         (Protocol.Read_only (Printf.sprintf "server is read-only: %s" reason))
-  | _ -> ( try Ok (f ()) with e -> Result.Error (error_frame t e))
+  | _ -> ( try Ok (f ()) with e -> Result.Error (error_frame t.sh e))
 
 let handle t req =
   match guarded t req (fun () -> exec t req) with Ok r | Error r -> r

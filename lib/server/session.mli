@@ -20,6 +20,7 @@
 type shared
 
 val shared :
+  ?device:Storage.Block_device.t ->
   ?durable:bool ->
   ?cache_blocks:int ->
   ?tree_name:string ->
@@ -28,7 +29,11 @@ val shared :
   shared
 (** A fresh database with an empty RI-tree (default name
     ["intervals"]) in the {!Ritree.Ri_tree.Covering} layout, which
-    answers every typed op from the indexes alone. [durable:true]
+    answers every typed op from the indexes alone. [device]
+    substitutes the catalog's block device ({!Relation.Catalog.create}),
+    which is how a test puts a {!Storage.Faulty_device} under a served
+    database; {!preload} builds a fresh catalog, and with it a fresh
+    in-memory device. [durable:true]
     (default [false]) enables the write-ahead journal and with it
     [Rollback]. [hot_tier_mb] (default
     [0] = disabled) budgets the RAM-resident hot tier: the typed
@@ -60,9 +65,14 @@ val preload_ids : shared -> (int * Interval.Ivl.t) array -> unit
     boundary spanner replicated on several shards carries one global
     identity — the key the router's merge deduplicates on. *)
 
-val commit_force_shared : shared -> int
+val commit_force_shared : shared -> (int, Protocol.response) result
 (** Force every COMMIT staged since the last force ({!stage_commit}):
-    one marker, one log force. Returns the batch size. *)
+    one marker, one log force. Returns the batch size. A device fault
+    in the force ({!Storage.Block_device.Io_error},
+    {!Storage.Buffer_pool.Corrupt_page}) returns [Error frame], the
+    typed frame {!handle} gives for that exception, owed to every
+    COMMIT of the batch, and degrades the catalog to read-only: the
+    batch is applied but not durable. *)
 
 val durable_lsn_shared : shared -> int
 (** The durable-log byte offset ({!Storage.Journal.durable_lsn}) — the

@@ -323,6 +323,39 @@ let test_framer_batch_feed () =
   drain ();
   check Alcotest.int "ten frames" 10 !n
 
+(* A pipelined burst drains in time linear in its size. When each
+   [next] shifted the whole unread tail down, the copying grew with the
+   square of the burst: 80 000 PINGs fed in one chunk took about
+   1 000 ms, against about 5 ms now (dev build, 2 shared vCPUs), so the
+   bound sits at least 10x from either side. *)
+let burst_frames = 80_000
+let burst_bound_ms = 50.
+
+let test_framer_burst_linear () =
+  let ping = P.encode_request ~id:1L P.Ping in
+  let stream =
+    Bytes.concat Bytes.empty (List.init burst_frames (fun _ -> ping))
+  in
+  let f = P.Framer.create () in
+  let t0 = Unix.gettimeofday () in
+  P.Framer.feed f stream (Bytes.length stream);
+  let n = ref 0 in
+  let rec drain () =
+    match P.Framer.next f with
+    | Ok (Some _) ->
+        incr n;
+        drain ()
+    | Ok None -> ()
+    | Error e -> Alcotest.failf "framer error: %s" (P.error_to_string e)
+  in
+  drain ();
+  let ms = (Unix.gettimeofday () -. t0) *. 1000. in
+  check Alcotest.int "every frame" burst_frames !n;
+  check Alcotest.int "nothing left over" 0 (P.Framer.buffered f);
+  if ms >= burst_bound_ms then
+    Alcotest.failf "%d frames took %.1f ms (bound %.0f ms)" burst_frames ms
+      burst_bound_ms
+
 (* Fuzz the whole input path the way a hostile or broken peer would:
    seeded random bytes, truncated valid streams, and valid streams with
    mutated bytes, fed through a Framer in random-size chunks. The framer
@@ -486,6 +519,8 @@ let () =
           Alcotest.test_case "byte-by-byte reassembly" `Quick
             test_framer_reassembly;
           Alcotest.test_case "batch feed" `Quick test_framer_batch_feed;
+          Alcotest.test_case "80 000-frame burst under 50 ms" `Quick
+            test_framer_burst_linear;
           Alcotest.test_case "oversized prefix" `Quick test_framer_oversized;
           Alcotest.test_case "fuzz: noise, truncation, mutation" `Quick
             test_framer_fuzz;

@@ -22,9 +22,9 @@ let config ?(max_sessions = 8) ?(group_commit = 0.) ?(idle_timeout = 0.)
 
 (* Start a dispatcher on an ephemeral port; run [f port]; always stop
    the loop and join its thread. *)
-let with_server ?config:(cfg = config ()) ?(durable = false) ?cache_blocks
-    ?(hot_tier_mb = 0) ?(preload = [||]) f =
-  let sh = S.shared ~durable ?cache_blocks ~hot_tier_mb () in
+let with_server ?config:(cfg = config ()) ?device ?(durable = false)
+    ?cache_blocks ?(hot_tier_mb = 0) ?(preload = [||]) f =
+  let sh = S.shared ?device ~durable ?cache_blocks ~hot_tier_mb () in
   if Array.length preload > 0 then S.preload sh preload;
   let disp = D.create ~config:cfg sh in
   let thread = Thread.create (fun () -> D.serve disp) () in
@@ -215,14 +215,16 @@ let router_config = { Server.Router.default_config with port = 0 }
 let lone_shard =
   Server.Router.Map.create ~cuts:[] ~endpoints:[ [ ("127.0.0.1", 1) ] ]
 
-let router f =
+let with_router f =
   let r = Server.Router.create router_config ~map:lone_shard in
   let thread = Thread.create Server.Router.serve r in
   Fun.protect
     ~finally:(fun () ->
       Server.Router.stop r;
       Thread.join thread)
-    (fun () -> f (Server.Router.port r))
+    (fun () -> f r)
+
+let router f = with_router (fun r -> f (Server.Router.port r))
 
 let test_malformed_payload_gets_typed_error serve () =
   serve (fun port ->
@@ -1136,6 +1138,108 @@ let test_slow_consumer_backpressure () =
           check Alcotest.bool "unanswered requests were dropped" true
             (!rows < 10)))
 
+(* A consumer that stops reading while its answers are pending is
+   closed at its stall deadline, which is the idle timeout when one is
+   set (5 s otherwise). The high-water mark is far above what is owed,
+   so no cut-off intervenes, and the pending output keeps the idle
+   deadline from firing. *)
+let test_stall_deadline () =
+  with_server
+    ~config:(config ~idle_timeout:0.3 ~write_high_water:(1 lsl 30) ())
+    ~preload:dataset
+    (fun port _ disp ->
+      let fd = Unix.socket Unix.PF_INET Unix.SOCK_STREAM 0 in
+      Fun.protect
+        ~finally:(fun () -> try Unix.close fd with Unix.Unix_error _ -> ())
+        (fun () ->
+          Unix.setsockopt_int fd Unix.SO_RCVBUF 4096;
+          Unix.connect fd (Unix.ADDR_INET (Unix.inet_addr_loopback, port));
+          let fat =
+            P.Intersect { lower = 0; upper = Workload.Distribution.domain_max }
+          in
+          let asked = 200 in
+          for i = 1 to asked do
+            let f = P.encode_request ~id:(Int64.of_int i) fat in
+            ignore (Unix.write fd f 0 (Bytes.length f))
+          done;
+          let sessions () = Server.Server_stats.sessions (D.stats disp) in
+          let wait_until ok =
+            let t0 = Unix.gettimeofday () in
+            while (not (ok ())) && Unix.gettimeofday () -. t0 < 10. do
+              Unix.sleepf 0.01
+            done
+          in
+          (* the connect completes before the server accepts *)
+          wait_until (fun () -> sessions () = 1);
+          let t0 = Unix.gettimeofday () in
+          wait_until (fun () -> sessions () = 0);
+          let waited = Unix.gettimeofday () -. t0 in
+          check Alcotest.int "stalled connection closed" 0 (sessions ());
+          if waited >= 3. then
+            Alcotest.failf "closed after %.2f s, not at the 0.3 s deadline"
+              waited;
+          (* what the kernel still held arrives, then EOF: the
+             connection was cut, not answered in full, and not told it
+             was idle *)
+          Unix.setsockopt_float fd Unix.SO_RCVTIMEO 10.;
+          let rows = ref 0 in
+          (try
+             while true do
+               match P.decode_response (raw_read_frame fd) with
+               | Ok (_, P.Rows _) -> incr rows
+               | Ok (_, P.Goodbye _) -> Alcotest.fail "told it was idle"
+               | Ok _ -> Alcotest.fail "unexpected frame"
+               | Error _ -> Alcotest.fail "undecodable frame"
+             done
+           with
+          | Failure _ -> ()
+          | Unix.Unix_error ((Unix.ECONNRESET | Unix.EPIPE), _, _) -> ());
+          check Alcotest.bool "answers were cut off" true (!rows < asked)))
+
+(* Once the last request is answered, an idle server holds no timer:
+   its deadlines belong to connections that owe output or have an idle
+   timeout, and the loop arms none of its own. *)
+let test_idle_dispatcher_no_timer () =
+  with_server (fun port _ disp ->
+      with_client port (fun c ->
+          ping c;
+          check Alcotest.int "pending timers" 0
+            (Reactor.timer_count (D.reactor disp))))
+
+let test_idle_router_no_timer () =
+  with_router (fun r ->
+      with_client (Server.Router.port r) (fun c ->
+          ping c;
+          check Alcotest.int "pending timers" 0
+            (Reactor.timer_count (Server.Router.reactor r))))
+
+(* A device fault in the window's force answers the COMMIT with the
+   typed frame a request gets for that fault, and the server degrades
+   to read-only: the batch is applied but not durable. The loop and
+   the connection survive. *)
+let test_force_fault_degrades () =
+  let f = Storage.Faulty_device.create (Storage.Block_device.create ()) in
+  with_server ~device:(Storage.Faulty_device.device f) (fun port _ _ ->
+      let c = C.connect ~deadline_ms:5000. ~port () in
+      Fun.protect ~finally:(fun () -> C.close c) (fun () ->
+          (match C.insert c ~id:1 (Interval.Ivl.make 10 20) with
+          | Ok _ -> ()
+          | Error e -> Alcotest.failf "insert: %s" (C.error_to_string e));
+          Storage.Faulty_device.schedule_write_fault f
+            ~at:(Storage.Faulty_device.writes_done f)
+            Storage.Faulty_device.Fail;
+          (match C.rpc c P.Commit with
+          | P.Error m ->
+              check Alcotest.bool "names the I/O error" true
+                (contains m "I/O error")
+          | _ -> Alcotest.fail "expected a typed Error for the commit");
+          ping c;
+          match C.insert c ~id:2 (Interval.Ivl.make 30 40) with
+          | Error (C.Read_only _) -> ()
+          | Ok _ -> Alcotest.fail "mutation admitted after a failed force"
+          | Error e ->
+              Alcotest.failf "wrong error shape: %s" (C.error_to_string e)))
+
 let raw_suite =
   [
     ( "ops",
@@ -1171,6 +1275,7 @@ let raw_suite =
       [
         ("parallel clients", test_concurrent_clients);
         ("slow consumer backpressure", test_slow_consumer_backpressure);
+        ("stalled consumer closed at its deadline", test_stall_deadline);
       ] );
     ( "observability",
       [
@@ -1188,6 +1293,9 @@ let raw_suite =
          test_corrupt_commit_degrades 0.);
         ("corrupt commit degrades, window 20 ms",
          test_corrupt_commit_degrades 0.02);
+        ("force fault answers typed, degrades", test_force_fault_degrades);
+        ("idle dispatcher holds no timer", test_idle_dispatcher_no_timer);
+        ("idle router holds no timer", test_idle_router_no_timer);
       ] );
     ( "sessions",
       [
