@@ -540,7 +540,8 @@ let shard ~tiny =
    OS-thread count read from /proc/<pid>/status. The thread count must
    stay flat across the sweep (the reactor multiplexes every socket;
    nothing spawns per connection), and every opened connection must
-   actually be served. *)
+   actually be served. Before the sweep, the words one served request
+   allocates: at most 64 on the major heap, or the driver fails. *)
 
 (* The integer after [prefix] on the first line of [path] that starts
    with it, or [default]. *)
@@ -624,6 +625,28 @@ let level_json ?scatter_ok l =
     @ Option.fold ~none:[] ~some:(fun ok -> [ ("scatter_ok", R.Bool ok) ])
         scatter_ok)
 
+(* Minor and major words per request served through a [Conn], for a
+   PING, a point Intersect and an Intersect of at least 150 rows
+   (Testbed.wire_words). *)
+let wire_requests =
+  [ ("ping", P.Ping, 0);
+    ("point_intersect", P.Intersect { lower = 500_000; upper = 500_000 }, 1);
+    ("wide_intersect", P.Intersect { lower = 500_000; upper = 600_000 }, 150) ]
+
+let wire_major_bound = 64.
+
+let wire_words data =
+  let sh = Server.Session.shared () in
+  Server.Session.preload sh data;
+  List.map
+    (fun (name, req, min_rows) ->
+      let w = Testbed.wire_words sh req ~reps:2000 in
+      let rows =
+        match w.answer with P.Rows { rows; _ } -> List.length rows | _ -> 0
+      in
+      (name, w, rows >= min_rows, rows))
+    wire_requests
+
 (* wait for a forked daemon to start accepting *)
 let rec await_up ?(tries = 50) port =
   match C.connect ~deadline_ms:2000. ~port () with
@@ -647,6 +670,7 @@ let reactor ~tiny =
          fd_limit);
   let top = List.fold_left max 0 levels in
   let data = Dist.generate ~seed:42 Dist.D1 ~n:2000 ~d:2000 in
+  let wire = wire_words data in
   let daemon =
     List.hd
       (Testbed.fork
@@ -725,7 +749,17 @@ let reactor ~tiny =
          R.List
            (List.map
               (fun (l, scatter_ok) -> level_json ~scatter_ok l)
-              router_results)) ],
+              router_results));
+        ("wire",
+         R.Obj
+           (List.map
+              (fun (name, (w : Testbed.words), _, rows) ->
+                ( name,
+                  R.Obj
+                    [ ("rows", R.Int rows);
+                      ("minor_words_per_request", R.Float w.minor);
+                      ("major_words_per_request", R.Float w.major) ] ))
+              wire)) ],
     [ ("served_ok",
        List.for_all (fun l -> l.connected = l.conns && l.served = l.conns)
          results);
@@ -733,5 +767,9 @@ let reactor ~tiny =
       ("threads_flat", flat results);
       ("router_threads_flat", flat (List.map fst router_results));
       ("router_served_ok",
-       List.for_all (fun (l, sc) -> l.served = l.conns && sc) router_results)
-    ] )
+       List.for_all (fun (l, sc) -> l.served = l.conns && sc) router_results);
+      ("wire_major_words_per_request_le_64",
+       List.for_all
+         (fun (_, (w : Testbed.words), rows_ok, _) ->
+           rows_ok && w.major <= wire_major_bound)
+         wire) ] )

@@ -6,10 +6,12 @@
    stats refresh) drops everything, because plans bake in table handles,
    index choices and collection schemas.
 
-   A raw-text memo sits in front of the normalizer: the second time the
-   *identical* statement string arrives, the hot path is two hashtable
-   lookups — no lexing, no parsing, no planning, no per-statement
-   allocation beyond the result rows.
+   No memo of raw statement texts sits in front of the normalizer: a
+   repeated text pays one normalize pass (a lex and a key string, a few
+   hundred minor-heap words) and one plan-table probe, never a parse or
+   a plan. Point queries rarely repeat a text exactly, so a bounded memo
+   would mostly hold entries promoted to the major heap only to be
+   dropped dead: garbage on every request.
 
    Per-cache counters feed tests; process-global totals feed the
    `rikit_plan_cache` families in `Server.Metrics`. *)
@@ -28,8 +30,6 @@ type 'a entry = { value : 'a; mutable last : int }
 type 'a t = {
   cap : int;
   tbl : (string, 'a entry) Hashtbl.t;
-  (* raw statement text -> normalized key + its literal slot values *)
-  raw : (string, string * (string * int) list) Hashtbl.t;
   mutable tick : int;
   stats : stats;
 }
@@ -39,7 +39,6 @@ let default_capacity = 128
 let create ?(cap = default_capacity) () =
   { cap = max 1 cap;
     tbl = Hashtbl.create 64;
-    raw = Hashtbl.create 64;
     tick = 0;
     stats = { hits = 0; misses = 0; inserts = 0; invalidations = 0 } }
 
@@ -80,13 +79,6 @@ let add t key value =
     totals.inserts <- totals.inserts + 1
   end
 
-let find_raw t src = Hashtbl.find_opt t.raw src
-
-let add_raw t src key params =
-  (* bounded alongside the plan table; a raw memo entry is tiny *)
-  if Hashtbl.length t.raw >= 4 * t.cap then Hashtbl.reset t.raw;
-  if not (Hashtbl.mem t.raw src) then Hashtbl.replace t.raw src (key, params)
-
 (* Drop every cached plan (DDL, collection schema change, stats
    refresh): plans bake in physical handles, so staleness is corruption,
    not slowness. *)
@@ -96,8 +88,7 @@ let invalidate t =
     t.stats.invalidations <- t.stats.invalidations + n;
     totals.invalidations <- totals.invalidations + n
   end;
-  Hashtbl.reset t.tbl;
-  Hashtbl.reset t.raw
+  Hashtbl.reset t.tbl
 
 let stats t = t.stats
 let hits t = t.stats.hits

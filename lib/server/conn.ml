@@ -36,12 +36,12 @@ let listen ~host ~port ~backlog =
 (* Read away unread inbound bytes before close(2): with data still in
    the receive queue the kernel answers the close with RST, which
    destroys any frame still in flight to the peer. Bounded — a peer
-   still spraying bytes gets the reset it earned. *)
-let hang_up fd =
-  let scratch = Bytes.create 65536 in
+   still spraying bytes gets the reset it earned. The bytes land in
+   [framer], which serves nothing more. *)
+let hang_up framer fd =
   let rec drain n =
     if n > 0 then
-      match Unix.read fd scratch 0 65536 with
+      match Protocol.Framer.discard framer fd with
       | 0 -> ()
       | _ -> drain (n - 1)
       | exception Unix.Unix_error _ -> ()
@@ -66,7 +66,7 @@ let reject fd reason =
   in
   write_all 0;
   Unix.set_nonblock fd;
-  hang_up fd
+  hang_up (Protocol.Framer.create ()) fd
 
 (* Drain the whole backlog: with thousands of clients dialling at once,
    one accept per readiness wakeup would leave most of the burst
@@ -110,7 +110,7 @@ let close c =
     cancel c c.stall_timer;
     cancel c c.idle_timer;
     Reactor.deregister c.reactor c.fd;
-    hang_up c.fd;
+    hang_up c.framer c.fd;
     c.on_close ()
   end
 
@@ -167,6 +167,15 @@ let flush c =
     Reactor.set_write_interest c.reactor c.fd pending
   end
 
+(* A [Rows] answer is written straight into the output buffer, at its
+   exact size; any other frame is small and pushed as built. *)
+let buffer c ~id = function
+  | Protocol.Rows { columns; rows } ->
+      Reactor.Writer.write c.wr
+        (Protocol.rows_size columns rows)
+        (fun b off -> Protocol.write_rows b off ~id columns rows)
+  | resp -> Reactor.Writer.push c.wr (Protocol.encode_response ~id resp)
+
 (* A consumer whose buffer bursts the high-water mark is slower than the
    server for longer than the bound can absorb: it gets one typed
    Overloaded frame, allowed past the mark so the close is explicable
@@ -174,10 +183,7 @@ let flush c =
    drains what was already owed. *)
 let send c ~id resp =
   if not (c.dead || c.force_close || c.cut_off || c.lingering) then
-    if
-      (not (Reactor.Writer.push c.wr (Protocol.encode_response ~id resp)))
-      && c.on_cut_off ()
-    then begin
+    if (not (buffer c ~id resp)) && c.on_cut_off () then begin
       c.cut_off <- true;
       c.closing <- true;
       ignore
@@ -215,11 +221,16 @@ and on_idle c =
              (Printf.sprintf "idle for %.0fs, closing" c.idle_timeout))
       end
 
-(* A fresh buffer per read, not one per reactor: nothing read here may
-   be shared between the reactor threads of one process. *)
+(* Reads land in the connection's own framer, so nothing read is shared
+   between the reactor threads of one process and nothing is allocated
+   per read. A closing connection discards what it reads: that keeps
+   the receive queue empty, so the eventual close delivers the final
+   frame instead of an RST. *)
 let read c on_data =
-  let scratch = Bytes.create 65536 in
-  match Unix.read c.fd scratch 0 (Bytes.length scratch) with
+  match
+    if c.closing then Protocol.Framer.discard c.framer c.fd
+    else Protocol.Framer.read c.framer c.fd
+  with
   | 0 ->
       (* The peer sends nothing more but may still read what it is
          owed. *)
@@ -228,14 +239,10 @@ let read c on_data =
         Reactor.set_read_interest c.reactor c.fd false
       end
       else close c
-  | _ when c.closing ->
-      (* Discarding, rather than ignoring, keeps the receive queue empty
-         so the eventual close delivers the final frame instead of an
-         RST. *)
-      ()
-  | n ->
+  | _ when c.closing -> ()
+  | _ ->
       c.last_active <- Unix.gettimeofday ();
-      on_data scratch n
+      on_data ()
   | exception
       Unix.Unix_error ((Unix.EAGAIN | Unix.EWOULDBLOCK | Unix.EINTR), _, _) ->
       ()
@@ -253,8 +260,7 @@ let serve c ?(on_cut_off = fun () -> true) ?(on_close = ignore) on_data =
   Reactor.set_write_interest c.reactor c.fd false;
   if c.idle_timeout > 0. then arm_idle c c.idle_timeout
 
-let frames c on_request buf n =
-  Protocol.Framer.feed c.framer buf n;
+let frames c on_request () =
   let rec next () =
     if not (c.closing || c.dead) then
       match Protocol.Framer.next c.framer with

@@ -2,9 +2,13 @@
     listener: the dispatcher and the router use it for framed protocol
     connections, the metrics endpoint for its one-shot HTTP scrapes.
 
-    A connection is registered on a {!Reactor}: readability runs the
-    read loop, writability flushes the bounded {!Reactor.Writer} and
-    closes the connection once it is finished. The owner keeps its own
+    A connection is registered on a {!Reactor}: readability reads the
+    socket straight into the connection's {!Protocol.Framer},
+    writability flushes the bounded {!Reactor.Writer} and closes the
+    connection once it is finished. Neither allocates per request: the
+    framer and the writer each keep one buffer, sized by the largest
+    frame in flight and released past 64 KB once drained, and a [Rows]
+    answer is encoded straight into the writer's buffer. The owner keeps its own
     per-connection state (sessions, queues, shard legs) next to the
     [t] and learns about the connection's end through [on_close].
 
@@ -79,8 +83,9 @@ val create :
   Reactor.t -> ?high_water:int -> ?idle_timeout:float -> Unix.file_descr -> t
 
 (** [serve c ?on_cut_off ?on_close on_data] registers [c]: each read
-    of new bytes is handed to [on_data buf n] (discarded instead once
-    [c] is closing). A read error closes [c]; so does EOF, unless
+    lands new bytes in [c.framer] and then runs [on_data ()]. Once [c]
+    is closing, reads discard their bytes and [on_data] no longer
+    runs. A read error closes [c]; so does EOF, unless
     output is still owed — then [c] is closing and ends once it drains.
     Write interest starts off, and the idle deadline is armed.
 
@@ -95,20 +100,22 @@ val serve :
   t ->
   ?on_cut_off:(unit -> bool) ->
   ?on_close:(unit -> unit) ->
-  (bytes -> int -> unit) ->
+  (unit -> unit) ->
   unit
 
 (** [frames c on_request] is the [on_data] of a protocol connection:
-    it feeds the framer and hands each decoded request to
+    it hands each payload complete in the framer, decoded, to
     [on_request id req] until [c] starts closing. An undecodable
     payload is answered with a typed [Error] (request id 0) and the
     connection survives; a framing error (oversized length prefix) is
     answered the same way and closes the connection. Both answers are
     flushed at once. *)
-val frames :
-  t -> (int64 -> Protocol.request -> unit) -> bytes -> int -> unit
+val frames : t -> (int64 -> Protocol.request -> unit) -> unit -> unit
 
-(** Queue one response frame under the high-water rule (see {!serve}).
+(** Buffer one response frame under the high-water rule (see
+    {!serve}): a [Rows] answer is written into the writer's buffer at
+    its exact size ({!Protocol.write_rows}), any other frame pushed as
+    {!Protocol.encode_response} builds it.
     Dropped once the connection is cut off, lingering or closed. Does
     not write: whoever queues a frame also calls {!flush} and
     {!maybe_close}, or {!reply} does all three. *)

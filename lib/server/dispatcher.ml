@@ -575,13 +575,14 @@ let drain t =
     t.conns
 
 let serve t =
-  (* A serving heap is mostly request garbage, much of it in large
-     blocks (a 64 KB buffer per socket read) that the major GC frees
-     only as fast as allocation paces it. Pool faults allocate nothing,
-     so a disk-bound server paces it slowly, and at OCaml 5's default
-     space overhead of 120 the floating garbage sets the peak RSS; 80
-     keeps it near the live data. Set here, after the preload. *)
-  Gc.set { (Gc.get ()) with space_overhead = 80 };
+  (* A served request leaves next to nothing on the major heap: what
+     the major GC collects is the data in flight that each minor
+     collection promotes, and the heap grows by the space overhead's
+     allowance of it before a cycle frees any. So little is promoted
+     that collecting at 40 (OCaml 5 defaults to 120) costs no measured
+     throughput, and it holds a hot-point server's peak RSS about 7 %
+     lower than 80 does. Set here, after the preload. *)
+  Gc.set { (Gc.get ()) with space_overhead = 40 };
   Option.iter
     (fun u -> Reactor.spawn t.reactor (fun () -> follow_upstream t u))
     t.upstream;

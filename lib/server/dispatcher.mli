@@ -9,7 +9,8 @@
     through {!Client} in one fiber on the same reactor. Each request runs in
     the read callback that decoded it, and its response is written
     before the callback returns (sockets are non-blocking; a slow reader
-    never stalls the loop). A pipelined burst — up to one 64 KB read —
+    never stalls the loop). A pipelined burst — what one read lands in
+    the connection's framer, 4 KB unless a larger frame is pending —
     therefore runs before other connections' reads are served.
 
     Output is bounded: each connection writes through a

@@ -7,7 +7,9 @@
    behaviour), write the document through a buffered writer, close
    once drained, or at the connection's stall deadline. A scraper that
    connects and says nothing costs one idle fd, never a thread and
-   never a blocked loop. *)
+   never a blocked loop. The first read answers and starts the close,
+   so the connection discards whatever else it reads: its framer never
+   grows past its first 4 KB. *)
 
 type hconn = {
   c : Conn.t;
@@ -59,7 +61,7 @@ let accept_scrapes t =
         ~on_close:(fun () ->
           cancel_timer t hc;
           t.conns <- List.filter (fun c -> c != hc) t.conns)
-        (fun _ _ -> respond t hc);
+        (fun () -> respond t hc);
       hc.htimer <-
         Some (Reactor.after t.r silent_after (fun () -> respond t hc)))
 

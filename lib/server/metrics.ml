@@ -44,6 +44,25 @@ let op_histograms b (ops : Server_stats.op_view list) =
       Printf.bprintf b "rikit_op_io_total{op=%S} %d\n" o.v_op o.v_total_io)
     ops
 
+(* The OCaml runtime's allocation and collection totals: how much of
+   what a request allocates survives a minor collection, and how often
+   the major GC runs, on a live server. *)
+let gc_families b =
+  let g = Gc.quick_stat () in
+  let words v = Printf.sprintf "%.0f" v in
+  counter b ~name:"rikit_gc_minor_words_total"
+    ~help:"Words allocated in the minor heap." (words g.Gc.minor_words);
+  counter b ~name:"rikit_gc_promoted_words_total"
+    ~help:"Words promoted from the minor to the major heap."
+    (words g.Gc.promoted_words);
+  counter b ~name:"rikit_gc_major_words_total"
+    ~help:"Words allocated in the major heap, promoted words included."
+    (words g.Gc.major_words);
+  counter b ~name:"rikit_gc_major_collections_total"
+    ~help:"Major GC cycles completed." (int_ g.Gc.major_collections);
+  gauge b ~name:"rikit_gc_heap_words" ~help:"Size of the major heap, in words."
+    (int_ g.Gc.heap_words)
+
 type repl = {
   r_role : string;  (* "primary" | "replica" *)
   r_lag_bytes : int;
@@ -177,6 +196,7 @@ let render ?repl ~now ~stats ~cat ~memtier ~txns () =
       gauge b ~name:"rikit_repl_subscribers"
         ~help:"Live replication subscribers (0 on a replica)."
         (int_ r.r_subscribers));
+  gc_families b;
   Buffer.contents b
 
 (* ---------------- router exposition ----------------
@@ -254,4 +274,5 @@ let render_router ~now ~stats ~shards ~partials () =
   counter b ~name:"rikit_router_partial_results_total"
     ~help:"Scatter-gather answers degraded to typed partial results."
     (int_ partials);
+  gc_families b;
   Buffer.contents b

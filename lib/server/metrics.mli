@@ -27,7 +27,11 @@
     - [rikit_repl_role], [rikit_repl_lag_bytes],
       [rikit_repl_applied_lsn], [rikit_repl_durable_lsn],
       [rikit_repl_subscribers] (when the dispatcher passes [?repl] —
-      durable servers only) *)
+      durable servers only)
+    - [rikit_gc_minor_words_total], [rikit_gc_promoted_words_total],
+      [rikit_gc_major_words_total], [rikit_gc_major_collections_total],
+      [rikit_gc_heap_words] — the OCaml runtime's {!Gc.quick_stat}
+      totals, also on the router's document *)
 
 type repl = {
   r_role : string;  (** ["primary"] or ["replica"] *)

@@ -312,25 +312,24 @@ let encode_request ~id req =
       | Repl_status -> put_u8 b op_repl_status
       | Shard_map_req -> put_u8 b op_shard_map_req)
 
-(* A [Rows] answer, the large one, is written into one [Bytes] of
-   exactly the frame's size: the bytes [frame] would give, without a
-   buffer that grows from 64 bytes and boxes each cell. *)
-let encode_rows ~id columns rows =
-  let size =
-    List.fold_left (fun n c -> n + 4 + String.length c) (4 + 8 + 1 + 4) columns
-    + List.fold_left (fun n (r : int array) -> n + 4 + (8 * Array.length r)) 4
-        rows
-  in
-  let b = Bytes.create size in
-  let pos = ref 0 in
+(* A [Rows] answer, the large one, is written at exactly the frame's
+   size: the bytes [frame] would give, without a buffer that grows from
+   64 bytes and boxes each cell. [rows_size] is the size pass,
+   [write_rows] the write pass, into a buffer the caller sized. *)
+let rows_size columns rows =
+  List.fold_left (fun n c -> n + 4 + String.length c) (4 + 8 + 1 + 4) columns
+  + List.fold_left (fun n (r : int array) -> n + 4 + (8 * Array.length r)) 4
+      rows
+
+let write_rows b off ~id columns rows =
+  let pos = ref off in
   let u32 v =
     Bytes.set_int32_be b !pos (Int32.of_int v);
     pos := !pos + 4
   in
-  u32 (size - 4);
-  Bytes.set_int64_be b 4 id;
-  Bytes.set_uint8 b 12 op_rows;
-  pos := 13;
+  Bytes.set_int64_be b (off + 4) id;
+  Bytes.set_uint8 b (off + 12) op_rows;
+  pos := off + 13;
   u32 (List.length columns);
   List.iter
     (fun c ->
@@ -347,6 +346,11 @@ let encode_rows ~id columns rows =
       done;
       pos := !pos + (8 * Array.length r))
     rows;
+  Bytes.set_int32_be b off (Int32.of_int (!pos - off - 4))
+
+let encode_rows ~id columns rows =
+  let b = Bytes.create (rows_size columns rows) in
+  write_rows b 0 ~id columns rows;
   b
 
 let encode_response ~id resp =
@@ -623,41 +627,69 @@ let decode_response payload =
 (* ---------------- frame splitting ---------------- *)
 
 module Framer = struct
-  (* The unread bytes are [data.[pos .. len - 1]]. [next] only moves
-     [pos] and [feed] compacts once, so draining a pipelined burst of k
-     frames copies the unread tail once, not k times; a large frame
-     arriving over many reads stays at offset 0 and is not copied
-     again. *)
+  (* The unread bytes are [data.[pos .. len - 1]]. A socket read lands
+     in the free tail [data.[len ..]] after at most one compaction of
+     the unread bytes to offset 0; [next] only moves [pos], so draining
+     a pipelined burst of k frames copies the unread tail once, not k
+     times. The buffer grows only for a frame larger than itself (the
+     caller drains every complete frame between reads), and once
+     drained a buffer past [shrink_above] shrinks back. *)
   type t = { mutable data : Bytes.t; mutable pos : int; mutable len : int }
 
-  let create () = { data = Bytes.create 4096; pos = 0; len = 0 }
+  let initial = 4096
+  let shrink_above = 65536
 
-  let feed t buf n =
-    if n < 0 || n > Bytes.length buf then
-      invalid_arg "Protocol.Framer.feed: bad length";
-    let held = t.len - t.pos in
-    if held + n > Bytes.length t.data then begin
-      let data = Bytes.create (max (held + n) (2 * Bytes.length t.data)) in
-      Bytes.blit t.data t.pos data 0 held;
-      t.data <- data
-    end
-    else if t.pos > 0 then Bytes.blit t.data t.pos t.data 0 held;
-    t.pos <- 0;
-    Bytes.blit buf 0 t.data held n;
-    t.len <- held + n
-
+  let create () = { data = Bytes.create initial; pos = 0; len = 0 }
   let buffered t = t.len - t.pos
+  let capacity t = Bytes.length t.data
+
+  (* The pending frame's declared length, when its prefix is in. *)
+  let declared t =
+    if t.len - t.pos < 4 then None
+    else Some (Int32.to_int (Bytes.get_int32_be t.data t.pos))
+
+  (* Compact the unread bytes to offset 0; a full buffer then doubles,
+     up to the pending frame's size, so a length prefix alone never
+     allocates more than twice the bytes that arrived. *)
+  let read t fd =
+    let held = t.len - t.pos in
+    if t.pos > 0 then begin
+      Bytes.blit t.data t.pos t.data 0 held;
+      t.pos <- 0;
+      t.len <- held
+    end;
+    if held = Bytes.length t.data then begin
+      let need =
+        match declared t with
+        | Some d when d >= 0 && d <= max_payload -> 4 + d
+        | _ -> held + 1
+      in
+      let data = Bytes.create (max (held + 1) (min need (2 * held))) in
+      Bytes.blit t.data 0 data 0 held;
+      t.data <- data
+    end;
+    let n = Unix.read fd t.data t.len (Bytes.length t.data - t.len) in
+    t.len <- t.len + n;
+    n
+
+  let discard t fd =
+    t.pos <- 0;
+    t.len <- 0;
+    Unix.read fd t.data 0 (Bytes.length t.data)
 
   let next t =
-    if t.len - t.pos < 4 then Ok None
-    else
-      let declared = Int32.to_int (Bytes.get_int32_be t.data t.pos) in
-      if declared < 0 || declared > max_payload then
-        Result.Error (Oversized declared)
-      else if t.len - t.pos < 4 + declared then Ok None
-      else begin
-        let payload = Bytes.sub t.data (t.pos + 4) declared in
-        t.pos <- t.pos + 4 + declared;
+    match declared t with
+    | None -> Ok None
+    | Some d when d < 0 || d > max_payload -> Result.Error (Oversized d)
+    | Some d when t.len - t.pos < 4 + d -> Ok None
+    | Some d ->
+        let payload = Bytes.sub t.data (t.pos + 4) d in
+        t.pos <- t.pos + 4 + d;
+        if t.pos = t.len then begin
+          t.pos <- 0;
+          t.len <- 0;
+          if Bytes.length t.data > shrink_above then
+            t.data <- Bytes.create initial
+        end;
         Ok (Some payload)
-      end
 end

@@ -213,6 +213,17 @@ val encode_request : id:int64 -> request -> Bytes.t
 
 val encode_response : id:int64 -> response -> Bytes.t
 
+val rows_size : string list -> int array list -> int
+(** The byte size of the [Rows] frame for these columns and rows,
+    length prefix included. *)
+
+val write_rows :
+  Bytes.t -> int -> id:int64 -> string list -> int array list -> unit
+(** [write_rows b off ~id columns rows] writes the [Rows] frame, the
+    bytes {!encode_response} gives, into [b] from [off]; [b] must hold
+    {!rows_size} bytes there. A connection writes its answers straight
+    into its output buffer this way. *)
+
 val decode_request : Bytes.t -> (int64 * request, error) result
 (** Decode one payload (the frame with its length prefix stripped). *)
 
@@ -220,16 +231,31 @@ val decode_response : Bytes.t -> (int64 * response, error) result
 
 (** {2 Frame splitting}
 
-    A [Framer] accumulates raw transport bytes and yields complete
-    payloads. One per connection. *)
+    A [Framer] is one connection's inbound buffer: socket reads land in
+    it, and it yields complete payloads. It starts at 4 KB, grows only
+    for a frame larger than itself, and once drained a buffer past 64 KB
+    shrinks back, so a served request allocates no read buffer. *)
 
 module Framer : sig
   type t
 
   val create : unit -> t
 
-  val feed : t -> Bytes.t -> int -> unit
-  (** [feed t buf n] appends the first [n] bytes of [buf]. *)
+  val read : t -> Unix.file_descr -> int
+  (** [read t fd] reads what [fd] has, up to the free room, into the
+      buffer, after at most one compaction of the unread bytes. The
+      caller takes every complete payload with {!next} between reads,
+      so a full buffer holds part of a frame larger than itself: it
+      then doubles, up to that frame's declared size. The count read;
+      [0] at end of stream.
+      @raise Unix.Unix_error as {!Unix.read} does. *)
+
+  val discard : t -> Unix.file_descr -> int
+  (** [discard t fd] drops every unread byte, then reads from [fd] into
+      the buffer and drops that too: a connection that serves nothing
+      more (or speaks HTTP) reads its peer away without growing the
+      buffer. The count read; [0] at end of stream.
+      @raise Unix.Unix_error as {!Unix.read} does. *)
 
   val next : t -> (Bytes.t option, error) result
   (** The next complete payload, [None] when more bytes are needed, or
@@ -238,4 +264,7 @@ module Framer : sig
 
   val buffered : t -> int
   (** Bytes held but not yet returned. *)
+
+  val capacity : t -> int
+  (** The buffer's size in bytes. *)
 end

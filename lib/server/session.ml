@@ -7,6 +7,8 @@ type shared = {
   tree_name : string;
   dur : bool;
   cache_blocks : int option;
+  (* The block device given to [shared], which a preload keeps. *)
+  device : Storage.Block_device.t option;
   (* MVCC transaction manager: one per database. Sessions buffer writes
      into per-transaction write sets; COMMIT validates and applies them
      under a fresh commit LSN, ROLLBACK discards one session's set. *)
@@ -32,7 +34,7 @@ let shared ?device ?(durable = false) ?cache_blocks ?(tree_name = "intervals")
   let ritree = Ritree.Ri_tree.create ~name:tree_name ~layout cat in
   if durable then Relation.Catalog.commit cat;
   { cat; ritree; forms = Exec.Planner.prepare ritree; tree_name;
-    dur = durable; cache_blocks;
+    dur = durable; cache_blocks; device;
     txns = Relation.Txn.create ();
     generation = 0; next_session = 0;
     stats = None; memtier = Exec.Memtier.create ~budget_mb:hot_tier_mb }
@@ -119,19 +121,34 @@ let attach sh ritree =
 let reattach sh =
   attach sh (Ritree.Ri_tree.open_existing ~name:sh.tree_name sh.cat)
 
+(* The blocks of [dev] past the ones allocated so far, numbered from 0:
+   a fresh catalog on it starts at its own page 0 (where a durable
+   catalog keeps its system heap), and every transfer still goes
+   through [dev], faults and counters included. *)
+let tail_of dev =
+  let module B = Storage.Block_device in
+  let base = B.allocated dev in
+  B.of_impl ~block_size:(B.block_size dev)
+    ~read:(fun i buf -> B.read dev (base + i) buf)
+    ~write:(fun i buf -> B.write dev (base + i) buf)
+    ~alloc:(fun () -> B.alloc dev - base)
+    ~allocated:(fun () -> B.allocated dev - base)
+
 (* The preload bulk-builds the relation bottom-up, its leaves at the
    B+-tree's default fill, so the journal logs each page about once
    rather than the splits of one insert per interval. The database must
    hold the empty RI-tree (its interval and parameter tables) and
    nothing else: the catalog is replaced by a fresh one with the same
-   settings. *)
+   settings, on the device given to [shared] when there was one. *)
 let preload_ids sh data =
   if
     Ritree.Ri_tree.count sh.ritree > 0
     || List.length (Relation.Catalog.tables sh.cat) > 2
   then invalid_arg "Session.preload: the database is not empty";
   let cat =
-    Relation.Catalog.create ~durable:sh.dur ?cache_blocks:sh.cache_blocks ()
+    Relation.Catalog.create
+      ?device:(Option.map tail_of sh.device)
+      ~durable:sh.dur ?cache_blocks:sh.cache_blocks ()
   in
   let ritree =
     Ritree.Ri_tree.bulk_load ~name:sh.tree_name ~layout cat

@@ -32,8 +32,9 @@ val shared :
     answers every typed op from the indexes alone. [device]
     substitutes the catalog's block device ({!Relation.Catalog.create}),
     which is how a test puts a {!Storage.Faulty_device} under a served
-    database; {!preload} builds a fresh catalog, and with it a fresh
-    in-memory device. [durable:true]
+    database; {!preload} builds its fresh catalog on the blocks of
+    [device] past those already written, so every transfer still goes
+    through it. [durable:true]
     (default [false]) enables the write-ahead journal and with it
     [Rollback]. [hot_tier_mb] (default
     [0] = disabled) budgets the RAM-resident hot tier: the typed

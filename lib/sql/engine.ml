@@ -792,38 +792,22 @@ let compile_key session key =
   | exception Parser.Error _ -> None
   | exception Lexer.Error _ -> None
 
-(* Cached-plan lookup for a raw statement text. The hot path — an
-   identical statement seen before — is two hashtable probes: the raw
-   memo yields the normalized key and literal values without lexing, and
-   the plan table yields the compiled plan without parsing or planning. *)
+(* Cached-plan lookup for a raw statement text: one normalize pass
+   yields the key and the literal values, and the plan table yields the
+   compiled plan without parsing or planning. *)
 let lookup_cached session src =
   let cache = session.cache in
-  match Exec.Plan_cache.find_raw cache src with
-  | Some (key, params) -> (
+  match Normalize.select src with
+  | None -> None
+  | Some { Normalize.key; params } -> (
       match Exec.Plan_cache.find cache key with
       | Some plan -> Some (plan, params)
       | None -> (
-          (* plan evicted or invalidated; the memo is still right *)
           match compile_key session key with
           | Some plan ->
               Exec.Plan_cache.add cache key plan;
               Some (plan, params)
           | None -> None))
-  | None -> (
-      match Normalize.select src with
-      | None -> None
-      | Some { Normalize.key; params } -> (
-          match Exec.Plan_cache.find cache key with
-          | Some plan ->
-              Exec.Plan_cache.add_raw cache src key params;
-              Some (plan, params)
-          | None -> (
-              match compile_key session key with
-              | Some plan ->
-                  Exec.Plan_cache.add cache key plan;
-                  Exec.Plan_cache.add_raw cache src key params;
-                  Some (plan, params)
-              | None -> None)))
 
 (* ---------------- prepared statements ---------------- *)
 

@@ -60,6 +60,70 @@ let kill ?(signal = Sys.sigterm) p =
   (try Unix.kill p.pid signal with Unix.Unix_error _ -> ());
   try ignore (Unix.waitpid [] p.pid) with Unix.Unix_error _ -> ()
 
+type words = {
+  minor : float;
+  major : float;
+  answer : Server.Protocol.response;
+}
+
+let wire_words sh req ~reps =
+  let r = Reactor.create () in
+  let fd, peer = Unix.socketpair Unix.PF_UNIX Unix.SOCK_STREAM 0 in
+  Unix.set_nonblock fd;
+  Unix.set_nonblock peer;
+  let c = Server.Conn.create r fd in
+  let session = Server.Session.create sh in
+  Server.Conn.serve c
+    (Server.Conn.frames c (fun id req ->
+         Server.Conn.reply c ~id (Server.Session.handle session req)));
+  let frame = Server.Protocol.encode_request ~id:1L req in
+  let buf = ref (Bytes.create 65536) in
+  (* One request, and its reply read into [buf]; the reply's length.
+     The reactor turns only when the reply has not fully arrived. *)
+  let round () =
+    if Unix.write peer frame 0 (Bytes.length frame) <> Bytes.length frame
+    then failwith "Testbed.wire_words: short request write";
+    let got = ref 0 in
+    let want () =
+      if !got < 4 then max_int else 4 + Int32.to_int (Bytes.get_int32_be !buf 0)
+    in
+    while !got < want () do
+      if !got >= 4 && want () > Bytes.length !buf then begin
+        let b = Bytes.create (want ()) in
+        Bytes.blit !buf 0 b 0 !got;
+        buf := b
+      end;
+      match Unix.read peer !buf !got (Bytes.length !buf - !got) with
+      | 0 -> failwith "Testbed.wire_words: the server hung up"
+      | n -> got := !got + n
+      | exception Unix.Unix_error ((Unix.EAGAIN | Unix.EWOULDBLOCK), _, _) ->
+          Reactor.run_once ~max_timeout:1. r
+    done;
+    !got
+  in
+  Fun.protect
+    ~finally:(fun () ->
+      Server.Conn.close c;
+      Unix.close peer)
+    (fun () ->
+      let n = round () in
+      let answer =
+        match Server.Protocol.decode_response (Bytes.sub !buf 4 (n - 4)) with
+        | Ok (_, resp) -> resp
+        | Error e -> failwith (Server.Protocol.error_to_string e)
+      in
+      for _ = 1 to 100 do
+        ignore (round ())
+      done;
+      Gc.minor ();
+      let minor0, _, major0 = Gc.counters () in
+      for _ = 1 to reps do
+        ignore (round ())
+      done;
+      let minor1, _, major1 = Gc.counters () in
+      let per w = w /. float_of_int reps in
+      { minor = per (minor1 -. minor0); major = per (major1 -. major0); answer })
+
 let describe = function
   | Server.Protocol.Ack m -> "ack: " ^ m
   | Server.Protocol.Rows _ -> "rows"

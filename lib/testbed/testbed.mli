@@ -41,6 +41,24 @@ val kill : ?signal:int -> proc -> unit
 (** Send [signal] (default SIGTERM) and reap the process; a process
     that is already gone is not an error. *)
 
+(** {1 Wire allocation} *)
+
+type words = {
+  minor : float;  (** minor-heap words per request *)
+  major : float;
+      (** major-heap words per request, promoted words included *)
+  answer : Server.Protocol.response;  (** the first reply, decoded *)
+}
+
+val wire_words : Server.Session.shared -> Server.Protocol.request -> reps:int -> words
+(** [wire_words sh req ~reps] serves [req] [reps] times, after a
+    warm-up, on one {!Server.Conn} over a socketpair, answered by a
+    {!Server.Session} of [sh] on a reactor that the calling thread
+    turns with {!Reactor.run_once}. The client half writes one frame
+    encoded beforehand and reads each reply into one reused buffer, so
+    the words counted are the serving path's: the framer, the session,
+    the encoder and the writer. *)
+
 (** {1 Helpers} *)
 
 val describe : Server.Protocol.response -> string

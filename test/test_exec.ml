@@ -716,8 +716,8 @@ let test_plan_cache_hit_no_parse () =
   let s = E.session f.db in
   let r0 = E.query s cache_sql in
   (* a repeat of the same text must touch neither the parser nor the
-     planner: the raw-text memo plus the normalized plan table answer
-     it with two hashtable probes *)
+     planner: one normalize pass gives the key, and the normalized plan
+     table answers it with one hashtable probe *)
   let p0 = E.parse_count () and pl0 = E.plan_count () in
   let r1 = E.query s cache_sql in
   check Alcotest.int "no parse on hit" p0 (E.parse_count ());

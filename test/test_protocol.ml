@@ -279,8 +279,55 @@ let test_huge_declared_string () =
 
 (* ---- framer ---- *)
 
-let test_framer_reassembly () =
+(* Bytes reach a framer only from a socket. [through_socket chunks k]
+   writes each chunk into a socketpair and reads it out with
+   [P.Framer.read], handing each [P.Framer.next] result that is not
+   [Ok None] to [k] as soon as it is complete; [k] returns [false] to
+   stop, as a connection stops at a framing error. Chunks must fit the
+   socket's buffer. Returns the framer. *)
+let through_socket chunks k =
+  let w, r = Unix.socketpair Unix.PF_UNIX Unix.SOCK_STREAM 0 in
+  Unix.set_nonblock r;
   let f = P.Framer.create () in
+  let live = ref true in
+  let rec drain () =
+    if !live then
+      match P.Framer.next f with
+      | Ok None -> ()
+      | res -> if k res then drain () else live := false
+  in
+  let rec pull () =
+    if !live then
+      match P.Framer.read f r with
+      | 0 -> ()
+      | _ ->
+          drain ();
+          pull ()
+      | exception Unix.Unix_error ((Unix.EAGAIN | Unix.EWOULDBLOCK), _, _) ->
+          ()
+  in
+  Fun.protect
+    ~finally:(fun () ->
+      Unix.close w;
+      Unix.close r)
+    (fun () ->
+      List.iter
+        (fun chunk ->
+          if !live then begin
+            let n = Unix.write w chunk 0 (Bytes.length chunk) in
+            assert (n = Bytes.length chunk);
+            pull ()
+          end)
+        chunks);
+  f
+
+(* [stream] cut into pieces of [size] bytes. *)
+let pieces size stream =
+  let len = Bytes.length stream in
+  List.init ((len + size - 1) / size) (fun i ->
+      Bytes.sub stream (i * size) (min size (len - (i * size))))
+
+let test_framer_reassembly () =
   let frames =
     [ P.encode_request ~id:1L P.Ping;
       P.encode_request ~id:2L (P.Sql "SELECT 1");
@@ -289,45 +336,46 @@ let test_framer_reassembly () =
   let stream = Bytes.concat Bytes.empty frames in
   let seen = ref [] in
   (* dribble the stream in one byte at a time *)
-  Bytes.iter
-    (fun ch ->
-      P.Framer.feed f (Bytes.make 1 ch) 1;
-      match P.Framer.next f with
+  let f =
+    through_socket (pieces 1 stream) (function
       | Ok (Some payload) -> (
           match P.decode_request payload with
-          | Ok (id, _) -> seen := id :: !seen
+          | Ok (id, _) ->
+              seen := id :: !seen;
+              true
           | Error e -> Alcotest.failf "bad frame: %s" (P.error_to_string e))
-      | Ok None -> ()
+      | Ok None -> true
       | Error e -> Alcotest.failf "framer error: %s" (P.error_to_string e))
-    stream;
+  in
   check (Alcotest.list Alcotest.int64) "all frames surfaced" [ 1L; 2L; 3L ]
     (List.rev !seen);
   check Alcotest.int "nothing left over" 0 (P.Framer.buffered f)
 
+(* Count the payloads of [chunks]; any framing error fails. *)
+let count_frames chunks =
+  let n = ref 0 in
+  let f =
+    through_socket chunks (function
+      | Ok _ ->
+          incr n;
+          true
+      | Error e -> Alcotest.failf "framer error: %s" (P.error_to_string e))
+  in
+  (f, !n)
+
 let test_framer_batch_feed () =
-  let f = P.Framer.create () in
   let frames =
     List.init 10 (fun i -> P.encode_request ~id:(Int64.of_int i) P.Ping)
   in
-  let stream = Bytes.concat Bytes.empty frames in
-  P.Framer.feed f stream (Bytes.length stream);
-  let n = ref 0 in
-  let rec drain () =
-    match P.Framer.next f with
-    | Ok (Some _) ->
-        incr n;
-        drain ()
-    | Ok None -> ()
-    | Error e -> Alcotest.failf "framer error: %s" (P.error_to_string e)
-  in
-  drain ();
-  check Alcotest.int "ten frames" 10 !n
+  let _, n = count_frames [ Bytes.concat Bytes.empty frames ] in
+  check Alcotest.int "ten frames" 10 n
 
 (* A pipelined burst drains in time linear in its size. When each
    [next] shifted the whole unread tail down, the copying grew with the
    square of the burst: 80 000 PINGs fed in one chunk took about
-   1 000 ms, against about 5 ms now (dev build, 2 shared vCPUs), so the
-   bound sits at least 10x from either side. *)
+   1 000 ms, against about 5 ms through a socketpair in 64 KB writes now
+   (dev build, 2 shared vCPUs), so the bound sits at least 10x from
+   either side. *)
 let burst_frames = 80_000
 let burst_bound_ms = 50.
 
@@ -336,25 +384,71 @@ let test_framer_burst_linear () =
   let stream =
     Bytes.concat Bytes.empty (List.init burst_frames (fun _ -> ping))
   in
-  let f = P.Framer.create () in
+  let chunks = pieces 65536 stream in
   let t0 = Unix.gettimeofday () in
-  P.Framer.feed f stream (Bytes.length stream);
-  let n = ref 0 in
-  let rec drain () =
-    match P.Framer.next f with
-    | Ok (Some _) ->
-        incr n;
-        drain ()
-    | Ok None -> ()
-    | Error e -> Alcotest.failf "framer error: %s" (P.error_to_string e)
-  in
-  drain ();
+  let f, n = count_frames chunks in
   let ms = (Unix.gettimeofday () -. t0) *. 1000. in
-  check Alcotest.int "every frame" burst_frames !n;
+  check Alcotest.int "every frame" burst_frames n;
   check Alcotest.int "nothing left over" 0 (P.Framer.buffered f);
+  check Alcotest.int "the buffer never grew" 4096 (P.Framer.capacity f);
   if ms >= burst_bound_ms then
     Alcotest.failf "%d frames took %.1f ms (bound %.0f ms)" burst_frames ms
       burst_bound_ms
+
+(* A frame larger than the buffer grows it to the frame's size, and the
+   drained buffer, past 64 KB, shrinks back. *)
+let test_framer_large_frame () =
+  let sizes = ref [] in
+  let sql n = P.encode_request ~id:1L (P.Sql (String.make n 'x')) in
+  let check_sql n = function
+    | Ok (Some payload) -> (
+        match P.decode_request payload with
+        | Ok (_, P.Sql s) ->
+            sizes := String.length s :: !sizes;
+            String.length s = n
+        | _ -> Alcotest.fail "large frame decoded wrong")
+    | _ -> Alcotest.fail "framer error"
+  in
+  let f = through_socket (pieces 65536 (sql 10_000)) (check_sql 10_000) in
+  check Alcotest.int "grown to the frame" (4 + 8 + 1 + 4 + 10_000)
+    (P.Framer.capacity f);
+  let f = through_socket (pieces 65536 (sql 100_000)) (check_sql 100_000) in
+  check (Alcotest.list Alcotest.int) "both surfaced" [ 100_000; 10_000 ]
+    !sizes;
+  check Alcotest.int "past 64 KB, shrunk once drained" 4096
+    (P.Framer.capacity f)
+
+(* An HTTP request line reads as a length prefix past [max_payload]:
+   [next] refuses it, and [discard] reads any amount of HTTP without
+   growing the buffer. *)
+let test_framer_http_dropped () =
+  let http = Bytes.of_string "GET /metrics HTTP/1.0\r\nHost: x\r\n\r\n" in
+  let oversized = ref false in
+  let f =
+    through_socket [ http ] (function
+      | Error (P.Oversized _) ->
+          oversized := true;
+          false
+      | _ -> Alcotest.fail "HTTP bytes framed")
+  in
+  check Alcotest.bool "HTTP is an oversized frame" true !oversized;
+  check Alcotest.int "held, not grown" 4096 (P.Framer.capacity f);
+  let w, r = Unix.socketpair Unix.PF_UNIX Unix.SOCK_STREAM 0 in
+  Fun.protect
+    ~finally:(fun () ->
+      Unix.close w;
+      Unix.close r)
+    (fun () ->
+      let f = P.Framer.create () in
+      let burst = Bytes.concat Bytes.empty (List.init 1000 (fun _ -> http)) in
+      ignore (Unix.write w burst 0 (Bytes.length burst));
+      Unix.shutdown w Unix.SHUTDOWN_SEND;
+      let rec drop n =
+        match P.Framer.discard f r with 0 -> n | k -> drop (n + k)
+      in
+      check Alcotest.int "every byte read" (Bytes.length burst) (drop 0);
+      check Alcotest.int "nothing held" 0 (P.Framer.buffered f);
+      check Alcotest.int "never grown" 4096 (P.Framer.capacity f))
 
 (* Fuzz the whole input path the way a hostile or broken peer would:
    seeded random bytes, truncated valid streams, and valid streams with
@@ -377,24 +471,19 @@ let test_framer_fuzz () =
     Bytes.concat Bytes.empty frames
   in
   let drive stream =
-    let f = P.Framer.create () in
-    let pos = ref 0 and dead = ref false in
-    while (not !dead) && !pos < Bytes.length stream do
-      let n = min (1 + Workload.Prng.int prng 17) (Bytes.length stream - !pos) in
-      P.Framer.feed f (Bytes.sub stream !pos n) n;
-      pos := !pos + n;
-      let draining = ref true in
-      while !draining do
-        match P.Framer.next f with
-        | Ok None -> draining := false
+    let rec chunks pos =
+      if pos >= Bytes.length stream then []
+      else
+        let n = min (1 + Workload.Prng.int prng 17) (Bytes.length stream - pos) in
+        Bytes.sub stream pos n :: chunks (pos + n)
+    in
+    ignore
+      (through_socket (chunks 0) (function
+        | Ok None -> true
         | Ok (Some payload) -> (
-            match P.decode_request payload with Ok _ | Error _ -> ())
-        | Error _ ->
-            (* desynced beyond recovery: connection closes *)
-            dead := true;
-            draining := false
-      done
-    done
+            match P.decode_request payload with Ok _ | Error _ -> true)
+        (* desynced beyond recovery: connection closes *)
+        | Error _ -> false))
   in
   for _ = 1 to 200 do
     (* pure noise *)
@@ -413,12 +502,16 @@ let test_framer_fuzz () =
   done
 
 let test_framer_oversized () =
-  let f = P.Framer.create () in
   let b = Bytes.create 4 in
   Bytes.set_int32_be b 0 (Int32.of_int (P.max_payload + 1));
-  P.Framer.feed f b 4;
-  match P.Framer.next f with
-  | Error (P.Oversized n) -> check Alcotest.int "length" (P.max_payload + 1) n
+  let seen = ref None in
+  ignore
+    (through_socket [ b ] (fun res ->
+         seen := Some res;
+         false));
+  match !seen with
+  | Some (Error (P.Oversized n)) ->
+      check Alcotest.int "length" (P.max_payload + 1) n
   | _ -> Alcotest.fail "oversized prefix accepted"
 
 (* ---- Rows: the sized encoder writes the Buffer encoder's bytes ----
@@ -522,6 +615,10 @@ let () =
           Alcotest.test_case "80 000-frame burst under 50 ms" `Quick
             test_framer_burst_linear;
           Alcotest.test_case "oversized prefix" `Quick test_framer_oversized;
+          Alcotest.test_case "frame larger than the buffer" `Quick
+            test_framer_large_frame;
+          Alcotest.test_case "HTTP bytes dropped" `Quick
+            test_framer_http_dropped;
           Alcotest.test_case "fuzz: noise, truncation, mutation" `Quick
             test_framer_fuzz;
         ] );

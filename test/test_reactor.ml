@@ -320,6 +320,162 @@ let prop_writer_roundtrip =
           drain 1_000_000;
           Buffer.contents got = String.concat "" frames))
 
+(* A frame larger than the socket accepts at once is written in part;
+   the rest stays owed, later pushes append behind it, and the peer
+   receives every byte in order. *)
+let test_writer_partial_write () =
+  with_socketpair (fun a b ->
+      Unix.set_nonblock b;
+      let wr = W.create ~now:0. a in
+      let big = Bytes.init (1 lsl 20) (fun i -> Char.chr (i land 0xff)) in
+      ignore (W.push wr big);
+      check Alcotest.bool "partial" true (W.flush wr ~now:1. = W.Pending);
+      let owed = W.pending_bytes wr in
+      check Alcotest.bool
+        (Printf.sprintf "some written, some owed (%d owed)" owed)
+        true
+        (owed > 0 && owed < Bytes.length big);
+      check Alcotest.bool "no stall right after progress" true
+        (W.stalled_for wr ~now:1. = 0.);
+      ignore (W.push wr (Bytes.of_string "tail"));
+      check Alcotest.int "appended behind the owed bytes" (owed + 4)
+        (W.pending_bytes wr);
+      let got = Buffer.create (2 lsl 20) in
+      let buf = Bytes.create 65536 in
+      let rec drain guard =
+        if guard = 0 then failwith "never drained";
+        read_all_available b buf got;
+        match W.flush wr ~now:2. with
+        | W.Drained -> read_all_available b buf got
+        | W.Pending -> drain (guard - 1)
+        | W.Peer_gone -> failwith "peer alive"
+      in
+      drain 100_000;
+      check Alcotest.bool "every byte, in order" true
+        (Buffer.contents got = Bytes.to_string big ^ "tail"))
+
+(* Past the high-water mark a protocol connection is cut off: its one
+   typed Overloaded frame rides out past the mark, after the [Rows]
+   answers already owed, which arrive as [encode_response] builds
+   them. *)
+let test_writer_overloaded_past_mark () =
+  let r = R.create () in
+  with_socketpair (fun a b ->
+      let hw = 16 * 1024 in
+      let c = Server.Conn.create r ~high_water:hw a in
+      Server.Conn.serve c ignore;
+      let rows = List.init 40 (fun i -> [| i; i + 1; i + 2 |]) in
+      let answer =
+        Server.Protocol.Rows { columns = [ "lower"; "upper"; "id" ]; rows }
+      in
+      let sent = ref 0 in
+      while not c.cut_off do
+        incr sent;
+        if !sent > 1000 then Alcotest.fail "high-water mark never crossed";
+        Server.Conn.send c ~id:(Int64.of_int !sent) answer
+      done;
+      check Alcotest.bool "closing" true c.closing;
+      check Alcotest.bool "over the mark" true
+        (W.pending_bytes c.wr > hw);
+      let owed = W.pending_bytes c.wr in
+      Server.Conn.send c ~id:99L answer;
+      check Alcotest.int "nothing more once cut off" owed
+        (W.pending_bytes c.wr);
+      let got = Buffer.create 65536 in
+      let buf = Bytes.create 65536 in
+      Unix.set_nonblock b;
+      let rec drain guard =
+        if guard = 0 then failwith "never drained";
+        read_all_available b buf got;
+        match W.flush c.wr ~now:0. with
+        | W.Drained -> read_all_available b buf got
+        | _ -> drain (guard - 1)
+      in
+      drain 10_000;
+      Server.Conn.close c;
+      let stream = Buffer.to_bytes got in
+      let frame1 = Server.Protocol.encode_response ~id:1L answer in
+      check Alcotest.bool "a Rows frame is encode_response's bytes" true
+        (Bytes.sub stream 0 (Bytes.length frame1) = frame1);
+      let rec frames pos acc =
+        if pos >= Bytes.length stream then List.rev acc
+        else
+          let n = Int32.to_int (Bytes.get_int32_be stream pos) in
+          match
+            Server.Protocol.decode_response (Bytes.sub stream (pos + 4) n)
+          with
+          | Ok (_, resp) -> frames (pos + 4 + n) (resp :: acc)
+          | Error _ -> Alcotest.fail "undecodable frame"
+      in
+      match List.rev (frames 0 []) with
+      | Server.Protocol.Overloaded _ :: answers ->
+          check Alcotest.int "every owed answer first" !sent
+            (List.length answers);
+          check Alcotest.bool "all Rows" true
+            (List.for_all (fun a -> a = answer) answers)
+      | _ -> Alcotest.fail "the last frame is not Overloaded")
+
+(* A drained buffer past 64 KB is released; a small one is kept for the
+   next frame. *)
+let test_writer_release_after_drain () =
+  with_socketpair (fun a b ->
+      Unix.set_nonblock b;
+      let wr = W.create ~now:0. a in
+      check Alcotest.int "nothing before the first push" 0 (W.capacity wr);
+      let got = Buffer.create 65536 and buf = Bytes.create 65536 in
+      let drain () =
+        let rec go guard =
+          if guard = 0 then failwith "never drained";
+          read_all_available b buf got;
+          match W.flush wr ~now:0. with
+          | W.Drained -> read_all_available b buf got
+          | _ -> go (guard - 1)
+        in
+        go 10_000
+      in
+      ignore (W.push wr (Bytes.make 100 's'));
+      drain ();
+      check Alcotest.int "a small buffer stays" 4096 (W.capacity wr);
+      ignore (W.push wr (Bytes.make 200_000 'L'));
+      check Alcotest.bool "grown for the large frame" true
+        (W.capacity wr >= 200_000);
+      drain ();
+      check Alcotest.int "released once drained" 0 (W.capacity wr);
+      check Alcotest.int "every byte arrived" 200_100 (Buffer.length got))
+
+(* ---- wire allocation ----
+
+   A request served through a [Conn] leaves almost nothing on the major
+   heap: the read lands in the connection's framer and a [Rows] answer
+   is encoded into the writer's buffer. The bound, 64 words per request,
+   leaves room for what a minor collection promotes; a fresh 64 KB read
+   buffer per request was 8 193 words. *)
+
+let wire_data =
+  lazy
+    (let sh = Server.Session.shared () in
+     Server.Session.preload sh
+       (Workload.Distribution.generate ~seed:7 Workload.Distribution.D1
+          ~n:2000 ~d:2000);
+     sh)
+
+let major_bound = 64.
+
+let wire_case req ~min_rows () =
+  let w = Testbed.wire_words (Lazy.force wire_data) req ~reps:2000 in
+  (match w.answer with
+  | Server.Protocol.Rows { rows; _ } ->
+      check Alcotest.bool
+        (Printf.sprintf "%d rows, at least %d" (List.length rows) min_rows)
+        true
+        (List.length rows >= min_rows)
+  | Server.Protocol.Ack _ when min_rows = 0 -> ()
+  | _ -> Alcotest.fail "unexpected answer");
+  check Alcotest.bool
+    (Printf.sprintf "%.1f major words per request (minor %.0f), bound %.0f"
+       w.major w.minor major_bound)
+    true (w.major <= major_bound)
+
 (* ---- the poll registry ---- *)
 
 (* One turn that must not wait: every fd under test is ready. *)
@@ -805,7 +961,23 @@ let () =
          Alcotest.test_case "peer gone" `Quick test_writer_peer_gone;
          Alcotest.test_case "empty frame is skipped" `Quick
            test_writer_empty_frame;
-         QCheck_alcotest.to_alcotest prop_writer_roundtrip ]);
+         QCheck_alcotest.to_alcotest prop_writer_roundtrip;
+         Alcotest.test_case "partial write" `Quick test_writer_partial_write;
+         Alcotest.test_case "Overloaded past the high-water mark" `Quick
+           test_writer_overloaded_past_mark;
+         Alcotest.test_case "large buffer released after drain" `Quick
+           test_writer_release_after_drain ]);
+      ("wire allocation",
+       [ Alcotest.test_case "PING" `Quick
+           (wire_case Server.Protocol.Ping ~min_rows:0);
+         Alcotest.test_case "point Intersect" `Quick
+           (wire_case
+              (Server.Protocol.Intersect { lower = 500_000; upper = 500_000 })
+              ~min_rows:1);
+         Alcotest.test_case "Intersect of 150+ rows" `Quick
+           (wire_case
+              (Server.Protocol.Intersect { lower = 500_000; upper = 600_000 })
+              ~min_rows:150) ]);
       ("poll",
        [ Alcotest.test_case "readiness" `Quick test_poll_readiness;
          Alcotest.test_case "reactor loop" `Quick test_reactor_loop;

@@ -825,6 +825,49 @@ let test_metrics_wire_op () =
           check Alcotest.bool "intersect op labelled" true
             (contains doc "op=\"intersect\"")))
 
+(* The value of the unlabelled sample [name] in an exposition. *)
+let sample doc name =
+  let prefix = name ^ " " in
+  match
+    List.find_opt
+      (fun l -> String.starts_with ~prefix l)
+      (String.split_on_char '\n' doc)
+  with
+  | Some l ->
+      float_of_string
+        (String.sub l (String.length prefix)
+           (String.length l - String.length prefix))
+  | None -> Alcotest.failf "no %s sample" name
+
+let test_metrics_gc_counters () =
+  with_server ~preload:dataset (fun port _ _ ->
+      with_client port (fun c ->
+          let counters =
+            [ "rikit_gc_minor_words_total"; "rikit_gc_promoted_words_total";
+              "rikit_gc_major_words_total";
+              "rikit_gc_major_collections_total" ]
+          in
+          let read () =
+            let doc = ok (C.metrics c) in
+            check Alcotest.bool "heap size reported" true
+              (sample doc "rikit_gc_heap_words" > 0.);
+            List.map (sample doc) counters
+          in
+          let before = read () in
+          for _ = 1 to 50 do
+            ignore (intersect c (Interval.Ivl.make 0 50_000))
+          done;
+          Gc.full_major ();
+          let after = read () in
+          List.iter2
+            (fun name (b, a) ->
+              check Alcotest.bool
+                (Printf.sprintf "%s never decreases (%.0f -> %.0f)" name b a)
+                true (a >= b))
+            counters (List.combine before after);
+          check Alcotest.bool "the requests allocated" true
+            (List.hd after > List.hd before)))
+
 let test_metrics_http_endpoint () =
   with_server ~config:(config ~metrics_port:0 ()) ~preload:dataset
     (fun port _ disp ->
@@ -1217,28 +1260,34 @@ let test_idle_router_no_timer () =
    typed frame a request gets for that fault, and the server degrades
    to read-only: the batch is applied but not durable. The loop and
    the connection survive. *)
+(* Once on an empty database and once on a preloaded one: the preload
+   builds its catalog on the faulty device too. *)
 let test_force_fault_degrades () =
-  let f = Storage.Faulty_device.create (Storage.Block_device.create ()) in
-  with_server ~device:(Storage.Faulty_device.device f) (fun port _ _ ->
-      let c = C.connect ~deadline_ms:5000. ~port () in
-      Fun.protect ~finally:(fun () -> C.close c) (fun () ->
-          (match C.insert c ~id:1 (Interval.Ivl.make 10 20) with
-          | Ok _ -> ()
-          | Error e -> Alcotest.failf "insert: %s" (C.error_to_string e));
-          Storage.Faulty_device.schedule_write_fault f
-            ~at:(Storage.Faulty_device.writes_done f)
-            Storage.Faulty_device.Fail;
-          (match C.rpc c P.Commit with
-          | P.Error m ->
-              check Alcotest.bool "names the I/O error" true
-                (contains m "I/O error")
-          | _ -> Alcotest.fail "expected a typed Error for the commit");
-          ping c;
-          match C.insert c ~id:2 (Interval.Ivl.make 30 40) with
-          | Error (C.Read_only _) -> ()
-          | Ok _ -> Alcotest.fail "mutation admitted after a failed force"
-          | Error e ->
-              Alcotest.failf "wrong error shape: %s" (C.error_to_string e)))
+  List.iter
+    (fun preload ->
+      let f = Storage.Faulty_device.create (Storage.Block_device.create ()) in
+      with_server ~device:(Storage.Faulty_device.device f) ~preload
+        (fun port _ _ ->
+          let c = C.connect ~deadline_ms:5000. ~port () in
+          Fun.protect ~finally:(fun () -> C.close c) (fun () ->
+              (match C.insert c ~id:1 (Interval.Ivl.make 10 20) with
+              | Ok _ -> ()
+              | Error e -> Alcotest.failf "insert: %s" (C.error_to_string e));
+              Storage.Faulty_device.schedule_write_fault f
+                ~at:(Storage.Faulty_device.writes_done f)
+                Storage.Faulty_device.Fail;
+              (match C.rpc c P.Commit with
+              | P.Error m ->
+                  check Alcotest.bool "names the I/O error" true
+                    (contains m "I/O error")
+              | _ -> Alcotest.fail "expected a typed Error for the commit");
+              ping c;
+              match C.insert c ~id:2 (Interval.Ivl.make 30 40) with
+              | Error (C.Read_only _) -> ()
+              | Ok _ -> Alcotest.fail "mutation admitted after a failed force"
+              | Error e ->
+                  Alcotest.failf "wrong error shape: %s" (C.error_to_string e))))
+    [ [||]; Array.sub dataset 0 200 ]
 
 let raw_suite =
   [
@@ -1280,6 +1329,7 @@ let raw_suite =
     ( "observability",
       [
         ("invalid interval keeps session", test_invalid_interval_keeps_session);
+        ("GC counters exposed, never decrease", test_metrics_gc_counters);
         ("out-of-range literal is a lex error", test_literal_out_of_range);
         ("metrics wire op", test_metrics_wire_op);
         ("metrics http endpoint", test_metrics_http_endpoint);
