@@ -443,7 +443,7 @@ let test_writer_release_after_drain () =
       check Alcotest.int "released once drained" 0 (W.capacity wr);
       check Alcotest.int "every byte arrived" 200_100 (Buffer.length got))
 
-(* ---- wire allocation ----
+(* ---- wire words ----
 
    A request served through a [Conn] leaves almost nothing on the major
    heap: the read lands in the connection's framer and a [Rows] answer
@@ -967,7 +967,7 @@ let () =
            test_writer_overloaded_past_mark;
          Alcotest.test_case "large buffer released after drain" `Quick
            test_writer_release_after_drain ]);
-      ("wire allocation",
+      ("wire words",
        [ Alcotest.test_case "PING" `Quick
            (wire_case Server.Protocol.Ping ~min_rows:0);
          Alcotest.test_case "point Intersect" `Quick
