@@ -31,7 +31,8 @@
      memindex  HINT and the interval tree vs the disk RI-tree
      txn       MVCC multi-writer commits vs the serialized baseline
      commit    CPU and journal bytes of one 4-insert COMMIT
-     replica   replication lag, late-join catch-up, failover
+     replica   semi-sync commit latency, standby reads per batch, lag,
+               late-join catch-up, failover
      shard     scatter-gather under a head-of-line hotspot
      reactor   connection scaling of the event core *)
 

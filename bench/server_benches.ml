@@ -37,8 +37,9 @@ let commit_rate sh run =
     float_of_int committed /. float_of_int (max 1 batches) )
 
 (* One client running [txns] transactions of [writes] inserts + COMMIT;
-   returns the number of committed transactions. *)
-let txn_writer ~port ~txns ~writes ~base =
+   returns the number of committed transactions. [on_commit] gets each
+   COMMIT's round trip in seconds. *)
+let txn_writer ?(on_commit = ignore) ~port ~txns ~writes ~base () =
   let c = C.connect ~port () in
   Fun.protect
     ~finally:(fun () -> C.close c)
@@ -49,7 +50,9 @@ let txn_writer ~port ~txns ~writes ~base =
           let lo = base + (t * writes) + w in
           ignore (ok_or_fail "insert" (C.insert c (Interval.Ivl.make lo (lo + 10))))
         done;
+        let t0 = Unix.gettimeofday () in
         ignore (ok_or_fail "commit" (C.commit c));
+        on_commit (Unix.gettimeofday () -. t0);
         incr committed
       done;
       !committed)
@@ -80,7 +83,7 @@ let txn_serial ~txns_per =
   with_server (txn_config ~sessions:1 ~group_commit:0.) (fun port sh ->
       commit_rate sh (fun () ->
           txn_writer ~port ~txns:(sessions * txns_per) ~writes:writes_per_txn
-            ~base:0))
+            ~base:0 ()))
 
 let txn_multi ~txns_per =
   with_server (txn_config ~sessions ~group_commit:0.002) (fun port sh ->
@@ -92,7 +95,7 @@ let txn_multi ~txns_per =
                   (fun () ->
                     results.(i) <-
                       txn_writer ~port ~txns:txns_per ~writes:writes_per_txn
-                        ~base:(i * txns_per * writes_per_txn * 2))
+                        ~base:(i * txns_per * writes_per_txn * 2) ())
                   ())
           in
           List.iter Thread.join threads;
@@ -250,13 +253,22 @@ let commit ~tiny =
     [ ("moves_logged", md > 0);
       ("bytes_per_commit_le_2004", bytes <= 2004.) ] )
 
-(* ---- replica: replication lag, failover time, read scale-out ---- *)
+(* ---- replica: replication lag, failover time, read scale-out ----
+
+   The primary holds a D1 n = 10 000 relation (a routed-mixed shard's
+   size) before its semi-synchronous standby subscribes, so what a
+   standby does per applied batch is measured at a realistic size: the
+   load phase reports the COMMIT round trip a standby's ack gates, and
+   the standby's physical block reads per batch it applied (the replay
+   itself plus the reload that rebinds its handles). *)
+
+let repl_config ?replica_of () =
+  { D.default_config with max_sessions = 16; group_commit = 0.002; replica_of }
 
 let repl_node ?replica_of () =
-  Testbed.start
-    { D.default_config with
-      max_sessions = 16; group_commit = 0.002; replica_of }
-    (Server.Session.shared ~durable:true ())
+  Testbed.start (repl_config ?replica_of ()) (Server.Session.shared ~durable:true ())
+
+let replica_preload = 10_000
 
 (* (durable, applied) LSNs of the server on [port]. *)
 let repl_status_of ~port =
@@ -267,19 +279,42 @@ let repl_status_of ~port =
       let _, durable, applied = ok_or_fail "repl status" (C.repl_status c) in
       (durable, applied))
 
+(* One sample of the server on [port]'s metrics document. *)
+let metric_of ~port name =
+  let c = C.connect ~deadline_ms:1000. ~port () in
+  Fun.protect
+    ~finally:(fun () -> C.close c)
+    (fun () ->
+      let prefix = name ^ " " in
+      match
+        List.find_opt (String.starts_with ~prefix)
+          (String.split_on_char '\n' (ok_or_fail "metrics" (C.metrics c)))
+      with
+      | Some l ->
+          int_of_string
+            (String.sub l (String.length prefix)
+               (String.length l - String.length prefix))
+      | None -> failwith ("no metric " ^ name))
+
 let replica ~tiny =
   let txns = if tiny then 60 else 400 in
   let reads = if tiny then 400 else 2000 in
-  let primary = repl_node () in
+  let primary_sh = Server.Session.shared ~durable:true () in
+  Server.Session.preload primary_sh
+    (Dist.generate ~seed:1 Dist.D1 ~n:replica_preload ~d:2_000);
+  let primary = Testbed.start (repl_config ()) primary_sh in
   let pport = Testbed.port primary in
   let standby = repl_node ~replica_of:("127.0.0.1", pport) () in
   let rport = Testbed.port standby in
-  (* settle the subscription before measuring anything *)
+  (* settle the subscription (the standby replays the preload) before
+     measuring anything *)
   let c0 = C.connect ~port:pport () in
   (match (C.insert c0 (Interval.Ivl.make 0 1), C.commit c0) with
   | Ok _, Ok lsn -> ignore (Testbed.wait_applied ~timeout:30. ~port:rport lsn)
   | _ -> failwith "settle write failed");
   C.close c0;
+  let reads0 = metric_of ~port:rport "rikit_device_reads_total" in
+  let batches0 = commit_batches primary_sh in
   (* load phase: sample replica lag while a writer streams commits *)
   let lag_samples = ref [] in
   let loading = ref true in
@@ -295,9 +330,12 @@ let replica ~tiny =
         done)
       ()
   in
+  let commit_s = ref [] in
   let t0 = Unix.gettimeofday () in
   let committed =
-    txn_writer ~port:pport ~txns ~writes:writes_per_txn ~base:1000
+    txn_writer
+      ~on_commit:(fun s -> commit_s := s :: !commit_s)
+      ~port:pport ~txns ~writes:writes_per_txn ~base:1000 ()
   in
   let load_wall = Unix.gettimeofday () -. t0 in
   loading := false;
@@ -310,6 +348,15 @@ let replica ~tiny =
         float_of_int (List.fold_left ( + ) 0 l) /. float_of_int (List.length l)
   in
   let durable_lsn, _ = repl_status_of ~port:pport in
+  ignore (Testbed.wait_applied ~timeout:30. ~port:rport durable_lsn);
+  let batches = commit_batches primary_sh - batches0 in
+  let reads_per_batch =
+    float_of_int (metric_of ~port:rport "rikit_device_reads_total" - reads0)
+    /. float_of_int (max 1 batches)
+  in
+  let commit_ms p =
+    1000. *. Harness.Measure.percentile (Array.of_list !commit_s) p
+  in
   (* late joiner: a second replica replays the whole history *)
   let joiner = repl_node ~replica_of:("127.0.0.1", pport) () in
   let catchup =
@@ -361,8 +408,13 @@ let replica ~tiny =
   Testbed.stop joiner;
   let ms = function Some s -> s *. 1000. | None -> -1. in
   ( R.Obj
-      [ ("txns", R.Int committed); ("writes_per_txn", R.Int writes_per_txn);
+      [ ("preload_n", R.Int replica_preload);
+        ("txns", R.Int committed); ("writes_per_txn", R.Int writes_per_txn);
         ("load_tps", R.Float (float_of_int committed /. load_wall));
+        ("commit_ms",
+         R.Obj [ ("p50", R.Float (commit_ms 0.5)); ("p99", R.Float (commit_ms 0.99)) ]);
+        ("standby_batches", R.Int batches);
+        ("standby_reads_per_batch", R.Float reads_per_batch);
         ("durable_lsn", R.Int durable_lsn);
         ("steady_lag_bytes",
          R.Obj [ ("max", R.Int lag_max); ("mean", R.Float lag_mean) ]);
@@ -372,7 +424,8 @@ let replica ~tiny =
            [ ("primary_rps", R.Float primary_rps);
              ("with_replica_rps", R.Float scaled_rps) ]);
         ("failover_ms", R.Float (ms failover)) ],
-    [ ("caught_up", catchup <> None); ("failover_ok", failover <> None) ] )
+    [ ("caught_up", catchup <> None); ("failover_ok", failover <> None);
+      ("standby_reads_per_batch_le_16", reads_per_batch <= 16.) ] )
 
 (* ---- shard: scatter-gather scale-out under head-of-line load ---- *)
 

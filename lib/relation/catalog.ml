@@ -125,15 +125,21 @@ let journal_stats t =
       (Storage.Journal.record_count j, Storage.Journal.byte_size j))
     t.journal
 
-(* Rebuild every table handle from the on-device dictionary. Only a
-   durable catalog has one, so the pages are checksummed. *)
-let open_from_device ~device ~journal ~block_size ~cache_blocks =
+(* Rebuild every table handle from the on-device dictionary, over
+   [pool] (emptied, its journal attached) or a fresh pool. Only a
+   durable catalog has a dictionary, so the pages are checksummed. *)
+let open_from_device ?pool ~device ~journal ~block_size ~cache_blocks () =
   let pool =
-    Storage.Buffer_pool.create ~capacity:cache_blocks ~checksums:true device
+    match pool with
+    | Some pool -> pool
+    | None ->
+        let pool =
+          Storage.Buffer_pool.create ~capacity:cache_blocks ~checksums:true
+            device
+        in
+        Option.iter (Storage.Buffer_pool.attach_journal pool) journal;
+        pool
   in
-  (match journal with
-  | Some j -> Storage.Buffer_pool.attach_journal pool j
-  | None -> ());
   let sys = Heap.open_existing pool ~meta_page:0 in
   let rows = List.rev (Heap.fold sys (fun acc _ row -> row :: acc) []) in
   let name_of row = Codec.decode_name (Array.sub row 3 Codec.width) in
@@ -179,13 +185,13 @@ let simulate_crash ?(force = false) t =
   let journal = Option.get t.journal in
   ignore (Storage.Journal.recover journal t.device);
   open_from_device ~device:t.device ~journal:(Some journal)
-    ~block_size:t.block_size ~cache_blocks:t.cache_blocks
+    ~block_size:t.block_size ~cache_blocks:t.cache_blocks ()
 
 let reopen t =
   require_durable t "reopen";
   checkpoint t;
   open_from_device ~device:t.device ~journal:t.journal
-    ~block_size:t.block_size ~cache_blocks:t.cache_blocks
+    ~block_size:t.block_size ~cache_blocks:t.cache_blocks ()
 
 let reload t =
   require_durable t "reload";
@@ -197,9 +203,11 @@ let reload t =
      from here on must not be a delta against an image the journal
      holds from before. *)
   Option.iter Storage.Journal.truncate t.journal;
+  (* The emptied pool serves the new handles: its frames and buffers
+     are reused, and its counters keep counting. *)
   let fresh =
-    open_from_device ~device:t.device ~journal:t.journal
-      ~block_size:t.block_size ~cache_blocks:t.cache_blocks
+    open_from_device ~pool:t.pool ~device:t.device ~journal:t.journal
+      ~block_size:t.block_size ~cache_blocks:t.cache_blocks ()
   in
   (* keep the read-only flag (replica mode) across the handle swap *)
   (match t.degraded with Some r -> fresh.degraded <- Some r | None -> ());

@@ -103,7 +103,13 @@ val reload : t -> t
     clobber the newer applied images), starts a new journal epoch (the
     device is every page's new base), re-opens the dictionary from the
     device, and carries the degraded (read-only) flag over to the fresh
-    handle. Durable catalogs only. *)
+    handle. The fresh handle keeps this catalog's emptied pool, so the
+    pool's frames are reused and its hit, miss and eviction counters
+    run on across reloads. Reopening reads the dictionary and each
+    structure's meta page, not the tables: a heap scans its chain for
+    free slots only at its first local insert or delete
+    ({!Heap.open_existing}), so a read-only standby's reload costs a
+    few blocks whatever the table size. Durable catalogs only. *)
 
 (** {2 Corruption handling} *)
 

@@ -23,6 +23,11 @@ type t = {
   mutable last_page : int;
   mutable page_count : int;
   mutable free_slots : int list; (* rowids freed by deletions *)
+  mutable walked : bool;
+      (* [free_slots] covers the whole chain. A reopened heap leaves the
+         walk that rebuilds it to its first local insert or delete: a
+         read-only standby, which reopens per applied batch, never pays
+         it. *)
 }
 
 let magic = 0x52494845 (* "RIHE" *)
@@ -58,7 +63,7 @@ let create pool ~row_width =
   let t =
     { pool; meta_page; row_width; cap; bitmap_size; rows_off = header + bitmap_size;
       count = 0; first_page = -1; last_page = -1; page_count = 0;
-      free_slots = [] }
+      free_slots = []; walked = true }
   in
   Storage.Buffer_pool.with_page pool meta_page ~dirty:true (fun buf ->
       set_i64 buf 0 magic;
@@ -93,29 +98,36 @@ let open_existing pool ~meta_page =
   let row_width = fields.(1) in
   let block_size = Storage.Buffer_pool.block_size pool in
   let cap = geometry ~block_size ~row_width in
-  let t =
-    { pool; meta_page; row_width; cap; bitmap_size = (cap + 7) / 8;
-      rows_off = header + ((cap + 7) / 8); count = fields.(2);
-      first_page = fields.(3); last_page = fields.(4);
-      page_count = fields.(5); free_slots = [] }
-  in
-  (* One pass over the chain rebuilds the free-slot list. *)
-  let rec walk page =
-    if page >= 0 then begin
-      let next =
-        Storage.Buffer_pool.with_page pool page ~dirty:false (fun buf ->
-            let hwm = Bytes.get_uint16_be buf 2 in
-            for slot = hwm - 1 downto 0 do
-              if not (bit_get buf slot) then
-                t.free_slots <- ((page * cap) + slot) :: t.free_slots
-            done;
-            get_i64 buf 8)
-      in
-      walk next
-    end
-  in
-  walk t.first_page;
-  t
+  { pool; meta_page; row_width; cap; bitmap_size = (cap + 7) / 8;
+    rows_off = header + ((cap + 7) / 8); count = fields.(2);
+    first_page = fields.(3); last_page = fields.(4);
+    page_count = fields.(5); free_slots = []; walked = false }
+
+(* One pass over the chain rebuilds the free-slot list of a reopened
+   heap. It runs before the first local insert or delete changes a
+   bitmap, so the list (and the rowids reuse hands out) is exactly the
+   one an eager walk at open would have built. *)
+let walk_free_slots t =
+  if not t.walked then begin
+    (* built aside, so a fault mid-walk leaves the heap unwalked *)
+    let rec walk page free =
+      if page < 0 then free
+      else
+        let free = ref free in
+        let next =
+          Storage.Buffer_pool.with_page t.pool page ~dirty:false (fun buf ->
+              let hwm = Bytes.get_uint16_be buf 2 in
+              for slot = hwm - 1 downto 0 do
+                if not (bit_get buf slot) then
+                  free := ((page * t.cap) + slot) :: !free
+              done;
+              get_i64 buf 8)
+        in
+        walk next !free
+    in
+    t.free_slots <- walk t.first_page [];
+    t.walked <- true
+  end
 
 let read_row t buf slot =
   Array.init t.row_width (fun i ->
@@ -145,6 +157,7 @@ let insert t row =
     invalid_arg
       (Printf.sprintf "Heap.insert: row width %d, expected %d"
          (Array.length row) t.row_width);
+  walk_free_slots t;
   match t.free_slots with
   | rowid :: rest ->
       (* Reuse a slot freed by a deletion. *)
@@ -200,6 +213,7 @@ let fetch t rowid =
       | r -> r)
 
 let delete t rowid =
+  walk_free_slots t;
   match locate t rowid with
   | None -> false
   | Some (page, slot) ->

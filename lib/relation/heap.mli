@@ -17,8 +17,13 @@ val create : Storage.Buffer_pool.t -> row_width:int -> t
     @raise Invalid_argument if a page cannot hold at least 4 rows. *)
 
 val open_existing : Storage.Buffer_pool.t -> meta_page:int -> t
-(** Re-open a heap persisted on the pool's device from its meta page;
-    scans the page chain once to rebuild the in-memory free-slot list.
+(** Re-open a heap persisted on the pool's device from its meta page.
+    Reads the meta page only: the one scan of the page chain that
+    rebuilds the in-memory free-slot list runs at the handle's first
+    {!insert} or {!delete}, before that call changes a bitmap, so rowid
+    reuse follows exactly the order an eager scan would give. A handle
+    that only reads (a standby's, reopened per applied batch) never
+    scans the chain.
     @raise Invalid_argument if the page is not a heap meta page. *)
 
 val meta_page : t -> int

@@ -478,16 +478,24 @@ let handle_delete t conn ~lower ~upper ~id:iid =
 (* COMMIT/ROLLBACK fan to every leg this connection ever dialled: a leg
    holds that shard's session (its implicit transaction and any BEGUN
    snapshot), and closing the transaction on an untouched shard is
-   harmless. Cross-shard commits are NOT atomic — each shard commits
-   independently (first-committer-wins locally); a Conflict or an
-   unreachable shard after others committed is reported as-is. *)
+   harmless. The legs run as sibling fibers, as a scatter's do, so a
+   COMMIT waits for its slowest shard (a standby's ack included), not
+   for the sum; results come back in leg order, so the answer does not
+   depend on which shard finished first. Cross-shard commits are NOT
+   atomic — each shard commits independently (first-committer-wins
+   locally); a Conflict or an unreachable shard after others committed
+   is reported as-is. *)
+let dialled_legs t conn =
+  List.filter_map
+    (fun i -> if conn.legs.(i) <> None then Some i else None)
+    (List.init (Map.shards t.map) Fun.id)
+
+(* Run [f i] on every dialled leg at once; [(i, result)] in leg order. *)
+let on_legs t conn f =
+  Reactor.all (List.map (fun i () -> (i, f i)) (dialled_legs t conn))
+
 let handle_commit t conn =
-  let legs =
-    List.filter_map
-      (fun i -> if conn.legs.(i) <> None then Some i else None)
-      (List.init (Map.shards t.map) Fun.id)
-  in
-  let results = List.map (fun i -> (i, shard_commit t conn i)) legs in
+  let results = on_legs t conn (shard_commit t conn) in
   conn.in_txn <- false;
   Array.fill conn.begun 0 (Array.length conn.begun) false;
   let conflict =
@@ -517,18 +525,7 @@ let handle_commit t conn =
           Protocol.Ack (Printf.sprintf "committed lsn %d" lsn))
 
 let handle_rollback t conn =
-  let legs =
-    List.filter_map
-      (fun i -> if conn.legs.(i) <> None then Some i else None)
-      (List.init (Map.shards t.map) Fun.id)
-  in
-  let results =
-    List.map
-      (fun i ->
-        let l = leg t conn i in
-        (i, Failover.rollback l))
-      legs
-  in
+  let results = on_legs t conn (fun i -> Failover.rollback (leg t conn i)) in
   conn.in_txn <- false;
   Array.fill conn.begun 0 (Array.length conn.begun) false;
   let missing =

@@ -18,7 +18,9 @@ type shared = {
   (* The relation's statistics, tagged with the tree's row count at
      analyze time; refreshed when the count drifts by 2x either way
      ("stats refresh"). The typed-op planner chooses with them and
-     every EXPLAIN (wire or SQL) prices with them. *)
+     every EXPLAIN (wire or SQL) prices with them. A tree swap keeps
+     them: the drift rule alone refreshes them after a preload, so a
+     standby's reload per applied batch does not rescan the table. *)
   mutable stats : (int * Ritree.Cost_model.Stats.t) option;
   (* RAM-resident hot tier (budget 0 = disabled). *)
   memtier : Exec.Memtier.t;
@@ -113,7 +115,6 @@ let attach sh ritree =
      the committed state: every in-flight write set is void and the
      visibility sidecars describe tables that no longer exist. *)
   Relation.Txn.reset sh.txns;
-  sh.stats <- None;
   (* the replica indexed the replaced catalog's rows *)
   Exec.Memtier.invalidate sh.memtier sh.tree_name;
   sh.generation <- sh.generation + 1

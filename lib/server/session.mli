@@ -96,7 +96,9 @@ val reload : shared -> unit
     commit batch lands on the device. Cached pages are dropped without
     write-back, live transactions are force-aborted (a replica's pinned
     snapshots do not survive an applied batch), and the hot tier is
-    invalidated. Durable servers only. After this and {!reopen},
+    invalidated. The relation's statistics are kept (the 2x row-count
+    drift rule refreshes them), so the next read does not rescan the
+    table. Durable servers only. After this and {!reopen},
     sessions keep their prepared statements, which recompile against
     the new handles at their next EXECUTE. *)
 

@@ -85,6 +85,113 @@ let test_iter_skips_deleted () =
   check (Alcotest.list Alcotest.int) "odd survivors" [ 1; 3; 5; 7; 9 ]
     (List.rev !seen)
 
+(* ---- reopening a heap keeps its free slots ----
+
+   A reopened heap rebuilds its free-slot list lazily, at its first
+   insert or delete, and a delete walks the chain before it clears its
+   own bit. *)
+
+(* Freed slots of a reopened heap are reused in the order the chain
+   walk gives: the last page's first, each page's in slot order. A
+   slot freed after the reopen goes in front of them, and once they are
+   all refilled the next insert appends. *)
+let test_reopen_reuse_order () =
+  let dev = Storage.Block_device.create ~block_size:256 () in
+  let pool = Storage.Buffer_pool.create ~capacity:64 dev in
+  let h = Heap.create pool ~row_width:2 in
+  let rids = Array.init 42 (fun i -> Heap.insert h [| i; i |]) in
+  List.iter (fun i -> ignore (Heap.delete h rids.(i))) [ 3; 30; 17; 5; 40; 16 ];
+  Storage.Buffer_pool.flush pool;
+  let h =
+    Heap.open_existing
+      (Storage.Buffer_pool.create ~capacity:64 dev)
+      ~meta_page:(Heap.meta_page h)
+  in
+  check Alcotest.int "count survives" 36 (Heap.count h);
+  check Alcotest.bool "delete after reopen" true (Heap.delete h rids.(9));
+  let reused = List.init 8 (fun i -> Heap.insert h [| 100 + i; 0 |]) in
+  check (Alcotest.list Alcotest.int) "reuse order, then append"
+    (List.map (fun i -> rids.(i)) [ 9; 30; 40; 16; 17; 3; 5 ]
+    @ [ rids.(41) + 1 ])
+    reused;
+  check Alcotest.int "one page appended" 4 (Heap.page_count h);
+  Heap.check_invariants h
+
+(* Random inserts and deletes run on a heap that is flushed and
+   reopened halfway and on one that never is. Reuse order differs
+   between the two (a live heap reuses the slot freed last), but a
+   final run of inserts fills every freed slot, so both must end with
+   the same rowids in use and the same pages, and each must hold
+   exactly the rows its own history left under each rowid: a slot the
+   reopened heap never listed stays a hole, and one listed twice trips
+   the insert that refills it. *)
+
+type op = Ins of int | Del of int  (* Del k: the k-th live rowid, mod *)
+
+let gen_ops =
+  QCheck.Gen.(
+    list_size (int_range 0 60)
+      (frequency
+         [ (3, map (fun v -> Ins v) (int_bound 1_000));
+           (2, map (fun k -> Del k) (int_bound 1_000)) ]))
+
+let show_ops ops =
+  String.concat " "
+    (List.map
+       (function Ins v -> "I" ^ string_of_int v | Del k -> "D" ^ string_of_int k)
+       ops)
+
+(* [live] holds the (rowid, row) pairs the ops left, sorted. *)
+let run_ops h live ops =
+  List.iter
+    (function
+      | Ins v ->
+          let row = [| v; -v |] in
+          live := List.sort compare ((Heap.insert h row, row) :: !live)
+      | Del k -> (
+          match !live with
+          | [] -> ()
+          | l ->
+              let rid, _ = List.nth l (k mod List.length l) in
+              live := List.filter (fun (r, _) -> r <> rid) l;
+              if not (Heap.delete h rid) then failwith "live row missing"))
+    ops
+
+let contents h = List.rev (Heap.fold h (fun acc rid r -> (rid, r) :: acc) [])
+
+let prop_reopen_keeps_free_slots =
+  QCheck.Test.make ~count:300 ~name:"reopened heap fills every freed slot"
+    QCheck.(
+      make
+        ~print:(fun (a, b) -> show_ops a ^ " | reopen | " ^ show_ops b)
+        Gen.(pair gen_ops gen_ops))
+    (fun (before, after) ->
+      let drain =
+        List.init
+          (List.length before + List.length after)
+          (fun i -> Ins (10_000 + i))
+      in
+      let steady = Heap.create (mk_pool ()) ~row_width:2 in
+      let steady_live = ref [] in
+      run_ops steady steady_live (before @ after @ drain);
+      let dev = Storage.Block_device.create ~block_size:256 () in
+      let pool = Storage.Buffer_pool.create ~capacity:64 dev in
+      let h = Heap.create pool ~row_width:2 in
+      let live = ref [] in
+      run_ops h live before;
+      Storage.Buffer_pool.flush pool;
+      let reopened =
+        Heap.open_existing
+          (Storage.Buffer_pool.create ~capacity:64 dev)
+          ~meta_page:(Heap.meta_page h)
+      in
+      run_ops reopened live (after @ drain);
+      Heap.check_invariants reopened;
+      contents reopened = !live
+      && contents steady = !steady_live
+      && List.map fst !live = List.map fst !steady_live
+      && Heap.page_count reopened = Heap.page_count steady)
+
 let () =
   Alcotest.run "heap"
     [
@@ -98,5 +205,8 @@ let () =
          Alcotest.test_case "update in place" `Quick test_update;
          Alcotest.test_case "iter/fold order" `Quick test_iter_order_and_fold;
          Alcotest.test_case "iter skips deleted" `Quick
-           test_iter_skips_deleted ]);
+           test_iter_skips_deleted;
+         Alcotest.test_case "reopen: reuse order" `Quick
+           test_reopen_reuse_order;
+         QCheck_alcotest.to_alcotest prop_reopen_keeps_free_slots ]);
     ]
