@@ -104,16 +104,14 @@ let collect roots ~min_level ~ql ~qu ~left ~right =
     end
   end
 
-let path roots ~min_level x =
+let path roots ~min_level x visit =
   let min_pow = if min_level >= 62 then max_int else 1 lsl min_level in
-  let acc = ref [ 0 ] in
-  let visit w = acc := w :: !acc in
+  visit 0;
   let root = if x < 0 then roots.left_root else roots.right_root in
   if x <> 0 && root <> 0 then begin
     visit root;
     descend_to ~min_pow ~visit root (abs root / 2) x
-  end;
-  List.rev !acc
+  end
 
 let height roots ~min_level =
   let extent = max (-roots.left_root) roots.right_root in

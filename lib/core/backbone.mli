@@ -65,11 +65,11 @@ val collect :
     covers them wholesale with the [BETWEEN] range. Descents stop at
     [min_level]. *)
 
-val path : roots -> min_level:int -> int -> int list
-(** The backbone search path for a (shifted) value: global root [0],
-    subtree root, then the bisection nodes down to [min_level]. Every
-    interval containing the value is registered on this path; used by the
-    topological queries of Sec. 4.5. *)
+val path : roots -> min_level:int -> int -> (int -> unit) -> unit
+(** Visit the backbone search path for a (shifted) value: global root
+    [0], subtree root, then the bisection nodes down to [min_level], at
+    most [Sys.int_size + 1] nodes. Every interval containing the value is
+    registered on this path; used by the topological queries of Sec. 4.5. *)
 
 val height : roots -> min_level:int -> int
 (** Height of the virtual backbone per Sec. 3.5:

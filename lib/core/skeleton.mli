@@ -33,8 +33,9 @@ val count : t -> int
 
 val node_filter : t -> int -> bool
 (** [false] exactly for the backbone nodes that hold no interval: the
-    [?node_filter] to hand [Exec.Planner.intersecting_ids] (or
-    {!Ri_tree.node_lists}) for the skeleton-filtered plan. *)
+    [?node_filter] to hand [Exec.Planner.prepare] or
+    [Exec.Planner.intersecting_ids] (or {!Ri_tree.node_lists}) for the
+    skeleton-filtered plan. *)
 
 val materialized_nodes : t -> int
 (** Distinct non-empty backbone nodes currently materialised. *)

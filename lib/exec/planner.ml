@@ -8,6 +8,9 @@
    benchmarks, the CLI, the examples and the spatial, hierarchy and
    join libraries all read through it.
 
+   Fig. 9 runs one way, as a tree's {!forms}: EXPLAIN and every other
+   caller render or run the IR a served form compiles from.
+
    Access-path selection (Sec. 5): the planner prices the access path
    of the full two-branch UNION ALL plan (Fig. 9/10) and of a filtered
    sequential scan by {!Estimate}'s model, the one EXPLAIN prints, and
@@ -17,11 +20,7 @@
    heap's page count ({!path_prices}); no plan is built to price one.
    Without statistics it plans the two-branch plan. All paths return
    exactly the same result set (property-tested against the
-   brute-force oracle).
-
-   A server does not plan its reads: it runs a tree's {!forms}, the
-   Fig. 9 statement compiled once, and only fills the node lists,
-   prices, sets the frame and runs per query. *)
+   brute-force oracle). *)
 
 module Ivl = Interval.Ivl
 module Allen = Interval.Allen
@@ -47,8 +46,13 @@ type proj = Ir.ri_proj = Ids | Triples | Rows
    against. *)
 type compiled = Ir.compiled = { plan : Ir.plan; ctx : Ir.ctx }
 
+(* A lookup answers a collection without allocating: the served forms'
+   runs look theirs up once per run. *)
 let make_ctx ?(vis = Ir.no_vis) binds colls =
-  { Ir.binds; collection = (fun name -> List.assoc_opt name colls);
+  let colls = List.map (fun (name, c) -> (name, Some c)) colls in
+  { Ir.binds;
+    collection =
+      (fun name -> try List.assoc name colls with Not_found -> None);
     intersection = Ir.no_intersection;
     intersection_rows = Ir.no_intersection; vis }
 
@@ -113,20 +117,6 @@ let index_step t ~projs ?(key_filters = []) ?(filters = []) ~index ?(eq = [])
 let left_cols = [| "min"; "max" |]
 let right_cols = [| "node" |]
 
-(* The two node lists as the plan's collections, over the buffers'
-   arrays. *)
-let node_colls (b : Ri.node_buffers) =
-  ( { Ir.cols = left_cols; cells = b.Ri.left; rows = b.Ri.n_left },
-    { Ir.cols = right_cols; cells = b.Ri.right; rows = b.Ri.n_right } )
-
-let fresh_node_colls ?node_filter t q =
-  let b = Ri.node_buffers () in
-  Ri.fill_node_lists ?node_filter t q b;
-  node_colls b
-
-let node_collections (left, right) =
-  [ ("leftNodes", left); ("rightNodes", right) ]
-
 (* [extra] residual filters (the Allen endpoint decompositions) apply to
    the inner step of both branches. The upper-index step checks no
    [i.upper >= :qlow]: its key bounds imply it. A single left node's
@@ -158,27 +148,6 @@ let two_branch_branches ?(extra = []) ~projs t =
 let two_branch_plan ?extra ~proj t =
   plain_plan (two_branch_branches ?extra ~projs:(projections t proj) t)
 
-let two_branch ?extra ?node_filter ?nl ?vis ~proj t q =
-  let nl =
-    match nl with Some nl -> nl | None -> fresh_node_colls ?node_filter t q
-  in
-  { plan = two_branch_plan ?extra ~proj t;
-    ctx = make_ctx ?vis (interval_binds q) (node_collections nl) }
-
-(* Every interval with a bound equal to value [x] is registered on the
-   backbone path of [x] (Sec. 4.1), so O(h) exact probes cover
-   Meets/Met_by. *)
-let path_nodes t x =
-  let p = Ri.params t in
-  match p.Ri.offset with
-  | None -> []
-  | Some off ->
-      let roots =
-        { Ritree.Backbone.left_root = p.Ri.left_root;
-          right_root = p.Ri.right_root }
-      in
-      Ritree.Backbone.path roots ~min_level:p.Ri.min_level (x - off)
-
 (* ---- filtered sequential scan ---- *)
 
 let seq_scan_plan ~proj t =
@@ -193,8 +162,82 @@ let seq_scan_plan ~proj t =
               Ir.Seq_scan ];
         projections = projections t proj; group_by = [] } ]
 
-let seq_scan ?vis ~proj t q =
-  { plan = seq_scan_plan ~proj t; ctx = make_ctx ?vis (interval_binds q) [] }
+(* ---- Allen-relation decomposition (Sec. 4.5) ----
+
+   Every Allen relation is a conjunction of endpoint comparisons, so
+   each compiles to index access plus residual filters:
+   - Before/After: one ordered range scan over the nodes strictly
+     left/right of the query, with a key-level filter on the bound
+     (checked on the index entry, before any fetch);
+   - Meets/Met_by: exact-bound probes along the backbone path of the
+     shared endpoint;
+   - the nine intersection-implying relations: the two-branch plan with
+     the endpoint comparisons as extra residual filters. *)
+
+let allen_filters r =
+  let l = field "i" "lower" and u = field "i" "upper" in
+  let bl = Ir.Param "qlow" and bu = Ir.Param "qup" in
+  let ( <. ) a b = Ir.Cmp (Ir.Lt, a, b) in
+  let ( =. ) a b = Ir.Cmp (Ir.Eq, a, b) in
+  match r with
+  | Allen.Overlaps -> [ l <. bl; bl <. u; u <. bu ]
+  | Allen.Finished_by -> [ u =. bu; l <. bl ]
+  | Allen.Contains -> [ l <. bl; bu <. u ]
+  | Allen.Starts -> [ l =. bl; u <. bu ]
+  | Allen.Equals -> [ l =. bl; u =. bu ]
+  | Allen.Started_by -> [ l =. bl; bu <. u ]
+  | Allen.During -> [ bl <. l; u <. bu ]
+  | Allen.Finishes -> [ u =. bu; bl <. l ]
+  | Allen.Overlapped_by -> [ bl <. l; l <. bu; bu <. u ]
+  | Allen.Before | Allen.After | Allen.Meets | Allen.Met_by ->
+      invalid_arg "allen_filters: not an intersection-implying relation"
+
+(* The node-space bounds of Before and After: :beforeNode is the last
+   node strictly left of the query (qlow - offset - 1), :afterNode the
+   first strictly right of it (qup - offset + 1). *)
+let allen_plan t r =
+  let projs = projections t Triples in
+  let single_step step =
+    plain_plan [ { Ir.steps = [ step ]; projections = projs; group_by = [] } ]
+  in
+  let path_probe ~index ~bound_param =
+    let probe =
+      index_step t ~projs
+        ~filters:
+          [ Ir.Cmp (Ir.Lt, field "i" "lower", field "i" "upper");
+            Ir.Cmp (Ir.Lt, Ir.Param "qlow", Ir.Param "qup") ]
+        ~index ~eq:[ field "pth" "node"; Ir.Param bound_param ] ()
+    in
+    plain_plan
+      [ { Ir.steps =
+            [ Ir.mk_step ~alias:"pth" ~source:(Ir.Collection "pathNodes")
+                ~columns:right_cols Ir.Seq_scan;
+              probe ];
+          projections = projs; group_by = [] } ]
+  in
+  match r with
+  | Allen.Before ->
+      (* i.upper < qlow implies node <= i.upper - offset < qlow - offset:
+         one ordered scan over all nodes strictly left of the query. *)
+      single_step
+        (index_step t ~projs
+           ~key_filters:[ Ir.Cmp (Ir.Lt, field "i" "upper", Ir.Param "qlow") ]
+           ~index:(Ri.upper_index t) ?hi:(incl (Ir.Param "beforeNode")) ())
+  | Allen.After ->
+      (* i.lower > qup implies node >= i.lower - offset > qup - offset.
+         Stop short of the temporal sentinel nodes. *)
+      single_step
+        (index_step t ~projs
+           ~key_filters:[ Ir.Cmp (Ir.Gt, field "i" "lower", Ir.Param "qup") ]
+           ~index:(Ri.lower_index t) ?lo:(incl (Ir.Param "afterNode"))
+           ?hi:(incl (Ir.Const (Ri.fork_now - 1))) ())
+  | Allen.Meets ->
+      path_probe ~index:(Ri.upper_index t) ~bound_param:"qlow"
+  | Allen.Met_by -> path_probe ~index:(Ri.lower_index t) ~bound_param:"qup"
+  | Allen.Overlaps | Allen.Finished_by | Allen.Contains | Allen.Starts
+  | Allen.Equals | Allen.Started_by | Allen.During | Allen.Finishes
+  | Allen.Overlapped_by ->
+      two_branch_plan ~extra:(allen_filters r) ~proj:Triples t
 
 (* ---- RAM-resident hot-tier probe ---- *)
 
@@ -240,9 +283,6 @@ let path_prices ~stats t (left, right) q =
         ~lower_index:(Ri.lower_index t) ~left ~right ~qup:(Ivl.upper q) );
     (Seq, Estimate.heap_pages tbl) ]
 
-let prices ?node_filter ~stats t q =
-  path_prices ~stats t (fresh_node_colls ?node_filter t q) q
-
 (* The cheapest path; a tie keeps the two-branch plan. *)
 let cheapest = function
   | [] -> invalid_arg "Planner.cheapest"
@@ -252,47 +292,252 @@ let cheapest = function
            (fun ((_, best) as b) ((_, io) as c) -> if io < best then c else b)
            first rest)
 
-(* [node_filter] (the skeleton's) prunes the two-branch plan's node
-   lists; the other paths probe no nodes. A resident replica answers
-   with no I/O, so the memory probe wins whenever the caller holds one;
-   otherwise the cheaper disk plan is built, the only plan built. *)
-let plan_intersection ?stats ?path ?mem ?node_filter ?vis ~proj t q =
-  (* the replica holds (lower, upper, id) only *)
-  let mem = if proj = Rows then None else mem in
-  let mem_probe h = mem_plan ?stats ~proj t h Ir.Mem_intersect q in
-  match (path, mem, stats) with
-  | Some Mem_path, Some h, _ | None, Some h, _ -> mem_probe h
-  | Some Mem_path, None, _ ->
-      invalid_arg "plan_intersection: memory path without a handle"
-  | Some Two_branch, _, _ | None, None, None ->
-      two_branch ?node_filter ?vis ~proj t q
-  | Some Seq, _, _ -> seq_scan ?vis ~proj t q
-  | None, None, Some stats -> (
-      let nl = fresh_node_colls ?node_filter t q in
-      match cheapest (path_prices ~stats t nl q) with
-      | Seq -> seq_scan ?vis ~proj t q
-      | Two_branch | Mem_path -> two_branch ~nl ?vis ~proj t q)
+(* ---- Fig. 9 as a prepared statement ----
 
-let choose ?(mem : Ir.mem_handle option) t stats q =
-  match mem with Some _ -> Mem_path | None -> cheapest (prices ~stats t q)
+   The paper's Fig. 9 is one static statement: its only inputs are
+   :lower, :upper and the transient node lists. A tree's forms are its
+   two-branch plan and filtered scan (per projection) and its plan per
+   Allen relation, each compiled once against one frame: the qlow/qup
+   cells, Before/After's node-space bounds, the node collections
+   (leftNodes and rightNodes over the buffers {!Ri.fill_node_lists}
+   fills in place, pathNodes for Meets/Met_by) and the snapshot view.
+   A query fills the frame and [select] names the form to run: an
+   intersection prices both paths from the node lists ({!path_prices})
+   and keeps the cheaper. A server keeps one set per tree; a run that
+   finds its set busy, and every ad-hoc entry point below, fill a
+   throwaway set through the same [select]. *)
 
-(* ---- execution helpers ---- *)
+type form =
+  | Form_two of proj
+  | Form_seq of proj
+  | Form_allen of Allen.relation
+
+type forms = {
+  tree : Ri.t;
+  node_filter : (int -> bool) option;  (* the skeleton's, for the lists *)
+  nodes : Ri.node_buffers;
+  left : Ir.coll;  (* leftNodes, over [nodes]' arrays *)
+  right : Ir.coll;
+  path : Ir.coll;  (* pathNodes: a backbone path, at most 64 nodes *)
+  qlow : int ref;
+  qup : int ref;
+  before_node : int ref;
+  after_node : int ref;
+  vis : (string -> Relation.Txn.view option) ref;
+  frame : Executor.frame;
+  mutable compiled : (form * Executor.compiled) list;
+  mutable busy : bool;
+}
+
+let prepare ?node_filter tree =
+  let nodes = Ri.node_buffers () in
+  let left = { Ir.cols = left_cols; cells = nodes.Ri.left; rows = 0 } in
+  let right = { Ir.cols = right_cols; cells = nodes.Ri.right; rows = 0 } in
+  let path =
+    { Ir.cols = right_cols; cells = Array.make (Sys.int_size + 1) 0; rows = 0 }
+  in
+  let qlow = ref 0 and qup = ref 0 and vis = ref Ir.no_vis in
+  let before_node = ref 0 and after_node = ref 0 in
+  let ctx =
+    make_ctx ~vis:(fun name -> !vis name) []
+      [ ("leftNodes", left); ("rightNodes", right); ("pathNodes", path) ]
+  in
+  let cells =
+    [ ("qlow", qlow); ("qup", qup); ("beforeNode", before_node);
+      ("afterNode", after_node) ]
+  in
+  { tree; node_filter; nodes; left; right; path; qlow; qup; before_node;
+    after_node; vis; frame = { Executor.cells; open_ = false; ctx };
+    compiled = []; busy = false }
+
+let forms_tree f = f.tree
+
+let form_plan t = function
+  | Form_two proj -> two_branch_plan ~proj t
+  | Form_seq proj -> seq_scan_plan ~proj t
+  | Form_allen r -> allen_plan t r
+
+let compiled_form f form =
+  match List.assoc_opt form f.compiled with
+  | Some c -> c
+  | None ->
+      let c = Executor.compile f.frame (form_plan f.tree form) in
+      f.compiled <- (form, c) :: f.compiled;
+      c
+
+let fill_lists f q =
+  Ri.fill_node_lists ?node_filter:f.node_filter f.tree q f.nodes;
+  f.left.Ir.cells <- f.nodes.Ri.left;
+  f.left.Ir.rows <- f.nodes.Ri.n_left;
+  f.right.Ir.cells <- f.nodes.Ri.right;
+  f.right.Ir.rows <- f.nodes.Ri.n_right
+
+(* Every interval with a bound equal to value [x] is registered on the
+   backbone path of [x] (Sec. 4.1), so O(h) exact probes cover
+   Meets/Met_by. An empty tree has no path, and empty Before/After
+   ranges. *)
+let fill_path f x =
+  let ps = Ri.params f.tree and p = f.path in
+  p.Ir.rows <- 0;
+  Option.iter
+    (fun off ->
+      Ritree.Backbone.path
+        { Ritree.Backbone.left_root = ps.Ri.left_root;
+          right_root = ps.Ri.right_root }
+        ~min_level:ps.Ri.min_level (x - off)
+        (fun w ->
+          p.Ir.cells.(p.Ir.rows) <- w;
+          p.Ir.rows <- p.Ir.rows + 1))
+    ps.Ri.offset
+
+let fill_allen f r q =
+  match r with
+  | Allen.Before | Allen.After ->
+      let offset = (Ri.params f.tree).Ri.offset in
+      let edge ~none d x =
+        Option.fold offset ~none ~some:(fun off -> x - off + d)
+      in
+      f.before_node := edge ~none:min_int (-1) (Ivl.lower q);
+      f.after_node := edge ~none:max_int 1 (Ivl.upper q)
+  | Allen.Meets -> fill_path f (Ivl.lower q)
+  | Allen.Met_by -> fill_path f (Ivl.upper q)
+  | Allen.Overlaps | Allen.Finished_by | Allen.Contains | Allen.Starts
+  | Allen.Equals | Allen.Started_by | Allen.During | Allen.Finishes
+  | Allen.Overlapped_by ->
+      fill_lists f q
+
+type target =
+  | Intersect_target of Ivl.t
+  | Allen_target of Allen.relation * Ivl.t
+
+(* What answers a read: a resident replica's probe, or a form over the
+   frame filled for it. *)
+type choice = Mem_choice of compiled | Form_choice of form
+
+(* The one choice. A resident replica answers with no I/O, so its probe
+   wins whenever the caller holds one and [path] names no disk path;
+   an intersection takes the cheaper disk path by [stats], and the
+   two-branch plan without them. *)
+let select f ?stats ?path ?mem ~vis ~proj target =
+  let q = match target with Intersect_target q | Allen_target (_, q) -> q in
+  f.vis := vis;
+  f.qlow := Ivl.lower q;
+  f.qup := Ivl.upper q;
+  match target with
+  | Intersect_target _ -> (
+      (* the replica holds (lower, upper, id) only *)
+      let mem = if proj = Rows then None else mem in
+      match (path, mem) with
+      | (Some Mem_path | None), Some h ->
+          Mem_choice (mem_plan ?stats ~proj f.tree h Ir.Mem_intersect q)
+      | Some Mem_path, None ->
+          invalid_arg "Planner: memory path without a handle"
+      | (Some (Two_branch | Seq) | None), _ ->
+          fill_lists f q;
+          Form_choice
+            (match (path, stats) with
+            | Some Seq, _ -> Form_seq proj
+            | None, Some stats
+              when cheapest (path_prices ~stats f.tree (f.left, f.right) q)
+                   = Seq ->
+                Form_seq proj
+            | _ -> Form_two proj))
+  | Allen_target (r, _) -> (
+      match mem with
+      | Some h ->
+          (* A resident HINT answers every Allen relation directly (the
+             Allen_probe reduction); nothing on disk is touched. *)
+          Mem_choice (mem_plan ~proj:Triples f.tree h (Ir.Mem_relation r) q)
+      | None ->
+          fill_allen f r q;
+          Form_choice (Form_allen r))
 
 let run c = Executor.run c.ctx c.plan
 
+(* Run what [select] names on [f]'s compiled forms, or on a throwaway
+   set when a run is already in progress on [f]. *)
+let rec serve f ?stats ?mem ~vis ~proj target =
+  if f.busy then
+    serve (prepare ?node_filter:f.node_filter f.tree) ?stats ?mem ~vis ~proj
+      target
+  else begin
+    f.busy <- true;
+    match
+      match select f ?stats ?mem ~vis ~proj target with
+      | Mem_choice c -> run c
+      | Form_choice form -> Executor.exec (compiled_form f form)
+    with
+    | out ->
+        f.busy <- false;
+        out
+    | exception e ->
+        f.busy <- false;
+        raise e
+  end
+
+(* {!plan_intersection} and its run, served from [f]'s forms. *)
+let intersect f ?stats ?mem ?(vis = Ir.no_vis) ~proj q =
+  serve f ?stats ?mem ~vis ~proj (Intersect_target q)
+
+(* {!plan_allen} and its run, served from [f]'s forms. *)
+let allen f ?mem ?(vis = Ir.no_vis) r q =
+  serve f ?mem ~vis ~proj:Triples (Allen_target (r, q))
+
+(* ---- ad-hoc entry points ----
+
+   Each fills a throwaway set of forms through [select] and returns the
+   IR of the form it names, over that set's frame with its cells bound:
+   the plan a served query compiles from, which EXPLAIN renders. *)
+
+let plan_target ?stats ?path ?mem ?node_filter ?(vis = Ir.no_vis) ~proj t
+    target =
+  let f = prepare ?node_filter t in
+  match select f ?stats ?path ?mem ~vis ~proj target with
+  | Mem_choice c -> c
+  | Form_choice form ->
+      let binds = List.map (fun (h, c) -> (h, !c)) f.frame.Executor.cells in
+      { plan = form_plan t form; ctx = { f.frame.Executor.ctx with Ir.binds } }
+
+let plan_intersection ?stats ?path ?mem ?node_filter ?vis ~proj t q =
+  plan_target ?stats ?path ?mem ?node_filter ?vis ~proj t (Intersect_target q)
+
+let plan_allen ?mem ?vis t r q =
+  plan_target ?mem ?vis ~proj:Triples t (Allen_target (r, q))
+
+let prices ?node_filter ~stats t q =
+  let f = prepare ?node_filter t in
+  fill_lists f q;
+  path_prices ~stats t (f.left, f.right) q
+
+let choose ?mem t stats q =
+  match
+    select (prepare t) ~stats ?mem ~vis:Ir.no_vis ~proj:Ids
+      (Intersect_target q)
+  with
+  | Mem_choice _ -> Mem_path
+  | Form_choice (Form_seq _) -> Seq
+  | Form_choice (Form_two _ | Form_allen _) -> Two_branch
+
 (* The first column of every result row: the ids of an [Ids] plan. *)
 let ids c = List.map (fun (r : int array) -> r.(0)) (run c).Executor.rows
+
+(* The (interval, id) pairs of a [Triples] plan. *)
+let triples c =
+  List.map
+    (fun (r : int array) -> (Ivl.make r.(0) r.(1), r.(2)))
+    (run c).Executor.rows
 
 let intersecting_ids ?stats ?path ?mem ?node_filter ?vis t q =
   ids (plan_intersection ?stats ?path ?mem ?node_filter ?vis ~proj:Ids t q)
 
 let intersecting ?stats ?path ?mem ?vis t q =
-  List.map
-    (fun (r : int array) -> (Ivl.make r.(0) r.(1), r.(2)))
-    (run (plan_intersection ?stats ?path ?mem ?vis ~proj:Triples t q))
-      .Executor.rows
+  triples (plan_intersection ?stats ?path ?mem ?vis ~proj:Triples t q)
 
 let stabbing_ids ?stats t p = intersecting_ids ?stats t (Ivl.point p)
+
+let allen_matches ?mem ?vis t r q = triples (plan_allen ?mem ?vis t r q)
+
+let allen_ids ?mem ?vis t r q = List.map snd (allen_matches ?mem ?vis t r q)
 
 (* ---- partition joins (the Tile Index and the Window-List, Sec. 6) ----
 
@@ -327,245 +572,6 @@ let partition_join ~collection:(name, col) ~index
             group_by = [ (Some "i", "id") ] } ];
     ctx = make_ctx (interval_binds q) [ (name, Ir.coll [| col |] parts_rows) ] }
 
-(* ---- Allen-relation decomposition (Sec. 4.5) ----
-
-   Every Allen relation is a conjunction of endpoint comparisons, so
-   each compiles to index access plus residual filters:
-   - Before/After: one ordered range scan over the nodes strictly
-     left/right of the query, with a key-level filter on the bound
-     (checked on the index entry, before any fetch);
-   - Meets/Met_by: exact-bound probes along the backbone path of the
-     shared endpoint;
-   - the nine intersection-implying relations: the two-branch plan with
-     the endpoint comparisons as extra residual filters. *)
-
-let allen_filters r =
-  let l = field "i" "lower" and u = field "i" "upper" in
-  let bl = Ir.Param "qlow" and bu = Ir.Param "qup" in
-  let ( <. ) a b = Ir.Cmp (Ir.Lt, a, b) in
-  let ( =. ) a b = Ir.Cmp (Ir.Eq, a, b) in
-  match r with
-  | Allen.Overlaps -> [ l <. bl; bl <. u; u <. bu ]
-  | Allen.Finished_by -> [ u =. bu; l <. bl ]
-  | Allen.Contains -> [ l <. bl; bu <. u ]
-  | Allen.Starts -> [ l =. bl; u <. bu ]
-  | Allen.Equals -> [ l =. bl; u =. bu ]
-  | Allen.Started_by -> [ l =. bl; bu <. u ]
-  | Allen.During -> [ bl <. l; u <. bu ]
-  | Allen.Finishes -> [ u =. bu; bl <. l ]
-  | Allen.Overlapped_by -> [ bl <. l; l <. bu; bu <. u ]
-  | Allen.Before | Allen.After | Allen.Meets | Allen.Met_by ->
-      invalid_arg "allen_filters: not an intersection-implying relation"
-
-let empty_compiled ?vis q =
-  { plan = plain_plan []; ctx = make_ctx ?vis (interval_binds q) [] }
-
-let plan_allen_disk ?vis t r q =
-  let p = Ri.params t in
-  match p.Ri.offset with
-  | None -> empty_compiled ?vis q (* empty tree: nothing can match *)
-  | Some off -> (
-      let projs = projections t Triples in
-      let qlow = Ivl.lower q and qup = Ivl.upper q in
-      let single_step step =
-        { plan =
-            plain_plan
-              [ { Ir.steps = [ step ]; projections = projs; group_by = [] } ];
-          ctx = make_ctx ?vis (interval_binds q) [] }
-      in
-      let path_probe ~nodes ~index ~bound_param =
-        (* exact-bound probes along a backbone path *)
-        let probe =
-          index_step t ~projs
-            ~filters:
-              [ Ir.Cmp (Ir.Lt, field "i" "lower", field "i" "upper");
-                Ir.Cmp (Ir.Lt, Ir.Param "qlow", Ir.Param "qup") ]
-            ~index ~eq:[ field "pth" "node"; Ir.Param bound_param ] ()
-        in
-        { plan =
-            plain_plan
-              [ { Ir.steps =
-                    [ Ir.mk_step ~alias:"pth"
-                        ~source:(Ir.Collection "pathNodes")
-                        ~columns:[| "node" |] Ir.Seq_scan;
-                      probe ];
-                  projections = projs; group_by = [] } ];
-          ctx =
-            make_ctx ?vis (interval_binds q)
-              [ ("pathNodes",
-                 Ir.coll [| "node" |] (List.map (fun w -> [| w |]) nodes)) ] }
-      in
-      match r with
-      | Allen.Before ->
-          (* i.upper < qlow implies node <= i.upper - offset < ql: one
-             ordered scan over all nodes strictly left of the query. *)
-          let ql = qlow - off in
-          single_step
-            (index_step t ~projs
-               ~key_filters:
-                 [ Ir.Cmp (Ir.Lt, field "i" "upper", Ir.Param "qlow") ]
-               ~index:(Ri.upper_index t) ?hi:(incl (Ir.Const (ql - 1))) ())
-      | Allen.After ->
-          (* i.lower > qup implies node >= i.lower - offset > qu. Stop
-             short of the temporal sentinel nodes. *)
-          let qu = qup - off in
-          single_step
-            (index_step t ~projs
-               ~key_filters:
-                 [ Ir.Cmp (Ir.Gt, field "i" "lower", Ir.Param "qup") ]
-               ~index:(Ri.lower_index t) ?lo:(incl (Ir.Const (qu + 1)))
-               ?hi:(incl (Ir.Const (Ri.fork_now - 1))) ())
-      | Allen.Meets ->
-          path_probe ~nodes:(path_nodes t qlow) ~index:(Ri.upper_index t)
-            ~bound_param:"qlow"
-      | Allen.Met_by ->
-          path_probe ~nodes:(path_nodes t qup) ~index:(Ri.lower_index t)
-            ~bound_param:"qup"
-      | Allen.Overlaps | Allen.Finished_by | Allen.Contains | Allen.Starts
-      | Allen.Equals | Allen.Started_by | Allen.During | Allen.Finishes
-      | Allen.Overlapped_by ->
-          two_branch ~extra:(allen_filters r) ?vis ~proj:Triples t q)
-
-let plan_allen ?mem ?vis t r q =
-  match mem with
-  | Some h ->
-      (* A resident HINT answers every Allen relation directly (the
-         Allen_probe reduction); nothing on disk is touched. *)
-      mem_plan ~proj:Triples t h (Ir.Mem_relation r) q
-  | None -> plan_allen_disk ?vis t r q
-
-let allen_matches ?mem ?vis t r q =
-  List.map
-    (fun (row : int array) -> (Ivl.make row.(0) row.(1), row.(2)))
-    (run (plan_allen ?mem ?vis t r q)).Executor.rows
-
-let allen_ids ?mem ?vis t r q = List.map snd (allen_matches ?mem ?vis t r q)
-
-(* ---- Fig. 9 as a prepared statement ----
-
-   The paper's Fig. 9 is one static statement: its only inputs are
-   :lower, :upper and the two transient node lists. A tree's forms are
-   its two-branch plan (per projection, and per intersection-implying
-   Allen relation with that relation's endpoint filters) and its
-   filtered scan, each compiled once against one frame: the qlow/qup
-   cells, the two node-list buffers {!Ri.fill_node_lists} fills in
-   place, and the snapshot view. A query fills the lists, prices both
-   paths from them ({!path_prices}), sets the frame and runs the
-   cheaper form; no plan is built and nothing is compiled. The owner
-   keeps one set per tree and replaces it with the tree. A run that
-   starts while another is in progress on the same set builds and
-   compiles a plan of its own. *)
-
-type form =
-  | Form_two of proj
-  | Form_seq of proj
-  | Form_allen of Allen.relation
-
-type forms = {
-  tree : Ri.t;
-  nodes : Ri.node_buffers;
-  left : Ir.coll;  (* leftNodes, over [nodes]' arrays *)
-  right : Ir.coll;
-  qlow : int ref;
-  qup : int ref;
-  vis : (string -> Relation.Txn.view option) ref;
-  frame : Executor.frame;
-  mutable compiled : (form * Executor.compiled) list;
-  mutable busy : bool;
-}
-
-let prepare tree =
-  let nodes = Ri.node_buffers () in
-  let left, right = node_colls nodes in
-  let qlow = ref 0 and qup = ref 0 and vis = ref Ir.no_vis in
-  let some_left = Some left and some_right = Some right in
-  let ctx =
-    { Ir.binds = [];
-      collection =
-        (function
-        | "leftNodes" -> some_left
-        | "rightNodes" -> some_right
-        | _ -> None);
-      intersection = Ir.no_intersection;
-      intersection_rows = Ir.no_intersection;
-      vis = (fun name -> !vis name) }
-  in
-  { tree; nodes; left; right; qlow; qup; vis;
-    frame =
-      { Executor.cells = [ ("qlow", qlow); ("qup", qup) ]; open_ = false; ctx };
-    compiled = []; busy = false }
-
-let forms_tree f = f.tree
-
-let compiled_form f form =
-  match List.assoc_opt form f.compiled with
-  | Some c -> c
-  | None ->
-      let plan =
-        match form with
-        | Form_two proj -> two_branch_plan ~proj f.tree
-        | Form_seq proj -> seq_scan_plan ~proj f.tree
-        | Form_allen r ->
-            two_branch_plan ~extra:(allen_filters r) ~proj:Triples f.tree
-      in
-      let c = Executor.compile f.frame plan in
-      f.compiled <- (form, c) :: f.compiled;
-      c
-
-(* Set the frame for [q] and run the form [pick] names; [fallback] when
-   a run is already in progress on [f]. *)
-let run_forms f ~vis q ~fallback pick =
-  if f.busy then fallback ()
-  else begin
-    f.busy <- true;
-    match
-      Ri.fill_node_lists f.tree q f.nodes;
-      f.left.Ir.cells <- f.nodes.Ri.left;
-      f.left.Ir.rows <- f.nodes.Ri.n_left;
-      f.right.Ir.cells <- f.nodes.Ri.right;
-      f.right.Ir.rows <- f.nodes.Ri.n_right;
-      f.qlow := Ivl.lower q;
-      f.qup := Ivl.upper q;
-      f.vis := vis;
-      Executor.exec (compiled_form f (pick ()))
-    with
-    | out ->
-        f.busy <- false;
-        out
-    | exception e ->
-        f.busy <- false;
-        raise e
-  end
-
-(* {!plan_intersection} and its run, served from [f]'s forms. *)
-let intersect f ?stats ?mem ?(vis = Ir.no_vis) ~proj q =
-  let mem = if proj = Rows then None else mem in
-  match mem with
-  | Some h -> run (mem_plan ?stats ~proj f.tree h Ir.Mem_intersect q)
-  | None ->
-      run_forms f ~vis q
-        ~fallback:(fun () -> run (plan_intersection ?stats ~vis ~proj f.tree q))
-        (fun () ->
-          match stats with
-          | None -> Form_two proj
-          | Some stats -> (
-              match cheapest (path_prices ~stats f.tree (f.left, f.right) q) with
-              | Seq -> Form_seq proj
-              | Two_branch | Mem_path -> Form_two proj))
-
-(* {!plan_allen} and its run: the nine intersection-implying relations
-   from [f]'s forms. *)
-let allen f ?mem ?(vis = Ir.no_vis) r q =
-  match (mem, r) with
-  | ( None,
-      ( Allen.Overlaps | Allen.Finished_by | Allen.Contains | Allen.Starts
-      | Allen.Equals | Allen.Started_by | Allen.During | Allen.Finishes
-      | Allen.Overlapped_by ) ) ->
-      run_forms f ~vis q
-        ~fallback:(fun () -> run (plan_allen_disk ~vis f.tree r q))
-        (fun () -> Form_allen r)
-  | _ -> run (plan_allen ?mem ~vis f.tree r q)
-
 (* ---- temporal now/infinity rewrite (Sec. 4.6) ----
 
    The finite intervals run through the ordinary two-branch plan; a
@@ -583,7 +589,8 @@ let temporal_projs =
 
 let plan_temporal store ~now q =
   let t = Ritree.Temporal_store.ri store in
-  let nl = fresh_node_colls t q in
+  let f = prepare t in
+  fill_lists f q;
   let qlow = Ivl.lower q and qup = Ivl.upper q in
   let finite = two_branch_branches ~projs:temporal_projs t in
   let sentinel_step =
@@ -604,8 +611,8 @@ let plan_temporal store ~now q =
   { plan = plain_plan (finite @ [ sentinel_branch ]);
     ctx =
       make_ctx (interval_binds q)
-        (node_collections nl
-        @ [ ("sentinelNodes", Ir.coll [| "node"; "maxLower" |] sentinels) ]) }
+        [ ("leftNodes", f.left); ("rightNodes", f.right);
+          ("sentinelNodes", Ir.coll [| "node"; "maxLower" |] sentinels) ] }
 
 let temporal_matches store ~now q =
   List.map
@@ -700,14 +707,6 @@ let explain_compiled ?stats ?(analyze = false) ctx (plan : Ir.plan) =
     ^ Render.actual_footer ~rows:(List.length result.Executor.rows) ~io ~ms
   end
 
-type target =
-  | Intersect_target of Ivl.t
-  | Allen_target of Allen.relation * Ivl.t
-
-let plan_target ?stats ?mem ?vis t = function
-  | Intersect_target q -> plan_intersection ?stats ?mem ?vis ~proj:Triples t q
-  | Allen_target (r, q) -> plan_allen ?mem ?vis t r q
-
 let explain ?stats ?analyze ?mem ?vis t target =
-  let c = plan_target ?stats ?mem ?vis t target in
+  let c = plan_target ?stats ?mem ?vis ~proj:Triples t target in
   explain_compiled ?stats ?analyze c.ctx c.plan

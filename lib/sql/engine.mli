@@ -57,11 +57,11 @@ val set_ritree :
     [A] and one bounding [upper] from below by [B] runs the typed op's
     cost-based choice of the tree's compiled forms for the candidate
     interval [[min(A,B), A]], with every conjunct kept as a residual
-    filter; EXPLAIN renders the plan {!Exec.Planner.plan_intersection}
-    builds for it. [stats] and [mem] are the typed op's planner inputs,
-    read at each execution; EXPLAIN prices the relation with [stats]
-    too, so it scans no heap. Reads see this
-    session's transaction snapshot. Invalidates cached plans. *)
+    filter; EXPLAIN renders the IR of the form that choice names, the
+    plan the forms compile from. [stats] and [mem] are the typed op's
+    planner inputs, read at each execution; EXPLAIN prices the relation
+    with [stats] too, so it scans no heap. Reads see this session's
+    transaction snapshot. Invalidates cached plans. *)
 
 val set_collection :
   session -> string -> columns:string list -> int array list -> unit

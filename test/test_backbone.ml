@@ -201,9 +201,10 @@ let prop_path_contains_fork =
     (fun (spec, x) ->
       let intervals = List.map (fun (l, len) -> (l, l + len)) spec in
       let roots, min_level, stored = simulate intervals in
-      let path = B.path roots ~min_level x in
+      let path = ref [] in
+      B.path roots ~min_level x (fun w -> path := w :: !path);
       List.for_all
-        (fun (f, l, u) -> if l <= x && x <= u then List.mem f path else true)
+        (fun (f, l, u) -> if l <= x && x <= u then List.mem f !path else true)
         stored)
 
 (* ---- height ---- *)

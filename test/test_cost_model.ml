@@ -167,9 +167,11 @@ let prop_direct_price_exact =
         (fun (tree, stats) ->
           let direct = Pl.prices ~stats tree q in
           List.assoc Pl.Two_branch direct
-          = Pl.price ~stats (Pl.two_branch ~proj:Pl.Ids tree q)
+          = Pl.price ~stats
+              (Pl.plan_intersection ~path:Pl.Two_branch ~proj:Pl.Ids tree q)
           && List.assoc Pl.Seq direct
-             = Pl.price ~stats (Pl.seq_scan ~proj:Pl.Ids tree q))
+             = Pl.price ~stats
+                 (Pl.plan_intersection ~path:Pl.Seq ~proj:Pl.Ids tree q))
         (Lazy.force price_fixtures))
 
 let test_adaptive_correct_both_ways () =

@@ -360,10 +360,22 @@ let intersect_request q =
 let execute_request q =
   Server.Protocol.Execute { name = "hp"; params = [ Ivl.upper q; Ivl.lower q ] }
 
+let allen_request relation q =
+  Server.Protocol.Allen { relation; lower = Ivl.lower q; upper = Ivl.upper q }
+
+(* A served Meets probes the backbone path of the query's lower bound
+   through its form, filling the pathNodes collection in place, so it
+   costs no more than a During run through the two-branch form: 163.1
+   words against 181.8 (dev build). Planned and compiled per query it
+   cost 1 171.5. *)
+let test_meets_words () =
+  let bound = 1.25 *. words_per_request (allen_request Allen.During) in
+  gate_words "Meets" ~bound (allen_request Allen.Meets) ()
+
 (* ---- the compiled Fig. 9 forms against the brute-force oracle ----
 
-   A server serves Intersect, the nine intersection-implying Allen
-   relations and SQL intersections from one set of forms per tree,
+   A server serves Intersect, the 13 Allen relations and SQL
+   intersections from one set of forms per tree,
    compiled once. Each property keeps a model of (lower, upper, id)
    rows and compares the served answers with it as multisets, through
    [Session.handle], while the forms' inputs change under them. *)
@@ -393,12 +405,8 @@ let sql_text q =
     "SELECT lower, upper, id FROM intervals WHERE lower <= %d AND upper >= %d"
     (Ivl.upper q) (Ivl.lower q)
 
-let nine =
-  Allen.[ Overlaps; Finished_by; Contains; Starts; Equals; Started_by;
-          During; Finishes; Overlapped_by ]
-
 (* Every way the session reads [q] against the model: typed Intersect,
-   SQL text, and the nine relations' typed Allen. *)
+   SQL text, and the 13 relations' typed Allen. *)
 let reads_match s (model : row list) q =
   let want = sort_rows (List.filter (fun r -> Ivl.intersects (ivl_of r) q) model) in
   let lower = Ivl.lower q and upper = Ivl.upper q in
@@ -408,7 +416,7 @@ let reads_match s (model : row list) q =
        (fun relation ->
          answer "Allen" (S.handle s (P.Allen { relation; lower; upper }))
          = sort_rows (List.filter (fun r -> Allen.holds relation (ivl_of r) q) model))
-       nine
+       Allen.all
 
 (* points, short and long ranges, the whole domain and beyond it, and
    queries wholly outside the data *)
@@ -519,9 +527,10 @@ let prop_forms_reload =
       S.reload sh;
       before && List.for_all (reads_match s !model) (forms_queries rng))
 
-(* A run that starts while another runs on the same forms plans its own;
-   a UNION ALL of two intersections reuses one form twice in a
-   statement. *)
+(* A run that starts while another runs on the same forms (an
+   intersection or an Allen relation inside either) runs a throwaway set
+   of its own; a UNION ALL of two intersections reuses one form twice in
+   a statement. *)
 let prop_forms_nested =
   QCheck.Test.make ~count:15 ~name:"forms = oracle, one run inside another"
     forms_case (fun (seed, k) ->
@@ -533,6 +542,9 @@ let prop_forms_nested =
       let stats = CM.Stats.analyze (S.tree sh) in
       let model = model_of data in
       let want q = sort_rows (List.filter (fun r -> Ivl.intersects (ivl_of r) q) model) in
+      let want_allen r q =
+        sort_rows (List.filter (fun row -> Allen.holds r (ivl_of row) q) model)
+      in
       let triples (out : Exec.Executor.output) =
         sort_rows (List.map (fun r -> (r.(0), r.(1), r.(2))) out.rows)
       in
@@ -540,21 +552,90 @@ let prop_forms_nested =
       List.for_all
         (fun q ->
           let q2 = List.hd (forms_queries rng) in
-          let inner = ref [] in
+          let inner = ref [] and meets = ref [] and before = ref [] in
           (* the outer run reads its snapshot view once it has started *)
           let vis _ =
             inner := triples (Pl.intersect forms ~stats ~proj:Pl.Triples q2);
+            meets := triples (Pl.allen forms Allen.Meets q2);
+            before := triples (Pl.allen forms Allen.Before q2);
             None
           in
-          let outer = triples (Pl.intersect forms ~stats ~vis ~proj:Pl.Triples q) in
+          (* each outer run, then what the runs inside it answered *)
+          let nested outer_run want_outer =
+            inner := [];
+            meets := [];
+            before := [];
+            triples (outer_run ()) = want_outer
+            && !inner = want q2
+            && !meets = want_allen Allen.Meets q2
+            && !before = want_allen Allen.Before q2
+          in
           let union =
             answer "UNION ALL"
               (S.handle s
                  (P.Sql (sql_text q ^ " UNION ALL " ^ sql_text q2)))
           in
-          outer = want q && !inner = want q2
+          nested
+            (fun () -> Pl.intersect forms ~stats ~vis ~proj:Pl.Triples q)
+            (want q)
+          && nested
+               (fun () -> Pl.allen forms ~vis Allen.Meets q)
+               (want_allen Allen.Meets q)
+          && nested
+               (fun () -> Pl.allen forms ~vis Allen.Before q)
+               (want_allen Allen.Before q)
           && union = sort_rows (want q @ want q2))
         (forms_queries rng))
+
+(* The 13 relations three ways: served from a set of forms prepared
+   while the tree was still empty (no offset, so no node-space bound can
+   be baked in), the ad-hoc plan of a throwaway set, and the naive
+   oracle. Bounds come from a narrow domain, and half the queries take
+   a stored bound, so Meets, Met_by, Starts, Finishes and Equals find
+   rows. *)
+let prop_allen_parity =
+  QCheck.Test.make ~count:200
+    ~name:"13 Allen: forms = ad-hoc = naive"
+    QCheck.(triple (int_bound 1_000_000) (int_range 0 80) bool)
+    (fun (seed, n, covering) ->
+      let layout = if covering then Ri.Covering else Ri.Paper in
+      let tree = Ri.create ~layout (Relation.Catalog.create ()) in
+      let forms = Pl.prepare tree in
+      let naive = Memindex.Naive.create () in
+      let rng = Workload.Prng.create ~seed in
+      let bound () = Workload.Prng.int rng 2_000 - 1_000 in
+      let stored = ref [] in
+      let query () =
+        let pick () =
+          match !stored with
+          | [] -> bound ()
+          | l ->
+              let ivl = List.nth l (Workload.Prng.int rng (List.length l)) in
+              if Workload.Prng.int rng 2 = 0 then Ivl.lower ivl
+              else Ivl.upper ivl
+        in
+        let a = if Workload.Prng.int rng 2 = 0 then pick () else bound () in
+        let b = if Workload.Prng.int rng 2 = 0 then pick () else bound () in
+        Ivl.make (min a b) (max a b)
+      in
+      let agree q =
+        List.for_all
+          (fun r ->
+            let want = sorted (Memindex.Naive.relation_ids naive r q) in
+            let served = (Pl.allen forms r q).Exec.Executor.rows in
+            let served = List.map (fun row -> row.(2)) served in
+            sorted served = want && sorted (Pl.allen_ids tree r q) = want)
+          Allen.all
+      in
+      let empty_ok = List.for_all agree (List.init 4 (fun _ -> query ())) in
+      for id = 0 to n - 1 do
+        let l = bound () in
+        let ivl = Ivl.make l (l + Workload.Prng.int rng 300) in
+        ignore (Ri.insert ~id tree ivl);
+        ignore (Memindex.Naive.insert ~id naive ivl);
+        stored := ivl :: !stored
+      done;
+      empty_ok && List.for_all agree (List.init 8 (fun _ -> query ())))
 
 (* ---- GROUP BY against a list oracle ----
 
@@ -903,11 +984,13 @@ let () =
          Alcotest.test_case "point Intersect <= 488 words" `Quick
            (gate_words "Intersect" ~bound:488. intersect_request);
          Alcotest.test_case "point EXECUTE <= 652 words" `Quick
-           (gate_words "EXECUTE" ~bound:652. execute_request) ]);
+           (gate_words "EXECUTE" ~bound:652. execute_request);
+         Alcotest.test_case "point Meets <= During + 25%" `Quick
+           test_meets_words ]);
       ( "compiled",
         List.map QCheck_alcotest.to_alcotest
           [ prop_forms_snapshot; prop_forms_stats_refresh; prop_forms_reload;
-            prop_forms_nested ] );
+            prop_forms_nested; prop_allen_parity ] );
       ("estimates",
        [ Alcotest.test_case "median I/O error within 1.0x" `Slow
            test_estimate_error_budget ]);

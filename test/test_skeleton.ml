@@ -98,6 +98,52 @@ let test_of_ri_rebuild () =
     (sorted (Pl.intersecting_ids tree q))
     (sorted (filtered_ids sk q))
 
+(* The skeleton's filter handed to a set of forms: the served
+   intersection and the 13 relations run with the filtered node lists,
+   as do the ad-hoc plans given the same filter, and every answer is the
+   naive oracle's. The forms are prepared before the first insert, and
+   the data sits in two clusters, so the filter drops probes. *)
+let prop_forms_node_filter =
+  QCheck.Test.make ~count:100 ~name:"forms with the skeleton filter = naive"
+    QCheck.(pair (int_bound 1_000_000) (int_range 1 60))
+    (fun (seed, n) ->
+      let rng = Workload.Prng.create ~seed in
+      let sk = Sk.create (Relation.Catalog.create ()) in
+      let node_filter = Sk.node_filter sk in
+      let forms = Pl.prepare ~node_filter (Sk.ri sk) in
+      let naive = Naive.create () in
+      let stored = ref [] in
+      for i = 0 to n - 1 do
+        let cluster = Workload.Prng.int rng 2 * 40_000 in
+        let l = cluster + Workload.Prng.int rng 2_000 in
+        let ivl = Ivl.make l (l + Workload.Prng.int rng 200) in
+        ignore (Sk.insert ~id:i sk ivl);
+        ignore (Naive.insert ~id:i naive ivl);
+        stored := Ivl.lower ivl :: Ivl.upper ivl :: !stored
+      done;
+      let bound () =
+        if Workload.Prng.int rng 2 = 0 then
+          List.nth !stored (Workload.Prng.int rng (List.length !stored))
+        else Workload.Prng.int rng 45_000
+      in
+      List.for_all
+        (fun _ ->
+          let a = bound () and b = bound () in
+          let q = Ivl.make (min a b) (max a b) in
+          let ids (out : Exec.Executor.output) =
+            sorted (List.map (fun row -> row.(2)) out.rows)
+          in
+          ids (Pl.intersect forms ~proj:Pl.Triples q)
+          = sorted (Naive.intersecting_ids naive q)
+          && sorted (Pl.intersecting_ids ~node_filter (Sk.ri sk) q)
+             = sorted (Naive.intersecting_ids naive q)
+          && List.for_all
+               (fun r ->
+                 ids (Pl.allen forms r q)
+                 = sorted (Naive.relation_ids naive r q))
+               Interval.Allen.all)
+        (List.init 6 Fun.id))
+
 let () =
   Alcotest.run "skeleton"
     [
@@ -108,5 +154,6 @@ let () =
            test_deletes_maintain_counts;
          Alcotest.test_case "probes saved on sparse data" `Quick
            test_probes_saved_on_sparse_data;
-         Alcotest.test_case "of_ri rebuild" `Quick test_of_ri_rebuild ]);
+         Alcotest.test_case "of_ri rebuild" `Quick test_of_ri_rebuild;
+         QCheck_alcotest.to_alcotest prop_forms_node_filter ]);
     ]
