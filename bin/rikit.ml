@@ -96,11 +96,10 @@ let explain kind n d seed trace qlow qup =
   let stats = Ritree.Cost_model.Stats.analyze tree in
   print_string
     (Exec.Planner.explain ~stats tree (Exec.Planner.Intersect_target q));
-  (* the chooser's pick and its candidates, priced by the estimator
-     printed above *)
+  (* the chooser's candidates, priced by the estimator printed above *)
   let prices = Exec.Planner.prices ~stats tree q in
   Printf.printf "chosen access path: %s  (est io: %s)\n"
-    (Exec.Planner.path_to_string (Exec.Planner.choose tree stats q))
+    (Exec.Planner.path_to_string (Exec.Planner.cheapest prices))
     (String.concat ", "
        (List.map
           (fun (p, io) ->

@@ -6,10 +6,8 @@
 
    This is the only RI-tree query path: the server, SQL, EXPLAIN, the
    benchmarks, the CLI, the examples and the spatial, hierarchy and
-   join libraries all read through it.
-
-   Fig. 9 runs one way, as a tree's {!forms}: EXPLAIN and every other
-   caller render or run the IR a served form compiles from.
+   join libraries all read through it, and each runs or renders Fig. 9
+   as a tree's {!forms}.
 
    Access-path selection (Sec. 5): the planner prices the access path
    of the full two-branch UNION ALL plan (Fig. 9/10) and of a filtered
@@ -304,8 +302,7 @@ let cheapest = function
    A query fills the frame and [select] names the form to run: an
    intersection prices both paths from the node lists ({!path_prices})
    and keeps the cheaper. A server keeps one set per tree; a run that
-   finds its set busy, and every ad-hoc entry point below, fill a
-   throwaway set through the same [select]. *)
+   finds its set busy fills a throwaway set through the same [select]. *)
 
 type form =
   | Form_two of proj
@@ -318,7 +315,7 @@ type forms = {
   nodes : Ri.node_buffers;
   left : Ir.coll;  (* leftNodes, over [nodes]' arrays *)
   right : Ir.coll;
-  path : Ir.coll;  (* pathNodes: a backbone path, at most 64 nodes *)
+  path : Ir.coll;  (* pathNodes: a backbone path, sized on first use *)
   qlow : int ref;
   qup : int ref;
   before_node : int ref;
@@ -329,13 +326,15 @@ type forms = {
   mutable busy : bool;
 }
 
+(* leftNodes and rightNodes over [nodes]' arrays, as last filled. *)
+let node_colls (nodes : Ri.node_buffers) =
+  ( { Ir.cols = left_cols; cells = nodes.Ri.left; rows = nodes.Ri.n_left },
+    { Ir.cols = right_cols; cells = nodes.Ri.right; rows = nodes.Ri.n_right } )
+
 let prepare ?node_filter tree =
   let nodes = Ri.node_buffers () in
-  let left = { Ir.cols = left_cols; cells = nodes.Ri.left; rows = 0 } in
-  let right = { Ir.cols = right_cols; cells = nodes.Ri.right; rows = 0 } in
-  let path =
-    { Ir.cols = right_cols; cells = Array.make (Sys.int_size + 1) 0; rows = 0 }
-  in
+  let left, right = node_colls nodes in
+  let path = { Ir.cols = right_cols; cells = [||]; rows = 0 } in
   let qlow = ref 0 and qup = ref 0 and vis = ref Ir.no_vis in
   let before_node = ref 0 and after_node = ref 0 in
   let ctx =
@@ -378,6 +377,7 @@ let fill_lists f q =
    ranges. *)
 let fill_path f x =
   let ps = Ri.params f.tree and p = f.path in
+  if p.Ir.cells = [||] then p.Ir.cells <- Array.make (Sys.int_size + 1) 0;
   p.Ir.rows <- 0;
   Option.iter
     (fun off ->
@@ -392,13 +392,12 @@ let fill_path f x =
 
 let fill_allen f r q =
   match r with
-  | Allen.Before | Allen.After ->
-      let offset = (Ri.params f.tree).Ri.offset in
-      let edge ~none d x =
-        Option.fold offset ~none ~some:(fun off -> x - off + d)
-      in
-      f.before_node := edge ~none:min_int (-1) (Ivl.lower q);
-      f.after_node := edge ~none:max_int 1 (Ivl.upper q)
+  | Allen.Before | Allen.After -> (
+      match (Ri.params f.tree).Ri.offset with
+      | Some off ->
+          f.before_node := Ivl.lower q - off - 1;
+          f.after_node := Ivl.upper q - off + 1
+      | None -> f.before_node := min_int; f.after_node := max_int)
   | Allen.Meets -> fill_path f (Ivl.lower q)
   | Allen.Met_by -> fill_path f (Ivl.upper q)
   | Allen.Overlaps | Allen.Finished_by | Allen.Contains | Allen.Starts
@@ -589,8 +588,9 @@ let temporal_projs =
 
 let plan_temporal store ~now q =
   let t = Ritree.Temporal_store.ri store in
-  let f = prepare t in
-  fill_lists f q;
+  let nodes = Ri.node_buffers () in
+  Ri.fill_node_lists t q nodes;
+  let left, right = node_colls nodes in
   let qlow = Ivl.lower q and qup = Ivl.upper q in
   let finite = two_branch_branches ~projs:temporal_projs t in
   let sentinel_step =
@@ -611,7 +611,7 @@ let plan_temporal store ~now q =
   { plan = plain_plan (finite @ [ sentinel_branch ]);
     ctx =
       make_ctx (interval_binds q)
-        [ ("leftNodes", f.left); ("rightNodes", f.right);
+        [ ("leftNodes", left); ("rightNodes", right);
           ("sentinelNodes", Ir.coll [| "node"; "maxLower" |] sentinels) ] }
 
 let temporal_matches store ~now q =
